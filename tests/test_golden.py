@@ -1,0 +1,64 @@
+"""Pinned outputs of two shipped configs, so numerical drift across commits shows.
+
+The reference numbers in ``golden_outputs.json`` were recorded from the CLI
+outputs of ``configs/example1_weak.json`` (gamma strategy) and
+``configs/example2_memory.json`` (psi strategy, memory model).  A change that
+is meant to alter these solutions rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qsmfg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+CONFIGS = ("example1_weak", "example2_memory")
+TOL = 1e-12
+
+
+def _numbers(path: Path) -> list[list[float]]:
+    """Rows of a CSV output after its header; ';'-joined cells are split."""
+    rows = []
+    for line in path.read_text().strip().split("\n")[1:]:
+        rows.append([float(v) for cell in line.split(",") for v in cell.split(";") if v])
+    return rows
+
+
+def _outputs(name: str, tmp_path: Path) -> dict:
+    payload = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    out = tmp_path / name
+    payload["output_dir"] = str(out)
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(payload))
+    assert main(["run", str(config)]) == 0
+    return {
+        "m": [row[2] for row in _numbers(out / "trajectory_m.csv")],
+        "u": [row[2] for row in _numbers(out / "trajectory_u.csv")],
+        "mu": _numbers(out / "mu.csv"),
+        "convergence": _numbers(out / "convergence.csv"),
+    }
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_shipped_config_matches_golden(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    got = _outputs(name, tmp_path)
+    assert [row[0] for row in got["convergence"]] == [row[0] for row in expected["convergence"]]
+    for key in ("m", "u", "mu", "convergence"):
+        np.testing.assert_allclose(got[key], expected[key], rtol=0, atol=TOL, err_msg=key)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {name: _outputs(name, Path(tmp)) for name in CONFIGS}
+    GOLDEN.write_text(json.dumps(golden) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
