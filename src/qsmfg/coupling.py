@@ -14,6 +14,9 @@ Two outer strategies solve the discounted system:
       pushes it forward through the optimal policies.  Works for instant and
       history models and needs no inner contraction.
 
+Both run the same damped Picard loop; a strategy supplies only its per-slice
+solve and its outer error.
+
 The ergodic system is solved by driving the discounted solver through a
 geometric discount sequence and extracting the normalized value functions and
 per-slice cost estimates; the limit is cross-checked against direct ergodic
@@ -251,6 +254,63 @@ def _du_gap(du_a: Sequence[GridField], du_b: Sequence[GridField]) -> float:
     return max(float(np.abs(a.values - b.values).max()) for a, b in zip(du_a, du_b))
 
 
+def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, contexts, policies):
+    """One Fokker-Planck evolution from m0 with the drifts of the per-slice policies."""
+    drifts = [drift_field(spec, m0.grid, a, ctx) for a, ctx in zip(policies, contexts)]
+    return fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
+
+
+def _damped_picard(spec, m0, config, slice_solve, outer_error):
+    """The outer Picard loop both strategies share.
+
+    Each pass calls slice_solve(previous policies), which returns the
+    per-slice contexts and optimal policies; blends the policies with the
+    previous pass's (damping); evolves the density once with their drifts;
+    and logs the row (pass, *outer_error(trajectory, policies)), whose first
+    entry is the total error tested against the outer tolerance.  Returns
+    (log, last trajectory, last policies, converged).
+    """
+    log: list[tuple] = []
+    policies_prev = None
+    traj = None
+    for k in range(1, config.max_outer + 1):
+        contexts, policies = slice_solve(policies_prev)
+        if policies_prev is not None and config.damping < 1.0:
+            policies = [
+                blend_policies(old, new, config.damping, spec.control)
+                for old, new in zip(policies_prev, policies)
+            ]
+        traj = _evolve(spec, m0, config, contexts, policies)
+        log.append((k, *outer_error(traj, policies)))
+        policies_prev = policies
+        if log[-1][1] <= config.outer_tol:
+            return log, traj, policies, True
+    return log, traj, policies_prev, False
+
+
+def _solution(config, log, converged, traj, m, u, mu, policy, hjb_res, mu_res, histories, **extra):
+    """TrajectorySolution of an outer strategy, with its shared diagnostics."""
+    diagnostics = {
+        "outer_iterations": len(log),
+        "final_outer_error": log[-1][1] if log else 0.0,
+        **extra,
+        "hjb_residual_histories": tuple(histories),
+    }
+    return TrajectorySolution(
+        times=config.times(),
+        u=tuple(u),
+        m=tuple(m),
+        mu=tuple(mu),
+        policy=tuple(policy),
+        drifts=traj.drifts if traj is not None else (),
+        converged=converged,
+        outer_errors=tuple(log),
+        hjb_residuals=np.asarray(hjb_res),
+        mu_residuals=np.asarray(mu_res),
+        diagnostics=diagnostics,
+    )
+
+
 def solve_field_iteration(
     spec: ModelSpec,
     m0: DensityField,
@@ -267,117 +327,79 @@ def solve_field_iteration(
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant-context model")
     grid = m0.grid
-    times = config.times()
     n_slices = config.n_steps + 1
 
     if initial is None:
         u_list = [GridField.zeros(grid) for _ in range(n_slices)]
         m_list: list[DensityField] = [m0] * n_slices
     else:
-        u_init, m_init = initial
-        u_list = list(u_init)
-        m_list = list(m_init)
+        u_list, m_list = list(initial[0]), list(initial[1])
     du_list = [gradient_central(u) for u in u_list]
-
-    policy_drift_prev: Optional[list[ControlField]] = None
-    outer_log: list[tuple] = []
+    new_du: list = []
     rates: list[float] = []
     inner_converged = True
-    converged = False
-    last_traj = None
 
-    for k in range(1, config.max_outer + 1):
-        mus, policies, new_u, new_du = [], [], [], []
-        for j in range(n_slices):
+    def slice_solve(_policies_prev):
+        nonlocal inner_converged, new_du
+        contexts, policies, new_du = [], [], []
+        for m, du in zip(m_list, du_list):
             res = solve_joint_measure(
-                m_list[j], du_list[j], spec,
-                tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
+                m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
             )
             inner_converged &= res.converged
             if res.rate is not None:
                 rates.append(res.rate)
+            ctx = InstantContext(res.mu)
             h = solve_discounted(
-                spec, InstantContext(res.mu), config.rho, grid,
+                spec, ctx, config.rho, grid,
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
             )
-            mus.append(res.mu)
+            contexts.append(ctx)
             policies.append(h.policy)
-            new_u.append(h.u)
             new_du.append(gradient_central(h.u))
-        if policy_drift_prev is None or config.damping >= 1.0:
-            pol_used = policies
-        else:
-            pol_used = [
-                blend_policies(policy_drift_prev[j], policies[j], config.damping, spec.control)
-                for j in range(n_slices)
-            ]
-        drifts = [drift_field(spec, grid, pol_used[j], InstantContext(mus[j])) for j in range(n_slices)]
-        traj = fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
-        du_errs = [_du_gap(new_du[j], du_list[j]) for j in range(n_slices)]
-        m_errs = [wasserstein1_state(traj.densities[j], m_list[j]) for j in range(n_slices)]
-        e_k = max(du_errs[j] + m_errs[j] for j in range(n_slices))
-        outer_log.append((k, e_k, max(du_errs), max(m_errs)))
-        u_list, du_list, m_list = new_u, new_du, list(traj.densities)
-        policy_drift_prev = pol_used
-        last_traj = traj
-        if e_k <= config.outer_tol:
-            converged = True
-            break
+        return contexts, policies
 
-    final = _finalize_instant_slices(spec, grid, config, m_list, u_list, du_list)
-    diagnostics = {
-        "outer_iterations": len(outer_log),
-        "final_outer_error": outer_log[-1][1] if outer_log else 0.0,
-        "mu_contraction_rate_max": max(rates) if rates else None,
-        "inner_converged": inner_converged,
-        "hjb_residual_histories": tuple(final["histories"]),
-    }
-    return TrajectorySolution(
-        times=times,
-        u=tuple(final["u"]),
-        m=tuple(m_list),
-        mu=tuple(final["mu"]),
-        policy=tuple(final["policy"]),
-        drifts=last_traj.drifts if last_traj is not None else (),
-        converged=converged,
-        outer_errors=tuple(outer_log),
-        hjb_residuals=np.array(final["hjb_res"]),
-        mu_residuals=np.array(final["mu_res"]),
-        diagnostics=diagnostics,
+    def outer_error(traj, _policies):
+        nonlocal m_list, du_list
+        du_errs = [_du_gap(a, b) for a, b in zip(new_du, du_list)]
+        m_errs = [wasserstein1_state(a, b) for a, b in zip(traj.densities, m_list)]
+        m_list, du_list = list(traj.densities), new_du
+        return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
+
+    log, traj, _, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
+    u, mu, policy, hjb_res, mu_res, histories = _finalize_instant_slices(spec, config, m_list, du_list)
+    return _solution(
+        config, log, converged, traj, m_list, u, mu, policy, hjb_res, mu_res, histories,
+        mu_contraction_rate_max=max(rates) if rates else None,
+        inner_converged=inner_converged,
     )
 
 
-def _finalize_instant_slices(spec, grid, config, m_list, u_list, du_list, max_rounds: int = 12):
+def _finalize_instant_slices(spec, config, m_list, du_list, max_rounds: int = 12):
     """Re-solve each slice on the final densities until the measured residuals
-    of the measure equation and the HJB equation both meet their tolerances."""
-    out = {"u": [], "mu": [], "policy": [], "hjb_res": [], "mu_res": [], "histories": []}
-    for j in range(len(m_list)):
-        du = du_list[j]
-        best = None
+    of the measure equation and the HJB equation both meet their tolerances.
+
+    Returns per-slice sequences: u, mu, policy, HJB residual, measure
+    residual, and HJB residual history.
+    """
+    rows = []
+    for m, du in zip(m_list, du_list):
         for _ in range(max_rounds):
             res = solve_joint_measure(
-                m_list[j], du, spec,
+                m, du, spec,
                 tol=0.25 * config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
             )
             h = solve_discounted(
-                spec, InstantContext(res.mu), config.rho, grid,
+                spec, InstantContext(res.mu), config.rho, m.grid,
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
             )
             du = gradient_central(h.u)
-            u = h.u
-            probe = policy_field(spec, grid, du, InstantContext(res.mu))
-            mu_res = wasserstein1_joint(res.mu, pushforward(m_list[j], probe))
-            best = (u, res.mu, res.policy, h.residual, mu_res, h.residual_history)
+            probe = policy_field(spec, m.grid, du, InstantContext(res.mu))
+            mu_res = wasserstein1_joint(res.mu, pushforward(m, probe))
             if mu_res <= config.inner_tol and h.residual <= config.hjb_tol:
                 break
-        u, mu, policy, hjb_res, mu_res, history = best
-        out["u"].append(u)
-        out["mu"].append(mu)
-        out["policy"].append(policy)
-        out["hjb_res"].append(hjb_res)
-        out["mu_res"].append(mu_res)
-        out["histories"].append(history)
-    return out
+        rows.append((h.u, res.mu, res.policy, h.residual, mu_res, h.residual_history))
+    return zip(*rows)
 
 
 def solve_measure_iteration(
@@ -404,95 +426,47 @@ def solve_measure_iteration(
         mu_traj = list(initial)
         if len(mu_traj) != n_slices:
             raise ValueError("initial measure trajectory has the wrong length")
+    hjbs: list = []
 
-    policies_prev: Optional[list[ControlField]] = None
-    outer_log: list[tuple] = []
-    converged = False
-    u_list: list[GridField] = []
-    m_list: list[DensityField] = []
-    pol_used: list[ControlField] = []
-    last_traj = None
-
-    for k in range(1, config.max_outer + 1):
+    def slice_solve(warm):
+        nonlocal hjbs
         contexts = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
         hjbs = [
             solve_discounted(
-                spec, contexts[j], config.rho, grid,
-                tol=config.hjb_tol, max_iter=config.hjb_max_iter,
-                warm_start=policies_prev[j] if policies_prev else None,
+                spec, ctx, config.rho, grid,
+                tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=warm[j] if warm else None,
             )
-            for j in range(n_slices)
+            for j, ctx in enumerate(contexts)
         ]
-        policies = [h.policy for h in hjbs]
-        if policies_prev is None or config.damping >= 1.0:
-            pol_used = policies
-        else:
-            pol_used = [
-                blend_policies(policies_prev[j], policies[j], config.damping, spec.control)
-                for j in range(n_slices)
-            ]
-        drifts = [drift_field(spec, grid, pol_used[j], contexts[j]) for j in range(n_slices)]
-        traj = fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
-        mu_new = [pushforward(traj.densities[j], pol_used[j]) for j in range(n_slices)]
-        e_k = max(wasserstein1_joint(mu_new[j], mu_traj[j]) for j in range(n_slices))
-        outer_log.append((k, e_k, e_k))
+        return contexts, [h.policy for h in hjbs]
+
+    def outer_error(traj, policies):
+        nonlocal mu_traj
+        mu_new = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
+        e_k = max(wasserstein1_joint(new, old) for new, old in zip(mu_new, mu_traj))
         mu_traj = mu_new
-        policies_prev = pol_used
-        u_list = [h.u for h in hjbs]
-        m_list = list(traj.densities)
-        last_traj = traj
-        if e_k <= config.outer_tol:
-            converged = True
-            break
+        return e_k, e_k
+
+    log, traj, policies, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
 
     # consistency sweeps: undamped passes until the measured per-slice
     # residuals of the measure and HJB equations meet their tolerances
     hjb_res = np.zeros(n_slices)
     mu_res = np.zeros(n_slices)
-    final_policies = pol_used
-    histories: list[tuple[float, ...]] = [()] * n_slices
     for _ in range(5):
-        contexts = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
-        hjbs = [
-            solve_discounted(
-                spec, contexts[j], config.rho, grid,
-                tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=final_policies[j],
-            )
-            for j in range(n_slices)
-        ]
-        final_policies = [h.policy for h in hjbs]
-        histories = [h.residual_history for h in hjbs]
-        drifts = [drift_field(spec, grid, final_policies[j], contexts[j]) for j in range(n_slices)]
-        traj = fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
-        m_list = list(traj.densities)
-        mu_traj = [pushforward(m_list[j], final_policies[j]) for j in range(n_slices)]
-        u_list = [h.u for h in hjbs]
-        last_traj = traj
-        new_contexts = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
-        for j in range(n_slices):
-            hjb_res[j], _ = equation_residual(spec, new_contexts[j], config.rho, u_list[j])
-            probe = policy_field(spec, grid, gradient_central(u_list[j]), new_contexts[j])
-            mu_res[j] = wasserstein1_joint(mu_traj[j], pushforward(m_list[j], probe))
+        contexts, policies = slice_solve(policies)
+        traj = _evolve(spec, m0, config, contexts, policies)
+        mu_traj = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
+        for j, m in enumerate(traj.densities):
+            ctx = _slice_context(spec, times, mu_traj, j)
+            hjb_res[j], probe = equation_residual(spec, ctx, config.rho, hjbs[j].u)
+            mu_res[j] = wasserstein1_joint(mu_traj[j], pushforward(m, probe))
         if hjb_res.max() <= config.hjb_tol and mu_res.max() <= config.inner_tol:
             break
 
-    diagnostics = {
-        "outer_iterations": len(outer_log),
-        "final_outer_error": outer_log[-1][1] if outer_log else 0.0,
-        "hjb_residual_histories": tuple(histories),
-    }
-    return TrajectorySolution(
-        times=times,
-        u=tuple(u_list),
-        m=tuple(m_list),
-        mu=tuple(mu_traj),
-        policy=tuple(final_policies),
-        drifts=last_traj.drifts if last_traj is not None else (),
-        converged=converged,
-        outer_errors=tuple(outer_log),
-        hjb_residuals=hjb_res,
-        mu_residuals=mu_res,
-        diagnostics=diagnostics,
+    return _solution(
+        config, log, converged, traj, traj.densities, [h.u for h in hjbs], mu_traj, policies,
+        hjb_res, mu_res, [h.residual_history for h in hjbs],
     )
 
 
@@ -527,13 +501,11 @@ def solve_vanishing_discount(
     lambda_by_rho: list[np.ndarray] = []
     prev = None
     initial = None
-    last_sol = None
     converged = False
     rho_used: list[float] = []
 
     for rho in config.rho_sequence:
-        cfg_k = replace(config, rho=float(rho))
-        sol = _run_strategy(spec, m0, cfg_k, initial=initial)
+        sol = _run_strategy(spec, m0, replace(config, rho=float(rho)), initial=initial)
         u0 = np.array([s.flat()[x0] for s in sol.u])
         w = [GridField(grid, s.flat() - c) for s, c in zip(sol.u, u0)]
         lam = rho * u0
@@ -541,42 +513,29 @@ def solve_vanishing_discount(
         rho_used.append(float(rho))
         if prev is not None:
             w_prev, lam_prev, m_prev = prev
-            value_inc = max(
-                abs(lam[j] - lam_prev[j])
-                + float(np.abs(w[j].values - w_prev[j].values).max())
+            gaps = [
+                abs(lam[j] - lam_prev[j]) + float(np.abs(w[j].values - w_prev[j].values).max())
                 for j in range(n_slices)
-            )
-            inc = max(
-                abs(lam[j] - lam_prev[j])
-                + float(np.abs(w[j].values - w_prev[j].values).max())
-                + wasserstein1_state(sol.m[j], m_prev[j])
-                for j in range(n_slices)
-            )
-            value_increments.append(value_inc)
-            increments.append(inc)
-        prev = (w, lam, list(sol.m))
-        last_sol = sol
-        if config.strategy == "gamma":
-            initial = (list(sol.u), list(sol.m))
-        else:
-            initial = list(sol.mu)
-        if increments and increments[-1] <= config.ergodic_tol and not config.full_sequence:
-            converged = True
+            ]
+            value_increments.append(max(gaps))
+            increments.append(max(g + wasserstein1_state(sol.m[j], m_prev[j]) for j, g in enumerate(gaps)))
+        prev = (w, lam, sol.m)
+        initial = (sol.u, sol.m) if config.strategy == "gamma" else sol.mu
+        converged = bool(increments) and increments[-1] <= config.ergodic_tol
+        if converged and not config.full_sequence:
             break
-    if increments and increments[-1] <= config.ergodic_tol:
-        converged = True
 
     # per-slice cross-check against the direct ergodic solver
     w_final, lam_final, _ = prev
     direct_gaps = np.zeros(n_slices)
     for j in range(n_slices):
-        ctx = _slice_context(spec, times, list(last_sol.mu), j)
+        ctx = _slice_context(spec, times, list(sol.mu), j)
         es = solve_ergodic(spec, ctx, grid, tol=config.hjb_tol, method="direct")
         direct_gaps[j] = abs(es.lam - lam_final[j]) + float(
             np.abs(es.u.values - w_final[j].values).max()
         )
 
-    diagnostics = dict(last_sol.diagnostics)
+    diagnostics = dict(sol.diagnostics)
     diagnostics.update(
         {
             "rho_sequence": rho_used,
@@ -587,19 +546,8 @@ def solve_vanishing_discount(
             "achieved_increment": increments[-1] if increments else None,
         }
     )
-    return TrajectorySolution(
-        times=times,
-        u=tuple(w_final),
-        m=last_sol.m,
-        mu=last_sol.mu,
-        policy=last_sol.policy,
-        lam=lam_final,
-        drifts=last_sol.drifts,
-        converged=converged and last_sol.converged,
-        outer_errors=last_sol.outer_errors,
-        hjb_residuals=last_sol.hjb_residuals,
-        mu_residuals=last_sol.mu_residuals,
-        diagnostics=diagnostics,
+    return replace(
+        sol, u=tuple(w_final), lam=lam_final, converged=converged and sol.converged, diagnostics=diagnostics,
     )
 
 
