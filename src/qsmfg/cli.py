@@ -2,7 +2,7 @@
 
 Configs are single JSON files; outputs are data-only (CSV, compact binary,
 summary JSON) for external plotting.  Exit codes: 0 success, 2 config error,
-3 solver non-convergence (logs are still written).
+3 solver non-convergence (logs are still written) or solver failure.
 """
 
 from __future__ import annotations
@@ -30,13 +30,16 @@ from .measure import (
     uniform_density,
     von_mises_density,
 )
-from .model import MODEL_BUILDERS, build_model, check_model
+from .model import MODEL_BUILDERS, ModelSpec, build_model, check_model
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "validate", "sweep", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+
+# config "tolerances" keys and the CouplingConfig fields they set
+TOLERANCE_FIELDS = {"outer": "outer_tol", "inner": "inner_tol", "hjb": "hjb_tol", "ergodic": "ergodic_tol"}
 
 
 class ConfigError(ValueError):
@@ -54,19 +57,8 @@ class RunConfig:
     model_params: dict
     d: int
     n: int
-    T: float
-    dt: float
     mode: str  # "discounted" | "ergodic"
-    strategy: str  # "gamma" | "psi"
-    rho: float = 1.0
-    rho_sequence: tuple[float, ...] = ()
-    outer_tol: float = 1e-8
-    inner_tol: float = 1e-9
-    hjb_tol: float = 1e-11
-    ergodic_tol: float = 1e-4
-    damping: float = 0.5
-    max_outer: int = 40
-    full_sequence: bool = False
+    coupling: CouplingConfig  # time grid, discount, tolerances, strategy
     m0_kind: str = "uniform"
     m0_params: dict = field(default_factory=dict)
     output_dir: str = "out"
@@ -74,22 +66,6 @@ class RunConfig:
     seed: int = 0
     ot_atom_cap: int | None = None
     ot_lp_maxiter: int | None = None
-
-    def coupling_config(self) -> CouplingConfig:
-        return CouplingConfig(
-            T=self.T,
-            dt=self.dt,
-            rho=self.rho,
-            outer_tol=self.outer_tol,
-            max_outer=self.max_outer,
-            damping=self.damping,
-            inner_tol=self.inner_tol,
-            hjb_tol=self.hjb_tol,
-            strategy=self.strategy,
-            rho_sequence=self.rho_sequence,
-            ergodic_tol=self.ergodic_tol,
-            full_sequence=self.full_sequence,
-        )
 
 
 def _require(payload: dict, key: str, kind, where: str):
@@ -166,7 +142,7 @@ def parse_config(payload: dict) -> RunConfig:
 
     tols = payload.get("tolerances", {})
     for key in tols:
-        if key not in ("outer", "inner", "hjb", "ergodic"):
+        if key not in TOLERANCE_FIELDS:
             raise ConfigError(f"tolerances.{key}", "unknown tolerance")
         if float(tols[key]) <= 0:
             raise ConfigError(f"tolerances.{key}", "must be positive")
@@ -194,19 +170,18 @@ def parse_config(payload: dict) -> RunConfig:
         model_params=params,
         d=d,
         n=n,
-        T=T,
-        dt=dt,
         mode=mode,
-        strategy=strategy,
-        rho=rho,
-        rho_sequence=rho_sequence,
-        outer_tol=float(tols.get("outer", 1e-8)),
-        inner_tol=float(tols.get("inner", 1e-9)),
-        hjb_tol=float(tols.get("hjb", 1e-11)),
-        ergodic_tol=float(tols.get("ergodic", 1e-4)),
-        damping=damping,
-        max_outer=max_outer,
-        full_sequence=bool(payload.get("full_sequence", False)),
+        coupling=CouplingConfig(
+            T=T,
+            dt=dt,
+            rho=rho,
+            max_outer=max_outer,
+            damping=damping,
+            strategy=strategy,
+            rho_sequence=rho_sequence,
+            full_sequence=bool(payload.get("full_sequence", False)),
+            **{TOLERANCE_FIELDS[key]: float(value) for key, value in tols.items()},
+        ),
         m0_kind=m0_kind,
         m0_params={k: v for k, v in m0_cfg.items() if k != "kind"},
         output_dir=str(payload.get("output_dir", "out")),
@@ -243,12 +218,12 @@ def build_initial_density(cfg: RunConfig, grid: Grid) -> DensityField:
     )
 
 
-def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
+def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
     grid = sol.m[0].grid
     traj = FpTrajectory(
         grid=grid,
-        dt=cfg.dt,
+        dt=cfg.coupling.dt,
         times=sol.times,
         densities=sol.m,
         drifts=sol.drifts,
@@ -292,12 +267,12 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
                 for it, res in enumerate(hist, start=1):
                     fh.write(f"{format(sol.times[j], '.17g')},{it},{format(res, '.17g')}\n")
 
-    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    kset = regularity_report(sol, spec=spec, rho=cfg.rho if cfg.mode == "discounted" else None, seed=cfg.seed)
+    rho = cfg.coupling.rho if cfg.mode == "discounted" else None
+    kset = regularity_report(sol, spec=spec, rho=rho, seed=cfg.seed)
     summary = {
         "model": cfg.model_name,
         "mode": cfg.mode,
-        "strategy": cfg.strategy,
+        "strategy": cfg.coupling.strategy,
         "converged": bool(sol.converged),
         "outer_iterations": int(sol.diagnostics.get("outer_iterations", 0)),
         "final_outer_error": sol.diagnostics.get("final_outer_error"),
@@ -315,24 +290,40 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
 
+def _solve_and_write(cfg: RunConfig) -> TrajectorySolution | None:
+    """Solve one validated config and write its outputs; the run path shared
+    by run and sweep.  A solver failure is reported and returns None.  The
+    config's transport limits hold for this call only."""
+    started = time.perf_counter()
+    grid = Grid(cfg.d, cfg.n)
+    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
+    m0 = build_initial_density(cfg, grid)
+    set_transport_limits(cfg.ot_atom_cap, cfg.ot_lp_maxiter)
+    try:
+        try:
+            sol = solve_system(spec, m0, cfg.coupling, mode=cfg.mode)
+        except (RuntimeError, ValueError) as exc:
+            print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
+            return None
+        _write_outputs(cfg, spec, sol, Path(cfg.output_dir), time.perf_counter() - started)
+    finally:
+        set_transport_limits()
+    return sol
+
+
 def run(config_path: str) -> int:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    started = time.perf_counter()
-    set_transport_limits(cfg.ot_atom_cap, cfg.ot_lp_maxiter)
-    grid = Grid(cfg.d, cfg.n)
-    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    m0 = build_initial_density(cfg, grid)
-    sol = solve_system(spec, m0, cfg.coupling_config(), mode=cfg.mode)
-    elapsed = time.perf_counter() - started
-    _write_outputs(cfg, sol, Path(cfg.output_dir), elapsed)
+    sol = _solve_and_write(cfg)
+    if sol is None:
+        return EXIT_NO_CONVERGENCE
     if not sol.converged:
         print("warning: solver did not reach the outer tolerance; logs written", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"ok: {cfg.mode}/{cfg.strategy} run converged; outputs in {cfg.output_dir}")
+    print(f"ok: {cfg.mode}/{cfg.coupling.strategy} run converged; outputs in {cfg.output_dir}")
     return EXIT_OK
 
 
@@ -359,7 +350,8 @@ def _set_path(payload: dict, dotted: str, value) -> None:
 
 def sweep(config_path: str) -> int:
     """Cartesian sweep: the config carries a "sweep" object mapping dotted
-    parameter paths to value lists; one summary row is emitted per point."""
+    parameter paths to value lists; one summary row is emitted per solved
+    point.  A point whose solve fails is reported on stderr and has no row."""
     try:
         payload = json.loads(Path(config_path).read_text())
     except (FileNotFoundError, json.JSONDecodeError) as exc:
@@ -384,30 +376,18 @@ def sweep(config_path: str) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        started = time.perf_counter()
-        grid = Grid(cfg.d, cfg.n)
-        spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-        m0 = build_initial_density(cfg, grid)
-        sol = solve_system(spec, m0, cfg.coupling_config(), mode=cfg.mode)
-        elapsed = time.perf_counter() - started
-        _write_outputs(cfg, sol, Path(cfg.output_dir), elapsed)
-        any_failed |= not sol.converged
+        sol = _solve_and_write(cfg)
+        any_failed |= sol is None or not sol.converged
+        if sol is None:
+            continue
         rows.append(
-            {
-                "point": tag,
-                "converged": bool(sol.converged),
-                "outer_iterations": int(sol.diagnostics.get("outer_iterations", 0)),
-                "final_outer_error": sol.diagnostics.get("final_outer_error"),
-            }
+            f"{tag},{int(sol.converged)},{int(sol.diagnostics.get('outer_iterations', 0))},"
+            f"{format(sol.diagnostics.get('final_outer_error'), '.17g')}\n"
         )
     base_out.mkdir(parents=True, exist_ok=True)
     with open(base_out / "sweep_summary.csv", "w", encoding="ascii") as fh:
         fh.write("point,converged,outer_iterations,final_outer_error\n")
-        for r in rows:
-            fh.write(
-                f"{r['point']},{int(r['converged'])},{r['outer_iterations']},"
-                f"{format(r['final_outer_error'], '.17g')}\n"
-            )
+        fh.writelines(rows)
     print(f"sweep finished: {len(rows)} points, summary in {base_out / 'sweep_summary.csv'}")
     return EXIT_NO_CONVERGENCE if any_failed else EXIT_OK
 

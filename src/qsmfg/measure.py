@@ -41,16 +41,18 @@ MASS_TOL = 1e-12
 NEGATIVE_TOL = 1e-13
 DEFAULT_ATOM_CAP = 4096
 
-# process-wide transport limits; runs configure them once at startup
+# process-wide transport limits; every CLI run sets both before it solves
 _TRANSPORT_LIMITS = {"atom_cap": DEFAULT_ATOM_CAP, "lp_maxiter": None}
 
 
 def set_transport_limits(atom_cap: int | None = None, lp_maxiter: int | None = None) -> None:
-    """Configure the atom cap and LP iteration cap used by default."""
-    if atom_cap is not None:
-        _TRANSPORT_LIMITS["atom_cap"] = int(atom_cap)
-    if lp_maxiter is not None:
-        _TRANSPORT_LIMITS["lp_maxiter"] = int(lp_maxiter)
+    """Set the atom cap and LP iteration cap used by default.
+
+    None restores a limit's default (DEFAULT_ATOM_CAP atoms, no LP iteration
+    cap), so limits set for one run never carry over into the next.
+    """
+    _TRANSPORT_LIMITS["atom_cap"] = DEFAULT_ATOM_CAP if atom_cap is None else int(atom_cap)
+    _TRANSPORT_LIMITS["lp_maxiter"] = None if lp_maxiter is None else int(lp_maxiter)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,15 @@ class TestRun:
         assert code == 3
         assert (tmp_path / "out" / "summary.json").exists()  # logs still written
 
+    def test_solver_failure_exit_code_and_limits_reset(self, tmp_path, capsys):
+        # 32 atoms exceed the cap of 8: the transport solve raises inside the run
+        capped = dict(MINIMAL, ot={"atom_cap": 8}, output_dir=str(tmp_path / "capped"))
+        assert main(["run", _write(tmp_path, capped, "capped.json")]) == 3
+        assert "error:" in capsys.readouterr().err
+        # the next run in the same process is back on the default limits
+        plain = dict(MINIMAL, output_dir=str(tmp_path / "plain"))
+        assert main(["run", _write(tmp_path, plain, "plain.json")]) == 0
+
     def test_diagnostics_flag_writes_residual_histories(self, tmp_path):
         payload = dict(MINIMAL, diagnostics=True, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 0
@@ -209,6 +218,16 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "sweep_summary.csv").read_text().strip().split("\n")
         assert len(rows) == 3  # header + 2 points
         assert (tmp_path / "sweep" / "coupling_weight=0.0" / "summary.json").exists()
+
+    def test_sweep_applies_transport_limits(self, tmp_path, capsys):
+        payload = dict(
+            MINIMAL,
+            ot={"atom_cap": 8},
+            output_dir=str(tmp_path / "sweep"),
+            sweep={"model.params.coupling_weight": [0.0]},
+        )
+        assert main(["sweep", _write(tmp_path, payload)]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_sweep_without_spec_is_config_error(self, tmp_path):
         code = main(["sweep", _write(tmp_path, dict(MINIMAL))])
