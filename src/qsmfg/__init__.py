@@ -26,7 +26,6 @@ from .measure import (
     JointMeasure,
     pushforward,
     set_transport_limits,
-    sinkhorn_w1,
     two_bump_density,
     uniform_density,
     von_mises_density,

@@ -30,7 +30,6 @@ __all__ = [
     "pushforward",
     "wasserstein1_joint",
     "wasserstein1_state",
-    "sinkhorn_w1",
     "set_transport_limits",
     "uniform_density",
     "von_mises_density",
@@ -316,46 +315,6 @@ def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:
         return 0.0
     cost = torus_distance(x1[:, None, :], x2[None, :, :])
     return _transport_lp(cost, w1, w2)
-
-
-def sinkhorn_w1(
-    nu1: JointMeasure,
-    nu2: JointMeasure,
-    epsilon: float = 1e-2,
-    max_iter: int = 5000,
-    tol: float = 1e-10,
-) -> float:
-    """Entropically regularized transport cost (log-domain Sinkhorn).
-
-    Accelerated alternative to the exact LP with a bias of order
-    epsilon * log(atom count); use only where the documented bias is
-    acceptable.  Returns the transport cost of the regularized plan.
-    """
-    if abs(nu1.mass() - nu2.mass()) > 1e-10:
-        raise ValueError(f"mass mismatch: {nu1.mass()!r} vs {nu2.mass()!r}")
-    x1, a1, w1 = _dedupe(nu1)
-    x2, a2, w2 = _dedupe(nu2)
-    cost = joint_cost_matrix(x1, a1, x2, a2)
-    total = w1.sum()
-    w1 = w1 / total
-    w2 = w2 / total
-    log_w1 = np.log(w1)
-    log_w2 = np.log(w2)
-    f = np.zeros(len(w1))
-    g = np.zeros(len(w2))
-    for _ in range(max_iter):
-        f_prev = f
-        g = -epsilon * _logsumexp((f[:, None] - cost) / epsilon + log_w1[:, None], axis=0)
-        f = -epsilon * _logsumexp((g[None, :] - cost) / epsilon + log_w2[None, :], axis=1)
-        if np.max(np.abs(f - f_prev)) < tol:
-            break
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon + log_w1[:, None] + log_w2[None, :])
-    return float((plan * cost).sum() * total)
-
-
-def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
-    m = mat.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(mat - m).sum(axis=axis, keepdims=True))).ravel()
 
 
 def joint_measure_to_csv(nu: JointMeasure, path: str) -> None:
