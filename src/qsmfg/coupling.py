@@ -501,7 +501,6 @@ def solve_vanishing_discount(
     lambda_by_rho: list[np.ndarray] = []
     prev = None
     initial = None
-    converged = False
     rho_used: list[float] = []
 
     for rho in config.rho_sequence:
