@@ -28,7 +28,6 @@ __all__ = [
     "fp_step",
     "fp_evolve",
     "transport_generator",
-    "holder_report",
     "trajectory_to_csv",
     "trajectory_to_binary",
     "trajectory_from_binary",
@@ -154,33 +153,6 @@ def fp_evolve(
         densities=tuple(densities),
         drifts=tuple(drifts),
     )
-
-
-def holder_report(
-    traj: FpTrajectory,
-    w1: Callable[[DensityField, DensityField], float] | None = None,
-    max_pairs: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Empirical Holder-1/2 constant: max over time pairs of W1(m_j, m_k) / sqrt|t_j - t_k|."""
-    if len(traj.densities) < 2:
-        raise ValueError("trajectory needs at least two time levels")
-    if w1 is None:
-        from .measure import wasserstein1_state
-
-        w1 = wasserstein1_state
-    n = len(traj.densities)
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    if len(pairs) > max_pairs:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[int(c)] for c in chosen]
-    best = 0.0
-    for j, k in pairs:
-        gap = abs(traj.times[k] - traj.times[j])
-        dist = w1(traj.densities[j], traj.densities[k])
-        best = max(best, dist / np.sqrt(gap))
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,21 @@ a control field.  Distances between them use the sum ground metric
     dist((x,a), (x',a')) = dist_torus(x,x') + |a - a'|,
 
 so functions that are 1-Lipschitz in each argument are 1-Lipschitz jointly.
-Two independent engines are provided: an exact linear-program solve on the
-atom bipartite graph (the default, exact at desk scale) and, for d=1 state
-marginals, the circle CDF reduction.  They are implemented without shared
-code so they can cross-check each other.
+Every W1 value is exact; which engine computes it depends on the call:
+
+- identity coupling, for joint measures over the same state marginal (both
+  pushed from one density on one grid, as in every increment of the
+  joint-measure fixed point and every residual probe) when either policy is
+  1-Lipschitz from the torus L1 metric.  The value is sum_i w_i |a_i - a'_i|,
+  and f(x,a) = |a - a'(x)| is a dual certificate of its optimality;
+- the atom linear program on the bipartite atom graph (HiGHS), for every
+  other pair of joint measures, e.g. measures at two different times;
+- Beckmann's min-cost flow on the periodic grid graph, for d=2 state
+  densities: the torus L1 distance between nodes is h times their path
+  distance in that graph, so W1 is the cheapest flow of p - q along edges of
+  length h.  For d=1 state densities the circle CDF reduction is used.
+
+The atom LP is the reference the tests compare the other engines against.
 """
 
 from __future__ import annotations
@@ -230,6 +241,15 @@ def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
     return xc + ac
 
 
+def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, maxiter=None) -> float:
+    """Optimal value of min cost.z subject to a_eq z = b_eq, z >= 0 (HiGHS)."""
+    options = {} if maxiter is None else {"maxiter": int(maxiter)}
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
+
+
 def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, maxiter=None) -> float:
     """Exact optimal transport cost via the HiGHS linear-program solver."""
     n1, n2 = cost.shape
@@ -242,11 +262,34 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, maxiter=None
         (np.ones(2 * n1 * n2), (rows, cols)), shape=(n1 + n2, n1 * n2)
     ).tocsr()[:-1]  # drop one redundant marginal row
     b_eq = np.concatenate([w1, w2])[:-1]
-    options = {} if maxiter is None else {"maxiter": int(maxiter)}
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return _solve_lp(cost.ravel(), a_eq, b_eq, maxiter)
+
+
+def _same_marginal(nu1: JointMeasure, nu2: JointMeasure) -> bool:
+    """True when both measures hold atom i at grid node i with equal weights."""
+    grid = nu1.grid
+    return (
+        grid is not None
+        and nu2.grid == grid
+        and np.array_equal(nu1.w, nu2.w)
+        and np.array_equal(nu1.x, nu2.x)
+        and np.array_equal(nu1.x, grid.coordinates())
+    )
+
+
+def _lipschitz_policy(nu: JointMeasure) -> bool:
+    """True when node -> control is 1-Lipschitz from the torus L1 metric.
+
+    The torus L1 distance between nodes is h times their path distance in
+    the periodic grid graph, so checking every nearest-neighbour edge
+    suffices.
+    """
+    grid = nu.grid
+    a = nu.a.reshape(grid.shape + (nu.a.shape[1],))
+    return all(
+        np.linalg.norm(a - np.roll(a, -1, axis=ax), axis=-1).max() <= grid.h
+        for ax in range(grid.d)
+    )
 
 
 def wasserstein1_joint(
@@ -259,6 +302,8 @@ def wasserstein1_joint(
 
     Requires equal total masses (within 1e-10); measures above the configured
     atom cap are rejected, since the LP is only intended for desk scale.
+    Measures over the same state marginal take the identity coupling when
+    either policy certifies it, and the atom LP otherwise.
     """
     if atom_cap is None:
         atom_cap = _TRANSPORT_LIMITS["atom_cap"]
@@ -274,6 +319,10 @@ def wasserstein1_joint(
         raise ValueError(f"atom count {max(len(w1), len(w2))} exceeds cap {atom_cap}")
     if a1.shape[1] != a2.shape[1] or x1.shape[1] != x2.shape[1]:
         raise ValueError("joint measures live on different product spaces")
+    if _same_marginal(nu1, nu2) and (_lipschitz_policy(nu1) or _lipschitz_policy(nu2)):
+        # f(x,a) = |a - a'(x)| is 1-Lipschitz for the sum metric and attains
+        # the identity coupling's cost, so that coupling is optimal
+        return float(nu1.w @ np.linalg.norm(nu1.a - nu2.a, axis=1))
     cost = joint_cost_matrix(x1, a1, x2, a2)
     return _transport_lp(cost, w1, w2, maxiter=lp_maxiter)
 
@@ -290,19 +339,44 @@ def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
     return float(h * np.abs(c - theta).sum())
 
 
+def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid, maxiter=None) -> float:
+    """Exact W1 between node masses as Beckmann's min-cost flow.
+
+    One forward and one backward flow variable per edge of the periodic grid
+    graph, each of cost h per unit mass; node i sends out p_i - q_i net.
+    """
+    n_nodes = grid.size
+    nodes = np.arange(n_nodes).reshape(grid.shape)
+    tails = np.tile(np.arange(n_nodes), grid.d)
+    heads = np.concatenate([np.roll(nodes, -1, axis=ax).ravel() for ax in range(grid.d)])
+    edges = np.arange(tails.size)
+    incidence = sparse.coo_matrix(
+        (np.concatenate([np.ones(edges.size), -np.ones(edges.size)]),
+         (np.concatenate([tails, heads]), np.concatenate([edges, edges]))),
+        shape=(n_nodes, edges.size),
+    )
+    a_eq = sparse.hstack([incidence, -incidence]).tocsr()[:-1]  # drop one redundant balance row
+    return _solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1], maxiter)
+
+
 def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
-    """W1 between state densities: circle CDF method for d=1, atom LP for d=2."""
+    """W1 between state densities: circle CDF for d=1, Beckmann flow for d=2.
+
+    For d=2 the configured atom cap and LP iteration cap apply, as for
+    wasserstein1_joint.
+    """
     if m1.grid != m2.grid:
         raise ValueError("densities live on different grids")
     grid = m1.grid
     vol = grid.cell_volume
+    p = m1.flat() * vol
+    q = m2.flat() * vol
     if grid.d == 1:
-        return _circle_w1(m1.flat() * vol, m2.flat() * vol, grid.h)
-    coords = grid.coordinates()
-    zeros = np.zeros((grid.size, 1))
-    nu1 = JointMeasure(coords, zeros, m1.flat() * vol, grid=grid)
-    nu2 = JointMeasure(coords, zeros, m2.flat() * vol, grid=grid)
-    return wasserstein1_joint(nu1, nu2)
+        return _circle_w1(p, q, grid.h)
+    atoms = max(np.count_nonzero(p), np.count_nonzero(q))
+    if atoms > _TRANSPORT_LIMITS["atom_cap"]:
+        raise ValueError(f"atom count {atoms} exceeds cap {_TRANSPORT_LIMITS['atom_cap']}")
+    return _grid_flow_w1(p, q, grid, maxiter=_TRANSPORT_LIMITS["lp_maxiter"])
 
 
 def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:

@@ -11,10 +11,8 @@ import pytest
 import scipy.linalg
 
 from qsmfg.fp import (
-    FpTrajectory,
     fp_evolve,
     fp_step,
-    holder_report,
     trajectory_from_binary,
     trajectory_to_binary,
     trajectory_to_csv,
@@ -203,38 +201,6 @@ class TestEvolve:
         fp_evolve(uniform_density(GRID), provider, 0.3, 0.1)
         assert [c[0] for c in calls] == [0, 1, 2]
         np.testing.assert_allclose([c[1] for c in calls], [0.0, 0.1, 0.2])
-
-
-class TestHolderReport:
-    def test_constant_trajectory_zero(self):
-        m0 = uniform_density(GRID)
-        traj = fp_evolve(m0, lambda j, t: _const_drift(GRID, 0.0), 0.5, 0.1)
-        assert holder_report(traj) == pytest.approx(0.0, abs=1e-12)
-
-    def test_heat_flow_finite_and_decreasing_tail(self):
-        m0 = von_mises_density(GRID, 0.25, 10.0)
-        traj = fp_evolve(m0, lambda j, t: _const_drift(GRID, 0.0), 0.8, 0.05)
-        full = holder_report(traj)
-        assert np.isfinite(full) and full > 0
-        k = traj.n_steps // 2
-        tail = FpTrajectory(
-            grid=traj.grid,
-            dt=traj.dt,
-            times=traj.times[k:] - traj.times[k],
-            densities=traj.densities[k:],
-            drifts=traj.drifts[k:],
-        )
-        assert holder_report(tail) < full
-
-    def test_ratio_stable_under_dt_halving(self):
-        m0 = two_bump_density(GRID)
-
-        def drift(j, t):
-            return _const_drift(GRID, 1.0)
-
-        r1 = holder_report(fp_evolve(m0, drift, 0.4, 0.05))
-        r2 = holder_report(fp_evolve(m0, drift, 0.4, 0.025))
-        assert 0.5 <= r1 / r2 <= 2.0
 
 
 class TestSerialization:

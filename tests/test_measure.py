@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsmfg import measure
 from qsmfg.grid import Grid, GridField
 from qsmfg.measure import (
     ControlField,
@@ -310,6 +311,124 @@ def test_transport_limits_configurable():
     finally:
         set_transport_limits(atom_cap=4096)
     assert wasserstein1_joint(mu, mu) == pytest.approx(0.0, abs=1e-12)
+
+
+def _reference_w1(x1, a1, w1, x2, a2, w2):
+    """Atom LP built from the metric's definition, at tight HiGHS tolerances."""
+    import scipy.sparse as sparse
+    from scipy.optimize import linprog
+
+    gap = np.abs(x1[:, None, :] - x2[None, :, :])
+    cost = np.minimum(gap, 1.0 - gap).sum(axis=-1)
+    cost = cost + np.linalg.norm(a1[:, None, :] - a2[None, :, :], axis=-1)
+    n1, n2 = cost.shape
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(n1), np.ones((1, n2))),
+        sparse.kron(np.ones((1, n1)), sparse.eye(n2)),
+    ]).tocsr()[:-1]
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2])[:-1], bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the atom LP was called")
+
+
+def _smooth_policy(grid, k, rng):
+    """Random control field with Lipschitz constant 0.9 in the torus L1 metric."""
+    x = grid.coordinates()
+    vals = np.zeros((grid.size, k))
+    for c in range(k):
+        phase = rng.uniform(0, 2 * np.pi)
+        vals[:, c] = np.sin(2 * np.pi * x.sum(axis=1) + phase)
+    return ControlField(grid, vals.reshape(grid.shape + (k,)) * 0.9 / (2 * np.pi * np.sqrt(k)))
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_identity_coupling_matches_reference_lp(d, n, k, monkeypatch):
+    # one certified policy suffices, whichever measure carries it
+    monkeypatch.setattr(measure, "_transport_lp", _no_lp)
+    g = Grid(d, n)
+    rng = np.random.default_rng(40 + 10 * d + k)
+    for seed in range(3):
+        m = _random_density(g, 600 + seed)
+        smooth = pushforward(m, _smooth_policy(g, k, rng))
+        rough = pushforward(m, ControlField(g, rng.uniform(-1, 1, g.shape + (k,))))
+        identity = float(m.flat() @ np.linalg.norm(smooth.a - rough.a, axis=1)) * g.cell_volume
+        ref = _reference_w1(smooth.x, smooth.a, smooth.w, rough.x, rough.a, rough.w)
+        assert abs(identity - ref) <= 1e-12
+        for nu1, nu2 in ((smooth, rough), (rough, smooth)):
+            assert wasserstein1_joint(nu1, nu2) == pytest.approx(identity, rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_uncertified_same_marginal_pair_takes_lp(d, monkeypatch):
+    # neighbouring nodes swap controls with a jump J > h: moving the two
+    # atoms one edge each costs 2h per unit weight, the identity 2J
+    g = Grid(d, 8)
+    jump = 0.5
+    a1 = np.zeros(g.shape + (1,))
+    a2 = np.zeros(g.shape + (1,))
+    a1.reshape(-1)[0] = jump
+    a2.reshape(-1)[1] = jump
+    m = uniform_density(g)
+    nu1 = pushforward(m, ControlField(g, a1))
+    nu2 = pushforward(m, ControlField(g, a2))
+    weight = g.cell_volume
+    ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+    assert ref == pytest.approx(2 * g.h * weight, abs=1e-12)
+    lp_calls = []
+    lp = measure._transport_lp
+
+    def counting_lp(*args, **kwargs):
+        lp_calls.append(1)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "_transport_lp", counting_lp)
+    assert wasserstein1_joint(nu1, nu2) == pytest.approx(ref, abs=1e-9)
+    assert lp_calls == [1]
+    assert 2 * jump * weight > ref + 0.01
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+@pytest.mark.parametrize("kind", ["random", "dirac", "equal"])
+def test_w1_state_2d_flow_matches_reference_lp(n, kind):
+    g = Grid(2, n)
+    if kind == "random":
+        m1, m2 = _random_density(g, n), _random_density(g, n + 1)
+    elif kind == "dirac":
+        v1 = np.zeros(g.shape)
+        v2 = np.zeros(g.shape)
+        v1[0, 0] = 1.0 / g.cell_volume
+        v2[n // 2, n // 3] = 1.0 / g.cell_volume
+        m1, m2 = DensityField(g, v1), DensityField(g, v2)
+    else:
+        m1 = m2 = _random_density(g, n)
+    x = g.coordinates()
+    zeros = np.zeros((g.size, 1))
+    ref = _reference_w1(x, zeros, m1.flat() * g.cell_volume, x, zeros, m2.flat() * g.cell_volume)
+    assert abs(wasserstein1_state(m1, m2) - ref) <= 1e-12
+
+
+def test_w1_state_2d_transport_limits():
+    from qsmfg.measure import set_transport_limits
+
+    g = Grid(2, 8)
+    m1, m2 = _random_density(g, 70), _random_density(g, 71)
+    try:
+        set_transport_limits(atom_cap=8)
+        with pytest.raises(ValueError):
+            wasserstein1_state(m1, m2)
+        set_transport_limits(lp_maxiter=1)
+        with pytest.raises(RuntimeError, match="transport LP failed"):
+            wasserstein1_state(m1, m2)
+    finally:
+        set_transport_limits(None, None)
 
 
 def test_joint_measure_csv(tmp_path):
