@@ -22,6 +22,13 @@ Every W1 value is exact; which engine computes it depends on the call:
   length h.  For d=1 state densities the circle CDF reduction is used.
 
 The atom LP is the reference the tests compare the other engines against.
+
+joint_w1_upper_bound gives a certified upper bound on the joint W1 between two
+graph measures on one grid, from W1 between their state marginals: the
+smaller over the two orders of (1 + L1) W1(m1, m2) + sum_i w2_i |a1_i - a2_i|,
+where L1 is policy a1's largest nearest-neighbour jump over h.  Callers that
+need only the maximum of many joint W1 values use it to skip the atom LPs
+that cannot reach that maximum.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ __all__ = [
     "pushforward",
     "wasserstein1_joint",
     "wasserstein1_state",
+    "joint_w1_upper_bound",
     "set_transport_limits",
     "uniform_density",
     "von_mises_density",
@@ -265,15 +273,13 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, maxiter=None
     return _solve_lp(cost.ravel(), a_eq, b_eq, maxiter)
 
 
-def _same_marginal(nu1: JointMeasure, nu2: JointMeasure) -> bool:
-    """True when both measures hold atom i at grid node i with equal weights."""
-    grid = nu1.grid
-    return (
-        grid is not None
-        and nu2.grid == grid
-        and np.array_equal(nu1.w, nu2.w)
-        and np.array_equal(nu1.x, nu2.x)
-        and np.array_equal(nu1.x, grid.coordinates())
+def _edge_jump(nu: JointMeasure) -> float:
+    """Largest control change along a nearest-neighbour edge of the grid."""
+    grid = nu.grid
+    a = nu.a.reshape(grid.shape + (nu.a.shape[1],))
+    return max(
+        float(np.linalg.norm(a - np.roll(a, -1, axis=ax), axis=-1).max())
+        for ax in range(grid.d)
     )
 
 
@@ -284,11 +290,42 @@ def _lipschitz_policy(nu: JointMeasure) -> bool:
     the periodic grid graph, so checking every nearest-neighbour edge
     suffices.
     """
-    grid = nu.grid
-    a = nu.a.reshape(grid.shape + (nu.a.shape[1],))
-    return all(
-        np.linalg.norm(a - np.roll(a, -1, axis=ax), axis=-1).max() <= grid.h
-        for ax in range(grid.d)
+    return _edge_jump(nu) <= nu.grid.h
+
+
+def _graph_measure(nu: JointMeasure, grid: Grid | None) -> bool:
+    """True when nu holds atom i at node i of grid."""
+    return grid is not None and nu.grid == grid and np.array_equal(nu.x, grid.coordinates())
+
+
+def _same_marginal(nu1: JointMeasure, nu2: JointMeasure) -> bool:
+    """True when both measures hold atom i at grid node i with equal weights."""
+    grid = nu1.grid
+    return np.array_equal(nu1.w, nu2.w) and _graph_measure(nu1, grid) and _graph_measure(nu2, grid)
+
+
+def joint_w1_upper_bound(nu1: JointMeasure, nu2: JointMeasure, state_w1: float) -> float:
+    """Certified upper bound on wasserstein1_joint(nu1, nu2) for graph measures.
+
+    state_w1 must be W1 between the two state marginals.  With rho the
+    pushforward of nu2's marginal through nu1's policy a1, and L1 the
+    Lipschitz constant of a1 in the torus L1 metric (its largest edge jump
+    over h), lifting an optimal state coupling gives W1(nu1, rho) <=
+    (1 + L1) state_w1, and the identity coupling gives W1(rho, nu2) <=
+    sum_i w2_i |a1_i - a2_i|; the bound is the smaller of this sum and the
+    one with the roles swapped.  Measures that are not graph measures on one
+    grid with equal masses get inf.
+    """
+    grid = nu1.grid
+    if not (
+        _graph_measure(nu1, grid) and _graph_measure(nu2, grid)
+        and abs(nu1.mass() - nu2.mass()) <= 1e-10
+    ):
+        return np.inf
+    gaps = np.linalg.norm(nu1.a - nu2.a, axis=1)
+    return min(
+        (1.0 + _edge_jump(nu1) / grid.h) * state_w1 + float(nu2.w @ gaps),
+        (1.0 + _edge_jump(nu2) / grid.h) * state_w1 + float(nu1.w @ gaps),
     )
 
 

@@ -1,9 +1,12 @@
 """Coupled-system driver tests: measure fixed point, both outer strategies,
 the ergodic limit, and the regularity report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qsmfg import coupling, measure
 from qsmfg.coupling import (
     CouplingConfig,
     blend_policies,
@@ -23,6 +26,7 @@ from qsmfg.measure import (
     pushforward,
     two_bump_density,
     uniform_density,
+    von_mises_density,
     wasserstein1_joint,
     wasserstein1_state,
 )
@@ -352,7 +356,99 @@ class TestSmoke2D:
             assert m.values.min() >= 0.0
 
 
+@pytest.fixture(scope="module")
+def memory_psi_solution():
+    spec = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
+    cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=5e-9, inner_tol=1e-8, hjb_tol=1e-11, strategy="psi")
+    return spec, cfg, solve_measure_iteration(spec, two_bump_density(GRID), cfg)
+
+
+def _counting_lp(monkeypatch):
+    calls = []
+    lp = measure._transport_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "_transport_lp", counting)
+    return calls
+
+
+def _unpruned_max(pairs, scales, _state_w1s):
+    return max(wasserstein1_joint(nu1, nu2) / c for (nu1, nu2), c in zip(pairs, scales))
+
+
+class TestPrunedMaximum:
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_equals_full_maximum_with_fewer_lps(self, scaled, monkeypatch):
+        # a bump drifting under a drifting smooth policy, every time pair
+        x = GRID.axis_coordinates()
+        densities = [von_mises_density(GRID, 0.4 + 0.01 * t) for t in range(6)]
+        mus = [
+            pushforward(m, ControlField(GRID, 0.05 * np.sin(2 * np.pi * (x - 0.02 * t))[:, None]))
+            for t, m in enumerate(densities)
+        ]
+        index = [(j, k) for j in range(6) for k in range(j + 1, 6)]
+        pairs = [(mus[j], mus[k]) for j, k in index]
+        scales = [np.sqrt(0.1 * (k - j)) if scaled else 1.0 for j, k in index]
+        state = [wasserstein1_state(densities[j], densities[k]) for j, k in index]
+        calls = _counting_lp(monkeypatch)
+        full = _unpruned_max(pairs, scales, state)
+        n_full = len(calls)
+        pruned = coupling._max_joint_w1(pairs, scales, state)
+        assert pruned == full
+        assert n_full == len(pairs)
+        assert len(calls) - n_full < n_full / 2
+
+    def test_unknown_state_distance_solves_every_pair(self, monkeypatch):
+        mus = [pushforward(von_mises_density(GRID, c), ControlField(GRID, np.zeros((GRID.n, 1)))) for c in (0.3, 0.4, 0.5)]
+        pairs = [(mus[0], mus[1]), (mus[1], mus[2]), (mus[0], mus[2])]
+        calls = _counting_lp(monkeypatch)
+        value = coupling._max_joint_w1(pairs, [1.0] * 3, [np.inf] * 3)
+        assert value == _unpruned_max(pairs, [1.0] * 3, None)
+        assert len(calls) == 6
+        assert coupling._max_joint_w1([], [], []) == -np.inf
+
+    def test_psi_run_matches_unpruned_outer_error(self, memory_psi_solution, monkeypatch):
+        spec, cfg, sol = memory_psi_solution
+        monkeypatch.setattr(coupling, "_max_joint_w1", _unpruned_max)
+        full = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
+        assert full.outer_errors == sol.outer_errors
+        for a, b in zip(full.mu, sol.mu):
+            assert np.array_equal(a.a, b.a) and np.array_equal(a.w, b.w)
+
+
 class TestRegularityReport:
+    def test_psi_run_matches_full_loop(self, memory_psi_solution, monkeypatch):
+        spec, cfg, sol = memory_psi_solution
+        calls = _counting_lp(monkeypatch)
+        rep = regularity_report(sol, spec=spec, rho=cfg.rho)
+        report_lps = len(calls)
+        n = sol.n_slices
+        best = 0.0
+        for j in range(n):
+            for k in range(j + 1, n):
+                root = np.sqrt(sol.times[k] - sol.times[j])
+                best = max(best, wasserstein1_joint(sol.mu[j], sol.mu[k]) / root)
+        assert rep["mu_holder_half"] == best > 0.0
+        assert report_lps < len(calls) - report_lps == n * (n - 1) // 2
+
+    def test_unpushed_measures_are_not_bounded(self, memory_psi_solution):
+        # measures that are not the pushforwards of the stored densities keep
+        # the full loop: the densities' W1 says nothing about them.  Here
+        # the stored densities are all m(0) and the measures push the run's
+        # densities backwards in time through one policy, so a bound from
+        # the stored densities' W1 would be zero.
+        spec, cfg, sol = memory_psi_solution
+        mu = tuple(pushforward(m, sol.policy[0]) for m in sol.m[::-1])
+        rep = regularity_report(replace(sol, m=(sol.m[0],) * sol.n_slices, mu=mu))
+        best = max(
+            wasserstein1_joint(mu[j], mu[k]) / np.sqrt(sol.times[k] - sol.times[j])
+            for j in range(sol.n_slices) for k in range(j + 1, sol.n_slices)
+        )
+        assert rep["mu_holder_half"] == best > 0.0
+
     def test_stationary_run_has_zero_holder_ratios(self):
         spec = _const_model(1.0)
         cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=1e-8)

@@ -10,6 +10,7 @@ from qsmfg.measure import (
     DensityField,
     JointMeasure,
     joint_measure_to_csv,
+    joint_w1_upper_bound,
     pushforward,
     state_marginal_w1,
     two_bump_density,
@@ -393,6 +394,37 @@ def test_uncertified_same_marginal_pair_takes_lp(d, monkeypatch):
     assert wasserstein1_joint(nu1, nu2) == pytest.approx(ref, abs=1e-9)
     assert lp_calls == [1]
     assert 2 * jump * weight > ref + 0.01
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("densities", ["equal", "different"])
+def test_joint_upper_bound_dominates_reference_lp(d, n, k, densities):
+    g = Grid(d, n)
+    rng = np.random.default_rng(80 + 10 * d + k)
+    for seed in range(2):
+        m1 = _random_density(g, 700 + seed)
+        m2 = m1 if densities == "equal" else _random_density(g, 750 + seed)
+        state = wasserstein1_state(m1, m2)
+        policies = (_smooth_policy(g, k, rng), ControlField(g, rng.uniform(-1, 1, g.shape + (k,))))
+        for a1 in policies:
+            for a2 in policies:
+                nu1, nu2 = pushforward(m1, a1), pushforward(m2, a2)
+                ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+                assert joint_w1_upper_bound(nu1, nu2, state) >= ref - 1e-12
+
+
+def test_joint_upper_bound_inf_off_graph_measures():
+    g = Grid(1, 8)
+    m = uniform_density(g)
+    nu = pushforward(m, ControlField(g, np.zeros((8, 1))))
+    loose = JointMeasure(nu.x, nu.a, nu.w)  # no grid attached
+    shuffled = JointMeasure(nu.x[::-1], nu.a, nu.w, grid=g)
+    other_grid = pushforward(uniform_density(Grid(1, 16)), ControlField(Grid(1, 16), np.zeros((16, 1))))
+    heavier = nu.scaled(2.0)
+    for a, b in ((loose, nu), (nu, loose), (shuffled, nu), (nu, other_grid), (nu, heavier)):
+        assert joint_w1_upper_bound(a, b, 0.0) == np.inf
+    assert joint_w1_upper_bound(nu, nu, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 9, 16])
