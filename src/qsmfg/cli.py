@@ -25,6 +25,8 @@ from .fp import FpTrajectory, trajectory_to_binary, trajectory_to_csv
 from .grid import Grid, field_to_csv
 from .measure import (
     DensityField,
+    joint_measure_columns,
+    joint_measure_rows,
     set_transport_limits,
     two_bump_density,
     uniform_density,
@@ -241,18 +243,9 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
             comps = ";".join(format(v, ".17g") for v in row[2:])
             fh.write(f"{row[0]},{format(row[1], '.17g')},{comps}\n")
     with open(out / "mu.csv", "w", encoding="ascii") as fh:
-        d = sol.mu[0].x.shape[1]
-        k = sol.mu[0].a.shape[1]
-        cols = ["t"] + [f"x{i}" for i in range(d)] + [f"a{i}" for i in range(k)] + ["w"]
-        fh.write(",".join(cols) + "\n")
-        for j, nu in enumerate(sol.mu):
-            t = format(sol.times[j], ".17g")
-            for i in range(nu.n_atoms):
-                row = [t]
-                row += [format(v, ".17g") for v in nu.x[i]]
-                row += [format(v, ".17g") for v in nu.a[i]]
-                row.append(format(nu.w[i], ".17g"))
-                fh.write(",".join(row) + "\n")
+        fh.write(",".join(["t", *joint_measure_columns(sol.mu[0])]) + "\n")
+        for t, nu in zip(sol.times, sol.mu):
+            fh.writelines(joint_measure_rows(nu, lead=f"{format(t, '.17g')},"))
     if sol.lam is not None:
         with open(out / "lambda.csv", "w", encoding="ascii") as fh:
             fh.write("t,lambda\n")

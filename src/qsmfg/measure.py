@@ -428,13 +428,18 @@ def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:
     return _transport_lp(cost, w1, w2)
 
 
+def joint_measure_columns(nu: JointMeasure) -> list[str]:
+    """CSV column names of the atoms: x0.., a0.., w."""
+    return [f"x{i}" for i in range(nu.x.shape[1])] + [f"a{i}" for i in range(nu.a.shape[1])] + ["w"]
+
+
+def joint_measure_rows(nu: JointMeasure, lead: str = ""):
+    """One CSV line per atom: lead, then its x, a and w at full precision."""
+    for x, a, w in zip(nu.x, nu.a, nu.w):
+        yield lead + ",".join(format(v, ".17g") for v in (*x, *a, w)) + "\n"
+
+
 def joint_measure_to_csv(nu: JointMeasure, path: str) -> None:
-    d = nu.x.shape[1]
-    k = nu.a.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + [f"a{i}" for i in range(k)] + ["w"])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for i in range(nu.n_atoms):
-            row = [format(v, ".17g") for v in nu.x[i]] + [format(v, ".17g") for v in nu.a[i]]
-            row.append(format(nu.w[i], ".17g"))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(joint_measure_columns(nu)) + "\n")
+        fh.writelines(joint_measure_rows(nu))

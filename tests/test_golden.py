@@ -6,6 +6,8 @@ outputs of ``configs/example1_weak.json`` (gamma strategy) and
 is meant to alter these solutions rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints the largest absolute change per config and key.
 """
 
 import json
@@ -55,10 +57,24 @@ def test_shipped_config_matches_golden(name, tmp_path):
         np.testing.assert_allclose(got[key], expected[key], rtol=0, atol=TOL, err_msg=key)
 
 
+def _largest_changes(old: dict, new: dict) -> list[str]:
+    """One line per config and key: the largest absolute change, or the shape change."""
+    lines = []
+    for name in CONFIGS:
+        for key in ("m", "u", "mu", "convergence"):
+            a = np.asarray(old.get(name, {}).get(key, []), dtype=float)
+            b = np.asarray(new[name][key], dtype=float)
+            change = f"{np.abs(a - b).max():.3g}" if a.shape == b.shape else f"shape {a.shape} -> {b.shape}"
+            lines.append(f"{name} {key}: {change}")
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: _outputs(name, Path(tmp)) for name in CONFIGS}
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    print("\n".join(_largest_changes(previous, golden)))
     GOLDEN.write_text(json.dumps(golden) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

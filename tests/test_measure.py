@@ -310,7 +310,7 @@ def test_transport_limits_configurable():
         with pytest.raises(ValueError):
             wasserstein1_joint(mu, mu)
     finally:
-        set_transport_limits(atom_cap=4096)
+        set_transport_limits(None, None)
     assert wasserstein1_joint(mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
