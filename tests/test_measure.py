@@ -396,6 +396,22 @@ def test_uncertified_same_marginal_pair_takes_lp(d, monkeypatch):
     assert 2 * jump * weight > ref + 0.01
 
 
+def test_atom_lp_accurate_on_nearby_measures():
+    # W1 of order 1e-6: at HiGHS's default tolerances the atom LP read up to
+    # 2.5e-8 low here, while psi compares such values with 1e-9
+    g = Grid(1, 32)
+    rng = np.random.default_rng(3)
+    for seed in range(4):
+        m1 = _random_density(g, 900 + seed)
+        m2 = DensityField.from_values(g, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, g.shape)), normalize=True)
+        a1 = _smooth_policy(g, 1, rng)
+        a2 = ControlField(g, a1.values + 1e-6 * rng.uniform(-1, 1, a1.values.shape))
+        nu1, nu2 = pushforward(m1, a1), pushforward(m2, a2)
+        ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+        assert 1e-7 < ref < 1e-5
+        assert abs(wasserstein1_joint(nu1, nu2) - ref) <= 1e-13
+
+
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("densities", ["equal", "different"])
