@@ -25,7 +25,6 @@ from .measure import (
     DensityField,
     JointMeasure,
     pushforward,
-    set_transport_limits,
     two_bump_density,
     uniform_density,
     von_mises_density,

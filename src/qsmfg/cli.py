@@ -8,6 +8,7 @@ summary JSON) for external plotting.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -27,7 +28,6 @@ from .measure import (
     DensityField,
     joint_measure_columns,
     joint_measure_rows,
-    set_transport_limits,
     two_bump_density,
     uniform_density,
     von_mises_density,
@@ -42,6 +42,12 @@ EXIT_NO_CONVERGENCE = 3
 
 # config "tolerances" keys and the CouplingConfig fields they set
 TOLERANCE_FIELDS = {"outer": "outer_tol", "inner": "inner_tol", "hjb": "hjb_tol", "ergodic": "ergodic_tol"}
+
+# top-level config keys; any other key is a config error
+CONFIG_KEYS = frozenset({
+    "model", "grid", "time", "mode", "strategy", "rho", "rho_sequence", "full_sequence", "tolerances",
+    "damping", "max_outer", "m0", "output_dir", "diagnostics", "seed",
+})
 
 
 class ConfigError(ValueError):
@@ -66,8 +72,6 @@ class RunConfig:
     output_dir: str = "out"
     diagnostics: bool = False
     seed: int = 0
-    ot_atom_cap: int | None = None
-    ot_lp_maxiter: int | None = None
 
 
 def _require(payload: dict, key: str, kind, where: str):
@@ -82,6 +86,9 @@ def _require(payload: dict, key: str, kind, where: str):
 
 
 def parse_config(payload: dict) -> RunConfig:
+    for key in payload:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(key, "unknown config key")
     model = _require(payload, "model", dict, "")
     name = _require(model, "name", str, "model")
     if name not in MODEL_BUILDERS:
@@ -89,6 +96,10 @@ def parse_config(payload: dict) -> RunConfig:
     params = dict(model.get("params", {}))
     if "d" in params:
         raise ConfigError("model.params.d", "the dimension is set through grid.d")
+    accepted = inspect.signature(MODEL_BUILDERS[name]).parameters
+    for key in params:
+        if key not in accepted:
+            raise ConfigError(f"model.params.{key}", f"not a parameter of model {name!r}")
 
     grid_cfg = _require(payload, "grid", dict, "")
     d = _require(grid_cfg, "d", int, "grid")
@@ -97,6 +108,10 @@ def parse_config(payload: dict) -> RunConfig:
         raise ConfigError("grid.d", "must be 1 or 2")
     if n < 8:
         raise ConfigError("grid.n", "must be at least 8")
+    try:
+        build_model(name, d=d, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("model.params", str(exc))
 
     time_cfg = _require(payload, "time", dict, "")
     T = _require(time_cfg, "T", float, "time")
@@ -160,13 +175,6 @@ def parse_config(payload: dict) -> RunConfig:
     if m0_kind not in ("uniform", "vonmises", "twobump"):
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
 
-    ot_cfg = payload.get("ot", {})
-    for key in ot_cfg:
-        if key not in ("atom_cap", "lp_maxiter"):
-            raise ConfigError(f"ot.{key}", "unknown transport limit")
-        if int(ot_cfg[key]) < 1:
-            raise ConfigError(f"ot.{key}", "must be a positive integer")
-
     return RunConfig(
         model_name=name,
         model_params=params,
@@ -189,8 +197,6 @@ def parse_config(payload: dict) -> RunConfig:
         output_dir=str(payload.get("output_dir", "out")),
         diagnostics=bool(payload.get("diagnostics", False)),
         seed=int(payload.get("seed", 0)),
-        ot_atom_cap=int(ot_cfg["atom_cap"]) if "atom_cap" in ot_cfg else None,
-        ot_lp_maxiter=int(ot_cfg["lp_maxiter"]) if "lp_maxiter" in ot_cfg else None,
     )
 
 
@@ -230,13 +236,9 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
         densities=sol.m,
         drifts=sol.drifts,
     )
-    trajectory_to_csv(traj, str(out / "trajectory_m.csv"))
+    trajectory_to_csv(sol.times, sol.m, str(out / "trajectory_m.csv"))
     trajectory_to_binary(traj, str(out / "trajectory_m.bin"))
-    with open(out / "trajectory_u.csv", "w", encoding="ascii") as fh:
-        fh.write("t,node,value\n")
-        for j, u in enumerate(sol.u):
-            for node, v in enumerate(u.flat()):
-                fh.write(f"{format(sol.times[j], '.17g')},{node},{format(v, '.17g')}\n")
+    trajectory_to_csv(sol.times, sol.u, str(out / "trajectory_u.csv"))
     with open(out / "convergence.csv", "w", encoding="ascii") as fh:
         fh.write("iteration,outer_error,component_errors\n")
         for row in sol.outer_errors:
@@ -285,22 +287,17 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
 
 def _solve_and_write(cfg: RunConfig) -> TrajectorySolution | None:
     """Solve one validated config and write its outputs; the run path shared
-    by run and sweep.  A solver failure is reported and returns None.  The
-    config's transport limits hold for this call only."""
+    by run and sweep.  A solver failure is reported and returns None."""
     started = time.perf_counter()
     grid = Grid(cfg.d, cfg.n)
     spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     m0 = build_initial_density(cfg, grid)
-    set_transport_limits(cfg.ot_atom_cap, cfg.ot_lp_maxiter)
     try:
-        try:
-            sol = solve_system(spec, m0, cfg.coupling, mode=cfg.mode)
-        except (RuntimeError, ValueError) as exc:
-            print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
-            return None
-        _write_outputs(cfg, spec, sol, Path(cfg.output_dir), time.perf_counter() - started)
-    finally:
-        set_transport_limits()
+        sol = solve_system(spec, m0, cfg.coupling, mode=cfg.mode)
+    except (RuntimeError, ValueError) as exc:
+        print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
+        return None
+    _write_outputs(cfg, spec, sol, Path(cfg.output_dir), time.perf_counter() - started)
     return sol
 
 

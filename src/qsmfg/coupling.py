@@ -422,8 +422,8 @@ def _finalize_instant_slices(spec, config, m_list, du_list, max_rounds: int = 12
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
             )
             du = gradient_central(h.u)
-            probe = policy_field(spec, m.grid, du, InstantContext(res.mu))
-            mu_res = wasserstein1_joint(res.mu, pushforward(m, probe))
+            # h.policy is the improved policy at h.u in this context
+            mu_res = wasserstein1_joint(res.mu, pushforward(m, h.policy))
             if mu_res <= config.inner_tol and h.residual <= config.hjb_tol:
                 break
         rows.append((h.u, res.mu, res.policy, h.residual, mu_res, h.residual_history))

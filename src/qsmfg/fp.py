@@ -159,12 +159,12 @@ def fp_evolve(
 # trajectory serialization
 
 
-def trajectory_to_csv(traj: FpTrajectory, path: str) -> None:
+def trajectory_to_csv(times, fields, path: str) -> None:
+    """One "t,node,value" row per grid node of each field (densities or values)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("t,node,value\n")
-        for j, m in enumerate(traj.densities):
-            t = traj.times[j]
-            for node, v in enumerate(m.flat()):
+        for t, f in zip(times, fields):
+            for node, v in enumerate(f.flat()):
                 fh.write(f"{format(t, '.17g')},{node},{format(v, '.17g')}\n")
 
 

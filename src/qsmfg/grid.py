@@ -9,7 +9,6 @@ top of them M-matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,6 @@ __all__ = [
     "gradient_upwind",
     "torus_distance",
     "field_to_csv",
-    "field_from_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -168,32 +164,3 @@ def field_to_csv(f: GridField, path: str) -> None:
             for i in range(f.grid.n):
                 for j in range(f.grid.n):
                     fh.write(f"{i},{j},{_fmt(f.values[i, j])}\n")
-
-
-def field_from_csv(grid: Grid, path: str) -> GridField:
-    values = np.zeros(grid.shape)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        ncols = len(header)
-        if ncols != grid.d + 1:
-            raise ValueError(f"csv has {ncols} columns, expected {grid.d + 1}")
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = tuple(int(p) for p in parts[:-1])
-            values[idx] = float(parts[-1])
-    return GridField(grid, values)
-
-
-def field_to_json(f: GridField) -> str:
-    payload = {
-        "d": f.grid.d,
-        "n": f.grid.n,
-        "values": [_fmt(v) for v in f.flat()],
-    }
-    return json.dumps(payload)
-
-
-def field_from_json(text: str) -> GridField:
-    payload = json.loads(text)
-    grid = Grid(payload["d"], payload["n"])
-    return GridField(grid, np.array([float(v) for v in payload["values"]]))

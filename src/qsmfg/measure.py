@@ -49,7 +49,6 @@ __all__ = [
     "wasserstein1_joint",
     "wasserstein1_state",
     "joint_w1_upper_bound",
-    "set_transport_limits",
     "uniform_density",
     "von_mises_density",
     "two_bump_density",
@@ -57,20 +56,9 @@ __all__ = [
 
 MASS_TOL = 1e-12
 NEGATIVE_TOL = 1e-13
-DEFAULT_ATOM_CAP = 4096
-
-# process-wide transport limits; every CLI run sets both before it solves
-_TRANSPORT_LIMITS = {"atom_cap": DEFAULT_ATOM_CAP, "lp_maxiter": None}
-
-
-def set_transport_limits(atom_cap: int | None = None, lp_maxiter: int | None = None) -> None:
-    """Set the atom cap and LP iteration cap used by default.
-
-    None restores a limit's default (DEFAULT_ATOM_CAP atoms, no LP iteration
-    cap), so limits set for one run never carry over into the next.
-    """
-    _TRANSPORT_LIMITS["atom_cap"] = DEFAULT_ATOM_CAP if atom_cap is None else int(atom_cap)
-    _TRANSPORT_LIMITS["lp_maxiter"] = None if lp_maxiter is None else int(lp_maxiter)
+# The atom LP has atoms^2 variables, so measures with more atoms than this
+# (finer than a 2D n=64 grid) are rejected rather than handed to HiGHS
+ATOM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -259,18 +247,15 @@ TRANSPORT_LP_OPTIONS = {
 }
 
 
-def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, maxiter=None, options=None) -> float:
+def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, options=None) -> float:
     """Optimal value of min cost.z subject to a_eq z = b_eq, z >= 0 (HiGHS)."""
-    options = dict(options or {})
-    if maxiter is not None:
-        options["maxiter"] = int(maxiter)
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)
 
 
-def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, maxiter=None) -> float:
+def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     """Exact optimal transport cost via the HiGHS linear-program solver."""
     n1, n2 = cost.shape
     ii = np.repeat(np.arange(n1), n2)
@@ -282,7 +267,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, maxiter=None
         (np.ones(2 * n1 * n2), (rows, cols)), shape=(n1 + n2, n1 * n2)
     ).tocsr()[:-1]  # drop one redundant marginal row
     b_eq = np.concatenate([w1, w2])[:-1]
-    return _solve_lp(cost.ravel(), a_eq, b_eq, maxiter, TRANSPORT_LP_OPTIONS)
+    return _solve_lp(cost.ravel(), a_eq, b_eq, TRANSPORT_LP_OPTIONS)
 
 
 def _edge_jump(nu: JointMeasure) -> float:
@@ -341,31 +326,22 @@ def joint_w1_upper_bound(nu1: JointMeasure, nu2: JointMeasure, state_w1: float) 
     )
 
 
-def wasserstein1_joint(
-    nu1: JointMeasure,
-    nu2: JointMeasure,
-    atom_cap: int | None = None,
-    lp_maxiter: int | None = None,
-) -> float:
+def wasserstein1_joint(nu1: JointMeasure, nu2: JointMeasure) -> float:
     """Exact W1 between joint measures under the sum ground metric.
 
-    Requires equal total masses (within 1e-10); measures above the configured
-    atom cap are rejected, since the LP is only intended for desk scale.
+    Requires equal total masses (within 1e-10); measures with more than
+    ATOM_CAP atoms are rejected, since the LP is only intended for desk scale.
     Measures over the same state marginal take the identity coupling when
     either policy certifies it, and the atom LP otherwise.
     """
-    if atom_cap is None:
-        atom_cap = _TRANSPORT_LIMITS["atom_cap"]
-    if lp_maxiter is None:
-        lp_maxiter = _TRANSPORT_LIMITS["lp_maxiter"]
     if abs(nu1.mass() - nu2.mass()) > 1e-10:
         raise ValueError(f"mass mismatch: {nu1.mass()!r} vs {nu2.mass()!r}")
     x1, a1, w1 = _dedupe(nu1)
     x2, a2, w2 = _dedupe(nu2)
     if len(w1) == 0 and len(w2) == 0:
         return 0.0
-    if max(len(w1), len(w2)) > atom_cap:
-        raise ValueError(f"atom count {max(len(w1), len(w2))} exceeds cap {atom_cap}")
+    if max(len(w1), len(w2)) > ATOM_CAP:
+        raise ValueError(f"atom count {max(len(w1), len(w2))} exceeds cap {ATOM_CAP}")
     if a1.shape[1] != a2.shape[1] or x1.shape[1] != x2.shape[1]:
         raise ValueError("joint measures live on different product spaces")
     if _same_marginal(nu1, nu2) and (_lipschitz_policy(nu1) or _lipschitz_policy(nu2)):
@@ -373,7 +349,7 @@ def wasserstein1_joint(
         # the identity coupling's cost, so that coupling is optimal
         return float(nu1.w @ np.linalg.norm(nu1.a - nu2.a, axis=1))
     cost = joint_cost_matrix(x1, a1, x2, a2)
-    return _transport_lp(cost, w1, w2, maxiter=lp_maxiter)
+    return _transport_lp(cost, w1, w2)
 
 
 def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
@@ -388,7 +364,7 @@ def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
     return float(h * np.abs(c - theta).sum())
 
 
-def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid, maxiter=None) -> float:
+def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
     """Exact W1 between node masses as Beckmann's min-cost flow.
 
     One forward and one backward flow variable per edge of the periodic grid
@@ -407,14 +383,14 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid, maxiter=None) -> flo
         shape=(n_nodes, edges.size),
     )
     a_eq = sparse.hstack([incidence, -incidence]).tocsr()[:-1]  # drop one redundant balance row
-    return _solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1], maxiter)
+    return _solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1])
 
 
 def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
     """W1 between state densities: circle CDF for d=1, Beckmann flow for d=2.
 
-    For d=2 the configured atom cap and LP iteration cap apply, as for
-    wasserstein1_joint.
+    For d=2 densities with more than ATOM_CAP nonzero nodes are rejected, as
+    in wasserstein1_joint.
     """
     if m1.grid != m2.grid:
         raise ValueError("densities live on different grids")
@@ -425,9 +401,9 @@ def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
     if grid.d == 1:
         return _circle_w1(p, q, grid.h)
     atoms = max(np.count_nonzero(p), np.count_nonzero(q))
-    if atoms > _TRANSPORT_LIMITS["atom_cap"]:
-        raise ValueError(f"atom count {atoms} exceeds cap {_TRANSPORT_LIMITS['atom_cap']}")
-    return _grid_flow_w1(p, q, grid, maxiter=_TRANSPORT_LIMITS["lp_maxiter"])
+    if atoms > ATOM_CAP:
+        raise ValueError(f"atom count {atoms} exceeds cap {ATOM_CAP}")
+    return _grid_flow_w1(p, q, grid)
 
 
 def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:

@@ -56,13 +56,30 @@ class TestConfigValidation:
             parse_config(bad)
         assert err.value.field_name == "time.dt"
 
-    def test_ot_limits_validated(self):
-        bad = dict(MINIMAL, ot={"atom_cap": 0})
+    @pytest.mark.parametrize("key", ["ot", "max_outr"])
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys, key):
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"), **{key: {}})
         with pytest.raises(ConfigError) as err:
-            parse_config(bad)
-        assert err.value.field_name == "ot.atom_cap"
-        cfg = parse_config(dict(MINIMAL, ot={"atom_cap": 2048, "lp_maxiter": 10000}))
-        assert cfg.ot_atom_cap == 2048 and cfg.ot_lp_maxiter == 10000
+            parse_config(payload)
+        assert err.value.field_name == key
+        assert main(["run", _write(tmp_path, payload)]) == 2
+        assert f"config field {key!r}: unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "model, field_name",
+        [
+            ({"name": "separated", "params": {"coupling_weigth": 0.1}}, "model.params.coupling_weigth"),
+            ({"name": "separated", "params": {"radius": -1}}, "model.params"),
+            ({"name": "example1", "params": {"delta": 0}}, "model.params"),
+        ],
+    )
+    def test_bad_model_param_exit_code(self, tmp_path, capsys, command, model, field_name):
+        payload = dict(MINIMAL, model=model, output_dir=str(tmp_path / "out"))
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert f"config field {field_name!r}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ergodic_requires_sequence(self):
         bad = dict(MINIMAL, mode="ergodic")
@@ -125,14 +142,13 @@ class TestRun:
         assert code == 3
         assert (tmp_path / "out" / "summary.json").exists()  # logs still written
 
-    def test_solver_failure_exit_code_and_limits_reset(self, tmp_path, capsys):
-        # 32 atoms exceed the cap of 8: the transport solve raises inside the run
-        capped = dict(MINIMAL, ot={"atom_cap": 8}, output_dir=str(tmp_path / "capped"))
-        assert main(["run", _write(tmp_path, capped, "capped.json")]) == 3
+    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 32 atoms exceed a cap of 8: the transport solve raises inside the run
+        monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)
+        capped = dict(MINIMAL, output_dir=str(tmp_path / "capped"))
+        assert main(["run", _write(tmp_path, capped)]) == 3
         assert "error:" in capsys.readouterr().err
-        # the next run in the same process is back on the default limits
-        plain = dict(MINIMAL, output_dir=str(tmp_path / "plain"))
-        assert main(["run", _write(tmp_path, plain, "plain.json")]) == 0
+        assert not (tmp_path / "capped").exists()
 
     def test_diagnostics_flag_writes_residual_histories(self, tmp_path):
         payload = dict(MINIMAL, diagnostics=True, output_dir=str(tmp_path / "out"))
@@ -219,10 +235,10 @@ class TestSweep:
         assert len(rows) == 3  # header + 2 points
         assert (tmp_path / "sweep" / "coupling_weight=0.0" / "summary.json").exists()
 
-    def test_sweep_applies_transport_limits(self, tmp_path, capsys):
+    def test_sweep_applies_transport_limits(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)
         payload = dict(
             MINIMAL,
-            ot={"atom_cap": 8},
             output_dir=str(tmp_path / "sweep"),
             sweep={"model.params.coupling_weight": [0.0]},
         )

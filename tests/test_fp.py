@@ -208,7 +208,7 @@ class TestSerialization:
         m0 = von_mises_density(GRID, 0.5, 4.0)
         traj = fp_evolve(m0, lambda j, t: _const_drift(GRID, 0.0), 0.2, 0.1)
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, str(path))
+        trajectory_to_csv(traj.times, traj.densities, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,node,value"
         assert len(lines) == 1 + 3 * GRID.n

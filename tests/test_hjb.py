@@ -18,7 +18,15 @@ from qsmfg.hjb import (
     solve_ergodic,
 )
 from qsmfg.measure import ControlField, JointMeasure, wasserstein1_joint
-from qsmfg.model import ControlSet, InstantContext, ModelSpec, example_one, optimal_control, separated_cost
+from qsmfg.model import (
+    ControlSet,
+    InstantContext,
+    ModelSpec,
+    example_one,
+    optimal_control,
+    policy_field,
+    separated_cost,
+)
 
 GRID = Grid(1, 64)
 
@@ -112,6 +120,21 @@ class TestDiscounted:
         sol = solve_discounted(spec, InstantContext(_measure(14)), 1.0, GRID, tol=1e-15, max_iter=1)
         assert not sol.converged
         assert sol.residual == sol.residual_history[-1] > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("max_iter", [1, 80])
+    def test_policy_is_improved_policy_at_u(self, d, max_iter):
+        # gamma's consistency pass probes with sol.policy in place of
+        # recomputing the policy at sol.u, converged or not
+        grid = Grid(d, 16)
+        spec = example_one(d=d, delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
+        rng = np.random.default_rng(15)
+        nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
+        ctx = InstantContext(nu)
+        sol = solve_discounted(spec, ctx, 1.0, grid, tol=1e-11, max_iter=max_iter)
+        assert sol.converged == (max_iter > 1)
+        probe = policy_field(spec, grid, gradient_central(sol.u), ctx)
+        np.testing.assert_array_equal(sol.policy.values, probe.values)
 
 
 class TestSelfConvergence:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,11 +120,13 @@ def test_w1_mass_mismatch_rejected():
         wasserstein1_joint(_atom(0.1, 0.0, 1.0), _atom(0.2, 0.0, 0.5))
 
 
-def test_w1_atom_cap():
+def test_w1_atom_cap(monkeypatch):
     g = Grid(1, 16)
     mu = pushforward(_random_density(g, 5), ControlField(g, np.zeros((16, 1))))
-    with pytest.raises(ValueError):
-        wasserstein1_joint(mu, mu, atom_cap=8)
+    assert wasserstein1_joint(mu, mu) == 0.0
+    monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)
+    with pytest.raises(ValueError, match="exceeds cap 8"):
+        wasserstein1_joint(mu, mu)
 
 
 def test_w1_state_identical_densities():
@@ -300,20 +304,6 @@ def test_w1_2d_marginal_contraction():
     assert joint >= wasserstein1_state(m1, m2) - 1e-9
 
 
-def test_transport_limits_configurable():
-    from qsmfg.measure import set_transport_limits
-
-    g = Grid(1, 16)
-    mu = pushforward(uniform_density(g), ControlField(g, np.zeros((16, 1))))
-    set_transport_limits(atom_cap=8)
-    try:
-        with pytest.raises(ValueError):
-            wasserstein1_joint(mu, mu)
-    finally:
-        set_transport_limits(None, None)
-    assert wasserstein1_joint(mu, mu) == pytest.approx(0.0, abs=1e-12)
-
-
 def _reference_w1(x1, a1, w1, x2, a2, w2):
     """Atom LP built from the metric's definition, at tight HiGHS tolerances."""
     import scipy.sparse as sparse
@@ -463,20 +453,20 @@ def test_w1_state_2d_flow_matches_reference_lp(n, kind):
     assert abs(wasserstein1_state(m1, m2) - ref) <= 1e-12
 
 
-def test_w1_state_2d_transport_limits():
-    from qsmfg.measure import set_transport_limits
-
+def test_w1_state_2d_transport_limits(monkeypatch):
     g = Grid(2, 8)
     m1, m2 = _random_density(g, 70), _random_density(g, 71)
-    try:
-        set_transport_limits(atom_cap=8)
-        with pytest.raises(ValueError):
+    with monkeypatch.context() as patch:
+        patch.setattr("qsmfg.measure.ATOM_CAP", 8)
+        with pytest.raises(ValueError, match="exceeds cap 8"):
             wasserstein1_state(m1, m2)
-        set_transport_limits(lp_maxiter=1)
-        with pytest.raises(RuntimeError, match="transport LP failed"):
-            wasserstein1_state(m1, m2)
-    finally:
-        set_transport_limits(None, None)
+    failed = SimpleNamespace(success=False, message="stub failure")
+    monkeypatch.setattr("qsmfg.measure.linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(RuntimeError, match="transport LP failed: stub failure"):
+        wasserstein1_state(m1, m2)
+    zero = ControlField(g, np.zeros(g.shape + (2,)))
+    with pytest.raises(RuntimeError, match="transport LP failed: stub failure"):
+        wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 
 
 def test_joint_measure_csv(tmp_path):
