@@ -22,7 +22,7 @@ from .coupling import (
     regularity_report,
     solve_system,
 )
-from .fp import FpTrajectory, trajectory_to_binary, trajectory_to_csv
+from .fp import trajectory_to_binary, trajectory_to_csv
 from .grid import Grid, field_to_csv
 from .measure import (
     DensityField,
@@ -74,14 +74,26 @@ class RunConfig:
     seed: int = 0
 
 
-def _require(payload: dict, key: str, kind, where: str):
+_REQUIRED = object()
+
+
+def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
+    """payload[key] checked to be a kind, or default if the key is absent.
+
+    A float field also takes an int; no numeric field takes a bool.  A missing
+    key without a default, or a value of another type, is a ConfigError
+    naming the field.
+    """
+    name = f"{where}.{key}" if where else str(key)
     if key not in payload:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing")
+        if default is _REQUIRED:
+            raise ConfigError(name, "missing")
+        return default
     value = payload[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}" if where else key, f"expected {kind.__name__}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(name, f"expected {kind.__name__}")
     return value
 
 
@@ -89,11 +101,11 @@ def parse_config(payload: dict) -> RunConfig:
     for key in payload:
         if key not in CONFIG_KEYS:
             raise ConfigError(key, "unknown config key")
-    model = _require(payload, "model", dict, "")
-    name = _require(model, "name", str, "model")
+    model = _get(payload, "model", dict)
+    name = _get(model, "name", str, "model")
     if name not in MODEL_BUILDERS:
         raise ConfigError("model.name", f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    params = dict(model.get("params", {}))
+    params = dict(_get(model, "params", dict, "model", {}))
     if "d" in params:
         raise ConfigError("model.params.d", "the dimension is set through grid.d")
     accepted = inspect.signature(MODEL_BUILDERS[name]).parameters
@@ -101,9 +113,9 @@ def parse_config(payload: dict) -> RunConfig:
         if key not in accepted:
             raise ConfigError(f"model.params.{key}", f"not a parameter of model {name!r}")
 
-    grid_cfg = _require(payload, "grid", dict, "")
-    d = _require(grid_cfg, "d", int, "grid")
-    n = _require(grid_cfg, "n", int, "grid")
+    grid_cfg = _get(payload, "grid", dict)
+    d = _get(grid_cfg, "d", int, "grid")
+    n = _get(grid_cfg, "n", int, "grid")
     if d not in (1, 2):
         raise ConfigError("grid.d", "must be 1 or 2")
     if n < 8:
@@ -113,9 +125,9 @@ def parse_config(payload: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError("model.params", str(exc))
 
-    time_cfg = _require(payload, "time", dict, "")
-    T = _require(time_cfg, "T", float, "time")
-    dt = _require(time_cfg, "dt", float, "time")
+    time_cfg = _get(payload, "time", dict)
+    T = _get(time_cfg, "T", float, "time")
+    dt = _get(time_cfg, "dt", float, "time")
     if T <= 0:
         raise ConfigError("time.T", "must be positive")
     if dt <= 0:
@@ -123,16 +135,16 @@ def parse_config(payload: dict) -> RunConfig:
     if abs(round(T / dt) * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigError("time.dt", "T must be an integer multiple of dt")
 
-    mode = payload.get("mode", "discounted")
+    mode = _get(payload, "mode", str, default="discounted")
     if mode not in ("discounted", "ergodic"):
         raise ConfigError("mode", "must be 'discounted' or 'ergodic'")
-    strategy = payload.get("strategy", "gamma")
+    strategy = _get(payload, "strategy", str, default="gamma")
     if strategy not in ("gamma", "psi"):
         raise ConfigError("strategy", "must be 'gamma' or 'psi'")
     if name == "example2" and strategy != "psi":
         raise ConfigError("strategy", "history models require strategy 'psi'")
 
-    rho = float(payload.get("rho", 1.0))
+    rho = _get(payload, "rho", float, default=1.0)
     if mode == "discounted" and rho <= 0:
         raise ConfigError("rho", "discounted mode requires rho > 0")
 
@@ -142,11 +154,12 @@ def parse_config(payload: dict) -> RunConfig:
         if seq_cfg is None:
             raise ConfigError("rho_sequence", "required in ergodic mode")
         if isinstance(seq_cfg, list):
-            rho_sequence = tuple(float(r) for r in seq_cfg)
+            items = dict(enumerate(seq_cfg))
+            rho_sequence = tuple(_get(items, k, float, "rho_sequence") for k in items)
         elif isinstance(seq_cfg, dict):
-            rho0 = float(seq_cfg.get("rho0", 1.0))
-            factor = float(seq_cfg.get("factor", 0.5))
-            count = int(seq_cfg.get("count", 10))
+            rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
+            factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
+            count = _get(seq_cfg, "count", int, "rho_sequence", 10)
             if not (0 < factor < 1):
                 raise ConfigError("rho_sequence.factor", "must lie in (0, 1)")
             if count < 2:
@@ -157,21 +170,21 @@ def parse_config(payload: dict) -> RunConfig:
         if any(r <= 0 for r in rho_sequence):
             raise ConfigError("rho_sequence", "all discounts must be positive")
 
-    tols = payload.get("tolerances", {})
+    tols = _get(payload, "tolerances", dict, default={})
     for key in tols:
         if key not in TOLERANCE_FIELDS:
             raise ConfigError(f"tolerances.{key}", "unknown tolerance")
-        if float(tols[key]) <= 0:
+        if _get(tols, key, float, "tolerances") <= 0:
             raise ConfigError(f"tolerances.{key}", "must be positive")
-    damping = float(payload.get("damping", 0.5))
+    damping = _get(payload, "damping", float, default=0.5)
     if not (0 < damping <= 1):
         raise ConfigError("damping", "must lie in (0, 1]")
-    max_outer = int(payload.get("max_outer", 40))
+    max_outer = _get(payload, "max_outer", int, default=40)
     if max_outer < 1:
         raise ConfigError("max_outer", "must be at least 1")
 
-    m0_cfg = payload.get("m0", {"kind": "uniform"})
-    m0_kind = m0_cfg.get("kind", "uniform")
+    m0_cfg = _get(payload, "m0", dict, default={"kind": "uniform"})
+    m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
     if m0_kind not in ("uniform", "vonmises", "twobump"):
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
 
@@ -189,14 +202,14 @@ def parse_config(payload: dict) -> RunConfig:
             damping=damping,
             strategy=strategy,
             rho_sequence=rho_sequence,
-            full_sequence=bool(payload.get("full_sequence", False)),
+            full_sequence=_get(payload, "full_sequence", bool, default=False),
             **{TOLERANCE_FIELDS[key]: float(value) for key, value in tols.items()},
         ),
         m0_kind=m0_kind,
         m0_params={k: v for k, v in m0_cfg.items() if k != "kind"},
-        output_dir=str(payload.get("output_dir", "out")),
-        diagnostics=bool(payload.get("diagnostics", False)),
-        seed=int(payload.get("seed", 0)),
+        output_dir=_get(payload, "output_dir", str, default="out"),
+        diagnostics=_get(payload, "diagnostics", bool, default=False),
+        seed=_get(payload, "seed", int, default=0),
     )
 
 
@@ -228,16 +241,8 @@ def build_initial_density(cfg: RunConfig, grid: Grid) -> DensityField:
 
 def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    grid = sol.m[0].grid
-    traj = FpTrajectory(
-        grid=grid,
-        dt=cfg.coupling.dt,
-        times=sol.times,
-        densities=sol.m,
-        drifts=sol.drifts,
-    )
     trajectory_to_csv(sol.times, sol.m, str(out / "trajectory_m.csv"))
-    trajectory_to_binary(traj, str(out / "trajectory_m.bin"))
+    trajectory_to_binary(sol.times, sol.m, str(out / "trajectory_m.bin"))
     trajectory_to_csv(sol.times, sol.u, str(out / "trajectory_u.csv"))
     with open(out / "convergence.csv", "w", encoding="ascii") as fh:
         fh.write("iteration,outer_error,component_errors\n")

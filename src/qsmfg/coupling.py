@@ -30,10 +30,12 @@ geometric discount sequence and extracting the normalized value functions and
 per-slice cost estimates; the limit is cross-checked against direct ergodic
 solves.
 
-Both strategies finish with a consistency pass that re-solves each slice and
-measures, rather than assumes, the per-slice residuals of all three
-equations; the stored joint measure is always an exact pushforward of the
-stored density through the stored policy.
+Both strategies finish with one consistency pass: gamma re-solves each slice
+once on the final densities and gradients, psi runs one undamped pass.  The
+stored joint measure is an exact pushforward of the stored density through
+the stored policy, and one probe measures, rather than assumes, the per-slice
+residuals of the HJB and measure equations.  A pass whose residuals miss a
+tolerance is reported as measured, not retried.
 """
 
 from __future__ import annotations
@@ -144,7 +146,6 @@ class TrajectorySolution:
     mu: tuple[JointMeasure, ...]
     policy: tuple[ControlField, ...]
     lam: Optional[np.ndarray] = None  # per-slice ergodic cost, ergodic runs only
-    drifts: tuple = ()
     converged: bool = True
     outer_errors: tuple = ()  # rows (iteration, total, component...) per pass
     hjb_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -188,9 +189,10 @@ def solve_joint_measure(
     reference measure (m times the zero control), so runs are reproducible.
     The returned measure is exactly the pushforward of m through the returned
     policy, and its fixed-point residual is at most the contraction factor
-    times tol.  When the measured ratio reaches one the iteration restarts
-    with damped policy updates and a ten-fold budget; failure after that is
-    reported in the result, not raised.
+    times tol.  If max_iter plain steps do not converge and the measured
+    ratio reached one, the iteration goes on with damped policy updates for
+    up to 10 * max_iter more steps; rate is taken from the plain steps only.
+    Failure is reported in the result, not raised.
     """
     grid = m.grid
 
@@ -211,45 +213,26 @@ def solve_joint_measure(
 
     increments: list[float] = []
     ratios: list[float] = []
-    for it in range(1, max_iter + 1):
-        policy = policy_field(spec, grid, du, ctx_of(mu_prev))
+    iterations, converged, damped = 0, False, False
+    for it in range(1, 11 * max_iter + 1):
+        if it == max_iter + 1:
+            if not ratios or max(ratios) < 1.0:
+                break
+            damped = True  # non-contractive regime
+        target = policy_field(spec, grid, du, ctx_of(mu_prev))
+        policy = blend_policies(policy, target, damping, spec.control) if damped else target
         mu_next = pushforward(m, policy)
         d = wasserstein1_joint(mu_next, mu_prev)
-        if increments and increments[-1] >= RATE_FLOOR:
+        if not damped and increments and increments[-1] >= RATE_FLOOR:
             ratios.append(d / increments[-1])
         increments.append(d)
-        mu_prev = mu_next
+        mu_prev, iterations = mu_next, it
         if d <= tol:
-            return MuFixedPointResult(
-                mu=mu_next,
-                policy=policy,
-                iterations=it,
-                converged=True,
-                rate=max(ratios) if ratios else None,
-                increments=tuple(increments),
-            )
-    rate = max(ratios) if ratios else None
-    if rate is None or rate < 1.0:
-        return MuFixedPointResult(
-            mu=mu_prev, policy=policy, iterations=max_iter, converged=False,
-            rate=rate, increments=tuple(increments),
-        )
-    # non-contractive regime: damped updates with a larger budget
-    for it in range(1, 10 * max_iter + 1):
-        target = policy_field(spec, grid, du, ctx_of(mu_prev))
-        policy = blend_policies(policy, target, damping, spec.control)
-        mu_next = pushforward(m, policy)
-        d = wasserstein1_joint(mu_next, mu_prev)
-        increments.append(d)
-        mu_prev = mu_next
-        if d <= tol:
-            return MuFixedPointResult(
-                mu=mu_next, policy=policy, iterations=max_iter + it, converged=True,
-                rate=rate, increments=tuple(increments), damped=True,
-            )
+            converged = True
+            break
     return MuFixedPointResult(
-        mu=mu_prev, policy=policy, iterations=11 * max_iter, converged=False,
-        rate=rate, increments=tuple(increments), damped=True,
+        mu=mu_prev, policy=policy, iterations=iterations, converged=converged,
+        rate=max(ratios) if ratios else None, increments=tuple(increments), damped=damped,
     )
 
 
@@ -296,11 +279,10 @@ def _damped_picard(spec, m0, config, slice_solve, outer_error):
     previous pass's (damping); evolves the density once with their drifts;
     and logs the row (pass, *outer_error(trajectory, policies)), whose first
     entry is the total error tested against the outer tolerance.  Returns
-    (log, last trajectory, last policies, converged).
+    (log, last policies, converged).
     """
     log: list[tuple] = []
     policies_prev = None
-    traj = None
     for k in range(1, config.max_outer + 1):
         contexts, policies = slice_solve(policies_prev)
         if policies_prev is not None and config.damping < 1.0:
@@ -312,12 +294,29 @@ def _damped_picard(spec, m0, config, slice_solve, outer_error):
         log.append((k, *outer_error(traj, policies)))
         policies_prev = policies
         if log[-1][1] <= config.outer_tol:
-            return log, traj, policies, True
-    return log, traj, policies_prev, False
+            return log, policies, True
+    return log, policies_prev, False
 
 
-def _solution(config, log, converged, traj, m, u, mu, policy, hjb_res, mu_res, histories, **extra):
-    """TrajectorySolution of an outer strategy, with its shared diagnostics."""
+def _measured_residuals(spec, config, m, mu, u):
+    """Per-slice residuals of a stored tuple (m, mu, u), measured, not assumed.
+
+    The HJB residual of slice j is equation_residual of u[j] in the slice's
+    own context; the measure residual is the joint W1 between mu[j] and the
+    pushforward of m[j] through the improved policy that call returns.
+    """
+    times = config.times()
+    hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
+    for j, (m_j, mu_j, u_j) in enumerate(zip(m, mu, u)):
+        hjb_res[j], probe = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, u_j)
+        mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
+    return hjb_res, mu_res
+
+
+def _solution(spec, config, log, converged, m, u, mu, policy, histories, **extra):
+    """TrajectorySolution of an outer strategy, with its shared diagnostics and
+    the measured residuals of the stored tuple."""
+    hjb_res, mu_res = _measured_residuals(spec, config, m, mu, u)
     diagnostics = {
         "outer_iterations": len(log),
         "final_outer_error": log[-1][1] if log else 0.0,
@@ -330,11 +329,10 @@ def _solution(config, log, converged, traj, m, u, mu, policy, hjb_res, mu_res, h
         m=tuple(m),
         mu=tuple(mu),
         policy=tuple(policy),
-        drifts=traj.drifts if traj is not None else (),
         converged=converged,
         outer_errors=tuple(log),
-        hjb_residuals=np.asarray(hjb_res),
-        mu_residuals=np.asarray(mu_res),
+        hjb_residuals=hjb_res,
+        mu_residuals=mu_res,
         diagnostics=diagnostics,
     )
 
@@ -363,13 +361,14 @@ def solve_field_iteration(
     else:
         u_list, m_list = list(initial[0]), list(initial[1])
     du_list = [gradient_central(u) for u in u_list]
-    new_du: list = []
+    fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
+    hjbs: list = []  # and the HJB solutions in their measures
     rates: list[float] = []
     inner_converged = True
 
     def slice_solve(_policies_prev):
-        nonlocal inner_converged, new_du
-        contexts, policies, new_du = [], [], []
+        nonlocal inner_converged, fixed_points, hjbs
+        fixed_points, hjbs = [], []
         for m, du in zip(m_list, du_list):
             res = solve_joint_measure(
                 m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
@@ -377,57 +376,29 @@ def solve_field_iteration(
             inner_converged &= res.converged
             if res.rate is not None:
                 rates.append(res.rate)
-            ctx = InstantContext(res.mu)
-            h = solve_discounted(
-                spec, ctx, config.rho, grid,
+            fixed_points.append(res)
+            hjbs.append(solve_discounted(
+                spec, InstantContext(res.mu), config.rho, grid,
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
-            )
-            contexts.append(ctx)
-            policies.append(h.policy)
-            new_du.append(gradient_central(h.u))
-        return contexts, policies
+            ))
+        return [InstantContext(res.mu) for res in fixed_points], [h.policy for h in hjbs]
 
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
+        new_du = [gradient_central(h.u) for h in hjbs]
         du_errs = [_du_gap(a, b) for a, b in zip(new_du, du_list)]
         m_errs = [wasserstein1_state(a, b) for a, b in zip(traj.densities, m_list)]
         m_list, du_list = list(traj.densities), new_du
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
-    log, traj, _, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
-    u, mu, policy, hjb_res, mu_res, histories = _finalize_instant_slices(spec, config, m_list, du_list)
+    log, _, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
+    slice_solve(None)  # consistency solve on the final densities and gradients
     return _solution(
-        config, log, converged, traj, m_list, u, mu, policy, hjb_res, mu_res, histories,
+        spec, config, log, converged, m_list, [h.u for h in hjbs],
+        [res.mu for res in fixed_points], [res.policy for res in fixed_points], [h.residual_history for h in hjbs],
         mu_contraction_rate_max=max(rates) if rates else None,
         inner_converged=inner_converged,
     )
-
-
-def _finalize_instant_slices(spec, config, m_list, du_list, max_rounds: int = 12):
-    """Re-solve each slice on the final densities until the measured residuals
-    of the measure equation and the HJB equation both meet their tolerances.
-
-    Returns per-slice sequences: u, mu, policy, HJB residual, measure
-    residual, and HJB residual history.
-    """
-    rows = []
-    for m, du in zip(m_list, du_list):
-        for _ in range(max_rounds):
-            res = solve_joint_measure(
-                m, du, spec,
-                tol=0.25 * config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
-            )
-            h = solve_discounted(
-                spec, InstantContext(res.mu), config.rho, m.grid,
-                tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
-            )
-            du = gradient_central(h.u)
-            # h.policy is the improved policy at h.u in this context
-            mu_res = wasserstein1_joint(res.mu, pushforward(m, h.policy))
-            if mu_res <= config.inner_tol and h.residual <= config.hjb_tol:
-                break
-        rows.append((h.u, res.mu, res.policy, h.residual, mu_res, h.residual_history))
-    return zip(*rows)
 
 
 def solve_measure_iteration(
@@ -482,26 +453,15 @@ def solve_measure_iteration(
         mu_traj, m_traj = mu_new, list(traj.densities)
         return e_k, e_k
 
-    log, traj, policies, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
-
-    # consistency sweeps: undamped passes until the measured per-slice
-    # residuals of the measure and HJB equations meet their tolerances
-    hjb_res = np.zeros(n_slices)
-    mu_res = np.zeros(n_slices)
-    for _ in range(5):
-        contexts, policies = slice_solve(policies)
-        traj = _evolve(spec, m0, config, contexts, policies)
-        mu_traj = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
-        for j, m in enumerate(traj.densities):
-            ctx = _slice_context(spec, times, mu_traj, j)
-            hjb_res[j], probe = equation_residual(spec, ctx, config.rho, hjbs[j].u)
-            mu_res[j] = wasserstein1_joint(mu_traj[j], pushforward(m, probe))
-        if hjb_res.max() <= config.hjb_tol and mu_res.max() <= config.inner_tol:
-            break
-
+    log, policies, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
+    # consistency pass: one undamped pass, so each stored measure is the
+    # pushforward of its density through the stored policy
+    contexts, policies = slice_solve(policies)
+    traj = _evolve(spec, m0, config, contexts, policies)
+    mu_traj = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
     return _solution(
-        config, log, converged, traj, traj.densities, [h.u for h in hjbs], mu_traj, policies,
-        hjb_res, mu_res, [h.residual_history for h in hjbs],
+        spec, config, log, converged, traj.densities, [h.u for h in hjbs], mu_traj, policies,
+        [h.residual_history for h in hjbs],
     )
 
 

@@ -39,13 +39,12 @@ STEP_NEGATIVE_TOL = 1e-13
 
 @dataclass(frozen=True)
 class FpTrajectory:
-    """Densities on the uniform time grid t_j = j*dt, with the drifts used."""
+    """Densities on the uniform time grid t_j = j*dt."""
 
     grid: Grid
     dt: float
     times: np.ndarray
     densities: tuple[DensityField, ...]
-    drifts: tuple[tuple[GridField, ...], ...]
 
     @property
     def n_steps(self) -> int:
@@ -139,20 +138,9 @@ def fp_evolve(
         raise ValueError(f"horizon T={T} is not a multiple of dt={dt}")
     times = np.arange(n_steps + 1) * dt
     densities = [m0]
-    drifts = []
-    m = m0
     for j in range(n_steps):
-        g = tuple(drift_provider(j, times[j]))
-        m = fp_step(m, g, dt)
-        densities.append(m)
-        drifts.append(g)
-    return FpTrajectory(
-        grid=m0.grid,
-        dt=dt,
-        times=times,
-        densities=tuple(densities),
-        drifts=tuple(drifts),
-    )
+        densities.append(fp_step(densities[-1], tuple(drift_provider(j, times[j])), dt))
+    return FpTrajectory(grid=m0.grid, dt=dt, times=times, densities=tuple(densities))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +156,18 @@ def trajectory_to_csv(times, fields, path: str) -> None:
                 fh.write(f"{format(t, '.17g')},{node},{format(v, '.17g')}\n")
 
 
-def trajectory_to_binary(traj: FpTrajectory, path: str) -> None:
-    """JSON header line, then C-order float64 bytes of the stacked densities."""
+def trajectory_to_binary(times, densities, path: str) -> None:
+    """JSON header line, then C-order float64 bytes of the stacked densities
+    on the uniform time grid times."""
+    grid = densities[0].grid
     header = {
-        "d": traj.grid.d,
-        "n": traj.grid.n,
-        "dt": traj.dt,
-        "T": float(traj.times[-1]),
-        "steps": traj.n_steps,
+        "d": grid.d,
+        "n": grid.n,
+        "dt": float(times[1] - times[0]),
+        "T": float(times[-1]),
+        "steps": len(densities) - 1,
     }
-    payload = traj.values().astype(np.float64).tobytes(order="C")
+    payload = np.stack([m.values for m in densities]).astype(np.float64).tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         fh.write(payload)

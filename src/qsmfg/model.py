@@ -674,7 +674,7 @@ def check_model(
     report["coefficient_bound"] = {
         "measured": max(b_sup, l_sup),
         "declared": spec.coef_bound,
-        "ok": max(b_sup, l_sup) <= spec.coef_bound + 1e-9,
+        "ok": bool(max(b_sup, l_sup) <= spec.coef_bound + 1e-9),
     }
 
     x2 = rng.random((n_samples, grid.d))
@@ -688,7 +688,7 @@ def check_model(
     report["coefficient_x_lipschitz"] = {
         "measured": lip,
         "declared": 2.0 * spec.coef_lip_x,
-        "ok": lip <= 2.0 * spec.coef_lip_x + 1e-9,
+        "ok": bool(lip <= 2.0 * spec.coef_lip_x + 1e-9),
     }
 
     if spec.closed_form_control is not None:
@@ -701,7 +701,7 @@ def check_model(
         report["closed_form_vs_brute_force"] = {
             "measured": gap,
             "bound": 2.0 * spacing,
-            "ok": gap <= 2.0 * spacing,
+            "ok": bool(gap <= 2.0 * spacing),
         }
 
     # envelope identity away from points where the maximizer may switch branch
@@ -729,7 +729,7 @@ def check_model(
     report["gradient_envelope_identity"] = {
         "measured": fd_err,
         "bound": 1e-6,
-        "ok": fd_err <= 1e-6,
+        "ok": bool(fd_err <= 1e-6),
     }
     report["all_ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
     return report

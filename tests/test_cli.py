@@ -6,6 +6,8 @@ import pytest
 
 from qsmfg.cli import ConfigError, load_config, main, parse_config
 
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
 MINIMAL = {
     "model": {"name": "separated", "params": {"coupling_weight": 0.0}},
     "grid": {"d": 1, "n": 32},
@@ -79,6 +81,30 @@ class TestConfigValidation:
         payload = dict(MINIMAL, model=model, output_dir=str(tmp_path / "out"))
         assert main([command, _write(tmp_path, payload)]) == 2
         assert f"config field {field_name!r}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "field_name, change",
+        [
+            ("damping", {"damping": "x"}),
+            ("rho", {"rho": "x"}),
+            ("max_outer", {"max_outer": "x"}),
+            ("max_outer", {"max_outer": True}),
+            ("seed", {"seed": "x"}),
+            ("diagnostics", {"diagnostics": "yes"}),
+            ("tolerances.outer", {"tolerances": {"outer": "x"}}),
+            ("m0", {"m0": "uniform"}),
+            ("rho_sequence.count", {"mode": "ergodic", "rho_sequence": {"count": "x"}}),
+            ("rho_sequence.1", {"mode": "ergodic", "rho_sequence": [1.0, "x"]}),
+            ("model.params", {"model": {"name": "separated", "params": [1]}}),
+            ("grid.d", {"grid": {"d": True, "n": 32}}),
+        ],
+    )
+    def test_wrongly_typed_value_exit_code(self, tmp_path, capsys, command, field_name, change):
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"), **change)
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert f"config field {field_name!r}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_ergodic_requires_sequence(self):
@@ -208,9 +234,8 @@ class TestShippedConfigs:
             assert np.isfinite(consts[key])
 
     def test_other_shipped_configs_parse(self):
-        cfg_dir = Path(__file__).parent.parent / "configs"
         for name in ("example1_strong.json", "example2_memory.json", "ergodic_weak.json"):
-            parse_config(json.loads((cfg_dir / name).read_text()))
+            parse_config(json.loads((CONFIG_DIR / name).read_text()))
 
 
 class TestValidate:
@@ -220,6 +245,13 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["all_ok"] is True
         assert "closed_form_vs_brute_force" in report
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_validate_shipped_config(self, capsys, path):
+        # every check's flag must serialize: a numpy bool in the report
+        # would make json.dumps raise
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"] is True
 
 
 class TestSweep:

@@ -18,7 +18,7 @@ from qsmfg.coupling import (
     solve_vanishing_discount,
 )
 from qsmfg.grid import Grid, GridField, gradient_central
-from qsmfg.hjb import solve_ergodic
+from qsmfg.hjb import equation_residual, solve_ergodic
 from qsmfg.measure import (
     ControlField,
     DensityField,
@@ -32,6 +32,7 @@ from qsmfg.measure import (
 )
 from qsmfg.model import (
     ControlSet,
+    HistoryContext,
     InstantContext,
     ModelSpec,
     example_one,
@@ -155,6 +156,117 @@ class TestJointMeasureFixedPoint:
         else:
             probe = policy_field(spec, GRID, du, InstantContext(res.mu))
             assert wasserstein1_joint(res.mu, pushforward(m, probe)) <= 1e-8
+
+
+def _scripted_w1(monkeypatch, values):
+    """Make coupling's joint W1 return the given increments in order."""
+    calls = []
+
+    def scripted(nu1, nu2):
+        calls.append(1)
+        return values[len(calls) - 1]
+
+    monkeypatch.setattr(coupling, "wasserstein1_joint", scripted)
+    return calls
+
+
+def _plain_ratios(increments):
+    return [b / a for a, b in zip(increments, increments[1:]) if a >= coupling.RATE_FLOOR]
+
+
+class TestJointMeasureLoop:
+    """Exact iterations, rate and damped flag of solve_joint_measure's loop."""
+
+    SPEC = example_one(delta=1.0, eps=0.5, kappa=0.3)
+
+    def _start(self, m, du):
+        zero = ControlField(GRID, np.zeros((GRID.n, 1)))
+        return pushforward(m, policy_field(self.SPEC, GRID, du, InstantContext(pushforward(m, zero))))
+
+    def test_zero_budget_returns_start_measure(self):
+        m, du = _random_density(30), _smooth_gradient(31, offset=0.4, amplitude=0.15)
+        res = solve_joint_measure(m, du, self.SPEC, tol=1e-9, max_iter=0)
+        start = self._start(m, du)
+        assert (res.iterations, res.converged, res.rate, res.damped, res.increments) == (0, False, None, False, ())
+        np.testing.assert_array_equal(res.mu.a, start.a)
+        np.testing.assert_array_equal(res.mu.w, start.w)
+
+    def test_contractive_run_stopped_at_budget_is_plain_picard(self):
+        m, du = _random_density(32), _smooth_gradient(33, offset=0.4, amplitude=0.15)
+        res = solve_joint_measure(m, du, self.SPEC, tol=1e-30, max_iter=4)
+        assert (res.iterations, res.converged, res.damped) == (4, False, False)
+        assert res.rate == max(_plain_ratios(res.increments)) < 1.0
+        mu = self._start(m, du)
+        for d in res.increments:  # undamped: each policy is the map's own output
+            policy = policy_field(self.SPEC, GRID, du, InstantContext(mu))
+            mu_next = pushforward(m, policy)
+            assert wasserstein1_joint(mu_next, mu) == d
+            mu = mu_next
+        np.testing.assert_array_equal(res.policy.values, policy.values)
+        np.testing.assert_array_equal(res.mu.a, mu.a)
+
+    def test_damped_run_counts_and_rate(self):
+        # R L0 / delta = 3: three plain steps grow, then damping converges
+        spec = example_one(delta=0.2, eps=3.0, kappa=0.0)
+        m, du = _random_density(7), _smooth_gradient(8, offset=0.5, amplitude=0.3)
+        res = solve_joint_measure(m, du, spec, tol=1e-9, max_iter=10)
+        assert res.converged and res.damped
+        assert res.iterations == len(res.increments) > 10
+        assert res.rate == max(_plain_ratios(res.increments[:10])) > 1.0
+        np.testing.assert_array_equal(res.mu.a, res.policy.flat())
+
+    @pytest.mark.parametrize(
+        "increments, expected",
+        [
+            # contractive, unconverged: stop at the budget without damping
+            ([1.0, 0.5, 0.25], (3, False, 0.5, False)),
+            # non-contractive: damped steps converge; their ratios (5, 10)
+            # do not enter the rate
+            ([1.0, 2.0, 2.0, 10.0, 100.0, 1e-12], (6, True, 2.0, True)),
+            # non-contractive and never converging: the ten-fold damped budget
+            ([1.0, 2.0, 2.0] + [1.0] * 30, (33, False, 2.0, True)),
+            # converged on the last plain step
+            ([1.0, 2.0, 1e-12], (3, True, 2.0, False)),
+        ],
+    )
+    def test_scripted_increments(self, monkeypatch, increments, expected):
+        calls = _scripted_w1(monkeypatch, increments)
+        res = solve_joint_measure(_random_density(34), _smooth_gradient(35), self.SPEC, tol=1e-9, max_iter=3)
+        assert (res.iterations, res.converged, res.rate, res.damped) == expected
+        assert res.increments == tuple(increments[: res.iterations]) and len(calls) == res.iterations
+
+
+class TestMeasuredResiduals:
+    """The stored residuals are the one probe's, recomputed from (m, mu, u)."""
+
+    @staticmethod
+    def _recompute(spec, cfg, sol):
+        hjb_res, mu_res = [], []
+        for j in range(sol.n_slices):
+            if spec.kind == "instant":
+                ctx = InstantContext(sol.mu[j])
+            else:
+                ctx = HistoryContext(sol.times[j], sol.times[: j + 1], sol.mu[: j + 1])
+            r, probe = equation_residual(spec, ctx, cfg.rho, sol.u[j])
+            hjb_res.append(r)
+            mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
+        return np.array(hjb_res), np.array(mu_res)
+
+    def test_gamma(self, weak_gamma_solution):
+        spec, _, cfg, sol = weak_gamma_solution
+        hjb_res, mu_res = self._recompute(spec, cfg, sol)
+        np.testing.assert_array_equal(sol.hjb_residuals, hjb_res)
+        np.testing.assert_array_equal(sol.mu_residuals, mu_res)
+        # the HJB solve's own last residual, and a probe that is not the
+        # stored policy: the measure residual is positive
+        assert [h[-1] for h in sol.diagnostics["hjb_residual_histories"]] == list(hjb_res)
+        assert mu_res.max() > 0.0
+
+    def test_psi(self, memory_psi_solution):
+        spec, cfg, sol = memory_psi_solution
+        hjb_res, mu_res = self._recompute(spec, cfg, sol)
+        np.testing.assert_array_equal(sol.hjb_residuals, hjb_res)
+        np.testing.assert_array_equal(sol.mu_residuals, mu_res)
 
 
 class TestFieldIteration:

@@ -217,7 +217,7 @@ class TestSerialization:
         m0 = von_mises_density(GRID, 0.5, 4.0)
         traj = fp_evolve(m0, lambda j, t: _const_drift(GRID, 1.0), 0.2, 0.1)
         path = tmp_path / "traj.bin"
-        trajectory_to_binary(traj, str(path))
+        trajectory_to_binary(traj.times, traj.densities, str(path))
         grid, dt, arr = trajectory_from_binary(str(path))
         assert grid == GRID and dt == traj.dt
         np.testing.assert_array_equal(arr, traj.values())

@@ -124,8 +124,8 @@ class TestDiscounted:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("max_iter", [1, 80])
     def test_policy_is_improved_policy_at_u(self, d, max_iter):
-        # gamma's consistency pass probes with sol.policy in place of
-        # recomputing the policy at sol.u, converged or not
+        # sol.policy is the improved policy at sol.u, converged or not: the
+        # probe of the coupled solvers' measured residuals
         grid = Grid(d, 16)
         spec = example_one(d=d, delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(15)
