@@ -33,8 +33,6 @@ from .measure import (
 )
 from .model import (
     ControlSet,
-    HistoryContext,
-    InstantContext,
     ModelSpec,
     brute_force_argmax,
     build_model,
@@ -47,6 +45,7 @@ from .model import (
     optimal_control,
     policy_field,
     separated_cost,
+    slice_measure,
 )
 
 __version__ = "0.1.0"

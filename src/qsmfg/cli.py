@@ -43,6 +43,9 @@ EXIT_NO_CONVERGENCE = 3
 # config "tolerances" keys and the CouplingConfig fields they set
 TOLERANCE_FIELDS = {"outer": "outer_tol", "inner": "inner_tol", "hjb": "hjb_tol", "ergodic": "ergodic_tol"}
 
+# initial-density kinds and the "m0" keys each takes besides "kind"
+M0_PARAMS = {"uniform": (), "vonmises": ("center", "concentration"), "twobump": ("centers", "concentration")}
+
 # top-level config keys; any other key is a config error
 CONFIG_KEYS = frozenset({
     "model", "grid", "time", "mode", "strategy", "rho", "rho_sequence", "full_sequence", "tolerances",
@@ -95,6 +98,33 @@ def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(name, f"expected {kind.__name__}")
     return value
+
+
+def _floats(payload: dict, key, where: str, length: int) -> list:
+    """payload[key] checked to be a list of length floats."""
+    values = _get(payload, key, list, where)
+    if len(values) != length:
+        raise ConfigError(f"{where}.{key}", f"expected a list of {length} numbers")
+    items = dict(enumerate(values))
+    return [_get(items, i, float, f"{where}.{key}") for i in items]
+
+
+def _m0_params(m0_cfg: dict, kind: str, d: int) -> dict:
+    """The typed parameters of an m0 section; a key the kind does not take is
+    a ConfigError naming it."""
+    for key in m0_cfg:
+        if key != "kind" and key not in M0_PARAMS[kind]:
+            raise ConfigError(f"m0.{key}", f"not a parameter of m0 kind {kind!r}")
+    params = {}
+    if "concentration" in m0_cfg:
+        params["concentration"] = _get(m0_cfg, "concentration", float, "m0")
+    if "centers" in m0_cfg:
+        params["centers"] = _floats(m0_cfg, "centers", "m0", 2)
+    if isinstance(m0_cfg.get("center"), list):
+        params["center"] = _floats(m0_cfg, "center", "m0", d)
+    elif "center" in m0_cfg:
+        params["center"] = _get(m0_cfg, "center", float, "m0")
+    return params
 
 
 def parse_config(payload: dict) -> RunConfig:
@@ -185,7 +215,7 @@ def parse_config(payload: dict) -> RunConfig:
 
     m0_cfg = _get(payload, "m0", dict, default={"kind": "uniform"})
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
-    if m0_kind not in ("uniform", "vonmises", "twobump"):
+    if m0_kind not in M0_PARAMS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
 
     return RunConfig(
@@ -206,7 +236,7 @@ def parse_config(payload: dict) -> RunConfig:
             **{TOLERANCE_FIELDS[key]: float(value) for key, value in tols.items()},
         ),
         m0_kind=m0_kind,
-        m0_params={k: v for k, v in m0_cfg.items() if k != "kind"},
+        m0_params=_m0_params(m0_cfg, m0_kind, d),
         output_dir=_get(payload, "output_dir", str, default="out"),
         diagnostics=_get(payload, "diagnostics", bool, default=False),
         seed=_get(payload, "seed", int, default=0),

@@ -6,7 +6,7 @@ Two outer strategies solve the discounted system:
       solves the joint-measure fixed point per time slice from the previous
       gradients and densities, then the per-slice HJB problems, then one
       Fokker-Planck evolution with the optimal drifts.  Requires an
-      instant-context model.
+      instant model.
 
   measure iteration ("psi")    Picard on the joint-measure trajectory alone:
       each pass solves the per-slice HJB problems with the trajectory frozen
@@ -57,14 +57,7 @@ from .measure import (
     wasserstein1_joint,
     wasserstein1_state,
 )
-from .model import (
-    HistoryContext,
-    InstantContext,
-    ModelSpec,
-    MuContext,
-    drift_field,
-    policy_field,
-)
+from .model import ModelSpec, drift_field, policy_field, slice_measure
 
 __all__ = [
     "CouplingConfig",
@@ -179,11 +172,10 @@ def solve_joint_measure(
     spec: ModelSpec,
     tol: float = 1e-9,
     max_iter: int = 300,
-    t: float | None = None,
-    history: tuple[Sequence[float], Sequence[JointMeasure]] | None = None,
     damping: float = 0.5,
 ) -> MuFixedPointResult:
-    """Picard iteration for mu = pushforward(m, alpha*(., du; mu)).
+    """Picard iteration for mu = pushforward(m, alpha*(., du; mu)), for an
+    instant model (a history model reads past measures, not mu alone).
 
     Starts from the pushforward of m through the policy computed at the
     reference measure (m times the zero control), so runs are reproducible.
@@ -194,21 +186,11 @@ def solve_joint_measure(
     up to 10 * max_iter more steps; rate is taken from the plain steps only.
     Failure is reported in the result, not raised.
     """
+    if spec.kind != "instant":
+        raise ValueError("the joint-measure fixed point requires an instant model")
     grid = m.grid
-
-    if spec.kind == "instant":
-        ctx_of = InstantContext
-    else:
-        if history is None or t is None:
-            raise ValueError("history models need t and the trajectory prefix")
-        h_times, h_measures = history
-        prefix = list(h_measures)
-
-        def ctx_of(mu: JointMeasure) -> MuContext:
-            return HistoryContext(t, h_times, prefix[:-1] + [mu])
-
     nu_hat = pushforward(m, _zero_policy(spec, grid))
-    policy = policy_field(spec, grid, du, ctx_of(nu_hat))
+    policy = policy_field(spec, grid, du, nu_hat)
     mu_prev = pushforward(m, policy)
 
     increments: list[float] = []
@@ -219,7 +201,7 @@ def solve_joint_measure(
             if not ratios or max(ratios) < 1.0:
                 break
             damped = True  # non-contractive regime
-        target = policy_field(spec, grid, du, ctx_of(mu_prev))
+        target = policy_field(spec, grid, du, mu_prev)
         policy = blend_policies(policy, target, damping, spec.control) if damped else target
         mu_next = pushforward(m, policy)
         d = wasserstein1_joint(mu_next, mu_prev)
@@ -236,10 +218,9 @@ def solve_joint_measure(
     )
 
 
-def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMeasure], j: int) -> MuContext:
-    if spec.kind == "instant":
-        return InstantContext(mu_traj[j])
-    return HistoryContext(times[j], times[: j + 1], mu_traj[: j + 1])
+def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMeasure], j: int) -> JointMeasure:
+    """The measure the Hamiltonian of slice j reads."""
+    return slice_measure(spec, times[: j + 1], mu_traj[: j + 1])
 
 
 def _du_gap(du_a: Sequence[GridField], du_b: Sequence[GridField]) -> float:
@@ -265,9 +246,9 @@ def _max_joint_w1(pairs, scales, state_w1s) -> float:
     return best
 
 
-def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, contexts, policies):
+def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, measures, policies):
     """One Fokker-Planck evolution from m0 with the drifts of the per-slice policies."""
-    drifts = [drift_field(spec, m0.grid, a, ctx) for a, ctx in zip(policies, contexts)]
+    drifts = [drift_field(spec, m0.grid, a, nu) for a, nu in zip(policies, measures)]
     return fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
 
 
@@ -275,22 +256,23 @@ def _damped_picard(spec, m0, config, slice_solve, outer_error):
     """The outer Picard loop both strategies share.
 
     Each pass calls slice_solve(previous policies), which returns the
-    per-slice contexts and optimal policies; blends the policies with the
-    previous pass's (damping); evolves the density once with their drifts;
-    and logs the row (pass, *outer_error(trajectory, policies)), whose first
-    entry is the total error tested against the outer tolerance.  Returns
+    per-slice measures the Hamiltonians read and the optimal policies;
+    blends the policies with the previous pass's (damping); evolves the
+    density once with their drifts; and logs the row
+    (pass, *outer_error(trajectory, policies)), whose first entry is the
+    total error tested against the outer tolerance.  Returns
     (log, last policies, converged).
     """
     log: list[tuple] = []
     policies_prev = None
     for k in range(1, config.max_outer + 1):
-        contexts, policies = slice_solve(policies_prev)
+        measures, policies = slice_solve(policies_prev)
         if policies_prev is not None and config.damping < 1.0:
             policies = [
                 blend_policies(old, new, config.damping, spec.control)
                 for old, new in zip(policies_prev, policies)
             ]
-        traj = _evolve(spec, m0, config, contexts, policies)
+        traj = _evolve(spec, m0, config, measures, policies)
         log.append((k, *outer_error(traj, policies)))
         policies_prev = policies
         if log[-1][1] <= config.outer_tol:
@@ -301,9 +283,10 @@ def _damped_picard(spec, m0, config, slice_solve, outer_error):
 def _measured_residuals(spec, config, m, mu, u):
     """Per-slice residuals of a stored tuple (m, mu, u), measured, not assumed.
 
-    The HJB residual of slice j is equation_residual of u[j] in the slice's
-    own context; the measure residual is the joint W1 between mu[j] and the
-    pushforward of m[j] through the improved policy that call returns.
+    The HJB residual of slice j is equation_residual of u[j] in the measure
+    the slice's Hamiltonian reads; the measure residual is the joint W1
+    between mu[j] and the pushforward of m[j] through the improved policy
+    that call returns.
     """
     times = config.times()
     hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
@@ -351,7 +334,7 @@ def solve_field_iteration(
     error sums the gradient sup-distance and the state W1 distance per slice.
     """
     if spec.kind != "instant":
-        raise ValueError("field iteration requires an instant-context model")
+        raise ValueError("field iteration requires an instant model")
     grid = m0.grid
     n_slices = config.n_steps + 1
 
@@ -378,10 +361,10 @@ def solve_field_iteration(
                 rates.append(res.rate)
             fixed_points.append(res)
             hjbs.append(solve_discounted(
-                spec, InstantContext(res.mu), config.rho, grid,
+                spec, res.mu, config.rho, grid,
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
             ))
-        return [InstantContext(res.mu) for res in fixed_points], [h.policy for h in hjbs]
+        return [res.mu for res in fixed_points], [h.policy for h in hjbs]
 
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
@@ -432,15 +415,15 @@ def solve_measure_iteration(
 
     def slice_solve(warm):
         nonlocal hjbs
-        contexts = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
+        measures = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
         hjbs = [
             solve_discounted(
-                spec, ctx, config.rho, grid,
+                spec, nu, config.rho, grid,
                 tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=warm[j] if warm else None,
             )
-            for j, ctx in enumerate(contexts)
+            for j, nu in enumerate(measures)
         ]
-        return contexts, [h.policy for h in hjbs]
+        return measures, [h.policy for h in hjbs]
 
     def outer_error(traj, policies):
         nonlocal mu_traj, m_traj
@@ -456,8 +439,8 @@ def solve_measure_iteration(
     log, policies, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
     # consistency pass: one undamped pass, so each stored measure is the
     # pushforward of its density through the stored policy
-    contexts, policies = slice_solve(policies)
-    traj = _evolve(spec, m0, config, contexts, policies)
+    measures, policies = slice_solve(policies)
+    traj = _evolve(spec, m0, config, measures, policies)
     mu_traj = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
     return _solution(
         spec, config, log, converged, traj.densities, [h.u for h in hjbs], mu_traj, policies,
@@ -523,8 +506,8 @@ def solve_vanishing_discount(
     w_final, lam_final, _ = prev
     direct_gaps = np.zeros(n_slices)
     for j in range(n_slices):
-        ctx = _slice_context(spec, times, list(sol.mu), j)
-        es = solve_ergodic(spec, ctx, grid, tol=config.hjb_tol, method="direct")
+        nu = _slice_context(spec, times, sol.mu, j)
+        es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol, method="direct")
         direct_gaps[j] = abs(es.lam - lam_final[j]) + float(
             np.abs(es.u.values - w_final[j].values).max()
         )
@@ -600,8 +583,8 @@ def regularity_report(
         grid = sol.m[0].grid
         x = grid.coordinates()[:, None, :]
         for j in range(n):
-            ctx = _slice_context(spec, sol.times, list(sol.mu), j)
-            vals = spec.running_cost(x, mesh[None, :, :], ctx)
+            nu = _slice_context(spec, sol.times, sol.mu, j)
+            vals = spec.running_cost(x, mesh[None, :, :], nu)
             ell_max = max(ell_max, float(np.abs(vals).max()))
         report["running_cost_sup"] = ell_max
 

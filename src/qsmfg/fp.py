@@ -46,12 +46,8 @@ class FpTrajectory:
     times: np.ndarray
     densities: tuple[DensityField, ...]
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.densities) - 1
-
     def values(self) -> np.ndarray:
-        """Stacked density values, shape (n_steps+1, *grid.shape)."""
+        """Stacked density values, shape (len(times), *grid.shape)."""
         return np.stack([m.values for m in self.densities])
 
 

@@ -26,10 +26,9 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian
-from .measure import ControlField
+from .measure import ControlField, JointMeasure
 from .model import (
     ModelSpec,
-    MuContext,
     drift_values,
     policy_field,
     running_cost_values,
@@ -140,7 +139,7 @@ def _policy_evaluation(
 
 def equation_residual(
     spec: ModelSpec,
-    ctx: MuContext,
+    nu: JointMeasure,
     rho: float,
     u: GridField,
     lam: float = 0.0,
@@ -153,9 +152,9 @@ def equation_residual(
     """
     grid = u.grid
     du = gradient_central(u)
-    policy = policy_field(spec, grid, du, ctx)
-    bvals = drift_values(spec, grid, policy, ctx)
-    ell = running_cost_values(spec, grid, policy, ctx)
+    policy = policy_field(spec, grid, du, nu)
+    bvals = drift_values(spec, grid, policy, nu)
+    ell = running_cost_values(spec, grid, policy, nu)
     bfields = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(grid.d))
     dup = gradient_upwind(u, bfields)
     advect = sum(bvals[:, ax] * dup[ax].flat() for ax in range(grid.d))
@@ -165,7 +164,7 @@ def equation_residual(
 
 def solve_discounted(
     spec: ModelSpec,
-    ctx: MuContext,
+    nu: JointMeasure,
     rho: float,
     grid: Grid,
     tol: float = 1e-10,
@@ -175,7 +174,7 @@ def solve_discounted(
     """Policy iteration for the discounted stationary HJB equation."""
     if rho <= 0:
         raise ValueError(f"discounted solve needs rho > 0, got {rho}")
-    w, s, sol = _policy_iteration(spec, ctx, rho, grid, tol, max_iter, warm_start)
+    w, s, sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
     u = GridField(grid, w + s / rho)
     return HjbSolution(
         u=u,
@@ -190,7 +189,7 @@ def solve_discounted(
 
 def solve_ergodic(
     spec: ModelSpec,
-    ctx: MuContext,
+    nu: JointMeasure,
     grid: Grid,
     tol: float = 1e-10,
     max_iter: int = 80,
@@ -208,7 +207,7 @@ def solve_ergodic(
     solutions and cost estimates are Cauchy within tol.
     """
     if method == "direct":
-        w, lam, sol = _policy_iteration(spec, ctx, 0.0, grid, tol, max_iter, warm_start)
+        w, lam, sol = _policy_iteration(spec, nu, 0.0, grid, tol, max_iter, warm_start)
         return HjbSolution(
             u=GridField(grid, w),
             policy=sol["policy"],
@@ -225,7 +224,7 @@ def solve_ergodic(
     rho = rho0
     increment = np.inf
     for level in range(max_levels):
-        w, s, sol = _policy_iteration(spec, ctx, rho, grid, tol, max_iter, policy)
+        w, s, sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, policy)
         lam = s  # s = rho * u(x0) by construction of the normalized solve
         policy = sol["policy"]
         if prev_w is not None:
@@ -245,28 +244,28 @@ def solve_ergodic(
     raise HjbConvergenceError("discount sequence exhausted before Cauchy criterion", increment)
 
 
-def _policy_iteration(spec, ctx, rho, grid, tol, max_iter, warm_start):
+def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start):
     if warm_start is not None:
         policy = warm_start
     else:
         zero_p = np.zeros((grid.size, grid.d))
         policy = policy_field(
-            spec, grid, tuple(GridField(grid, zero_p[:, ax].reshape(grid.shape)) for ax in range(grid.d)), ctx
+            spec, grid, tuple(GridField(grid, zero_p[:, ax].reshape(grid.shape)) for ax in range(grid.d)), nu
         )
     history: list[float] = []
     w = np.zeros(grid.size)
     s = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        bvals = drift_values(spec, grid, policy, ctx)
-        ell = running_cost_values(spec, grid, policy, ctx)
+        bvals = drift_values(spec, grid, policy, nu)
+        ell = running_cost_values(spec, grid, policy, nu)
         w, s = _policy_evaluation(grid, bvals, ell, rho)
         if rho > 0:
             u = GridField(grid, w + s / rho)
-            residual, policy = equation_residual(spec, ctx, rho, u)
+            residual, policy = equation_residual(spec, nu, rho, u)
         else:
             u = GridField(grid, w)
-            residual, policy = equation_residual(spec, ctx, 0.0, u, lam=s)
+            residual, policy = equation_residual(spec, nu, 0.0, u, lam=s)
         history.append(residual)
         if residual <= tol:
             return w, s, {
@@ -302,21 +301,21 @@ class ContinuousDependenceReport:
 
 def continuous_dependence_report(
     spec: ModelSpec,
-    ctx1: MuContext,
-    ctx2: MuContext,
+    nu1: JointMeasure,
+    nu2: JointMeasure,
     rho: float,
     grid: Grid,
     tol: float = 1e-11,
     control_mesh: int = 129,
 ) -> ContinuousDependenceReport:
-    """Solve for both contexts and measure how far apart the solutions are.
+    """Solve for both measures and measure how far apart the solutions are.
 
     The data differences are measured over the grid crossed with a control
     mesh, so rho_sup can be compared against the comparison-principle bound
     C * |b1 - b2|_sup + |l1 - l2|_sup as a runtime diagnostic.
     """
-    s1 = solve_discounted(spec, ctx1, rho, grid, tol=tol)
-    s2 = solve_discounted(spec, ctx2, rho, grid, tol=tol)
+    s1 = solve_discounted(spec, nu1, rho, grid, tol=tol)
+    s2 = solve_discounted(spec, nu2, rho, grid, tol=tol)
     u1 = s1.u.flat()
     u2 = s2.u.flat()
     w1 = u1 - u1[NORMALIZATION_NODE]
@@ -328,10 +327,10 @@ def continuous_dependence_report(
     )
     x = grid.coordinates()[:, None, :]
     mesh = spec.control.mesh(control_mesh)[None, :, :]
-    b1 = spec.drift(x, mesh, ctx1)
-    b2 = spec.drift(x, mesh, ctx2)
-    l1 = spec.running_cost(x, mesh, ctx1)
-    l2 = spec.running_cost(x, mesh, ctx2)
+    b1 = spec.drift(x, mesh, nu1)
+    b2 = spec.drift(x, mesh, nu2)
+    l1 = spec.running_cost(x, mesh, nu1)
+    l2 = spec.running_cost(x, mesh, nu2)
     return ContinuousDependenceReport(
         normalized_sup=float(np.abs(w1 - w2).max()),
         gradient_sup=grad_sup,

@@ -1,15 +1,16 @@
 """Control problem data: drift, running cost, Hamiltonian, optimal control.
 
-A model is a bundle of coefficient functions b(x,a;ctx) and l(x,a;ctx)
+A model is a bundle of coefficient functions b(x,a;nu) and l(x,a;nu)
 together with a compact control set and declared regularity constants.  The
 Hamiltonian is always the control supremum
 
-    H(x, p; ctx) = sup_a { -p . b(x,a;ctx) - l(x,a;ctx) },
+    H(x, p; nu) = sup_a { -p . b(x,a;nu) - l(x,a;nu) },
 
 evaluated through the model's closed-form maximizer when one is supplied and
-through brute-force mesh search otherwise.  Contexts carry either the joint
-state-control measure frozen at the current instant or, for memory models,
-the past trajectory of joint measures.
+through brute-force mesh search otherwise.  nu is the one joint
+state-control measure the Hamiltonian reads at a time slice, resolved by
+slice_measure: the current measure for instant models, the unit-mass kernel
+aggregate of the past trajectory for memory models.
 
 Coefficient functions are vectorized: x has shape (..., d), a has shape
 (..., k), broadcastable against each other; b returns (..., d) and l
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,15 +30,13 @@ from .measure import ControlField, JointMeasure
 
 __all__ = [
     "ControlSet",
-    "InstantContext",
-    "HistoryContext",
-    "MuContext",
     "ModelSpec",
     "hamiltonian_value",
     "optimal_control",
     "hamiltonian_gradient_p",
     "brute_force_argmax",
     "memory_aggregate",
+    "slice_measure",
     "policy_field",
     "drift_field",
     "example_one",
@@ -69,47 +68,25 @@ def _snap_mesh_count(m: int) -> int:
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Compact control set A in R^k: a centered ball or an axis box."""
+    """Compact control set A in R^k: the centered ball of the given radius."""
 
-    kind: str  # "ball" | "box"
     k: int
     radius: float = 1.0
-    lo: tuple = ()
-    hi: tuple = ()
     mesh_resolution: int = 257
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ball", "box"):
-            raise ValueError(f"unknown control set kind {self.kind!r}")
-        if self.kind == "ball" and self.radius <= 0:
+        if self.radius <= 0:
             raise ValueError("ball control set needs radius > 0")
-        if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-            if lo.size != self.k or hi.size != self.k or np.any(lo >= hi):
-                raise ValueError("box control set needs lo < hi componentwise of length k")
 
     def zero_control(self) -> np.ndarray:
         """The point of A closest to the origin."""
-        if self.kind == "ball":
-            return np.zeros(self.k)
-        return np.clip(np.zeros(self.k), np.asarray(self.lo), np.asarray(self.hi))
+        return np.zeros(self.k)
 
     def project(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if self.kind == "ball":
-            norm = np.linalg.norm(a, axis=-1, keepdims=True)
-            scale = np.where(norm > self.radius, self.radius / np.maximum(norm, 1e-300), 1.0)
-            return a * scale
-        return np.clip(a, np.asarray(self.lo), np.asarray(self.hi))
-
-    def contains(self, a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if self.kind == "ball":
-            return np.linalg.norm(a, axis=-1) <= self.radius + tol
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((a >= lo - tol) & (a <= hi + tol), axis=-1)
+        norm = np.linalg.norm(a, axis=-1, keepdims=True)
+        scale = np.where(norm > self.radius, self.radius / np.maximum(norm, 1e-300), 1.0)
+        return a * scale
 
     def mesh(self, m: int | None = None) -> np.ndarray:
         """Brute-force candidate controls, shape (M, k).
@@ -119,10 +96,6 @@ class ControlSet:
         """
         m = self.mesh_resolution if m is None else m
         mm = _snap_mesh_count(m)
-        if self.kind == "box":
-            axes = [np.linspace(self.lo[i], self.hi[i], mm) for i in range(self.k)]
-            grids = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.ravel() for g in grids], axis=-1)
         if self.k == 1:
             return np.linspace(-self.radius, self.radius, mm)[:, None]
         if self.k == 2:
@@ -135,37 +108,6 @@ class ControlSet:
             pts = np.stack([rr.ravel() * np.cos(tt.ravel()), rr.ravel() * np.sin(tt.ravel())], axis=-1)
             return np.vstack([np.zeros((1, 2)), pts])
         raise ValueError(f"mesh generation supports k <= 2, got k={self.k}")
-
-
-@dataclass(frozen=True)
-class InstantContext:
-    """The joint measure frozen at the current instant (no anticipation)."""
-
-    mu: JointMeasure
-
-
-class HistoryContext:
-    """Past trajectory of joint measures up to time t, on the solver time grid."""
-
-    def __init__(self, t: float, times: Sequence[float], measures: Sequence[JointMeasure]):
-        times = np.asarray(times, dtype=float)
-        if len(times) != len(measures):
-            raise ValueError("times and measures disagree in length")
-        if len(times) == 0 or t > times[-1] + 1e-9:
-            raise ValueError(f"trajectory (up to {times[-1] if len(times) else None}) shorter than t={t}")
-        self.t = float(t)
-        self.times = times
-        self.measures = tuple(measures)
-        self._aggregate_cache: dict[int, JointMeasure] = {}
-
-    def aggregate(self, kernel: Callable[[np.ndarray], np.ndarray]) -> JointMeasure:
-        key = id(kernel)
-        if key not in self._aggregate_cache:
-            self._aggregate_cache[key] = memory_aggregate(self.times, self.measures, kernel, self.t)
-        return self._aggregate_cache[key]
-
-
-MuContext = Union[InstantContext, HistoryContext]
 
 
 def memory_aggregate(
@@ -227,37 +169,39 @@ class ModelSpec:
     name: str
     kind: str
     control: ControlSet
-    drift: Callable  # b(x, a, ctx) -> (..., d)
-    running_cost: Callable  # l(x, a, ctx) -> (...,)
-    closed_form_control: Optional[Callable] = None  # alpha*(x, p, ctx) -> (..., k)
+    drift: Callable  # b(x, a, nu) -> (..., d)
+    running_cost: Callable  # l(x, a, nu) -> (...,)
+    closed_form_control: Optional[Callable] = None  # alpha*(x, p, nu) -> (..., k)
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
-    coef_lip_measure: float = 0.0  # Lipschitz in the measure w.r.t. W1
     control_lip_measure: float = 0.0  # lambda_0 of the maximizer w.r.t. W1
-    control_lip_xp: float = 1.0  # lambda_1 of the maximizer w.r.t. (x, p)
-    drift_lip_control: Optional[float] = None  # Lipschitz of b in a, if declared
     measure_cost: Optional[Callable] = None  # additive cost term l1(mu), separated models
     kernel: Optional[Callable] = None  # memory kernel K(tau), history models
     params: dict = field(default_factory=dict)
 
-    def context_kind_ok(self, ctx: MuContext) -> bool:
-        if self.kind == "instant":
-            return isinstance(ctx, InstantContext)
-        return isinstance(ctx, HistoryContext)
 
+def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[JointMeasure]) -> JointMeasure:
+    """The joint measure the Hamiltonian reads at times[-1], the last slice of
+    a trajectory prefix.
 
-def _check_ctx(spec: ModelSpec, ctx: MuContext) -> None:
-    if not spec.context_kind_ok(ctx):
-        raise TypeError(
-            f"model {spec.name!r} expects a {spec.kind} context, got {type(ctx).__name__}"
-        )
+    Instant models read the current measure, measures[-1].  History models
+    read the kernel aggregate over [0, times[-1]] scaled to unit mass, or the
+    empty measure (no coupling) when the aggregate has no mass.
+    """
+    if spec.kind == "instant":
+        return measures[-1]
+    agg = memory_aggregate(times, measures, spec.kernel, times[-1])
+    mass = agg.mass()
+    if mass <= 0.0:
+        return JointMeasure.empty(agg.x.shape[1], agg.a.shape[1])
+    return agg.scaled(1.0 / mass)
 
 
 def brute_force_argmax(
     spec: ModelSpec,
     x: np.ndarray,
     p: np.ndarray,
-    ctx: MuContext,
+    nu: JointMeasure,
     mesh: int | None = None,
     _warn: bool = True,
 ) -> np.ndarray:
@@ -266,15 +210,14 @@ def brute_force_argmax(
     Ties go to the first mesh point.  Refining the mesh can only improve the
     achieved value because refined meshes contain the coarse ones.
     """
-    _check_ctx(spec, ctx)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
     cand = spec.control.mesh(mesh)  # (M, k)
     xb = x[:, None, :]
     pb = p[:, None, :]
     ab = np.broadcast_to(cand[None, :, :], (x.shape[0],) + cand.shape)
-    bv = spec.drift(xb, ab, ctx)
-    lv = spec.running_cost(xb, ab, ctx)
+    bv = spec.drift(xb, ab, nu)
+    lv = spec.running_cost(xb, ab, nu)
     objective = -(pb * bv).sum(axis=-1) - lv  # (N, M)
     best = np.argmax(objective, axis=1)
     if _warn:
@@ -300,12 +243,7 @@ def _brute_force_diagnostics(spec, cand, objective, best) -> None:
             )
             break
     # coarse mesh: winner on the mesh hull with a steep inward slope
-    if spec.control.kind == "ball":
-        on_hull = np.linalg.norm(cand[best], axis=-1) >= spec.control.radius - 1e-12
-    else:
-        lo = np.asarray(spec.control.lo)
-        hi = np.asarray(spec.control.hi)
-        on_hull = np.any((cand[best] <= lo + 1e-12) | (cand[best] >= hi - 1e-12), axis=-1)
+    on_hull = np.linalg.norm(cand[best], axis=-1) >= spec.control.radius - 1e-12
     if np.any(on_hull) and m < 9:
         warnings.warn(
             "brute-force maximum on the control-set boundary with a coarse mesh; "
@@ -316,96 +254,77 @@ def _brute_force_diagnostics(spec, cand, objective, best) -> None:
 
 
 def _mesh_spacing(control: ControlSet, m: int) -> float:
-    mm = _snap_mesh_count(m)
-    if control.kind == "ball":
-        return 2.0 * control.radius / (mm - 1)
-    widths = np.asarray(control.hi) - np.asarray(control.lo)
-    return float(widths.max() / (mm - 1))
+    return 2.0 * control.radius / (_snap_mesh_count(m) - 1)
 
 
-def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, ctx: MuContext) -> np.ndarray:
+def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
     """The maximizing control; closed form when available, brute force otherwise."""
-    _check_ctx(spec, ctx)
     if spec.closed_form_control is not None:
-        a = spec.closed_form_control(np.asarray(x, dtype=float), np.asarray(p, dtype=float), ctx)
+        a = spec.closed_form_control(np.asarray(x, dtype=float), np.asarray(p, dtype=float), nu)
         return spec.control.project(a)
-    return brute_force_argmax(spec, x, p, ctx)
+    return brute_force_argmax(spec, x, p, nu)
 
 
-def hamiltonian_value(spec: ModelSpec, x: np.ndarray, p: np.ndarray, ctx: MuContext) -> np.ndarray:
-    """H(x,p;ctx) evaluated at the optimal control."""
+def hamiltonian_value(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
+    """H(x,p;nu) evaluated at the optimal control."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    a = optimal_control(spec, x, p, ctx)
-    bv = spec.drift(x, a, ctx)
-    lv = spec.running_cost(x, a, ctx)
+    a = optimal_control(spec, x, p, nu)
+    bv = spec.drift(x, a, nu)
+    lv = spec.running_cost(x, a, nu)
     return -(p * bv).sum(axis=-1) - lv
 
 
-def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, ctx: MuContext) -> np.ndarray:
-    """dH/dp = -b(x, alpha*(x,p;ctx); ctx), the envelope identity."""
+def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
+    """dH/dp = -b(x, alpha*(x,p;nu); nu), the envelope identity."""
     x = np.asarray(x, dtype=float)
-    a = optimal_control(spec, x, p, ctx)
-    return -spec.drift(x, a, ctx)
+    a = optimal_control(spec, x, p, nu)
+    return -spec.drift(x, a, nu)
 
 
-def policy_field(spec: ModelSpec, grid: Grid, du: Sequence[GridField], ctx: MuContext) -> ControlField:
+def policy_field(spec: ModelSpec, grid: Grid, du: Sequence[GridField], nu: JointMeasure) -> ControlField:
     """Optimal control at every node for the given value-function gradient."""
     x = grid.coordinates()
     p = np.stack([g.flat() for g in du], axis=-1)
-    a = optimal_control(spec, x, p, ctx)
+    a = optimal_control(spec, x, p, nu)
     return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
 
 
-def drift_values(spec: ModelSpec, grid: Grid, policy: ControlField, ctx: MuContext) -> np.ndarray:
-    """b(x, a(x); ctx) at every node, shape (n^d, d)."""
+def drift_values(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
+    """b(x, a(x); nu) at every node, shape (n^d, d)."""
     x = grid.coordinates()
-    return spec.drift(x, policy.flat(), ctx)
+    return spec.drift(x, policy.flat(), nu)
 
 
-def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, ctx: MuContext) -> tuple[GridField, ...]:
-    """The Fokker-Planck drift H_p = -b(x, a(x); ctx) as a vector grid field."""
-    g = -drift_values(spec, grid, policy, ctx)
+def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> tuple[GridField, ...]:
+    """The Fokker-Planck drift H_p = -b(x, a(x); nu) as a vector grid field."""
+    g = -drift_values(spec, grid, policy, nu)
     return tuple(GridField(grid, g[:, ax].reshape(grid.shape)) for ax in range(grid.d))
 
 
-def running_cost_values(spec: ModelSpec, grid: Grid, policy: ControlField, ctx: MuContext) -> np.ndarray:
+def running_cost_values(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
     x = grid.coordinates()
-    return spec.running_cost(x, policy.flat(), ctx)
+    return spec.running_cost(x, policy.flat(), nu)
 
 
 # ---------------------------------------------------------------------------
 # built-in models
 
 
-def _instant_measure(ctx: MuContext, kernel=None) -> tuple[JointMeasure | None, float]:
-    """Resolve a context to (measure, mass): instant measures pass through,
-    history contexts aggregate through the kernel and normalize when the
-    aggregate carries positive mass."""
-    if isinstance(ctx, InstantContext):
-        return ctx.mu, ctx.mu.mass()
-    agg = ctx.aggregate(kernel)
-    mass = agg.mass()
-    if mass <= 0.0:
-        return None, 0.0
-    return agg.scaled(1.0 / mass), 1.0
-
-
-def _quadratic_couplings(delta, eps, kappa, width, radius, kernel=None):
+def _quadratic_couplings(delta, eps, kappa, width, radius):
     """Shared coupling terms: cost weight from the mean control, drift bump
-    from a periodic Gaussian average of controls around x."""
+    from a periodic Gaussian average of controls around x.  An empty measure
+    (a memory model's aggregate before any mass has built up) decouples."""
 
-    def cost_weight(ctx):
-        nu, _ = _instant_measure(ctx, kernel)
-        if nu is None or nu.n_atoms == 0:
+    def cost_weight(nu):
+        if nu.n_atoms == 0:
             return delta
         mean_a = float(np.linalg.norm(nu.mean_control()))
         return float(np.clip(delta + eps * mean_a, delta, delta + eps * radius))
 
-    def drift_bump(x, ctx):
-        # x: (..., d) -> (..., d); zero coupling for empty aggregates
-        nu, _ = _instant_measure(ctx, kernel)
-        if nu is None or nu.n_atoms == 0 or kappa == 0.0:
+    def drift_bump(x, nu):
+        # x: (..., d) -> (..., d)
+        if nu.n_atoms == 0 or kappa == 0.0:
             return np.zeros(x.shape)
         dist = torus_distance(x[..., None, :], nu.x)  # (..., N)
         phi = np.exp(-(dist**2) / (2.0 * width**2))
@@ -441,23 +360,23 @@ def _make_quadratic_model(
     """
     if delta <= 0:
         raise ValueError("cost weight floor delta must be positive")
-    control = ControlSet("ball", k=d, radius=radius, mesh_resolution=mesh)
-    cost_weight, drift_bump = _quadratic_couplings(delta, eps, kappa, width, radius, kernel)
+    control = ControlSet(k=d, radius=radius, mesh_resolution=mesh)
+    cost_weight, drift_bump = _quadratic_couplings(delta, eps, kappa, width, radius)
 
-    def b(x, a, ctx):
-        return drift_bump(np.asarray(x, dtype=float), ctx) - np.asarray(a, dtype=float)
+    def b(x, a, nu):
+        return drift_bump(np.asarray(x, dtype=float), nu) - np.asarray(a, dtype=float)
 
-    def ell(x, a, ctx):
+    def ell(x, a, nu):
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
-        quad = (a**2).sum(axis=-1) / (2.0 * cost_weight(ctx))
+        quad = (a**2).sum(axis=-1) / (2.0 * cost_weight(nu))
         if potential == 0.0:
             return quad + np.zeros(x.shape[:-1])
         return quad + potential * np.cos(2.0 * np.pi * x[..., 0])
 
-    def alpha_star(x, p, ctx):
+    def alpha_star(x, p, nu):
         p = np.asarray(p, dtype=float)
-        l0 = cost_weight(ctx)
+        l0 = cost_weight(nu)
         norm = np.linalg.norm(p, axis=-1, keepdims=True)
         inside = l0 * norm <= radius
         radial = radius * p / np.maximum(norm, 1e-300)
@@ -466,7 +385,6 @@ def _make_quadratic_model(
     lip_phi = np.exp(-0.5) / width  # max slope of the Gaussian bump
     coef_bound = max(kappa * radius + radius, radius**2 / (2.0 * delta) + abs(potential))
     coef_lip_x = kappa * radius * lip_phi + 2.0 * np.pi * abs(potential)
-    coef_lip_measure = max(kappa * max(1.0, radius * lip_phi), radius**2 * eps / (2.0 * delta**2))
     return ModelSpec(
         name=name,
         kind=kind,
@@ -476,10 +394,7 @@ def _make_quadratic_model(
         closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=coef_lip_x,
-        coef_lip_measure=coef_lip_measure,
         control_lip_measure=radius * eps / delta,
-        control_lip_xp=delta + eps * radius,
-        drift_lip_control=1.0,
         kernel=kernel,
         params=dict(
             params or {},
@@ -498,7 +413,7 @@ def example_one(
     mesh: int = 257,
     potential: float = 0.0,
 ) -> ModelSpec:
-    """Instant-context quadratic model; the maximizer is (R eps / delta)-Lipschitz
+    """Instant quadratic model; the maximizer is (R eps / delta)-Lipschitz
     in the measure, so eps and delta tune the measure fixed point above or
     below the contraction threshold."""
     return _make_quadratic_model(
@@ -519,8 +434,8 @@ def example_two(
     kernel_scale: float = 1.0,
 ) -> ModelSpec:
     """Memory model: the quadratic couplings read the kernel-weighted time
-    aggregate of the past joint-measure trajectory (normalized when it has
-    positive mass, decoupled when empty)."""
+    aggregate of the past joint-measure trajectory, which slice_measure scales
+    to unit mass (decoupled while the aggregate is empty)."""
     if kernel_kind == "constant":
         kernel = lambda tau: kernel_scale * np.ones_like(np.asarray(tau, dtype=float))
     elif kernel_kind == "linear":
@@ -561,7 +476,7 @@ def separated_cost(
     differ by the constant (l1(mu1) - l1(mu2)) / rho and ergodic solutions
     coincide.
     """
-    control = ControlSet("ball", k=d, radius=radius, mesh_resolution=mesh)
+    control = ControlSet(k=d, radius=radius, mesh_resolution=mesh)
 
     def b0(x):
         x = np.asarray(x, dtype=float)
@@ -576,15 +491,15 @@ def separated_cost(
     def ell1(nu: JointMeasure) -> float:
         return float(coupling_weight * nu.mean_control()[0])
 
-    def b(x, a, ctx):
+    def b(x, a, nu):
         return b0(x) - np.asarray(a, dtype=float)
 
-    def ell(x, a, ctx):
+    def ell(x, a, nu):
         a = np.asarray(a, dtype=float)
         base = (a**2).sum(axis=-1) / 2.0 + potential(x)
-        return base + ell1(ctx.mu)
+        return base + ell1(nu)
 
-    def alpha_star(x, p, ctx):
+    def alpha_star(x, p, nu):
         p = np.asarray(p, dtype=float)
         norm = np.linalg.norm(p, axis=-1, keepdims=True)
         scale = np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
@@ -603,10 +518,7 @@ def separated_cost(
         closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),
-        coef_lip_measure=coupling_weight,
         control_lip_measure=0.0,
-        control_lip_xp=1.0,
-        drift_lip_control=1.0,
         measure_cost=ell1,
         params={
             "radius": radius,
@@ -634,17 +546,14 @@ def build_model(name: str, **params) -> ModelSpec:
 # validator spot-checks
 
 
-def _random_context(spec: ModelSpec, grid: Grid, rng: np.random.Generator) -> MuContext:
+def _random_measure(spec: ModelSpec, grid: Grid, rng: np.random.Generator) -> JointMeasure:
+    """The measure the Hamiltonian reads on a random constant trajectory."""
     n_atoms = 24
     x = rng.random((n_atoms, grid.d))
     a = spec.control.project(rng.uniform(-1.0, 1.0, (n_atoms, spec.control.k)))
     w = rng.random(n_atoms)
     w = w / w.sum()
-    mu = JointMeasure(x, a, w)
-    if spec.kind == "instant":
-        return InstantContext(mu)
-    times = np.linspace(0.0, 0.5, 6)
-    return HistoryContext(0.5, times, [mu] * 6)
+    return slice_measure(spec, np.linspace(0.0, 0.5, 6), [JointMeasure(x, a, w)] * 6)
 
 
 def check_model(
@@ -662,13 +571,13 @@ def check_model(
     """
     rng = np.random.default_rng(seed)
     report: dict[str, dict] = {}
-    ctx = _random_context(spec, grid, rng)
+    nu = _random_measure(spec, grid, rng)
     x = rng.random((n_samples, grid.d))
     a = spec.control.project(rng.uniform(-1.0, 1.0, (n_samples, spec.control.k)))
     p = rng.uniform(-2.0, 2.0, (n_samples, grid.d))
 
-    bv = spec.drift(x, a, ctx)
-    lv = spec.running_cost(x, a, ctx)
+    bv = spec.drift(x, a, nu)
+    lv = spec.running_cost(x, a, nu)
     b_sup = float(np.abs(bv).max())
     l_sup = float(np.abs(lv).max())
     report["coefficient_bound"] = {
@@ -679,8 +588,8 @@ def check_model(
 
     x2 = rng.random((n_samples, grid.d))
     dist = torus_distance(x, x2)
-    bv2 = spec.drift(x2, a, ctx)
-    lv2 = spec.running_cost(x2, a, ctx)
+    bv2 = spec.drift(x2, a, nu)
+    lv2 = spec.running_cost(x2, a, nu)
     num = np.abs(bv - bv2).max(axis=-1) + np.abs(lv - lv2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dist > 1e-9, num / np.maximum(dist, 1e-300), 0.0)
@@ -692,10 +601,10 @@ def check_model(
     }
 
     if spec.closed_form_control is not None:
-        a_closed = optimal_control(spec, x, p, ctx)
+        a_closed = optimal_control(spec, x, p, nu)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a_brute = brute_force_argmax(spec, x, p, ctx, mesh=1025)
+            a_brute = brute_force_argmax(spec, x, p, nu, mesh=1025)
         spacing = _mesh_spacing(spec.control, 1025)
         gap = float(np.linalg.norm(a_closed - a_brute, axis=-1).max())
         report["closed_form_vs_brute_force"] = {
@@ -705,26 +614,25 @@ def check_model(
         }
 
     # envelope identity away from points where the maximizer may switch branch
-    hp = hamiltonian_gradient_p(spec, x, p, ctx)
+    hp = hamiltonian_gradient_p(spec, x, p, nu)
     fd = np.zeros_like(hp)
     for ax in range(grid.d):
         dp = np.zeros(grid.d)
         dp[ax] = fd_step
         fd[:, ax] = (
-            hamiltonian_value(spec, x, p + dp, ctx) - hamiltonian_value(spec, x, p - dp, ctx)
+            hamiltonian_value(spec, x, p + dp, nu) - hamiltonian_value(spec, x, p - dp, nu)
         ) / (2.0 * fd_step)
     err = np.abs(hp - fd).max(axis=-1)
-    if spec.control.kind == "ball":
-        # maximizers of the built-in models switch branch where |p| crosses
-        # radius / cost-weight; exclude a margin around that whole window
-        radius = spec.control.radius
-        delta = float(spec.params.get("delta", 1.0))
-        eps = float(spec.params.get("eps", 0.0))
-        lo_switch = radius / (delta + eps * radius)
-        hi_switch = radius / delta
-        norm = np.linalg.norm(p, axis=-1)
-        away = (norm < lo_switch - 0.05) | (norm > hi_switch + 0.05)
-        err = err[away] if away.any() else err
+    # maximizers of the built-in models switch branch where |p| crosses
+    # radius / cost-weight; exclude a margin around that whole window
+    radius = spec.control.radius
+    delta = float(spec.params.get("delta", 1.0))
+    eps = float(spec.params.get("eps", 0.0))
+    lo_switch = radius / (delta + eps * radius)
+    hi_switch = radius / delta
+    norm = np.linalg.norm(p, axis=-1)
+    away = (norm < lo_switch - 0.05) | (norm > hi_switch + 0.05)
+    err = err[away] if away.any() else err
     fd_err = float(err.max()) if err.size else 0.0
     report["gradient_envelope_identity"] = {
         "measured": fd_err,

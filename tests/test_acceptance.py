@@ -35,7 +35,6 @@ from qsmfg.measure import (
 )
 from qsmfg.model import (
     ControlSet,
-    InstantContext,
     ModelSpec,
     brute_force_argmax,
     example_one,
@@ -161,30 +160,30 @@ def test_criterion_02_heat_oracle():
 def test_criterion_03_hjb_identities():
     grid = Grid(1, 64)
     # (a) b = 0, l = c: u == c / rho within 1e-11
-    control = ControlSet("ball", k=1, radius=1.0)
+    control = ControlSet(k=1, radius=1.0)
     const = ModelSpec(
         name="const", kind="instant", control=control,
-        drift=lambda x, a, ctx: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, ctx: np.full(
+        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+        running_cost=lambda x, a, nu: np.full(
             np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0
         ),
-        closed_form_control=lambda x, p, ctx: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
-    sol = solve_discounted(const, InstantContext(_measure(1)), 1.0, grid, tol=1e-13)
+    sol = solve_discounted(const, _measure(1), 1.0, grid, tol=1e-13)
     assert np.abs(sol.u.values - 2.0).max() <= 1e-11
 
     # (b) separated cost: discounted shift (l1(nu1) - l1(nu2)) / rho within 1e-10
     spec = separated_cost(d=1, coupling_weight=0.5)
     nu1, nu2 = _measure(2), _measure(3)
     rho = 0.7
-    s1 = solve_discounted(spec, InstantContext(nu1), rho, grid, tol=1e-13)
-    s2 = solve_discounted(spec, InstantContext(nu2), rho, grid, tol=1e-13)
+    s1 = solve_discounted(spec, nu1, rho, grid, tol=1e-13)
+    s2 = solve_discounted(spec, nu2, rho, grid, tol=1e-13)
     shift = (spec.measure_cost(nu1) - spec.measure_cost(nu2)) / rho
     assert np.abs((s1.u.values - s2.u.values) - shift).max() <= 1e-10
 
     # (c) ergodic separated cost: u independent of the measure within 1e-9
-    e1 = solve_ergodic(spec, InstantContext(nu1), grid, tol=1e-13, method="direct")
-    e2 = solve_ergodic(spec, InstantContext(nu2), grid, tol=1e-13, method="direct")
+    e1 = solve_ergodic(spec, nu1, grid, tol=1e-13, method="direct")
+    e2 = solve_ergodic(spec, nu2, grid, tol=1e-13, method="direct")
     assert np.abs(e1.u.values - e2.u.values).max() <= 1e-9
 
 
@@ -224,8 +223,8 @@ def test_criterion_06_fixed_point_residual(converged_runs):
         from qsmfg.coupling import _slice_context
 
         for j in range(sol.n_slices):
-            ctx = _slice_context(spec, sol.times, list(sol.mu), j)
-            probe = policy_field(spec, sol.m[j].grid, sol.du(j), ctx)
+            nu = _slice_context(spec, sol.times, sol.mu, j)
+            probe = policy_field(spec, sol.m[j].grid, sol.du(j), nu)
             residual = wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe))
             assert residual <= cfg.inner_tol, (j, residual)
 
@@ -344,19 +343,18 @@ def test_criterion_12_closed_forms():
     spec = example_one(d=1, delta=1.0, eps=0.3, kappa=0.3, potential=0.2)
     rng = np.random.default_rng(12)
     nu = _measure(40)
-    ctx = InstantContext(nu)
     x = rng.random((200, 1))
     p = rng.uniform(-3.0, 3.0, (200, 1))
 
     mesh_points = 1001  # snaps to 1025
     spacing = 2.0 * spec.control.radius / 1024
-    a_closed = optimal_control(spec, x, p, ctx)
-    a_brute = brute_force_argmax(spec, x, p, ctx, mesh=mesh_points, _warn=False)
+    a_closed = optimal_control(spec, x, p, nu)
+    a_brute = brute_force_argmax(spec, x, p, nu, mesh=mesh_points, _warn=False)
     assert np.abs(a_closed - a_brute).max() <= spacing
 
-    h_closed = hamiltonian_value(spec, x, p, ctx)
-    bv = spec.drift(x, a_brute, ctx)
-    lv = spec.running_cost(x, a_brute, ctx)
+    h_closed = hamiltonian_value(spec, x, p, nu)
+    bv = spec.drift(x, a_brute, nu)
+    lv = spec.running_cost(x, a_brute, nu)
     h_brute = -(p * bv).sum(axis=-1) - lv
     bound = (spec.coef_bound + np.abs(p[:, 0]) * spec.coef_bound) * spacing
     assert np.all(h_closed - h_brute >= -1e-12)
@@ -366,9 +364,9 @@ def test_criterion_12_closed_forms():
     lo = spec.control.radius / (1.0 + 0.3 * spec.control.radius)
     keep = (np.abs(p[:, 0]) < lo - 0.05) | (np.abs(p[:, 0]) > spec.control.radius / 1.0 + 0.05)
     xk, pk = x[keep], p[keep]
-    hp = hamiltonian_gradient_p(spec, xk, pk, ctx)
+    hp = hamiltonian_gradient_p(spec, xk, pk, nu)
     step = 1e-5
     fd = (
-        hamiltonian_value(spec, xk, pk + step, ctx) - hamiltonian_value(spec, xk, pk - step, ctx)
+        hamiltonian_value(spec, xk, pk + step, nu) - hamiltonian_value(spec, xk, pk - step, nu)
     ) / (2 * step)
     assert np.abs(hp[:, 0] - fd).max() <= 1e-6

@@ -125,6 +125,33 @@ class TestConfigValidation:
             parse_config(bad)
         assert err.value.field_name == "m0.kind"
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "m0, field_name, reason",
+        [
+            ({"kind": "vonmises", "concentration": "x"}, "m0.concentration", "expected float"),
+            ({"kind": "twobump", "centers": "x"}, "m0.centers", "expected list"),
+            ({"kind": "twobump", "centres": [0.25, 0.75]}, "m0.centres", "not a parameter of m0 kind 'twobump'"),
+            ({"kind": "twobump", "centers": [0.25]}, "m0.centers", "expected a list of 2 numbers"),
+            ({"kind": "vonmises", "center": [0.5, 0.5]}, "m0.center", "expected a list of 1 numbers"),
+            ({"kind": "vonmises", "center": ["x"]}, "m0.center.0", "expected float"),
+            ({"kind": "uniform", "concentration": 4.0}, "m0.concentration", "not a parameter of m0 kind 'uniform'"),
+        ],
+    )
+    def test_bad_m0_param_exit_code(self, tmp_path, capsys, command, m0, field_name, reason):
+        payload = dict(MINIMAL, m0=m0, output_dir=str(tmp_path / "out"))
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert f"config field {field_name!r}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_m0_params_typed(self):
+        m0 = {"kind": "vonmises", "center": [0, 0.5], "concentration": 3}
+        cfg = parse_config(dict(MINIMAL, grid={"d": 2, "n": 16}, m0=m0))
+        assert cfg.m0_params == {"center": [0.0, 0.5], "concentration": 3.0}
+        assert all(type(v) is float for v in cfg.m0_params["center"])
+        cfg = parse_config(dict(MINIMAL, m0={"kind": "twobump", "centers": [0.2, 1]}))
+        assert cfg.m0_params == {"centers": [0.2, 1.0]}
+
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")

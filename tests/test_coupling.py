@@ -32,13 +32,12 @@ from qsmfg.measure import (
 )
 from qsmfg.model import (
     ControlSet,
-    HistoryContext,
-    InstantContext,
     ModelSpec,
     example_one,
     example_two,
     policy_field,
     separated_cost,
+    slice_measure,
 )
 
 GRID = Grid(1, 32)
@@ -58,16 +57,16 @@ def _smooth_gradient(seed, offset=0.0, amplitude=0.5):
 
 
 def _const_model(c=1.0):
-    control = ControlSet("ball", k=1, radius=1.0)
+    control = ControlSet(k=1, radius=1.0)
     return ModelSpec(
         name="const",
         kind="instant",
         control=control,
-        drift=lambda x, a, ctx: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, ctx: np.full(
+        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+        running_cost=lambda x, a, nu: np.full(
             np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c
         ),
-        closed_form_control=lambda x, p, ctx: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
@@ -110,7 +109,7 @@ class TestJointMeasureFixedPoint:
         du = _smooth_gradient(4, offset=0.3)
         tol = 1e-10
         res = solve_joint_measure(m, du, spec, tol=tol)
-        probe = policy_field(spec, GRID, du, InstantContext(res.mu))
+        probe = policy_field(spec, GRID, du, res.mu)
         residual = wasserstein1_joint(res.mu, pushforward(m, probe))
         assert residual <= tol
 
@@ -121,21 +120,10 @@ class TestJointMeasureFixedPoint:
         np.testing.assert_array_equal(res.mu.w, m.flat() * GRID.h)
         np.testing.assert_array_equal(res.mu.a, res.policy.flat())
 
-    def test_history_context_slice_fixed_point(self):
-        # per-slice solve for a memory model: the iterate replaces the
-        # trajectory endpoint, and the result is an exact pushforward
-        spec = example_two(d=1, eps=0.2, kappa=0.2, potential=0.3, kernel_scale=1.0)
-        m = _random_density(20)
-        times = np.arange(4) * 0.1
-        hold = ControlField(GRID, np.full((32, 1), 0.1))
-        prefix = [pushforward(_random_density(21 + j), hold) for j in range(4)]
-        res = solve_joint_measure(
-            m, _smooth_gradient(22, offset=0.3), spec,
-            tol=1e-10, t=times[-1], history=(times, prefix),
-        )
-        assert res.converged
-        np.testing.assert_array_equal(res.mu.w, m.flat() * GRID.h)
-        np.testing.assert_array_equal(res.mu.a, res.policy.flat())
+    def test_history_model_rejected(self):
+        # a memory model reads past measures, not the slice's mu alone
+        with pytest.raises(ValueError, match="instant model"):
+            solve_joint_measure(_random_density(20), _smooth_gradient(22), example_two(d=1))
 
     def test_policies_stay_in_control_set(self, weak_gamma_solution):
         spec, _, _, sol = weak_gamma_solution
@@ -154,7 +142,7 @@ class TestJointMeasureFixedPoint:
         if not res.converged:
             assert res.damped
         else:
-            probe = policy_field(spec, GRID, du, InstantContext(res.mu))
+            probe = policy_field(spec, GRID, du, res.mu)
             assert wasserstein1_joint(res.mu, pushforward(m, probe)) <= 1e-8
 
 
@@ -181,7 +169,7 @@ class TestJointMeasureLoop:
 
     def _start(self, m, du):
         zero = ControlField(GRID, np.zeros((GRID.n, 1)))
-        return pushforward(m, policy_field(self.SPEC, GRID, du, InstantContext(pushforward(m, zero))))
+        return pushforward(m, policy_field(self.SPEC, GRID, du, pushforward(m, zero)))
 
     def test_zero_budget_returns_start_measure(self):
         m, du = _random_density(30), _smooth_gradient(31, offset=0.4, amplitude=0.15)
@@ -198,7 +186,7 @@ class TestJointMeasureLoop:
         assert res.rate == max(_plain_ratios(res.increments)) < 1.0
         mu = self._start(m, du)
         for d in res.increments:  # undamped: each policy is the map's own output
-            policy = policy_field(self.SPEC, GRID, du, InstantContext(mu))
+            policy = policy_field(self.SPEC, GRID, du, mu)
             mu_next = pushforward(m, policy)
             assert wasserstein1_joint(mu_next, mu) == d
             mu = mu_next
@@ -243,11 +231,8 @@ class TestMeasuredResiduals:
     def _recompute(spec, cfg, sol):
         hjb_res, mu_res = [], []
         for j in range(sol.n_slices):
-            if spec.kind == "instant":
-                ctx = InstantContext(sol.mu[j])
-            else:
-                ctx = HistoryContext(sol.times[j], sol.times[: j + 1], sol.mu[: j + 1])
-            r, probe = equation_residual(spec, ctx, cfg.rho, sol.u[j])
+            nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
+            r, probe = equation_residual(spec, nu, cfg.rho, sol.u[j])
             hjb_res.append(r)
             mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
         return np.array(hjb_res), np.array(mu_res)
@@ -409,7 +394,7 @@ class TestErgodicDriver:
         sol = solve_vanishing_discount(spec, m0, cfg)
         assert sol.converged
         nu_any = sol.mu[0]
-        base_sol = solve_ergodic(base, InstantContext(nu_any), GRID, tol=1e-12, method="direct")
+        base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12, method="direct")
         for j in range(sol.n_slices):
             expected = base_sol.lam - spec.measure_cost(sol.mu[j])
             assert sol.lam[j] == pytest.approx(expected, abs=2e-4)
@@ -594,7 +579,7 @@ class TestDispatch:
             solve_system(spec, m0, cfg, mode="nope")
 
     def test_blend_policies_stays_in_control_set(self):
-        control = ControlSet("ball", k=1, radius=1.0)
+        control = ControlSet(k=1, radius=1.0)
         a = ControlField(GRID, np.full((GRID.n, 1), 1.0))
         b = ControlField(GRID, np.full((GRID.n, 1), -1.0))
         mix = blend_policies(a, b, 0.5, control)

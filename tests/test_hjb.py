@@ -20,7 +20,6 @@ from qsmfg.hjb import (
 from qsmfg.measure import ControlField, JointMeasure, wasserstein1_joint
 from qsmfg.model import (
     ControlSet,
-    InstantContext,
     ModelSpec,
     example_one,
     optimal_control,
@@ -40,16 +39,16 @@ def _measure(seed=0, scale=0.8):
 
 
 def _const_model(c, k=1):
-    control = ControlSet("ball", k=k, radius=1.0)
+    control = ControlSet(k=k, radius=1.0)
     return ModelSpec(
         name="const",
         kind="instant",
         control=control,
-        drift=lambda x, a, ctx: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, ctx: np.full(
+        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+        running_cost=lambda x, a, nu: np.full(
             np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c
         ),
-        closed_form_control=lambda x, p, ctx: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
@@ -57,7 +56,7 @@ class TestDiscounted:
     def test_constant_cost_closed_form(self):
         # b == 0, l == c: H = -c and u == c/rho solves the discrete system exactly
         spec = _const_model(2.0)
-        sol = solve_discounted(spec, InstantContext(_measure()), 0.7, GRID, tol=1e-12)
+        sol = solve_discounted(spec, _measure(), 0.7, GRID, tol=1e-12)
         assert np.abs(sol.u.values - 2.0 / 0.7).max() < 1e-11
         assert sol.residual < 1e-12
 
@@ -65,24 +64,24 @@ class TestDiscounted:
         spec = separated_cost(d=1, coupling_weight=0.5)
         nu1, nu2 = _measure(1), _measure(2)
         rho = 0.8
-        s1 = solve_discounted(spec, InstantContext(nu1), rho, GRID, tol=1e-12)
-        s2 = solve_discounted(spec, InstantContext(nu2), rho, GRID, tol=1e-12)
+        s1 = solve_discounted(spec, nu1, rho, GRID, tol=1e-12)
+        s2 = solve_discounted(spec, nu2, rho, GRID, tol=1e-12)
         shift = (spec.measure_cost(nu1) - spec.measure_cost(nu2)) / rho
         assert np.abs((s1.u.values - s2.u.values) - shift).max() < 1e-10
 
     def test_matches_value_iteration_oracle(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        ctx = InstantContext(_measure(3))
-        sol = solve_discounted(spec, ctx, 1.0, GRID, tol=1e-11)
+        nu = _measure(3)
+        sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11)
         assert sol.converged and sol.residual <= 1e-11
-        oracle = _value_iteration_oracle(spec, ctx, 1.0, GRID, tol=1e-9)
+        oracle = _value_iteration_oracle(spec, nu, 1.0, GRID, tol=1e-9)
         assert np.abs(sol.u.values - oracle).max() < 1e-7
 
     def test_comparison_principle_constant_shift(self):
         # raising l by a constant raises u by delta/rho exactly
         rho = 0.9
-        base = solve_discounted(_const_model(1.0), InstantContext(_measure()), rho, GRID)
-        shifted = solve_discounted(_const_model(1.6), InstantContext(_measure()), rho, GRID)
+        base = solve_discounted(_const_model(1.0), _measure(), rho, GRID)
+        shifted = solve_discounted(_const_model(1.6), _measure(), rho, GRID)
         np.testing.assert_allclose(
             shifted.u.values - base.u.values, 0.6 / rho, atol=1e-10
         )
@@ -91,33 +90,33 @@ class TestDiscounted:
         # |rho u| <= sup |l| for every solve
         for rho in (1.0, 0.1, 0.01):
             spec = example_one(delta=1.0, eps=0.4, kappa=0.4, potential=0.4)
-            ctx = InstantContext(_measure(4))
-            sol = solve_discounted(spec, ctx, rho, GRID, tol=1e-10)
+            nu = _measure(4)
+            sol = solve_discounted(spec, nu, rho, GRID, tol=1e-10)
             mesh = spec.control.mesh(257)
             x = GRID.coordinates()[:, None, :]
-            ell_max = np.abs(spec.running_cost(x, mesh[None, :, :], ctx)).max()
+            ell_max = np.abs(spec.running_cost(x, mesh[None, :, :], nu)).max()
             assert rho * np.abs(sol.u.values).max() <= ell_max + 1e-9
 
     def test_residual_history_nonincreasing(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        sol = solve_discounted(spec, InstantContext(_measure(5)), 1.0, GRID, tol=1e-11)
+        sol = solve_discounted(spec, _measure(5), 1.0, GRID, tol=1e-11)
         hist = np.array(sol.residual_history)
         assert np.all(hist[1:] <= hist[:-1] + 1e-12)
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
-            solve_discounted(_const_model(1.0), InstantContext(_measure()), 0.0, GRID)
+            solve_discounted(_const_model(1.0), _measure(), 0.0, GRID)
 
     def test_warm_start_converges_immediately(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        ctx = InstantContext(_measure(6))
-        first = solve_discounted(spec, ctx, 1.0, GRID, tol=1e-11)
-        again = solve_discounted(spec, ctx, 1.0, GRID, tol=1e-11, warm_start=first.policy)
+        nu = _measure(6)
+        first = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11)
+        again = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=first.policy)
         assert again.iterations <= 2
 
     def test_non_convergence_reports_last_residual(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        sol = solve_discounted(spec, InstantContext(_measure(14)), 1.0, GRID, tol=1e-15, max_iter=1)
+        sol = solve_discounted(spec, _measure(14), 1.0, GRID, tol=1e-15, max_iter=1)
         assert not sol.converged
         assert sol.residual == sol.residual_history[-1] > 0
 
@@ -130,10 +129,9 @@ class TestDiscounted:
         spec = example_one(d=d, delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(15)
         nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
-        ctx = InstantContext(nu)
-        sol = solve_discounted(spec, ctx, 1.0, grid, tol=1e-11, max_iter=max_iter)
+        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
-        probe = policy_field(spec, grid, gradient_central(sol.u), ctx)
+        probe = policy_field(spec, grid, gradient_central(sol.u), nu)
         np.testing.assert_array_equal(sol.policy.values, probe.values)
 
 
@@ -143,10 +141,10 @@ class TestSelfConvergence:
         # discrete solutions can be compared pointwise; the errors must
         # shrink at least at the upwind first-order rate
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        ctx = InstantContext(_measure(0))
+        nu = _measure(0)
         sols = {}
         for n in (32, 64, 128):
-            sols[n] = solve_discounted(spec, ctx, 1.0, Grid(1, n), tol=1e-12).u.values
+            sols[n] = solve_discounted(spec, nu, 1.0, Grid(1, n), tol=1e-12).u.values
         e_coarse = np.abs(sols[32] - sols[64][::2]).max()
         e_fine = np.abs(sols[64] - sols[128][::2]).max()
         assert e_fine < e_coarse
@@ -181,23 +179,23 @@ class TestErgodic:
     def test_constant_cost(self):
         # b == 0, l == c: lambda = c, u == 0
         spec = _const_model(1.3)
-        sol = solve_ergodic(spec, InstantContext(_measure()), GRID, tol=1e-12, method="direct")
+        sol = solve_ergodic(spec, _measure(), GRID, tol=1e-12, method="direct")
         assert sol.lam == pytest.approx(1.3, abs=1e-11)
         assert np.abs(sol.u.values).max() < 1e-11
         assert sol.u.flat()[0] == 0.0  # normalization exact
 
     def test_separated_cost_measure_independent_u(self):
         spec = separated_cost(d=1, coupling_weight=0.5)
-        s1 = solve_ergodic(spec, InstantContext(_measure(1)), GRID, tol=1e-12, method="direct")
-        s2 = solve_ergodic(spec, InstantContext(_measure(2)), GRID, tol=1e-12, method="direct")
+        s1 = solve_ergodic(spec, _measure(1), GRID, tol=1e-12, method="direct")
+        s2 = solve_ergodic(spec, _measure(2), GRID, tol=1e-12, method="direct")
         assert np.abs(s1.u.values - s2.u.values).max() < 1e-9
 
     def test_modes_agree(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        ctx = InstantContext(_measure(7))
+        nu = _measure(7)
         tol = 1e-8
-        direct = solve_ergodic(spec, ctx, GRID, tol=1e-12, method="direct")
-        vanish = solve_ergodic(spec, ctx, GRID, tol=tol, method="vanishing")
+        direct = solve_ergodic(spec, nu, GRID, tol=1e-12, method="direct")
+        vanish = solve_ergodic(spec, nu, GRID, tol=tol, method="vanishing")
         gap = abs(direct.lam - vanish.lam) + np.abs(direct.u.values - vanish.u.values).max()
         assert gap <= 10 * tol
 
@@ -205,7 +203,7 @@ class TestErgodic:
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         with pytest.raises(HjbConvergenceError) as err:
             solve_ergodic(
-                spec, InstantContext(_measure(8)), GRID, tol=1e-13, method="vanishing", max_levels=4
+                spec, _measure(8), GRID, tol=1e-13, method="vanishing", max_levels=4
             )
         assert err.value.residual > 0
 
@@ -214,14 +212,14 @@ class TestContinuousDependence:
     def test_identical_contexts(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(9)
-        rep = continuous_dependence_report(spec, InstantContext(nu), InstantContext(nu), 1.0, GRID)
+        rep = continuous_dependence_report(spec, nu, nu, 1.0, GRID)
         assert rep.value < 1e-10
         assert rep.data_drift_sup == 0.0 and rep.data_cost_sup == 0.0
 
     def test_separated_cost_normalized_difference_zero(self):
         spec = separated_cost(d=1, coupling_weight=0.5)
         rep = continuous_dependence_report(
-            spec, InstantContext(_measure(1)), InstantContext(_measure(2)), 1.0, GRID
+            spec, _measure(1), _measure(2), 1.0, GRID
         )
         assert rep.normalized_sup < 1e-10
         assert rep.gradient_sup < 1e-10
@@ -235,7 +233,7 @@ class TestContinuousDependence:
         ratios = []
         for rho in (1.0, 0.1, 0.01):
             rep = continuous_dependence_report(
-                spec, InstantContext(nu1), InstantContext(nu2), rho, GRID
+                spec, nu1, nu2, rho, GRID
             )
             ratios.append(rep.value / w1)
         assert max(ratios) <= 2.0 * min(ratios) + 1e-9
@@ -248,7 +246,7 @@ class TestSmoke2D:
         spec = _const_model(1.1, k=2)
         rng = np.random.default_rng(12)
         nu = JointMeasure(rng.random((10, 2)), np.zeros((10, 2)), np.full(10, 0.1))
-        sol = solve_discounted(spec, InstantContext(nu), 1.0, grid, tol=1e-11)
+        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11)
         assert np.abs(sol.u.values - 1.1).max() < 1e-10
 
     def test_example_one_2d(self):
@@ -256,13 +254,13 @@ class TestSmoke2D:
         spec = example_one(d=2, delta=1.0, eps=0.2, kappa=0.2, potential=0.2)
         rng = np.random.default_rng(13)
         nu = JointMeasure(rng.random((10, 2)), rng.uniform(-0.5, 0.5, (10, 2)), np.full(10, 0.1))
-        sol = solve_discounted(spec, InstantContext(nu), 1.0, grid, tol=1e-10)
+        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-10)
         assert sol.converged
-        res, _ = equation_residual(spec, InstantContext(nu), 1.0, sol.u)
+        res, _ = equation_residual(spec, nu, 1.0, sol.u)
         assert res <= 1e-10
 
 
-def _value_iteration_oracle(spec, ctx, rho, grid, tol=1e-9, max_sweeps=400_000):
+def _value_iteration_oracle(spec, nu, rho, grid, tol=1e-9, max_sweeps=400_000):
     """Damped explicit fixed point for the same monotone discrete system."""
     n = grid.n
     h = grid.h
@@ -273,9 +271,9 @@ def _value_iteration_oracle(spec, ctx, rho, grid, tol=1e-9, max_sweeps=400_000):
     for sweep in range(max_sweeps):
         lap = (np.roll(u, -1) + np.roll(u, 1) - 2.0 * u) / h**2
         du_c = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-        a = optimal_control(spec, x, du_c[:, None], ctx)
-        b = spec.drift(x, a, ctx)[:, 0]
-        ell = spec.running_cost(x, a, ctx)
+        a = optimal_control(spec, x, du_c[:, None], nu)
+        b = spec.drift(x, a, nu)[:, 0]
+        ell = spec.running_cost(x, a, nu)
         fwd = (np.roll(u, -1) - u) / h
         bwd = (u - np.roll(u, 1)) / h
         du_up = np.where(b > 0, fwd, np.where(b < 0, bwd, du_c))
