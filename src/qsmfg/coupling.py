@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 RATE_FLOOR = 1e-8  # increments below this are too small for reliable ratios
+STATE_PAIRS = 400  # time pairs regularity_report samples for Du and m
+MEASURE_PAIRS = 120  # and for the joint measure
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,6 @@ class CouplingConfig:
     inner_tol: float = 1e-9
     inner_max_iter: int = 300
     hjb_tol: float = 1e-11
-    hjb_max_iter: int = 80
     strategy: str = "gamma"
     rho_sequence: tuple[float, ...] = ()
     ergodic_tol: float = 1e-4
@@ -153,12 +154,10 @@ class TrajectorySolution:
         return gradient_central(self.u[j])
 
 
-def blend_policies(old: ControlField, new: ControlField, weight: float, control=None) -> ControlField:
-    """Convex combination of two policies; stays inside convex control sets."""
+def blend_policies(old: ControlField, new: ControlField, weight: float, control) -> ControlField:
+    """Convex combination of two policies, projected onto the control set."""
     values = (1.0 - weight) * old.values + weight * new.values
-    if control is not None:
-        values = control.project(values)
-    return ControlField(old.grid, values)
+    return ControlField(old.grid, control.project(values))
 
 
 def _zero_policy(spec: ModelSpec, grid: Grid) -> ControlField:
@@ -291,7 +290,7 @@ def _measured_residuals(spec, config, m, mu, u):
     times = config.times()
     hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
     for j, (m_j, mu_j, u_j) in enumerate(zip(m, mu, u)):
-        hjb_res[j], probe = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, u_j)
+        hjb_res[j], probe, _, _ = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, u_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     return hjb_res, mu_res
 
@@ -361,8 +360,7 @@ def solve_field_iteration(
                 rates.append(res.rate)
             fixed_points.append(res)
             hjbs.append(solve_discounted(
-                spec, res.mu, config.rho, grid,
-                tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=res.policy,
+                spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.policy,
             ))
         return [res.mu for res in fixed_points], [h.policy for h in hjbs]
 
@@ -418,8 +416,7 @@ def solve_measure_iteration(
         measures = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
         hjbs = [
             solve_discounted(
-                spec, nu, config.rho, grid,
-                tol=config.hjb_tol, max_iter=config.hjb_max_iter, warm_start=warm[j] if warm else None,
+                spec, nu, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None,
             )
             for j, nu in enumerate(measures)
         ]
@@ -547,8 +544,6 @@ def regularity_report(
     sol: TrajectorySolution,
     spec: ModelSpec | None = None,
     rho: float | None = None,
-    max_state_pairs: int = 400,
-    max_measure_pairs: int = 120,
     seed: int = 0,
 ) -> dict:
     """Empirical counterparts of the a-priori estimates on a converged run.
@@ -598,7 +593,7 @@ def regularity_report(
     du_fields = [gradient_central(u) for u in sol.u]
     state_w1: dict[tuple[int, int], float] = {}
     best_du = best_m = 0.0
-    for j, k in _pairs(max_state_pairs):
+    for j, k in _pairs(STATE_PAIRS):
         root = np.sqrt(sol.times[k] - sol.times[j])
         best_du = max(best_du, _du_gap(du_fields[j], du_fields[k]) / root)
         state_w1[j, k] = wasserstein1_state(sol.m[j], sol.m[k])
@@ -606,7 +601,7 @@ def regularity_report(
     # the densities' W1 bounds the joint W1 only where each stored measure
     # is the pushforward of the stored density
     pushed = [np.array_equal(nu.w, m.flat() * m.grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
-    mu_pairs = _pairs(max_measure_pairs)
+    mu_pairs = _pairs(MEASURE_PAIRS)
     for j, k in mu_pairs:
         if (j, k) not in state_w1:
             state_w1[j, k] = wasserstein1_state(sol.m[j], sol.m[k])

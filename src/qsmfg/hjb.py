@@ -15,11 +15,16 @@ constant (rho = 0); this keeps the systems well conditioned uniformly down to
 vanishing discount, where the plain formulation degenerates along the
 constant mode.  The augmented system is algebraically equivalent to the plain
 one for every rho > 0.
+
+The drift and running cost of each policy are evaluated once.  The
+improvement step is equation_residual: at the current value it returns the
+residual, the improved policy, and that policy's drift and cost, which the
+next evaluation assembles its matrix and right-hand side from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -27,12 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian
 from .measure import ControlField, JointMeasure
-from .model import (
-    ModelSpec,
-    drift_values,
-    policy_field,
-    running_cost_values,
-)
+from .model import ModelSpec, policy_field
 
 __all__ = [
     "HjbSolution",
@@ -127,39 +127,31 @@ def _solve_linear(mat: sparse.csr_matrix, rhs: np.ndarray, d: int) -> np.ndarray
     return sol
 
 
-def _policy_evaluation(
-    grid: Grid, bvals: np.ndarray, ell: np.ndarray, rho: float
-) -> tuple[np.ndarray, float]:
-    """Solve the linear evaluation problem; returns (w, s) with w(x0) = 0."""
-    mat = _evaluation_matrix(grid, bvals, rho)
-    rhs = np.concatenate([ell, [0.0]])
-    sol = _solve_linear(mat, rhs, grid.d)
-    return sol[:-1], float(sol[-1])
-
-
 def equation_residual(
     spec: ModelSpec,
     nu: JointMeasure,
     rho: float,
     u: GridField,
     lam: float = 0.0,
-) -> tuple[float, ControlField]:
+) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
     Evaluates rho*u - lap_h(u) - b . grad_h^up(u) - l (+ lam for ergodic
     problems) with the policy recomputed from the central gradient of u; this
-    is the quantity policy iteration drives to zero.
+    is the quantity policy iteration drives to zero.  Returns the residual,
+    the improved policy, and its drift b(x, a(x); nu), shape (n^d, d), and
+    running cost l(x, a(x); nu), shape (n^d,), which the next policy
+    evaluation uses.
     """
     grid = u.grid
-    du = gradient_central(u)
-    policy = policy_field(spec, grid, du, nu)
-    bvals = drift_values(spec, grid, policy, nu)
-    ell = running_cost_values(spec, grid, policy, nu)
+    policy = policy_field(spec, grid, gradient_central(u), nu)
+    x, a = grid.coordinates(), policy.flat()
+    bvals, ell = spec.drift(x, a, nu), spec.running_cost(x, a, nu)
     bfields = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(grid.d))
     dup = gradient_upwind(u, bfields)
     advect = sum(bvals[:, ax] * dup[ax].flat() for ax in range(grid.d))
     res = rho * u.flat() - laplacian(u).flat() - advect - ell + lam
-    return float(np.abs(res).max()), policy
+    return float(np.abs(res).max()), policy, bvals, ell
 
 
 def solve_discounted(
@@ -174,17 +166,8 @@ def solve_discounted(
     """Policy iteration for the discounted stationary HJB equation."""
     if rho <= 0:
         raise ValueError(f"discounted solve needs rho > 0, got {rho}")
-    w, s, sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
-    u = GridField(grid, w + s / rho)
-    return HjbSolution(
-        u=u,
-        policy=sol["policy"],
-        residual=sol["residual"],
-        lam=None,
-        iterations=sol["iterations"],
-        converged=sol["converged"],
-        residual_history=sol["history"],
-    )
+    sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
+    return replace(sol, u=GridField(grid, sol.u.flat() + sol.lam / rho), lam=None)
 
 
 def solve_ergodic(
@@ -207,16 +190,7 @@ def solve_ergodic(
     solutions and cost estimates are Cauchy within tol.
     """
     if method == "direct":
-        w, lam, sol = _policy_iteration(spec, nu, 0.0, grid, tol, max_iter, warm_start)
-        return HjbSolution(
-            u=GridField(grid, w),
-            policy=sol["policy"],
-            residual=sol["residual"],
-            lam=lam,
-            iterations=sol["iterations"],
-            converged=sol["converged"],
-            residual_history=sol["history"],
-        )
+        return _policy_iteration(spec, nu, 0.0, grid, tol, max_iter, warm_start)
     if method != "vanishing":
         raise ValueError(f"unknown ergodic method {method!r}")
     prev_w = prev_lam = None
@@ -224,27 +198,25 @@ def solve_ergodic(
     rho = rho0
     increment = np.inf
     for level in range(max_levels):
-        w, s, sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, policy)
-        lam = s  # s = rho * u(x0) by construction of the normalized solve
-        policy = sol["policy"]
+        # the normalized solve's lam is s = rho * u(x0), the cost estimate
+        sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, policy)
+        w, lam, policy = sol.u.flat(), sol.lam, sol.policy
         if prev_w is not None:
             increment = float(np.abs(w - prev_w).max() + abs(lam - prev_lam))
             if increment < tol:
-                return HjbSolution(
-                    u=GridField(grid, w),
-                    policy=policy,
-                    residual=sol["residual"],
-                    lam=lam,
-                    iterations=level + 1,
-                    converged=True,
-                    residual_history=sol["history"],
-                )
+                return replace(sol, iterations=level + 1, converged=True)
         prev_w, prev_lam = w, lam
         rho *= rho_factor
     raise HjbConvergenceError("discount sequence exhausted before Cauchy criterion", increment)
 
 
-def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start):
+def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
+    """Howard's algorithm in the normalized variables: the returned u holds w,
+    with w(x0) = 0, and lam holds s.
+
+    Each policy's drift and cost are computed once: for the starting policy
+    here, for every later one by the improvement step that produces it.
+    """
     if warm_start is not None:
         policy = warm_start
     else:
@@ -252,36 +224,22 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start):
         policy = policy_field(
             spec, grid, tuple(GridField(grid, zero_p[:, ax].reshape(grid.shape)) for ax in range(grid.d)), nu
         )
+    x, a = grid.coordinates(), policy.flat()
+    bvals, ell = spec.drift(x, a, nu), spec.running_cost(x, a, nu)
     history: list[float] = []
-    w = np.zeros(grid.size)
-    s = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        bvals = drift_values(spec, grid, policy, nu)
-        ell = running_cost_values(spec, grid, policy, nu)
-        w, s = _policy_evaluation(grid, bvals, ell, rho)
-        if rho > 0:
-            u = GridField(grid, w + s / rho)
-            residual, policy = equation_residual(spec, nu, rho, u)
-        else:
-            u = GridField(grid, w)
-            residual, policy = equation_residual(spec, nu, 0.0, u, lam=s)
+    w, s, residual = GridField.zeros(grid), 0.0, np.inf
+    for _ in range(max_iter):
+        ws = _solve_linear(_evaluation_matrix(grid, bvals, rho), np.concatenate([ell, [0.0]]), grid.d)
+        w, s = GridField(grid, ws[:-1]), float(ws[-1])
+        u, lam = (GridField(grid, w.flat() + s / rho), 0.0) if rho > 0 else (w, s)
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam)
         history.append(residual)
         if residual <= tol:
-            return w, s, {
-                "policy": policy,
-                "residual": residual,
-                "iterations": it,
-                "converged": True,
-                "history": tuple(history),
-            }
-    return w, s, {
-        "policy": policy,
-        "residual": residual,
-        "iterations": max_iter,
-        "converged": False,
-        "history": tuple(history),
-    }
+            break
+    return HjbSolution(
+        u=w, policy=policy, residual=residual, lam=s, iterations=len(history),
+        converged=residual <= tol, residual_history=tuple(history),
+    )
 
 
 @dataclass(frozen=True)
@@ -306,13 +264,12 @@ def continuous_dependence_report(
     rho: float,
     grid: Grid,
     tol: float = 1e-11,
-    control_mesh: int = 129,
 ) -> ContinuousDependenceReport:
     """Solve for both measures and measure how far apart the solutions are.
 
-    The data differences are measured over the grid crossed with a control
-    mesh, so rho_sup can be compared against the comparison-principle bound
-    C * |b1 - b2|_sup + |l1 - l2|_sup as a runtime diagnostic.
+    The data differences are measured over the grid crossed with a 129-point
+    control mesh, so rho_sup can be compared against the comparison-principle
+    bound C * |b1 - b2|_sup + |l1 - l2|_sup as a runtime diagnostic.
     """
     s1 = solve_discounted(spec, nu1, rho, grid, tol=tol)
     s2 = solve_discounted(spec, nu2, rho, grid, tol=tol)
@@ -326,7 +283,7 @@ def continuous_dependence_report(
         float(np.abs(du1[ax].values - du2[ax].values).max()) for ax in range(grid.d)
     )
     x = grid.coordinates()[:, None, :]
-    mesh = spec.control.mesh(control_mesh)[None, :, :]
+    mesh = spec.control.mesh(129)[None, :, :]
     b1 = spec.drift(x, mesh, nu1)
     b2 = spec.drift(x, mesh, nu2)
     l1 = spec.running_cost(x, mesh, nu1)

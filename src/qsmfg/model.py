@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, GridField, torus_distance
-from .measure import ControlField, JointMeasure
+from .measure import ControlField, JointMeasure, wasserstein1_joint
 
 __all__ = [
     "ControlSet",
@@ -290,21 +290,10 @@ def policy_field(spec: ModelSpec, grid: Grid, du: Sequence[GridField], nu: Joint
     return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
 
 
-def drift_values(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
-    """b(x, a(x); nu) at every node, shape (n^d, d)."""
-    x = grid.coordinates()
-    return spec.drift(x, policy.flat(), nu)
-
-
 def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> tuple[GridField, ...]:
     """The Fokker-Planck drift H_p = -b(x, a(x); nu) as a vector grid field."""
-    g = -drift_values(spec, grid, policy, nu)
+    g = -spec.drift(grid.coordinates(), policy.flat(), nu)
     return tuple(GridField(grid, g[:, ax].reshape(grid.shape)) for ax in range(grid.d))
-
-
-def running_cost_values(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
-    x = grid.coordinates()
-    return spec.running_cost(x, policy.flat(), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +535,19 @@ def build_model(name: str, **params) -> ModelSpec:
 # validator spot-checks
 
 
-def _random_measure(spec: ModelSpec, grid: Grid, rng: np.random.Generator) -> JointMeasure:
-    """The measure the Hamiltonian reads on a random constant trajectory."""
+def _random_atoms(spec: ModelSpec, grid: Grid, rng: np.random.Generator) -> JointMeasure:
+    """24 random atoms of unit total mass."""
     n_atoms = 24
     x = rng.random((n_atoms, grid.d))
     a = spec.control.project(rng.uniform(-1.0, 1.0, (n_atoms, spec.control.k)))
     w = rng.random(n_atoms)
     w = w / w.sum()
-    return slice_measure(spec, np.linspace(0.0, 0.5, 6), [JointMeasure(x, a, w)] * 6)
+    return JointMeasure(x, a, w)
+
+
+def _constant_read(spec: ModelSpec, nu: JointMeasure) -> JointMeasure:
+    """The measure the Hamiltonian reads on the constant trajectory nu."""
+    return slice_measure(spec, np.linspace(0.0, 0.5, 6), [nu] * 6)
 
 
 def check_model(
@@ -571,7 +565,7 @@ def check_model(
     """
     rng = np.random.default_rng(seed)
     report: dict[str, dict] = {}
-    nu = _random_measure(spec, grid, rng)
+    nu = _constant_read(spec, _random_atoms(spec, grid, rng))
     x = rng.random((n_samples, grid.d))
     a = spec.control.project(rng.uniform(-1.0, 1.0, (n_samples, spec.control.k)))
     p = rng.uniform(-2.0, 2.0, (n_samples, grid.d))
@@ -638,6 +632,21 @@ def check_model(
         "measured": fd_err,
         "bound": 1e-6,
         "ok": bool(fd_err <= 1e-6),
+    }
+
+    # W1-Lipschitz constant of the maximizer in the measure, over the same x
+    # and p; its measures are drawn last, so the checks above keep their samples
+    lip_mu = 0.0
+    for _ in range(4):
+        nu1, nu2 = _random_atoms(spec, grid, rng), _random_atoms(spec, grid, rng)
+        a1 = optimal_control(spec, x, p, _constant_read(spec, nu1))
+        a2 = optimal_control(spec, x, p, _constant_read(spec, nu2))
+        gap = float(np.linalg.norm(a1 - a2, axis=-1).max())
+        lip_mu = max(lip_mu, gap / wasserstein1_joint(nu1, nu2))
+    report["control_measure_lipschitz"] = {
+        "measured": lip_mu,
+        "declared": spec.control_lip_measure,
+        "ok": bool(lip_mu <= spec.control_lip_measure + 1e-9),
     }
     report["all_ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
     return report

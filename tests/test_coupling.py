@@ -232,7 +232,7 @@ class TestMeasuredResiduals:
         hjb_res, mu_res = [], []
         for j in range(sol.n_slices):
             nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
-            r, probe = equation_residual(spec, nu, cfg.rho, sol.u[j])
+            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, sol.u[j])
             hjb_res.append(r)
             mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
         return np.array(hjb_res), np.array(mu_res)

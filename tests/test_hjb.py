@@ -6,6 +6,8 @@ but by explicit damped fixed-point sweeps written directly with np.roll
 stencils, sharing no solver code with the implementation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,40 @@ class TestDiscounted:
         np.testing.assert_array_equal(sol.policy.values, probe.values)
 
 
+class TestCoefficientEvaluations:
+    """Policy iteration computes each policy's drift and cost exactly once:
+    for the starting policy, then in every improvement step."""
+
+    @staticmethod
+    def _counted(spec):
+        calls = {"drift": 0, "running_cost": 0}
+
+        def counting(name):
+            fn = getattr(spec, name)
+
+            def wrapped(x, a, nu):
+                calls[name] += 1
+                return fn(x, a, nu)
+
+            return wrapped
+
+        return replace(spec, drift=counting("drift"), running_cost=counting("running_cost")), calls
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "ergodic"])
+    def test_one_evaluation_per_policy(self, start):
+        base = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
+        nu = _measure(16)
+        warm = solve_discounted(base, _measure(17), 1.0, GRID, tol=1e-11).policy if start == "warm" else None
+        spec, calls = self._counted(base)
+        if start == "ergodic":
+            sol = solve_ergodic(spec, nu, GRID, tol=1e-11, method="direct")
+        else:
+            sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=warm)
+        # with two or more iterations, one evaluation per step would be fewer
+        assert sol.converged and sol.iterations >= 2
+        assert calls == {"drift": sol.iterations + 1, "running_cost": sol.iterations + 1}
+
+
 class TestSelfConvergence:
     def test_solution_converges_under_grid_refinement(self):
         # nodes of the coarse grids are subsets of the finer ones, so the
@@ -159,17 +195,18 @@ class TestNormalizedEvaluation:
         import scipy.sparse as sparse
         import scipy.sparse.linalg as spla
 
-        from qsmfg.hjb import _evaluation_matrix, _policy_evaluation
+        from qsmfg.hjb import _evaluation_matrix, _solve_linear
 
         grid = Grid(1, 32)
         rng = np.random.default_rng(21)
         bvals = rng.uniform(-1.5, 1.5, (grid.size, 1))
         ell = rng.uniform(-1.0, 1.0, grid.size)
         rho = 0.3
-        w, s = _policy_evaluation(grid, bvals, ell, rho)
+        mat = _evaluation_matrix(grid, bvals, rho)
+        sol = _solve_linear(mat, np.concatenate([ell, [0.0]]), grid.d)
+        w, s = sol[:-1], sol[-1]
         u_aug = w + s / rho
-        full = _evaluation_matrix(grid, bvals, rho).toarray()
-        plain = sparse.csr_matrix(full[: grid.size, : grid.size])
+        plain = sparse.csr_matrix(mat.toarray()[: grid.size, : grid.size])
         u_plain = spla.spsolve(plain, ell)
         np.testing.assert_allclose(u_aug, u_plain, atol=1e-11)
         assert w[0] == 0.0  # normalization row is exact
@@ -256,7 +293,7 @@ class TestSmoke2D:
         nu = JointMeasure(rng.random((10, 2)), rng.uniform(-0.5, 0.5, (10, 2)), np.full(10, 0.1))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-10)
         assert sol.converged
-        res, _ = equation_residual(spec, nu, 1.0, sol.u)
+        res, _, _, _ = equation_residual(spec, nu, 1.0, sol.u)
         assert res <= 1e-10
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +342,23 @@ class TestBuilders:
             spec = build_model(name, d=1)
             report = check_model(spec, GRID, seed=3)
             assert report["all_ok"], report
+
+    @pytest.mark.parametrize(
+        "spec",
+        [example_one(), example_two(), separated_cost(), example_one(delta=0.5, eps=1.2, kappa=1.0, potential=0.8)],
+        ids=["example1", "example2", "separated", "example1_strong"],
+    )
+    def test_validator_measures_control_lipschitz_in_measure(self, spec):
+        entry = check_model(spec, GRID, seed=3)["control_measure_lipschitz"]
+        assert entry["ok"] and entry["declared"] == spec.control_lip_measure
+        # separated costs leave the maximizer independent of the measure
+        assert (entry["measured"] == 0.0) == (spec.name == "separated")
+
+    def test_validator_flags_understated_control_lipschitz_constant(self):
+        report = check_model(replace(example_one(), control_lip_measure=0.0), GRID, seed=3)
+        assert report["control_measure_lipschitz"]["measured"] > 0.0
+        assert not report["control_measure_lipschitz"]["ok"]
+        assert not report["all_ok"]
 
     def test_control_set_mesh_nesting(self):
         cs = ControlSet(k=1, radius=1.0)
