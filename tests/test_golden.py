@@ -1,8 +1,9 @@
-"""Pinned outputs of two shipped configs, so numerical drift across commits shows.
+"""Pinned outputs of three configs, so numerical drift across commits shows.
 
 The reference numbers in ``golden_outputs.json`` were recorded from the CLI
-outputs of ``configs/example1_weak.json`` (gamma strategy) and
-``configs/example2_memory.json`` (psi strategy, memory model): the CSV
+outputs of ``configs/example1_weak.json`` (gamma strategy),
+``configs/example2_memory.json`` (psi strategy, memory model) and the 2D
+benchmark workload ``perfbench/workloads/gamma_2d/config.json``: the CSV
 trajectories, and ``summary.json`` without its wall-clock ``timing_seconds``.  A change that
 is meant to alter these solutions rewrites the file with
 
@@ -22,7 +23,11 @@ from qsmfg.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
-CONFIGS = ("example1_weak", "example2_memory")
+CONFIGS = {
+    "example1_weak": ROOT / "configs" / "example1_weak.json",
+    "example2_memory": ROOT / "configs" / "example2_memory.json",
+    "gamma_2d": ROOT / "perfbench" / "workloads" / "gamma_2d" / "config.json",
+}
 TOL = 1e-12
 
 
@@ -35,7 +40,7 @@ def _numbers(path: Path) -> list[list[float]]:
 
 
 def _outputs(name: str, tmp_path: Path) -> dict:
-    payload = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    payload = json.loads(CONFIGS[name].read_text())
     out = tmp_path / name
     payload["output_dir"] = str(out)
     config = tmp_path / f"{name}.json"
