@@ -345,7 +345,6 @@ def solve_field_iteration(
     du_list = [gradient_central(u) for u in u_list]
     fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
     hjbs: list = []  # and the HJB solutions in their measures
-    rates: list[float] = []
     inner_converged = True
 
     def slice_solve(_policies_prev):
@@ -356,8 +355,6 @@ def solve_field_iteration(
                 m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
             )
             inner_converged &= res.converged
-            if res.rate is not None:
-                rates.append(res.rate)
             fixed_points.append(res)
             hjbs.append(solve_discounted(
                 spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.policy,
@@ -377,7 +374,6 @@ def solve_field_iteration(
     return _solution(
         spec, config, log, converged, m_list, [h.u for h in hjbs],
         [res.mu for res in fixed_points], [res.policy for res in fixed_points], [h.residual_history for h in hjbs],
-        mu_contraction_rate_max=max(rates) if rates else None,
         inner_converged=inner_converged,
     )
 
@@ -473,7 +469,6 @@ def solve_vanishing_discount(
 
     increments: list[float] = []
     value_increments: list[float] = []  # |lambda diff| + |w diff|_inf part alone
-    lambda_by_rho: list[np.ndarray] = []
     prev = None
     initial = None
     rho_used: list[float] = []
@@ -483,7 +478,6 @@ def solve_vanishing_discount(
         u0 = np.array([s.flat()[x0] for s in sol.u])
         w = [GridField(grid, s.flat() - c) for s, c in zip(sol.u, u0)]
         lam = rho * u0
-        lambda_by_rho.append(lam)
         rho_used.append(float(rho))
         if prev is not None:
             w_prev, lam_prev, m_prev = prev
@@ -515,7 +509,6 @@ def solve_vanishing_discount(
             "rho_sequence": rho_used,
             "increments": increments,
             "value_increments": value_increments,
-            "lambda_by_rho": [arr.tolist() for arr in lambda_by_rho],
             "direct_gap_max": float(direct_gaps.max()),
             "achieved_increment": increments[-1] if increments else None,
         }

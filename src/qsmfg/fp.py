@@ -64,39 +64,28 @@ def transport_generator(grid: Grid, g: Sequence[GridField]) -> sparse.csr_matrix
     interfaces.  Column sums vanish identically and off-diagonal entries are
     nonnegative, which is what the mass and positivity guarantees rest on.
     """
-    garr = _as_drift_array(grid, g)
-    n = grid.size
-    h = grid.h
-    idx_grid = np.arange(n).reshape(grid.shape)
-    rows, cols, data = [], [], []
-    diag = np.zeros(grid.shape)
+    garr = _as_drift_array(grid, g).reshape(grid.d, grid.size)
+    n, h, nbr = grid.size, grid.h, grid.neighbors()
+    diag = np.zeros(n)
+    off = np.empty((n, 2 * grid.d))
     for ax in range(grid.d):
-        plus = np.roll(idx_grid, -1, axis=ax)
+        plus, minus = nbr[:, 2 * ax], nbr[:, 2 * ax + 1]
         # interface velocity between node i and its +1 neighbor along ax
-        v_iface = -0.5 * (garr[ax] + np.roll(garr[ax], -1, axis=ax))
+        v_iface = -0.5 * (garr[ax] + garr[ax][plus])
         vp = np.maximum(v_iface, 0.0)
         vm = np.minimum(v_iface, 0.0)
-        # diffusion
+        # diffusion 1/h^2 per neighbour, then upwind advection:
+        # L[i,i] -= (vp[i+1/2] - vm[i-1/2])/h, L[i,i+1] -= vm[i+1/2]/h, L[i,i-1] += vp[i-1/2]/h
         diag += -2.0 / h**2
-        rows += [idx_grid.ravel(), idx_grid.ravel()]
-        cols += [plus.ravel(), np.roll(idx_grid, 1, axis=ax).ravel()]
-        data += [np.full(n, 1.0 / h**2), np.full(n, 1.0 / h**2)]
-        # upwind advection: L[i,i] -= (vp[i+1/2] - vm[i-1/2])/h,
-        # L[i,i+1] -= vm[i+1/2]/h, L[i,i-1] += vp[i-1/2]/h
-        diag += -(vp - np.roll(vm, 1, axis=ax)) / h
-        rows.append(idx_grid.ravel())
-        cols.append(plus.ravel())
-        data.append((-vm / h).ravel())
-        rows.append(idx_grid.ravel())
-        cols.append(np.roll(idx_grid, 1, axis=ax).ravel())
-        data.append((np.roll(vp, 1, axis=ax) / h).ravel())
-    rows.append(idx_grid.ravel())
-    cols.append(idx_grid.ravel())
-    data.append(diag.ravel())
-    mat = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        diag += -(vp - vm[minus]) / h
+        off[:, 2 * ax] = 1.0 / h**2 - vm / h
+        off[:, 2 * ax + 1] = 1.0 / h**2 + vp[minus] / h
+    cols = np.column_stack([np.arange(n), nbr])
+    mat = sparse.csr_matrix(
+        (np.column_stack([diag, off]).ravel(), cols.ravel(), np.arange(n + 1) * cols.shape[1]), shape=(n, n)
     )
-    return mat.tocsr()
+    mat.sort_indices()  # canonical CSR: ascending columns in each row
+    return mat
 
 
 def fp_step(m: DensityField, g: Sequence[GridField], dt: float) -> DensityField:

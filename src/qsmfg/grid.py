@@ -63,6 +63,13 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def neighbors(self) -> np.ndarray:
+        """Flat indices of the periodic stencil neighbours, an (n^d, 2d) array:
+        column 2*ax holds the +1 neighbour along axis ax, column 2*ax + 1 the
+        -1 neighbour."""
+        idx = np.arange(self.size).reshape(self.shape)
+        return np.stack([np.roll(idx, s, axis=ax).ravel() for ax in range(self.d) for s in (-1, 1)], axis=-1)
+
 
 @dataclass(frozen=True)
 class GridField:

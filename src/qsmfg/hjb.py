@@ -14,7 +14,9 @@ w(x0) = 0 and s playing the role of rho*u(x0) (discounted) or the ergodic
 constant (rho = 0); this keeps the systems well conditioned uniformly down to
 vanishing discount, where the plain formulation degenerates along the
 constant mode.  The augmented system is algebraically equivalent to the plain
-one for every rho > 0.
+one for every rho > 0.  Its CSR matrix is filled row by row from the grid's
+neighbour table, and every evaluation, in every dimension, is one sparse
+direct solve.
 
 The drift and running cost of each policy are evaluated once.  The
 improvement step is equation_residual: at the current value it returns the
@@ -70,61 +72,27 @@ class HjbSolution:
     residual_history: tuple[float, ...] = ()
 
 
-def _neighbor_indices(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(grid.size).reshape(grid.shape)
-    plus = np.roll(idx, -1, axis=axis).ravel()
-    minus = np.roll(idx, 1, axis=axis).ravel()
-    return plus, minus
-
-
 def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_matrix:
-    """Augmented matrix [[rho*I - lap_h - b.grad_h^up, 1], [e_x0, 0]]."""
-    n = grid.size
-    h = grid.h
-    rows, cols, data = [], [], []
+    """Augmented matrix [[rho*I - lap_h - b.grad_h^up, 1], [e_x0, 0]] in CSR.
+
+    Row i holds the diagonal, the grid.neighbors() columns and the s column.
+    -lap_h gives the off-diagonals -1/h^2; -b.grad_h^up takes the forward
+    difference where b > 0 and the backward one where b < 0.
+    """
+    n, h = grid.size, grid.h
+    bp, bm = np.maximum(bvals, 0.0), np.minimum(bvals, 0.0)
     diag = np.full(n, rho + 2.0 * grid.d / h**2)
-    idx = np.arange(n)
     for ax in range(grid.d):
-        plus, minus = _neighbor_indices(grid, ax)
-        b = bvals[:, ax]
-        bp = np.maximum(b, 0.0)
-        bm = np.minimum(b, 0.0)
-        # -lap: off-diagonals -1/h^2; -b.grad upwind: forward for b>0, backward for b<0
-        rows.append(idx)
-        cols.append(plus)
-        data.append(-1.0 / h**2 - bp / h)
-        rows.append(idx)
-        cols.append(minus)
-        data.append(-1.0 / h**2 + bm / h)
-        diag += (bp - bm) / h
-    rows.append(idx)
-    cols.append(idx)
-    data.append(diag)
-    # column for the scalar unknown s, one normalization row
-    rows.append(idx)
-    cols.append(np.full(n, n))
-    data.append(np.ones(n))
-    rows.append(np.array([n]))
-    cols.append(np.array([NORMALIZATION_NODE]))
-    data.append(np.array([1.0]))
-    mat = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + 1, n + 1),
+        diag += (bp[:, ax] - bm[:, ax]) / h
+    off = np.stack([-1.0 / h**2 - bp / h, -1.0 / h**2 + bm / h], axis=-1).reshape(n, 2 * grid.d)
+    cols = np.column_stack([np.arange(n), grid.neighbors(), np.full(n, n)])
+    data = np.column_stack([diag, off, np.ones(n)])
+    indptr = np.append(np.arange(n + 1) * cols.shape[1], cols.size + 1)
+    mat = sparse.csr_matrix(
+        (np.append(data.ravel(), 1.0), np.append(cols.ravel(), NORMALIZATION_NODE), indptr), shape=(n + 1, n + 1)
     )
-    return mat.tocsr()
-
-
-def _solve_linear(mat: sparse.csr_matrix, rhs: np.ndarray, d: int) -> np.ndarray:
-    if d == 1:
-        return spla.spsolve(mat, rhs)
-    # d=2: diagonally preconditioned iterative solve, direct fallback
-    diag = mat.diagonal().copy()
-    diag[diag == 0.0] = 1.0  # the normalization row has a zero diagonal
-    precond = spla.LinearOperator(mat.shape, matvec=lambda v: v / diag)
-    sol, info = spla.gmres(mat, rhs, rtol=1e-13, atol=1e-14, maxiter=2000, M=precond)
-    if info != 0:
-        sol = spla.spsolve(mat, rhs)
-    return sol
+    mat.sort_indices()  # canonical CSR: ascending columns in each row
+    return mat
 
 
 def equation_residual(
@@ -220,16 +188,13 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     if warm_start is not None:
         policy = warm_start
     else:
-        zero_p = np.zeros((grid.size, grid.d))
-        policy = policy_field(
-            spec, grid, tuple(GridField(grid, zero_p[:, ax].reshape(grid.shape)) for ax in range(grid.d)), nu
-        )
+        policy = policy_field(spec, grid, tuple(GridField.zeros(grid) for _ in range(grid.d)), nu)
     x, a = grid.coordinates(), policy.flat()
     bvals, ell = spec.drift(x, a, nu), spec.running_cost(x, a, nu)
     history: list[float] = []
     w, s, residual = GridField.zeros(grid), 0.0, np.inf
     for _ in range(max_iter):
-        ws = _solve_linear(_evaluation_matrix(grid, bvals, rho), np.concatenate([ell, [0.0]]), grid.d)
+        ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
         w, s = GridField(grid, ws[:-1]), float(ws[-1])
         u, lam = (GridField(grid, w.flat() + s / rho), 0.0) if rho > 0 else (w, s)
         residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam)

@@ -272,12 +272,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
 
 def _edge_jump(nu: JointMeasure) -> float:
     """Largest control change along a nearest-neighbour edge of the grid."""
-    grid = nu.grid
-    a = nu.a.reshape(grid.shape + (nu.a.shape[1],))
-    return max(
-        float(np.linalg.norm(a - np.roll(a, -1, axis=ax), axis=-1).max())
-        for ax in range(grid.d)
-    )
+    return float(np.linalg.norm(nu.a[:, None, :] - nu.a[nu.grid.neighbors()], axis=-1).max())
 
 
 def _lipschitz_policy(nu: JointMeasure) -> bool:
@@ -373,9 +368,8 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
     masses all differ by less than 1e-7 can read W1 = 0.
     """
     n_nodes = grid.size
-    nodes = np.arange(n_nodes).reshape(grid.shape)
     tails = np.tile(np.arange(n_nodes), grid.d)
-    heads = np.concatenate([np.roll(nodes, -1, axis=ax).ravel() for ax in range(grid.d)])
+    heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
     edges = np.arange(tails.size)
     incidence = sparse.coo_matrix(
         (np.concatenate([np.ones(edges.size), -np.ones(edges.size)]),
@@ -427,9 +421,3 @@ def joint_measure_rows(nu: JointMeasure, lead: str = ""):
     """One CSV line per atom: lead, then its x, a and w at full precision."""
     for x, a, w in zip(nu.x, nu.a, nu.w):
         yield lead + ",".join(format(v, ".17g") for v in (*x, *a, w)) + "\n"
-
-
-def joint_measure_to_csv(nu: JointMeasure, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(joint_measure_columns(nu)) + "\n")
-        fh.writelines(joint_measure_rows(nu))

@@ -13,16 +13,26 @@ OUT/exit_codes.txt.
 The runs use the qsmfg sources of the checkout this file sits in, so
 `diff -r` of the trees written by two checkouts is a byte-identity check of
 their outputs.
+
+    python tests/snapshot_outputs.py --compare OLD NEW
+
+prints, for each file that differs between two such trees, the largest
+absolute change of its numbers: CSV cells (split on ';'), JSON leaves, and
+the float64 payload of .bin trajectories.  Files that exist on one side only
+are named.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,7 +73,57 @@ def snapshot(out: Path) -> None:
     (out / "exit_codes.txt").write_text("".join(codes))
 
 
+def _number(token: str):
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def _leaves(value) -> list:
+    """The keys and leaves of a JSON document, in reading order."""
+    if isinstance(value, dict):
+        return [item for key, v in value.items() for item in [key, *_leaves(v)]]
+    if isinstance(value, list):
+        return [item for v in value for item in _leaves(v)]
+    return [value]
+
+
+def _values(path: Path) -> list:
+    if path.suffix == ".bin":
+        header, payload = path.read_bytes().split(b"\n", 1)
+        return [header.decode("ascii"), *np.frombuffer(payload, dtype=np.float64).tolist()]
+    text = path.read_text()
+    if path.suffix == ".json" and text.strip():
+        return _leaves(json.loads(text))
+    return [_number(token) for token in re.split(r"[,;\s]+", text.strip())]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def compare(old: Path, new: Path) -> None:
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (old, new)]
+    for rel in sorted(files[0] ^ files[1]):
+        print(f"only in {old if rel in files[0] else new}: {rel}")
+    for rel in sorted(files[0] & files[1]):
+        if (old / rel).read_bytes() == (new / rel).read_bytes():
+            continue
+        a, b = _values(old / rel), _values(new / rel)
+        if len(a) != len(b):
+            print(f"{rel}: {len(a)} -> {len(b)} values")
+        elif any(x != y and not (_is_number(x) and _is_number(y)) for x, y in zip(a, b)):
+            print(f"{rel}: non-numeric values differ")
+        else:
+            change = max((abs(x - y) for x, y in zip(a, b) if _is_number(x)), default=0.0)
+            print(f"{rel}: largest absolute change {change:.3g}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
-    snapshot(Path(sys.argv[1]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(Path(sys.argv[2]), Path(sys.argv[3]))
+    elif len(sys.argv) == 2:
+        snapshot(Path(sys.argv[1]))
+    else:
+        sys.exit(f"usage: {sys.argv[0]} OUT | --compare OLD NEW")

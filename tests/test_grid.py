@@ -160,6 +160,21 @@ def test_laplacian_2d_separable_modes():
     np.testing.assert_allclose(out, factor * vals, atol=1e-10)
 
 
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 9)])
+def test_neighbors_step_one_node_along_each_axis(d, n):
+    g = Grid(d, n)
+    x = g.coordinates()
+    nbr = g.neighbors()
+    assert nbr.shape == (g.size, 2 * d)
+    for ax in range(d):
+        for col, sign in ((2 * ax, 1), (2 * ax + 1, -1)):
+            step = np.mod(x[nbr[:, col]] - x + 0.5, 1.0) - 0.5  # signed offset on the torus
+            expected = np.zeros(d)
+            expected[ax] = sign * g.h
+            np.testing.assert_allclose(step, np.broadcast_to(expected, step.shape), atol=1e-15)
+            np.testing.assert_allclose(torus_distance(x[nbr[:, col]], x), g.h, atol=1e-15)
+
+
 def test_torus_distance_basics():
     assert torus_distance(np.array([0.9]), np.array([0.1])) == pytest.approx(0.2)
     assert torus_distance(np.array([0.25]), np.array([0.75])) == pytest.approx(0.5)

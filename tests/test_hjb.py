@@ -10,10 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
-from qsmfg.grid import Grid, GridField, gradient_central
+from qsmfg.grid import Grid, GridField, gradient_central, gradient_upwind, laplacian
 from qsmfg.hjb import (
     HjbConvergenceError,
+    _evaluation_matrix,
     continuous_dependence_report,
     equation_residual,
     solve_discounted,
@@ -188,28 +191,40 @@ class TestSelfConvergence:
 
 
 class TestNormalizedEvaluation:
-    def test_augmented_solve_equals_plain_solve(self):
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+    def test_augmented_solve_equals_plain_solve(self, d, n):
         # the normalized (w, s) system is algebraically the plain evaluation
         # solve for rho > 0: reconstruct u = w + s/rho and compare against a
         # direct sparse solve of (rho I - lap - b.grad_up) u = l
-        import scipy.sparse as sparse
-        import scipy.sparse.linalg as spla
-
-        from qsmfg.hjb import _evaluation_matrix, _solve_linear
-
-        grid = Grid(1, 32)
+        grid = Grid(d, n)
         rng = np.random.default_rng(21)
-        bvals = rng.uniform(-1.5, 1.5, (grid.size, 1))
+        bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
         ell = rng.uniform(-1.0, 1.0, grid.size)
         rho = 0.3
         mat = _evaluation_matrix(grid, bvals, rho)
-        sol = _solve_linear(mat, np.concatenate([ell, [0.0]]), grid.d)
+        sol = spla.spsolve(mat, np.concatenate([ell, [0.0]]))
         w, s = sol[:-1], sol[-1]
         u_aug = w + s / rho
         plain = sparse.csr_matrix(mat.toarray()[: grid.size, : grid.size])
         u_plain = spla.spsolve(plain, ell)
         np.testing.assert_allclose(u_aug, u_plain, atol=1e-11)
         assert w[0] == 0.0  # normalization row is exact
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9)])
+    def test_matrix_applies_the_grid_operators(self, d, n, rho):
+        # rows :n of the matrix times (w, s) are rho*w - lap_h(w) - b.grad_h^up(w) + s,
+        # row n reads w at the normalization node
+        grid = Grid(d, n)
+        rng = np.random.default_rng(100 * d + n)
+        bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
+        w, s = GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)), float(rng.uniform(-1.0, 1.0))
+        got = _evaluation_matrix(grid, bvals, rho) @ np.append(w.flat(), s)
+        drift = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(d))
+        dup = gradient_upwind(w, drift)
+        want = rho * w.flat() - laplacian(w).flat() - sum(bvals[:, ax] * dup[ax].flat() for ax in range(d)) + s
+        np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert got[-1] == w.flat()[0]
 
 
 class TestErgodic:

@@ -11,7 +11,8 @@ from qsmfg.measure import (
     ControlField,
     DensityField,
     JointMeasure,
-    joint_measure_to_csv,
+    joint_measure_columns,
+    joint_measure_rows,
     joint_w1_upper_bound,
     pushforward,
     state_marginal_w1,
@@ -469,14 +470,13 @@ def test_w1_state_2d_transport_limits(monkeypatch):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 
 
-def test_joint_measure_csv(tmp_path):
+def test_joint_measure_csv():
     g = Grid(1, 8)
     mu = pushforward(uniform_density(g), ControlField(g, np.full((8, 1), 0.5)))
-    path = tmp_path / "mu.csv"
-    joint_measure_to_csv(mu, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x0,a0,w"
-    assert len(lines) == 9
+    assert ",".join(joint_measure_columns(mu)) == "x0,a0,w"
+    rows = list(joint_measure_rows(mu))
+    assert len(rows) == 8
+    assert rows[1] == "0.125,0.5,0.125\n"
 
 
 def test_empty_measures_distance_zero():
