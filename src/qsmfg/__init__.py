@@ -11,7 +11,7 @@ from .coupling import (
     solve_system,
     solve_vanishing_discount,
 )
-from .fp import FpTrajectory, fp_evolve, fp_step, transport_generator
+from .fp import fp_evolve, fp_step, transport_generator
 from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
 from .hjb import (
     HjbSolution,

@@ -16,22 +16,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .coupling import (
     CouplingConfig,
     TrajectorySolution,
     regularity_report,
     solve_system,
 )
-from .fp import trajectory_to_binary, trajectory_to_csv
-from .grid import Grid, field_to_csv
-from .measure import (
-    DensityField,
-    joint_measure_columns,
-    joint_measure_rows,
-    two_bump_density,
-    uniform_density,
-    von_mises_density,
-)
+from .grid import Grid
+from .measure import DensityField, two_bump_density, uniform_density, von_mises_density
 from .model import MODEL_BUILDERS, ModelSpec, build_model, check_model
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "validate", "sweep", "main"]
@@ -269,33 +263,59 @@ def build_initial_density(cfg: RunConfig, grid: Grid) -> DensityField:
     )
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line per row: string cells as given, numbers
+    with 17 significant digits, which round-trip doubles."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else format(c, ".17g") for c in row) + "\n")
+
+
+def _write_trajectory_bin(path: Path, times, densities) -> None:
+    """A JSON header line, then the C-order float64 bytes of the stacked
+    densities on the uniform time grid times."""
+    grid = densities[0].grid
+    header = dict(d=grid.d, n=grid.n, dt=float(times[1] - times[0]), T=float(times[-1]), steps=len(densities) - 1)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode("ascii") + np.stack([m.values for m in densities]).tobytes())
+
+
+def _trajectory_rows(times, fields):
+    return ((t, node, v) for t, f in zip(times, fields) for node, v in enumerate(f.flat()))
+
+
 def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    trajectory_to_csv(sol.times, sol.m, str(out / "trajectory_m.csv"))
-    trajectory_to_binary(sol.times, sol.m, str(out / "trajectory_m.bin"))
-    trajectory_to_csv(sol.times, sol.u, str(out / "trajectory_u.csv"))
-    with open(out / "convergence.csv", "w", encoding="ascii") as fh:
-        fh.write("iteration,outer_error,component_errors\n")
-        for row in sol.outer_errors:
-            comps = ";".join(format(v, ".17g") for v in row[2:])
-            fh.write(f"{row[0]},{format(row[1], '.17g')},{comps}\n")
-    with open(out / "mu.csv", "w", encoding="ascii") as fh:
-        fh.write(",".join(["t", *joint_measure_columns(sol.mu[0])]) + "\n")
-        for t, nu in zip(sol.times, sol.mu):
-            fh.writelines(joint_measure_rows(nu, lead=f"{format(t, '.17g')},"))
+    _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, sol.m))
+    _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
+    _write_csv(out / "trajectory_u.csv", "t,node,value", _trajectory_rows(sol.times, sol.u))
+    _write_csv(
+        out / "convergence.csv",
+        "iteration,outer_error,component_errors",
+        ((k, err, ";".join(format(v, ".17g") for v in comps)) for k, err, *comps in sol.outer_errors),
+    )
+    d, k = sol.mu[0].x.shape[1], sol.mu[0].a.shape[1]
+    _write_csv(
+        out / "mu.csv",
+        ",".join(["t", *(f"x{i}" for i in range(d)), *(f"a{i}" for i in range(k)), "w"]),
+        ((t, *x, *a, w) for t, nu in zip(sol.times, sol.mu) for x, a, w in zip(nu.x, nu.a, nu.w)),
+    )
     if sol.lam is not None:
-        with open(out / "lambda.csv", "w", encoding="ascii") as fh:
-            fh.write("t,lambda\n")
-            for t, lam in zip(sol.times, sol.lam):
-                fh.write(f"{format(t, '.17g')},{format(lam, '.17g')}\n")
+        _write_csv(out / "lambda.csv", "t,lambda", zip(sol.times, sol.lam))
     if cfg.diagnostics:
-        field_to_csv(sol.u[-1], str(out / "u_final.csv"))
+        u_final = sol.u[-1]
+        _write_csv(
+            out / "u_final.csv",
+            ",".join(["i", "j"][: u_final.grid.d] + ["value"]),
+            ((*idx, v) for idx, v in np.ndenumerate(u_final.values)),
+        )
         histories = sol.diagnostics.get("hjb_residual_histories", ())
-        with open(out / "hjb_residuals.csv", "w", encoding="ascii") as fh:
-            fh.write("t,iteration,residual\n")
-            for j, hist in enumerate(histories):
-                for it, res in enumerate(hist, start=1):
-                    fh.write(f"{format(sol.times[j], '.17g')},{it},{format(res, '.17g')}\n")
+        _write_csv(
+            out / "hjb_residuals.csv",
+            "t,iteration,residual",
+            ((t, it, res) for t, hist in zip(sol.times, histories) for it, res in enumerate(hist, start=1)),
+        )
 
     rho = cfg.coupling.rho if cfg.mode == "discounted" else None
     kset = regularity_report(sol, spec=spec, rho=rho, seed=cfg.seed)
@@ -406,13 +426,11 @@ def sweep(config_path: str) -> int:
         if sol is None:
             continue
         rows.append(
-            f"{tag},{int(sol.converged)},{int(sol.diagnostics.get('outer_iterations', 0))},"
-            f"{format(sol.diagnostics.get('final_outer_error'), '.17g')}\n"
+            (tag, int(sol.converged), int(sol.diagnostics.get("outer_iterations", 0)),
+             sol.diagnostics.get("final_outer_error"))
         )
     base_out.mkdir(parents=True, exist_ok=True)
-    with open(base_out / "sweep_summary.csv", "w", encoding="ascii") as fh:
-        fh.write("point,converged,outer_iterations,final_outer_error\n")
-        fh.writelines(rows)
+    _write_csv(base_out / "sweep_summary.csv", "point,converged,outer_iterations,final_outer_error", rows)
     print(f"sweep finished: {len(rows)} points, summary in {base_out / 'sweep_summary.csv'}")
     return EXIT_NO_CONVERGENCE if any_failed else EXIT_OK
 

@@ -246,9 +246,10 @@ def _max_joint_w1(pairs, scales, state_w1s) -> float:
 
 
 def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, measures, policies):
-    """One Fokker-Planck evolution from m0 with the drifts of the per-slice policies."""
-    drifts = [drift_field(spec, m0.grid, a, nu) for a, nu in zip(policies, measures)]
-    return fp_evolve(m0, lambda j, t: drifts[j], config.T, config.dt)
+    """One Fokker-Planck evolution from m0: the drift of slice j's policy and
+    measure drives the step from t_j, so the last slice's drift is not needed."""
+    steps = zip(policies[: config.n_steps], measures)
+    return fp_evolve(m0, [drift_field(spec, m0.grid, a, nu) for a, nu in steps], config.dt)
 
 
 def _damped_picard(spec, m0, config, slice_solve, outer_error):
@@ -365,8 +366,8 @@ def solve_field_iteration(
         nonlocal m_list, du_list
         new_du = [gradient_central(h.u) for h in hjbs]
         du_errs = [_du_gap(a, b) for a, b in zip(new_du, du_list)]
-        m_errs = [wasserstein1_state(a, b) for a, b in zip(traj.densities, m_list)]
-        m_list, du_list = list(traj.densities), new_du
+        m_errs = [wasserstein1_state(a, b) for a, b in zip(traj, m_list)]
+        m_list, du_list = list(traj), new_du
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
     log, _, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
@@ -420,13 +421,13 @@ def solve_measure_iteration(
 
     def outer_error(traj, policies):
         nonlocal mu_traj, m_traj
-        mu_new = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
+        mu_new = [pushforward(m, a) for m, a in zip(traj, policies)]
         state_w1s = [
             np.inf if old is None else wasserstein1_state(new, old)
-            for new, old in zip(traj.densities, m_traj)
+            for new, old in zip(traj, m_traj)
         ]
         e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s)
-        mu_traj, m_traj = mu_new, list(traj.densities)
+        mu_traj, m_traj = mu_new, list(traj)
         return e_k, e_k
 
     log, policies, converged = _damped_picard(spec, m0, config, slice_solve, outer_error)
@@ -434,9 +435,9 @@ def solve_measure_iteration(
     # pushforward of its density through the stored policy
     measures, policies = slice_solve(policies)
     traj = _evolve(spec, m0, config, measures, policies)
-    mu_traj = [pushforward(m, a) for m, a in zip(traj.densities, policies)]
+    mu_traj = [pushforward(m, a) for m, a in zip(traj, policies)]
     return _solution(
-        spec, config, log, converged, traj.densities, [h.u for h in hjbs], mu_traj, policies,
+        spec, config, log, converged, traj, [h.u for h in hjbs], mu_traj, policies,
         [h.residual_history for h in hjbs],
     )
 

@@ -12,9 +12,7 @@ step, matching the quasi-stationary reading of the coupled system.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -23,32 +21,10 @@ import scipy.sparse.linalg as spla
 from .grid import Grid, GridField
 from .measure import DensityField
 
-__all__ = [
-    "FpTrajectory",
-    "fp_step",
-    "fp_evolve",
-    "transport_generator",
-    "trajectory_to_csv",
-    "trajectory_to_binary",
-    "trajectory_from_binary",
-]
+__all__ = ["fp_step", "fp_evolve", "transport_generator"]
 
 STEP_MASS_TOL = 1e-12
 STEP_NEGATIVE_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class FpTrajectory:
-    """Densities on the uniform time grid t_j = j*dt."""
-
-    grid: Grid
-    dt: float
-    times: np.ndarray
-    densities: tuple[DensityField, ...]
-
-    def values(self) -> np.ndarray:
-        """Stacked density values, shape (len(times), *grid.shape)."""
-        return np.stack([m.values for m in self.densities])
 
 
 def _as_drift_array(grid: Grid, g: Sequence[GridField]) -> np.ndarray:
@@ -93,8 +69,8 @@ def fp_step(m: DensityField, g: Sequence[GridField], dt: float) -> DensityField:
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = m.grid
-    gen = transport_generator(grid, g)
-    mat = sparse.identity(grid.size, format="csr") - dt * gen
+    mat = transport_generator(grid, g) * -dt  # I - dt*L in the generator's own CSR pattern
+    mat.setdiag(mat.diagonal() + 1.0)
     new = spla.spsolve(mat.tocsc(), m.flat())
     if not np.all(np.isfinite(new)):
         raise RuntimeError("Fokker-Planck linear solve produced non-finite values")
@@ -111,59 +87,10 @@ def fp_step(m: DensityField, g: Sequence[GridField], dt: float) -> DensityField:
     return DensityField(grid, (new / mass).reshape(grid.shape))
 
 
-def fp_evolve(
-    m0: DensityField,
-    drift_provider: Callable[[int, float], Sequence[GridField]],
-    T: float,
-    dt: float,
-) -> FpTrajectory:
-    """Sequential implicit steps; drift_provider(j, t_j) supplies g on [t_j, t_{j+1})."""
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"horizon T={T} is not a multiple of dt={dt}")
-    times = np.arange(n_steps + 1) * dt
+def fp_evolve(m0: DensityField, drifts: Sequence[Sequence[GridField]], dt: float) -> tuple[DensityField, ...]:
+    """Densities at t_j = j*dt, j = 0..len(drifts): one implicit step per
+    drift, drifts[j] frozen on [t_j, t_{j+1})."""
     densities = [m0]
-    for j in range(n_steps):
-        densities.append(fp_step(densities[-1], tuple(drift_provider(j, times[j])), dt))
-    return FpTrajectory(grid=m0.grid, dt=dt, times=times, densities=tuple(densities))
-
-
-# ---------------------------------------------------------------------------
-# trajectory serialization
-
-
-def trajectory_to_csv(times, fields, path: str) -> None:
-    """One "t,node,value" row per grid node of each field (densities or values)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,node,value\n")
-        for t, f in zip(times, fields):
-            for node, v in enumerate(f.flat()):
-                fh.write(f"{format(t, '.17g')},{node},{format(v, '.17g')}\n")
-
-
-def trajectory_to_binary(times, densities, path: str) -> None:
-    """JSON header line, then C-order float64 bytes of the stacked densities
-    on the uniform time grid times."""
-    grid = densities[0].grid
-    header = {
-        "d": grid.d,
-        "n": grid.n,
-        "dt": float(times[1] - times[0]),
-        "T": float(times[-1]),
-        "steps": len(densities) - 1,
-    }
-    payload = np.stack([m.values for m in densities]).astype(np.float64).tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("ascii"))
-        fh.write(payload)
-
-
-def trajectory_from_binary(path: str) -> tuple[Grid, float, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        raw = fh.read()
-    grid = Grid(header["d"], header["n"])
-    arr = np.frombuffer(raw, dtype=np.float64).reshape(
-        (header["steps"] + 1,) + grid.shape
-    )
-    return grid, header["dt"], arr
+    for g in drifts:
+        densities.append(fp_step(densities[-1], tuple(g), dt))
+    return tuple(densities)

@@ -20,7 +20,6 @@ __all__ = [
     "gradient_central",
     "gradient_upwind",
     "torus_distance",
-    "field_to_csv",
 ]
 
 
@@ -151,23 +150,3 @@ def gradient_upwind(f: GridField, drift: tuple[GridField, ...]) -> tuple[GridFie
         out.append(GridField(f.grid, np.where(b > 0, fwd, np.where(b < 0, bwd, ctr))))
     return tuple(out)
 
-
-# ---------------------------------------------------------------------------
-# serialization: decimal text with 17 significant digits round-trips doubles
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def field_to_csv(f: GridField, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if f.grid.d == 1:
-            fh.write("i,value\n")
-            for i, v in enumerate(f.values):
-                fh.write(f"{i},{_fmt(v)}\n")
-        else:
-            fh.write("i,j,value\n")
-            for i in range(f.grid.n):
-                for j in range(f.grid.n):
-                    fh.write(f"{i},{j},{_fmt(f.values[i, j])}\n")

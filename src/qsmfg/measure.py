@@ -411,13 +411,3 @@ def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:
     cost = torus_distance(x1[:, None, :], x2[None, :, :])
     return _transport_lp(cost, w1, w2)
 
-
-def joint_measure_columns(nu: JointMeasure) -> list[str]:
-    """CSV column names of the atoms: x0.., a0.., w."""
-    return [f"x{i}" for i in range(nu.x.shape[1])] + [f"a{i}" for i in range(nu.a.shape[1])] + ["w"]
-
-
-def joint_measure_rows(nu: JointMeasure, lead: str = ""):
-    """One CSV line per atom: lead, then its x, a and w at full precision."""
-    for x, a, w in zip(nu.x, nu.a, nu.w):
-        yield lead + ",".join(format(v, ".17g") for v in (*x, *a, w)) + "\n"

@@ -114,43 +114,31 @@ def memory_aggregate(
     times: Sequence[float],
     measures: Sequence[JointMeasure],
     kernel: Callable[[np.ndarray], np.ndarray],
-    t: float,
 ) -> JointMeasure:
     """Trapezoid-rule aggregate of a measure trajectory weighted by a kernel.
 
     Returns the nonnegative measure with total mass equal to the trapezoid
-    value of the kernel integral over [0, t]; atoms are the concatenation of
-    the per-slice atoms scaled by their quadrature weight.
+    value of the kernel integral over [times[0], times[-1]]; atoms are the
+    concatenation of the per-slice atoms scaled by their quadrature weight.
     """
     times = np.asarray(times, dtype=float)
-    if len(times) != len(measures):
-        raise ValueError("times and measures disagree in length")
-    if len(times) == 0 or t > times[-1] + 1e-9:
-        raise ValueError("trajectory shorter than t")
-    upto = int(np.searchsorted(times, t - 1e-12, side="left"))
-    upto = min(upto, len(times) - 1)
-    if abs(times[upto] - t) > 1e-9:
-        raise ValueError(f"t={t} is not a trajectory grid point")
-    if upto == 0:
-        first = measures[0]
-        return JointMeasure.empty(first.x.shape[1], first.a.shape[1])
-    sub = times[: upto + 1]
-    kvals = np.asarray(kernel(sub), dtype=float)
+    if len(times) == 0 or len(times) != len(measures):
+        raise ValueError("times and measures must be nonempty and of one length")
+    kvals = np.asarray(kernel(times), dtype=float)
     if np.any(kvals < 0):
         raise ValueError("kernel must be nonnegative")
-    dt = np.diff(sub)
-    quad = np.zeros(upto + 1)
+    dt = np.diff(times)
+    quad = np.zeros(len(times))
     quad[:-1] += 0.5 * dt
     quad[1:] += 0.5 * dt
     weights = quad * kvals
     xs, as_, ws = [], [], []
-    for j in range(upto + 1):
-        if weights[j] == 0.0:
+    for nu, weight in zip(measures, weights):
+        if weight == 0.0:
             continue
-        nu = measures[j]
         xs.append(nu.x)
         as_.append(nu.a)
-        ws.append(nu.w * weights[j])
+        ws.append(nu.w * weight)
     if not xs:
         first = measures[0]
         return JointMeasure.empty(first.x.shape[1], first.a.shape[1])
@@ -190,7 +178,7 @@ def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[Jo
     """
     if spec.kind == "instant":
         return measures[-1]
-    agg = memory_aggregate(times, measures, spec.kernel, times[-1])
+    agg = memory_aggregate(times, measures, spec.kernel)
     mass = agg.mass()
     if mass <= 0.0:
         return JointMeasure.empty(agg.x.shape[1], agg.a.shape[1])

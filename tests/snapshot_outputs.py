@@ -19,7 +19,8 @@ their outputs.
 prints, for each file that differs between two such trees, the largest
 absolute change of its numbers: CSV cells (split on ';'), JSON leaves, and
 the float64 payload of .bin trajectories.  Files that exist on one side only
-are named.
+are named.  It exits 1 if any file differs or exists on one side only, and 0
+if the two trees match byte for byte.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def compare(old: Path, new: Path) -> None:
+def compare(old: Path, new: Path) -> bool:
+    """Print the differences of two snapshot trees; True if they match."""
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (old, new)]
     for rel in sorted(files[0] ^ files[1]):
         print(f"only in {old if rel in files[0] else new}: {rel}")
-    for rel in sorted(files[0] & files[1]):
-        if (old / rel).read_bytes() == (new / rel).read_bytes():
-            continue
+    common = sorted(files[0] & files[1])
+    differing = [rel for rel in common if (old / rel).read_bytes() != (new / rel).read_bytes()]
+    for rel in differing:
         a, b = _values(old / rel), _values(new / rel)
         if len(a) != len(b):
             print(f"{rel}: {len(a)} -> {len(b)} values")
@@ -118,11 +120,12 @@ def compare(old: Path, new: Path) -> None:
         else:
             change = max((abs(x - y) for x, y in zip(a, b) if _is_number(x)), default=0.0)
             print(f"{rel}: largest absolute change {change:.3g}")
+    return not differing and files[0] == files[1]
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        compare(Path(sys.argv[2]), Path(sys.argv[3]))
+        sys.exit(0 if compare(Path(sys.argv[2]), Path(sys.argv[3])) else 1)
     elif len(sys.argv) == 2:
         snapshot(Path(sys.argv[1]))
     else:

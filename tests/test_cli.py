@@ -1,12 +1,17 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsmfg.cli import ConfigError, load_config, main, parse_config
+from qsmfg.cli import ConfigError, build_initial_density, load_config, main, parse_config
+from qsmfg.coupling import solve_system
+from qsmfg.grid import Grid
+from qsmfg.model import build_model
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SRC_DIR = Path(__file__).parent.parent / "src" / "qsmfg"
 
 MINIMAL = {
     "model": {"name": "separated", "params": {"coupling_weight": 0.0}},
@@ -240,6 +245,105 @@ class TestRun:
         s1.pop("timing_seconds")
         s2.pop("timing_seconds")
         assert s1 == s2
+
+
+def _read_csv(path):
+    header, *rows = path.read_text().strip().split("\n")
+    return header, [row.split(",") for row in rows]
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["d1", "d2"])
+def written_run(request, tmp_path_factory):
+    """A diagnostics run through `qsmfg run` (d=1 n=32, d=2 n=8), its config,
+    and the same solve in-process for the exact values."""
+    tmp = tmp_path_factory.mktemp(f"run_d{request.param}")
+    grid = {"d": request.param, "n": 32 if request.param == 1 else 8}
+    payload = dict(MINIMAL, grid=grid, diagnostics=True, output_dir=str(tmp / "out"))
+    path = _write(tmp, payload)
+    assert main(["run", path]) == 0
+    cfg = load_config(path)
+    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
+    sol = solve_system(spec, build_initial_density(cfg, Grid(cfg.d, cfg.n)), cfg.coupling, mode=cfg.mode)
+    return tmp / "out", cfg, sol
+
+
+def _trajectory_values(path, grid):
+    """The t,node,value rows of a trajectory CSV as one array per time slice."""
+    header, rows = _read_csv(path)
+    assert header == "t,node,value"
+    values = np.array([float(row[2]) for row in rows]).reshape((-1,) + grid.shape)
+    return np.array([float(row[0]) for row in rows[:: grid.size]]), values
+
+
+class TestRunOutputs:
+    """The output files of a real run, checked against the solve they write."""
+
+    def test_trajectory_csv_rows(self, written_run):
+        out, cfg, sol = written_run
+        grid = Grid(cfg.d, cfg.n)
+        for name, fields in (("trajectory_m.csv", sol.m), ("trajectory_u.csv", sol.u)):
+            _, rows = _read_csv(out / name)
+            assert len(rows) == (cfg.coupling.n_steps + 1) * grid.size
+            assert [int(row[1]) for row in rows[: grid.size]] == list(range(grid.size))
+            times, values = _trajectory_values(out / name, grid)
+            np.testing.assert_array_equal(times, cfg.coupling.times())
+            np.testing.assert_array_equal(values, np.stack([f.values for f in fields]))
+
+    def test_trajectory_bin_matches_csv(self, written_run):
+        out, cfg, _ = written_run
+        header, payload = (out / "trajectory_m.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(header.decode("ascii"))
+        times = cfg.coupling.times()
+        steps = len(times) - 1
+        assert header == {"d": cfg.d, "n": cfg.n, "dt": times[1] - times[0], "T": times[-1], "steps": steps}
+        grid = Grid(cfg.d, cfg.n)
+        binary = np.frombuffer(payload, dtype=np.float64).reshape((len(times),) + grid.shape)
+        np.testing.assert_array_equal(binary, _trajectory_values(out / "trajectory_m.csv", grid)[1])
+
+    def test_u_final_round_trip(self, written_run):
+        out, cfg, sol = written_run
+        header, rows = _read_csv(out / "u_final.csv")
+        assert header == ",".join(["i", "j"][: cfg.d] + ["value"])
+        assert len(rows) == cfg.n**cfg.d
+        values = np.full((cfg.n,) * cfg.d, np.nan)
+        for *idx, v in rows:
+            values[tuple(int(i) for i in idx)] = float(v)
+        np.testing.assert_array_equal(values, sol.u[-1].values)
+
+    def test_mu_csv_weights_are_density_times_cell_volume(self, written_run):
+        out, cfg, sol = written_run
+        header, rows = _read_csv(out / "mu.csv")
+        assert header == ",".join(["t", *(f"x{i}" for i in range(cfg.d)), *(f"a{i}" for i in range(cfg.d)), "w"])
+        grid = Grid(cfg.d, cfg.n)
+        cells = np.array(rows, dtype=float).reshape(len(sol.times), grid.size, -1)
+        _, density = _trajectory_values(out / "trajectory_m.csv", grid)
+        np.testing.assert_array_equal(cells[:, 0, 0], sol.times)
+        np.testing.assert_array_equal(cells[:, :, -1], density.reshape(len(sol.times), -1) * grid.cell_volume)
+        np.testing.assert_array_equal(cells[:, :, 1 : 1 + cfg.d], np.stack([mu.x for mu in sol.mu]))
+        np.testing.assert_array_equal(cells[:, :, 1 + cfg.d : -1], np.stack([mu.a for mu in sol.mu]))
+
+    def test_logs_match_the_solve(self, written_run):
+        out, _, sol = written_run
+        header, rows = _read_csv(out / "convergence.csv")
+        assert header == "iteration,outer_error,component_errors"
+        parsed = [(int(k), float(err), *(float(c) for c in comps.split(";"))) for k, err, comps in rows]
+        assert parsed == [tuple(row) for row in sol.outer_errors]
+        header, rows = _read_csv(out / "hjb_residuals.csv")
+        assert header == "t,iteration,residual"
+        histories = sol.diagnostics["hjb_residual_histories"]
+        expected = [(t, it, res) for t, hist in zip(sol.times, histories) for it, res in enumerate(hist, start=1)]
+        assert [(float(t), int(it), float(res)) for t, it, res in rows] == expected
+
+
+def test_only_the_cli_writes_files():
+    # solver modules compute; cli.py is the one module that opens or writes files
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name not in ("open", "write_text", "write_bytes"), f"{path.name}:{node.lineno} calls {name}"
 
 
 class TestShippedConfigs:

@@ -377,8 +377,8 @@ class TestErgodicDriver:
             assert np.abs(u.values).max() < 1e-8
         from qsmfg.fp import fp_evolve
 
-        heat = fp_evolve(m0, lambda j, t: (GridField.constant(GRID, 0.0),), 0.3, 0.1)
-        for ours, exact in zip(sol.m, heat.densities):
+        heat = fp_evolve(m0, [(GridField.constant(GRID, 0.0),)] * 3, 0.1)
+        for ours, exact in zip(sol.m, heat):
             assert np.abs(ours.values - exact.values).max() < 1e-10
 
     def test_separated_cost_lambda_decomposition(self):

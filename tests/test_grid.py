@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qsmfg.grid import (
     Grid,
     GridField,
-    field_to_csv,
     gradient_central,
     gradient_upwind,
     laplacian,
@@ -191,22 +190,3 @@ def test_torus_distance_metric_axioms(x, y, z):
     assert torus_distance(xa, ya) == pytest.approx(torus_distance(ya, xa))
     assert torus_distance(xa, xa) == 0.0
     assert torus_distance(xa, za) <= torus_distance(xa, ya) + torus_distance(ya, za) + 1e-12
-
-
-def _read_field_csv(grid, path):
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].split(",") == ["i", "j"][: grid.d] + ["value"]
-    assert len(lines) == 1 + grid.size
-    values = np.zeros(grid.shape)
-    for line in lines[1:]:
-        *idx, v = line.split(",")
-        values[tuple(int(i) for i in idx)] = float(v)
-    return values
-
-
-def test_csv_round_trip_bit_exact(tmp_path):
-    for seed, g in ((21, Grid(1, 16)), (22, Grid(2, 8))):
-        f = _random_field(g, seed)
-        path = tmp_path / f"field{g.d}.csv"
-        field_to_csv(f, str(path))
-        np.testing.assert_array_equal(_read_field_csv(g, path), f.values)

@@ -11,8 +11,6 @@ from qsmfg.measure import (
     ControlField,
     DensityField,
     JointMeasure,
-    joint_measure_columns,
-    joint_measure_rows,
     joint_w1_upper_bound,
     pushforward,
     state_marginal_w1,
@@ -468,15 +466,6 @@ def test_w1_state_2d_transport_limits(monkeypatch):
     zero = ControlField(g, np.zeros(g.shape + (2,)))
     with pytest.raises(RuntimeError, match="transport LP failed: stub failure"):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
-
-
-def test_joint_measure_csv():
-    g = Grid(1, 8)
-    mu = pushforward(uniform_density(g), ControlField(g, np.full((8, 1), 0.5)))
-    assert ",".join(joint_measure_columns(mu)) == "x0,a0,w"
-    rows = list(joint_measure_rows(mu))
-    assert len(rows) == 8
-    assert rows[1] == "0.125,0.5,0.125\n"
 
 
 def test_empty_measures_distance_zero():

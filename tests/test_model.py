@@ -260,26 +260,28 @@ def _trajectory(n_slices=6, dt=0.1):
 class TestMemoryAggregate:
     def test_zero_kernel_gives_zero_measure(self):
         times, measures = _trajectory()
-        agg = memory_aggregate(times, measures, lambda t: np.zeros_like(t), times[-1])
+        agg = memory_aggregate(times, measures, lambda t: np.zeros_like(t))
         assert agg.mass() == 0.0
 
     def test_constant_kernel_mass(self):
         times, measures = _trajectory()
         constant = [measures[0]] * len(measures)
-        agg = memory_aggregate(times, constant, lambda t: np.ones_like(t), times[-1])
+        agg = memory_aggregate(times, constant, lambda t: np.ones_like(t))
         assert agg.mass() == pytest.approx(times[-1], abs=1e-12)
 
     def test_linear_kernel_exact_trapezoid(self):
         times = np.arange(11) * 0.1
         _, measures = _trajectory(11)
         constant = [measures[0]] * 11
-        agg = memory_aggregate(times, constant, lambda t: np.asarray(t), 1.0)
+        agg = memory_aggregate(times, constant, lambda t: np.asarray(t))
         assert agg.mass() == pytest.approx(0.5, abs=1e-14)  # trapezoid exact for linear
 
-    def test_short_trajectory_rejected(self):
+    def test_length_mismatch_rejected(self):
         times, measures = _trajectory()
-        with pytest.raises(ValueError):
-            memory_aggregate(times, measures, lambda t: np.ones_like(t), times[-1] + 0.5)
+        with pytest.raises(ValueError, match="one length"):
+            memory_aggregate(times, measures[:-1], lambda t: np.ones_like(t))
+        with pytest.raises(ValueError, match="one length"):
+            memory_aggregate(times[:0], measures[:0], lambda t: np.ones_like(t))
 
     def test_memory_model_decouples_at_time_zero(self):
         # empty aggregate at t = 0: couplings switch off (zero drift bump,
@@ -306,7 +308,7 @@ class TestSliceMeasure:
         spec = example_two(d=1, kernel_kind=kernel_kind, kernel_scale=1.0)
         times, measures = _trajectory()
         nu = slice_measure(spec, times, measures)
-        agg = memory_aggregate(times, measures, kernel, times[-1])
+        agg = memory_aggregate(times, measures, kernel)
         assert nu.mass() == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_array_equal(nu.x, agg.x)
         np.testing.assert_array_equal(nu.a, agg.a)
