@@ -1,7 +1,9 @@
 """Periodic grids on the unit torus and finite-difference operators.
 
-Every operator wraps indices modulo n on each axis and is a pure function of
-immutable value objects, so fields can be shared freely across threads.
+Every operator reads its stencil from the grid's neighbour table, which wraps
+indices modulo n on each axis, and is a pure function of immutable value
+objects, so fields can be shared freely across threads.  A grid builds its
+node coordinates and neighbour table once, on first use, as read-only arrays.
 Central stencils are second order where the underlying function is smooth;
 one-sided differences selected by drift sign keep the linear systems built on
 top of them M-matrices.
@@ -9,7 +11,9 @@ top of them M-matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +35,9 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
+        if not _is_integer(self.d) or self.d not in (1, 2):
             raise ValueError(f"grid dimension must be 1 or 2, got {self.d}")
-        if int(self.n) != self.n or self.n < 8:
+        if not _is_integer(self.n) or self.n < 8:
             raise ValueError(f"grid needs an integer n >= 8 nodes per axis, got {self.n}")
 
     @property
@@ -57,17 +61,37 @@ class Grid:
         return np.arange(self.n) / self.n
 
     def coordinates(self) -> np.ndarray:
-        """All node coordinates as an (n^d, d) array in C order."""
-        axes = [self.axis_coordinates()] * self.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """All node coordinates as a read-only (n^d, d) array in C order."""
+        return self._coordinates
 
     def neighbors(self) -> np.ndarray:
-        """Flat indices of the periodic stencil neighbours, an (n^d, 2d) array:
-        column 2*ax holds the +1 neighbour along axis ax, column 2*ax + 1 the
-        -1 neighbour."""
+        """Flat indices of the periodic stencil neighbours, a read-only
+        (n^d, 2d) array: column 2*ax holds the +1 neighbour along axis ax,
+        column 2*ax + 1 the -1 neighbour."""
+        return self._neighbors
+
+    # derived data of a frozen value, built on first use and never written
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
+        axes = [self.axis_coordinates()] * self.d
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
+
+    @cached_property
+    def _neighbors(self) -> np.ndarray:
         idx = np.arange(self.size).reshape(self.shape)
-        return np.stack([np.roll(idx, s, axis=ax).ravel() for ax in range(self.d) for s in (-1, 1)], axis=-1)
+        return _read_only(
+            np.stack([np.roll(idx, s, axis=ax).ravel() for ax in range(self.d) for s in (-1, 1)], axis=-1)
+        )
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -109,24 +133,31 @@ def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
+def _shifted(f: GridField, ax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat field at the +1 and the -1 neighbour of every node along ax."""
+    v, nb = f.flat(), f.grid.neighbors()
+    return v[nb[:, 2 * ax]], v[nb[:, 2 * ax + 1]]
+
+
 def laplacian(f: GridField) -> GridField:
     """Second-order periodic Laplacian; node sums vanish to machine precision."""
-    v = f.values
+    v = f.flat()
     h2 = f.grid.h**2
     out = np.zeros_like(v)
     for ax in range(f.grid.d):
-        out += (np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax) - 2.0 * v) / h2
+        fwd, bwd = _shifted(f, ax)
+        out += (fwd + bwd - 2.0 * v) / h2
     return GridField(f.grid, out)
 
 
 def gradient_central(f: GridField) -> tuple[GridField, ...]:
     """Second-order periodic central gradient, one component per axis."""
-    v = f.values
     h = f.grid.h
-    return tuple(
-        GridField(f.grid, (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2.0 * h))
-        for ax in range(f.grid.d)
-    )
+    out = []
+    for ax in range(f.grid.d):
+        fwd, bwd = _shifted(f, ax)
+        out.append(GridField(f.grid, (fwd - bwd) / (2.0 * h)))
+    return tuple(out)
 
 
 def gradient_upwind(f: GridField, drift: tuple[GridField, ...]) -> tuple[GridField, ...]:
@@ -139,14 +170,14 @@ def gradient_upwind(f: GridField, drift: tuple[GridField, ...]) -> tuple[GridFie
     """
     if len(drift) != f.grid.d:
         raise ValueError(f"drift needs {f.grid.d} components, got {len(drift)}")
-    v = f.values
+    v = f.flat()
     h = f.grid.h
     out = []
     for ax in range(f.grid.d):
-        b = drift[ax].values
-        fwd = (np.roll(v, -1, axis=ax) - v) / h
-        bwd = (v - np.roll(v, 1, axis=ax)) / h
+        b = drift[ax].flat()
+        up, down = _shifted(f, ax)
+        fwd = (up - v) / h
+        bwd = (v - down) / h
         ctr = 0.5 * (fwd + bwd)
         out.append(GridField(f.grid, np.where(b > 0, fwd, np.where(b < 0, bwd, ctr))))
     return tuple(out)
-

@@ -18,10 +18,20 @@ one for every rho > 0.  Its CSR matrix is filled row by row from the grid's
 neighbour table, and every evaluation, in every dimension, is one sparse
 direct solve.
 
-The drift and running cost of each policy are evaluated once.  The
-improvement step is equation_residual: at the current value it returns the
-residual, the improved policy, and that policy's drift and cost, which the
-next evaluation assembles its matrix and right-hand side from.
+The measure is frozen within a solve, so each solve binds the model's
+coefficients to the grid nodes and the measure once (ModelSpec.coefficients)
+and evaluates every policy through the bound functions: the measure terms are
+computed once per solve, and the drift and running cost of each policy once.
+The improvement step is equation_residual: at the current value it returns
+the residual, the improved policy, and that policy's drift and cost, which
+the next evaluation assembles its matrix and right-hand side from.
+
+Howard's loop stops when the residual meets the tolerance or when the
+improved policy repeats the last one bit for bit.  A repeated policy is an
+exact fixed point of the iteration (Bokanowski, Maroso & Zidani, SIAM J.
+Numer. Anal. 47(4), 2009): every further evaluation would reproduce the same
+values and residual, so the solve reports that residual and whether it meets
+the tolerance.
 """
 
 from __future__ import annotations
@@ -101,6 +111,7 @@ def equation_residual(
     rho: float,
     u: GridField,
     lam: float = 0.0,
+    coefficients: tuple | None = None,
 ) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
@@ -109,12 +120,14 @@ def equation_residual(
     is the quantity policy iteration drives to zero.  Returns the residual,
     the improved policy, and its drift b(x, a(x); nu), shape (n^d, d), and
     running cost l(x, a(x); nu), shape (n^d,), which the next policy
-    evaluation uses.
+    evaluation uses.  coefficients is spec.coefficients(grid.coordinates(),
+    nu), bound here when not given.
     """
     grid = u.grid
     policy = policy_field(spec, grid, gradient_central(u), nu)
-    x, a = grid.coordinates(), policy.flat()
-    bvals, ell = spec.drift(x, a, nu), spec.running_cost(x, a, nu)
+    drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
+    a = policy.flat()
+    bvals, ell = drift(a), cost(a)
     bfields = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(grid.d))
     dup = gradient_upwind(u, bfields)
     advect = sum(bvals[:, ax] * dup[ax].flat() for ax in range(grid.d))
@@ -182,24 +195,28 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     """Howard's algorithm in the normalized variables: the returned u holds w,
     with w(x0) = 0, and lam holds s.
 
-    Each policy's drift and cost are computed once: for the starting policy
-    here, for every later one by the improvement step that produces it.
+    The coefficients are bound once.  Each policy's drift and cost are
+    computed once: for the starting policy here, for every later one by the
+    improvement step that produces it.  The loop stops at the tolerance or
+    at a policy that repeats bit for bit.
     """
     if warm_start is not None:
         policy = warm_start
     else:
         policy = policy_field(spec, grid, tuple(GridField.zeros(grid) for _ in range(grid.d)), nu)
-    x, a = grid.coordinates(), policy.flat()
-    bvals, ell = spec.drift(x, a, nu), spec.running_cost(x, a, nu)
+    coefficients = spec.coefficients(grid.coordinates(), nu)
+    drift, cost = coefficients
+    bvals, ell = drift(policy.flat()), cost(policy.flat())
     history: list[float] = []
     w, s, residual = GridField.zeros(grid), 0.0, np.inf
     for _ in range(max_iter):
         ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
         w, s = GridField(grid, ws[:-1]), float(ws[-1])
         u, lam = (GridField(grid, w.flat() + s / rho), 0.0) if rho > 0 else (w, s)
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam)
+        previous = policy.values.tobytes()
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam, coefficients)
         history.append(residual)
-        if residual <= tol:
+        if residual <= tol or policy.values.tobytes() == previous:
             break
     return HjbSolution(
         u=w, policy=policy, residual=residual, lam=s, iterations=len(history),
@@ -249,10 +266,8 @@ def continuous_dependence_report(
     )
     x = grid.coordinates()[:, None, :]
     mesh = spec.control.mesh(129)[None, :, :]
-    b1 = spec.drift(x, mesh, nu1)
-    b2 = spec.drift(x, mesh, nu2)
-    l1 = spec.running_cost(x, mesh, nu1)
-    l2 = spec.running_cost(x, mesh, nu2)
+    (drift1, cost1), (drift2, cost2) = spec.coefficients(x, nu1), spec.coefficients(x, nu2)
+    b1, b2, l1, l2 = drift1(mesh), drift2(mesh), cost1(mesh), cost2(mesh)
     return ContinuousDependenceReport(
         normalized_sup=float(np.abs(w1 - w2).max()),
         gradient_sup=grad_sup,

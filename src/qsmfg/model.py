@@ -1,8 +1,13 @@
 """Control problem data: drift, running cost, Hamiltonian, optimal control.
 
-A model is a bundle of coefficient functions b(x,a;nu) and l(x,a;nu)
-together with a compact control set and declared regularity constants.  The
-Hamiltonian is always the control supremum
+A model is a coefficient map together with a compact control set and
+declared regularity constants.  The coefficient map binds the state points x
+and a measure nu once and returns the two control functions a -> b(x,a;nu)
+and a -> l(x,a;nu); every measure-dependent term is computed at binding.  In
+the quasi-stationary system the measure is frozen within a time slice, so a
+slice's HJB solve binds once and evaluates every policy through the bound
+functions.  ModelSpec.drift and ModelSpec.running_cost are the pointwise
+reads of the same map.  The Hamiltonian is always the control supremum
 
     H(x, p; nu) = sup_a { -p . b(x,a;nu) - l(x,a;nu) },
 
@@ -12,9 +17,8 @@ state-control measure the Hamiltonian reads at a time slice, resolved by
 slice_measure: the current measure for instant models, the unit-mass kernel
 aggregate of the past trajectory for memory models.
 
-Coefficient functions are vectorized: x has shape (..., d), a has shape
-(..., k), broadcastable against each other; b returns (..., d) and l
-returns (...,).
+Coefficients are vectorized: x has shape (..., d), a has shape (..., k),
+broadcastable against each other; b returns (..., d) and l returns (...,).
 """
 
 from __future__ import annotations
@@ -152,13 +156,15 @@ class ModelSpec:
     kind is "instant" for models reading the current joint measure and
     "history" for memory models reading the past trajectory.  Declared
     constants are used by the validator spot-checks, never by the solvers.
+
+    coefficients(x, nu) returns the pair (a -> b(x, a; nu), a -> l(x, a; nu))
+    of control functions with x and nu bound.
     """
 
     name: str
     kind: str
     control: ControlSet
-    drift: Callable  # b(x, a, nu) -> (..., d)
-    running_cost: Callable  # l(x, a, nu) -> (...,)
+    coefficients: Callable  # (x, nu) -> (a -> b (..., d), a -> l (...,))
     closed_form_control: Optional[Callable] = None  # alpha*(x, p, nu) -> (..., k)
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
@@ -166,6 +172,14 @@ class ModelSpec:
     measure_cost: Optional[Callable] = None  # additive cost term l1(mu), separated models
     kernel: Optional[Callable] = None  # memory kernel K(tau), history models
     params: dict = field(default_factory=dict)
+
+    def drift(self, x, a, nu) -> np.ndarray:
+        """b(x, a; nu), shape (..., d)."""
+        return self.coefficients(x, nu)[0](a)
+
+    def running_cost(self, x, a, nu) -> np.ndarray:
+        """l(x, a; nu), shape (...,)."""
+        return self.coefficients(x, nu)[1](a)
 
 
 def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[JointMeasure]) -> JointMeasure:
@@ -204,8 +218,8 @@ def brute_force_argmax(
     xb = x[:, None, :]
     pb = p[:, None, :]
     ab = np.broadcast_to(cand[None, :, :], (x.shape[0],) + cand.shape)
-    bv = spec.drift(xb, ab, nu)
-    lv = spec.running_cost(xb, ab, nu)
+    drift, cost = spec.coefficients(xb, nu)
+    bv, lv = drift(ab), cost(ab)
     objective = -(pb * bv).sum(axis=-1) - lv  # (N, M)
     best = np.argmax(objective, axis=1)
     if _warn:
@@ -258,9 +272,8 @@ def hamiltonian_value(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMe
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     a = optimal_control(spec, x, p, nu)
-    bv = spec.drift(x, a, nu)
-    lv = spec.running_cost(x, a, nu)
-    return -(p * bv).sum(axis=-1) - lv
+    drift, cost = spec.coefficients(x, nu)
+    return -(p * drift(a)).sum(axis=-1) - cost(a)
 
 
 def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
@@ -325,7 +338,7 @@ def _make_quadratic_model(
     params: dict | None = None,
 ) -> ModelSpec:
     """Quadratic-cost model with drift b = b0(x;nu) - a and cost
-    |a|^2 / (2 l0(nu)) + V(x).
+    |a|^2 / (2 l0(nu)) + V(x).  Binding computes b0(x;nu), l0(nu) and V(x).
 
     The maximizer has the exact two-branch form: l0 * p inside the control
     ball and the radial projection R p/|p| outside; no smoothing is applied at
@@ -340,16 +353,23 @@ def _make_quadratic_model(
     control = ControlSet(k=d, radius=radius, mesh_resolution=mesh)
     cost_weight, drift_bump = _quadratic_couplings(delta, eps, kappa, width, radius)
 
-    def b(x, a, nu):
-        return drift_bump(np.asarray(x, dtype=float), nu) - np.asarray(a, dtype=float)
-
-    def ell(x, a, nu):
+    def coefficients(x, nu):
         x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        quad = (a**2).sum(axis=-1) / (2.0 * cost_weight(nu))
+        bump = drift_bump(x, nu)
+        two_l0 = 2.0 * cost_weight(nu)
         if potential == 0.0:
-            return quad + np.zeros(x.shape[:-1])
-        return quad + potential * np.cos(2.0 * np.pi * x[..., 0])
+            state_cost = np.zeros(x.shape[:-1])
+        else:
+            state_cost = potential * np.cos(2.0 * np.pi * x[..., 0])
+
+        def b(a):
+            return bump - np.asarray(a, dtype=float)
+
+        def ell(a):
+            a = np.asarray(a, dtype=float)
+            return (a**2).sum(axis=-1) / two_l0 + state_cost
+
+        return b, ell
 
     def alpha_star(x, p, nu):
         p = np.asarray(p, dtype=float)
@@ -366,8 +386,7 @@ def _make_quadratic_model(
         name=name,
         kind=kind,
         control=control,
-        drift=b,
-        running_cost=ell,
+        coefficients=coefficients,
         closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=coef_lip_x,
@@ -468,13 +487,17 @@ def separated_cost(
     def ell1(nu: JointMeasure) -> float:
         return float(coupling_weight * nu.mean_control()[0])
 
-    def b(x, a, nu):
-        return b0(x) - np.asarray(a, dtype=float)
+    def coefficients(x, nu):
+        drift0, state_cost, measure_cost = b0(x), potential(x), ell1(nu)
 
-    def ell(x, a, nu):
-        a = np.asarray(a, dtype=float)
-        base = (a**2).sum(axis=-1) / 2.0 + potential(x)
-        return base + ell1(nu)
+        def b(a):
+            return drift0 - np.asarray(a, dtype=float)
+
+        def ell(a):
+            a = np.asarray(a, dtype=float)
+            return (a**2).sum(axis=-1) / 2.0 + state_cost + measure_cost
+
+        return b, ell
 
     def alpha_star(x, p, nu):
         p = np.asarray(p, dtype=float)
@@ -490,8 +513,7 @@ def separated_cost(
         name="separated",
         kind="instant",
         control=control,
-        drift=b,
-        running_cost=ell,
+        coefficients=coefficients,
         closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),

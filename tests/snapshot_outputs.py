@@ -6,9 +6,11 @@ runs `qsmfg run` on configs/*.json and perfbench/workloads/*/config.json,
 once with "diagnostics" false and once with it true, each into
 OUT/<name>_<0|1>/.  The configs are only read: each run gets a copy with its
 output_dir and diagnostics set.  "timing_seconds", the one entry that
-changes from run to run, is dropped from summary.json.  The stdout of
+changes from run to run, is dropped from every summary.json.  The stdout of
 `qsmfg validate` goes to OUT/<name>_validate.json, and every exit code to
-OUT/exit_codes.txt.
+OUT/exit_codes.txt.  One `qsmfg sweep` of configs/example1_weak.json over two
+values of eps, with diagnostics on, writes OUT/sweep/: sweep_summary.csv and
+one run tree per point.
 
 The runs use the qsmfg sources of the checkout this file sits in, so
 `diff -r` of the trees written by two checkouts is a byte-identity check of
@@ -36,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SWEEP_BASE = ROOT / "configs" / "example1_weak.json"
+SWEEP = {"model.params.eps": [0.05, 0.1]}
 
 
 def _configs() -> list[tuple[str, Path]]:
@@ -66,11 +70,15 @@ def snapshot(out: Path) -> None:
                 config = Path(tmp) / f"{name}_{diagnostics}.json"
                 config.write_text(json.dumps(payload))
                 codes.append(f"{name}_{diagnostics} run {_qsmfg('run', str(config)).returncode}\n")
-                summary_path = run_dir / "summary.json"
-                if summary_path.exists():
-                    summary = json.loads(summary_path.read_text())
-                    summary.pop("timing_seconds", None)
-                    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
+        payload = json.loads(SWEEP_BASE.read_text())
+        payload.update(output_dir=str(out / "sweep"), diagnostics=True, sweep=SWEEP)
+        config = Path(tmp) / "sweep.json"
+        config.write_text(json.dumps(payload))
+        codes.append(f"{SWEEP_BASE.stem} sweep {_qsmfg('sweep', str(config)).returncode}\n")
+    for summary_path in out.rglob("summary.json"):
+        summary = json.loads(summary_path.read_text())
+        summary.pop("timing_seconds", None)
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     (out / "exit_codes.txt").write_text("".join(codes))
 
 

@@ -163,9 +163,9 @@ def test_criterion_03_hjb_identities():
     control = ControlSet(k=1, radius=1.0)
     const = ModelSpec(
         name="const", kind="instant", control=control,
-        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, nu: np.full(
-            np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0
+        coefficients=lambda x, nu: (
+            lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+            lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0),
         ),
         closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )

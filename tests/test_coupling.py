@@ -62,9 +62,9 @@ def _const_model(c=1.0):
         name="const",
         kind="instant",
         control=control,
-        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, nu: np.full(
-            np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c
+        coefficients=lambda x, nu: (
+            lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+            lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
         ),
         closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )

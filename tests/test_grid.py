@@ -29,6 +29,65 @@ def test_grid_validation():
     assert Grid(2, 8).size == 64
 
 
+@pytest.mark.parametrize("d,n", [(1, 32.0), (1.0, 32), (True, 32), (1, True), (2, 16.5), ("1", 32)])
+def test_grid_rejects_non_integer_sizes(d, n):
+    with pytest.raises(ValueError):
+        Grid(d, n)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(np.int64(2), np.int64(16))
+    assert g == Grid(2, 16)
+    assert g.neighbors().shape == (256, 4)
+    np.testing.assert_array_equal(g.coordinates(), Grid(2, 16).coordinates())
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 9)])
+def test_grid_arrays_built_once_and_read_only(d, n):
+    g = Grid(d, n)
+    for method in (g.coordinates, g.neighbors):
+        arr = method()
+        assert arr is method()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
+    # equal grids are equal values; each instance holds its own arrays
+    assert Grid(d, n) == g and Grid(d, n).coordinates() is not g.coordinates()
+
+
+def _roll_reference(v, ax, h, kind, b=None):
+    """The operators as np.roll stencils on the (n,)*d array v."""
+    up, down = np.roll(v, -1, axis=ax), np.roll(v, 1, axis=ax)
+    if kind == "laplacian":
+        return (up + down - 2.0 * v) / h**2
+    if kind == "central":
+        return (up - down) / (2.0 * h)
+    fwd, bwd = (up - v) / h, (v - down) / h
+    return np.where(b > 0, fwd, np.where(b < 0, bwd, 0.5 * (fwd + bwd)))
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operators_equal_roll_reference(d, n, seed):
+    g = Grid(d, n)
+    rng = np.random.default_rng(seed)
+    f = GridField(g, rng.uniform(-2.0, 2.0, g.shape))
+    # a drift with exact zeros, which take the central fallback
+    drift = tuple(
+        GridField(g, np.where(rng.random(g.shape) < 0.3, 0.0, rng.uniform(-1.0, 1.0, g.shape)))
+        for _ in range(d)
+    )
+    v = f.values
+    lap = np.zeros_like(v)
+    for ax in range(d):
+        lap += _roll_reference(v, ax, g.h, "laplacian")
+    np.testing.assert_array_equal(laplacian(f).values, lap)
+    for ax, (ctr, upw) in enumerate(zip(gradient_central(f), gradient_upwind(f, drift))):
+        np.testing.assert_array_equal(ctr.values, _roll_reference(v, ax, g.h, "central"))
+        np.testing.assert_array_equal(upw.values, _roll_reference(v, ax, g.h, "upwind", drift[ax].values))
+        assert (drift[ax].values == 0.0).any()
+
+
 def test_field_requires_finite_values():
     g = Grid(1, 8)
     with pytest.raises(ValueError):

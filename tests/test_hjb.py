@@ -13,10 +13,12 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from qsmfg.grid import Grid, GridField, gradient_central, gradient_upwind, laplacian
+from qsmfg import model
+from qsmfg.grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
 from qsmfg.hjb import (
     HjbConvergenceError,
     _evaluation_matrix,
+    _policy_iteration,
     continuous_dependence_report,
     equation_residual,
     solve_discounted,
@@ -49,9 +51,9 @@ def _const_model(c, k=1):
         name="const",
         kind="instant",
         control=control,
-        drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-        running_cost=lambda x, a, nu: np.full(
-            np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c
+        coefficients=lambda x, nu: (
+            lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+            lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
         ),
         closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
@@ -141,23 +143,27 @@ class TestDiscounted:
 
 
 class TestCoefficientEvaluations:
-    """Policy iteration computes each policy's drift and cost exactly once:
-    for the starting policy, then in every improvement step."""
+    """A solve binds the coefficients once, so the measure terms are computed
+    once per solve, and it evaluates each policy's drift and cost exactly
+    once: for the starting policy, then in every improvement step."""
 
     @staticmethod
     def _counted(spec):
-        calls = {"drift": 0, "running_cost": 0}
+        calls = {"bind": 0, "drift": 0, "running_cost": 0}
 
-        def counting(name):
-            fn = getattr(spec, name)
-
-            def wrapped(x, a, nu):
+        def counting(name, fn):
+            def wrapped(a):
                 calls[name] += 1
-                return fn(x, a, nu)
+                return fn(a)
 
             return wrapped
 
-        return replace(spec, drift=counting("drift"), running_cost=counting("running_cost")), calls
+        def coefficients(x, nu):
+            calls["bind"] += 1
+            drift, cost = spec.coefficients(x, nu)
+            return counting("drift", drift), counting("running_cost", cost)
+
+        return replace(spec, coefficients=coefficients), calls
 
     @pytest.mark.parametrize("start", ["cold", "warm", "ergodic"])
     def test_one_evaluation_per_policy(self, start):
@@ -171,7 +177,43 @@ class TestCoefficientEvaluations:
             sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=warm)
         # with two or more iterations, one evaluation per step would be fewer
         assert sol.converged and sol.iterations >= 2
-        assert calls == {"drift": sol.iterations + 1, "running_cost": sol.iterations + 1}
+        assert calls == {"bind": 1, "drift": sol.iterations + 1, "running_cost": sol.iterations + 1}
+
+    def test_measure_terms_once_per_solve(self, monkeypatch):
+        # the quadratic models' drift bump is their one torus_distance call:
+        # one per solve, however many policies the solve evaluates
+        calls = []
+
+        def counting(x, y):
+            calls.append(np.shape(x))
+            return torus_distance(x, y)
+
+        monkeypatch.setattr(model, "torus_distance", counting)
+        spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
+        sol = solve_discounted(spec, _measure(16), 1.0, GRID, tol=1e-11)
+        assert sol.iterations >= 2 and calls == [(GRID.size, 1, 1)]
+
+
+class TestPolicyRepeat:
+    """Howard's loop stops at a policy that repeats bit for bit."""
+
+    def test_repeated_policy_stops_the_solve(self):
+        # the separated model at a small discount stalls at the rounding
+        # floor, above tol 1e-12, with a policy that no longer changes
+        grid, rho, tol = Grid(1, 32), 2.0**-11, 1e-12
+        spec = separated_cost(d=1, coupling_weight=0.4)
+        nu = _measure(20)
+        sol = _policy_iteration(spec, nu, rho, grid, tol, 80, None)
+        assert sol.iterations < 80 and not sol.converged
+        assert sol.residual == sol.residual_history[-1] > tol
+        # one more evaluation of the returned policy reproduces the solve
+        more = _policy_iteration(spec, nu, rho, grid, tol, 1, sol.policy)
+        np.testing.assert_array_equal(more.u.values, sol.u.values)
+        np.testing.assert_array_equal(more.policy.values, sol.policy.values)
+        assert more.lam == sol.lam and more.residual == sol.residual
+        # the public solve reports the same stop
+        public = solve_discounted(spec, nu, rho, grid, tol=tol)
+        assert public.iterations == sol.iterations and public.residual == sol.residual
 
 
 class TestSelfConvergence:

@@ -66,9 +66,9 @@ class TestPinnedValues:
             name="const",
             kind="instant",
             control=control,
-            drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-            running_cost=lambda x, a, nu: np.full(
-                np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 3.25
+            coefficients=lambda x, nu: (
+                lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+                lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 3.25),
             ),
         )
         with warnings.catch_warnings():
@@ -139,9 +139,9 @@ class TestBruteForce:
             name="flat",
             kind="instant",
             control=control,
-            drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-            running_cost=lambda x, a, nu: np.zeros(
-                np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]
+            coefficients=lambda x, nu: (
+                lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+                lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]),
             ),
         )
         with warnings.catch_warnings():
@@ -171,9 +171,9 @@ class TestBruteForce:
             name="flat",
             kind="instant",
             control=control,
-            drift=lambda x, a, nu: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
-            running_cost=lambda x, a, nu: np.zeros(
-                np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]
+            coefficients=lambda x, nu: (
+                lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
+                lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]),
             ),
         )
         with pytest.warns(NonUniqueMaximizerWarning):
