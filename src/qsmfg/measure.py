@@ -15,13 +15,19 @@ Every W1 value is exact; which engine computes it depends on the call:
   1-Lipschitz from the torus L1 metric.  The value is sum_i w_i |a_i - a'_i|,
   and f(x,a) = |a - a'(x)| is a dual certificate of its optimality;
 - the atom linear program on the bipartite atom graph (HiGHS), for every
-  other pair of joint measures, e.g. measures at two different times;
+  other pair of joint measures, e.g. measures at two different times.  It is
+  solved over a growing set of arcs: each round prices every atom pair with
+  the round's duals and adds the most negative arcs outside the set, until
+  none has reduced cost below the LP's dual tolerance tau.  The duals are
+  then tau-feasible for the full LP, a certificate that the value is within
+  tau times the mass of the optimum.  Small problems (every 1D pair) start
+  from every arc and solve one LP;
 - Beckmann's min-cost flow on the periodic grid graph, for d=2 state
   densities: the torus L1 distance between nodes is h times their path
   distance in that graph, so W1 is the cheapest flow of p - q along edges of
   length h.  For d=1 state densities the circle CDF reduction is used.
 
-The atom LP is the reference the tests compare the other engines against.
+The tests check every engine against an atom LP over every arc.
 
 joint_w1_upper_bound gives a certified upper bound on the joint W1 between two
 graph measures on one grid, from W1 between their state marginals: the
@@ -56,8 +62,9 @@ __all__ = [
 
 MASS_TOL = 1e-12
 NEGATIVE_TOL = 1e-13
-# The atom LP has atoms^2 variables, so measures with more atoms than this
-# (finer than a 2D n=64 grid) are rejected rather than handed to HiGHS
+# The atom LP prices atoms^2 pairs from a dense cost matrix, so measures with
+# more atoms than this (finer than a 2D n=64 grid) are rejected rather than
+# handed to HiGHS
 ATOM_CAP = 4096
 
 
@@ -239,7 +246,7 @@ def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
 
 # At HiGHS's default feasibility tolerances (1e-7) atom-LP values of order
 # 1e-6 come out up to about 1% low, while joint W1 values are compared with
-# tolerances down to 1e-9; presolve only costs time on these dense problems
+# tolerances down to 1e-9; presolve only costs time on these problems
 TRANSPORT_LP_OPTIONS = {
     "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
@@ -247,27 +254,94 @@ TRANSPORT_LP_OPTIONS = {
 }
 
 
-def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, options=None) -> float:
-    """Optimal value of min cost.z subject to a_eq z = b_eq, z >= 0 (HiGHS)."""
+def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, options=None):
+    """HiGHS result of min cost.z subject to a_eq z = b_eq, z >= 0; raises if unsolved."""
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return res
+
+
+# Transport problems with at most this many atom pairs are solved over every
+# arc in one LP: every 1D pair (32x32 atoms in the shipped configs) and the
+# 64x64-atom pairs of 2D n=8 grids, where one LP is quicker than pricing
+ALL_ARCS_PAIRS = 4096
+# Cheapest arcs per row and per column in the first arc set of larger problems
+SEED_ARCS = 4
+
+
+def _north_west_corner(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Flat arc indices (i * n2 + j) of the north-west-corner transport plan.
+
+    The plan walks from arc (0, 0) to (n1-1, n2-1), moving down a row when
+    row i's cumulative mass is used up first and right a column otherwise;
+    its n1 + n2 - 1 arcs span the bipartite atom graph, so the restricted LP
+    over them is feasible.
+    """
+    n1, n2 = len(w1), len(w2)
+    ends = np.concatenate([np.cumsum(w1)[:-1], np.cumsum(w2)[:-1]])
+    down = np.argsort(ends, kind="stable") < n1 - 1
+    i = np.concatenate([[0], np.cumsum(down)])
+    j = np.concatenate([[0], np.cumsum(~down)])
+    return i * n2 + j
+
+
+def _seed_arcs(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the first arc set of the priced atom LP.
+
+    Every arc when the problem has at most ALL_ARCS_PAIRS pairs; otherwise
+    the north-west-corner plan plus the SEED_ARCS cheapest arcs of every row
+    and every column.
+    """
+    n1, n2 = cost.shape
+    if n1 * n2 <= ALL_ARCS_PAIRS:
+        return np.arange(n1 * n2)
+    k1, k2 = min(SEED_ARCS, n2), min(SEED_ARCS, n1)
+    by_row = np.argpartition(cost, k1 - 1, axis=1)[:, :k1] + n2 * np.arange(n1)[:, None]
+    by_col = n2 * np.argpartition(cost, k2 - 1, axis=0)[:k2, :] + np.arange(n2)
+    return np.unique(np.concatenate([_north_west_corner(w1, w2), by_row.ravel(), by_col.ravel()]))
 
 
 def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
-    """Exact optimal transport cost via the HiGHS linear-program solver."""
+    """Exact optimal transport cost by an atom LP priced with its own duals.
+
+    Each round solves the LP over a set of arcs (HiGHS), reads the duals
+    (u, v) of its marginal rows, the dropped redundant row's dual being 0,
+    and prices every atom pair with its reduced cost c_ij - u_i - v_j.
+    Outside the set, the most negative arc of each row and of each column is
+    added.  The loop stops when no arc outside the set has reduced cost
+    below -tau, tau being the LP's dual feasibility tolerance: (u, v) is
+    then tau-feasible for the full dual problem, so the restricted optimum
+    is within tau times the mass of the full one, the accuracy the LP is
+    solved to anyway.  Every round but the last adds an arc, so the loop
+    ends.  Problems with at most ALL_ARCS_PAIRS pairs start from every arc
+    and solve one LP.
+    """
     n1, n2 = cost.shape
-    ii = np.repeat(np.arange(n1), n2)
-    jj = np.tile(np.arange(n2), n1)
-    var = np.arange(n1 * n2)
-    rows = np.concatenate([ii, n1 + jj])
-    cols = np.concatenate([var, var])
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * n1 * n2), (rows, cols)), shape=(n1 + n2, n1 * n2)
-    ).tocsr()[:-1]  # drop one redundant marginal row
+    tau = TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
     b_eq = np.concatenate([w1, w2])[:-1]
-    return _solve_lp(cost.ravel(), a_eq, b_eq, TRANSPORT_LP_OPTIONS)
+    rows, cols = np.arange(n1), np.arange(n2)
+    arcs = _seed_arcs(cost, w1, w2)
+    while True:
+        ii, jj = np.divmod(arcs, n2)
+        var = np.arange(arcs.size)
+        a_eq = sparse.coo_matrix(
+            (np.ones(2 * arcs.size), (np.concatenate([ii, n1 + jj]), np.concatenate([var, var]))),
+            shape=(n1 + n2, arcs.size),
+        ).tocsr()[:-1]  # drop one redundant marginal row
+        res = _solve_lp(cost.ravel()[arcs], a_eq, b_eq, TRANSPORT_LP_OPTIONS)
+        dual = np.append(res.eqlin.marginals, 0.0)
+        reduced = cost - dual[:n1, None] - dual[None, n1:]
+        reduced.ravel()[arcs] = np.inf
+        best_col = reduced.argmin(axis=1)
+        best_row = reduced.argmin(axis=0)
+        priced = np.concatenate([
+            (rows * n2 + best_col)[reduced[rows, best_col] < -tau],
+            (best_row * n2 + cols)[reduced[best_row, cols] < -tau],
+        ])
+        if priced.size == 0:
+            return float(res.fun)
+        arcs = np.union1d(arcs, priced)
 
 
 def _edge_jump(nu: JointMeasure) -> float:
@@ -327,7 +401,8 @@ def wasserstein1_joint(nu1: JointMeasure, nu2: JointMeasure) -> float:
     Requires equal total masses (within 1e-10); measures with more than
     ATOM_CAP atoms are rejected, since the LP is only intended for desk scale.
     Measures over the same state marginal take the identity coupling when
-    either policy certifies it, and the atom LP otherwise.
+    either policy certifies it, and the atom LP otherwise, priced with its
+    duals so that only arcs that can carry mass are solved for.
     """
     if abs(nu1.mass() - nu2.mass()) > 1e-10:
         raise ValueError(f"mass mismatch: {nu1.mass()!r} vs {nu2.mass()!r}")
@@ -377,7 +452,7 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
         shape=(n_nodes, edges.size),
     )
     a_eq = sparse.hstack([incidence, -incidence]).tocsr()[:-1]  # drop one redundant balance row
-    return _solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1])
+    return float(_solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1]).fun)
 
 
 def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
@@ -398,16 +473,4 @@ def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
     if atoms > ATOM_CAP:
         raise ValueError(f"atom count {atoms} exceeds cap {ATOM_CAP}")
     return _grid_flow_w1(p, q, grid)
-
-
-def state_marginal_w1(nu1: JointMeasure, nu2: JointMeasure) -> float:
-    """W1 between the state marginals of two joint measures (atom LP)."""
-    if abs(nu1.mass() - nu2.mass()) > 1e-10:
-        raise ValueError("mass mismatch between marginals")
-    x1, a1, w1 = _dedupe(nu1)
-    x2, a2, w2 = _dedupe(nu2)
-    if len(w1) == 0 and len(w2) == 0:
-        return 0.0
-    cost = torus_distance(x1[:, None, :], x2[None, :, :])
-    return _transport_lp(cost, w1, w2)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from qsmfg import measure
 from qsmfg.grid import Grid, GridField
@@ -13,7 +15,6 @@ from qsmfg.measure import (
     JointMeasure,
     joint_w1_upper_bound,
     pushforward,
-    state_marginal_w1,
     two_bump_density,
     uniform_density,
     von_mises_density,
@@ -187,7 +188,8 @@ def test_w1_marginal_contraction():
     nu1 = pushforward(m1, ControlField(g, rng.uniform(-1, 1, (16, 1))))
     nu2 = pushforward(m2, ControlField(g, rng.uniform(-1, 1, (16, 1))))
     joint = wasserstein1_joint(nu1, nu2)
-    marg = state_marginal_w1(nu1, nu2)
+    zeros = np.zeros((16, 1))
+    marg = _reference_w1(nu1.x, zeros, nu1.w, nu2.x, zeros, nu2.w)
     assert joint >= marg - 1e-9
     # and the marginal distance agrees with the density distance
     assert marg == pytest.approx(wasserstein1_state(m1, m2), abs=1e-9)
@@ -236,9 +238,6 @@ def _dual_w1(nu1, nu2):
     max w1.phi - w2.psi subject to phi_i - psi_j <= C_ij, phi_0 = 0.
     Strong duality makes this equal the primal transport cost.
     """
-    import scipy.sparse as sparse
-    from scipy.optimize import linprog
-
     from qsmfg.measure import joint_cost_matrix
 
     keep1 = nu1.w > 0
@@ -304,10 +303,12 @@ def test_w1_2d_marginal_contraction():
 
 
 def _reference_w1(x1, a1, w1, x2, a2, w2):
-    """Atom LP built from the metric's definition, at tight HiGHS tolerances."""
-    import scipy.sparse as sparse
-    from scipy.optimize import linprog
+    """Atom LP built from the metric's definition, at tight HiGHS tolerances.
 
+    The weights are scaled to mean one per atom, so that HiGHS's absolute
+    1e-10 feasibility tolerance is small against every atom: unscaled, a
+    plan with entries down to -5e-11 read W1 ~1e-6 about 2e-12 low.
+    """
     gap = np.abs(x1[:, None, :] - x2[None, :, :])
     cost = np.minimum(gap, 1.0 - gap).sum(axis=-1)
     cost = cost + np.linalg.norm(a1[:, None, :] - a2[None, :, :], axis=-1)
@@ -316,12 +317,13 @@ def _reference_w1(x1, a1, w1, x2, a2, w2):
         sparse.kron(sparse.eye(n1), np.ones((1, n2))),
         sparse.kron(np.ones((1, n1)), sparse.eye(n2)),
     ]).tocsr()[:-1]
+    scale = n1 / w1.sum()
     res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2])[:-1], bounds=(0, None), method="highs",
+        cost.ravel(), A_eq=a_eq, b_eq=scale * np.concatenate([w1, w2])[:-1], bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.success, res.message
-    return float(res.fun)
+    return float(res.fun) / scale
 
 
 def _no_lp(*args, **kwargs):
@@ -399,6 +401,150 @@ def test_atom_lp_accurate_on_nearby_measures():
         ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
         assert 1e-7 < ref < 1e-5
         assert abs(wasserstein1_joint(nu1, nu2) - ref) <= 1e-13
+
+
+TAU = measure.TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
+
+
+def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
+    """Wrap the atom LP's linprog: one (A_eq, result) record per round.
+
+    row_dual_shift is added to the returned duals of the first n1 marginal
+    rows.  More than limit rounds fail the test instead of running on.
+    """
+    rounds = []
+
+    def recording(c, A_eq, b_eq, **kwargs):
+        if len(rounds) >= limit:
+            raise AssertionError(f"more than {limit} LP rounds")
+        res = linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+        res.eqlin.marginals[:n1] += row_dual_shift
+        rounds.append((A_eq, res))
+        return res
+
+    monkeypatch.setattr(measure, "linprog", recording)
+    return rounds
+
+
+def _arcs(a_eq, n1, n2):
+    """Flat arc index i * n2 + j of every LP column: i from the first n1 rows
+    of A_eq, j from the rest (no entry there: the dropped last column)."""
+    i = a_eq[:n1].T @ np.arange(n1)
+    j = a_eq[n1:].T @ np.arange(n2 - 1)
+    last = np.asarray(a_eq[n1:].sum(axis=0)).ravel() == 0
+    return np.rint(i * n2 + np.where(last, n2 - 1, j)).astype(int)
+
+
+def _reduced_costs(cost, res):
+    dual = np.append(res.eqlin.marginals, 0.0)
+    return cost - dual[: cost.shape[0], None] - dual[None, cost.shape[0]:]
+
+
+def _check_pricing(rounds, cost):
+    """Each round adds, from outside its arc set, the cheapest arc of some
+    rows and columns, each below -tau; after the last no outside arc is."""
+    n1, n2 = cost.shape
+    sets = [_arcs(a_eq, n1, n2) for a_eq, _ in rounds]
+    for arcs, (_, res), after in zip(sets, rounds, sets[1:] + [None]):
+        outside = _reduced_costs(cost, res)
+        outside.ravel()[arcs] = np.inf
+        if after is None:
+            assert outside.min() >= -TAU
+            break
+        added = np.setdiff1d(after, arcs)
+        assert added.size > 0 and np.isin(arcs, after).all()
+        i, j = np.divmod(added, n2)
+        assert (outside[i, j] < -TAU).all()
+        assert ((outside[i, j] == outside[i].min(axis=1)) | (outside[i, j] == outside[:, j].min(axis=0))).all()
+
+
+def _lp_pair(grid, kind, k, rng):
+    """Two graph measures over different densities, so the pair takes the LP."""
+    m1 = _random_density(grid, 950)
+    if kind == "nearby":
+        m2 = DensityField.from_values(grid, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, grid.shape)), normalize=True)
+        a1 = _smooth_policy(grid, k, rng)
+        a2 = ControlField(grid, a1.values + 1e-6 * rng.uniform(-1, 1, a1.values.shape))
+    elif kind == "rough":
+        m2 = _random_density(grid, 951)
+        a1, a2 = (ControlField(grid, rng.uniform(-1, 1, grid.shape + (k,))) for _ in range(2))
+    else:
+        m2 = _random_density(grid, 951)
+        a1, a2 = _smooth_policy(grid, k, rng), _smooth_policy(grid, k, rng)
+    return pushforward(m1, a1), pushforward(m2, a2)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("kind", ["nearby", "rough", "smooth"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_priced_atom_lp_matches_reference_lp(n, kind, k, monkeypatch):
+    g = Grid(2, n)
+    nu1, nu2 = _lp_pair(g, kind, k, np.random.default_rng(90 + n + k))
+    ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+    rounds = _record_rounds(monkeypatch)
+    value = wasserstein1_joint(nu1, nu2)
+    _check_pricing(rounds, measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a))
+    assert value == rounds[-1][1].fun
+    if kind == "nearby":
+        assert 1e-7 < ref < 1e-5
+        assert abs(value - ref) <= 1e-13
+    else:
+        assert abs(value - ref) <= 1e-12
+
+
+def test_256_atom_pair_solves_a_sparse_arc_set(monkeypatch):
+    g = Grid(2, 16)
+    nu1, nu2 = _lp_pair(g, "rough", 2, np.random.default_rng(97))
+    rounds = _record_rounds(monkeypatch)
+    wasserstein1_joint(nu1, nu2)
+    sizes = [a_eq.shape[1] for a_eq, _ in rounds]
+    assert len(rounds) > 1
+    assert sizes == sorted(set(sizes))  # every round adds arcs
+    assert sizes[-1] < g.size**2 // 4
+
+
+def test_priced_lp_ends_when_set_arcs_price_below_tau(monkeypatch):
+    # HiGHS meets dual feasibility only to its tolerance, so arcs in the set
+    # can price below -tau; the loop prices arcs outside the set only
+    g = Grid(2, 12)
+    nu1, nu2 = _lp_pair(g, "smooth", 1, np.random.default_rng(98))
+    ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+    rounds = _record_rounds(monkeypatch, n1=g.size, row_dual_shift=2 * TAU)
+    value = wasserstein1_joint(nu1, nu2)
+    reduced = _reduced_costs(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), rounds[-1][1])
+    assert reduced.ravel()[_arcs(rounds[-1][0], g.size, g.size)].min() < -TAU
+    assert abs(value - ref) <= 1e-12
+
+
+def _dense_transport_lp(cost, w1, w2):
+    """The atom LP over every arc, built as before the LP was priced."""
+    n1, n2 = cost.shape
+    ii = np.repeat(np.arange(n1), n2)
+    jj = np.tile(np.arange(n2), n1)
+    var = np.arange(n1 * n2)
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * n1 * n2), (np.concatenate([ii, n1 + jj]), np.concatenate([var, var]))),
+        shape=(n1 + n2, n1 * n2),
+    ).tocsr()[:-1]
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2])[:-1], bounds=(0, None), method="highs",
+        options=measure.TRANSPORT_LP_OPTIONS,
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def test_1d_pair_solves_one_lp_over_every_arc(monkeypatch):
+    g = Grid(1, 32)
+    rng = np.random.default_rng(99)
+    nu1, nu2 = (
+        pushforward(_random_density(g, 960 + s), ControlField(g, rng.uniform(-1, 1, (32, 1)))) for s in range(2)
+    )
+    dense = _dense_transport_lp(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), nu1.w, nu2.w)
+    rounds = _record_rounds(monkeypatch)
+    assert wasserstein1_joint(nu1, nu2) == dense
+    assert len(rounds) == 1
+    np.testing.assert_array_equal(_arcs(rounds[0][0], 32, 32), np.arange(32 * 32))
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
