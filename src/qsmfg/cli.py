@@ -174,23 +174,15 @@ def parse_config(payload: dict) -> RunConfig:
 
     rho_sequence: tuple[float, ...] = ()
     if mode == "ergodic":
-        seq_cfg = payload.get("rho_sequence")
-        if seq_cfg is None:
-            raise ConfigError("rho_sequence", "required in ergodic mode")
-        if isinstance(seq_cfg, list):
-            items = dict(enumerate(seq_cfg))
-            rho_sequence = tuple(_get(items, k, float, "rho_sequence") for k in items)
-        elif isinstance(seq_cfg, dict):
-            rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
-            factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
-            count = _get(seq_cfg, "count", int, "rho_sequence", 10)
-            if not (0 < factor < 1):
-                raise ConfigError("rho_sequence.factor", "must lie in (0, 1)")
-            if count < 2:
-                raise ConfigError("rho_sequence.count", "must be at least 2")
-            rho_sequence = tuple(rho0 * factor**k for k in range(count))
-        else:
-            raise ConfigError("rho_sequence", "must be a list or a {rho0, factor, count} object")
+        seq_cfg = _get(payload, "rho_sequence", dict)
+        rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
+        factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
+        count = _get(seq_cfg, "count", int, "rho_sequence", 10)
+        if not (0 < factor < 1):
+            raise ConfigError("rho_sequence.factor", "must lie in (0, 1)")
+        if count < 2:
+            raise ConfigError("rho_sequence.count", "must be at least 2")
+        rho_sequence = tuple(rho0 * factor**k for k in range(count))
         if any(r <= 0 for r in rho_sequence):
             raise ConfigError("rho_sequence", "all discounts must be positive")
 

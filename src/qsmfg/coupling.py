@@ -47,7 +47,7 @@ import numpy as np
 
 from .fp import fp_evolve
 from .grid import Grid, GridField, gradient_central, laplacian
-from .hjb import equation_residual, solve_discounted, solve_ergodic
+from .hjb import NORMALIZATION_NODE, equation_residual, solve_discounted, solve_ergodic
 from .measure import (
     ControlField,
     DensityField,
@@ -161,8 +161,7 @@ def blend_policies(old: ControlField, new: ControlField, weight: float, control)
 
 
 def _zero_policy(spec: ModelSpec, grid: Grid) -> ControlField:
-    a0 = spec.control.zero_control()
-    return ControlField(grid, np.broadcast_to(a0, grid.shape + (spec.control.k,)).copy())
+    return ControlField(grid, np.zeros(grid.shape + (spec.control.k,)))
 
 
 def solve_joint_measure(
@@ -383,7 +382,7 @@ def solve_measure_iteration(
     spec: ModelSpec,
     m0: DensityField,
     config: CouplingConfig,
-    initial: Optional[Sequence[JointMeasure]] = None,
+    initial: Optional[tuple[Sequence[JointMeasure], Sequence[DensityField]]] = None,
 ) -> TrajectorySolution:
     """Outer Picard iteration on the joint-measure trajectory.
 
@@ -392,7 +391,8 @@ def solve_measure_iteration(
     past), one Fokker-Planck evolution, and pushforwards of the new densities
     through the optimal policies.  The outer error is the sup over slices of
     the joint W1 distance between consecutive trajectories; only the slices
-    whose certified upper bound can reach the sup are solved.
+    whose certified upper bound can reach the sup are solved.  initial is a
+    warm start (mu, m): a measure trajectory and its state marginals.
     """
     grid = m0.grid
     times = config.times()
@@ -402,10 +402,9 @@ def solve_measure_iteration(
         mu_traj = [pushforward(m0, _zero_policy(spec, grid))] * n_slices
         m_traj = [m0] * n_slices
     else:
-        mu_traj = list(initial)
-        if len(mu_traj) != n_slices:
+        mu_traj, m_traj = list(initial[0]), list(initial[1])
+        if len(mu_traj) != n_slices or len(m_traj) != n_slices:
             raise ValueError("initial measure trajectory has the wrong length")
-        m_traj = [None] * n_slices  # marginals not given: the first pass bounds no slice
     hjbs: list = []
 
     def slice_solve(warm):
@@ -422,10 +421,7 @@ def solve_measure_iteration(
     def outer_error(traj, policies):
         nonlocal mu_traj, m_traj
         mu_new = [pushforward(m, a) for m, a in zip(traj, policies)]
-        state_w1s = [
-            np.inf if old is None else wasserstein1_state(new, old)
-            for new, old in zip(traj, m_traj)
-        ]
+        state_w1s = [wasserstein1_state(new, old) for new, old in zip(traj, m_traj)]
         e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s)
         mu_traj, m_traj = mu_new, list(traj)
         return e_k, e_k
@@ -455,8 +451,10 @@ def solve_vanishing_discount(
 ) -> TrajectorySolution:
     """Ergodic driver: discounted solves along a decreasing discount sequence.
 
-    At each level the normalized value w = u - u(x0) and the per-slice cost
-    estimate rho * u(x0) are extracted; the driver stops when the combined
+    Each level starts from the last one's solution: gamma from its (u, m),
+    psi from its (mu, m).  At each level the normalized value w = u - u(x0),
+    x0 the HJB normalization node, and the per-slice cost estimate
+    rho * u(x0) are extracted; the driver stops when the combined
     per-slice increments (including the state W1 distance) fall below the
     ergodic tolerance, or runs the whole sequence if configured to.  The last
     level is re-verified against direct ergodic solves slice by slice.
@@ -466,7 +464,6 @@ def solve_vanishing_discount(
     grid = m0.grid
     times = config.times()
     n_slices = config.n_steps + 1
-    x0 = 0  # flat index of the normalization node
 
     increments: list[float] = []
     value_increments: list[float] = []  # |lambda diff| + |w diff|_inf part alone
@@ -476,7 +473,7 @@ def solve_vanishing_discount(
 
     for rho in config.rho_sequence:
         sol = _run_strategy(spec, m0, replace(config, rho=float(rho)), initial=initial)
-        u0 = np.array([s.flat()[x0] for s in sol.u])
+        u0 = np.array([s.flat()[NORMALIZATION_NODE] for s in sol.u])
         w = [GridField(grid, s.flat() - c) for s, c in zip(sol.u, u0)]
         lam = rho * u0
         rho_used.append(float(rho))
@@ -489,7 +486,7 @@ def solve_vanishing_discount(
             value_increments.append(max(gaps))
             increments.append(max(g + wasserstein1_state(sol.m[j], m_prev[j]) for j, g in enumerate(gaps)))
         prev = (w, lam, sol.m)
-        initial = (sol.u, sol.m) if config.strategy == "gamma" else sol.mu
+        initial = (sol.u if config.strategy == "gamma" else sol.mu, sol.m)
         converged = bool(increments) and increments[-1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
@@ -499,7 +496,7 @@ def solve_vanishing_discount(
     direct_gaps = np.zeros(n_slices)
     for j in range(n_slices):
         nu = _slice_context(spec, times, sol.mu, j)
-        es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol, method="direct")
+        es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
         direct_gaps[j] = abs(es.lam - lam_final[j]) + float(
             np.abs(es.u.values - w_final[j].values).max()
         )
@@ -524,11 +521,10 @@ def solve_system(
     m0: DensityField,
     config: CouplingConfig,
     mode: str = "discounted",
-    initial=None,
 ) -> TrajectorySolution:
     """Dispatch on (mode, strategy); the entry point the CLI uses."""
     if mode == "discounted":
-        return _run_strategy(spec, m0, config, initial=initial)
+        return _run_strategy(spec, m0, config)
     if mode == "ergodic":
         return solve_vanishing_discount(spec, m0, config)
     raise ValueError(f"unknown mode {mode!r}")

@@ -14,9 +14,12 @@ w(x0) = 0 and s playing the role of rho*u(x0) (discounted) or the ergodic
 constant (rho = 0); this keeps the systems well conditioned uniformly down to
 vanishing discount, where the plain formulation degenerates along the
 constant mode.  The augmented system is algebraically equivalent to the plain
-one for every rho > 0.  Its CSR matrix is filled row by row from the grid's
-neighbour table, and every evaluation, in every dimension, is one sparse
-direct solve.
+one for every rho > 0.  At rho = 0 it is the ergodic cell problem with the
+constant as an unknown (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal.
+48(3), 2010), the one form solve_ergodic solves; the vanishing-discount limit
+belongs to the coupled driver, coupling.solve_vanishing_discount.  The CSR
+matrix is filled row by row from the grid's neighbour table, and every
+evaluation, in every dimension, is one sparse direct solve.
 
 The measure is frozen within a solve, so each solve binds the model's
 coefficients to the grid nodes and the measure once (ModelSpec.coefficients)
@@ -48,7 +51,6 @@ from .model import ModelSpec, policy_field
 
 __all__ = [
     "HjbSolution",
-    "HjbConvergenceError",
     "solve_discounted",
     "solve_ergodic",
     "equation_residual",
@@ -57,12 +59,6 @@ __all__ = [
 ]
 
 NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0
-
-
-class HjbConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -151,44 +147,10 @@ def solve_discounted(
     return replace(sol, u=GridField(grid, sol.u.flat() + sol.lam / rho), lam=None)
 
 
-def solve_ergodic(
-    spec: ModelSpec,
-    nu: JointMeasure,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-    method: str = "direct",
-    rho0: float = 1.0,
-    rho_factor: float = 0.5,
-    max_levels: int = 60,
-    warm_start: ControlField | None = None,
-) -> HjbSolution:
-    """Ergodic cell problem, normalized by u(x0) = 0.
-
-    method "direct" treats the ergodic constant as the extra unknown of the
-    augmented system (rho = 0); method "vanishing" drives a geometric
-    discount sequence rho_k = rho0 * rho_factor^k until the normalized
-    solutions and cost estimates are Cauchy within tol.
-    """
-    if method == "direct":
-        return _policy_iteration(spec, nu, 0.0, grid, tol, max_iter, warm_start)
-    if method != "vanishing":
-        raise ValueError(f"unknown ergodic method {method!r}")
-    prev_w = prev_lam = None
-    policy = warm_start
-    rho = rho0
-    increment = np.inf
-    for level in range(max_levels):
-        # the normalized solve's lam is s = rho * u(x0), the cost estimate
-        sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, policy)
-        w, lam, policy = sol.u.flat(), sol.lam, sol.policy
-        if prev_w is not None:
-            increment = float(np.abs(w - prev_w).max() + abs(lam - prev_lam))
-            if increment < tol:
-                return replace(sol, iterations=level + 1, converged=True)
-        prev_w, prev_lam = w, lam
-        rho *= rho_factor
-    raise HjbConvergenceError("discount sequence exhausted before Cauchy criterion", increment)
+def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e-10) -> HjbSolution:
+    """Ergodic cell problem, normalized by u(x0) = 0: the ergodic constant is
+    the extra unknown of the augmented system (rho = 0), returned as lam."""
+    return _policy_iteration(spec, nu, 0.0, grid, tol, 80, None)
 
 
 def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:

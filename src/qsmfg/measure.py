@@ -128,13 +128,12 @@ def two_bump_density(
     grid: Grid,
     centers: tuple = (0.25, 0.75),
     concentration: float = 6.0,
-    weights: tuple[float, float] = (0.5, 0.5),
 ) -> DensityField:
-    """Mixture of two smooth bumps; stays in H^1 for any concentration."""
+    """Equal-weight mixture of two smooth bumps; stays in H^1 for any concentration."""
     c0, c1 = centers
     b0 = von_mises_density(grid, c0, concentration).values
     b1 = von_mises_density(grid, c1, concentration).values
-    return DensityField.from_values(grid, weights[0] * b0 + weights[1] * b1, normalize=True)
+    return DensityField.from_values(grid, 0.5 * b0 + 0.5 * b1, normalize=True)
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,10 @@ class ControlSet:
 
     k: int
     radius: float = 1.0
-    mesh_resolution: int = 257
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError("ball control set needs radius > 0")
-
-    def zero_control(self) -> np.ndarray:
-        """The point of A closest to the origin."""
-        return np.zeros(self.k)
 
     def project(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -92,13 +87,12 @@ class ControlSet:
         scale = np.where(norm > self.radius, self.radius / np.maximum(norm, 1e-300), 1.0)
         return a * scale
 
-    def mesh(self, m: int | None = None) -> np.ndarray:
+    def mesh(self, m: int = 257) -> np.ndarray:
         """Brute-force candidate controls, shape (M, k).
 
         Point counts snap to 2^j + 1 per axis so meshes nest under
         refinement; the first mesh point is the documented tie-break winner.
         """
-        m = self.mesh_resolution if m is None else m
         mm = _snap_mesh_count(m)
         if self.k == 1:
             return np.linspace(-self.radius, self.radius, mm)[:, None]
@@ -204,7 +198,7 @@ def brute_force_argmax(
     x: np.ndarray,
     p: np.ndarray,
     nu: JointMeasure,
-    mesh: int | None = None,
+    mesh: int = 257,
     _warn: bool = True,
 ) -> np.ndarray:
     """Exhaustive maximization of -p.b - l over the control mesh.
@@ -332,7 +326,6 @@ def _make_quadratic_model(
     kappa: float,
     width: float,
     radius: float,
-    mesh: int,
     potential: float = 0.0,
     kernel=None,
     params: dict | None = None,
@@ -350,7 +343,7 @@ def _make_quadratic_model(
     """
     if delta <= 0:
         raise ValueError("cost weight floor delta must be positive")
-    control = ControlSet(k=d, radius=radius, mesh_resolution=mesh)
+    control = ControlSet(k=d, radius=radius)
     cost_weight, drift_bump = _quadratic_couplings(delta, eps, kappa, width, radius)
 
     def coefficients(x, nu):
@@ -406,14 +399,13 @@ def example_one(
     kappa: float = 0.1,
     width: float = 0.2,
     radius: float = 1.0,
-    mesh: int = 257,
     potential: float = 0.0,
 ) -> ModelSpec:
     """Instant quadratic model; the maximizer is (R eps / delta)-Lipschitz
     in the measure, so eps and delta tune the measure fixed point above or
     below the contraction threshold."""
     return _make_quadratic_model(
-        "example1", "instant", d, delta, eps, kappa, width, radius, mesh, potential=potential
+        "example1", "instant", d, delta, eps, kappa, width, radius, potential=potential
     )
 
 
@@ -424,14 +416,15 @@ def example_two(
     kappa: float = 0.1,
     width: float = 0.2,
     radius: float = 1.0,
-    mesh: int = 257,
     potential: float = 0.0,
     kernel_kind: str = "constant",
     kernel_scale: float = 1.0,
 ) -> ModelSpec:
     """Memory model: the quadratic couplings read the kernel-weighted time
     aggregate of the past joint-measure trajectory, which slice_measure scales
-    to unit mass (decoupled while the aggregate is empty)."""
+    to unit mass (decoupled while the aggregate is empty).  That scaling
+    removes kernel_scale from every positive kernel, so the scale only
+    matters at 0, where it switches the coupling off."""
     if kernel_kind == "constant":
         kernel = lambda tau: kernel_scale * np.ones_like(np.asarray(tau, dtype=float))
     elif kernel_kind == "linear":
@@ -449,7 +442,6 @@ def example_two(
         kappa,
         width,
         radius,
-        mesh,
         potential=potential,
         kernel=kernel,
         params={"kernel_kind": kernel_kind, "kernel_scale": kernel_scale},
@@ -462,7 +454,6 @@ def separated_cost(
     drift_amplitude: float = 0.2,
     potential_amplitude: float = 0.3,
     coupling_weight: float = 0.3,
-    mesh: int = 257,
 ) -> ModelSpec:
     """Separated dependence on the measure: b = b0(x) - a and
     l = |a|^2/2 + V(x) + l1(mu) with l1 linear in the mean control.
@@ -472,7 +463,7 @@ def separated_cost(
     differ by the constant (l1(mu1) - l1(mu2)) / rho and ergodic solutions
     coincide.
     """
-    control = ControlSet(k=d, radius=radius, mesh_resolution=mesh)
+    control = ControlSet(k=d, radius=radius)
 
     def b0(x):
         x = np.asarray(x, dtype=float)

@@ -182,8 +182,8 @@ def test_criterion_03_hjb_identities():
     assert np.abs((s1.u.values - s2.u.values) - shift).max() <= 1e-10
 
     # (c) ergodic separated cost: u independent of the measure within 1e-9
-    e1 = solve_ergodic(spec, nu1, grid, tol=1e-13, method="direct")
-    e2 = solve_ergodic(spec, nu2, grid, tol=1e-13, method="direct")
+    e1 = solve_ergodic(spec, nu1, grid, tol=1e-13)
+    e2 = solve_ergodic(spec, nu2, grid, tol=1e-13)
     assert np.abs(e1.u.values - e2.u.values).max() <= 1e-9
 
 

@@ -80,6 +80,7 @@ class TestConfigValidation:
             ({"name": "separated", "params": {"coupling_weigth": 0.1}}, "model.params.coupling_weigth"),
             ({"name": "separated", "params": {"radius": -1}}, "model.params"),
             ({"name": "example1", "params": {"delta": 0}}, "model.params"),
+            ({"name": "example1", "params": {"mesh": 257}}, "model.params.mesh"),
         ],
     )
     def test_bad_model_param_exit_code(self, tmp_path, capsys, command, model, field_name):
@@ -101,7 +102,7 @@ class TestConfigValidation:
             ("tolerances.outer", {"tolerances": {"outer": "x"}}),
             ("m0", {"m0": "uniform"}),
             ("rho_sequence.count", {"mode": "ergodic", "rho_sequence": {"count": "x"}}),
-            ("rho_sequence.1", {"mode": "ergodic", "rho_sequence": [1.0, "x"]}),
+            ("rho_sequence", {"mode": "ergodic", "rho_sequence": [1.0, 0.5]}),
             ("model.params", {"model": {"name": "separated", "params": [1]}}),
             ("grid.d", {"grid": {"d": True, "n": 32}}),
         ],

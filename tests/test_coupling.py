@@ -394,7 +394,7 @@ class TestErgodicDriver:
         sol = solve_vanishing_discount(spec, m0, cfg)
         assert sol.converged
         nu_any = sol.mu[0]
-        base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12, method="direct")
+        base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12)
         for j in range(sol.n_slices):
             expected = base_sol.lam - spec.measure_cost(sol.mu[j])
             assert sol.lam[j] == pytest.approx(expected, abs=2e-4)
@@ -420,6 +420,32 @@ class TestErgodicDriver:
         assert sol.converged
         for u in sol.u:
             assert u.flat()[0] == 0.0  # normalization node pinned
+
+    def test_psi_agrees_with_gamma(self):
+        # psi's levels warm-start from the last level's (mu, m)
+        spec = example_one(d=1, **WEAK)
+        m0 = two_bump_density(GRID)
+        cfg = CouplingConfig(
+            T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12,
+            rho_sequence=tuple(2.0**-k for k in range(6)), ergodic_tol=5e-4,
+            full_sequence=True,
+        )
+        gamma = solve_vanishing_discount(spec, m0, cfg)
+        psi = solve_vanishing_discount(spec, m0, replace(cfg, strategy="psi"))
+        assert gamma.converged and psi.converged
+        assert np.abs(gamma.lam - psi.lam).max() <= 10 * cfg.outer_tol
+        m_gap = max(np.abs(a.values - b.values).max() for a, b in zip(gamma.m, psi.m))
+        assert m_gap <= 10 * cfg.outer_tol
+
+    def test_history_model_converges(self):
+        spec = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
+        cfg = CouplingConfig(
+            T=0.2, dt=0.1, outer_tol=5e-9, inner_tol=1e-8, hjb_tol=1e-11, strategy="psi",
+            rho_sequence=tuple(2.0**-k for k in range(10)), ergodic_tol=5e-4,
+        )
+        sol = solve_vanishing_discount(spec, two_bump_density(GRID), cfg)
+        assert sol.converged
+        assert sol.diagnostics["direct_gap_max"] <= 10 * cfg.ergodic_tol
 
 
 class TestSelfConvergence:

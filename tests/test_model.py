@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from qsmfg.grid import Grid
 from qsmfg.measure import ControlField, DensityField, JointMeasure, pushforward, wasserstein1_joint
 from qsmfg.model import (
+    MODEL_BUILDERS,
     ControlSet,
     MeshResolutionWarning,
     ModelSpec,
@@ -361,6 +363,38 @@ class TestBuilders:
         assert report["control_measure_lipschitz"]["measured"] > 0.0
         assert not report["control_measure_lipschitz"]["ok"]
         assert not report["all_ok"]
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_every_builder_parameter_is_read(self, name):
+        # a parameter that changes no coefficient and no maximizer is a
+        # setting nothing reads.  kernel_scale is exempt: slice_measure scales
+        # every positive aggregate to unit mass, so the scale cancels (up to
+        # rounding) and only its value 0, which empties the aggregate, matters
+        rng = np.random.default_rng(31)
+        times, measures = _trajectory(n_slices=3)
+        x = rng.random((16, 1))
+        a = rng.uniform(-0.8, 0.8, (16, 1))
+        p = rng.uniform(-2.0, 2.0, (16, 1))
+
+        def read(spec):
+            nu = slice_measure(spec, times, measures)
+            return spec.drift(x, a, nu), spec.running_cost(x, a, nu), optimal_control(spec, x, p, nu)
+
+        builder = MODEL_BUILDERS[name]
+        base = read(builder(d=1))
+        for key, param in inspect.signature(builder).parameters.items():
+            if key == "d":
+                continue
+            default = param.default
+            if isinstance(default, str):
+                changed = {"kernel_kind": "linear"}[key]
+            else:
+                changed = default + 1 if isinstance(default, int) else 1.5 * default + 0.25
+            gap = max(float(np.abs(u - v).max()) for u, v in zip(base, read(builder(d=1, **{key: changed}))))
+            if key == "kernel_scale":
+                assert gap <= 1e-14, key
+            else:
+                assert gap > 1e-9, key
 
     def test_control_set_mesh_nesting(self):
         cs = ControlSet(k=1, radius=1.0)
