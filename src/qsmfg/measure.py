@@ -438,9 +438,15 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
 
     One forward and one backward flow variable per edge of the periodic grid
     graph, each of cost h per unit mass; node i sends out p_i - q_i net.
-    HiGHS runs at its default tolerances here, so densities whose node
-    masses all differ by less than 1e-7 can read W1 = 0.
+    The imbalance is scaled to unit L1 mass before the solve and the value
+    scaled back, since W1 is positively homogeneous in it: HiGHS's absolute
+    1e-7 feasibility tolerance would otherwise admit the zero flow whenever
+    every node imbalance is below it, and W1 would read 0.
     """
+    imbalance = p - q
+    scale = float(np.abs(imbalance).sum())
+    if scale == 0.0:
+        return 0.0
     n_nodes = grid.size
     tails = np.tile(np.arange(n_nodes), grid.d)
     heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
@@ -451,7 +457,7 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
         shape=(n_nodes, edges.size),
     )
     a_eq = sparse.hstack([incidence, -incidence]).tocsr()[:-1]  # drop one redundant balance row
-    return float(_solve_lp(np.full(2 * edges.size, grid.h), a_eq, (p - q)[:-1]).fun)
+    return scale * float(_solve_lp(np.full(2 * edges.size, grid.h), a_eq, imbalance[:-1] / scale).fun)
 
 
 def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:

@@ -598,6 +598,34 @@ def test_w1_state_2d_flow_matches_reference_lp(n, kind):
     assert abs(wasserstein1_state(m1, m2) - ref) <= 1e-12
 
 
+def test_w1_state_2d_flow_reads_imbalances_below_lp_tolerance():
+    # every node imbalance is below HiGHS's absolute 1e-7 tolerance, where an
+    # unscaled flow admits the zero flow and reads W1 = 0.  W1 depends only
+    # on p - q, so the reference transports its positive part onto its
+    # negative part, which _reference_w1 scales to mean one per atom.  The
+    # perturbations, powers of two near 1e-6, 1e-8 and 1e-10 times a
+    # zero-sum direction of multiples of 2^-10, are exact in floating point
+    g = Grid(2, 16)
+    m1 = uniform_density(g)
+    steps = np.random.default_rng(17).integers(-1024, 1025, g.size)
+    direction = ((steps - steps[::-1]) / 2048.0).reshape(g.shape)
+    x = g.coordinates()
+    zeros = np.zeros((g.size, 1))
+    per_unit = []
+    for eps in (2.0**-20, 2.0**-27, 2.0**-33):
+        m2 = DensityField(g, m1.values + eps * direction)
+        gap = (m1.flat() - m2.flat()) * g.cell_volume
+        np.testing.assert_array_equal(gap, -eps * direction.ravel() * g.cell_volume)
+        assert 0.0 < np.abs(gap).max() < 1e-7
+        pos, neg = gap > 0, gap < 0
+        ref = _reference_w1(x[pos], zeros[pos], gap[pos], x[neg], zeros[neg], -gap[neg])
+        w1 = wasserstein1_state(m1, m2)
+        assert w1 == pytest.approx(ref, rel=1e-6)
+        per_unit.append(w1 / eps)
+    assert per_unit[1] == pytest.approx(per_unit[0], rel=1e-6)
+    assert per_unit[2] == pytest.approx(per_unit[0], rel=1e-6)
+
+
 def test_w1_state_2d_transport_limits(monkeypatch):
     g = Grid(2, 8)
     m1, m2 = _random_density(g, 70), _random_density(g, 71)
