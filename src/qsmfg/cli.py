@@ -318,7 +318,6 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
         "converged": bool(sol.converged),
         "outer_iterations": int(sol.diagnostics.get("outer_iterations", 0)),
         "final_outer_error": sol.diagnostics.get("final_outer_error"),
-        "outer_damped_passes": int(sol.diagnostics.get("outer_damped_passes", 0)),
         "hjb_residual_max": float(sol.hjb_residuals.max()) if sol.hjb_residuals.size else None,
         "mu_residual_max": float(sol.mu_residuals.max()) if sol.mu_residuals.size else None,
         "mass_error_max": max(abs(m.mass() - 1.0) for m in sol.m),

@@ -14,14 +14,12 @@ Two outer strategies solve the discounted system:
       pushes it forward through the optimal policies.  Works for instant and
       history models and needs no inner contraction.
 
-Both run the same Picard loop; a strategy supplies only its per-slice solve
-and its outer error.  The loop follows the joint-measure fixed point's rule:
-plain steps while the map contracts, and policies blended with the last
-pass's (damping) only after a measured ratio of consecutive outer errors
-reaches one.  Where the map is a contraction, Banach's plain iteration
-converges at the map's own rate; averaging is for maps that are merely
-non-expansive (Berinde, Iterative Approximation of Fixed Points, LNM 1912,
-2007).
+Both run the same plain Picard loop; a strategy supplies only its per-slice
+solve and its outer error.  The agent reacts only to the present measure, and
+the outer map contracts on every shipped config and on strongly coupled
+example1 models, so plain (Banach) iteration converges at the map's own rate.
+Only the joint-measure fixed point, whose map stops contracting for strong
+coupling, blends policies (damping).
 
 Psi's outer error and the regularity report's joint-measure Holder ratio are
 maxima of joint W1 values between measures with different state marginals,
@@ -37,7 +35,7 @@ per-slice cost estimates; the limit is cross-checked against direct ergodic
 solves.
 
 Both strategies finish with one consistency pass: gamma re-solves each slice
-once on the final densities and gradients, psi runs one undamped pass.  The
+once on the final densities and gradients, psi runs one more pass.  The
 stored joint measure is an exact pushforward of the stored density through
 the stored policy, and one probe measures, rather than assumes, the per-slice
 residuals of the HJB and measure equations.  A pass whose residuals miss a
@@ -92,7 +90,7 @@ class CouplingConfig:
     rho: float = 1.0
     outer_tol: float = 1e-8
     max_outer: int = 40
-    damping: float = 0.5  # policy blending weight of damped steps, in (0, 1]
+    damping: float = 0.5  # joint-measure fixed point's policy blending weight, in (0, 1]
     inner_tol: float = 1e-9
     inner_max_iter: int = 300
     hjb_tol: float = 1e-11
@@ -264,31 +262,18 @@ def _picard(spec, m0, config, slice_solve, outer_error):
     per-slice measures the Hamiltonians read and the optimal policies;
     evolves the density once with their drifts; and logs the row
     (pass, *outer_error(trajectory, policies)), whose first entry is the
-    total error e_k tested against the outer tolerance.  Passes are plain
-    Picard steps, as solve_joint_measure's are: once a measured ratio
-    e_k / e_{k-1} with e_{k-1} >= RATE_FLOOR reaches one, every later pass
-    blends its policies with the previous pass's (damping).  Returns
-    (log, last policies, converged, number of blended passes).
+    total error tested against the outer tolerance.  Returns
+    (log, last policies, converged).
     """
     log: list[tuple] = []
-    policies_prev = None
-    damped, blended = False, 0
+    policies = None
     for k in range(1, config.max_outer + 1):
-        measures, policies = slice_solve(policies_prev)
-        if damped and config.damping < 1.0:
-            policies = [
-                blend_policies(old, new, config.damping, spec.control)
-                for old, new in zip(policies_prev, policies)
-            ]
-            blended += 1
+        measures, policies = slice_solve(policies)
         traj = _evolve(spec, m0, config, measures, policies)
         log.append((k, *outer_error(traj, policies)))
-        policies_prev = policies
         if log[-1][1] <= config.outer_tol:
-            return log, policies, True, blended
-        if k > 1 and log[-2][1] >= RATE_FLOOR and log[-1][1] >= log[-2][1]:
-            damped = True  # non-contractive regime
-    return log, policies_prev, False, blended
+            return log, policies, True
+    return log, policies, False
 
 
 def _measured_residuals(spec, config, m, mu, u):
@@ -307,14 +292,13 @@ def _measured_residuals(spec, config, m, mu, u):
     return hjb_res, mu_res
 
 
-def _solution(spec, config, log, converged, blended, m, u, mu, policy, histories, **extra):
+def _solution(spec, config, log, converged, m, u, mu, policy, histories, **extra):
     """TrajectorySolution of an outer strategy, with its shared diagnostics and
     the measured residuals of the stored tuple."""
     hjb_res, mu_res = _measured_residuals(spec, config, m, mu, u)
     diagnostics = {
         "outer_iterations": len(log),
         "final_outer_error": log[-1][1] if log else 0.0,
-        "outer_damped_passes": blended,
         **extra,
         "hjb_residual_histories": tuple(histories),
     }
@@ -342,9 +326,8 @@ def solve_field_iteration(
 
     Per pass and per time slice: joint-measure fixed point from the previous
     gradients and densities, discounted HJB solve, then one Fokker-Planck
-    evolution driven by the optimal policies (damped only once the outer
-    error stops contracting).  The outer error sums the gradient
-    sup-distance and the state W1 distance per slice.
+    evolution driven by the optimal policies.  The outer error sums the
+    gradient sup-distance and the state W1 distance per slice.
     """
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
@@ -383,10 +366,10 @@ def solve_field_iteration(
         m_list, du_list = list(traj), new_du
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
-    log, _, converged, blended = _picard(spec, m0, config, slice_solve, outer_error)
+    log, _, converged = _picard(spec, m0, config, slice_solve, outer_error)
     slice_solve(None)  # consistency solve on the final densities and gradients
     return _solution(
-        spec, config, log, converged, blended, m_list, [h.u for h in hjbs],
+        spec, config, log, converged, m_list, [h.u for h in hjbs],
         [res.mu for res in fixed_points], [res.policy for res in fixed_points], [h.residual_history for h in hjbs],
         inner_converged=inner_converged,
     )
@@ -440,14 +423,14 @@ def solve_measure_iteration(
         mu_traj, m_traj = mu_new, list(traj)
         return e_k, e_k
 
-    log, policies, converged, blended = _picard(spec, m0, config, slice_solve, outer_error)
-    # consistency pass: one undamped pass, so each stored measure is the
+    log, policies, converged = _picard(spec, m0, config, slice_solve, outer_error)
+    # consistency pass: one more pass, so each stored measure is the
     # pushforward of its density through the stored policy
     measures, policies = slice_solve(policies)
     traj = _evolve(spec, m0, config, measures, policies)
     mu_traj = [pushforward(m, a) for m, a in zip(traj, policies)]
     return _solution(
-        spec, config, log, converged, blended, traj, [h.u for h in hjbs], mu_traj, policies,
+        spec, config, log, converged, traj, [h.u for h in hjbs], mu_traj, policies,
         [h.residual_history for h in hjbs],
     )
 

@@ -40,7 +40,6 @@ the tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
@@ -109,7 +108,6 @@ def equation_residual(
     u: GridField,
     lam: float = 0.0,
     coefficients: tuple | None = None,
-    maximizer: Callable | None = None,
 ) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
@@ -119,10 +117,10 @@ def equation_residual(
     the improved policy, and its drift b(x, a(x); nu), shape (n^d, d), and
     running cost l(x, a(x); nu), shape (n^d,), which the next policy
     evaluation uses.  coefficients is spec.coefficients(grid.coordinates(),
-    nu) and maximizer is spec.maximizer(nu), each bound here when not given.
+    nu), bound here when not given.
     """
     grid = u.grid
-    policy = policy_field(spec, grid, gradient_central(u), nu, maximizer)
+    policy = policy_field(spec, grid, gradient_central(u), nu)
     drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
     a = policy.flat()
     bvals, ell = drift(a), cost(a)
@@ -159,16 +157,15 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     """Howard's algorithm in the normalized variables: the returned u holds w,
     with w(x0) = 0, and lam holds s.
 
-    The coefficients and the maximizer are bound once.  Each policy's drift
-    and cost are computed once: for the starting policy here, for every
-    later one by the improvement step that produces it.  The loop stops at
-    the tolerance or at a policy that repeats bit for bit.
+    The coefficients are bound once.  Each policy's drift and cost are
+    computed once: for the starting policy here, for every later one by the
+    improvement step that produces it.  The loop stops at the tolerance or
+    at a policy that repeats bit for bit.
     """
-    maximizer = spec.maximizer(nu)
     if warm_start is not None:
         policy = warm_start
     else:
-        policy = policy_field(spec, grid, tuple(GridField.zeros(grid) for _ in range(grid.d)), nu, maximizer)
+        policy = policy_field(spec, grid, tuple(GridField.zeros(grid) for _ in range(grid.d)), nu)
     coefficients = spec.coefficients(grid.coordinates(), nu)
     drift, cost = coefficients
     bvals, ell = drift(policy.flat()), cost(policy.flat())
@@ -179,7 +176,7 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
         w, s = GridField(grid, ws[:-1]), float(ws[-1])
         u, lam = (GridField(grid, w.flat() + s / rho), 0.0) if rho > 0 else (w, s)
         previous = policy.values.tobytes()
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam, coefficients, maximizer)
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam, coefficients)
         history.append(residual)
         if residual <= tol or policy.values.tobytes() == previous:
             break

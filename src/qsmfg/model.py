@@ -152,15 +152,14 @@ class ModelSpec:
     constants are used by the validator spot-checks, never by the solvers.
 
     coefficients(x, nu) returns the pair (a -> b(x, a; nu), a -> l(x, a; nu))
-    of control functions with x and nu bound; closed_form_control(nu), when
-    given, returns the maximizer (x, p) -> alpha*(x, p; nu) with nu bound.
+    of control functions with x and nu bound.
     """
 
     name: str
     kind: str
     control: ControlSet
     coefficients: Callable  # (x, nu) -> (a -> b (..., d), a -> l (...,))
-    closed_form_control: Optional[Callable] = None  # nu -> ((x, p) -> alpha* (..., k))
+    closed_form_control: Optional[Callable] = None  # alpha*(x, p, nu) -> (..., k)
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
     control_lip_measure: float = 0.0  # lambda_0 of the maximizer w.r.t. W1
@@ -175,19 +174,6 @@ class ModelSpec:
     def running_cost(self, x, a, nu) -> np.ndarray:
         """l(x, a; nu), shape (...,)."""
         return self.coefficients(x, nu)[1](a)
-
-    def maximizer(self, nu) -> Callable:
-        """(x, p) -> the maximizing control in nu, on the control set: the
-        closed form with nu bound once when the model has one, brute force
-        otherwise."""
-        if self.closed_form_control is None:
-            return lambda x, p: brute_force_argmax(self, x, p, nu)
-        alpha_star = self.closed_form_control(nu)
-
-        def maximize(x, p):
-            return self.control.project(alpha_star(np.asarray(x, dtype=float), np.asarray(p, dtype=float)))
-
-        return maximize
 
 
 def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[JointMeasure]) -> JointMeasure:
@@ -269,7 +255,10 @@ def _mesh_spacing(control: ControlSet, m: int) -> float:
 
 def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
     """The maximizing control; closed form when available, brute force otherwise."""
-    return spec.maximizer(nu)(x, p)
+    if spec.closed_form_control is not None:
+        a = spec.closed_form_control(np.asarray(x, dtype=float), np.asarray(p, dtype=float), nu)
+        return spec.control.project(a)
+    return brute_force_argmax(spec, x, p, nu)
 
 
 def hamiltonian_value(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
@@ -288,16 +277,11 @@ def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: Jo
     return -spec.drift(x, a, nu)
 
 
-def policy_field(
-    spec: ModelSpec, grid: Grid, du: Sequence[GridField], nu: JointMeasure, maximizer: Callable | None = None,
-) -> ControlField:
-    """Optimal control at every node for the given value-function gradient.
-
-    maximizer is spec.maximizer(nu), bound here when not given.
-    """
+def policy_field(spec: ModelSpec, grid: Grid, du: Sequence[GridField], nu: JointMeasure) -> ControlField:
+    """Optimal control at every node for the given value-function gradient."""
     x = grid.coordinates()
     p = np.stack([g.flat() for g in du], axis=-1)
-    a = (spec.maximizer(nu) if maximizer is None else maximizer)(x, p)
+    a = optimal_control(spec, x, p, nu)
     return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
 
 
@@ -380,17 +364,13 @@ def _make_quadratic_model(
 
         return b, ell
 
-    def closed_form_control(nu):
+    def alpha_star(x, p, nu):
+        p = np.asarray(p, dtype=float)
         l0 = cost_weight(nu)
-
-        def alpha_star(x, p):
-            p = np.asarray(p, dtype=float)
-            norm = np.linalg.norm(p, axis=-1, keepdims=True)
-            inside = l0 * norm <= radius
-            radial = radius * p / np.maximum(norm, 1e-300)
-            return np.where(inside, l0 * p, radial)
-
-        return alpha_star
+        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+        inside = l0 * norm <= radius
+        radial = radius * p / np.maximum(norm, 1e-300)
+        return np.where(inside, l0 * p, radial)
 
     lip_phi = np.exp(-0.5) / width  # max slope of the Gaussian bump
     coef_bound = max(kappa * radius + radius, radius**2 / (2.0 * delta) + abs(potential))
@@ -400,7 +380,7 @@ def _make_quadratic_model(
         kind=kind,
         control=control,
         coefficients=coefficients,
-        closed_form_control=closed_form_control,
+        closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=coef_lip_x,
         control_lip_measure=radius * eps / delta,
@@ -510,7 +490,7 @@ def separated_cost(
 
         return b, ell
 
-    def alpha_star(x, p):
+    def alpha_star(x, p, nu):
         p = np.asarray(p, dtype=float)
         norm = np.linalg.norm(p, axis=-1, keepdims=True)
         scale = np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
@@ -525,7 +505,7 @@ def separated_cost(
         kind="instant",
         control=control,
         coefficients=coefficients,
-        closed_form_control=lambda nu: alpha_star,
+        closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),
         control_lip_measure=0.0,

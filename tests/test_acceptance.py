@@ -167,7 +167,7 @@ def test_criterion_03_hjb_identities():
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0),
         ),
-        closed_form_control=lambda nu: lambda x, p: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
     sol = solve_discounted(const, _measure(1), 1.0, grid, tol=1e-13)
     assert np.abs(sol.u.values - 2.0).max() <= 1e-11

@@ -66,7 +66,7 @@ def _const_model(c=1.0):
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
         ),
-        closed_form_control=lambda nu: lambda x, p: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
@@ -225,36 +225,23 @@ class TestJointMeasureLoop:
 
 
 class TestOuterLoop:
-    """Plain and damped passes of the outer Picard loop both strategies share."""
+    """The plain outer Picard loop both strategies share."""
 
     STRONG = dict(delta=0.5, eps=1.2, kappa=1.0, potential=0.8)  # criterion 8's strong model
 
     @pytest.mark.parametrize(
-        "errors, damping, expected",
+        "errors, converged",
         [
-            # contractive: every pass is plain
-            ([1.0, 0.5, 0.25, 1e-13], 0.5, (True, [])),
-            # the ratio reaches one at pass 3: damped from pass 4 on, and
-            # damping stays on although pass 4 contracts
-            ([1.0, 0.5, 0.5, 0.1, 0.2, 1e-13], 0.5, (True, [4, 5, 6])),
-            # a growing error after an increment below RATE_FLOOR is no ratio
-            ([1e-9, 5e-9, 4e-9, 1e-13], 0.5, (True, [])),
-            # damping 1.0: the damped regime is entered but never blends
-            ([1.0, 2.0, 1.0, 1e-13], 1.0, (True, [])),
+            ([1.0, 0.5, 0.25, 1e-13], True),
+            # a growing error does not blend: every pass is the map's output
+            ([1.0, 0.5, 0.5, 2.0, 1e-13], True),
             # unconverged at the pass budget
-            ([1.0, 1.0, 1.0, 1.0], 0.5, (False, [3, 4])),
+            ([1.0, 1.0, 1.0, 1.0], False),
         ],
     )
-    def test_scripted_outer_errors(self, monkeypatch, errors, damping, expected):
+    def test_scripted_outer_errors(self, monkeypatch, errors, converged):
         spec = example_one(d=1, **WEAK)
-        cfg = CouplingConfig(T=0.1, dt=0.1, outer_tol=1e-12, max_outer=len(errors), damping=damping)
-        blends = []
-
-        def blend(old, new, weight, control):
-            blends.append((old, new, weight))
-            return ("blend", old, new)
-
-        monkeypatch.setattr(coupling, "blend_policies", blend)
+        cfg = CouplingConfig(T=0.1, dt=0.1, outer_tol=1e-12, max_outer=len(errors))
         monkeypatch.setattr(coupling, "_evolve", lambda *args: "trajectory")
         received, evolved = [], []
 
@@ -266,22 +253,16 @@ class TestOuterLoop:
             evolved.append(policies)
             return (errors[len(evolved) - 1],)
 
-        log, policies, converged, blended = coupling._picard(spec, None, cfg, slice_solve, outer_error)
-        want_converged, damped_passes = expected
-        assert converged is want_converged
+        log, policies, done = coupling._picard(spec, None, cfg, slice_solve, outer_error)
+        assert done is converged
         assert log == [(k, e) for k, e in enumerate(errors, start=1)]
-        assert blended == len(blends) == len(damped_passes)
-        for k, used in enumerate(evolved, start=1):
-            new = ("pass", k)
-            # a damped pass blends the map's output with the policies the
-            # previous pass evolved; a plain pass evolves the output itself
-            assert used == ([("blend", evolved[k - 2][0], new)] if k in damped_passes else [new])
-            assert received[k - 1] == (evolved[k - 2] if k > 1 else None)
-        assert all(weight == damping for _, _, weight in blends)
+        # each pass evolves the map's own output and hands it to the next
+        assert evolved == [[("pass", k)] for k in range(1, len(errors) + 1)]
+        assert received == [None, *evolved[:-1]]
         assert policies == evolved[-1]
 
     @pytest.mark.parametrize("solve", [solve_field_iteration, solve_measure_iteration], ids=["gamma", "psi"])
-    def test_strong_coupling_converges_undamped(self, solve):
+    def test_strong_coupling_converges(self, solve):
         # R L0 / delta = 2.4: the inner fixed point damps, the outer map contracts
         spec = example_one(d=1, **self.STRONG)
         cfg = CouplingConfig(
@@ -291,7 +272,6 @@ class TestOuterLoop:
         sol = solve(spec, two_bump_density(GRID), cfg)
         assert sol.converged
         assert sol.diagnostics["outer_iterations"] <= 4
-        assert sol.diagnostics["outer_damped_passes"] == 0
         errors = [row[1] for row in sol.outer_errors]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 

@@ -55,7 +55,7 @@ def _const_model(c, k=1):
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
         ),
-        closed_form_control=lambda nu: lambda x, p: np.zeros(np.shape(p)),
+        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
