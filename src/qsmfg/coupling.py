@@ -139,7 +139,7 @@ class TrajectorySolution:
     """Time-indexed solution tuple with convergence log and measured residuals."""
 
     times: np.ndarray
-    u: tuple[GridField, ...]
+    u: tuple  # one GridField per time slice
     m: tuple[DensityField, ...]
     mu: tuple[JointMeasure, ...]
     policy: tuple[ControlField, ...]
@@ -154,9 +154,6 @@ class TrajectorySolution:
     def n_slices(self) -> int:
         return len(self.times)
 
-    def du(self, j: int) -> tuple[GridField, ...]:
-        return gradient_central(self.u[j])
-
 
 def blend_policies(old: ControlField, new: ControlField, weight: float, control) -> ControlField:
     """Convex combination of two policies, projected onto the control set."""
@@ -170,14 +167,15 @@ def _zero_policy(spec: ModelSpec, grid: Grid) -> ControlField:
 
 def solve_joint_measure(
     m: DensityField,
-    du: Sequence[GridField],
+    du: np.ndarray,
     spec: ModelSpec,
     tol: float = 1e-9,
     max_iter: int = 300,
     damping: float = 0.5,
 ) -> MuFixedPointResult:
     """Picard iteration for mu = pushforward(m, alpha*(., du; mu)), for an
-    instant model (a history model reads past measures, not mu alone).
+    instant model (a history model reads past measures, not mu alone); du is
+    the (n^d, d) value-function gradient.
 
     Starts from the pushforward of m through the policy computed at the
     reference measure (m times the zero control), so runs are reproducible.
@@ -225,8 +223,8 @@ def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMe
     return slice_measure(spec, times[: j + 1], mu_traj[: j + 1])
 
 
-def _du_gap(du_a: Sequence[GridField], du_b: Sequence[GridField]) -> float:
-    return max(float(np.abs(a.values - b.values).max()) for a, b in zip(du_a, du_b))
+def _du_gap(du_a: np.ndarray, du_b: np.ndarray) -> float:
+    return float(np.abs(du_a - du_b).max())
 
 
 def _max_joint_w1(pairs, scales, state_w1s) -> float:
@@ -547,9 +545,7 @@ def regularity_report(
     report: dict[str, float | None] = {}
 
     u_sup = max(float(np.abs(u.values).max()) for u in sol.u)
-    du_sup = max(
-        max(float(np.abs(c.values).max()) for c in gradient_central(u)) for u in sol.u
-    )
+    du_sup = max(float(np.abs(gradient_central(u)).max()) for u in sol.u)
     lap_sup = max(float(np.abs(laplacian(u).values).max()) for u in sol.u)
     report["u_sup"] = u_sup
     report["du_sup"] = du_sup
@@ -608,7 +604,7 @@ def regularity_report(
     h1 = 0.0
     for m in sol.m:
         gm = gradient_central(m.as_field())
-        dens = (m.values**2).sum() + sum((c.values**2).sum() for c in gm)
+        dens = (m.values**2).sum() + sum((gm[:, ax] ** 2).sum() for ax in range(grid.d))
         h1 += dt * grid.cell_volume * dens
     report["m_h1_surrogate"] = h1
     return report

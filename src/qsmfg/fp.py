@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridField
+from .grid import Grid, vector_values
 from .measure import DensityField
 
 __all__ = ["fp_step", "fp_evolve", "transport_generator"]
@@ -27,27 +27,22 @@ STEP_MASS_TOL = 1e-12
 STEP_NEGATIVE_TOL = 1e-13
 
 
-def _as_drift_array(grid: Grid, g: Sequence[GridField]) -> np.ndarray:
-    if len(g) != grid.d:
-        raise ValueError(f"drift needs {grid.d} components, got {len(g)}")
-    return np.stack([comp.values for comp in g])
-
-
-def transport_generator(grid: Grid, g: Sequence[GridField]) -> sparse.csr_matrix:
-    """Spatial generator L with L m = lap_h(m) + div_h(m g).
+def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
+    """Spatial generator L with L m = lap_h(m) + div_h(m g), g an (n^d, d)
+    drift array.
 
     Advection uses upwind fluxes of the velocity v = -g averaged to cell
     interfaces.  Column sums vanish identically and off-diagonal entries are
     nonnegative, which is what the mass and positivity guarantees rest on.
     """
-    garr = _as_drift_array(grid, g).reshape(grid.d, grid.size)
+    garr = vector_values(grid, g)
     n, h, nbr = grid.size, grid.h, grid.neighbors()
     diag = np.zeros(n)
     off = np.empty((n, 2 * grid.d))
     for ax in range(grid.d):
         plus, minus = nbr[:, 2 * ax], nbr[:, 2 * ax + 1]
         # interface velocity between node i and its +1 neighbor along ax
-        v_iface = -0.5 * (garr[ax] + garr[ax][plus])
+        v_iface = -0.5 * (garr[:, ax] + garr[plus, ax])
         vp = np.maximum(v_iface, 0.0)
         vm = np.minimum(v_iface, 0.0)
         # diffusion 1/h^2 per neighbour, then upwind advection:
@@ -64,8 +59,9 @@ def transport_generator(grid: Grid, g: Sequence[GridField]) -> sparse.csr_matrix
     return mat
 
 
-def fp_step(m: DensityField, g: Sequence[GridField], dt: float) -> DensityField:
-    """One implicit Euler step of dm/dt = lap(m) + div(m g)."""
+def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
+    """One implicit Euler step of dm/dt = lap(m) + div(m g), g an (n^d, d)
+    drift array."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = m.grid
@@ -87,10 +83,10 @@ def fp_step(m: DensityField, g: Sequence[GridField], dt: float) -> DensityField:
     return DensityField(grid, (new / mass).reshape(grid.shape))
 
 
-def fp_evolve(m0: DensityField, drifts: Sequence[Sequence[GridField]], dt: float) -> tuple[DensityField, ...]:
+def fp_evolve(m0: DensityField, drifts: Sequence[np.ndarray], dt: float) -> tuple[DensityField, ...]:
     """Densities at t_j = j*dt, j = 0..len(drifts): one implicit step per
-    drift, drifts[j] frozen on [t_j, t_{j+1})."""
+    (n^d, d) drift array, drifts[j] frozen on [t_j, t_{j+1})."""
     densities = [m0]
     for g in drifts:
-        densities.append(fp_step(densities[-1], tuple(g), dt))
+        densities.append(fp_step(densities[-1], g, dt))
     return tuple(densities)

@@ -24,6 +24,7 @@ __all__ = [
     "gradient_central",
     "gradient_upwind",
     "torus_distance",
+    "vector_values",
 ]
 
 
@@ -139,6 +140,15 @@ def _shifted(f: GridField, ax: int) -> tuple[np.ndarray, np.ndarray]:
     return v[nb[:, 2 * ax]], v[nb[:, 2 * ax + 1]]
 
 
+def vector_values(grid: Grid, values: np.ndarray, name: str = "drift") -> np.ndarray:
+    """values as a float (n^d, d) vector field on grid, column ax the
+    component along axis ax; any other shape is a ValueError."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (grid.size, grid.d):
+        raise ValueError(f"{name} needs shape {(grid.size, grid.d)}, got {v.shape}")
+    return v
+
+
 def laplacian(f: GridField) -> GridField:
     """Second-order periodic Laplacian; node sums vanish to machine precision."""
     v = f.flat()
@@ -150,34 +160,24 @@ def laplacian(f: GridField) -> GridField:
     return GridField(f.grid, out)
 
 
-def gradient_central(f: GridField) -> tuple[GridField, ...]:
-    """Second-order periodic central gradient, one component per axis."""
-    h = f.grid.h
-    out = []
-    for ax in range(f.grid.d):
-        fwd, bwd = _shifted(f, ax)
-        out.append(GridField(f.grid, (fwd - bwd) / (2.0 * h)))
-    return tuple(out)
+def gradient_central(f: GridField) -> np.ndarray:
+    """Second-order periodic central gradient, an (n^d, d) array whose column
+    ax is the component along axis ax."""
+    v, nb = f.flat(), f.grid.neighbors()
+    return (v[nb[:, 0::2]] - v[nb[:, 1::2]]) / (2.0 * f.grid.h)
 
 
-def gradient_upwind(f: GridField, drift: tuple[GridField, ...]) -> tuple[GridField, ...]:
+def gradient_upwind(f: GridField, drift: np.ndarray) -> np.ndarray:
     """One-sided differences selected per node by the sign of the drift.
 
+    drift and the result are (n^d, d) arrays, column ax along axis ax.
     Positive drift takes the forward difference, negative drift the backward
     one; exactly zero drift falls back to the central difference.  This is the
     stencil choice that makes drift terms of the form b . grad(u) assemble
     into M-matrices.
     """
-    if len(drift) != f.grid.d:
-        raise ValueError(f"drift needs {f.grid.d} components, got {len(drift)}")
-    v = f.flat()
-    h = f.grid.h
-    out = []
-    for ax in range(f.grid.d):
-        b = drift[ax].flat()
-        up, down = _shifted(f, ax)
-        fwd = (up - v) / h
-        bwd = (v - down) / h
-        ctr = 0.5 * (fwd + bwd)
-        out.append(GridField(f.grid, np.where(b > 0, fwd, np.where(b < 0, bwd, ctr))))
-    return tuple(out)
+    b = vector_values(f.grid, drift)
+    v, nb = f.flat(), f.grid.neighbors()
+    fwd = (v[nb[:, 0::2]] - v[:, None]) / f.grid.h
+    bwd = (v[:, None] - v[nb[:, 1::2]]) / f.grid.h
+    return np.where(b > 0, fwd, np.where(b < 0, bwd, 0.5 * (fwd + bwd)))

@@ -39,7 +39,7 @@ the tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -124,9 +124,8 @@ def equation_residual(
     drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
     a = policy.flat()
     bvals, ell = drift(a), cost(a)
-    bfields = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(grid.d))
-    dup = gradient_upwind(u, bfields)
-    advect = sum(bvals[:, ax] * dup[ax].flat() for ax in range(grid.d))
+    dup = gradient_upwind(u, bvals)
+    advect = sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d))
     res = rho * u.flat() - laplacian(u).flat() - advect - ell + lam
     return float(np.abs(res).max()), policy, bvals, ell
 
@@ -143,8 +142,7 @@ def solve_discounted(
     """Policy iteration for the discounted stationary HJB equation."""
     if rho <= 0:
         raise ValueError(f"discounted solve needs rho > 0, got {rho}")
-    sol = _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
-    return replace(sol, u=GridField(grid, sol.u.flat() + sol.lam / rho), lam=None)
+    return _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
 
 
 def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e-10) -> HjbSolution:
@@ -154,8 +152,10 @@ def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e
 
 
 def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
-    """Howard's algorithm in the normalized variables: the returned u holds w,
-    with w(x0) = 0, and lam holds s.
+    """Howard's algorithm in the normalized variables (w, s), w(x0) = 0.
+
+    Returns the u at which the last residual was measured: w + s/rho with
+    lam None for rho > 0, and w with lam = s for rho = 0.
 
     The coefficients are bound once.  Each policy's drift and cost are
     computed once: for the starting policy here, for every later one by the
@@ -165,23 +165,23 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     if warm_start is not None:
         policy = warm_start
     else:
-        policy = policy_field(spec, grid, tuple(GridField.zeros(grid) for _ in range(grid.d)), nu)
+        policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), nu)
     coefficients = spec.coefficients(grid.coordinates(), nu)
     drift, cost = coefficients
     bvals, ell = drift(policy.flat()), cost(policy.flat())
     history: list[float] = []
-    w, s, residual = GridField.zeros(grid), 0.0, np.inf
+    u, s, residual = GridField.zeros(grid), 0.0, np.inf
     for _ in range(max_iter):
         ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
-        w, s = GridField(grid, ws[:-1]), float(ws[-1])
-        u, lam = (GridField(grid, w.flat() + s / rho), 0.0) if rho > 0 else (w, s)
+        s = float(ws[-1])
+        u = GridField(grid, ws[:-1] + s / rho if rho > 0 else ws[:-1])
         previous = policy.values.tobytes()
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, lam, coefficients)
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, 0.0 if rho > 0 else s, coefficients)
         history.append(residual)
         if residual <= tol or policy.values.tobytes() == previous:
             break
     return HjbSolution(
-        u=w, policy=policy, residual=residual, lam=s, iterations=len(history),
+        u=u, policy=policy, residual=residual, lam=None if rho > 0 else s, iterations=len(history),
         converged=residual <= tol, residual_history=tuple(history),
     )
 
@@ -221,11 +221,7 @@ def continuous_dependence_report(
     u2 = s2.u.flat()
     w1 = u1 - u1[NORMALIZATION_NODE]
     w2 = u2 - u2[NORMALIZATION_NODE]
-    du1 = gradient_central(s1.u)
-    du2 = gradient_central(s2.u)
-    grad_sup = max(
-        float(np.abs(du1[ax].values - du2[ax].values).max()) for ax in range(grid.d)
-    )
+    grad_sup = float(np.abs(gradient_central(s1.u) - gradient_central(s2.u)).max())
     x = grid.coordinates()[:, None, :]
     mesh = spec.control.mesh(129)[None, :, :]
     (drift1, cost1), (drift2, cost2) = spec.coefficients(x, nu1), spec.coefficients(x, nu2)

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridField, torus_distance
+from .grid import Grid, torus_distance, vector_values
 from .measure import ControlField, JointMeasure, wasserstein1_joint
 
 __all__ = [
@@ -277,18 +277,16 @@ def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: Jo
     return -spec.drift(x, a, nu)
 
 
-def policy_field(spec: ModelSpec, grid: Grid, du: Sequence[GridField], nu: JointMeasure) -> ControlField:
-    """Optimal control at every node for the given value-function gradient."""
-    x = grid.coordinates()
-    p = np.stack([g.flat() for g in du], axis=-1)
-    a = optimal_control(spec, x, p, nu)
+def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, nu: JointMeasure) -> ControlField:
+    """Optimal control at every node for the value-function gradient du, an
+    (n^d, d) array."""
+    a = optimal_control(spec, grid.coordinates(), vector_values(grid, du, "gradient"), nu)
     return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
 
 
-def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> tuple[GridField, ...]:
-    """The Fokker-Planck drift H_p = -b(x, a(x); nu) as a vector grid field."""
-    g = -spec.drift(grid.coordinates(), policy.flat(), nu)
-    return tuple(GridField(grid, g[:, ax].reshape(grid.shape)) for ax in range(grid.d))
+def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
+    """The Fokker-Planck drift H_p = -b(x, a(x); nu) as an (n^d, d) array."""
+    return -spec.drift(grid.coordinates(), policy.flat(), nu)
 
 
 # ---------------------------------------------------------------------------

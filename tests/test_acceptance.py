@@ -129,7 +129,7 @@ def test_criterion_01_mass_positivity():
     rng = np.random.default_rng(0)
     m = von_mises_density(GRID, 0.3, 6.0)
     for _ in range(1000):
-        g = (GridField(GRID, rng.uniform(-5.0, 5.0, GRID.shape)),)
+        g = rng.uniform(-5.0, 5.0, GRID.shape)[:, None]
         m = fp_step(m, g, 0.01)  # raises if the pre-normalization drift > 1e-12
         assert abs(m.mass() - 1.0) <= 1e-12
         assert m.values.min() >= -1e-13
@@ -149,7 +149,7 @@ def test_criterion_02_heat_oracle():
     errors = {}
     for n_steps in (8, 16):
         dt = T / n_steps
-        traj = fp_evolve(m0, [(GridField.constant(GRID, 0.0),)] * n_steps, dt)
+        traj = fp_evolve(m0, [np.zeros((GRID.size, 1))] * n_steps, dt)
         errors[n_steps] = np.abs(traj[-1].flat() - exact).max()
     ratio = errors[8] / errors[16]
     print(f"    first-order errors {errors[8]:.3e} -> {errors[16]:.3e}, ratio {ratio:.3f}")
@@ -207,7 +207,7 @@ def test_criterion_05_mu_contraction():
             m = _random_density(GRID, 100 + trials)
             x = GRID.axis_coordinates()
             vals = rng.uniform(0.25, 0.55) + 0.2 * np.sin(2 * np.pi * (x - rng.random()))
-            du = (GridField(GRID, vals),)
+            du = vals[:, None]
             res = solve_joint_measure(m, du, spec, tol=1e-10, max_iter=400)
             assert res.converged
             if res.rate is not None:
@@ -224,7 +224,7 @@ def test_criterion_06_fixed_point_residual(converged_runs):
 
         for j in range(sol.n_slices):
             nu = _slice_context(spec, sol.times, sol.mu, j)
-            probe = policy_field(spec, sol.m[j].grid, sol.du(j), nu)
+            probe = policy_field(spec, sol.m[j].grid, gradient_central(sol.u[j]), nu)
             residual = wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe))
             assert residual <= cfg.inner_tol, (j, residual)
 
@@ -253,7 +253,7 @@ def test_criterion_08_two_seed(weak_gamma):
 
     def seed_gap(a, b):
         return max(
-            max(np.abs(x.values - y.values).max() for x, y in zip(a.du(j), b.du(j)))
+            np.abs(gradient_central(a.u[j]) - gradient_central(b.u[j])).max()
             + wasserstein1_state(a.m[j], b.m[j])
             for j in range(n_slices)
         )
@@ -275,7 +275,7 @@ def test_criterion_08_two_seed(weak_gamma):
         initial=([seed_u[0]] * (strong_cfg.n_steps + 1), [uniform_density(GRID)] * (strong_cfg.n_steps + 1)),
     )
     strong_gap = max(
-        max(np.abs(x.values - y.values).max() for x, y in zip(a.du(j), b.du(j)))
+        np.abs(gradient_central(a.u[j]) - gradient_central(b.u[j])).max()
         + wasserstein1_state(a.m[j], b.m[j])
         for j in range(strong_cfg.n_steps + 1)
     )
@@ -290,7 +290,7 @@ def test_criterion_09_strategy_equivalence(weak_gamma, weak_psi):
     spec, cfg, gamma_sol = weak_gamma
     _, _, psi_sol = weak_psi
     gap = max(
-        max(np.abs(x.values - y.values).max() for x, y in zip(gamma_sol.du(j), psi_sol.du(j)))
+        np.abs(gradient_central(gamma_sol.u[j]) - gradient_central(psi_sol.u[j])).max()
         + wasserstein1_state(gamma_sol.m[j], psi_sol.m[j])
         for j in range(gamma_sol.n_slices)
     )

@@ -11,14 +11,14 @@ import pytest
 import scipy.linalg
 
 from qsmfg.fp import fp_evolve, fp_step, transport_generator
-from qsmfg.grid import Grid, GridField
+from qsmfg.grid import Grid
 from qsmfg.measure import DensityField, two_bump_density, uniform_density, von_mises_density
 
 GRID = Grid(1, 32)
 
 
 def _const_drift(grid, value):
-    return tuple(GridField.constant(grid, value) for _ in range(grid.d))
+    return np.full((grid.size, grid.d), float(value))
 
 
 def _dense_heat_generator(n, h):
@@ -48,23 +48,33 @@ class TestSingleStep:
         rng = np.random.default_rng(0)
         m = von_mises_density(GRID, 0.3, 5.0)
         for _ in range(50):
-            g = (GridField(GRID, rng.uniform(-5, 5, GRID.shape)),)
+            g = rng.uniform(-5, 5, GRID.shape)[:, None]
             m = fp_step(m, g, 0.02)
             assert abs(m.mass() - 1.0) <= 1e-12
             assert m.values.min() >= 0.0
 
     def test_generator_column_sums_vanish(self):
         rng = np.random.default_rng(1)
-        g = (GridField(GRID, rng.uniform(-5, 5, GRID.shape)),)
+        g = rng.uniform(-5, 5, GRID.shape)[:, None]
         gen = transport_generator(GRID, g)
         np.testing.assert_allclose(np.asarray(gen.sum(axis=0)).ravel(), 0.0, atol=1e-12)
 
     def test_generator_offdiagonals_nonnegative(self):
         rng = np.random.default_rng(2)
-        g = (GridField(GRID, rng.uniform(-5, 5, GRID.shape)),)
+        g = rng.uniform(-5, 5, GRID.shape)[:, None]
         gen = transport_generator(GRID, g).toarray()
         off = gen - np.diag(np.diag(gen))
         assert off.min() >= 0.0
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+    def test_rejects_drift_of_wrong_shape(self, d, n):
+        # a transposed (d, n^d) array, a drift with the other d, and a flat one
+        grid = Grid(d, n)
+        for shape in ((d, grid.size), (grid.size, 3 - d), (grid.size,)):
+            with pytest.raises(ValueError, match="drift needs shape"):
+                transport_generator(grid, np.zeros(shape))
+            with pytest.raises(ValueError, match="drift needs shape"):
+                fp_step(uniform_density(grid), np.zeros(shape), 0.05)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -81,7 +91,7 @@ class TestSingleStep:
             m = DensityField.from_values(
                 GRID, 1.0 + rng.uniform(-0.8, 0.8, GRID.shape), normalize=True
             )
-            g = (GridField(GRID, rng.uniform(-scale, scale, GRID.shape)),)
+            g = rng.uniform(-scale, scale, GRID.shape)[:, None]
             out = fp_step(m, g, dt)
             assert abs(out.mass() - 1.0) <= 1e-12
             assert out.values.min() >= 0.0
@@ -93,7 +103,7 @@ class TestSingleStep:
         rng = np.random.default_rng(3)
         m = von_mises_density(grid, (0.3, 0.7), 3.0)
         for _ in range(5):
-            g = tuple(GridField(grid, rng.uniform(-3, 3, grid.shape)) for _ in range(2))
+            g = np.stack([rng.uniform(-3, 3, grid.size) for _ in range(2)], axis=-1)
             m = fp_step(m, g, 0.02)
             assert abs(m.mass() - 1.0) <= 1e-12
             assert m.values.min() >= 0.0
@@ -181,7 +191,7 @@ class TestEvolve:
     def test_each_drift_drives_its_step(self):
         m0 = von_mises_density(GRID, 0.3, 5.0)
         rng = np.random.default_rng(4)
-        g0, g1 = ((GridField(GRID, rng.uniform(-3, 3, GRID.shape)),) for _ in range(2))
+        g0, g1 = (rng.uniform(-3, 3, GRID.shape)[:, None] for _ in range(2))
         traj = fp_evolve(m0, [g0, g1], 0.05)
         assert len(traj) == 3 and traj[0] is m0
         np.testing.assert_array_equal(traj[1].values, fp_step(m0, g0, 0.05).values)

@@ -73,19 +73,31 @@ def test_operators_equal_roll_reference(d, n, seed):
     rng = np.random.default_rng(seed)
     f = GridField(g, rng.uniform(-2.0, 2.0, g.shape))
     # a drift with exact zeros, which take the central fallback
-    drift = tuple(
-        GridField(g, np.where(rng.random(g.shape) < 0.3, 0.0, rng.uniform(-1.0, 1.0, g.shape)))
-        for _ in range(d)
+    drift = np.stack(
+        [np.where(rng.random(g.shape) < 0.3, 0.0, rng.uniform(-1.0, 1.0, g.shape)).ravel() for _ in range(d)],
+        axis=-1,
     )
     v = f.values
     lap = np.zeros_like(v)
     for ax in range(d):
         lap += _roll_reference(v, ax, g.h, "laplacian")
     np.testing.assert_array_equal(laplacian(f).values, lap)
-    for ax, (ctr, upw) in enumerate(zip(gradient_central(f), gradient_upwind(f, drift))):
-        np.testing.assert_array_equal(ctr.values, _roll_reference(v, ax, g.h, "central"))
-        np.testing.assert_array_equal(upw.values, _roll_reference(v, ax, g.h, "upwind", drift[ax].values))
-        assert (drift[ax].values == 0.0).any()
+    ctr, upw = gradient_central(f), gradient_upwind(f, drift)
+    assert ctr.shape == upw.shape == (g.size, d)
+    for ax in range(d):
+        b = drift[:, ax].reshape(g.shape)
+        np.testing.assert_array_equal(ctr[:, ax], _roll_reference(v, ax, g.h, "central").ravel())
+        np.testing.assert_array_equal(upw[:, ax], _roll_reference(v, ax, g.h, "upwind", b).ravel())
+        assert (b == 0.0).any()
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+def test_gradient_upwind_rejects_drift_of_wrong_shape(d, n):
+    g = Grid(d, n)
+    f = _random_field(g, 5)
+    for shape in ((d, g.size), (g.size, 3 - d), (g.size,)):
+        with pytest.raises(ValueError, match="drift needs shape"):
+            gradient_upwind(f, np.ones(shape))
 
 
 def test_field_requires_finite_values():
@@ -134,42 +146,42 @@ def test_laplacian_sine_second_order():
 
 def test_gradient_central_of_constant_is_zero():
     g = Grid(1, 16)
-    (out,) = gradient_central(GridField.constant(g, -1.3))
-    assert np.abs(out.values).max() == 0.0
+    out = gradient_central(GridField.constant(g, -1.3))
+    assert np.abs(out).max() == 0.0
 
 
 def test_gradient_central_sine():
     g = Grid(1, 64)
     x = g.axis_coordinates()
-    (out,) = gradient_central(GridField(g, np.sin(2 * np.pi * x)))
-    err = np.abs(out.values - 2 * np.pi * np.cos(2 * np.pi * x)).max()
+    out = gradient_central(GridField(g, np.sin(2 * np.pi * x)))[:, 0]
+    err = np.abs(out - 2 * np.pi * np.cos(2 * np.pi * x)).max()
     assert err <= ((2 * np.pi) ** 3 / 6) * g.h**2 * 1.001
 
 
 def test_gradient_upwind_linear_ramp_forward():
     g = Grid(1, 16)
     f = GridField(g, g.axis_coordinates())
-    drift = (GridField.constant(g, 1.0),)
-    (out,) = gradient_upwind(f, drift)
+    drift = np.ones((g.size, 1))
+    out = gradient_upwind(f, drift)[:, 0]
     # interior nodes see slope exactly 1; the wrap node sees the periodic jump
-    assert np.abs(out.values[:-1] - 1.0).max() == 0.0
-    assert out.values[-1] != pytest.approx(1.0)
+    assert np.abs(out[:-1] - 1.0).max() == 0.0
+    assert out[-1] != pytest.approx(1.0)
 
 
 def test_gradient_upwind_constant_field_any_drift():
     g = Grid(1, 16)
     f = GridField.constant(g, 2.5)
-    drift = (_random_field(g, 3),)
-    (out,) = gradient_upwind(f, drift)
-    assert np.abs(out.values).max() == 0.0
+    drift = _random_field(g, 3).flat()[:, None]
+    out = gradient_upwind(f, drift)
+    assert np.abs(out).max() == 0.0
 
 
 def test_gradient_upwind_zero_drift_is_central():
     g = Grid(1, 16)
     f = _random_field(g, 7)
-    upw = gradient_upwind(f, (GridField.constant(g, 0.0),))[0]
-    ctr = gradient_central(f)[0]
-    np.testing.assert_array_equal(upw.values, ctr.values)
+    upw = gradient_upwind(f, np.zeros((g.size, 1)))
+    ctr = gradient_central(f)
+    np.testing.assert_array_equal(upw, ctr)
 
 
 @settings(max_examples=25, deadline=None)
@@ -182,8 +194,8 @@ def test_linearity_of_operators(seed, a, b):
     lhs = laplacian(combo).values
     rhs = a * laplacian(f1).values + b * laplacian(f2).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-    lhs_g = gradient_central(combo)[0].values
-    rhs_g = a * gradient_central(f1)[0].values + b * gradient_central(f2)[0].values
+    lhs_g = gradient_central(combo)
+    rhs_g = a * gradient_central(f1) + b * gradient_central(f2)
     np.testing.assert_allclose(lhs_g, rhs_g, atol=1e-9)
 
 
@@ -197,7 +209,7 @@ def test_translation_equivariance(seed, shift):
         laplacian(shifted).values, np.roll(laplacian(f).values, shift)
     )
     np.testing.assert_array_equal(
-        gradient_central(shifted)[0].values, np.roll(gradient_central(f)[0].values, shift)
+        gradient_central(shifted)[:, 0], np.roll(gradient_central(f)[:, 0], shift)
     )
 
 

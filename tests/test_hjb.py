@@ -262,9 +262,8 @@ class TestNormalizedEvaluation:
         bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
         w, s = GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)), float(rng.uniform(-1.0, 1.0))
         got = _evaluation_matrix(grid, bvals, rho) @ np.append(w.flat(), s)
-        drift = tuple(GridField(grid, bvals[:, ax].reshape(grid.shape)) for ax in range(d))
-        dup = gradient_upwind(w, drift)
-        want = rho * w.flat() - laplacian(w).flat() - sum(bvals[:, ax] * dup[ax].flat() for ax in range(d)) + s
+        dup = gradient_upwind(w, bvals)
+        want = rho * w.flat() - laplacian(w).flat() - sum(bvals[:, ax] * dup[:, ax] for ax in range(d)) + s
         np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-12 * np.abs(want).max())
         assert got[-1] == w.flat()[0]
 
