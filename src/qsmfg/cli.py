@@ -37,8 +37,9 @@ EXIT_NO_CONVERGENCE = 3
 # config "tolerances" keys and the CouplingConfig fields they set
 TOLERANCE_FIELDS = {"outer": "outer_tol", "inner": "inner_tol", "hjb": "hjb_tol", "ergodic": "ergodic_tol"}
 
-# initial-density kinds and the "m0" keys each takes besides "kind"
-M0_PARAMS = {"uniform": (), "vonmises": ("center", "concentration"), "twobump": ("centers", "concentration")}
+# initial-density kinds and their builders, called as builder(grid, **m0_params);
+# the "m0" keys a kind takes besides "kind" are its builder's parameters after grid
+M0_BUILDERS = {"uniform": uniform_density, "vonmises": von_mises_density, "twobump": two_bump_density}
 
 # top-level config keys; any other key is a config error
 CONFIG_KEYS = frozenset({
@@ -106,8 +107,9 @@ def _floats(payload: dict, key, where: str, length: int) -> list:
 def _m0_params(m0_cfg: dict, kind: str, d: int) -> dict:
     """The typed parameters of an m0 section; a key the kind does not take is
     a ConfigError naming it."""
+    accepted = list(inspect.signature(M0_BUILDERS[kind]).parameters)[1:]
     for key in m0_cfg:
-        if key != "kind" and key not in M0_PARAMS[kind]:
+        if key != "kind" and key not in accepted:
             raise ConfigError(f"m0.{key}", f"not a parameter of m0 kind {kind!r}")
     params = {}
     if "concentration" in m0_cfg:
@@ -201,7 +203,7 @@ def parse_config(payload: dict) -> RunConfig:
 
     m0_cfg = _get(payload, "m0", dict, default={"kind": "uniform"})
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
-    if m0_kind not in M0_PARAMS:
+    if m0_kind not in M0_BUILDERS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
 
     return RunConfig(
@@ -240,19 +242,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_initial_density(cfg: RunConfig, grid: Grid) -> DensityField:
-    if cfg.m0_kind == "uniform":
-        return uniform_density(grid)
-    if cfg.m0_kind == "vonmises":
-        return von_mises_density(
-            grid,
-            center=cfg.m0_params.get("center", 0.5),
-            concentration=cfg.m0_params.get("concentration", 4.0),
-        )
-    return two_bump_density(
-        grid,
-        centers=tuple(cfg.m0_params.get("centers", (0.25, 0.75))),
-        concentration=cfg.m0_params.get("concentration", 6.0),
-    )
+    return M0_BUILDERS[cfg.m0_kind](grid, **cfg.m0_params)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:

@@ -337,6 +337,8 @@ def solve_field_iteration(
         m_list: list[DensityField] = [m0] * n_slices
     else:
         u_list, m_list = list(initial[0]), list(initial[1])
+        if len(u_list) != n_slices or len(m_list) != n_slices:
+            raise ValueError("initial value trajectory has the wrong length")
     du_list = [gradient_central(u) for u in u_list]
     fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
     hjbs: list = []  # and the HJB solutions in their measures
@@ -452,7 +454,9 @@ def solve_vanishing_discount(
     rho * u(x0) are extracted; the driver stops when the combined
     per-slice increments (including the state W1 distance) fall below the
     ergodic tolerance, or runs the whole sequence if configured to.  The last
-    level is re-verified against direct ergodic solves slice by slice.
+    level is re-verified against direct ergodic solves slice by slice.  The
+    diagnostics are the last level's, except outer_iterations, which sums
+    the outer passes of every level.
     """
     if not config.rho_sequence:
         raise ValueError("ergodic driver needs a nonempty rho_sequence")
@@ -465,9 +469,11 @@ def solve_vanishing_discount(
     prev = None
     initial = None
     rho_used: list[float] = []
+    outer_iterations = 0
 
     for rho in config.rho_sequence:
         sol = _run_strategy(spec, m0, replace(config, rho=float(rho)), initial=initial)
+        outer_iterations += sol.diagnostics["outer_iterations"]
         u0 = np.array([s.flat()[NORMALIZATION_NODE] for s in sol.u])
         w = [GridField(grid, s.flat() - c) for s, c in zip(sol.u, u0)]
         lam = rho * u0
@@ -499,6 +505,7 @@ def solve_vanishing_discount(
     diagnostics = dict(sol.diagnostics)
     diagnostics.update(
         {
+            "outer_iterations": outer_iterations,
             "rho_sequence": rho_used,
             "increments": increments,
             "value_increments": value_increments,

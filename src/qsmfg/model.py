@@ -98,14 +98,29 @@ class ControlSet:
             return np.linspace(-self.radius, self.radius, mm)[:, None]
         if self.k == 2:
             # polar mesh: nested radii, angle count a power of two, exact boundary ring
-            mr = _snap_mesh_count(int(np.ceil(np.sqrt(mm))))
-            na = 2 ** int(np.ceil(np.log2(4 * mr)))
+            mr, na = _polar_counts(mm)
             radii = np.linspace(0.0, self.radius, mr)
             angles = 2.0 * np.pi * np.arange(na) / na
             rr, tt = np.meshgrid(radii[1:], angles, indexing="ij")
             pts = np.stack([rr.ravel() * np.cos(tt.ravel()), rr.ravel() * np.sin(tt.ravel())], axis=-1)
             return np.vstack([np.zeros((1, 2)), pts])
         raise ValueError(f"mesh generation supports k <= 2, got k={self.k}")
+
+
+def _mesh_spacing(control: ControlSet, m: int) -> float:
+    """Largest step of control.mesh(m): the point spacing for k = 1; for k = 2
+    the larger of the radial step and the arc step on the boundary ring."""
+    mm = _snap_mesh_count(m)
+    if control.k == 1:
+        return 2.0 * control.radius / (mm - 1)
+    mr, na = _polar_counts(mm)
+    return max(control.radius / (mr - 1), 2.0 * np.pi * control.radius / na)
+
+
+def _polar_counts(mm: int) -> tuple[int, int]:
+    """Radius and angle counts of the k = 2 polar mesh for mm points per axis."""
+    mr = _snap_mesh_count(int(np.ceil(np.sqrt(mm))))
+    return mr, 2 ** int(np.ceil(np.log2(4 * mr)))
 
 
 def memory_aggregate(
@@ -217,15 +232,14 @@ def brute_force_argmax(
     objective = -(pb * bv).sum(axis=-1) - lv  # (N, M)
     best = np.argmax(objective, axis=1)
     if _warn:
-        _brute_force_diagnostics(spec, cand, objective, best)
+        _brute_force_diagnostics(spec, cand, objective, best, _mesh_spacing(spec.control, mesh))
     return cand[best]
 
 
-def _brute_force_diagnostics(spec, cand, objective, best) -> None:
+def _brute_force_diagnostics(spec, cand, objective, best, spacing) -> None:
     m = cand.shape[0]
     best_vals = objective[np.arange(objective.shape[0]), best]
     # non-uniqueness: another near-maximal candidate far from the winner
-    spacing = _mesh_spacing(spec.control, m)
     near = objective >= best_vals[:, None] - 1e-9 * (1.0 + np.abs(best_vals[:, None]))
     for i in np.nonzero(near.sum(axis=1) > 1)[0][:4]:
         others = cand[near[i]]
@@ -247,10 +261,6 @@ def _brute_force_diagnostics(spec, cand, objective, best) -> None:
             MeshResolutionWarning,
             stacklevel=3,
         )
-
-
-def _mesh_spacing(control: ControlSet, m: int) -> float:
-    return 2.0 * control.radius / (_snap_mesh_count(m) - 1)
 
 
 def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:

@@ -11,6 +11,7 @@ from qsmfg.grid import Grid
 from qsmfg.model import build_model
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+WORKLOAD_DIR = Path(__file__).parent.parent / "perfbench" / "workloads"
 SRC_DIR = Path(__file__).parent.parent / "src" / "qsmfg"
 
 MINIMAL = {
@@ -378,10 +379,16 @@ class TestValidate:
         assert report["all_ok"] is True
         assert "closed_form_vs_brute_force" in report
 
-    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize(
+        "path",
+        sorted(CONFIG_DIR.glob("*.json")) + sorted(WORKLOAD_DIR.glob("*/config.json")),
+        ids=lambda p: p.stem if p.parent == CONFIG_DIR else p.parent.name,
+    )
     def test_validate_shipped_config(self, capsys, path):
         # every check's flag must serialize: a numpy bool in the report
-        # would make json.dumps raise
+        # would make json.dumps raise; the 2D workload compares the closed
+        # form against the polar control mesh, whose step is the arc or
+        # radial step, not the 1D point spacing
         assert main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["all_ok"] is True
 

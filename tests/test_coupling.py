@@ -355,6 +355,23 @@ class TestFieldIteration:
             solve_field_iteration(spec, uniform_density(GRID), cfg)
 
 
+@pytest.mark.parametrize("strategy", ["gamma", "psi"])
+def test_warm_start_of_wrong_length_rejected(strategy):
+    # five slices on [0, 0.2]; a warm start of two or of six slices is refused
+    # instead of being cut to the shorter length
+    spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
+    cfg = CouplingConfig(T=0.2, dt=0.05, strategy=strategy)
+    if strategy == "gamma":
+        solve, first = solve_field_iteration, GridField.zeros(GRID)
+    else:
+        solve, first = solve_measure_iteration, pushforward(m0, ControlField(GRID, np.zeros(GRID.shape)))
+    for n in (2, 6):
+        with pytest.raises(ValueError, match="initial .* trajectory has the wrong length"):
+            solve(spec, m0, cfg, initial=([first] * n, [m0] * n))
+    with pytest.raises(ValueError, match="wrong length"):
+        solve(spec, m0, cfg, initial=([first] * 5, [m0] * 2))
+
+
 class TestMeasureIteration:
     def test_zero_kernel_memory_model_decouples(self):
         spec = example_two(d=1, kernel_kind="zero", potential=0.3)
@@ -485,6 +502,28 @@ class TestErgodicDriver:
         assert np.abs(gamma.lam - psi.lam).max() <= 10 * cfg.outer_tol
         m_gap = max(np.abs(a.values - b.values).max() for a, b in zip(gamma.m, psi.m))
         assert m_gap <= 10 * cfg.outer_tol
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_outer_iterations_sum_over_levels(self, monkeypatch, strategy):
+        # the driver reports the outer passes of every discount level, while
+        # each level's strategy still returns its own count
+        levels = []
+        for name in ("solve_field_iteration", "solve_measure_iteration"):
+            def counted(*args, _solve=getattr(coupling, name), **kwargs):
+                sol = _solve(*args, **kwargs)
+                levels.append(sol.diagnostics["outer_iterations"])
+                return sol
+
+            monkeypatch.setattr(coupling, name, counted)
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
+            rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
+        )
+        sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
+        assert len(levels) == 3 and min(levels) >= 1
+        assert sol.diagnostics["outer_iterations"] == sum(levels) > levels[-1]
+        assert sol.diagnostics["final_outer_error"] == sol.outer_errors[-1][1]
+        assert len(sol.outer_errors) == levels[-1]
 
     def test_history_model_converges(self):
         spec = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
