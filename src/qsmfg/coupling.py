@@ -223,10 +223,6 @@ def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMe
     return slice_measure(spec, times[: j + 1], mu_traj[: j + 1])
 
 
-def _du_gap(du_a: np.ndarray, du_b: np.ndarray) -> float:
-    return float(np.abs(du_a - du_b).max())
-
-
 def _max_joint_w1(pairs, scales, state_w1s) -> float:
     """Largest wasserstein1_joint(nu1, nu2) / scale over the pairs; -inf for none.
 
@@ -361,7 +357,7 @@ def solve_field_iteration(
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
         new_du = [gradient_central(h.u) for h in hjbs]
-        du_errs = [_du_gap(a, b) for a, b in zip(new_du, du_list)]
+        du_errs = [float(np.abs(a - b).max()) for a, b in zip(new_du, du_list)]
         m_errs = [wasserstein1_state(a, b) for a, b in zip(traj, m_list)]
         m_list, du_list = list(traj), new_du
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
@@ -585,7 +581,7 @@ def regularity_report(
     best_du = best_m = 0.0
     for j, k in _pairs(STATE_PAIRS):
         root = np.sqrt(sol.times[k] - sol.times[j])
-        best_du = max(best_du, _du_gap(du_fields[j], du_fields[k]) / root)
+        best_du = max(best_du, float(np.abs(du_fields[j] - du_fields[k]).max()) / root)
         state_w1[j, k] = wasserstein1_state(sol.m[j], sol.m[k])
         best_m = max(best_m, state_w1[j, k] / root)
     # the densities' W1 bounds the joint W1 only where each stored measure

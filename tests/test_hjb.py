@@ -206,11 +206,12 @@ class TestPolicyRepeat:
         sol = _policy_iteration(spec, nu, rho, grid, tol, 80, None)
         assert sol.iterations < 80 and not sol.converged
         assert sol.residual == sol.residual_history[-1] > tol
-        # one more evaluation of the returned policy reproduces the solve
+        # one more evaluation of the returned policy reproduces the solve;
+        # u = w + s/rho carries the normalization constant s, and lam is None
         more = _policy_iteration(spec, nu, rho, grid, tol, 1, sol.policy)
         np.testing.assert_array_equal(more.u.values, sol.u.values)
         np.testing.assert_array_equal(more.policy.values, sol.policy.values)
-        assert more.lam == sol.lam and more.residual == sol.residual
+        assert more.lam is None and sol.lam is None and more.residual == sol.residual
         # the public solve reports the same stop
         public = solve_discounted(spec, nu, rho, grid, tol=tol)
         assert public.iterations == sol.iterations and public.residual == sol.residual
