@@ -15,7 +15,6 @@ from .fp import fp_evolve, fp_step, transport_generator
 from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
 from .hjb import (
     HjbSolution,
-    continuous_dependence_report,
     equation_residual,
     solve_discounted,
     solve_ergodic,

@@ -1,8 +1,9 @@
 """Config-driven experiment runner: run, validate, and sweep subcommands.
 
 Configs are single JSON files; outputs are data-only (CSV, compact binary,
-summary JSON) for external plotting.  Exit codes: 0 success, 2 config error,
-3 solver non-convergence (logs are still written) or solver failure.
+summary JSON) for external plotting.  Exit codes: 0 success, every tolerance
+met; 2 config error; 3 solver failure, or a run that missed a tolerance (logs
+are still written, and summary.json names the failed checks).
 """
 
 from __future__ import annotations
@@ -306,6 +307,7 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
         "mode": cfg.mode,
         "strategy": cfg.coupling.strategy,
         "converged": bool(sol.converged),
+        "failures": sol.diagnostics["failures"],
         "outer_iterations": int(sol.diagnostics.get("outer_iterations", 0)),
         "final_outer_error": sol.diagnostics.get("final_outer_error"),
         "hjb_residual_max": float(sol.hjb_residuals.max()) if sol.hjb_residuals.size else None,
@@ -348,7 +350,8 @@ def run(config_path: str) -> int:
     if sol is None:
         return EXIT_NO_CONVERGENCE
     if not sol.converged:
-        print("warning: solver did not reach the outer tolerance; logs written", file=sys.stderr)
+        failures = ", ".join(sol.diagnostics["failures"])
+        print(f"warning: tolerances not met ({failures}); logs written", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"ok: {cfg.mode}/{cfg.coupling.strategy} run converged; outputs in {cfg.output_dir}")
     return EXIT_OK

@@ -30,16 +30,18 @@ result is the full loop's maximum bit for bit, with only the LPs that can set
 it solved.
 
 The ergodic system is solved by driving the discounted solver through a
-geometric discount sequence and extracting the normalized value functions and
-per-slice cost estimates; the limit is cross-checked against direct ergodic
-solves.
+geometric discount sequence; each level's per-slice HJB pairs (w, s) are the
+normalized value functions and cost estimates, and the limit is cross-checked
+against direct ergodic solves.
 
 Both strategies finish with one consistency pass: gamma re-solves each slice
 once on the final densities and gradients, psi runs one more pass.  The
 stored joint measure is an exact pushforward of the stored density through
 the stored policy, and one probe measures, rather than assumes, the per-slice
 residuals of the HJB and measure equations.  A pass whose residuals miss a
-tolerance is reported as measured, not retried.
+tolerance is reported as measured, not retried: converged holds only when
+every tolerance was met, and diagnostics["failures"] names each check that
+missed one.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .fp import fp_evolve
 from .grid import Grid, GridField, gradient_central, laplacian
-from .hjb import NORMALIZATION_NODE, equation_residual, solve_discounted, solve_ergodic
+from .hjb import equation_residual, solve_discounted, solve_ergodic, value_function
 from .measure import (
     ControlField,
     DensityField,
@@ -136,13 +138,24 @@ class MuFixedPointResult:
 
 @dataclass(frozen=True)
 class TrajectorySolution:
-    """Time-indexed solution tuple with convergence log and measured residuals."""
+    """Time-indexed solution tuple with convergence log and measured residuals.
+
+    w and s hold each slice's normalized HJB pair (hjb.HjbSolution), and u
+    and lam their value_function reading.  converged holds only when every
+    tolerance was met; diagnostics["failures"] names each check that was not:
+    "outer", "inner" and "hjb" for any outer loop, joint-measure fixed point
+    or HJB solve that missed its tolerance, "hjb_residual" and "mu_residual"
+    for measured residuals above hjb_tol and inner_tol, and "ergodic" for a
+    discount sequence whose increments stayed above ergodic_tol.
+    """
 
     times: np.ndarray
     u: tuple  # one GridField per time slice
     m: tuple[DensityField, ...]
     mu: tuple[JointMeasure, ...]
     policy: tuple[ControlField, ...]
+    w: tuple  # one GridField per time slice, zero at the normalization node
+    s: np.ndarray  # one value per time slice
     lam: Optional[np.ndarray] = None  # per-slice ergodic cost, ergodic runs only
     converged: bool = True
     outer_errors: tuple = ()  # rows (iteration, total, component...) per pass
@@ -270,39 +283,56 @@ def _picard(spec, m0, config, slice_solve, outer_error):
     return log, policies, False
 
 
-def _measured_residuals(spec, config, m, mu, u):
-    """Per-slice residuals of a stored tuple (m, mu, u), measured, not assumed.
+def _measured_residuals(spec, config, m, mu, w, s):
+    """Per-slice residuals of a stored tuple (m, mu, (w, s)), measured, not assumed.
 
-    The HJB residual of slice j is equation_residual of u[j] in the measure
-    the slice's Hamiltonian reads; the measure residual is the joint W1
-    between mu[j] and the pushforward of m[j] through the improved policy
-    that call returns.
+    The HJB residual of slice j is equation_residual of the pair (w[j], s[j])
+    in the measure the slice's Hamiltonian reads; the measure residual is the
+    joint W1 between mu[j] and the pushforward of m[j] through the improved
+    policy that call returns.
     """
     times = config.times()
     hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
-    for j, (m_j, mu_j, u_j) in enumerate(zip(m, mu, u)):
-        hjb_res[j], probe, _, _ = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, u_j)
+    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(m, mu, w, s)):
+        hjb_res[j], probe, _, _ = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, w_j, s_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     return hjb_res, mu_res
 
 
-def _solution(spec, config, log, converged, m, u, mu, policy, histories, **extra):
-    """TrajectorySolution of an outer strategy, with its shared diagnostics and
-    the measured residuals of the stored tuple."""
-    hjb_res, mu_res = _measured_residuals(spec, config, m, mu, u)
+def _failed_checks(**results) -> set:
+    """The names whose group of solver results holds one that did not converge."""
+    return {name for name, group in results.items() if not all(r.converged for r in group)}
+
+
+def _solution(spec, config, log, converged, failed, m, hjbs, mu, policy):
+    """TrajectorySolution of an outer strategy from its last per-slice HJB
+    solutions, with its shared diagnostics and the measured residuals of the
+    stored tuple.  failed holds the checks the slice solves missed; an
+    unconverged outer loop and the measured residuals add theirs."""
+    w, s = tuple(h.w for h in hjbs), np.array([h.s for h in hjbs])
+    hjb_res, mu_res = _measured_residuals(spec, config, m, mu, w, s)
+    failed = set(failed)
+    if not converged:
+        failed.add("outer")
+    if hjb_res.max() > config.hjb_tol:
+        failed.add("hjb_residual")
+    if mu_res.max() > config.inner_tol:
+        failed.add("mu_residual")
     diagnostics = {
         "outer_iterations": len(log),
         "final_outer_error": log[-1][1] if log else 0.0,
-        **extra,
-        "hjb_residual_histories": tuple(histories),
+        "failures": sorted(failed),
+        "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
     }
     return TrajectorySolution(
         times=config.times(),
-        u=tuple(u),
+        u=tuple(h.u for h in hjbs),
         m=tuple(m),
         mu=tuple(mu),
         policy=tuple(policy),
-        converged=converged,
+        w=w,
+        s=s,
+        converged=not failed,
         outer_errors=tuple(log),
         hjb_residuals=hjb_res,
         mu_residuals=mu_res,
@@ -338,20 +368,20 @@ def solve_field_iteration(
     du_list = [gradient_central(u) for u in u_list]
     fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
     hjbs: list = []  # and the HJB solutions in their measures
-    inner_converged = True
+    failed: set = set()
 
     def slice_solve(_policies_prev):
-        nonlocal inner_converged, fixed_points, hjbs
+        nonlocal fixed_points, hjbs
         fixed_points, hjbs = [], []
         for m, du in zip(m_list, du_list):
             res = solve_joint_measure(
                 m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
             )
-            inner_converged &= res.converged
             fixed_points.append(res)
             hjbs.append(solve_discounted(
                 spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.policy,
             ))
+        failed.update(_failed_checks(inner=fixed_points, hjb=hjbs))
         return [res.mu for res in fixed_points], [h.policy for h in hjbs]
 
     def outer_error(traj, _policies):
@@ -365,9 +395,8 @@ def solve_field_iteration(
     log, _, converged = _picard(spec, m0, config, slice_solve, outer_error)
     slice_solve(None)  # consistency solve on the final densities and gradients
     return _solution(
-        spec, config, log, converged, m_list, [h.u for h in hjbs],
-        [res.mu for res in fixed_points], [res.policy for res in fixed_points], [h.residual_history for h in hjbs],
-        inner_converged=inner_converged,
+        spec, config, log, converged, failed, m_list, hjbs,
+        [res.mu for res in fixed_points], [res.policy for res in fixed_points],
     )
 
 
@@ -399,6 +428,7 @@ def solve_measure_iteration(
         if len(mu_traj) != n_slices or len(m_traj) != n_slices:
             raise ValueError("initial measure trajectory has the wrong length")
     hjbs: list = []
+    failed: set = set()
 
     def slice_solve(warm):
         nonlocal hjbs
@@ -409,6 +439,7 @@ def solve_measure_iteration(
             )
             for j, nu in enumerate(measures)
         ]
+        failed.update(_failed_checks(hjb=hjbs))
         return measures, [h.policy for h in hjbs]
 
     def outer_error(traj, policies):
@@ -425,10 +456,7 @@ def solve_measure_iteration(
     measures, policies = slice_solve(policies)
     traj = _evolve(spec, m0, config, measures, policies)
     mu_traj = [pushforward(m, a) for m, a in zip(traj, policies)]
-    return _solution(
-        spec, config, log, converged, traj, [h.u for h in hjbs], mu_traj, policies,
-        [h.residual_history for h in hjbs],
-    )
+    return _solution(spec, config, log, converged, failed, traj, hjbs, mu_traj, policies)
 
 
 def _run_strategy(spec, m0, config, initial=None) -> TrajectorySolution:
@@ -444,15 +472,16 @@ def solve_vanishing_discount(
 ) -> TrajectorySolution:
     """Ergodic driver: discounted solves along a decreasing discount sequence.
 
-    Each level starts from the last one's solution: gamma from its (u, m),
-    psi from its (mu, m).  At each level the normalized value w = u - u(x0),
-    x0 the HJB normalization node, and the per-slice cost estimate
-    rho * u(x0) are extracted; the driver stops when the combined
-    per-slice increments (including the state W1 distance) fall below the
-    ergodic tolerance, or runs the whole sequence if configured to.  The last
-    level is re-verified against direct ergodic solves slice by slice.  The
-    diagnostics are the last level's, except outer_iterations, which sums
-    the outer passes of every level.
+    Each level starts from the last one's solution: gamma from its (w, m),
+    psi from its (mu, m).  Each level's per-slice HJB pairs (w, s) are the
+    normalized values, zero at the HJB normalization node, and the per-slice
+    cost estimates; the driver stops when the combined per-slice increments
+    (including the state W1 distance) fall below the ergodic tolerance, or
+    runs the whole sequence if configured to.  The last level is re-verified
+    against direct ergodic solves slice by slice.  The diagnostics are the
+    last level's, except outer_iterations, which sums the outer passes of
+    every level, and failures, which names the checks any level missed and
+    "ergodic" if the increments never reached the tolerance.
     """
     if not config.rho_sequence:
         raise ValueError("ergodic driver needs a nonempty rho_sequence")
@@ -466,42 +495,40 @@ def solve_vanishing_discount(
     initial = None
     rho_used: list[float] = []
     outer_iterations = 0
+    failed: set = set()
 
     for rho in config.rho_sequence:
         sol = _run_strategy(spec, m0, replace(config, rho=float(rho)), initial=initial)
         outer_iterations += sol.diagnostics["outer_iterations"]
-        u0 = np.array([s.flat()[NORMALIZATION_NODE] for s in sol.u])
-        w = [GridField(grid, s.flat() - c) for s, c in zip(sol.u, u0)]
-        lam = rho * u0
+        failed.update(sol.diagnostics["failures"])
         rho_used.append(float(rho))
         if prev is not None:
-            w_prev, lam_prev, m_prev = prev
             gaps = [
-                abs(lam[j] - lam_prev[j]) + float(np.abs(w[j].values - w_prev[j].values).max())
+                abs(sol.s[j] - prev.s[j]) + float(np.abs(sol.w[j].values - prev.w[j].values).max())
                 for j in range(n_slices)
             ]
             value_increments.append(max(gaps))
-            increments.append(max(g + wasserstein1_state(sol.m[j], m_prev[j]) for j, g in enumerate(gaps)))
-        prev = (w, lam, sol.m)
-        initial = (sol.u if config.strategy == "gamma" else sol.mu, sol.m)
+            increments.append(max(g + wasserstein1_state(sol.m[j], prev.m[j]) for j, g in enumerate(gaps)))
+        prev = sol
+        initial = (sol.w if config.strategy == "gamma" else sol.mu, sol.m)
         converged = bool(increments) and increments[-1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
 
     # per-slice cross-check against the direct ergodic solver
-    w_final, lam_final, _ = prev
     direct_gaps = np.zeros(n_slices)
     for j in range(n_slices):
         nu = _slice_context(spec, times, sol.mu, j)
         es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
-        direct_gaps[j] = abs(es.lam - lam_final[j]) + float(
-            np.abs(es.u.values - w_final[j].values).max()
-        )
+        direct_gaps[j] = abs(es.s - sol.s[j]) + float(np.abs(es.w.values - sol.w[j].values).max())
 
+    if not converged:
+        failed.add("ergodic")
     diagnostics = dict(sol.diagnostics)
     diagnostics.update(
         {
             "outer_iterations": outer_iterations,
+            "failures": sorted(failed),
             "rho_sequence": rho_used,
             "increments": increments,
             "value_increments": value_increments,
@@ -509,9 +536,8 @@ def solve_vanishing_discount(
             "achieved_increment": increments[-1] if increments else None,
         }
     )
-    return replace(
-        sol, u=tuple(w_final), lam=lam_final, converged=converged and sol.converged, diagnostics=diagnostics,
-    )
+    u, lam = zip(*(value_function(w, s, 0.0) for w, s in zip(sol.w, sol.s)))
+    return replace(sol, u=u, lam=np.array(lam), converged=not failed, diagnostics=diagnostics)
 
 
 def solve_system(

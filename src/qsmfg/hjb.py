@@ -21,11 +21,18 @@ belongs to the coupled driver, coupling.solve_vanishing_discount.  The CSR
 matrix is filled row by row from the grid's neighbour table, and every
 evaluation, in every dimension, is one sparse direct solve.
 
+The pair (w, s) is the one form in which a value function leaves this
+module: the residual is measured and the policy improved on it, and
+value_function reads it as (u, lam), u = w + s/rho for rho > 0 and
+(u, lam) = (w, s) for rho = 0.  Forming u = w + s/rho rounds w to the size
+of s/rho, which grows as the discount vanishes, so residuals and policies are
+computed on the pair, never on u.
+
 The measure is frozen within a solve, so each solve binds the model's
 coefficients to the grid nodes and the measure once (ModelSpec.coefficients)
 and evaluates every policy through the bound functions: the measure terms are
 computed once per solve, and the drift and running cost of each policy once.
-The improvement step is equation_residual: at the current value it returns
+The improvement step is equation_residual: at the current pair it returns
 the residual, the improved policy, and that policy's drift and cost, which
 the next evaluation assembles its matrix and right-hand side from.
 
@@ -54,8 +61,7 @@ __all__ = [
     "solve_discounted",
     "solve_ergodic",
     "equation_residual",
-    "continuous_dependence_report",
-    "ContinuousDependenceReport",
+    "value_function",
 ]
 
 NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0
@@ -63,19 +69,30 @@ NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0
 
 @dataclass(frozen=True)
 class HjbSolution:
-    """Value function, policy, and solve diagnostics for one stationary problem.
+    """Normalized pair, policy, and solve diagnostics for one stationary problem.
 
-    For ergodic solves `lam` holds the ergodic cost and `u` is normalized to
-    vanish at the node with coordinate zero.
+    w vanishes at NORMALIZATION_NODE; s is rho*u(x0) for a discounted
+    problem and the ergodic constant for the cell problem.  (u, lam) is the
+    pair read by value_function.
     """
 
+    w: GridField
+    s: float
     u: GridField
+    lam: float | None
     policy: ControlField
     residual: float
-    lam: float | None = None
     iterations: int = 0
     converged: bool = True
     residual_history: tuple[float, ...] = ()
+
+
+def value_function(w: GridField, s: float, rho: float) -> tuple[GridField, float | None]:
+    """The value function and ergodic constant a normalized pair stands for:
+    (w + s/rho, None) at a discount rho > 0, (w, s) for the ergodic problem."""
+    if rho > 0:
+        return GridField(w.grid, w.values + s / rho), None
+    return w, s
 
 
 def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_matrix:
@@ -105,28 +122,28 @@ def equation_residual(
     spec: ModelSpec,
     nu: JointMeasure,
     rho: float,
-    u: GridField,
-    lam: float = 0.0,
+    w: GridField,
+    s: float = 0.0,
     coefficients: tuple | None = None,
 ) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
-    Evaluates rho*u - lap_h(u) - b . grad_h^up(u) - l (+ lam for ergodic
-    problems) with the policy recomputed from the central gradient of u; this
-    is the quantity policy iteration drives to zero.  Returns the residual,
-    the improved policy, and its drift b(x, a(x); nu), shape (n^d, d), and
-    running cost l(x, a(x); nu), shape (n^d,), which the next policy
-    evaluation uses.  coefficients is spec.coefficients(grid.coordinates(),
-    nu), bound here when not given.
+    Evaluates rho*w + s - lap_h(w) - b . grad_h^up(w) - l on the normalized
+    pair (w, s), with the policy recomputed from the central gradient of w;
+    this is the quantity policy iteration drives to zero, for rho > 0 and
+    rho = 0 alike.  Returns the residual, the improved policy, and its drift
+    b(x, a(x); nu), shape (n^d, d), and running cost l(x, a(x); nu), shape
+    (n^d,), which the next policy evaluation uses.  coefficients is
+    spec.coefficients(grid.coordinates(), nu), bound here when not given.
     """
-    grid = u.grid
-    policy = policy_field(spec, grid, gradient_central(u), nu)
+    grid = w.grid
+    policy = policy_field(spec, grid, gradient_central(w), nu)
     drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
     a = policy.flat()
     bvals, ell = drift(a), cost(a)
-    dup = gradient_upwind(u, bvals)
+    dup = gradient_upwind(w, bvals)
     advect = sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d))
-    res = rho * u.flat() - laplacian(u).flat() - advect - ell + lam
+    res = rho * w.flat() + s - laplacian(w).flat() - advect - ell
     return float(np.abs(res).max()), policy, bvals, ell
 
 
@@ -146,16 +163,16 @@ def solve_discounted(
 
 
 def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e-10) -> HjbSolution:
-    """Ergodic cell problem, normalized by u(x0) = 0: the ergodic constant is
-    the extra unknown of the augmented system (rho = 0), returned as lam."""
+    """Ergodic cell problem, normalized by w(x0) = 0: the ergodic constant is
+    the extra unknown s of the augmented system (rho = 0), read as lam."""
     return _policy_iteration(spec, nu, 0.0, grid, tol, 80, None)
 
 
 def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
     """Howard's algorithm in the normalized variables (w, s), w(x0) = 0.
 
-    Returns the u at which the last residual was measured: w + s/rho with
-    lam None for rho > 0, and w with lam = s for rho = 0.
+    Returns the pair at which the last residual was measured, and its
+    value_function reading.
 
     The coefficients are bound once.  Each policy's drift and cost are
     computed once: for the starting policy here, for every later one by the
@@ -170,66 +187,17 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     drift, cost = coefficients
     bvals, ell = drift(policy.flat()), cost(policy.flat())
     history: list[float] = []
-    u, s, residual = GridField.zeros(grid), 0.0, np.inf
+    w, s, residual = GridField.zeros(grid), 0.0, np.inf
     for _ in range(max_iter):
         ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
-        s = float(ws[-1])
-        u = GridField(grid, ws[:-1] + s / rho if rho > 0 else ws[:-1])
+        w, s = GridField(grid, ws[:-1]), float(ws[-1])
         previous = policy.values.tobytes()
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, u, 0.0 if rho > 0 else s, coefficients)
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, w, s, coefficients)
         history.append(residual)
         if residual <= tol or policy.values.tobytes() == previous:
             break
+    u, lam = value_function(w, s, rho)
     return HjbSolution(
-        u=u, policy=policy, residual=residual, lam=None if rho > 0 else s, iterations=len(history),
+        w=w, s=s, u=u, lam=lam, policy=policy, residual=residual, iterations=len(history),
         converged=residual <= tol, residual_history=tuple(history),
-    )
-
-
-@dataclass(frozen=True)
-class ContinuousDependenceReport:
-    """Measured sensitivity of the HJB solution to the coupling measure."""
-
-    normalized_sup: float  # || (u1 - u1(x0)) - (u2 - u2(x0)) ||_inf
-    gradient_sup: float  # max over axes of || Du1 - Du2 ||_inf
-    rho_sup: float  # rho * || u1 - u2 ||_inf
-    data_drift_sup: float  # max_{x,a} |b1 - b2|
-    data_cost_sup: float  # max_{x,a} |l1 - l2|
-
-    @property
-    def value(self) -> float:
-        return self.normalized_sup + self.gradient_sup
-
-
-def continuous_dependence_report(
-    spec: ModelSpec,
-    nu1: JointMeasure,
-    nu2: JointMeasure,
-    rho: float,
-    grid: Grid,
-    tol: float = 1e-11,
-) -> ContinuousDependenceReport:
-    """Solve for both measures and measure how far apart the solutions are.
-
-    The data differences are measured over the grid crossed with a 129-point
-    control mesh, so rho_sup can be compared against the comparison-principle
-    bound C * |b1 - b2|_sup + |l1 - l2|_sup as a runtime diagnostic.
-    """
-    s1 = solve_discounted(spec, nu1, rho, grid, tol=tol)
-    s2 = solve_discounted(spec, nu2, rho, grid, tol=tol)
-    u1 = s1.u.flat()
-    u2 = s2.u.flat()
-    w1 = u1 - u1[NORMALIZATION_NODE]
-    w2 = u2 - u2[NORMALIZATION_NODE]
-    grad_sup = float(np.abs(gradient_central(s1.u) - gradient_central(s2.u)).max())
-    x = grid.coordinates()[:, None, :]
-    mesh = spec.control.mesh(129)[None, :, :]
-    (drift1, cost1), (drift2, cost2) = spec.coefficients(x, nu1), spec.coefficients(x, nu2)
-    b1, b2, l1, l2 = drift1(mesh), drift2(mesh), cost1(mesh), cost2(mesh)
-    return ContinuousDependenceReport(
-        normalized_sup=float(np.abs(w1 - w2).max()),
-        gradient_sup=grad_sup,
-        rho_sup=float(rho * np.abs(u1 - u2).max()),
-        data_drift_sup=float(np.abs(b1 - b2).max()),
-        data_cost_sup=float(np.abs(l1 - l2).max()),
     )

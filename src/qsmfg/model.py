@@ -49,13 +49,8 @@ __all__ = [
     "build_model",
     "MODEL_BUILDERS",
     "check_model",
-    "MeshResolutionWarning",
     "NonUniqueMaximizerWarning",
 ]
-
-
-class MeshResolutionWarning(UserWarning):
-    """Brute-force maximum sits on a mesh edge with a large inward slope."""
 
 
 class NonUniqueMaximizerWarning(UserWarning):
@@ -232,14 +227,14 @@ def brute_force_argmax(
     objective = -(pb * bv).sum(axis=-1) - lv  # (N, M)
     best = np.argmax(objective, axis=1)
     if _warn:
-        _brute_force_diagnostics(spec, cand, objective, best, _mesh_spacing(spec.control, mesh))
+        _warn_non_unique(cand, objective, best, _mesh_spacing(spec.control, mesh))
     return cand[best]
 
 
-def _brute_force_diagnostics(spec, cand, objective, best, spacing) -> None:
-    m = cand.shape[0]
+def _warn_non_unique(cand, objective, best, spacing) -> None:
+    """NonUniqueMaximizerWarning when another near-maximal candidate lies
+    farther than two mesh spacings from the winner."""
     best_vals = objective[np.arange(objective.shape[0]), best]
-    # non-uniqueness: another near-maximal candidate far from the winner
     near = objective >= best_vals[:, None] - 1e-9 * (1.0 + np.abs(best_vals[:, None]))
     for i in np.nonzero(near.sum(axis=1) > 1)[0][:4]:
         others = cand[near[i]]
@@ -252,15 +247,6 @@ def _brute_force_diagnostics(spec, cand, objective, best, spacing) -> None:
                 stacklevel=3,
             )
             break
-    # coarse mesh: winner on the mesh hull with a steep inward slope
-    on_hull = np.linalg.norm(cand[best], axis=-1) >= spec.control.radius - 1e-12
-    if np.any(on_hull) and m < 9:
-        warnings.warn(
-            "brute-force maximum on the control-set boundary with a coarse mesh; "
-            "the supremum may be unreliable",
-            MeshResolutionWarning,
-            stacklevel=3,
-        )
 
 
 def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:

@@ -202,6 +202,18 @@ class TestRun:
         assert code == 3
         assert (tmp_path / "out" / "summary.json").exists()  # logs still written
 
+    def test_unmet_hjb_tolerance_exit_code(self, tmp_path, capsys):
+        # no HJB solve reaches 1e-17, so the run has not converged although
+        # its outer loop has
+        payload = json.loads((CONFIG_DIR / "example1_weak.json").read_text())
+        payload.update(time={"T": 0.1, "dt": 0.05}, output_dir=str(tmp_path / "out"))
+        payload["tolerances"]["hjb"] = 1e-17
+        assert main(["run", _write(tmp_path, payload)]) == 3
+        summary = _summary(tmp_path / "out")
+        assert summary["converged"] is False
+        assert "hjb" in summary["failures"] and "outer" not in summary["failures"]
+        assert "hjb" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # 32 atoms exceed a cap of 8: the transport solve raises inside the run
         monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)

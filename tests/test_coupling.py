@@ -277,14 +277,14 @@ class TestOuterLoop:
 
 
 class TestMeasuredResiduals:
-    """The stored residuals are the one probe's, recomputed from (m, mu, u)."""
+    """The stored residuals are the one probe's, recomputed from (m, mu, (w, s))."""
 
     @staticmethod
     def _recompute(spec, cfg, sol):
         hjb_res, mu_res = [], []
         for j in range(sol.n_slices):
             nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
-            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, sol.u[j])
+            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, sol.w[j], sol.s[j])
             hjb_res.append(r)
             mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
         return np.array(hjb_res), np.array(mu_res)
@@ -458,7 +458,10 @@ class TestErgodicDriver:
             rho_sequence=seq, ergodic_tol=1e-5,
         )
         sol = solve_vanishing_discount(spec, m0, cfg)
-        assert sol.converged
+        # the residual is measured on the pair (w, s) the solve computes, so
+        # every tolerance is met down to rho = 2^-11
+        assert sol.hjb_residuals.max() <= cfg.hjb_tol
+        assert sol.converged and sol.diagnostics["failures"] == []
         nu_any = sol.mu[0]
         base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12)
         for j in range(sol.n_slices):

@@ -16,10 +16,8 @@ import scipy.sparse.linalg as spla
 from qsmfg import model
 from qsmfg.grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
 from qsmfg.hjb import (
-    NORMALIZATION_NODE,
     _evaluation_matrix,
     _policy_iteration,
-    continuous_dependence_report,
     equation_residual,
     solve_discounted,
     solve_ergodic,
@@ -130,15 +128,15 @@ class TestDiscounted:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("max_iter", [1, 80])
     def test_policy_is_improved_policy_at_u(self, d, max_iter):
-        # sol.policy is the improved policy at sol.u, converged or not: the
-        # probe of the coupled solvers' measured residuals
+        # sol.policy is the improved policy at the pair (sol.w, sol.s),
+        # converged or not: the probe of the coupled solvers' measured residuals
         grid = Grid(d, 16)
         spec = example_one(d=d, delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(15)
         nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
-        probe = policy_field(spec, grid, gradient_central(sol.u), nu)
+        probe = policy_field(spec, grid, gradient_central(sol.w), nu)
         np.testing.assert_array_equal(sol.policy.values, probe.values)
 
 
@@ -198,9 +196,9 @@ class TestPolicyRepeat:
     """Howard's loop stops at a policy that repeats bit for bit."""
 
     def test_repeated_policy_stops_the_solve(self):
-        # the separated model at a small discount stalls at the rounding
-        # floor, above tol 1e-12, with a policy that no longer changes
-        grid, rho, tol = Grid(1, 32), 2.0**-11, 1e-12
+        # the separated model at a small discount, with a tolerance below
+        # the rounding floor, reaches a policy that no longer changes
+        grid, rho, tol = Grid(1, 32), 2.0**-11, 1e-16
         spec = separated_cost(d=1, coupling_weight=0.4)
         nu = _measure(20)
         sol = _policy_iteration(spec, nu, rho, grid, tol, 80, None)
@@ -209,6 +207,8 @@ class TestPolicyRepeat:
         # one more evaluation of the returned policy reproduces the solve;
         # u = w + s/rho carries the normalization constant s, and lam is None
         more = _policy_iteration(spec, nu, rho, grid, tol, 1, sol.policy)
+        np.testing.assert_array_equal(more.w.values, sol.w.values)
+        assert more.s == sol.s
         np.testing.assert_array_equal(more.u.values, sol.u.values)
         np.testing.assert_array_equal(more.policy.values, sol.policy.values)
         assert more.lam is None and sol.lam is None and more.residual == sol.residual
@@ -285,37 +285,54 @@ class TestErgodic:
         assert np.abs(s1.u.values - s2.u.values).max() < 1e-9
 
     def test_modes_agree(self):
-        # the discounted solution, normalized as (rho * u(x0), u - u(x0)),
-        # approaches the ergodic pair (lambda, u) at first order in rho
+        # the discounted pair (s, w) = (rho * u(x0), u - u(x0)) approaches
+        # the ergodic pair (lambda, u) at first order in rho
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(7)
         direct = solve_ergodic(spec, nu, GRID, tol=1e-12)
+        assert direct.lam == direct.s and direct.u is direct.w
         gaps = []
         for rho in (2.0**-6, 2.0**-7, 2.0**-8):
-            u = solve_discounted(spec, nu, rho, GRID, tol=1e-12).u.flat()
-            u0 = u[NORMALIZATION_NODE]
-            gaps.append(abs(rho * u0 - direct.lam) + np.abs(u - u0 - direct.u.flat()).max())
+            sol = solve_discounted(spec, nu, rho, GRID, tol=1e-12)
+            gaps.append(abs(sol.s - direct.s) + np.abs(sol.w.values - direct.w.values).max())
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 0.45 <= fine / coarse <= 0.55
+
+
+def _dependence(spec, nu1, nu2, rho, tol=1e-11):
+    """How far apart the discounted solutions for two measures are, read from
+    their pairs: sup |w1 - w2|, the sup over axes of |Dw1 - Dw2|, and
+    rho |u1 - u2| = sup |rho (w1 - w2) + s1 - s2|."""
+    sol1 = solve_discounted(spec, nu1, rho, GRID, tol=tol)
+    sol2 = solve_discounted(spec, nu2, rho, GRID, tol=tol)
+    dw = sol1.w.values - sol2.w.values
+    return (
+        float(np.abs(dw).max()),
+        float(np.abs(gradient_central(sol1.w) - gradient_central(sol2.w)).max()),
+        float(np.abs(rho * dw + sol1.s - sol2.s).max()),
+    )
 
 
 class TestContinuousDependence:
     def test_identical_contexts(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(9)
-        rep = continuous_dependence_report(spec, nu, nu, 1.0, GRID)
-        assert rep.value < 1e-10
-        assert rep.data_drift_sup == 0.0 and rep.data_cost_sup == 0.0
+        normalized, gradient, _ = _dependence(spec, nu, nu, 1.0)
+        assert normalized + gradient < 1e-10
+        # the data of the two solves are the same, over the grid and a control mesh
+        x, mesh = GRID.coordinates()[:, None, :], spec.control.mesh(129)[None, :, :]
+        (drift1, cost1), (drift2, cost2) = spec.coefficients(x, nu), spec.coefficients(x, nu)
+        assert np.abs(drift1(mesh) - drift2(mesh)).max() == 0.0
+        assert np.abs(cost1(mesh) - cost2(mesh)).max() == 0.0
 
     def test_separated_cost_normalized_difference_zero(self):
         spec = separated_cost(d=1, coupling_weight=0.5)
-        rep = continuous_dependence_report(
-            spec, _measure(1), _measure(2), 1.0, GRID
-        )
-        assert rep.normalized_sup < 1e-10
-        assert rep.gradient_sup < 1e-10
-        # the full difference is the constant shift, visible in rho_sup
-        assert rep.rho_sup == pytest.approx(abs(rep.data_cost_sup), rel=1e-6)
+        nu1, nu2 = _measure(1), _measure(2)
+        normalized, gradient, rho_sup = _dependence(spec, nu1, nu2, 1.0)
+        assert normalized < 1e-10
+        assert gradient < 1e-10
+        # the full difference is the constant shift |s1 - s2|, the cost gap
+        assert rho_sup == pytest.approx(abs(spec.measure_cost(nu1) - spec.measure_cost(nu2)), rel=1e-6)
 
     def test_ratio_stable_over_discount_sweep(self):
         spec = example_one(delta=1.0, eps=0.4, kappa=0.4, potential=0.3)
@@ -323,10 +340,8 @@ class TestContinuousDependence:
         w1 = wasserstein1_joint(nu1, nu2)
         ratios = []
         for rho in (1.0, 0.1, 0.01):
-            rep = continuous_dependence_report(
-                spec, nu1, nu2, rho, GRID
-            )
-            ratios.append(rep.value / w1)
+            normalized, gradient, _ = _dependence(spec, nu1, nu2, rho)
+            ratios.append((normalized + gradient) / w1)
         assert max(ratios) <= 2.0 * min(ratios) + 1e-9
         assert all(np.isfinite(r) for r in ratios)
 

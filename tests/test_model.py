@@ -10,7 +10,6 @@ from qsmfg.measure import ControlField, DensityField, JointMeasure, pushforward,
 from qsmfg.model import (
     MODEL_BUILDERS,
     ControlSet,
-    MeshResolutionWarning,
     ModelSpec,
     NonUniqueMaximizerWarning,
     brute_force_argmax,
@@ -180,11 +179,6 @@ class TestBruteForce:
         )
         with pytest.warns(NonUniqueMaximizerWarning):
             brute_force_argmax(spec, X0, np.array([[0.0]]), _plain_nu(), mesh=65)
-
-    def test_coarse_mesh_boundary_warning(self):
-        spec = example_one(delta=1.0, eps=0.0, kappa=0.0, radius=1.0)
-        with pytest.warns(MeshResolutionWarning):
-            brute_force_argmax(spec, X0, np.array([[5.0]]), _plain_nu(), mesh=2)
 
 
 class TestInvariants:
