@@ -3,7 +3,8 @@
 Every operator reads its stencil from the grid's neighbour table, which wraps
 indices modulo n on each axis, and is a pure function of immutable value
 objects, so fields can be shared freely across threads.  A grid builds its
-node coordinates and neighbour table once, on first use, as read-only arrays.
+node coordinates, neighbour table and node-to-node torus distance matrix
+once each, on first use, as read-only arrays.
 Central stencils are second order where the underlying function is smooth;
 one-sided differences selected by drift sign keep the linear systems built on
 top of them M-matrices.
@@ -71,6 +72,11 @@ class Grid:
         column 2*ax + 1 the -1 neighbour."""
         return self._neighbors
 
+    def node_distances(self) -> np.ndarray:
+        """Torus distances between all pairs of nodes, a read-only (n^d, n^d)
+        array: entry (i, j) is torus_distance(coordinates()[i], coordinates()[j])."""
+        return self._node_distances
+
     # derived data of a frozen value, built on first use and never written
     @cached_property
     def _coordinates(self) -> np.ndarray:
@@ -84,6 +90,11 @@ class Grid:
         return _read_only(
             np.stack([np.roll(idx, s, axis=ax).ravel() for ax in range(self.d) for s in (-1, 1)], axis=-1)
         )
+
+    @cached_property
+    def _node_distances(self) -> np.ndarray:
+        x = self.coordinates()
+        return _read_only(torus_distance(x[:, None, :], x))
 
 
 def _is_integer(v) -> bool:

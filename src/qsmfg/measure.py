@@ -201,9 +201,8 @@ class JointMeasure:
         return float(self.w.sum())
 
     def mean_control(self) -> np.ndarray:
-        """Unnormalized control moment: integral of a against the measure."""
-        if self.n_atoms == 0:
-            return np.zeros(1)
+        """Unnormalized control moment: integral of a against the measure, a
+        (k,) array; zeros for an empty measure."""
         return self.a.T @ self.w
 
     def scaled(self, factor: float) -> "JointMeasure":

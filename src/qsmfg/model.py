@@ -292,7 +292,16 @@ def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeas
 def _quadratic_couplings(delta, eps, kappa, width, radius):
     """Shared coupling terms: cost weight from the mean control, drift bump
     from a periodic Gaussian average of controls around x.  An empty measure
-    (a memory model's aggregate before any mass has built up) decouples."""
+    (a memory model's aggregate before any mass has built up) decouples.
+
+    The bump weighs every atom by its torus distance to x.  When nu's atoms
+    sit at the nodes of nu.grid (a pushforward) and x, flattened to (-1, d),
+    is those same nodes (the HJB and FP bindings, and the (N, 1, d) ones of
+    regularity_report and brute_force_argmax), the distances are read from
+    the grid's node_distances(); every other call (memory aggregates, which
+    carry no grid, and off-grid points) computes them with torus_distance.
+    Both compute the same elementwise arithmetic, so the bump is bit-equal.
+    """
 
     def cost_weight(nu):
         if nu.n_atoms == 0:
@@ -304,11 +313,22 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
         # x: (..., d) -> (..., d)
         if nu.n_atoms == 0 or kappa == 0.0:
             return np.zeros(x.shape)
-        dist = torus_distance(x[..., None, :], nu.x)  # (..., N)
+        dist = _atom_distances(x, nu)  # (..., N)
         phi = np.exp(-(dist**2) / (2.0 * width**2))
         return kappa * np.einsum("...n,nk->...k", phi * nu.w, nu.a)
 
     return cost_weight, drift_bump
+
+
+def _atom_distances(x: np.ndarray, nu: JointMeasure) -> np.ndarray:
+    """torus_distance(x[..., None, :], nu.x), read from nu.grid's node
+    distances when both x and nu's atoms are that grid's nodes."""
+    grid = nu.grid
+    if grid is not None:
+        nodes = grid.coordinates()
+        if np.array_equal(nu.x, nodes) and np.array_equal(x.reshape(-1, x.shape[-1]), nodes):
+            return grid.node_distances().reshape(x.shape[:-1] + (grid.size,))
+    return torus_distance(x[..., None, :], nu.x)
 
 
 def _make_quadratic_model(

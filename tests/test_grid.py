@@ -45,12 +45,22 @@ def test_grid_accepts_numpy_integers():
 @pytest.mark.parametrize("d,n", [(1, 8), (2, 9)])
 def test_grid_arrays_built_once_and_read_only(d, n):
     g = Grid(d, n)
-    for method in (g.coordinates, g.neighbors):
+    for method in (g.coordinates, g.neighbors, g.node_distances):
+        # the distance matrix is built only when asked for, not with the others
+        assert "_node_distances" not in vars(g)
         arr = method()
         assert arr is method()
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = arr[0, 0]
+    # node distances: bit-equal to torus_distance over all pairs, a metric's
+    # symmetric matrix with a zero diagonal
+    x = g.coordinates()
+    dist = g.node_distances()
+    assert dist.shape == (g.size, g.size)
+    np.testing.assert_array_equal(dist, torus_distance(x[:, None, :], x))
+    np.testing.assert_array_equal(dist, dist.T)
+    assert not dist.diagonal().any()
     # equal grids are equal values; each instance holds its own arrays
     assert Grid(d, n) == g and Grid(d, n).coordinates() is not g.coordinates()
 

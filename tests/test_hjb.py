@@ -22,11 +22,12 @@ from qsmfg.hjb import (
     solve_discounted,
     solve_ergodic,
 )
-from qsmfg.measure import ControlField, JointMeasure, wasserstein1_joint
+from qsmfg.measure import ControlField, JointMeasure, pushforward, uniform_density, wasserstein1_joint
 from qsmfg.model import (
     ControlSet,
     ModelSpec,
     example_one,
+    memory_aggregate,
     optimal_control,
     policy_field,
     separated_cost,
@@ -177,9 +178,8 @@ class TestCoefficientEvaluations:
         assert sol.converged and sol.iterations >= 2
         assert calls == {"bind": 1, "drift": sol.iterations + 1, "running_cost": sol.iterations + 1}
 
-    def test_measure_terms_once_per_solve(self, monkeypatch):
-        # the quadratic models' drift bump is their one torus_distance call:
-        # one per solve, however many policies the solve evaluates
+    @pytest.fixture
+    def torus_distance_calls(self, monkeypatch):
         calls = []
 
         def counting(x, y):
@@ -187,9 +187,37 @@ class TestCoefficientEvaluations:
             return torus_distance(x, y)
 
         monkeypatch.setattr(model, "torus_distance", counting)
+        return calls
+
+    def test_measure_terms_once_per_solve(self, torus_distance_calls):
+        # off the grid's nodes, the quadratic models' drift bump is their one
+        # torus_distance call: one per solve, however many policies the solve
+        # evaluates
+        calls = torus_distance_calls
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         sol = solve_discounted(spec, _measure(16), 1.0, GRID, tol=1e-11)
         assert sol.iterations >= 2 and calls == [(GRID.size, 1, 1)]
+
+    def test_graph_measure_reads_grid_node_distances(self, torus_distance_calls):
+        # a pushforward's atoms are the grid's nodes, so its bump reads
+        # grid.node_distances() and computes no torus distance; a memory
+        # aggregate, which carries no grid, and x off the nodes still do
+        calls = torus_distance_calls
+        spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
+        rng = np.random.default_rng(3)
+        mu = pushforward(uniform_density(GRID), ControlField(GRID, rng.uniform(-0.8, 0.8, GRID.shape)))
+        sol = solve_discounted(spec, mu, 1.0, GRID, tol=1e-11)
+        assert sol.iterations >= 2 and calls == []
+        aggregate = memory_aggregate([0.0, 0.5], [mu, mu], lambda t: np.ones_like(t))
+        assert aggregate.grid is None
+        solve_discounted(spec, aggregate, 1.0, GRID, tol=1e-11)
+        assert calls == [(GRID.size, 1, 1)]
+        spec.drift(GRID.coordinates() + 0.5 * GRID.h, np.zeros((GRID.size, 1)), mu)
+        spec.drift(GRID.coordinates()[:7], np.zeros((7, 1)), mu)
+        # a grid attached to atoms that are not its nodes is not read either
+        off = _measure(16)
+        spec.drift(GRID.coordinates(), np.zeros((GRID.size, 1)), JointMeasure(off.x, off.a, off.w, grid=GRID))
+        assert calls == [(GRID.size, 1, 1)] * 2 + [(7, 1, 1), (GRID.size, 1, 1)]
 
 
 class TestPolicyRepeat:

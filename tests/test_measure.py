@@ -642,6 +642,13 @@ def test_w1_state_2d_transport_limits(monkeypatch):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_mean_control_has_k_components(k):
+    np.testing.assert_array_equal(JointMeasure.empty(2, k).mean_control(), np.zeros(k))
+    nu = JointMeasure(np.zeros((3, 2)), np.ones((3, k)), np.full(3, 0.5))
+    np.testing.assert_array_equal(nu.mean_control(), np.full(k, 1.5))
+
+
 def test_empty_measures_distance_zero():
     e1 = JointMeasure.empty()
     e2 = JointMeasure.empty()

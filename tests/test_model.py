@@ -242,6 +242,25 @@ class TestInvariants:
         assert worst <= lam0 + 0.05
 
 
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("nodes_shape", ["flat", "column"])
+def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
+    # a pushforward's bump reads grid.node_distances(); the same atoms without
+    # a grid take torus_distance, and the drifts must agree bit for bit
+    g = Grid(d, n)
+    rng = np.random.default_rng(d)
+    m = DensityField.from_values(g, rng.random(g.shape) + 0.1, normalize=True)
+    nu = pushforward(m, ControlField(g, rng.uniform(-0.9, 0.9, g.shape + (d,))))
+    gridless = JointMeasure(nu.x, nu.a, nu.w)
+    x = g.coordinates() if nodes_shape == "flat" else g.coordinates()[:, None, :]
+    a = rng.uniform(-1.0, 1.0, x.shape[:-1] + (d,))
+    spec = example_one(d=d, eps=0.3, kappa=0.7, potential=0.2)
+    drift, _ = spec.coefficients(x, nu)
+    general, _ = spec.coefficients(x, gridless)
+    assert np.abs(drift(a) + a).max() > 1e-3  # the bump is not zero
+    np.testing.assert_array_equal(drift(a), general(a))
+
+
 def _trajectory(n_slices=6, dt=0.1):
     g = GRID
     times = np.arange(n_slices) * dt
