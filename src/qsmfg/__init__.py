@@ -12,7 +12,7 @@ from .coupling import (
     solve_vanishing_discount,
 )
 from .fp import fp_evolve, fp_step, transport_generator
-from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
+from .grid import Grid, gradient_central, gradient_upwind, laplacian, torus_distance
 from .hjb import (
     HjbSolution,
     equation_residual,

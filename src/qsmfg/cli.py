@@ -76,6 +76,12 @@ class RunConfig:
 _REQUIRED = object()
 
 
+def _require_object(payload) -> None:
+    """A config whose top level is not a JSON object is a ConfigError."""
+    if not isinstance(payload, dict):
+        raise ConfigError("json", "the top level must be an object")
+
+
 def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
     """payload[key] checked to be a kind, or default if the key is absent.
 
@@ -125,6 +131,7 @@ def _m0_params(m0_cfg: dict, kind: str, d: int) -> dict:
 
 
 def parse_config(payload: dict) -> RunConfig:
+    _require_object(payload)
     for key in payload:
         if key not in CONFIG_KEYS:
             raise ConfigError(key, "unknown config key")
@@ -202,6 +209,10 @@ def parse_config(payload: dict) -> RunConfig:
     if max_outer < 1:
         raise ConfigError("max_outer", "must be at least 1")
 
+    seed = _get(payload, "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError("seed", "must be nonnegative")
+
     m0_cfg = _get(payload, "m0", dict, default={"kind": "uniform"})
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
     if m0_kind not in M0_BUILDERS:
@@ -228,7 +239,7 @@ def parse_config(payload: dict) -> RunConfig:
         m0_params=_m0_params(m0_cfg, m0_kind, d),
         output_dir=_get(payload, "output_dir", str, default="out"),
         diagnostics=_get(payload, "diagnostics", bool, default=False),
-        seed=_get(payload, "seed", int, default=0),
+        seed=seed,
     )
 
 
@@ -265,12 +276,13 @@ def _write_trajectory_bin(path: Path, times, densities) -> None:
 
 
 def _trajectory_rows(times, fields):
-    return ((t, node, v) for t, f in zip(times, fields) for node, v in enumerate(f.flat()))
+    """(t, node, value) rows of one flat (n^d,) array per time."""
+    return ((t, node, v) for t, f in zip(times, fields) for node, v in enumerate(f))
 
 
 def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, sol.m))
+    _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.flat() for m in sol.m]))
     _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
     _write_csv(out / "trajectory_u.csv", "t,node,value", _trajectory_rows(sol.times, sol.u))
     _write_csv(
@@ -287,11 +299,11 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
     if sol.lam is not None:
         _write_csv(out / "lambda.csv", "t,lambda", zip(sol.times, sol.lam))
     if cfg.diagnostics:
-        u_final = sol.u[-1]
+        grid = sol.m[0].grid
         _write_csv(
             out / "u_final.csv",
-            ",".join(["i", "j"][: u_final.grid.d] + ["value"]),
-            ((*idx, v) for idx, v in np.ndenumerate(u_final.values)),
+            ",".join(["i", "j"][: grid.d] + ["value"]),
+            ((*idx, v) for idx, v in np.ndenumerate(sol.u[-1].reshape(grid.shape))),
         )
         histories = sol.diagnostics.get("hjb_residual_histories", ())
         _write_csv(
@@ -375,7 +387,35 @@ def _set_path(payload: dict, dotted: str, value) -> None:
     node = payload
     for p in parts[:-1]:
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(dotted, f"{p!r} is not an object")
     node[parts[-1]] = value
+
+
+def _sweep_points(payload) -> tuple[Path, list[tuple[str, RunConfig]]]:
+    """The output directory of a sweep config and the (tag, config) of each
+    of its points, every point validated before any is solved; a malformed
+    sweep or an invalid point is a ConfigError."""
+    _require_object(payload)
+    sweep_spec = _get(payload, "sweep", dict)
+    if not sweep_spec:
+        raise ConfigError("sweep", "must not be empty")
+    keys = sorted(sweep_spec)
+    axes = [_get(sweep_spec, k, list, "sweep") for k in keys]
+    for k, values in zip(keys, axes):
+        if not values:
+            raise ConfigError(f"sweep.{k}", "must not be empty")
+    base_out = Path(_get(payload, "output_dir", str, default="out"))
+    base = {k: v for k, v in payload.items() if k != "sweep"}
+    points = []
+    for combo in itertools.product(*axes):
+        point = json.loads(json.dumps(base))  # deep copy
+        tag = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
+        for k, v in zip(keys, combo):
+            _set_path(point, k, v)
+        point["output_dir"] = str(base_out / tag)
+        points.append((tag, parse_config(point)))
+    return base_out, points
 
 
 def sweep(config_path: str) -> int:
@@ -387,25 +427,14 @@ def sweep(config_path: str) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sweep_spec = payload.pop("sweep", None)
-    if not sweep_spec:
-        print("error: config field 'sweep': missing or empty", file=sys.stderr)
+    try:
+        base_out, points = _sweep_points(payload)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    keys = sorted(sweep_spec)
-    base_out = Path(payload.get("output_dir", "out"))
     rows = []
     any_failed = False
-    for combo in itertools.product(*(sweep_spec[k] for k in keys)):
-        point = json.loads(json.dumps(payload))  # deep copy
-        tag = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
-        for k, v in zip(keys, combo):
-            _set_path(point, k, v)
-        point["output_dir"] = str(base_out / tag)
-        try:
-            cfg = parse_config(point)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    for tag, cfg in points:
         sol = _solve_and_write(cfg)
         any_failed |= sol is None or not sol.converged
         if sol is None:

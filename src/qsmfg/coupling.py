@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fp import fp_evolve
-from .grid import Grid, GridField, gradient_central, laplacian
+from .grid import Grid, gradient_central, laplacian
 from .hjb import equation_residual, solve_discounted, solve_ergodic, value_function
 from .measure import (
     ControlField,
@@ -150,11 +150,11 @@ class TrajectorySolution:
     """
 
     times: np.ndarray
-    u: tuple  # one GridField per time slice
+    u: tuple  # one (n^d,) array per time slice
     m: tuple[DensityField, ...]
     mu: tuple[JointMeasure, ...]
     policy: tuple[ControlField, ...]
-    w: tuple  # one GridField per time slice, zero at the normalization node
+    w: tuple  # one (n^d,) array per time slice, zero at the normalization node
     s: np.ndarray  # one value per time slice
     lam: Optional[np.ndarray] = None  # per-slice ergodic cost, ergodic runs only
     converged: bool = True
@@ -291,10 +291,11 @@ def _measured_residuals(spec, config, m, mu, w, s):
     joint W1 between mu[j] and the pushforward of m[j] through the improved
     policy that call returns.
     """
-    times = config.times()
+    times, grid = config.times(), m[0].grid
     hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
     for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(m, mu, w, s)):
-        hjb_res[j], probe, _, _ = equation_residual(spec, _slice_context(spec, times, mu, j), config.rho, w_j, s_j)
+        nu = _slice_context(spec, times, mu, j)
+        hjb_res[j], probe, _, _ = equation_residual(spec, nu, config.rho, grid, w_j, s_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     return hjb_res, mu_res
 
@@ -326,7 +327,7 @@ def _solution(spec, config, log, converged, failed, m, hjbs, mu, policy):
     }
     return TrajectorySolution(
         times=config.times(),
-        u=tuple(h.u for h in hjbs),
+        u=tuple(value_function(h.w, h.s, config.rho)[0] for h in hjbs),
         m=tuple(m),
         mu=tuple(mu),
         policy=tuple(policy),
@@ -344,14 +345,15 @@ def solve_field_iteration(
     spec: ModelSpec,
     m0: DensityField,
     config: CouplingConfig,
-    initial: Optional[tuple[Sequence[GridField], Sequence[DensityField]]] = None,
+    initial: Optional[tuple[Sequence[np.ndarray], Sequence[DensityField]]] = None,
 ) -> TrajectorySolution:
     """Outer Picard iteration on (u, m) for the discounted system.
 
     Per pass and per time slice: joint-measure fixed point from the previous
     gradients and densities, discounted HJB solve, then one Fokker-Planck
     evolution driven by the optimal policies.  The outer error sums the
-    gradient sup-distance and the state W1 distance per slice.
+    gradient sup-distance and the state W1 distance per slice.  initial is a
+    warm start (u, m): (n^d,) value arrays and densities, one per slice.
     """
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
@@ -359,13 +361,13 @@ def solve_field_iteration(
     n_slices = config.n_steps + 1
 
     if initial is None:
-        u_list = [GridField.zeros(grid) for _ in range(n_slices)]
+        u_list = [np.zeros(grid.size) for _ in range(n_slices)]
         m_list: list[DensityField] = [m0] * n_slices
     else:
         u_list, m_list = list(initial[0]), list(initial[1])
         if len(u_list) != n_slices or len(m_list) != n_slices:
             raise ValueError("initial value trajectory has the wrong length")
-    du_list = [gradient_central(u) for u in u_list]
+    du_list = [gradient_central(grid, u) for u in u_list]
     fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
     hjbs: list = []  # and the HJB solutions in their measures
     failed: set = set()
@@ -386,7 +388,7 @@ def solve_field_iteration(
 
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
-        new_du = [gradient_central(h.u) for h in hjbs]
+        new_du = [gradient_central(grid, value_function(h.w, h.s, config.rho)[0]) for h in hjbs]
         du_errs = [float(np.abs(a - b).max()) for a, b in zip(new_du, du_list)]
         m_errs = [wasserstein1_state(a, b) for a, b in zip(traj, m_list)]
         m_list, du_list = list(traj), new_du
@@ -504,7 +506,7 @@ def solve_vanishing_discount(
         rho_used.append(float(rho))
         if prev is not None:
             gaps = [
-                abs(sol.s[j] - prev.s[j]) + float(np.abs(sol.w[j].values - prev.w[j].values).max())
+                abs(sol.s[j] - prev.s[j]) + float(np.abs(sol.w[j] - prev.w[j]).max())
                 for j in range(n_slices)
             ]
             value_increments.append(max(gaps))
@@ -520,7 +522,7 @@ def solve_vanishing_discount(
     for j in range(n_slices):
         nu = _slice_context(spec, times, sol.mu, j)
         es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
-        direct_gaps[j] = abs(es.s - sol.s[j]) + float(np.abs(es.w.values - sol.w[j].values).max())
+        direct_gaps[j] = abs(es.s - sol.s[j]) + float(np.abs(es.w - sol.w[j]).max())
 
     if not converged:
         failed.add("ergodic")
@@ -570,12 +572,12 @@ def regularity_report(
     bound can reach the maximum ratio are solved.
     """
     rng = np.random.default_rng(seed)
-    n = sol.n_slices
+    n, grid = sol.n_slices, sol.m[0].grid
     report: dict[str, float | None] = {}
 
-    u_sup = max(float(np.abs(u.values).max()) for u in sol.u)
-    du_sup = max(float(np.abs(gradient_central(u)).max()) for u in sol.u)
-    lap_sup = max(float(np.abs(laplacian(u).values).max()) for u in sol.u)
+    u_sup = max(float(np.abs(u).max()) for u in sol.u)
+    du_sup = max(float(np.abs(gradient_central(grid, u)).max()) for u in sol.u)
+    lap_sup = max(float(np.abs(laplacian(grid, u)).max()) for u in sol.u)
     report["u_sup"] = u_sup
     report["du_sup"] = du_sup
     report["laplacian_u_sup"] = lap_sup
@@ -587,7 +589,6 @@ def regularity_report(
     if spec is not None:
         mesh = spec.control.mesh(129)
         ell_max = 0.0
-        grid = sol.m[0].grid
         x = grid.coordinates()[:, None, :]
         for j in range(n):
             nu = _slice_context(spec, sol.times, sol.mu, j)
@@ -602,7 +603,7 @@ def regularity_report(
             allp = [allp[int(c)] for c in chosen]
         return allp
 
-    du_fields = [gradient_central(u) for u in sol.u]
+    du_fields = [gradient_central(grid, u) for u in sol.u]
     state_w1: dict[tuple[int, int], float] = {}
     best_du = best_m = 0.0
     for j, k in _pairs(STATE_PAIRS):
@@ -612,7 +613,7 @@ def regularity_report(
         best_m = max(best_m, state_w1[j, k] / root)
     # the densities' W1 bounds the joint W1 only where each stored measure
     # is the pushforward of the stored density
-    pushed = [np.array_equal(nu.w, m.flat() * m.grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
+    pushed = [np.array_equal(nu.w, m.flat() * grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
     mu_pairs = _pairs(MEASURE_PAIRS)
     for j, k in mu_pairs:
         if (j, k) not in state_w1:
@@ -628,11 +629,10 @@ def regularity_report(
 
     # discrete space-time Sobolev surrogate for the density:
     # sum_j dt * sum_x h^d (m^2 + |grad_h m|^2)
-    grid = sol.m[0].grid
     dt = float(sol.times[1] - sol.times[0]) if n > 1 else 0.0
     h1 = 0.0
     for m in sol.m:
-        gm = gradient_central(m.as_field())
+        gm = gradient_central(grid, m.flat())
         dens = (m.values**2).sum() + sum((gm[:, ax] ** 2).sum() for ax in range(grid.d))
         h1 += dt * grid.cell_volume * dens
     report["m_h1_surrogate"] = h1

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, vector_values
+from .grid import Grid, node_values
 from .measure import DensityField
 
 __all__ = ["fp_step", "fp_evolve", "transport_generator"]
@@ -35,7 +35,7 @@ def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
     interfaces.  Column sums vanish identically and off-diagonal entries are
     nonnegative, which is what the mass and positivity guarantees rest on.
     """
-    garr = vector_values(grid, g)
+    garr = node_values(grid, g, "drift")
     n, h, nbr = grid.size, grid.h, grid.neighbors()
     diag = np.zeros(n)
     off = np.empty((n, 2 * grid.d))

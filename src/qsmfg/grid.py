@@ -1,10 +1,12 @@
 """Periodic grids on the unit torus and finite-difference operators.
 
-Every operator reads its stencil from the grid's neighbour table, which wraps
-indices modulo n on each axis, and is a pure function of immutable value
-objects, so fields can be shared freely across threads.  A grid builds its
-node coordinates, neighbour table and node-to-node torus distance matrix
-once each, on first use, as read-only arrays.
+Node data are plain float arrays in the C order of the grid's nodes: a
+scalar field has shape (n^d,), a vector field shape (n^d, d) with column ax
+the component along axis ax.  Every operator takes the grid and such an
+array, reads its stencil from the grid's neighbour table, which wraps
+indices modulo n on each axis, and returns a new array, never writing its
+input.  A grid builds its node coordinates, neighbour table and node-to-node
+torus distance matrix once each, on first use, as read-only arrays.
 Central stencils are second order where the underlying function is smooth;
 one-sided differences selected by drift sign keep the linear systems built on
 top of them M-matrices.
@@ -20,12 +22,11 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "GridField",
     "laplacian",
     "gradient_central",
     "gradient_upwind",
     "torus_distance",
-    "vector_values",
+    "node_values",
 ]
 
 
@@ -106,35 +107,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Real values on the nodes of a periodic grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.size != self.grid.size:
-            raise ValueError(f"expected {self.grid.size} values, got {v.size}")
-        v = v.reshape(self.grid.shape).copy()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid field contains non-finite values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "GridField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "GridField":
-        return cls.constant(grid, 0.0)
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-
 def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Quotient metric on T^d: sum over axes of min(|x-y|, 1-|x-y|).
 
@@ -145,41 +117,37 @@ def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
-def _shifted(f: GridField, ax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat field at the +1 and the -1 neighbour of every node along ax."""
-    v, nb = f.flat(), f.grid.neighbors()
-    return v[nb[:, 2 * ax]], v[nb[:, 2 * ax + 1]]
-
-
-def vector_values(grid: Grid, values: np.ndarray, name: str = "drift") -> np.ndarray:
-    """values as a float (n^d, d) vector field on grid, column ax the
-    component along axis ax; any other shape is a ValueError."""
+def node_values(grid: Grid, values: np.ndarray, name: str, vector: bool = True) -> np.ndarray:
+    """values as float node data on grid: an (n^d, d) vector field, column ax
+    the component along axis ax, or for vector=False an (n^d,) scalar field;
+    any other shape is a ValueError naming name."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (grid.size, grid.d):
-        raise ValueError(f"{name} needs shape {(grid.size, grid.d)}, got {v.shape}")
+    shape = (grid.size, grid.d) if vector else (grid.size,)
+    if v.shape != shape:
+        raise ValueError(f"{name} needs shape {shape}, got {v.shape}")
     return v
 
 
-def laplacian(f: GridField) -> GridField:
-    """Second-order periodic Laplacian; node sums vanish to machine precision."""
-    v = f.flat()
-    h2 = f.grid.h**2
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Second-order periodic Laplacian of the scalar field f; node sums
+    vanish to machine precision."""
+    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
     out = np.zeros_like(v)
-    for ax in range(f.grid.d):
-        fwd, bwd = _shifted(f, ax)
-        out += (fwd + bwd - 2.0 * v) / h2
-    return GridField(f.grid, out)
+    for ax in range(grid.d):
+        out += (v[nb[:, 2 * ax]] + v[nb[:, 2 * ax + 1]] - 2.0 * v) / grid.h**2
+    return out
 
 
-def gradient_central(f: GridField) -> np.ndarray:
-    """Second-order periodic central gradient, an (n^d, d) array whose column
-    ax is the component along axis ax."""
-    v, nb = f.flat(), f.grid.neighbors()
-    return (v[nb[:, 0::2]] - v[nb[:, 1::2]]) / (2.0 * f.grid.h)
+def gradient_central(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Second-order periodic central gradient of the scalar field f, an
+    (n^d, d) array whose column ax is the component along axis ax."""
+    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
+    return (v[nb[:, 0::2]] - v[nb[:, 1::2]]) / (2.0 * grid.h)
 
 
-def gradient_upwind(f: GridField, drift: np.ndarray) -> np.ndarray:
-    """One-sided differences selected per node by the sign of the drift.
+def gradient_upwind(grid: Grid, f: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """One-sided differences of the scalar field f selected per node by the
+    sign of the drift.
 
     drift and the result are (n^d, d) arrays, column ax along axis ax.
     Positive drift takes the forward difference, negative drift the backward
@@ -187,8 +155,8 @@ def gradient_upwind(f: GridField, drift: np.ndarray) -> np.ndarray:
     stencil choice that makes drift terms of the form b . grad(u) assemble
     into M-matrices.
     """
-    b = vector_values(f.grid, drift)
-    v, nb = f.flat(), f.grid.neighbors()
-    fwd = (v[nb[:, 0::2]] - v[:, None]) / f.grid.h
-    bwd = (v[:, None] - v[nb[:, 1::2]]) / f.grid.h
+    b = node_values(grid, drift, "drift")
+    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
+    fwd = (v[nb[:, 0::2]] - v[:, None]) / grid.h
+    bwd = (v[:, None] - v[nb[:, 1::2]]) / grid.h
     return np.where(b > 0, fwd, np.where(b < 0, bwd, 0.5 * (fwd + bwd)))

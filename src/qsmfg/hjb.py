@@ -52,7 +52,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridField, gradient_central, gradient_upwind, laplacian
+from .grid import Grid, gradient_central, gradient_upwind, laplacian
 from .measure import ControlField, JointMeasure
 from .model import ModelSpec, policy_field
 
@@ -71,15 +71,13 @@ NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0
 class HjbSolution:
     """Normalized pair, policy, and solve diagnostics for one stationary problem.
 
-    w vanishes at NORMALIZATION_NODE; s is rho*u(x0) for a discounted
-    problem and the ergodic constant for the cell problem.  (u, lam) is the
-    pair read by value_function.
+    w is a read-only (n^d,) array that vanishes at NORMALIZATION_NODE; s is
+    rho*u(x0) for a discounted problem and the ergodic constant for the cell
+    problem.  value_function reads the pair as (u, lam).
     """
 
-    w: GridField
+    w: np.ndarray
     s: float
-    u: GridField
-    lam: float | None
     policy: ControlField
     residual: float
     iterations: int = 0
@@ -87,11 +85,11 @@ class HjbSolution:
     residual_history: tuple[float, ...] = ()
 
 
-def value_function(w: GridField, s: float, rho: float) -> tuple[GridField, float | None]:
+def value_function(w: np.ndarray, s: float, rho: float) -> tuple[np.ndarray, float | None]:
     """The value function and ergodic constant a normalized pair stands for:
     (w + s/rho, None) at a discount rho > 0, (w, s) for the ergodic problem."""
     if rho > 0:
-        return GridField(w.grid, w.values + s / rho), None
+        return w + s / rho, None
     return w, s
 
 
@@ -122,28 +120,28 @@ def equation_residual(
     spec: ModelSpec,
     nu: JointMeasure,
     rho: float,
-    w: GridField,
+    grid: Grid,
+    w: np.ndarray,
     s: float = 0.0,
     coefficients: tuple | None = None,
 ) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
     Evaluates rho*w + s - lap_h(w) - b . grad_h^up(w) - l on the normalized
-    pair (w, s), with the policy recomputed from the central gradient of w;
-    this is the quantity policy iteration drives to zero, for rho > 0 and
-    rho = 0 alike.  Returns the residual, the improved policy, and its drift
+    pair (w, s), w an (n^d,) array on grid, with the policy recomputed from
+    the central gradient of w; this is the quantity policy iteration drives
+    to zero, for rho > 0 and rho = 0 alike.  Returns the residual, the improved policy, and its drift
     b(x, a(x); nu), shape (n^d, d), and running cost l(x, a(x); nu), shape
     (n^d,), which the next policy evaluation uses.  coefficients is
     spec.coefficients(grid.coordinates(), nu), bound here when not given.
     """
-    grid = w.grid
-    policy = policy_field(spec, grid, gradient_central(w), nu)
+    policy = policy_field(spec, grid, gradient_central(grid, w), nu)
     drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
     a = policy.flat()
     bvals, ell = drift(a), cost(a)
-    dup = gradient_upwind(w, bvals)
+    dup = gradient_upwind(grid, w, bvals)
     advect = sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d))
-    res = rho * w.flat() + s - laplacian(w).flat() - advect - ell
+    res = rho * w + s - laplacian(grid, w) - advect - ell
     return float(np.abs(res).max()), policy, bvals, ell
 
 
@@ -171,8 +169,8 @@ def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e
 def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
     """Howard's algorithm in the normalized variables (w, s), w(x0) = 0.
 
-    Returns the pair at which the last residual was measured, and its
-    value_function reading.
+    Returns the pair at which the last residual was measured.  A pair with a
+    non-finite value, from a non-finite drift or cost, is a RuntimeError.
 
     The coefficients are bound once.  Each policy's drift and cost are
     computed once: for the starting policy here, for every later one by the
@@ -187,17 +185,19 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     drift, cost = coefficients
     bvals, ell = drift(policy.flat()), cost(policy.flat())
     history: list[float] = []
-    w, s, residual = GridField.zeros(grid), 0.0, np.inf
+    w, s, residual = np.zeros(grid.size), 0.0, np.inf
     for _ in range(max_iter):
         ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
-        w, s = GridField(grid, ws[:-1]), float(ws[-1])
+        if not np.isfinite(ws).all():
+            raise RuntimeError("HJB policy evaluation gave non-finite values")
+        ws.setflags(write=False)  # w is a view of ws, so HjbSolution.w is read-only
+        w, s = ws[:-1], float(ws[-1])
         previous = policy.values.tobytes()
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, w, s, coefficients)
+        residual, policy, bvals, ell = equation_residual(spec, nu, rho, grid, w, s, coefficients)
         history.append(residual)
         if residual <= tol or policy.values.tobytes() == previous:
             break
-    u, lam = value_function(w, s, rho)
     return HjbSolution(
-        w=w, s=s, u=u, lam=lam, policy=policy, residual=residual, iterations=len(history),
+        w=w, s=s, policy=policy, residual=residual, iterations=len(history),
         converged=residual <= tol, residual_history=tuple(history),
     )

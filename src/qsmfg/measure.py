@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .grid import Grid, GridField, torus_distance
+from .grid import Grid, torus_distance
 
 __all__ = [
     "DensityField",
@@ -101,9 +101,6 @@ class DensityField:
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
-
-    def as_field(self) -> GridField:
-        return GridField(self.grid, self.values)
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, torus_distance, vector_values
+from .grid import Grid, node_values, torus_distance
 from .measure import ControlField, JointMeasure, wasserstein1_joint
 
 __all__ = [
@@ -276,7 +276,7 @@ def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: Jo
 def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, nu: JointMeasure) -> ControlField:
     """Optimal control at every node for the value-function gradient du, an
     (n^d, d) array."""
-    a = optimal_control(spec, grid.coordinates(), vector_values(grid, du, "gradient"), nu)
+    a = optimal_control(spec, grid.coordinates(), node_values(grid, du, "gradient"), nu)
     return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
 
 

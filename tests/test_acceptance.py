@@ -20,8 +20,8 @@ from qsmfg.coupling import (
     solve_vanishing_discount,
 )
 from qsmfg.fp import fp_evolve, fp_step, transport_generator
-from qsmfg.grid import Grid, GridField, gradient_central
-from qsmfg.hjb import solve_discounted, solve_ergodic
+from qsmfg.grid import Grid, gradient_central
+from qsmfg.hjb import solve_discounted, solve_ergodic, value_function
 from qsmfg.measure import (
     ControlField,
     DensityField,
@@ -170,7 +170,7 @@ def test_criterion_03_hjb_identities():
         closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
     sol = solve_discounted(const, _measure(1), 1.0, grid, tol=1e-13)
-    assert np.abs(sol.u.values - 2.0).max() <= 1e-11
+    assert np.abs(value_function(sol.w, sol.s, 1.0)[0] - 2.0).max() <= 1e-11
 
     # (b) separated cost: discounted shift (l1(nu1) - l1(nu2)) / rho within 1e-10
     spec = separated_cost(d=1, coupling_weight=0.5)
@@ -179,12 +179,13 @@ def test_criterion_03_hjb_identities():
     s1 = solve_discounted(spec, nu1, rho, grid, tol=1e-13)
     s2 = solve_discounted(spec, nu2, rho, grid, tol=1e-13)
     shift = (spec.measure_cost(nu1) - spec.measure_cost(nu2)) / rho
-    assert np.abs((s1.u.values - s2.u.values) - shift).max() <= 1e-10
+    u1, u2 = value_function(s1.w, s1.s, rho)[0], value_function(s2.w, s2.s, rho)[0]
+    assert np.abs((u1 - u2) - shift).max() <= 1e-10
 
     # (c) ergodic separated cost: u independent of the measure within 1e-9
     e1 = solve_ergodic(spec, nu1, grid, tol=1e-13)
     e2 = solve_ergodic(spec, nu2, grid, tol=1e-13)
-    assert np.abs(e1.u.values - e2.u.values).max() <= 1e-9
+    assert np.abs(value_function(e1.w, e1.s, 0.0)[0] - value_function(e2.w, e2.s, 0.0)[0]).max() <= 1e-9
 
 
 @criterion(4, "discount-scaled value bound rho*|u| <= sup|l| on every converged run")
@@ -224,7 +225,8 @@ def test_criterion_06_fixed_point_residual(converged_runs):
 
         for j in range(sol.n_slices):
             nu = _slice_context(spec, sol.times, sol.mu, j)
-            probe = policy_field(spec, sol.m[j].grid, gradient_central(sol.u[j]), nu)
+            grid = sol.m[j].grid
+            probe = policy_field(spec, grid, gradient_central(grid, sol.u[j]), nu)
             residual = wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe))
             assert residual <= cfg.inner_tol, (j, residual)
 
@@ -246,14 +248,14 @@ def test_criterion_07_holder_ratios(weak_gamma, weak_gamma_fine):
 def test_criterion_08_two_seed(weak_gamma):
     spec, cfg, sol = weak_gamma
     n_slices = sol.n_slices
-    seed_u = [GridField(GRID, 0.2 * np.cos(2 * np.pi * GRID.axis_coordinates()))] * n_slices
+    seed_u = [0.2 * np.cos(2 * np.pi * GRID.axis_coordinates())] * n_slices
     seed_m = [uniform_density(GRID)] * n_slices
     other = solve_field_iteration(spec, two_bump_density(GRID), cfg, initial=(seed_u, seed_m))
     assert other.converged
 
     def seed_gap(a, b):
         return max(
-            np.abs(gradient_central(a.u[j]) - gradient_central(b.u[j])).max()
+            np.abs(gradient_central(GRID, a.u[j]) - gradient_central(GRID, b.u[j])).max()
             + wasserstein1_state(a.m[j], b.m[j])
             for j in range(n_slices)
         )
@@ -275,7 +277,7 @@ def test_criterion_08_two_seed(weak_gamma):
         initial=([seed_u[0]] * (strong_cfg.n_steps + 1), [uniform_density(GRID)] * (strong_cfg.n_steps + 1)),
     )
     strong_gap = max(
-        np.abs(gradient_central(a.u[j]) - gradient_central(b.u[j])).max()
+        np.abs(gradient_central(GRID, a.u[j]) - gradient_central(GRID, b.u[j])).max()
         + wasserstein1_state(a.m[j], b.m[j])
         for j in range(strong_cfg.n_steps + 1)
     )
@@ -290,7 +292,7 @@ def test_criterion_09_strategy_equivalence(weak_gamma, weak_psi):
     spec, cfg, gamma_sol = weak_gamma
     _, _, psi_sol = weak_psi
     gap = max(
-        np.abs(gradient_central(gamma_sol.u[j]) - gradient_central(psi_sol.u[j])).max()
+        np.abs(gradient_central(GRID, gamma_sol.u[j]) - gradient_central(GRID, psi_sol.u[j])).max()
         + wasserstein1_state(gamma_sol.m[j], psi_sol.m[j])
         for j in range(gamma_sol.n_slices)
     )

@@ -114,6 +114,36 @@ class TestConfigValidation:
         assert f"config field {field_name!r}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, payload, field_name",
+        [
+            ("run", 5, "json"),
+            ("validate", None, "json"),
+            ("run", [{"a": 1}], "json"),
+            ("sweep", [{"a": 1}], "json"),
+            ("sweep", dict(MINIMAL, sweep={"grid.n": 8}), "sweep.grid.n"),
+            ("sweep", dict(MINIMAL, sweep=[1]), "sweep"),
+            ("sweep", dict(MINIMAL, sweep={"rho": [1.0]}, output_dir=5), "output_dir"),
+            ("sweep", dict(MINIMAL, sweep={"grid.n.x": [8]}), "grid.n.x"),
+            ("sweep", dict(MINIMAL, sweep={"grid.n": []}), "sweep.grid.n"),
+            ("sweep", dict(MINIMAL, sweep={"rho": [1.0, -1.0]}), "rho"),
+            ("run", dict(MINIMAL, seed=-1), "seed"),
+            ("validate", dict(MINIMAL, seed=-1), "seed"),
+        ],
+        ids=["run-int", "validate-null", "run-list", "sweep-list", "sweep-value", "sweep-list-spec",
+             "sweep-output-dir", "sweep-path", "sweep-empty-values", "sweep-bad-point", "run-negative-seed",
+             "validate-negative-seed"],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, command, payload, field_name):
+        # a config of the wrong shape, a seed numpy's generator refuses, or a
+        # sweep point that is not a valid config is a config error before
+        # anything is solved or written
+        if isinstance(payload, dict):
+            payload = {"output_dir": str(tmp_path / "out"), **payload}
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert f"error: config field {field_name!r}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ergodic_requires_sequence(self):
         bad = dict(MINIMAL, mode="ergodic")
         with pytest.raises(ConfigError) as err:
@@ -295,13 +325,13 @@ class TestRunOutputs:
     def test_trajectory_csv_rows(self, written_run):
         out, cfg, sol = written_run
         grid = Grid(cfg.d, cfg.n)
-        for name, fields in (("trajectory_m.csv", sol.m), ("trajectory_u.csv", sol.u)):
+        for name, fields in (("trajectory_m.csv", [m.values for m in sol.m]), ("trajectory_u.csv", sol.u)):
             _, rows = _read_csv(out / name)
             assert len(rows) == (cfg.coupling.n_steps + 1) * grid.size
             assert [int(row[1]) for row in rows[: grid.size]] == list(range(grid.size))
             times, values = _trajectory_values(out / name, grid)
             np.testing.assert_array_equal(times, cfg.coupling.times())
-            np.testing.assert_array_equal(values, np.stack([f.values for f in fields]))
+            np.testing.assert_array_equal(values, np.stack(fields).reshape(values.shape))
 
     def test_trajectory_bin_matches_csv(self, written_run):
         out, cfg, _ = written_run
@@ -322,7 +352,7 @@ class TestRunOutputs:
         values = np.full((cfg.n,) * cfg.d, np.nan)
         for *idx, v in rows:
             values[tuple(int(i) for i in idx)] = float(v)
-        np.testing.assert_array_equal(values, sol.u[-1].values)
+        np.testing.assert_array_equal(values.ravel(), sol.u[-1])
 
     def test_mu_csv_weights_are_density_times_cell_volume(self, written_run):
         out, cfg, sol = written_run

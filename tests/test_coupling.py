@@ -17,8 +17,8 @@ from qsmfg.coupling import (
     solve_system,
     solve_vanishing_discount,
 )
-from qsmfg.grid import Grid, GridField, gradient_central
-from qsmfg.hjb import equation_residual, solve_ergodic
+from qsmfg.grid import Grid, gradient_central
+from qsmfg.hjb import equation_residual, solve_ergodic, value_function
 from qsmfg.measure import (
     ControlField,
     DensityField,
@@ -284,7 +284,7 @@ class TestMeasuredResiduals:
         hjb_res, mu_res = [], []
         for j in range(sol.n_slices):
             nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
-            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, sol.w[j], sol.s[j])
+            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, GRID, sol.w[j], sol.s[j])
             hjb_res.append(r)
             mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
         return np.array(hjb_res), np.array(mu_res)
@@ -337,12 +337,12 @@ class TestFieldIteration:
     def test_two_seed_uniqueness_weak_coupling(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
         n_slices = sol.n_slices
-        seed_u = [GridField(GRID, 0.2 * np.cos(2 * np.pi * GRID.axis_coordinates()))] * n_slices
+        seed_u = [0.2 * np.cos(2 * np.pi * GRID.axis_coordinates())] * n_slices
         seed_m = [uniform_density(GRID)] * n_slices
         other = solve_field_iteration(spec, m0, cfg, initial=(seed_u, seed_m))
         assert other.converged
         gap = max(
-            np.abs(gradient_central(sol.u[j]) - gradient_central(other.u[j])).max()
+            np.abs(gradient_central(GRID, sol.u[j]) - gradient_central(GRID, other.u[j])).max()
             + wasserstein1_state(sol.m[j], other.m[j])
             for j in range(n_slices)
         )
@@ -362,7 +362,7 @@ def test_warm_start_of_wrong_length_rejected(strategy):
     spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
     cfg = CouplingConfig(T=0.2, dt=0.05, strategy=strategy)
     if strategy == "gamma":
-        solve, first = solve_field_iteration, GridField.zeros(GRID)
+        solve, first = solve_field_iteration, np.zeros(GRID.size)
     else:
         solve, first = solve_measure_iteration, pushforward(m0, ControlField(GRID, np.zeros(GRID.shape)))
     for n in (2, 6):
@@ -389,7 +389,7 @@ class TestMeasureIteration:
         psi = solve_measure_iteration(spec, m0, cfg_psi)
         assert psi.converged
         gap = max(
-            np.abs(gradient_central(sol.u[j]) - gradient_central(psi.u[j])).max()
+            np.abs(gradient_central(GRID, sol.u[j]) - gradient_central(GRID, psi.u[j])).max()
             + wasserstein1_state(sol.m[j], psi.m[j])
             for j in range(sol.n_slices)
         )
@@ -419,7 +419,7 @@ class TestMeasureIteration:
             sol = solve_measure_iteration(spec, m0, cfg)
             assert sol.converged
             worst = max(
-                np.abs(gradient_central(sol.u[j]) - gradient_central(sol.u[k])).max()
+                np.abs(gradient_central(GRID, sol.u[j]) - gradient_central(GRID, sol.u[k])).max()
                 for j in range(sol.n_slices)
                 for k in range(j + 1, sol.n_slices)
             )
@@ -440,7 +440,7 @@ class TestErgodicDriver:
         assert sol.converged
         np.testing.assert_allclose(sol.lam, 1.4, atol=1e-8)
         for u in sol.u:
-            assert np.abs(u.values).max() < 1e-8
+            assert np.abs(u).max() < 1e-8
         from qsmfg.fp import fp_evolve
 
         heat = fp_evolve(m0, [np.zeros((GRID.size, 1))] * 3, 0.1)
@@ -465,11 +465,11 @@ class TestErgodicDriver:
         nu_any = sol.mu[0]
         base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12)
         for j in range(sol.n_slices):
-            expected = base_sol.lam - spec.measure_cost(sol.mu[j])
+            expected = value_function(base_sol.w, base_sol.s, 0.0)[1] - spec.measure_cost(sol.mu[j])
             assert sol.lam[j] == pytest.approx(expected, abs=2e-4)
         # u constant in time
         spread = max(
-            np.abs(sol.u[j].values - sol.u[0].values).max() for j in range(sol.n_slices)
+            np.abs(sol.u[j] - sol.u[0]).max() for j in range(sol.n_slices)
         )
         assert spread < 1e-4
 
@@ -488,7 +488,7 @@ class TestErgodicDriver:
         assert sol.diagnostics["direct_gap_max"] <= 10 * cfg.ergodic_tol
         assert sol.converged
         for u in sol.u:
-            assert u.flat()[0] == 0.0  # normalization node pinned
+            assert u[0] == 0.0  # normalization node pinned
 
     def test_psi_agrees_with_gamma(self):
         # psi's levels warm-start from the last level's (mu, m)

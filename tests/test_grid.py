@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qsmfg.grid import (
     Grid,
-    GridField,
     gradient_central,
     gradient_upwind,
     laplacian,
@@ -15,7 +14,7 @@ from qsmfg.grid import (
 
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
-    return GridField(grid, rng.uniform(-2.0, 2.0, grid.shape))
+    return rng.uniform(-2.0, 2.0, grid.size)
 
 
 def test_grid_validation():
@@ -81,18 +80,18 @@ def _roll_reference(v, ax, h, kind, b=None):
 def test_operators_equal_roll_reference(d, n, seed):
     g = Grid(d, n)
     rng = np.random.default_rng(seed)
-    f = GridField(g, rng.uniform(-2.0, 2.0, g.shape))
+    f = rng.uniform(-2.0, 2.0, g.size)
     # a drift with exact zeros, which take the central fallback
     drift = np.stack(
         [np.where(rng.random(g.shape) < 0.3, 0.0, rng.uniform(-1.0, 1.0, g.shape)).ravel() for _ in range(d)],
         axis=-1,
     )
-    v = f.values
+    v = f.reshape(g.shape)
     lap = np.zeros_like(v)
     for ax in range(d):
         lap += _roll_reference(v, ax, g.h, "laplacian")
-    np.testing.assert_array_equal(laplacian(f).values, lap)
-    ctr, upw = gradient_central(f), gradient_upwind(f, drift)
+    np.testing.assert_array_equal(laplacian(g, f), lap.ravel())
+    ctr, upw = gradient_central(g, f), gradient_upwind(g, f, drift)
     assert ctr.shape == upw.shape == (g.size, d)
     for ax in range(d):
         b = drift[:, ax].reshape(g.shape)
@@ -107,21 +106,20 @@ def test_gradient_upwind_rejects_drift_of_wrong_shape(d, n):
     f = _random_field(g, 5)
     for shape in ((d, g.size), (g.size, 3 - d), (g.size,)):
         with pytest.raises(ValueError, match="drift needs shape"):
-            gradient_upwind(f, np.ones(shape))
-
-
-def test_field_requires_finite_values():
-    g = Grid(1, 8)
-    with pytest.raises(ValueError):
-        GridField(g, np.array([np.nan] + [0.0] * 7))
-    with pytest.raises(ValueError):
-        GridField(g, np.zeros(9))
+            gradient_upwind(g, f, np.ones(shape))
+    # the scalar field takes one value per node, as a flat array, in every operator
+    drift = np.ones((g.size, d))
+    operators = (lambda v: laplacian(g, v), lambda v: gradient_central(g, v), lambda v: gradient_upwind(g, v, drift))
+    for shape in ((g.size + 1,), (g.size - 1,), (g.size, d), (1,) + g.shape):
+        for operator in operators:
+            with pytest.raises(ValueError, match="field needs shape"):
+                operator(np.ones(shape))
 
 
 def test_laplacian_of_constant_is_zero():
     g = Grid(1, 16)
-    out = laplacian(GridField.constant(g, 3.7))
-    assert np.abs(out.values).max() == 0.0
+    out = laplacian(g, np.full(g.size, 3.7))
+    assert np.abs(out).max() == 0.0
 
 
 def test_laplacian_discrete_delta_hand_stencil():
@@ -131,7 +129,7 @@ def test_laplacian_discrete_delta_hand_stencil():
     g = Grid(1, 8)
     delta = np.zeros(8)
     delta[0] = 1.0
-    out = laplacian(GridField(g, delta)).values
+    out = laplacian(g, delta)
     h2 = g.h**2
     expected = np.zeros(8)
     expected[0] = -2.0 / h2
@@ -145,7 +143,7 @@ def test_laplacian_sine_second_order():
     for n in (64, 128):
         g = Grid(1, n)
         x = g.axis_coordinates()
-        out = laplacian(GridField(g, np.sin(2 * np.pi * x))).values
+        out = laplacian(g, np.sin(2 * np.pi * x))
         err = np.abs(out + 4 * np.pi**2 * np.sin(2 * np.pi * x)).max()
         # exact discrete symbol bound: |4 pi^2 - (2 - 2 cos(2 pi h))/h^2|,
         # dominated by the leading Taylor term (4 pi^4 / 3) h^2
@@ -156,23 +154,23 @@ def test_laplacian_sine_second_order():
 
 def test_gradient_central_of_constant_is_zero():
     g = Grid(1, 16)
-    out = gradient_central(GridField.constant(g, -1.3))
+    out = gradient_central(g, np.full(g.size, -1.3))
     assert np.abs(out).max() == 0.0
 
 
 def test_gradient_central_sine():
     g = Grid(1, 64)
     x = g.axis_coordinates()
-    out = gradient_central(GridField(g, np.sin(2 * np.pi * x)))[:, 0]
+    out = gradient_central(g, np.sin(2 * np.pi * x))[:, 0]
     err = np.abs(out - 2 * np.pi * np.cos(2 * np.pi * x)).max()
     assert err <= ((2 * np.pi) ** 3 / 6) * g.h**2 * 1.001
 
 
 def test_gradient_upwind_linear_ramp_forward():
     g = Grid(1, 16)
-    f = GridField(g, g.axis_coordinates())
+    f = g.axis_coordinates()
     drift = np.ones((g.size, 1))
-    out = gradient_upwind(f, drift)[:, 0]
+    out = gradient_upwind(g, f, drift)[:, 0]
     # interior nodes see slope exactly 1; the wrap node sees the periodic jump
     assert np.abs(out[:-1] - 1.0).max() == 0.0
     assert out[-1] != pytest.approx(1.0)
@@ -180,17 +178,17 @@ def test_gradient_upwind_linear_ramp_forward():
 
 def test_gradient_upwind_constant_field_any_drift():
     g = Grid(1, 16)
-    f = GridField.constant(g, 2.5)
-    drift = _random_field(g, 3).flat()[:, None]
-    out = gradient_upwind(f, drift)
+    f = np.full(g.size, 2.5)
+    drift = _random_field(g, 3)[:, None]
+    out = gradient_upwind(g, f, drift)
     assert np.abs(out).max() == 0.0
 
 
 def test_gradient_upwind_zero_drift_is_central():
     g = Grid(1, 16)
     f = _random_field(g, 7)
-    upw = gradient_upwind(f, np.zeros((g.size, 1)))
-    ctr = gradient_central(f)
+    upw = gradient_upwind(g, f, np.zeros((g.size, 1)))
+    ctr = gradient_central(g, f)
     np.testing.assert_array_equal(upw, ctr)
 
 
@@ -200,12 +198,12 @@ def test_linearity_of_operators(seed, a, b):
     g = Grid(1, 16)
     f1 = _random_field(g, seed)
     f2 = _random_field(g, seed + 1)
-    combo = GridField(g, a * f1.values + b * f2.values)
-    lhs = laplacian(combo).values
-    rhs = a * laplacian(f1).values + b * laplacian(f2).values
+    combo = a * f1 + b * f2
+    lhs = laplacian(g, combo)
+    rhs = a * laplacian(g, f1) + b * laplacian(g, f2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-    lhs_g = gradient_central(combo)
-    rhs_g = a * gradient_central(f1) + b * gradient_central(f2)
+    lhs_g = gradient_central(g, combo)
+    rhs_g = a * gradient_central(g, f1) + b * gradient_central(g, f2)
     np.testing.assert_allclose(lhs_g, rhs_g, atol=1e-9)
 
 
@@ -214,12 +212,12 @@ def test_linearity_of_operators(seed, a, b):
 def test_translation_equivariance(seed, shift):
     g = Grid(1, 16)
     f = _random_field(g, seed)
-    shifted = GridField(g, np.roll(f.values, shift))
+    shifted = np.roll(f, shift)
     np.testing.assert_array_equal(
-        laplacian(shifted).values, np.roll(laplacian(f).values, shift)
+        laplacian(g, shifted), np.roll(laplacian(g, f), shift)
     )
     np.testing.assert_array_equal(
-        gradient_central(shifted)[:, 0], np.roll(gradient_central(f)[:, 0], shift)
+        gradient_central(g, shifted)[:, 0], np.roll(gradient_central(g, f)[:, 0], shift)
     )
 
 
@@ -228,14 +226,14 @@ def test_laplacian_node_sum_vanishes():
     for d, n in ((1, 64), (2, 16)):
         g = Grid(d, n)
         f = _random_field(g, 11 + d)
-        assert abs(laplacian(f).values.sum()) < 1e-8
+        assert abs(laplacian(g, f).sum()) < 1e-8
 
 
 def test_laplacian_2d_separable_modes():
     g = Grid(2, 16)
     x = g.coordinates()
     vals = np.sin(2 * np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])
-    out = laplacian(GridField(g, vals)).values.ravel()
+    out = laplacian(g, vals)
     factor = -(2.0 - 2.0 * np.cos(2 * np.pi * g.h)) / g.h**2 * 2.0
     np.testing.assert_allclose(out, factor * vals, atol=1e-10)
 

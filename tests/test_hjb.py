@@ -14,13 +14,14 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from qsmfg import model
-from qsmfg.grid import Grid, GridField, gradient_central, gradient_upwind, laplacian, torus_distance
+from qsmfg.grid import Grid, gradient_central, gradient_upwind, laplacian, torus_distance
 from qsmfg.hjb import (
     _evaluation_matrix,
     _policy_iteration,
     equation_residual,
     solve_discounted,
     solve_ergodic,
+    value_function,
 )
 from qsmfg.measure import ControlField, JointMeasure, pushforward, uniform_density, wasserstein1_joint
 from qsmfg.model import (
@@ -44,6 +45,11 @@ def _measure(seed=0, scale=0.8):
     return JointMeasure(x, a, w / w.sum())
 
 
+def _u(sol, rho):
+    """The value function that a solve's normalized pair stands for."""
+    return value_function(sol.w, sol.s, rho)[0]
+
+
 def _const_model(c, k=1):
     control = ControlSet(k=k, radius=1.0)
     return ModelSpec(
@@ -63,7 +69,7 @@ class TestDiscounted:
         # b == 0, l == c: H = -c and u == c/rho solves the discrete system exactly
         spec = _const_model(2.0)
         sol = solve_discounted(spec, _measure(), 0.7, GRID, tol=1e-12)
-        assert np.abs(sol.u.values - 2.0 / 0.7).max() < 1e-11
+        assert np.abs(_u(sol, 0.7) - 2.0 / 0.7).max() < 1e-11
         assert sol.residual < 1e-12
 
     def test_separated_cost_shift(self):
@@ -73,7 +79,7 @@ class TestDiscounted:
         s1 = solve_discounted(spec, nu1, rho, GRID, tol=1e-12)
         s2 = solve_discounted(spec, nu2, rho, GRID, tol=1e-12)
         shift = (spec.measure_cost(nu1) - spec.measure_cost(nu2)) / rho
-        assert np.abs((s1.u.values - s2.u.values) - shift).max() < 1e-10
+        assert np.abs((_u(s1, rho) - _u(s2, rho)) - shift).max() < 1e-10
 
     def test_matches_value_iteration_oracle(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
@@ -81,7 +87,7 @@ class TestDiscounted:
         sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11)
         assert sol.converged and sol.residual <= 1e-11
         oracle = _value_iteration_oracle(spec, nu, 1.0, GRID, tol=1e-9)
-        assert np.abs(sol.u.values - oracle).max() < 1e-7
+        assert np.abs(_u(sol, 1.0) - oracle).max() < 1e-7
 
     def test_comparison_principle_constant_shift(self):
         # raising l by a constant raises u by delta/rho exactly
@@ -89,7 +95,7 @@ class TestDiscounted:
         base = solve_discounted(_const_model(1.0), _measure(), rho, GRID)
         shifted = solve_discounted(_const_model(1.6), _measure(), rho, GRID)
         np.testing.assert_allclose(
-            shifted.u.values - base.u.values, 0.6 / rho, atol=1e-10
+            _u(shifted, rho) - _u(base, rho), 0.6 / rho, atol=1e-10
         )
 
     def test_discount_bound(self):
@@ -101,7 +107,7 @@ class TestDiscounted:
             mesh = spec.control.mesh(257)
             x = GRID.coordinates()[:, None, :]
             ell_max = np.abs(spec.running_cost(x, mesh[None, :, :], nu)).max()
-            assert rho * np.abs(sol.u.values).max() <= ell_max + 1e-9
+            assert rho * np.abs(_u(sol, rho)).max() <= ell_max + 1e-9
 
     def test_residual_history_nonincreasing(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
@@ -112,6 +118,15 @@ class TestDiscounted:
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
             solve_discounted(_const_model(1.0), _measure(), 0.0, GRID)
+
+    def test_non_finite_cost_is_a_solver_error(self):
+        # a NaN running cost makes the evaluation solve non-finite, which the
+        # solve raises as a solver failure instead of returning the values
+        spec = _const_model(np.nan)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            solve_discounted(spec, _measure(), 1.0, GRID)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            solve_ergodic(spec, _measure(), GRID)
 
     def test_warm_start_converges_immediately(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
@@ -137,8 +152,9 @@ class TestDiscounted:
         nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
-        probe = policy_field(spec, grid, gradient_central(sol.w), nu)
+        probe = policy_field(spec, grid, gradient_central(grid, sol.w), nu)
         np.testing.assert_array_equal(sol.policy.values, probe.values)
+        assert sol.w.shape == (grid.size,) and not sol.w.flags.writeable
 
 
 class TestCoefficientEvaluations:
@@ -235,11 +251,13 @@ class TestPolicyRepeat:
         # one more evaluation of the returned policy reproduces the solve;
         # u = w + s/rho carries the normalization constant s, and lam is None
         more = _policy_iteration(spec, nu, rho, grid, tol, 1, sol.policy)
-        np.testing.assert_array_equal(more.w.values, sol.w.values)
+        np.testing.assert_array_equal(more.w, sol.w)
         assert more.s == sol.s
-        np.testing.assert_array_equal(more.u.values, sol.u.values)
+        u_more, lam_more = value_function(more.w, more.s, rho)
+        u_sol, lam_sol = value_function(sol.w, sol.s, rho)
+        np.testing.assert_array_equal(u_more, u_sol)
         np.testing.assert_array_equal(more.policy.values, sol.policy.values)
-        assert more.lam is None and sol.lam is None and more.residual == sol.residual
+        assert lam_more is None and lam_sol is None and more.residual == sol.residual
         # the public solve reports the same stop
         public = solve_discounted(spec, nu, rho, grid, tol=tol)
         assert public.iterations == sol.iterations and public.residual == sol.residual
@@ -254,7 +272,7 @@ class TestSelfConvergence:
         nu = _measure(0)
         sols = {}
         for n in (32, 64, 128):
-            sols[n] = solve_discounted(spec, nu, 1.0, Grid(1, n), tol=1e-12).u.values
+            sols[n] = _u(solve_discounted(spec, nu, 1.0, Grid(1, n), tol=1e-12), 1.0)
         e_coarse = np.abs(sols[32] - sols[64][::2]).max()
         e_fine = np.abs(sols[64] - sols[128][::2]).max()
         assert e_fine < e_coarse
@@ -289,12 +307,12 @@ class TestNormalizedEvaluation:
         grid = Grid(d, n)
         rng = np.random.default_rng(100 * d + n)
         bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
-        w, s = GridField(grid, rng.uniform(-1.0, 1.0, grid.shape)), float(rng.uniform(-1.0, 1.0))
-        got = _evaluation_matrix(grid, bvals, rho) @ np.append(w.flat(), s)
-        dup = gradient_upwind(w, bvals)
-        want = rho * w.flat() - laplacian(w).flat() - sum(bvals[:, ax] * dup[:, ax] for ax in range(d)) + s
+        w, s = rng.uniform(-1.0, 1.0, grid.size), float(rng.uniform(-1.0, 1.0))
+        got = _evaluation_matrix(grid, bvals, rho) @ np.append(w, s)
+        dup = gradient_upwind(grid, w, bvals)
+        want = rho * w - laplacian(grid, w) - sum(bvals[:, ax] * dup[:, ax] for ax in range(d)) + s
         np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-12 * np.abs(want).max())
-        assert got[-1] == w.flat()[0]
+        assert got[-1] == w[0]
 
 
 class TestErgodic:
@@ -302,15 +320,16 @@ class TestErgodic:
         # b == 0, l == c: lambda = c, u == 0
         spec = _const_model(1.3)
         sol = solve_ergodic(spec, _measure(), GRID, tol=1e-12)
-        assert sol.lam == pytest.approx(1.3, abs=1e-11)
-        assert np.abs(sol.u.values).max() < 1e-11
-        assert sol.u.flat()[0] == 0.0  # normalization exact
+        u, lam = value_function(sol.w, sol.s, 0.0)
+        assert lam == pytest.approx(1.3, abs=1e-11)
+        assert np.abs(u).max() < 1e-11
+        assert u[0] == 0.0  # normalization exact
 
     def test_separated_cost_measure_independent_u(self):
         spec = separated_cost(d=1, coupling_weight=0.5)
         s1 = solve_ergodic(spec, _measure(1), GRID, tol=1e-12)
         s2 = solve_ergodic(spec, _measure(2), GRID, tol=1e-12)
-        assert np.abs(s1.u.values - s2.u.values).max() < 1e-9
+        assert np.abs(_u(s1, 0.0) - _u(s2, 0.0)).max() < 1e-9
 
     def test_modes_agree(self):
         # the discounted pair (s, w) = (rho * u(x0), u - u(x0)) approaches
@@ -318,11 +337,12 @@ class TestErgodic:
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(7)
         direct = solve_ergodic(spec, nu, GRID, tol=1e-12)
-        assert direct.lam == direct.s and direct.u is direct.w
+        u, lam = value_function(direct.w, direct.s, 0.0)
+        assert lam == direct.s and u is direct.w
         gaps = []
         for rho in (2.0**-6, 2.0**-7, 2.0**-8):
             sol = solve_discounted(spec, nu, rho, GRID, tol=1e-12)
-            gaps.append(abs(sol.s - direct.s) + np.abs(sol.w.values - direct.w.values).max())
+            gaps.append(abs(sol.s - direct.s) + np.abs(sol.w - direct.w).max())
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 0.45 <= fine / coarse <= 0.55
 
@@ -333,10 +353,10 @@ def _dependence(spec, nu1, nu2, rho, tol=1e-11):
     rho |u1 - u2| = sup |rho (w1 - w2) + s1 - s2|."""
     sol1 = solve_discounted(spec, nu1, rho, GRID, tol=tol)
     sol2 = solve_discounted(spec, nu2, rho, GRID, tol=tol)
-    dw = sol1.w.values - sol2.w.values
+    dw = sol1.w - sol2.w
     return (
         float(np.abs(dw).max()),
-        float(np.abs(gradient_central(sol1.w) - gradient_central(sol2.w)).max()),
+        float(np.abs(gradient_central(GRID, sol1.w) - gradient_central(GRID, sol2.w)).max()),
         float(np.abs(rho * dw + sol1.s - sol2.s).max()),
     )
 
@@ -381,7 +401,7 @@ class TestSmoke2D:
         rng = np.random.default_rng(12)
         nu = JointMeasure(rng.random((10, 2)), np.zeros((10, 2)), np.full(10, 0.1))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11)
-        assert np.abs(sol.u.values - 1.1).max() < 1e-10
+        assert np.abs(_u(sol, 1.0) - 1.1).max() < 1e-10
 
     def test_example_one_2d(self):
         grid = Grid(2, 8)
@@ -390,7 +410,7 @@ class TestSmoke2D:
         nu = JointMeasure(rng.random((10, 2)), rng.uniform(-0.5, 0.5, (10, 2)), np.full(10, 0.1))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-10)
         assert sol.converged
-        res, _, _, _ = equation_residual(spec, nu, 1.0, sol.u)
+        res, _, _, _ = equation_residual(spec, nu, 1.0, grid, _u(sol, 1.0))
         assert res <= 1e-10
 
 

@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from qsmfg import measure
-from qsmfg.grid import Grid, GridField
+from qsmfg.grid import Grid
 from qsmfg.measure import (
     ControlField,
     DensityField,
