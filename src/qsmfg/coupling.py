@@ -27,7 +27,11 @@ each an atom LP.  Both go through one pruned maximum: pairs are solved in
 decreasing order of the certified upper bound joint_w1_upper_bound, and the
 loop stops once no remaining bound reaches the largest value found.  The
 result is the full loop's maximum bit for bit, with only the LPs that can set
-it solved.
+it solved.  Psi's outer error asks for no digits below the outer tolerance:
+on a pass where every bound is at or below it, the largest bound is logged,
+a certified upper bound on the error, and no LP is solved.  The bound
+settles only passes the exact maximum would settle too, so the iterates and
+pass counts do not depend on it.
 
 The ergodic system is solved by driving the discounted solver through a
 geometric discount sequence; each level's per-slice HJB pairs (w, s) are the
@@ -236,17 +240,23 @@ def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMe
     return slice_measure(spec, times[: j + 1], mu_traj[: j + 1])
 
 
-def _max_joint_w1(pairs, scales, state_w1s) -> float:
-    """Largest wasserstein1_joint(nu1, nu2) / scale over the pairs; -inf for none.
+def _max_joint_w1(pairs, scales, state_w1s, tol: float = -np.inf) -> float:
+    """Largest wasserstein1_joint(nu1, nu2) / scale over the pairs, or a
+    certified upper bound on it at or below tol; -inf for no pairs.
 
-    state_w1s holds W1 between each pair's state marginals.  Pairs are solved
-    in decreasing order of joint_w1_upper_bound / scale, and the loop stops
-    once the next bound is below the largest value found: every pair left
-    has W1 at most its bound, so none can set the maximum.  The maximizer is
-    solved exactly as in the full loop, so the result is its value bit for
-    bit.
+    state_w1s holds W1 between each pair's state marginals.  When every
+    joint_w1_upper_bound / scale is finite and at or below tol, the largest
+    bound is returned and no LP is solved: the maximum is then known to meet
+    tol, and its digits below tol are not computed.  Otherwise pairs are
+    solved in decreasing order of their bounds, and the loop stops once the
+    next bound is below the largest value found: every pair left has W1 at
+    most its bound, so none can set the maximum.  The maximizer is solved
+    exactly as in the full loop, so the result is its value bit for bit.
     """
     bounds = [joint_w1_upper_bound(nu1, nu2, s) / c for (nu1, nu2), c, s in zip(pairs, scales, state_w1s)]
+    top = max(bounds, default=-np.inf)
+    if np.isfinite(top) and top <= tol:
+        return top
     best = -np.inf
     for i in sorted(range(len(pairs)), key=lambda i: -bounds[i]):
         if bounds[i] * (1.0 + 1e-9) < best:
@@ -415,7 +425,9 @@ def solve_measure_iteration(
     past), one Fokker-Planck evolution, and pushforwards of the new densities
     through the optimal policies.  The outer error is the sup over slices of
     the joint W1 distance between consecutive trajectories; only the slices
-    whose certified upper bound can reach the sup are solved.  initial is a
+    whose certified upper bound can reach the sup are solved, and none when
+    every bound meets outer_tol, in which case the largest bound is the
+    pass's logged error.  initial is a
     warm start (mu, m): a measure trajectory and its state marginals.
     """
     grid = m0.grid
@@ -448,7 +460,7 @@ def solve_measure_iteration(
         nonlocal mu_traj, m_traj
         mu_new = [pushforward(m, a) for m, a in zip(traj, policies)]
         state_w1s = [wasserstein1_state(new, old) for new, old in zip(traj, m_traj)]
-        e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s)
+        e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s, config.outer_tol)
         mu_traj, m_traj = mu_new, list(traj)
         return e_k, e_k
 

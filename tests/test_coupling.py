@@ -589,24 +589,34 @@ def _counting_lp(monkeypatch):
     return calls
 
 
-def _unpruned_max(pairs, scales, _state_w1s):
+def _unpruned_max(pairs, scales, _state_w1s, _tol=-np.inf):
     return max(wasserstein1_joint(nu1, nu2) / c for (nu1, nu2), c in zip(pairs, scales))
+
+
+def _drifting_pairs(scaled):
+    """A bump drifting under a drifting smooth policy, every time pair:
+    (pairs, scales, state W1s)."""
+    x = GRID.axis_coordinates()
+    densities = [von_mises_density(GRID, 0.4 + 0.01 * t) for t in range(6)]
+    mus = [
+        pushforward(m, ControlField(GRID, 0.05 * np.sin(2 * np.pi * (x - 0.02 * t))[:, None]))
+        for t, m in enumerate(densities)
+    ]
+    index = [(j, k) for j in range(6) for k in range(j + 1, 6)]
+    pairs = [(mus[j], mus[k]) for j, k in index]
+    scales = [np.sqrt(0.1 * (k - j)) if scaled else 1.0 for j, k in index]
+    state = [wasserstein1_state(densities[j], densities[k]) for j, k in index]
+    return pairs, scales, state
+
+
+def _bounds(pairs, scales, state):
+    return [measure.joint_w1_upper_bound(nu1, nu2, s) / c for (nu1, nu2), c, s in zip(pairs, scales, state)]
 
 
 class TestPrunedMaximum:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_equals_full_maximum_with_fewer_lps(self, scaled, monkeypatch):
-        # a bump drifting under a drifting smooth policy, every time pair
-        x = GRID.axis_coordinates()
-        densities = [von_mises_density(GRID, 0.4 + 0.01 * t) for t in range(6)]
-        mus = [
-            pushforward(m, ControlField(GRID, 0.05 * np.sin(2 * np.pi * (x - 0.02 * t))[:, None]))
-            for t, m in enumerate(densities)
-        ]
-        index = [(j, k) for j in range(6) for k in range(j + 1, 6)]
-        pairs = [(mus[j], mus[k]) for j, k in index]
-        scales = [np.sqrt(0.1 * (k - j)) if scaled else 1.0 for j, k in index]
-        state = [wasserstein1_state(densities[j], densities[k]) for j, k in index]
+        pairs, scales, state = _drifting_pairs(scaled)
         calls = _counting_lp(monkeypatch)
         full = _unpruned_max(pairs, scales, state)
         n_full = len(calls)
@@ -624,13 +634,67 @@ class TestPrunedMaximum:
         assert len(calls) == 6
         assert coupling._max_joint_w1([], [], []) == -np.inf
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_bounds_at_tolerance_solve_no_lp(self, scaled, monkeypatch):
+        pairs, scales, state = _drifting_pairs(scaled)
+        top = max(_bounds(pairs, scales, state))
+        calls = _counting_lp(monkeypatch)
+        assert coupling._max_joint_w1(pairs, scales, state, top) == top
+        assert coupling._max_joint_w1(pairs, scales, state, 2.0 * top) == top
+        assert calls == []
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_one_bound_above_tolerance_gives_full_maximum(self, scaled, monkeypatch):
+        pairs, scales, state = _drifting_pairs(scaled)
+        bounds = sorted(_bounds(pairs, scales, state))
+        assert bounds[-2] < bounds[-1]
+        calls = _counting_lp(monkeypatch)
+        value = coupling._max_joint_w1(pairs, scales, state, bounds[-2])
+        assert calls
+        assert value == _unpruned_max(pairs, scales, state) < bounds[-1]
+
+    def test_infinite_bound_never_settles(self, monkeypatch):
+        pairs, scales, state = _drifting_pairs(False)
+        state[3] = np.inf
+        calls = _counting_lp(monkeypatch)
+        value = coupling._max_joint_w1(pairs, scales, state, np.inf)
+        assert calls
+        assert value == _unpruned_max(pairs, scales, state)
+
     def test_psi_run_matches_unpruned_outer_error(self, memory_psi_solution, monkeypatch):
+        # passes the bounds do not settle log the exact maximum; a settled
+        # pass logs a certified upper bound that meets outer_tol, between the
+        # exact maximum and the tolerance, and solves no LP.  The iterates
+        # do not depend on it.
         spec, cfg, sol = memory_psi_solution
+        prune = coupling._max_joint_w1
+        calls = _counting_lp(monkeypatch)
+        passes = []  # (LPs solved, largest state W1) per outer-error call
+
+        def recording(pairs, scales, state_w1s, tol=-np.inf):
+            before = len(calls)
+            value = prune(pairs, scales, state_w1s, tol)
+            passes.append((len(calls) - before, max(state_w1s)))
+            return value
+
+        monkeypatch.setattr(coupling, "_max_joint_w1", recording)
+        pruned = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
         monkeypatch.setattr(coupling, "_max_joint_w1", _unpruned_max)
         full = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
-        assert full.outer_errors == sol.outer_errors
+        assert pruned.outer_errors == sol.outer_errors
+        assert len(passes) == len(full.outer_errors) == len(sol.outer_errors)
+        for (lps, state_max), row, full_row in zip(passes, sol.outer_errors, full.outer_errors):
+            assert row[0] == full_row[0]
+            if lps:
+                assert row == full_row
+            else:
+                assert state_max <= row[1] and full_row[1] <= row[1] <= cfg.outer_tol
+        assert passes[-1][0] == 0
         for a, b in zip(full.mu, sol.mu):
             assert np.array_equal(a.a, b.a) and np.array_equal(a.w, b.w)
+        for a, b in zip(full.m, sol.m):
+            assert np.array_equal(a.values, b.values)
+        assert full.converged == sol.converged
 
 
 class TestRegularityReport:
