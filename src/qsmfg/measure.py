@@ -311,10 +311,18 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     solved to anyway.  Every round but the last adds an arc, so the loop
     ends.  Problems with at most ALL_ARCS_PAIRS pairs start from every arc
     and solve one LP.
+
+    The weights are divided by their mean atom weight before the solve and
+    the value multiplied back, as the Beckmann flow scales its imbalance:
+    the optimal plan scales with the weights and the duals do not, so
+    HiGHS's absolute primal tolerance then applies to weights of order one
+    instead of 1/n^d, and differences between the marginals below it are
+    still transported.
     """
     n1, n2 = cost.shape
     tau = TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
-    b_eq = np.concatenate([w1, w2])[:-1]
+    scale = (w1.sum() + w2.sum()) / (n1 + n2)
+    b_eq = np.concatenate([w1, w2])[:-1] / scale
     rows, cols = np.arange(n1), np.arange(n2)
     arcs = _seed_arcs(cost, w1, w2)
     while True:
@@ -335,7 +343,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
             (best_row * n2 + cols)[reduced[best_row, cols] < -tau],
         ])
         if priced.size == 0:
-            return float(res.fun)
+            return float(scale * res.fun)
         arcs = np.union1d(arcs, priced)
 
 

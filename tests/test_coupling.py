@@ -688,7 +688,7 @@ class TestPrunedMaximum:
             if lps:
                 assert row == full_row
             else:
-                assert state_max <= row[1] and full_row[1] <= row[1] <= cfg.outer_tol
+                assert state_max <= full_row[1] <= row[1] <= cfg.outer_tol
         assert passes[-1][0] == 0
         for a, b in zip(full.mu, sol.mu):
             assert np.array_equal(a.a, b.a) and np.array_equal(a.w, b.w)

@@ -403,6 +403,22 @@ def test_atom_lp_accurate_on_nearby_measures():
         assert abs(wasserstein1_joint(nu1, nu2) - ref) <= 1e-13
 
 
+@pytest.mark.parametrize("start, eps", [("twobump", 1e-8), ("uniform", 1e-9)])
+def test_atom_lp_reads_state_w1_below_its_tolerance(start, eps):
+    # under one constant policy the joint W1 is the state W1.  Solved on the
+    # raw weights (of order 1/32), the LP read the two-bump pair 12% low and
+    # the uniform pair 0.0: every marginal difference was below HiGHS's
+    # absolute 1e-10 primal tolerance
+    g = Grid(1, 32)
+    m1 = two_bump_density(g) if start == "twobump" else uniform_density(g)
+    x = g.axis_coordinates()
+    m2 = DensityField.from_values(g, m1.values * (1 + eps * np.cos(2 * np.pi * x)), normalize=True)
+    policy = ControlField(g, np.full((g.n, 1), 0.3))
+    state = wasserstein1_state(m1, m2)
+    assert 1e-11 < state < 1e-9
+    assert wasserstein1_joint(pushforward(m1, policy), pushforward(m2, policy)) == pytest.approx(state, rel=1e-6)
+
+
 TAU = measure.TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
 
 
@@ -484,7 +500,8 @@ def test_priced_atom_lp_matches_reference_lp(n, kind, k, monkeypatch):
     rounds = _record_rounds(monkeypatch)
     value = wasserstein1_joint(nu1, nu2)
     _check_pricing(rounds, measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a))
-    assert value == rounds[-1][1].fun
+    mean_weight = (nu1.w.sum() + nu2.w.sum()) / (2 * g.size)  # the LP solves weights over it
+    assert value == mean_weight * rounds[-1][1].fun
     if kind == "nearby":
         assert 1e-7 < ref < 1e-5
         assert abs(value - ref) <= 1e-13
