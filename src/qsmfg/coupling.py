@@ -362,8 +362,9 @@ def solve_field_iteration(
     Per pass and per time slice: joint-measure fixed point from the previous
     gradients and densities, discounted HJB solve, then one Fokker-Planck
     evolution driven by the optimal policies.  The outer error sums the
-    gradient sup-distance and the state W1 distance per slice.  initial is a
-    warm start (u, m): (n^d,) value arrays and densities, one per slice.
+    gradient sup-distance and the state W1 distance per slice; gradients
+    are taken of each slice's normalized w, not of u = w + s/rho.  initial
+    is a warm start (u, m): (n^d,) value arrays and densities, one per slice.
     """
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
@@ -398,7 +399,7 @@ def solve_field_iteration(
 
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
-        new_du = [gradient_central(grid, value_function(h.w, h.s, config.rho)[0]) for h in hjbs]
+        new_du = [gradient_central(grid, h.w) for h in hjbs]
         du_errs = [float(np.abs(a - b).max()) for a, b in zip(new_du, du_list)]
         m_errs = [wasserstein1_state(a, b) for a, b in zip(traj, m_list)]
         m_list, du_list = list(traj), new_du
@@ -579,7 +580,9 @@ def regularity_report(
     Reports sup norms of u, Du, lap(u), the discount-scaled sup of u against
     the running-cost bound, and Holder-1/2 ratios in time for Du, the state
     density (W1), and the joint measure (W1), over subsampled time pairs.
-    All quantities are measured from the run; nothing is derived from proof
+    Derivatives of u are taken of the normalized w, which differs from u by
+    a constant per slice, so the rounding of u = w + s/rho does not enter
+    them.  All quantities are measured from the run; nothing is derived from proof
     constants.  Of the joint-measure pairs only those whose certified upper
     bound can reach the maximum ratio are solved.
     """
@@ -588,8 +591,8 @@ def regularity_report(
     report: dict[str, float | None] = {}
 
     u_sup = max(float(np.abs(u).max()) for u in sol.u)
-    du_sup = max(float(np.abs(gradient_central(grid, u)).max()) for u in sol.u)
-    lap_sup = max(float(np.abs(laplacian(grid, u)).max()) for u in sol.u)
+    du_sup = max(float(np.abs(gradient_central(grid, w)).max()) for w in sol.w)
+    lap_sup = max(float(np.abs(laplacian(grid, w)).max()) for w in sol.w)
     report["u_sup"] = u_sup
     report["du_sup"] = du_sup
     report["laplacian_u_sup"] = lap_sup
@@ -615,7 +618,7 @@ def regularity_report(
             allp = [allp[int(c)] for c in chosen]
         return allp
 
-    du_fields = [gradient_central(grid, u) for u in sol.u]
+    du_fields = [gradient_central(grid, w) for w in sol.w]
     state_w1: dict[tuple[int, int], float] = {}
     best_du = best_m = 0.0
     for j, k in _pairs(STATE_PAIRS):
