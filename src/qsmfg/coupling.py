@@ -428,8 +428,8 @@ def solve_measure_iteration(
     the joint W1 distance between consecutive trajectories; only the slices
     whose certified upper bound can reach the sup are solved, and none when
     every bound meets outer_tol, in which case the largest bound is the
-    pass's logged error.  initial is a
-    warm start (mu, m): a measure trajectory and its state marginals.
+    pass's logged error.  initial is a warm start (mu, m): a measure
+    trajectory and its state marginals.
     """
     grid = m0.grid
     times = config.times()
@@ -582,9 +582,9 @@ def regularity_report(
     density (W1), and the joint measure (W1), over subsampled time pairs.
     Derivatives of u are taken of the normalized w, which differs from u by
     a constant per slice, so the rounding of u = w + s/rho does not enter
-    them.  All quantities are measured from the run; nothing is derived from proof
-    constants.  Of the joint-measure pairs only those whose certified upper
-    bound can reach the maximum ratio are solved.
+    them.  All quantities are measured from the run; nothing is derived
+    from proof constants.  Of the joint-measure pairs only those whose
+    certified upper bound can reach the maximum ratio are solved.
     """
     rng = np.random.default_rng(seed)
     n, grid = sol.n_slices, sol.m[0].grid

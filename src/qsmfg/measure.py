@@ -316,8 +316,8 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     the value multiplied back, as the Beckmann flow scales its imbalance:
     the optimal plan scales with the weights and the duals do not, so
     HiGHS's absolute primal tolerance then applies to weights of order one
-    instead of 1/n^d, and differences between the marginals below it are
-    still transported.
+    instead of 1/n^d.  Unscaled, marginals that differed by less than it at
+    every atom could read W1 = 0.
     """
     n1, n2 = cost.shape
     tau = TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
