@@ -193,8 +193,8 @@ def parse_config(payload: dict) -> RunConfig:
         if count < 2:
             raise ConfigError("rho_sequence.count", "must be at least 2")
         rho_sequence = tuple(rho0 * factor**k for k in range(count))
-        if any(r <= 0 for r in rho_sequence):
-            raise ConfigError("rho_sequence", "all discounts must be positive")
+        if not all(0.0 < b < a < np.inf for a, b in zip(rho_sequence, rho_sequence[1:])):
+            raise ConfigError("rho_sequence", "discounts must be finite, positive and strictly decreasing")
 
     tols = _get(payload, "tolerances", dict, default={})
     for key in tols:
@@ -328,7 +328,9 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
         "empirical_constants": kset,
         "ergodic": {
             key: sol.diagnostics.get(key)
-            for key in ("rho_sequence", "increments", "direct_gap_max", "achieved_increment")
+            for key in (
+                "rho_sequence", "level_outer_iterations", "increments", "direct_gap_max", "achieved_increment",
+            )
             if key in sol.diagnostics
         },
         "timing_seconds": elapsed,

@@ -34,9 +34,13 @@ settles only passes the exact maximum would settle too, so the iterates and
 pass counts do not depend on it.
 
 The ergodic system is solved by driving the discounted solver through a
-geometric discount sequence; each level's per-slice HJB pairs (w, s) are the
+decreasing discount sequence; each level's per-slice HJB pairs (w, s) are the
 normalized value functions and cost estimates, and the limit is cross-checked
-against direct ergodic solves.
+against direct ergodic solves.  The solutions move smoothly with the
+discount, so each level starts from the Lagrange polynomial in rho through
+the last (up to) three levels, evaluated at its discount (polynomial
+continuation).  Only the start depends on the earlier levels; the loop and
+its tolerances are those of a discounted solve.
 
 Both strategies finish with one consistency pass: gamma re-solves each slice
 once on the final densities and gradients, psi runs one more pass.  The
@@ -50,6 +54,7 @@ missed one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -115,6 +120,12 @@ class CouplingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.strategy not in ("gamma", "psi"):
             raise ValueError(f"strategy must be 'gamma' or 'psi', got {self.strategy!r}")
+        seq = self.rho_sequence
+        if seq and (len(seq) < 2 or not all(0.0 < b < a < np.inf for a, b in zip(seq, seq[1:]))):
+            raise ValueError(
+                "rho_sequence must be empty or at least two finite, positive, strictly decreasing "
+                f"discounts, got {seq!r}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -474,6 +485,34 @@ def solve_measure_iteration(
     return _solution(spec, config, log, converged, failed, traj, hjbs, mu_traj, policies)
 
 
+def _lagrange_weights(nodes: Sequence[float], x: float) -> np.ndarray:
+    """Weights c with p(x) = sum_i c[i] p(nodes[i]) for every polynomial p of
+    degree below len(nodes); a single node has weight exactly 1."""
+    return np.array([
+        np.prod([(x - b) / (a - b) for j, b in enumerate(nodes) if j != i]) for i, a in enumerate(nodes)
+    ])
+
+
+def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho: float):
+    """Warm start of the discount level rho from the levels before it.
+
+    levels holds (rho_k, fields_k, densities_k) of the last solved levels:
+    per slice, w (gamma) or the policy values (psi), and the density values.
+    Both are read at rho off the Lagrange polynomial in the discount through
+    the levels.  The densities are clipped at zero and renormalized; psi's
+    policies are projected onto the control set, and its measures are the
+    pushforwards of the densities through them.  With one level the start is
+    that level's solution.
+    """
+    weights = _lagrange_weights([level[0] for level in levels], rho)
+    fields, densities = (sum(c * level[i] for c, level in zip(weights, levels)) for i in (1, 2))
+    m = [DensityField.from_values(grid, v, normalize=True) for v in densities]
+    if strategy == "gamma":
+        return list(fields), m
+    policies = [ControlField(grid, spec.control.project(a)) for a in fields]
+    return [pushforward(m_j, a) for m_j, a in zip(m, policies)], m
+
+
 def _run_strategy(spec, m0, config, initial=None) -> TrajectorySolution:
     if config.strategy == "gamma":
         return solve_field_iteration(spec, m0, config, initial=initial)
@@ -487,15 +526,19 @@ def solve_vanishing_discount(
 ) -> TrajectorySolution:
     """Ergodic driver: discounted solves along a decreasing discount sequence.
 
-    Each level starts from the last one's solution: gamma from its (w, m),
-    psi from its (mu, m).  Each level's per-slice HJB pairs (w, s) are the
-    normalized values, zero at the HJB normalization node, and the per-slice
-    cost estimates; the driver stops when the combined per-slice increments
-    (including the state W1 distance) fall below the ergodic tolerance, or
-    runs the whole sequence if configured to.  The last level is re-verified
-    against direct ergodic solves slice by slice.  The diagnostics are the
-    last level's, except outer_iterations, which sums the outer passes of
-    every level, and failures, which names the checks any level missed and
+    Each level starts from the quadratic extrapolation in rho of the last
+    three levels (_extrapolated_start): gamma from extrapolated (w, m), psi
+    from extrapolated policies and densities and the pushforwards of one
+    through the other.  The second level, with one level before it, starts
+    from that level's solution, the third from the line through two.  Each
+    level's per-slice HJB pairs (w, s) are the normalized values, zero at the
+    HJB normalization node, and the per-slice cost estimates; the driver
+    stops when the combined per-slice increments (including the state W1
+    distance) fall below the ergodic tolerance, or runs the whole sequence if
+    configured to.  The last level is re-verified against direct ergodic
+    solves slice by slice.  The diagnostics are the last level's, except
+    level_outer_iterations, the outer passes of each level, outer_iterations,
+    their sum, and failures, which names the checks any level missed and
     "ergodic" if the increments never reached the tolerance.
     """
     if not config.rho_sequence:
@@ -507,16 +550,15 @@ def solve_vanishing_discount(
     increments: list[float] = []
     value_increments: list[float] = []  # |lambda diff| + |w diff|_inf part alone
     prev = None
-    initial = None
-    rho_used: list[float] = []
-    outer_iterations = 0
+    levels: deque = deque(maxlen=3)  # the last levels' (rho, fields, densities)
+    level_passes: list[int] = []
     failed: set = set()
 
-    for rho in config.rho_sequence:
-        sol = _run_strategy(spec, m0, replace(config, rho=float(rho)), initial=initial)
-        outer_iterations += sol.diagnostics["outer_iterations"]
+    for rho in map(float, config.rho_sequence):
+        initial = _extrapolated_start(spec, grid, config.strategy, levels, rho) if levels else None
+        sol = _run_strategy(spec, m0, replace(config, rho=rho), initial=initial)
+        level_passes.append(sol.diagnostics["outer_iterations"])
         failed.update(sol.diagnostics["failures"])
-        rho_used.append(float(rho))
         if prev is not None:
             gaps = [
                 abs(sol.s[j] - prev.s[j]) + float(np.abs(sol.w[j] - prev.w[j]).max())
@@ -525,7 +567,8 @@ def solve_vanishing_discount(
             value_increments.append(max(gaps))
             increments.append(max(g + wasserstein1_state(sol.m[j], prev.m[j]) for j, g in enumerate(gaps)))
         prev = sol
-        initial = (sol.w if config.strategy == "gamma" else sol.mu, sol.m)
+        fields = sol.w if config.strategy == "gamma" else [a.values for a in sol.policy]
+        levels.append((rho, np.array(fields), np.array([m.values for m in sol.m])))
         converged = bool(increments) and increments[-1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
@@ -542,9 +585,10 @@ def solve_vanishing_discount(
     diagnostics = dict(sol.diagnostics)
     diagnostics.update(
         {
-            "outer_iterations": outer_iterations,
+            "outer_iterations": sum(level_passes),
+            "level_outer_iterations": level_passes,
             "failures": sorted(failed),
-            "rho_sequence": rho_used,
+            "rho_sequence": [float(rho) for rho in config.rho_sequence[: len(level_passes)]],
             "increments": increments,
             "value_increments": value_increments,
             "direct_gap_max": float(direct_gaps.max()),

@@ -20,9 +20,12 @@ their outputs.
 
 prints, for each file that differs between two such trees, the largest
 absolute change of its numbers: CSV cells (split on ';'), JSON leaves, and
-the float64 payload of .bin trajectories.  Files that exist on one side only
-are named.  It exits 1 if any file differs or exists on one side only, and 0
-if the two trees match byte for byte.
+the float64 payload of .bin trajectories.  JSON leaves are matched by key
+path: leaves on one side only are named as added or removed (list entries
+counted under one "[]" path), and the largest change, with its key path, is
+taken over the numeric leaves both sides hold.  Files that exist on one
+side only are named.  It exits 1 if any file differs or exists on one side
+only, and 0 if the two trees match byte for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -89,23 +93,27 @@ def _number(token: str):
         return token
 
 
-def _leaves(value) -> list:
-    """The keys and leaves of a JSON document, in reading order."""
+def _leaves(value, path: str = "") -> dict:
+    """The leaves of a JSON document by key path, such as "ergodic.increments[2]"."""
     if isinstance(value, dict):
-        return [item for key, v in value.items() for item in [key, *_leaves(v)]]
-    if isinstance(value, list):
-        return [item for v in value for item in _leaves(v)]
-    return [value]
+        items = [(f"{path}.{key}" if path else str(key), v) for key, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {path: value}
+    return {leaf: v for key, item in items for leaf, v in _leaves(item, key).items()}
 
 
-def _values(path: Path) -> list:
+def _values(path: Path) -> dict:
+    """The values of an output file: JSON leaves by key path, the header and
+    payload of a .bin trajectory and the cells of other files by position."""
     if path.suffix == ".bin":
         header, payload = path.read_bytes().split(b"\n", 1)
-        return [header.decode("ascii"), *np.frombuffer(payload, dtype=np.float64).tolist()]
+        return dict(enumerate([header.decode("ascii"), *np.frombuffer(payload, dtype=np.float64).tolist()]))
     text = path.read_text()
     if path.suffix == ".json" and text.strip():
         return _leaves(json.loads(text))
-    return [_number(token) for token in re.split(r"[,;\s]+", text.strip())]
+    return dict(enumerate(_number(token) for token in re.split(r"[,;\s]+", text.strip())))
 
 
 def _is_number(v) -> bool:
@@ -121,13 +129,25 @@ def compare(old: Path, new: Path) -> bool:
     differing = [rel for rel in common if (old / rel).read_bytes() != (new / rel).read_bytes()]
     for rel in differing:
         a, b = _values(old / rel), _values(new / rel)
-        if len(a) != len(b):
+        if rel.suffix == ".json":
+            for verb, keys in (("removed", a.keys() - b.keys()), ("added", b.keys() - a.keys())):
+                for key, count in sorted(Counter(re.sub(r"\[\d+\]", "[]", key) for key in keys).items()):
+                    print(f"{rel}: {verb} {key}" + (f" ({count} leaves)" if count > 1 else ""))
+        elif len(a) != len(b):
             print(f"{rel}: {len(a)} -> {len(b)} values")
-        elif any(x != y and not (_is_number(x) and _is_number(y)) for x, y in zip(a, b)):
+            continue
+        pairs = [(key, a[key], b[key]) for key in a if key in b]
+        moved = [key for key, x, y in pairs if x != y and not (_is_number(x) and _is_number(y))]
+        if rel.suffix == ".json":
+            for key in moved:
+                print(f"{rel}: {key}: {a[key]!r} -> {b[key]!r}")
+        elif moved:
             print(f"{rel}: non-numeric values differ")
-        else:
-            change = max((abs(x - y) for x, y in zip(a, b) if _is_number(x)), default=0.0)
-            print(f"{rel}: largest absolute change {change:.3g}")
+        change, where = max(
+            ((abs(x - y), key) for key, x, y in pairs if _is_number(x) and _is_number(y)), default=(0.0, None),
+        )
+        at = f" ({where})" if rel.suffix == ".json" and change else ""
+        print(f"{rel}: largest absolute change {change:.3g}{at}")
     return not differing and files[0] == files[1]
 
 

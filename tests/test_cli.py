@@ -150,6 +150,24 @@ class TestConfigValidation:
             parse_config(bad)
         assert err.value.field_name == "rho_sequence"
 
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            {"rho0": -1.0},
+            {"rho0": float("inf")},
+            {"rho0": float("nan")},
+            {"rho0": 5e-324, "factor": 0.9},
+        ],
+        ids=["negative", "infinite", "nan", "repeated-subnormal"],
+    )
+    def test_bad_discount_sequence_exit_code(self, tmp_path, capsys, sequence):
+        # the sequence must give finite, positive, strictly decreasing
+        # discounts; 5e-324 * 0.9 rounds back to 5e-324
+        payload = dict(MINIMAL, mode="ergodic", rho_sequence=sequence, output_dir=str(tmp_path / "out"))
+        assert main(["run", _write(tmp_path, payload)]) == 2
+        assert "error: config field 'rho_sequence':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model(self):
         bad = dict(MINIMAL, model={"name": "mystery"})
         with pytest.raises(ConfigError) as err:
@@ -270,6 +288,19 @@ class TestRun:
         code = main(["run", _write(tmp_path, payload)])
         assert code == 0
         assert (tmp_path / "out" / "lambda.csv").exists()
+
+    def test_level_outer_iterations_in_ergodic_summary_only(self, tmp_path):
+        payload = dict(json.loads((CONFIG_DIR / "ergodic_weak.json").read_text()), output_dir=str(tmp_path / "erg"))
+        assert main(["run", _write(tmp_path, payload, "ergodic.json")]) == 0
+        summary = _summary(tmp_path / "erg")
+        levels = summary["ergodic"]["level_outer_iterations"]
+        assert len(levels) == len(summary["ergodic"]["rho_sequence"]) == 10
+        assert sum(levels) == summary["outer_iterations"]
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "disc"))
+        assert main(["run", _write(tmp_path, payload, "discounted.json")]) == 0
+        summary = _summary(tmp_path / "disc")
+        assert summary["ergodic"] == {}
+        assert "level_outer_iterations" not in json.dumps(summary)
 
     def test_deterministic_rerun_bit_exact(self, tmp_path):
         payload = dict(

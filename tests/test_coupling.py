@@ -427,7 +427,128 @@ class TestMeasureIteration:
         assert max(moduli) <= 2.0 * min(moduli) + 1e-12
 
 
+@pytest.fixture(scope="module", params=["gamma", "psi"])
+def weak_ergodic_levels(request):
+    """The weak ergodic solve of TestErgodicDriver, with every discount
+    level's own solution."""
+    spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
+    cfg = CouplingConfig(
+        T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=request.param,
+        rho_sequence=tuple(2.0**-k for k in range(10)), ergodic_tol=5e-4, full_sequence=True,
+    )
+    levels = []
+
+    def recorded(*args, _run=coupling._run_strategy, **kwargs):
+        levels.append(_run(*args, **kwargs))
+        return levels[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "_run_strategy", recorded)
+        sol = solve_vanishing_discount(spec, m0, cfg)
+    return spec, m0, cfg, sol, levels
+
+
+class TestExtrapolatedStart:
+    def test_weights_reproduce_quadratics(self):
+        nodes = (1.0, 0.5, 0.25)
+        weights = coupling._lagrange_weights(nodes, 0.125)
+        np.testing.assert_allclose(weights, [0.125, -0.875, 1.75], rtol=0, atol=1e-15)
+        p = lambda r: 2.0 - 3.0 * r + 5.0 * r**2  # noqa: E731
+        assert weights @ [p(r) for r in nodes] == pytest.approx(p(0.125), abs=1e-14)
+        assert coupling._lagrange_weights((0.5,), 0.25).tolist() == [1.0]
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_start_reproduces_data_quadratic_in_rho(self, strategy):
+        # fields inside the control ball and unit-mass densities, both
+        # quadratic in rho: the start at the next discount is that quadratic
+        rng = np.random.default_rng(7)
+        spec, n_slices = example_one(d=1, **WEAK), 3
+        shape = (n_slices, GRID.size) if strategy == "gamma" else (n_slices,) + GRID.shape + (1,)
+        fa, fb, fc = rng.uniform(-0.3, 0.3, shape), rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.2, 0.2, shape)
+        x = GRID.axis_coordinates()
+        base = two_bump_density(GRID).values
+        db, dc = 0.3 * np.sin(2 * np.pi * x), 0.2 * np.cos(4 * np.pi * x)  # zero mean on the grid
+
+        def level(r):
+            return r, fa + r * fb + r**2 * fc, np.array([base + r * db + r**2 * dc] * n_slices)
+
+        levels = [level(r) for r in (1.0, 0.5, 0.25)]
+        _, fields, densities = level(0.125)
+        start, m = coupling._extrapolated_start(spec, GRID, strategy, levels, 0.125)
+        for m_j, d_j in zip(m, densities):
+            np.testing.assert_allclose(m_j.values, d_j, rtol=0, atol=1e-13)
+        if strategy == "gamma":
+            np.testing.assert_allclose(np.array(start), fields, rtol=0, atol=1e-14)
+        else:
+            for mu_j, m_j, f_j in zip(start, m, fields):
+                np.testing.assert_allclose(mu_j.a, f_j.reshape(-1, 1), rtol=0, atol=1e-14)
+                np.testing.assert_array_equal(mu_j.w, m_j.flat() * GRID.cell_volume)
+
+    def test_start_projects_policies_and_clips_densities(self):
+        # levels whose quadratic leaves the control ball and goes negative
+        spec, n_slices = example_one(d=1, **WEAK), 2
+        base = two_bump_density(GRID).values
+        dip = np.where(GRID.axis_coordinates() < 0.5, 1.0, -1.0)  # zero mean on the grid
+        levels = [
+            (r, np.full((n_slices,) + GRID.shape + (1,), a), np.array([base + c * dip] * n_slices))
+            for r, a, c in ((1.0, 0.2, 0.0), (0.5, 0.6, 0.0), (0.25, 0.9, 0.5))
+        ]
+        start, m = coupling._extrapolated_start(spec, GRID, "psi", levels, 0.125)
+        for mu_j, m_j in zip(start, m):
+            assert m_j.values.min() == 0.0 and m_j.mass() == pytest.approx(1.0, abs=1e-14)
+            np.testing.assert_array_equal(mu_j.a, np.full((GRID.size, 1), spec.control.radius))
+            np.testing.assert_array_equal(mu_j.w, m_j.flat() * GRID.cell_volume)
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_one_level_starts_from_its_solution(self, weak_gamma_solution, strategy):
+        spec, _, _, sol = weak_gamma_solution
+        fields = sol.w if strategy == "gamma" else [a.values for a in sol.policy]
+        level = (1.0, np.array(fields), np.array([m.values for m in sol.m]))
+        start, m = coupling._extrapolated_start(spec, GRID, strategy, [level], 0.5)
+        for ours, theirs in zip(m, sol.m):
+            np.testing.assert_allclose(ours.values, theirs.values, rtol=1e-15, atol=0)
+        if strategy == "gamma":
+            np.testing.assert_array_equal(np.array(start), np.array(sol.w))
+        else:
+            for mu_j, a_j in zip(start, sol.policy):
+                np.testing.assert_array_equal(mu_j.a, a_j.flat())
+
+
 class TestErgodicDriver:
+    @pytest.mark.parametrize(
+        "sequence", [(1.0,), (1.0, 1.0), (0.5, 1.0), (1.0, 0.5, 0.5), (1.0, 0.0), (1.0, -0.5),
+                     (np.inf, 1.0), (1.0, np.nan)],
+    )
+    def test_discount_sequence_validated(self, sequence):
+        # the warm starts divide by differences of discounts
+        with pytest.raises(ValueError, match="rho_sequence"):
+            CouplingConfig(T=0.2, dt=0.1, rho_sequence=sequence)
+        for accepted in ((), (1.0, 0.5), (1.0, 0.5, 1e-3)):
+            assert CouplingConfig(T=0.2, dt=0.1, rho_sequence=accepted).rho_sequence == accepted
+
+    def test_extrapolated_starts_save_outer_passes(self, weak_ergodic_levels):
+        # the plain warm start from the last level took 3 passes on each of
+        # the first 9 levels and 2 on the last: 29 passes; the extrapolated
+        # starts take 18, the last 5 levels one pass each
+        *_, sol, levels = weak_ergodic_levels
+        passes = [level.diagnostics["outer_iterations"] for level in levels]
+        assert sol.diagnostics["level_outer_iterations"] == passes
+        assert sum(passes) <= 20
+        assert passes[-1] == 1
+        assert sol.converged
+
+    def test_last_level_matches_plain_warm_start(self, weak_ergodic_levels):
+        spec, m0, cfg, sol, levels = weak_ergodic_levels
+        prev = levels[-2]
+        initial = (prev.w if cfg.strategy == "gamma" else prev.mu, prev.m)
+        plain = coupling._run_strategy(spec, m0, replace(cfg, rho=cfg.rho_sequence[-1]), initial=initial)
+        assert plain.converged
+        assert plain.diagnostics["outer_iterations"] > levels[-1].diagnostics["outer_iterations"]
+        tol = 10 * cfg.outer_tol
+        assert np.abs(plain.s - sol.s).max() <= tol
+        assert max(np.abs(a - b).max() for a, b in zip(plain.w, sol.w)) <= tol
+        assert max(np.abs(a.values - b.values).max() for a, b in zip(plain.m, sol.m)) <= tol
+
     def test_constant_cost_limit(self):
         # b == 0, l == c: lambda(t) == c, u == 0, m is the heat flow of m0
         spec = _const_model(1.4)
@@ -524,6 +645,7 @@ class TestErgodicDriver:
         )
         sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
         assert len(levels) == 3 and min(levels) >= 1
+        assert sol.diagnostics["level_outer_iterations"] == levels
         assert sol.diagnostics["outer_iterations"] == sum(levels) > levels[-1]
         assert sol.diagnostics["final_outer_error"] == sol.outer_errors[-1][1]
         assert len(sol.outer_errors) == levels[-1]
