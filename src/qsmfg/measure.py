@@ -42,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .grid import Grid, torus_distance
 
@@ -239,22 +238,60 @@ def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
     return xc + ac
 
 
+# Options of every transport LP: no log, dual simplex
+LP_OPTIONS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1}
 # At HiGHS's default feasibility tolerances (1e-7) atom-LP values of order
 # 1e-6 come out up to about 1% low, while joint W1 values are compared with
 # tolerances down to 1e-9; presolve only costs time on these problems
 TRANSPORT_LP_OPTIONS = {
-    "presolve": False,
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
 
 
-def _solve_lp(cost: np.ndarray, a_eq, b_eq: np.ndarray, options=None):
-    """HiGHS result of min cost.z subject to a_eq z = b_eq, z >= 0; raises if unsolved."""
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return res
+def _add_columns(highs: _Highs, cost: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Append one column z_k >= 0 of cost cost[k] per row of rows to the model.
+
+    Column k holds values[k, e] in constraint row rows[k, e], e = 0, 1
+    (values broadcasts against rows); entries in a row past the model's last,
+    the dropped redundant marginal or balance row, are left out.
+    """
+    order = np.argsort(rows, axis=1)
+    rows = np.take_along_axis(rows, order, axis=1)
+    values = np.take_along_axis(np.broadcast_to(values, rows.shape), order, axis=1)
+    keep = rows < highs.getNumRow()
+    starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
+    n = len(cost)
+    highs.addCols(
+        n, cost, np.zeros(n), np.full(n, np.inf),
+        int(keep.sum()), starts.astype(np.int32), rows[keep].astype(np.int32), values[keep].astype(float),
+    )
+
+
+def _lp_model(b_eq: np.ndarray, cost: np.ndarray, rows: np.ndarray, values, options: dict) -> _Highs:
+    """HiGHS model of min cost.z subject to A z = b_eq, z >= 0.
+
+    A has one row per entry of b_eq and one column per row of rows, built by
+    _add_columns; options are set on top of LP_OPTIONS.
+    """
+    highs = _Highs()
+    for key, value in {**LP_OPTIONS, **options}.items():
+        highs.setOptionValue(key, value)
+    empty = np.zeros(0, dtype=np.int32)
+    highs.addRows(b_eq.size, b_eq, b_eq, 0, empty, empty, np.zeros(0))
+    _add_columns(highs, cost, rows, values)
+    return highs
+
+
+def _solve(highs: _Highs) -> tuple[float, np.ndarray]:
+    """Run the model; its optimal value and constraint-row duals.  Raises
+    unless HiGHS reports the model optimal."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise RuntimeError(f"transport LP failed: {highs.modelStatusToString(status)}")
+    return highs.getObjectiveValue(), np.array(highs.getSolution().row_dual)
 
 
 # Transport problems with at most this many atom pairs are solved over every
@@ -327,13 +364,9 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     arcs = _seed_arcs(cost, w1, w2)
     while True:
         ii, jj = np.divmod(arcs, n2)
-        var = np.arange(arcs.size)
-        a_eq = sparse.coo_matrix(
-            (np.ones(2 * arcs.size), (np.concatenate([ii, n1 + jj]), np.concatenate([var, var]))),
-            shape=(n1 + n2, arcs.size),
-        ).tocsr()[:-1]  # drop one redundant marginal row
-        res = _solve_lp(cost.ravel()[arcs], a_eq, b_eq, TRANSPORT_LP_OPTIONS)
-        dual = np.append(res.eqlin.marginals, 0.0)
+        highs = _lp_model(b_eq, cost.ravel()[arcs], np.stack([ii, n1 + jj], axis=1), 1.0, TRANSPORT_LP_OPTIONS)
+        value, dual = _solve(highs)
+        dual = np.append(dual, 0.0)
         reduced = cost - dual[:n1, None] - dual[None, n1:]
         reduced.ravel()[arcs] = np.inf
         best_col = reduced.argmin(axis=1)
@@ -343,7 +376,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
             (best_row * n2 + cols)[reduced[best_row, cols] < -tau],
         ])
         if priced.size == 0:
-            return float(scale * res.fun)
+            return float(scale * value)
         arcs = np.union1d(arcs, priced)
 
 
@@ -451,17 +484,13 @@ def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
     scale = float(np.abs(imbalance).sum())
     if scale == 0.0:
         return 0.0
-    n_nodes = grid.size
-    tails = np.tile(np.arange(n_nodes), grid.d)
+    tails = np.tile(np.arange(grid.size), grid.d)
     heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
-    edges = np.arange(tails.size)
-    incidence = sparse.coo_matrix(
-        (np.concatenate([np.ones(edges.size), -np.ones(edges.size)]),
-         (np.concatenate([tails, heads]), np.concatenate([edges, edges]))),
-        shape=(n_nodes, edges.size),
-    )
-    a_eq = sparse.hstack([incidence, -incidence]).tocsr()[:-1]  # drop one redundant balance row
-    return scale * float(_solve_lp(np.full(2 * edges.size, grid.h), a_eq, imbalance[:-1] / scale).fun)
+    edges = np.tile(np.stack([tails, heads], axis=1), (2, 1))
+    signs = np.repeat([[1.0, -1.0], [-1.0, 1.0]], tails.size, axis=0)  # forward, then backward
+    # the last balance row is redundant and dropped
+    highs = _lp_model(imbalance[:-1] / scale, np.full(len(edges), grid.h), edges, signs, {"presolve": "on"})
+    return scale * _solve(highs)[0]
 
 
 def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:

@@ -421,6 +421,24 @@ def test_only_the_cli_writes_files():
                 assert name not in ("open", "write_text", "write_bytes"), f"{path.name}:{node.lineno} calls {name}"
 
 
+def test_only_measure_binds_highs():
+    # the private scipy HiGHS binding is imported in one module, and no
+    # module imports or names linprog
+    binders = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", ""))]
+            assert not any("linprog" in name for name in names), f"{path.name}:{node.lineno} names linprog"
+            if any("_highspy" in name for name in names):
+                binders.add(path.name)
+    assert binders == {"measure.py"}
+
+
 class TestShippedConfigs:
     def test_reference_config_reproduces_acceptance_numbers(self, tmp_path):
         # the repo's own golden run: same model, grid, and tolerances as the

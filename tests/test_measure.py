@@ -422,23 +422,32 @@ def test_atom_lp_reads_state_w1_below_its_tolerance(start, eps):
 TAU = measure.TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
 
 
+def _constraint_matrix(highs):
+    """The constraint matrix of a HiGHS model, as a scipy CSC matrix."""
+    a = highs.getLp().a_matrix_
+    return sparse.csc_matrix((a.value_, a.index_, a.start_), shape=(highs.getNumRow(), highs.getNumCol()))
+
+
 def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
-    """Wrap the atom LP's linprog: one (A_eq, result) record per round.
+    """Wrap the LP's per-round solve: one record per round of the model, its
+    constraint matrix as run (a_eq), its value and the duals handed back.
 
     row_dual_shift is added to the returned duals of the first n1 marginal
     rows.  More than limit rounds fail the test instead of running on.
     """
     rounds = []
+    solve = measure._solve
 
-    def recording(c, A_eq, b_eq, **kwargs):
+    def recording(highs):
         if len(rounds) >= limit:
             raise AssertionError(f"more than {limit} LP rounds")
-        res = linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
-        res.eqlin.marginals[:n1] += row_dual_shift
-        rounds.append((A_eq, res))
-        return res
+        a_eq = _constraint_matrix(highs)
+        value, duals = solve(highs)
+        duals[:n1] += row_dual_shift
+        rounds.append(SimpleNamespace(model=highs, a_eq=a_eq, value=value, duals=duals))
+        return value, duals
 
-    monkeypatch.setattr(measure, "linprog", recording)
+    monkeypatch.setattr(measure, "_solve", recording)
     return rounds
 
 
@@ -451,8 +460,8 @@ def _arcs(a_eq, n1, n2):
     return np.rint(i * n2 + np.where(last, n2 - 1, j)).astype(int)
 
 
-def _reduced_costs(cost, res):
-    dual = np.append(res.eqlin.marginals, 0.0)
+def _reduced_costs(cost, duals):
+    dual = np.append(duals, 0.0)
     return cost - dual[: cost.shape[0], None] - dual[None, cost.shape[0]:]
 
 
@@ -460,9 +469,9 @@ def _check_pricing(rounds, cost):
     """Each round adds, from outside its arc set, the cheapest arc of some
     rows and columns, each below -tau; after the last no outside arc is."""
     n1, n2 = cost.shape
-    sets = [_arcs(a_eq, n1, n2) for a_eq, _ in rounds]
-    for arcs, (_, res), after in zip(sets, rounds, sets[1:] + [None]):
-        outside = _reduced_costs(cost, res)
+    sets = [_arcs(r.a_eq, n1, n2) for r in rounds]
+    for arcs, r, after in zip(sets, rounds, sets[1:] + [None]):
+        outside = _reduced_costs(cost, r.duals)
         outside.ravel()[arcs] = np.inf
         if after is None:
             assert outside.min() >= -TAU
@@ -501,7 +510,7 @@ def test_priced_atom_lp_matches_reference_lp(n, kind, k, monkeypatch):
     value = wasserstein1_joint(nu1, nu2)
     _check_pricing(rounds, measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a))
     mean_weight = (nu1.w.sum() + nu2.w.sum()) / (2 * g.size)  # the LP solves weights over it
-    assert value == mean_weight * rounds[-1][1].fun
+    assert value == mean_weight * rounds[-1].value
     if kind == "nearby":
         assert 1e-7 < ref < 1e-5
         assert abs(value - ref) <= 1e-13
@@ -514,7 +523,7 @@ def test_256_atom_pair_solves_a_sparse_arc_set(monkeypatch):
     nu1, nu2 = _lp_pair(g, "rough", 2, np.random.default_rng(97))
     rounds = _record_rounds(monkeypatch)
     wasserstein1_joint(nu1, nu2)
-    sizes = [a_eq.shape[1] for a_eq, _ in rounds]
+    sizes = [r.a_eq.shape[1] for r in rounds]
     assert len(rounds) > 1
     assert sizes == sorted(set(sizes))  # every round adds arcs
     assert sizes[-1] < g.size**2 // 4
@@ -528,8 +537,8 @@ def test_priced_lp_ends_when_set_arcs_price_below_tau(monkeypatch):
     ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
     rounds = _record_rounds(monkeypatch, n1=g.size, row_dual_shift=2 * TAU)
     value = wasserstein1_joint(nu1, nu2)
-    reduced = _reduced_costs(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), rounds[-1][1])
-    assert reduced.ravel()[_arcs(rounds[-1][0], g.size, g.size)].min() < -TAU
+    reduced = _reduced_costs(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), rounds[-1].duals)
+    assert reduced.ravel()[_arcs(rounds[-1].a_eq, g.size, g.size)].min() < -TAU
     assert abs(value - ref) <= 1e-12
 
 
@@ -545,7 +554,7 @@ def _dense_transport_lp(cost, w1, w2):
     ).tocsr()[:-1]
     res = linprog(
         cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2])[:-1], bounds=(0, None), method="highs",
-        options=measure.TRANSPORT_LP_OPTIONS,
+        options={"presolve": False, "primal_feasibility_tolerance": TAU, "dual_feasibility_tolerance": TAU},
     )
     assert res.success, res.message
     return float(res.fun)
@@ -561,7 +570,7 @@ def test_1d_pair_solves_one_lp_over_every_arc(monkeypatch):
     rounds = _record_rounds(monkeypatch)
     assert wasserstein1_joint(nu1, nu2) == dense
     assert len(rounds) == 1
-    np.testing.assert_array_equal(_arcs(rounds[0][0], 32, 32), np.arange(32 * 32))
+    np.testing.assert_array_equal(_arcs(rounds[0].a_eq, 32, 32), np.arange(32 * 32))
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
@@ -650,12 +659,18 @@ def test_w1_state_2d_transport_limits(monkeypatch):
         patch.setattr("qsmfg.measure.ATOM_CAP", 8)
         with pytest.raises(ValueError, match="exceeds cap 8"):
             wasserstein1_state(m1, m2)
-    failed = SimpleNamespace(success=False, message="stub failure")
-    monkeypatch.setattr("qsmfg.measure.linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(RuntimeError, match="transport LP failed: stub failure"):
+    solve = measure._solve
+
+    def stopped(highs):
+        # no simplex iteration allowed: HiGHS stops before the optimum
+        highs.setOptionValue("simplex_iteration_limit", 0)
+        return solve(highs)
+
+    monkeypatch.setattr(measure, "_solve", stopped)
+    with pytest.raises(RuntimeError, match="transport LP failed: Iteration limit reached"):
         wasserstein1_state(m1, m2)
     zero = ControlField(g, np.zeros(g.shape + (2,)))
-    with pytest.raises(RuntimeError, match="transport LP failed: stub failure"):
+    with pytest.raises(RuntimeError, match="transport LP failed: Iteration limit reached"):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 
 
