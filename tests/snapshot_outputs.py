@@ -22,9 +22,11 @@ prints, for each file that differs between two such trees, the largest
 absolute change of its numbers: CSV cells (split on ';'), JSON leaves, and
 the float64 payload of .bin trajectories.  JSON leaves are matched by key
 path: leaves on one side only are named as added or removed (list entries
-counted under one "[]" path), and the largest change, with its key path, is
-taken over the numeric leaves both sides hold.  Files that exist on one
-side only are named.  It exits 1 if any file differs or exists on one side
+counted under one "[]" path), every changed leaf that is an integer on both
+sides (a counter) or not a number is listed with its old and new value, and
+the largest float change, with its key path, is taken over the other
+numeric leaves both sides hold, so a moved counter cannot hide it.  Files
+that exist on one side only are named.  It exits 1 if any file differs or exists on one side
 only, and 0 if the two trees match byte for byte.
 """
 
@@ -137,17 +139,20 @@ def compare(old: Path, new: Path) -> bool:
             print(f"{rel}: {len(a)} -> {len(b)} values")
             continue
         pairs = [(key, a[key], b[key]) for key in a if key in b]
+        numeric = [(key, x, y) for key, x, y in pairs if _is_number(x) and _is_number(y)]
         moved = [key for key, x, y in pairs if x != y and not (_is_number(x) and _is_number(y))]
         if rel.suffix == ".json":
-            for key in moved:
+            counters = [key for key, x, y in numeric if x != y and isinstance(x, int) and isinstance(y, int)]
+            for key in sorted(moved + counters):
                 print(f"{rel}: {key}: {a[key]!r} -> {b[key]!r}")
+            numeric = [(key, x, y) for key, x, y in numeric if key not in counters]
         elif moved:
             print(f"{rel}: non-numeric values differ")
-        change, where = max(
-            ((abs(x - y), key) for key, x, y in pairs if _is_number(x) and _is_number(y)), default=(0.0, None),
-        )
-        at = f" ({where})" if rel.suffix == ".json" and change else ""
-        print(f"{rel}: largest absolute change {change:.3g}{at}")
+        change, where = max(((abs(x - y), key) for key, x, y in numeric), default=(0.0, None))
+        if rel.suffix == ".json":
+            print(f"{rel}: largest float change {change:.3g}" + (f" ({where})" if change else ""))
+        else:
+            print(f"{rel}: largest absolute change {change:.3g}")
     return not differing and files[0] == files[1]
 
 
