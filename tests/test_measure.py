@@ -430,7 +430,8 @@ def _constraint_matrix(highs):
 
 def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
     """Wrap the LP's per-round solve: one record per round of the model, its
-    constraint matrix as run (a_eq), its value and the duals handed back.
+    constraint matrix as run (a_eq), its simplex strategy and iteration
+    count, its value and the duals handed back.
 
     row_dual_shift is added to the returned duals of the first n1 marginal
     rows.  More than limit rounds fail the test instead of running on.
@@ -442,9 +443,13 @@ def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
         if len(rounds) >= limit:
             raise AssertionError(f"more than {limit} LP rounds")
         a_eq = _constraint_matrix(highs)
+        strategy = highs.getOptionValue("simplex_strategy")[1]
         value, duals = solve(highs)
         duals[:n1] += row_dual_shift
-        rounds.append(SimpleNamespace(model=highs, a_eq=a_eq, value=value, duals=duals))
+        iterations = highs.getInfo().simplex_iteration_count
+        rounds.append(SimpleNamespace(
+            model=highs, a_eq=a_eq, strategy=strategy, iterations=iterations, value=value, duals=duals,
+        ))
         return value, duals
 
     monkeypatch.setattr(measure, "_solve", recording)
@@ -471,8 +476,7 @@ def _check_pricing(rounds, cost):
     n1, n2 = cost.shape
     sets = [_arcs(r.a_eq, n1, n2) for r in rounds]
     for arcs, r, after in zip(sets, rounds, sets[1:] + [None]):
-        outside = _reduced_costs(cost, r.duals)
-        outside.ravel()[arcs] = np.inf
+        outside = _outside_reduced_costs(cost, r)
         if after is None:
             assert outside.min() >= -TAU
             break
@@ -527,6 +531,42 @@ def test_256_atom_pair_solves_a_sparse_arc_set(monkeypatch):
     assert len(rounds) > 1
     assert sizes == sorted(set(sizes))  # every round adds arcs
     assert sizes[-1] < g.size**2 // 4
+
+
+def _outside_reduced_costs(cost, record):
+    """A round's reduced costs, inf on the arcs of its model."""
+    reduced = _reduced_costs(cost, record.duals)
+    reduced.ravel()[_arcs(record.a_eq, *cost.shape)] = np.inf
+    return reduced
+
+
+def test_hot_start_grows_one_model_to_the_reference_value(monkeypatch):
+    # one HiGHS model per transport problem: round 1 runs dual simplex, and
+    # each later round appends exactly the priced arcs as columns and runs
+    # primal simplex from the basis the last round left
+    g = Grid(2, 16)
+    nu1, nu2 = _lp_pair(g, "rough", 2, np.random.default_rng(97))
+    cost = measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
+    ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+    rounds = _record_rounds(monkeypatch)
+    value = wasserstein1_joint(nu1, nu2)
+    assert len(rounds) > 1
+    n = g.size
+    for before, after in zip(rounds, rounds[1:]):
+        assert after.model is rounds[0].model
+        kept = before.a_eq.shape[1]
+        assert (after.a_eq[:, :kept] != before.a_eq).nnz == 0  # no column rebuilt or moved
+        outside = _outside_reduced_costs(cost, before)
+        best_col, best_row = outside.argmin(axis=1), outside.argmin(axis=0)
+        priced = np.union1d(
+            (np.arange(n) * n + best_col)[outside[np.arange(n), best_col] < -TAU],
+            (best_row * n + np.arange(n))[outside[best_row, np.arange(n)] < -TAU],
+        )
+        np.testing.assert_array_equal(np.sort(_arcs(after.a_eq, n, n)[kept:]), priced)
+    assert [r.strategy for r in rounds] == [1] + [4] * (len(rounds) - 1)
+    assert max(r.iterations for r in rounds[1:]) < rounds[0].iterations
+    assert abs(value - ref) <= 1e-12
+    assert _outside_reduced_costs(cost, rounds[-1]).min() >= -TAU
 
 
 def test_priced_lp_ends_when_set_arcs_price_below_tau(monkeypatch):
