@@ -253,22 +253,20 @@ TRANSPORT_LP_OPTIONS = {
 }
 
 
-def _add_columns(highs: _Highs, cost: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+def _add_columns(highs: _Highs, cost: np.ndarray, rows: np.ndarray, values: np.ndarray | float) -> None:
     """Append one column z_k >= 0 of cost cost[k] per row of rows to the model.
 
     Column k holds values[k, e] in constraint row rows[k, e], e = 0, 1
     (values broadcasts against rows); entries in a row past the model's last,
     the dropped redundant marginal or balance row, are left out.
     """
-    order = np.argsort(rows, axis=1)
-    rows = np.take_along_axis(rows, order, axis=1)
-    values = np.take_along_axis(np.broadcast_to(values, rows.shape), order, axis=1)
+    values = np.broadcast_to(values, rows.shape)
     keep = rows < highs.getNumRow()
     starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
     n = len(cost)
     highs.addCols(
         n, cost, np.zeros(n), np.full(n, np.inf),
-        int(keep.sum()), starts.astype(np.int32), rows[keep].astype(np.int32), values[keep].astype(float),
+        int(keep.sum()), starts.astype(np.int32), rows[keep].astype(np.int32), values[keep],
     )
 
 
