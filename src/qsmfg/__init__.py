@@ -20,7 +20,6 @@ from .hjb import (
     solve_ergodic,
 )
 from .measure import (
-    ControlField,
     DensityField,
     JointMeasure,
     pushforward,

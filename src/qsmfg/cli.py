@@ -282,7 +282,7 @@ def _trajectory_rows(times, fields):
 
 def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.flat() for m in sol.m]))
+    _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.values for m in sol.m]))
     _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
     _write_csv(out / "trajectory_u.csv", "t,node,value", _trajectory_rows(sol.times, sol.u))
     _write_csv(

@@ -64,7 +64,6 @@ from .fp import fp_evolve
 from .grid import Grid, gradient_central, laplacian
 from .hjb import equation_residual, solve_discounted, solve_ergodic, value_function
 from .measure import (
-    ControlField,
     DensityField,
     JointMeasure,
     joint_w1_upper_bound,
@@ -143,7 +142,7 @@ class MuFixedPointResult:
     """Outcome of the per-slice joint-measure fixed point."""
 
     mu: JointMeasure
-    policy: ControlField
+    policy: np.ndarray  # (n^d, k), mu's controls
     iterations: int
     converged: bool
     rate: Optional[float]  # max usable per-step contraction ratio
@@ -168,7 +167,7 @@ class TrajectorySolution:
     u: tuple  # one (n^d,) array per time slice
     m: tuple[DensityField, ...]
     mu: tuple[JointMeasure, ...]
-    policy: tuple[ControlField, ...]
+    policy: tuple  # one (n^d, k) array per time slice
     w: tuple  # one (n^d,) array per time slice, zero at the normalization node
     s: np.ndarray  # one value per time slice
     lam: Optional[np.ndarray] = None  # per-slice ergodic cost, ergodic runs only
@@ -183,14 +182,14 @@ class TrajectorySolution:
         return len(self.times)
 
 
-def blend_policies(old: ControlField, new: ControlField, weight: float, control) -> ControlField:
-    """Convex combination of two policies, projected onto the control set."""
-    values = (1.0 - weight) * old.values + weight * new.values
-    return ControlField(old.grid, control.project(values))
+def blend_policies(old: np.ndarray, new: np.ndarray, weight: float, control) -> np.ndarray:
+    """Convex combination of two (n^d, k) policies, projected onto the
+    control set."""
+    return control.project((1.0 - weight) * old + weight * new)
 
 
-def _zero_policy(spec: ModelSpec, grid: Grid) -> ControlField:
-    return ControlField(grid, np.zeros(grid.shape + (spec.control.k,)))
+def _zero_policy(spec: ModelSpec, grid: Grid) -> np.ndarray:
+    return np.zeros((grid.size, spec.control.k))
 
 
 def solve_joint_measure(
@@ -497,7 +496,7 @@ def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho:
     """Warm start of the discount level rho from the levels before it.
 
     levels holds (rho_k, fields_k, densities_k) of the last solved levels:
-    per slice, w (gamma) or the policy values (psi), and the density values.
+    per slice, w (gamma) or the policy (psi), and the density values.
     Both are read at rho off the Lagrange polynomial in the discount through
     the levels.  The densities are clipped at zero and renormalized; psi's
     policies are projected onto the control set, and its measures are the
@@ -506,11 +505,10 @@ def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho:
     """
     weights = _lagrange_weights([level[0] for level in levels], rho)
     fields, densities = (sum(c * level[i] for c, level in zip(weights, levels)) for i in (1, 2))
-    m = [DensityField.from_values(grid, v, normalize=True) for v in densities]
+    m = [DensityField.from_values(grid, v) for v in densities]
     if strategy == "gamma":
         return list(fields), m
-    policies = [ControlField(grid, spec.control.project(a)) for a in fields]
-    return [pushforward(m_j, a) for m_j, a in zip(m, policies)], m
+    return [pushforward(m_j, spec.control.project(a)) for m_j, a in zip(m, fields)], m
 
 
 def _run_strategy(spec, m0, config, initial=None) -> TrajectorySolution:
@@ -567,7 +565,7 @@ def solve_vanishing_discount(
             value_increments.append(max(gaps))
             increments.append(max(g + wasserstein1_state(sol.m[j], prev.m[j]) for j, g in enumerate(gaps)))
         prev = sol
-        fields = sol.w if config.strategy == "gamma" else [a.values for a in sol.policy]
+        fields = sol.w if config.strategy == "gamma" else sol.policy
         levels.append((rho, np.array(fields), np.array([m.values for m in sol.m])))
         converged = bool(increments) and increments[-1] <= config.ergodic_tol
         if converged and not config.full_sequence:
@@ -672,7 +670,7 @@ def regularity_report(
         best_m = max(best_m, state_w1[j, k] / root)
     # the densities' W1 bounds the joint W1 only where each stored measure
     # is the pushforward of the stored density
-    pushed = [np.array_equal(nu.w, m.flat() * grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
+    pushed = [np.array_equal(nu.w, m.values * grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
     mu_pairs = _pairs(MEASURE_PAIRS)
     for j, k in mu_pairs:
         if (j, k) not in state_w1:
@@ -691,7 +689,7 @@ def regularity_report(
     dt = float(sol.times[1] - sol.times[0]) if n > 1 else 0.0
     h1 = 0.0
     for m in sol.m:
-        gm = gradient_central(grid, m.flat())
+        gm = gradient_central(grid, m.values)
         dens = (m.values**2).sum() + sum((gm[:, ax] ** 2).sum() for ax in range(grid.d))
         h1 += dt * grid.cell_volume * dens
     report["m_h1_surrogate"] = h1

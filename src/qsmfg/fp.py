@@ -35,7 +35,7 @@ def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
     interfaces.  Column sums vanish identically and off-diagonal entries are
     nonnegative, which is what the mass and positivity guarantees rest on.
     """
-    garr = node_values(grid, g, "drift")
+    garr = node_values(grid, g, "drift", grid.d)
     n, h, nbr = grid.size, grid.h, grid.neighbors()
     diag = np.zeros(n)
     off = np.empty((n, 2 * grid.d))
@@ -67,7 +67,7 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     grid = m.grid
     mat = transport_generator(grid, g) * -dt  # I - dt*L in the generator's own CSR pattern
     mat.setdiag(mat.diagonal() + 1.0)
-    new = spla.spsolve(mat.tocsc(), m.flat())
+    new = spla.spsolve(mat.tocsc(), m.values)
     if not np.all(np.isfinite(new)):
         raise RuntimeError("Fokker-Planck linear solve produced non-finite values")
     min_val = new.min()
@@ -80,7 +80,7 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     mass = new.sum() * grid.cell_volume
     if abs(mass - 1.0) > STEP_MASS_TOL:
         raise RuntimeError(f"mass drift {mass - 1.0:.3e} exceeds tolerance in one step")
-    return DensityField(grid, (new / mass).reshape(grid.shape))
+    return DensityField(grid, new / mass)
 
 
 def fp_evolve(m0: DensityField, drifts: Sequence[np.ndarray], dt: float) -> tuple[DensityField, ...]:

@@ -1,15 +1,17 @@
 """Periodic grids on the unit torus and finite-difference operators.
 
-Node data are plain float arrays in the C order of the grid's nodes: a
-scalar field has shape (n^d,), a vector field shape (n^d, d) with column ax
-the component along axis ax.  Every operator takes the grid and such an
-array, reads its stencil from the grid's neighbour table, which wraps
-indices modulo n on each axis, and returns a new array, never writing its
-input.  A grid builds its node coordinates, neighbour table and node-to-node
-torus distance matrix once each, on first use, as read-only arrays.
-Central stencils are second order where the underlying function is smooth;
-one-sided differences selected by drift sign keep the linear systems built on
-top of them M-matrices.
+Node data are plain float arrays in the C order of the grid's nodes, row i
+the datum at node i: a scalar field, such as a value function or a density,
+has shape (n^d,); a field of k columns has shape (n^d, k), such as a
+gradient or drift (k = d, column ax the component along axis ax) or a policy
+(k the control dimension).  node_values is the one shape check.  Every
+operator takes the grid and such an array, reads its stencil from the
+grid's neighbour table, which wraps indices modulo n on each axis, and
+returns a new array, never writing its input.  A grid builds its node
+coordinates, neighbour table and node-to-node torus distance matrix once
+each, on first use, as read-only arrays.  Central stencils are second order
+where the underlying function is smooth; one-sided differences selected by
+drift sign keep the linear systems built on top of them M-matrices.
 """
 
 from __future__ import annotations
@@ -117,12 +119,12 @@ def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
-def node_values(grid: Grid, values: np.ndarray, name: str, vector: bool = True) -> np.ndarray:
-    """values as float node data on grid: an (n^d, d) vector field, column ax
-    the component along axis ax, or for vector=False an (n^d,) scalar field;
-    any other shape is a ValueError naming name."""
+def node_values(grid: Grid, values: np.ndarray, name: str, columns: int | None = None) -> np.ndarray:
+    """values as float node data on grid: an (n^d,) scalar field, or for an
+    integer columns an (n^d, columns) array, row i the datum at node i; any
+    other shape is a ValueError naming name and the expected shape."""
     v = np.asarray(values, dtype=float)
-    shape = (grid.size, grid.d) if vector else (grid.size,)
+    shape = (grid.size,) if columns is None else (grid.size, columns)
     if v.shape != shape:
         raise ValueError(f"{name} needs shape {shape}, got {v.shape}")
     return v
@@ -131,7 +133,7 @@ def node_values(grid: Grid, values: np.ndarray, name: str, vector: bool = True) 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order periodic Laplacian of the scalar field f; node sums
     vanish to machine precision."""
-    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
+    v, nb = node_values(grid, f, "field"), grid.neighbors()
     out = np.zeros_like(v)
     for ax in range(grid.d):
         out += (v[nb[:, 2 * ax]] + v[nb[:, 2 * ax + 1]] - 2.0 * v) / grid.h**2
@@ -141,7 +143,7 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
 def gradient_central(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order periodic central gradient of the scalar field f, an
     (n^d, d) array whose column ax is the component along axis ax."""
-    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
+    v, nb = node_values(grid, f, "field"), grid.neighbors()
     return (v[nb[:, 0::2]] - v[nb[:, 1::2]]) / (2.0 * grid.h)
 
 
@@ -155,8 +157,8 @@ def gradient_upwind(grid: Grid, f: np.ndarray, drift: np.ndarray) -> np.ndarray:
     stencil choice that makes drift terms of the form b . grad(u) assemble
     into M-matrices.
     """
-    b = node_values(grid, drift, "drift")
-    v, nb = node_values(grid, f, "field", vector=False), grid.neighbors()
+    b = node_values(grid, drift, "drift", grid.d)
+    v, nb = node_values(grid, f, "field"), grid.neighbors()
     fwd = (v[nb[:, 0::2]] - v[:, None]) / grid.h
     bwd = (v[:, None] - v[nb[:, 1::2]]) / grid.h
     return np.where(b > 0, fwd, np.where(b < 0, bwd, 0.5 * (fwd + bwd)))

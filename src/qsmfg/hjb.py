@@ -52,8 +52,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, gradient_central, gradient_upwind, laplacian
-from .measure import ControlField, JointMeasure
+from .grid import Grid, gradient_central, gradient_upwind, laplacian, node_values
+from .measure import JointMeasure
 from .model import ModelSpec, policy_field
 
 __all__ = [
@@ -73,12 +73,13 @@ class HjbSolution:
 
     w is a read-only (n^d,) array that vanishes at NORMALIZATION_NODE; s is
     rho*u(x0) for a discounted problem and the ergodic constant for the cell
-    problem.  value_function reads the pair as (u, lam).
+    problem.  value_function reads the pair as (u, lam).  policy is the
+    read-only (n^d, k) policy improved at the pair.
     """
 
     w: np.ndarray
     s: float
-    policy: ControlField
+    policy: np.ndarray
     residual: float
     iterations: int = 0
     converged: bool = True
@@ -124,21 +125,21 @@ def equation_residual(
     w: np.ndarray,
     s: float = 0.0,
     coefficients: tuple | None = None,
-) -> tuple[float, ControlField, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
     Evaluates rho*w + s - lap_h(w) - b . grad_h^up(w) - l on the normalized
     pair (w, s), w an (n^d,) array on grid, with the policy recomputed from
     the central gradient of w; this is the quantity policy iteration drives
-    to zero, for rho > 0 and rho = 0 alike.  Returns the residual, the improved policy, and its drift
-    b(x, a(x); nu), shape (n^d, d), and running cost l(x, a(x); nu), shape
-    (n^d,), which the next policy evaluation uses.  coefficients is
+    to zero, for rho > 0 and rho = 0 alike.  Returns the residual, the
+    improved policy, shape (n^d, k), and its drift b(x, a(x); nu), shape
+    (n^d, d), and running cost l(x, a(x); nu), shape (n^d,), which the next
+    policy evaluation uses.  coefficients is
     spec.coefficients(grid.coordinates(), nu), bound here when not given.
     """
     policy = policy_field(spec, grid, gradient_central(grid, w), nu)
     drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
-    a = policy.flat()
-    bvals, ell = drift(a), cost(a)
+    bvals, ell = drift(policy), cost(policy)
     dup = gradient_upwind(grid, w, bvals)
     advect = sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d))
     res = rho * w + s - laplacian(grid, w) - advect - ell
@@ -152,9 +153,10 @@ def solve_discounted(
     grid: Grid,
     tol: float = 1e-10,
     max_iter: int = 80,
-    warm_start: ControlField | None = None,
+    warm_start: np.ndarray | None = None,
 ) -> HjbSolution:
-    """Policy iteration for the discounted stationary HJB equation."""
+    """Policy iteration for the discounted stationary HJB equation, started
+    from the (n^d, k) policy warm_start when one is given."""
     if rho <= 0:
         raise ValueError(f"discounted solve needs rho > 0, got {rho}")
     return _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
@@ -178,12 +180,12 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     at a policy that repeats bit for bit.
     """
     if warm_start is not None:
-        policy = warm_start
+        policy = node_values(grid, warm_start, "warm_start", spec.control.k)
     else:
         policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), nu)
     coefficients = spec.coefficients(grid.coordinates(), nu)
     drift, cost = coefficients
-    bvals, ell = drift(policy.flat()), cost(policy.flat())
+    bvals, ell = drift(policy), cost(policy)
     history: list[float] = []
     w, s, residual = np.zeros(grid.size), 0.0, np.inf
     for _ in range(max_iter):
@@ -192,10 +194,10 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
             raise RuntimeError("HJB policy evaluation gave non-finite values")
         ws.setflags(write=False)  # w is a view of ws, so HjbSolution.w is read-only
         w, s = ws[:-1], float(ws[-1])
-        previous = policy.values.tobytes()
+        previous = policy.tobytes()
         residual, policy, bvals, ell = equation_residual(spec, nu, rho, grid, w, s, coefficients)
         history.append(residual)
-        if residual <= tol or policy.values.tobytes() == previous:
+        if residual <= tol or policy.tobytes() == previous:
             break
     return HjbSolution(
         w=w, s=s, policy=policy, residual=residual, iterations=len(history),

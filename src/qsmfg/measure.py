@@ -1,8 +1,11 @@
 """Probability densities on T^d, joint state-control measures, and W1 distances.
 
-The joint measures produced by the solvers are always graph measures: one
-control per grid node, obtained by pushing the state density forward through
-a control field.  Distances between them use the sum ground metric
+Densities and policies are node arrays in the grid's node order (grid.py).
+A DensityField holds an (n^d,) array that is nonnegative and integrates to
+one; a policy is a plain (n^d, k) array, row i the control at node i.  The
+joint measures produced by the solvers are always graph measures: one
+control per grid node, obtained by pushing the state density forward
+through a policy.  Distances between them use the sum ground metric
 
     dist((x,a), (x',a')) = dist_torus(x,x') + |a - a'|,
 
@@ -47,11 +50,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from .grid import Grid, torus_distance
+from .grid import Grid, node_values, torus_distance
 
 __all__ = [
     "DensityField",
-    "ControlField",
     "JointMeasure",
     "pushforward",
     "wasserstein1_joint",
@@ -72,13 +74,14 @@ ATOM_CAP = 4096
 
 @dataclass(frozen=True)
 class DensityField:
-    """Nonnegative grid function integrating to one (probability per volume)."""
+    """Nonnegative node array integrating to one (probability per volume):
+    values is a read-only (n^d,) array in the grid's node order."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float).reshape(self.grid.shape).copy()
+        v = node_values(self.grid, self.values, "density").copy()
         if not np.all(np.isfinite(v)):
             raise ValueError("density contains non-finite values")
         if v.min() < -NEGATIVE_TOL:
@@ -91,25 +94,20 @@ class DensityField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray, normalize: bool = False) -> "DensityField":
-        v = np.asarray(values, dtype=float).reshape(grid.shape).copy()
-        if normalize:
-            v = np.maximum(v, 0.0)
-            total = v.sum() * grid.cell_volume
-            if total <= 0:
-                raise ValueError("cannot normalize a density with nonpositive mass")
-            v /= total
-        return cls(grid, v)
+    def from_values(cls, grid: Grid, values: np.ndarray) -> "DensityField":
+        """The density proportional to the positive part of the (n^d,) array values."""
+        v = np.maximum(node_values(grid, values, "density"), 0.0)
+        total = v.sum() * grid.cell_volume
+        if total <= 0:
+            raise ValueError("cannot normalize a density with nonpositive mass")
+        return cls(grid, v / total)
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
 
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
 
 def uniform_density(grid: Grid) -> DensityField:
-    return DensityField(grid, np.ones(grid.shape))
+    return DensityField(grid, np.ones(grid.size))
 
 
 def von_mises_density(grid: Grid, center: float | tuple = 0.5, concentration: float = 4.0) -> DensityField:
@@ -119,8 +117,8 @@ def von_mises_density(grid: Grid, center: float | tuple = 0.5, concentration: fl
     profiles = [np.exp(concentration * np.cos(2.0 * np.pi * (x - c))) for c in centers]
     v = profiles[0]
     for p in profiles[1:]:
-        v = np.outer(v, p)
-    return DensityField.from_values(grid, v.reshape(grid.shape), normalize=True)
+        v = np.outer(v, p).ravel()
+    return DensityField.from_values(grid, v)
 
 
 def two_bump_density(
@@ -132,34 +130,7 @@ def two_bump_density(
     c0, c1 = centers
     b0 = von_mises_density(grid, c0, concentration).values
     b1 = von_mises_density(grid, c1, concentration).values
-    return DensityField.from_values(grid, 0.5 * b0 + 0.5 * b1, normalize=True)
-
-
-@dataclass(frozen=True)
-class ControlField:
-    """One control vector per grid node; values live in the model's control set."""
-
-    grid: Grid
-    values: np.ndarray  # shape (*grid.shape, k)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == self.grid.d:
-            v = v[..., np.newaxis]
-        if v.shape[:-1] != self.grid.shape:
-            raise ValueError(f"control values shape {v.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("control field contains non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[-1]
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(self.grid.size, self.k)
+    return DensityField.from_values(grid, 0.5 * b0 + 0.5 * b1)
 
 
 @dataclass(frozen=True)
@@ -212,21 +183,17 @@ class JointMeasure:
         return cls(np.zeros((0, d)), np.zeros((0, k)), np.zeros(0))
 
 
-def pushforward(m: DensityField, policy: ControlField) -> JointMeasure:
+def pushforward(m: DensityField, policy: np.ndarray) -> JointMeasure:
     """Image of the density under x -> (x, a(x)); weights are m(x_i) h^d.
 
-    The first marginal of the result is m exactly: atom i sits at node i with
-    weight m_i h^d, no aggregation or re-binning happens.
+    policy is an (n^d, k) array on m's grid, row i the control a(x_i); any
+    other shape is a ValueError.  The first marginal of the result is m
+    exactly: atom i sits at node i with weight m_i h^d, no aggregation or
+    re-binning happens.
     """
-    if policy.grid != m.grid:
-        raise ValueError("density and control field live on different grids")
     grid = m.grid
-    return JointMeasure(
-        grid.coordinates(),
-        policy.flat(),
-        m.flat() * grid.cell_volume,
-        grid=grid,
-    )
+    a = node_values(grid, policy, "policy", np.shape(policy)[-1] if np.ndim(policy) == 2 else 1)
+    return JointMeasure(grid.coordinates(), a, m.values * grid.cell_volume, grid=grid)
 
 
 def _dedupe(nu: JointMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,8 +487,8 @@ def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
         raise ValueError("densities live on different grids")
     grid = m1.grid
     vol = grid.cell_volume
-    p = m1.flat() * vol
-    q = m2.flat() * vol
+    p = m1.values * vol
+    q = m2.values * vol
     if grid.d == 1:
         return _circle_w1(p, q, grid.h)
     atoms = max(np.count_nonzero(p), np.count_nonzero(q))

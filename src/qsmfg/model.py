@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, node_values, torus_distance
-from .measure import ControlField, JointMeasure, wasserstein1_joint
+from .measure import JointMeasure, wasserstein1_joint
 
 __all__ = [
     "ControlSet",
@@ -273,16 +273,19 @@ def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: Jo
     return -spec.drift(x, a, nu)
 
 
-def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, nu: JointMeasure) -> ControlField:
+def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, nu: JointMeasure) -> np.ndarray:
     """Optimal control at every node for the value-function gradient du, an
-    (n^d, d) array."""
-    a = optimal_control(spec, grid.coordinates(), node_values(grid, du, "gradient"), nu)
-    return ControlField(grid, a.reshape(grid.shape + (spec.control.k,)))
+    (n^d, d) array: the policy, a read-only (n^d, k) array whose row i is the
+    control at node i."""
+    a = optimal_control(spec, grid.coordinates(), node_values(grid, du, "gradient", grid.d), nu)
+    a.setflags(write=False)
+    return a
 
 
-def drift_field(spec: ModelSpec, grid: Grid, policy: ControlField, nu: JointMeasure) -> np.ndarray:
-    """The Fokker-Planck drift H_p = -b(x, a(x); nu) as an (n^d, d) array."""
-    return -spec.drift(grid.coordinates(), policy.flat(), nu)
+def drift_field(spec: ModelSpec, grid: Grid, policy: np.ndarray, nu: JointMeasure) -> np.ndarray:
+    """The Fokker-Planck drift H_p = -b(x, a(x); nu) of the (n^d, k) policy
+    as an (n^d, d) array."""
+    return -spec.drift(grid.coordinates(), node_values(grid, policy, "policy", spec.control.k), nu)
 
 
 # ---------------------------------------------------------------------------

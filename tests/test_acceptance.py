@@ -23,7 +23,6 @@ from qsmfg.fp import fp_evolve, fp_step, transport_generator
 from qsmfg.grid import Grid, gradient_central
 from qsmfg.hjb import solve_discounted, solve_ergodic, value_function
 from qsmfg.measure import (
-    ControlField,
     DensityField,
     JointMeasure,
     pushforward,
@@ -67,8 +66,8 @@ def criterion(num, desc):
 
 def _random_density(grid, seed):
     rng = np.random.default_rng(seed)
-    vals = 1.0 + rng.uniform(-0.5, 0.5, grid.shape)
-    return DensityField.from_values(grid, vals, normalize=True)
+    vals = 1.0 + rng.uniform(-0.5, 0.5, grid.size)
+    return DensityField.from_values(grid, vals)
 
 
 def _measure(seed, n_atoms=24):
@@ -129,7 +128,7 @@ def test_criterion_01_mass_positivity():
     rng = np.random.default_rng(0)
     m = von_mises_density(GRID, 0.3, 6.0)
     for _ in range(1000):
-        g = rng.uniform(-5.0, 5.0, GRID.shape)[:, None]
+        g = rng.uniform(-5.0, 5.0, GRID.size)[:, None]
         m = fp_step(m, g, 0.01)  # raises if the pre-normalization drift > 1e-12
         assert abs(m.mass() - 1.0) <= 1e-12
         assert m.values.min() >= -1e-13
@@ -145,12 +144,12 @@ def test_criterion_02_heat_oracle():
         dense[i, i] = -2.0 / h**2
         dense[i, (i + 1) % n] = 1.0 / h**2
         dense[i, (i - 1) % n] = 1.0 / h**2
-    exact = scipy.linalg.expm(T * dense) @ m0.flat()
+    exact = scipy.linalg.expm(T * dense) @ m0.values
     errors = {}
     for n_steps in (8, 16):
         dt = T / n_steps
         traj = fp_evolve(m0, [np.zeros((GRID.size, 1))] * n_steps, dt)
-        errors[n_steps] = np.abs(traj[-1].flat() - exact).max()
+        errors[n_steps] = np.abs(traj[-1].values - exact).max()
     ratio = errors[8] / errors[16]
     print(f"    first-order errors {errors[8]:.3e} -> {errors[16]:.3e}, ratio {ratio:.3f}")
     assert 1.7 <= ratio <= 2.3
@@ -324,7 +323,7 @@ def test_criterion_10_vanishing_discount():
 
 @criterion(11, "exact transport engine: LP vs circle-CDF and hand-computed atoms")
 def test_criterion_11_ot_engines():
-    zeros = ControlField(GRID, np.zeros((GRID.n, 1)))
+    zeros = np.zeros((GRID.n, 1))
     worst = 0.0
     for seed in range(50):
         m1 = _random_density(GRID, 1000 + seed)

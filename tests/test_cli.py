@@ -1,5 +1,6 @@
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qsmfg.cli import ConfigError, build_initial_density, load_config, main, parse_config
 from qsmfg.coupling import solve_system
 from qsmfg.grid import Grid
-from qsmfg.model import build_model
+from qsmfg.model import MODEL_BUILDERS, build_model, separated_cost
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).parent.parent / "perfbench" / "workloads"
@@ -270,6 +271,21 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "capped").exists()
 
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_non_finite_maximizer_exit_code(self, tmp_path, capsys, monkeypatch, strategy):
+        # a maximizer that returns NaN makes the solve fail inside the run:
+        # a solver failure, exit 3, reported without a traceback
+        def nan_control(d=1, coupling_weight=0.3):
+            spec = separated_cost(d=d, coupling_weight=coupling_weight)
+            return replace(spec, closed_form_control=lambda x, p, nu: np.full(np.shape(p), np.nan))
+
+        monkeypatch.setitem(MODEL_BUILDERS, "separated", nan_control)
+        payload = dict(MINIMAL, strategy=strategy, output_dir=str(tmp_path / "out"))
+        assert main(["run", _write(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert "error: solver failed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_diagnostics_flag_writes_residual_histories(self, tmp_path):
         payload = dict(MINIMAL, diagnostics=True, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 0
@@ -419,6 +435,26 @@ def test_only_the_cli_writes_files():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 assert name not in ("open", "write_text", "write_bytes"), f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_only_grid_and_the_u_final_writer_read_grid_shape():
+    # node data are flat arrays in node order: the (n,) * d index shape of a
+    # grid is read only in grid.py and by the writer of u_final.csv's (i, j)
+    # columns
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        tree = ast.parse(path.read_text())
+        writer = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.BinOp) and getattr(arg.right, "value", None) == "u_final.csv" for arg in node.args
+            ):
+                writer.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "shape":
+                owner = getattr(node.value, "id", getattr(node.value, "attr", ""))
+                assert owner != "grid" or node.lineno in writer, f"{path.name}:{node.lineno} reads grid.shape"
 
 
 def test_only_measure_binds_highs():

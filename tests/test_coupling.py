@@ -20,7 +20,6 @@ from qsmfg.coupling import (
 from qsmfg.grid import Grid, gradient_central
 from qsmfg.hjb import equation_residual, solve_ergodic, value_function
 from qsmfg.measure import (
-    ControlField,
     DensityField,
     JointMeasure,
     pushforward,
@@ -45,8 +44,8 @@ GRID = Grid(1, 32)
 
 def _random_density(seed):
     rng = np.random.default_rng(seed)
-    vals = 1.0 + rng.uniform(-0.5, 0.5, GRID.shape)
-    return DensityField.from_values(GRID, vals, normalize=True)
+    vals = 1.0 + rng.uniform(-0.5, 0.5, GRID.size)
+    return DensityField.from_values(GRID, vals)
 
 
 def _smooth_gradient(seed, offset=0.0, amplitude=0.5):
@@ -117,8 +116,8 @@ class TestJointMeasureFixedPoint:
         spec = example_one(delta=1.0, eps=0.4, kappa=0.3)
         m = _random_density(5)
         res = solve_joint_measure(m, _smooth_gradient(6, offset=0.3), spec, tol=1e-10)
-        np.testing.assert_array_equal(res.mu.w, m.flat() * GRID.h)
-        np.testing.assert_array_equal(res.mu.a, res.policy.flat())
+        np.testing.assert_array_equal(res.mu.w, m.values * GRID.h)
+        np.testing.assert_array_equal(res.mu.a, res.policy)
 
     def test_history_model_rejected(self):
         # a memory model reads past measures, not the slice's mu alone
@@ -129,7 +128,7 @@ class TestJointMeasureFixedPoint:
         spec, _, _, sol = weak_gamma_solution
         radius = spec.control.radius
         for pol in sol.policy:
-            assert np.linalg.norm(pol.values, axis=-1).max() <= radius + 1e-12
+            assert np.linalg.norm(pol, axis=-1).max() <= radius + 1e-12
 
     def test_supercritical_lambda0_damped_fallback(self):
         # R L0 / delta = 3: the plain map is not a contraction; the damped
@@ -168,7 +167,7 @@ class TestJointMeasureLoop:
     SPEC = example_one(delta=1.0, eps=0.5, kappa=0.3)
 
     def _start(self, m, du):
-        zero = ControlField(GRID, np.zeros((GRID.n, 1)))
+        zero = np.zeros((GRID.n, 1))
         return pushforward(m, policy_field(self.SPEC, GRID, du, pushforward(m, zero)))
 
     def test_zero_budget_returns_start_measure(self):
@@ -190,7 +189,7 @@ class TestJointMeasureLoop:
             mu_next = pushforward(m, policy)
             assert wasserstein1_joint(mu_next, mu) == d
             mu = mu_next
-        np.testing.assert_array_equal(res.policy.values, policy.values)
+        np.testing.assert_array_equal(res.policy, policy)
         np.testing.assert_array_equal(res.mu.a, mu.a)
 
     def test_damped_run_counts_and_rate(self):
@@ -201,7 +200,7 @@ class TestJointMeasureLoop:
         assert res.converged and res.damped
         assert res.iterations == len(res.increments) > 10
         assert res.rate == max(_plain_ratios(res.increments[:10])) > 1.0
-        np.testing.assert_array_equal(res.mu.a, res.policy.flat())
+        np.testing.assert_array_equal(res.mu.a, res.policy)
 
     @pytest.mark.parametrize(
         "increments, expected",
@@ -331,8 +330,8 @@ class TestFieldIteration:
         assert sol.mu_residuals.max() <= cfg.inner_tol
         for j in range(sol.n_slices):
             assert abs(sol.m[j].mass() - 1.0) <= 1e-12
-            np.testing.assert_array_equal(sol.mu[j].w, sol.m[j].flat() * GRID.h)
-            np.testing.assert_array_equal(sol.mu[j].a, sol.policy[j].flat())
+            np.testing.assert_array_equal(sol.mu[j].w, sol.m[j].values * GRID.h)
+            np.testing.assert_array_equal(sol.mu[j].a, sol.policy[j])
 
     def test_two_seed_uniqueness_weak_coupling(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
@@ -364,7 +363,7 @@ def test_warm_start_of_wrong_length_rejected(strategy):
     if strategy == "gamma":
         solve, first = solve_field_iteration, np.zeros(GRID.size)
     else:
-        solve, first = solve_measure_iteration, pushforward(m0, ControlField(GRID, np.zeros(GRID.shape)))
+        solve, first = solve_measure_iteration, pushforward(m0, np.zeros((GRID.size, 1)))
     for n in (2, 6):
         with pytest.raises(ValueError, match="initial .* trajectory has the wrong length"):
             solve(spec, m0, cfg, initial=([first] * n, [m0] * n))
@@ -463,7 +462,7 @@ class TestExtrapolatedStart:
         # quadratic in rho: the start at the next discount is that quadratic
         rng = np.random.default_rng(7)
         spec, n_slices = example_one(d=1, **WEAK), 3
-        shape = (n_slices, GRID.size) if strategy == "gamma" else (n_slices,) + GRID.shape + (1,)
+        shape = (n_slices, GRID.size) if strategy == "gamma" else (n_slices, GRID.size, 1)
         fa, fb, fc = rng.uniform(-0.3, 0.3, shape), rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.2, 0.2, shape)
         x = GRID.axis_coordinates()
         base = two_bump_density(GRID).values
@@ -481,8 +480,8 @@ class TestExtrapolatedStart:
             np.testing.assert_allclose(np.array(start), fields, rtol=0, atol=1e-14)
         else:
             for mu_j, m_j, f_j in zip(start, m, fields):
-                np.testing.assert_allclose(mu_j.a, f_j.reshape(-1, 1), rtol=0, atol=1e-14)
-                np.testing.assert_array_equal(mu_j.w, m_j.flat() * GRID.cell_volume)
+                np.testing.assert_allclose(mu_j.a, f_j, rtol=0, atol=1e-14)
+                np.testing.assert_array_equal(mu_j.w, m_j.values * GRID.cell_volume)
 
     def test_start_projects_policies_and_clips_densities(self):
         # levels whose quadratic leaves the control ball and goes negative
@@ -490,19 +489,19 @@ class TestExtrapolatedStart:
         base = two_bump_density(GRID).values
         dip = np.where(GRID.axis_coordinates() < 0.5, 1.0, -1.0)  # zero mean on the grid
         levels = [
-            (r, np.full((n_slices,) + GRID.shape + (1,), a), np.array([base + c * dip] * n_slices))
+            (r, np.full((n_slices, GRID.size, 1), a), np.array([base + c * dip] * n_slices))
             for r, a, c in ((1.0, 0.2, 0.0), (0.5, 0.6, 0.0), (0.25, 0.9, 0.5))
         ]
         start, m = coupling._extrapolated_start(spec, GRID, "psi", levels, 0.125)
         for mu_j, m_j in zip(start, m):
             assert m_j.values.min() == 0.0 and m_j.mass() == pytest.approx(1.0, abs=1e-14)
             np.testing.assert_array_equal(mu_j.a, np.full((GRID.size, 1), spec.control.radius))
-            np.testing.assert_array_equal(mu_j.w, m_j.flat() * GRID.cell_volume)
+            np.testing.assert_array_equal(mu_j.w, m_j.values * GRID.cell_volume)
 
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_one_level_starts_from_its_solution(self, weak_gamma_solution, strategy):
         spec, _, _, sol = weak_gamma_solution
-        fields = sol.w if strategy == "gamma" else [a.values for a in sol.policy]
+        fields = sol.w if strategy == "gamma" else sol.policy
         level = (1.0, np.array(fields), np.array([m.values for m in sol.m]))
         start, m = coupling._extrapolated_start(spec, GRID, strategy, [level], 0.5)
         for ours, theirs in zip(m, sol.m):
@@ -511,7 +510,7 @@ class TestExtrapolatedStart:
             np.testing.assert_array_equal(np.array(start), np.array(sol.w))
         else:
             for mu_j, a_j in zip(start, sol.policy):
-                np.testing.assert_array_equal(mu_j.a, a_j.flat())
+                np.testing.assert_array_equal(mu_j.a, a_j)
 
 
 class TestErgodicDriver:
@@ -721,7 +720,7 @@ def _drifting_pairs(scaled):
     x = GRID.axis_coordinates()
     densities = [von_mises_density(GRID, 0.4 + 0.01 * t) for t in range(6)]
     mus = [
-        pushforward(m, ControlField(GRID, 0.05 * np.sin(2 * np.pi * (x - 0.02 * t))[:, None]))
+        pushforward(m, 0.05 * np.sin(2 * np.pi * (x - 0.02 * t))[:, None])
         for t, m in enumerate(densities)
     ]
     index = [(j, k) for j in range(6) for k in range(j + 1, 6)]
@@ -748,7 +747,7 @@ class TestPrunedMaximum:
         assert len(calls) - n_full < n_full / 2
 
     def test_unknown_state_distance_solves_every_pair(self, monkeypatch):
-        mus = [pushforward(von_mises_density(GRID, c), ControlField(GRID, np.zeros((GRID.n, 1)))) for c in (0.3, 0.4, 0.5)]
+        mus = [pushforward(von_mises_density(GRID, c), np.zeros((GRID.n, 1))) for c in (0.3, 0.4, 0.5)]
         pairs = [(mus[0], mus[1]), (mus[1], mus[2]), (mus[0], mus[2])]
         calls = _counting_lp(monkeypatch)
         value = coupling._max_joint_w1(pairs, [1.0] * 3, [np.inf] * 3)
@@ -883,7 +882,7 @@ class TestDispatch:
 
     def test_blend_policies_stays_in_control_set(self):
         control = ControlSet(k=1, radius=1.0)
-        a = ControlField(GRID, np.full((GRID.n, 1), 1.0))
-        b = ControlField(GRID, np.full((GRID.n, 1), -1.0))
+        a = np.full((GRID.n, 1), 1.0)
+        b = np.full((GRID.n, 1), -1.0)
         mix = blend_policies(a, b, 0.5, control)
-        assert np.abs(mix.values).max() <= 1.0
+        assert np.abs(mix).max() <= 1.0

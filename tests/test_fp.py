@@ -39,7 +39,7 @@ class TestSingleStep:
 
         gen = transport_generator(GRID, _const_drift(GRID, 0.0))
         mat = sparse.identity(GRID.size, format="csr") - 0.05 * gen
-        np.testing.assert_array_equal(mat @ m.flat(), m.flat())
+        np.testing.assert_array_equal(mat @ m.values, m.values)
         # and the solved step reproduces it to rounding
         out = fp_step(m, _const_drift(GRID, 0.0), 0.05)
         np.testing.assert_allclose(out.values, m.values, rtol=0, atol=5e-15)
@@ -48,20 +48,20 @@ class TestSingleStep:
         rng = np.random.default_rng(0)
         m = von_mises_density(GRID, 0.3, 5.0)
         for _ in range(50):
-            g = rng.uniform(-5, 5, GRID.shape)[:, None]
+            g = rng.uniform(-5, 5, GRID.size)[:, None]
             m = fp_step(m, g, 0.02)
             assert abs(m.mass() - 1.0) <= 1e-12
             assert m.values.min() >= 0.0
 
     def test_generator_column_sums_vanish(self):
         rng = np.random.default_rng(1)
-        g = rng.uniform(-5, 5, GRID.shape)[:, None]
+        g = rng.uniform(-5, 5, GRID.size)[:, None]
         gen = transport_generator(GRID, g)
         np.testing.assert_allclose(np.asarray(gen.sum(axis=0)).ravel(), 0.0, atol=1e-12)
 
     def test_generator_offdiagonals_nonnegative(self):
         rng = np.random.default_rng(2)
-        g = rng.uniform(-5, 5, GRID.shape)[:, None]
+        g = rng.uniform(-5, 5, GRID.size)[:, None]
         gen = transport_generator(GRID, g).toarray()
         off = gen - np.diag(np.diag(gen))
         assert off.min() >= 0.0
@@ -89,9 +89,9 @@ class TestSingleStep:
         def run(seed, dt, scale):
             rng = np.random.default_rng(seed)
             m = DensityField.from_values(
-                GRID, 1.0 + rng.uniform(-0.8, 0.8, GRID.shape), normalize=True
+                GRID, 1.0 + rng.uniform(-0.8, 0.8, GRID.size)
             )
-            g = rng.uniform(-scale, scale, GRID.shape)[:, None]
+            g = rng.uniform(-scale, scale, GRID.size)[:, None]
             out = fp_step(m, g, dt)
             assert abs(out.mass() - 1.0) <= 1e-12
             assert out.values.min() >= 0.0
@@ -114,12 +114,12 @@ class TestHeatFlowOracle:
         m0 = von_mises_density(GRID, 0.5, 8.0)
         T = 0.02
         dense = _dense_heat_generator(GRID.n, GRID.h)
-        exact = scipy.linalg.expm(T * dense) @ m0.flat()
+        exact = scipy.linalg.expm(T * dense) @ m0.values
         errors = {}
         for n_steps in (8, 16):
             dt = T / n_steps
             traj = fp_evolve(m0, [_const_drift(GRID, 0.0)] * n_steps, dt)
-            errors[n_steps] = np.abs(traj[-1].flat() - exact).max()
+            errors[n_steps] = np.abs(traj[-1].values - exact).max()
         ratio = errors[8] / errors[16]
         assert 1.7 <= ratio <= 2.3
 
@@ -136,7 +136,7 @@ class TestHeatFlowOracle:
         traj = fp_evolve(m0, [_const_drift(GRID, 0.0)] * 10, dt)
         dense = _dense_heat_generator(GRID.n, GRID.h)
         exact_max = m0.values.max()
-        vec = m0.flat().copy()
+        vec = m0.values.copy()
         step_exp = scipy.linalg.expm(dt * dense)
         for _ in range(len(traj) - 1):
             vec = step_exp @ vec
@@ -161,13 +161,13 @@ class TestConstantDriftFourierOracle:
         col[1] += 1.0 / h**2 + vp / h
         col[-1] += 1.0 / h**2 - vm / h
         eig = np.fft.fft(col)
-        modes = np.fft.fft(m0.flat())
+        modes = np.fft.fft(m0.values)
         exact = np.real(np.fft.ifft(modes * np.exp(T * eig)))
-        err = np.abs(traj[-1].flat() - exact).max()
+        err = np.abs(traj[-1].values - exact).max()
         # implicit Euler is first order; bound measured generously
         assert err < 0.5
         finer = fp_evolve(m0, [_const_drift(GRID, c)] * 40, dt / 2)
-        err2 = np.abs(finer[-1].flat() - exact).max()
+        err2 = np.abs(finer[-1].values - exact).max()
         assert err2 < 0.75 * err
 
     def test_translation_of_profile(self):
@@ -191,7 +191,7 @@ class TestEvolve:
     def test_each_drift_drives_its_step(self):
         m0 = von_mises_density(GRID, 0.3, 5.0)
         rng = np.random.default_rng(4)
-        g0, g1 = (rng.uniform(-3, 3, GRID.shape)[:, None] for _ in range(2))
+        g0, g1 = (rng.uniform(-3, 3, GRID.size)[:, None] for _ in range(2))
         traj = fp_evolve(m0, [g0, g1], 0.05)
         assert len(traj) == 3 and traj[0] is m0
         np.testing.assert_array_equal(traj[1].values, fp_step(m0, g0, 0.05).values)

@@ -23,7 +23,7 @@ from qsmfg.hjb import (
     solve_ergodic,
     value_function,
 )
-from qsmfg.measure import ControlField, JointMeasure, pushforward, uniform_density, wasserstein1_joint
+from qsmfg.measure import JointMeasure, pushforward, uniform_density, wasserstein1_joint
 from qsmfg.model import (
     ControlSet,
     ModelSpec,
@@ -153,7 +153,7 @@ class TestDiscounted:
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
         probe = policy_field(spec, grid, gradient_central(grid, sol.w), nu)
-        np.testing.assert_array_equal(sol.policy.values, probe.values)
+        np.testing.assert_array_equal(sol.policy, probe)
         assert sol.w.shape == (grid.size,) and not sol.w.flags.writeable
 
 
@@ -221,7 +221,7 @@ class TestCoefficientEvaluations:
         calls = torus_distance_calls
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(3)
-        mu = pushforward(uniform_density(GRID), ControlField(GRID, rng.uniform(-0.8, 0.8, GRID.shape)))
+        mu = pushforward(uniform_density(GRID), rng.uniform(-0.8, 0.8, (GRID.size, 1)))
         sol = solve_discounted(spec, mu, 1.0, GRID, tol=1e-11)
         assert sol.iterations >= 2 and calls == []
         aggregate = memory_aggregate([0.0, 0.5], [mu, mu], lambda t: np.ones_like(t))
@@ -256,7 +256,7 @@ class TestPolicyRepeat:
         u_more, lam_more = value_function(more.w, more.s, rho)
         u_sol, lam_sol = value_function(sol.w, sol.s, rho)
         np.testing.assert_array_equal(u_more, u_sol)
-        np.testing.assert_array_equal(more.policy.values, sol.policy.values)
+        np.testing.assert_array_equal(more.policy, sol.policy)
         assert lam_more is None and lam_sol is None and more.residual == sol.residual
         # the public solve reports the same stop
         public = solve_discounted(spec, nu, rho, grid, tol=tol)

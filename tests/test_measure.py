@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy.optimize import linprog
 from qsmfg import measure
 from qsmfg.grid import Grid
 from qsmfg.measure import (
-    ControlField,
     DensityField,
     JointMeasure,
     joint_w1_upper_bound,
@@ -21,12 +21,13 @@ from qsmfg.measure import (
     wasserstein1_joint,
     wasserstein1_state,
 )
+from qsmfg.model import drift_field, example_one
 
 
 def _random_density(grid, seed):
     rng = np.random.default_rng(seed)
-    vals = 1.0 + rng.uniform(-0.6, 0.6, grid.shape)
-    return DensityField.from_values(grid, vals, normalize=True)
+    vals = 1.0 + rng.uniform(-0.6, 0.6, grid.size)
+    return DensityField.from_values(grid, vals)
 
 
 def _atom(x, a, w=1.0):
@@ -45,29 +46,44 @@ def test_density_invariants():
     assert two_bump_density(g).mass() == pytest.approx(1.0, abs=1e-13)
 
 
-def test_control_field_shape_checks():
-    g = Grid(1, 8)
-    cf = ControlField(g, np.zeros(8))  # scalar controls get a trailing axis
-    assert cf.values.shape == (8, 1)
-    with pytest.raises(ValueError):
-        ControlField(g, np.zeros((7, 1)))
+@pytest.mark.parametrize("d", [1, 2])
+def test_densities_and_policies_are_node_arrays(d):
+    # a density is one (n^d,) array and a policy one (n^d, k) array, both in
+    # node order; any other shape, such as the grid-shaped (n, n) density or
+    # a policy with one row too few, is a ValueError naming the expected shape
+    g = Grid(d, 8)
+    spec = example_one(d=d)
+    m = uniform_density(g)
+    assert m.values.shape == (g.size,) and not m.values.flags.writeable
+    mu = pushforward(m, np.zeros((g.size, d)))
+    assert mu.a.shape == (g.size, d)
+    assert drift_field(spec, g, np.zeros((g.size, d)), mu).shape == (g.size, d)
+    grid_shaped = np.ones((8,) * d) if d == 2 else np.ones(g.size + 1)
+    for build in (DensityField, DensityField.from_values):
+        with pytest.raises(ValueError, match=re.escape(f"density needs shape {(g.size,)}, got {grid_shaped.shape}")):
+            build(g, grid_shaped)
+    for shape in [(g.size - 1, d), (g.size,)] + [(8, 8, d)] * (d == 2):
+        with pytest.raises(ValueError, match=re.escape(f"policy needs shape ({g.size}, ")):
+            pushforward(m, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"policy needs shape {(g.size, d)}, got {shape}")):
+            drift_field(spec, g, np.zeros(shape), mu)
 
 
 def test_pushforward_atoms_and_marginal():
     g = Grid(1, 16)
     m = _random_density(g, 0)
     a0 = 0.25
-    mu = pushforward(m, ControlField(g, np.full((16, 1), a0)))
+    mu = pushforward(m, np.full((16, 1), a0))
     assert mu.n_atoms == g.size
     assert mu.mass() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(mu.a, np.full((16, 1), a0))
     # first marginal weights are exactly m(x_i) h
-    np.testing.assert_array_equal(mu.w, m.flat() * g.h)
+    np.testing.assert_array_equal(mu.w, m.values * g.h)
 
 
 def test_pushforward_uniform_constant_control():
     g = Grid(1, 16)
-    mu = pushforward(uniform_density(g), ControlField(g, np.full((16, 1), 0.7)))
+    mu = pushforward(uniform_density(g), np.full((16, 1), 0.7))
     np.testing.assert_allclose(mu.w, np.full(16, 1.0 / 16), atol=1e-16)
 
 
@@ -77,13 +93,13 @@ def test_pushforward_test_function_identity():
     m = _random_density(g, 1)
     rng = np.random.default_rng(2)
     avals = rng.uniform(-1, 1, (16, 1))
-    mu = pushforward(m, ControlField(g, avals))
+    mu = pushforward(m, avals)
 
     def phi(x, a):
         return np.cos(2 * np.pi * x[:, 0]) + a[:, 0] ** 2
 
     lhs = (phi(mu.x, mu.a) * mu.w).sum()
-    rhs = (phi(g.coordinates(), avals) * (m.flat() * g.h)).sum()
+    rhs = (phi(g.coordinates(), avals) * (m.values * g.h)).sum()
     assert lhs == rhs
 
 
@@ -93,7 +109,7 @@ def test_pushforward_of_concentrated_density():
     vals[5] = 1.0 / g.h
     m = DensityField(g, vals)
     rng = np.random.default_rng(3)
-    mu = pushforward(m, ControlField(g, rng.uniform(-1, 1, (16, 1))))
+    mu = pushforward(m, rng.uniform(-1, 1, (16, 1)))
     live = mu.w > 0
     assert live.sum() == 1
     assert mu.x[live][0, 0] == pytest.approx(5 * g.h)
@@ -102,7 +118,7 @@ def test_pushforward_of_concentrated_density():
 
 def test_w1_identical_measures_is_zero():
     g = Grid(1, 16)
-    mu = pushforward(_random_density(g, 4), ControlField(g, np.zeros((16, 1))))
+    mu = pushforward(_random_density(g, 4), np.zeros((16, 1)))
     assert wasserstein1_joint(mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -122,7 +138,7 @@ def test_w1_mass_mismatch_rejected():
 
 def test_w1_atom_cap(monkeypatch):
     g = Grid(1, 16)
-    mu = pushforward(_random_density(g, 5), ControlField(g, np.zeros((16, 1))))
+    mu = pushforward(_random_density(g, 5), np.zeros((16, 1)))
     assert wasserstein1_joint(mu, mu) == 0.0
     monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)
     with pytest.raises(ValueError, match="exceeds cap 8"):
@@ -160,7 +176,7 @@ def test_w1_state_matches_atom_lp():
         m1 = _random_density(g, 100 + seed)
         m2 = _random_density(g, 200 + seed)
         cdf = wasserstein1_state(m1, m2)
-        zeros = ControlField(g, np.zeros((32, 1)))
+        zeros = np.zeros((32, 1))
         lp = wasserstein1_joint(pushforward(m1, zeros), pushforward(m2, zeros))
         assert abs(cdf - lp) < 1e-8
 
@@ -169,7 +185,7 @@ def test_w1_symmetry_and_triangle():
     g = Grid(1, 16)
     rng = np.random.default_rng(6)
     mus = [
-        pushforward(_random_density(g, 300 + i), ControlField(g, rng.uniform(-1, 1, (16, 1))))
+        pushforward(_random_density(g, 300 + i), rng.uniform(-1, 1, (16, 1)))
         for i in range(3)
     ]
     d01 = wasserstein1_joint(mus[0], mus[1])
@@ -185,8 +201,8 @@ def test_w1_marginal_contraction():
     rng = np.random.default_rng(7)
     m1 = _random_density(g, 8)
     m2 = _random_density(g, 9)
-    nu1 = pushforward(m1, ControlField(g, rng.uniform(-1, 1, (16, 1))))
-    nu2 = pushforward(m2, ControlField(g, rng.uniform(-1, 1, (16, 1))))
+    nu1 = pushforward(m1, rng.uniform(-1, 1, (16, 1)))
+    nu2 = pushforward(m2, rng.uniform(-1, 1, (16, 1)))
     joint = wasserstein1_joint(nu1, nu2)
     zeros = np.zeros((16, 1))
     marg = _reference_w1(nu1.x, zeros, nu1.w, nu2.x, zeros, nu2.w)
@@ -202,7 +218,7 @@ def test_w1_diagonal_coupling_bound():
     rng = np.random.default_rng(11)
     a1 = rng.uniform(-1, 1, (32, 1))
     a2 = a1 + rng.uniform(-0.3, 0.3, (32, 1))
-    d = wasserstein1_joint(pushforward(m, ControlField(g, a1)), pushforward(m, ControlField(g, a2)))
+    d = wasserstein1_joint(pushforward(m, a1), pushforward(m, a2))
     assert d <= np.abs(a1 - a2).max() + 1e-9
 
 
@@ -213,11 +229,11 @@ def test_pushforward_integrates_test_functions_exactly(seed, freq, amp):
     m = _random_density(g, seed)
     rng = np.random.default_rng(seed + 1)
     avals = rng.uniform(-1, 1, (16, 1))
-    mu = pushforward(m, ControlField(g, avals))
+    mu = pushforward(m, avals)
     phi = lambda x, a: np.sin(2 * np.pi * freq * x[:, 0]) + amp * a[:, 0]
     lhs = (phi(mu.x, mu.a) * mu.w).sum()
     # same association as the atom weights, so the identity is bitwise
-    rhs = (phi(g.coordinates(), avals) * (m.flat() * g.h)).sum()
+    rhs = (phi(g.coordinates(), avals) * (m.values * g.h)).sum()
     assert lhs == rhs
 
 
@@ -267,8 +283,8 @@ def test_w1_joint_matches_dual_lp_oracle():
     g = Grid(1, 16)
     rng = np.random.default_rng(31)
     for seed in range(6):
-        nu1 = pushforward(_random_density(g, 400 + seed), ControlField(g, rng.uniform(-1, 1, (16, 1))))
-        nu2 = pushforward(_random_density(g, 500 + seed), ControlField(g, rng.uniform(-1, 1, (16, 1))))
+        nu1 = pushforward(_random_density(g, 400 + seed), rng.uniform(-1, 1, (16, 1)))
+        nu2 = pushforward(_random_density(g, 500 + seed), rng.uniform(-1, 1, (16, 1)))
         primal = wasserstein1_joint(nu1, nu2)
         dual = _dual_w1(nu1, nu2)
         assert primal == pytest.approx(dual, abs=1e-9)
@@ -283,10 +299,10 @@ def test_w1_joint_equal_nonunit_masses():
 
 def test_w1_state_2d_two_deltas_sum_metric():
     g = Grid(2, 8)
-    v1 = np.zeros(g.shape)
-    v2 = np.zeros(g.shape)
-    v1[0, 0] = 1.0 / g.cell_volume
-    v2[4, 2] = 1.0 / g.cell_volume  # torus distances 0.5 and 0.25
+    v1 = np.zeros(g.size)
+    v2 = np.zeros(g.size)
+    v1[0] = 1.0 / g.cell_volume  # node (0, 0)
+    v2[4 * g.n + 2] = 1.0 / g.cell_volume  # node (4, 2): torus distances 0.5 and 0.25
     d = wasserstein1_state(DensityField(g, v1), DensityField(g, v2))
     assert d == pytest.approx(0.75, abs=1e-10)
 
@@ -294,10 +310,10 @@ def test_w1_state_2d_two_deltas_sum_metric():
 def test_w1_2d_marginal_contraction():
     g = Grid(2, 8)
     rng = np.random.default_rng(32)
-    m1 = DensityField.from_values(g, 1 + rng.uniform(-0.4, 0.4, g.shape), normalize=True)
-    m2 = DensityField.from_values(g, 1 + rng.uniform(-0.4, 0.4, g.shape), normalize=True)
-    a1 = ControlField(g, rng.uniform(-0.5, 0.5, g.shape + (2,)))
-    a2 = ControlField(g, rng.uniform(-0.5, 0.5, g.shape + (2,)))
+    m1 = DensityField.from_values(g, 1 + rng.uniform(-0.4, 0.4, g.size))
+    m2 = DensityField.from_values(g, 1 + rng.uniform(-0.4, 0.4, g.size))
+    a1 = rng.uniform(-0.5, 0.5, (g.size, 2))
+    a2 = rng.uniform(-0.5, 0.5, (g.size, 2))
     joint = wasserstein1_joint(pushforward(m1, a1), pushforward(m2, a2))
     assert joint >= wasserstein1_state(m1, m2) - 1e-9
 
@@ -331,13 +347,13 @@ def _no_lp(*args, **kwargs):
 
 
 def _smooth_policy(grid, k, rng):
-    """Random control field with Lipschitz constant 0.9 in the torus L1 metric."""
+    """Random (n^d, k) policy with Lipschitz constant 0.9 in the torus L1 metric."""
     x = grid.coordinates()
     vals = np.zeros((grid.size, k))
     for c in range(k):
         phase = rng.uniform(0, 2 * np.pi)
         vals[:, c] = np.sin(2 * np.pi * x.sum(axis=1) + phase)
-    return ControlField(grid, vals.reshape(grid.shape + (k,)) * 0.9 / (2 * np.pi * np.sqrt(k)))
+    return vals * 0.9 / (2 * np.pi * np.sqrt(k))
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
@@ -350,8 +366,8 @@ def test_identity_coupling_matches_reference_lp(d, n, k, monkeypatch):
     for seed in range(3):
         m = _random_density(g, 600 + seed)
         smooth = pushforward(m, _smooth_policy(g, k, rng))
-        rough = pushforward(m, ControlField(g, rng.uniform(-1, 1, g.shape + (k,))))
-        identity = float(m.flat() @ np.linalg.norm(smooth.a - rough.a, axis=1)) * g.cell_volume
+        rough = pushforward(m, rng.uniform(-1, 1, (g.size, k)))
+        identity = float(m.values @ np.linalg.norm(smooth.a - rough.a, axis=1)) * g.cell_volume
         ref = _reference_w1(smooth.x, smooth.a, smooth.w, rough.x, rough.a, rough.w)
         assert abs(identity - ref) <= 1e-12
         for nu1, nu2 in ((smooth, rough), (rough, smooth)):
@@ -364,13 +380,13 @@ def test_uncertified_same_marginal_pair_takes_lp(d, monkeypatch):
     # atoms one edge each costs 2h per unit weight, the identity 2J
     g = Grid(d, 8)
     jump = 0.5
-    a1 = np.zeros(g.shape + (1,))
-    a2 = np.zeros(g.shape + (1,))
+    a1 = np.zeros((g.size, 1))
+    a2 = np.zeros((g.size, 1))
     a1.reshape(-1)[0] = jump
     a2.reshape(-1)[1] = jump
     m = uniform_density(g)
-    nu1 = pushforward(m, ControlField(g, a1))
-    nu2 = pushforward(m, ControlField(g, a2))
+    nu1 = pushforward(m, a1)
+    nu2 = pushforward(m, a2)
     weight = g.cell_volume
     ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
     assert ref == pytest.approx(2 * g.h * weight, abs=1e-12)
@@ -394,9 +410,9 @@ def test_atom_lp_accurate_on_nearby_measures():
     rng = np.random.default_rng(3)
     for seed in range(4):
         m1 = _random_density(g, 900 + seed)
-        m2 = DensityField.from_values(g, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, g.shape)), normalize=True)
+        m2 = DensityField.from_values(g, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, g.size)))
         a1 = _smooth_policy(g, 1, rng)
-        a2 = ControlField(g, a1.values + 1e-6 * rng.uniform(-1, 1, a1.values.shape))
+        a2 = a1 + 1e-6 * rng.uniform(-1, 1, a1.shape)
         nu1, nu2 = pushforward(m1, a1), pushforward(m2, a2)
         ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
         assert 1e-7 < ref < 1e-5
@@ -412,8 +428,8 @@ def test_atom_lp_reads_state_w1_below_its_tolerance(start, eps):
     g = Grid(1, 32)
     m1 = two_bump_density(g) if start == "twobump" else uniform_density(g)
     x = g.axis_coordinates()
-    m2 = DensityField.from_values(g, m1.values * (1 + eps * np.cos(2 * np.pi * x)), normalize=True)
-    policy = ControlField(g, np.full((g.n, 1), 0.3))
+    m2 = DensityField.from_values(g, m1.values * (1 + eps * np.cos(2 * np.pi * x)))
+    policy = np.full((g.n, 1), 0.3)
     state = wasserstein1_state(m1, m2)
     assert 1e-11 < state < 1e-9
     assert wasserstein1_joint(pushforward(m1, policy), pushforward(m2, policy)) == pytest.approx(state, rel=1e-6)
@@ -491,12 +507,12 @@ def _lp_pair(grid, kind, k, rng):
     """Two graph measures over different densities, so the pair takes the LP."""
     m1 = _random_density(grid, 950)
     if kind == "nearby":
-        m2 = DensityField.from_values(grid, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, grid.shape)), normalize=True)
+        m2 = DensityField.from_values(grid, m1.values * (1 + 1e-5 * rng.uniform(-1, 1, grid.size)))
         a1 = _smooth_policy(grid, k, rng)
-        a2 = ControlField(grid, a1.values + 1e-6 * rng.uniform(-1, 1, a1.values.shape))
+        a2 = a1 + 1e-6 * rng.uniform(-1, 1, a1.shape)
     elif kind == "rough":
         m2 = _random_density(grid, 951)
-        a1, a2 = (ControlField(grid, rng.uniform(-1, 1, grid.shape + (k,))) for _ in range(2))
+        a1, a2 = (rng.uniform(-1, 1, (grid.size, k)) for _ in range(2))
     else:
         m2 = _random_density(grid, 951)
         a1, a2 = _smooth_policy(grid, k, rng), _smooth_policy(grid, k, rng)
@@ -604,7 +620,7 @@ def test_1d_pair_solves_one_lp_over_every_arc(monkeypatch):
     g = Grid(1, 32)
     rng = np.random.default_rng(99)
     nu1, nu2 = (
-        pushforward(_random_density(g, 960 + s), ControlField(g, rng.uniform(-1, 1, (32, 1)))) for s in range(2)
+        pushforward(_random_density(g, 960 + s), rng.uniform(-1, 1, (32, 1))) for s in range(2)
     )
     dense = _dense_transport_lp(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), nu1.w, nu2.w)
     rounds = _record_rounds(monkeypatch)
@@ -623,7 +639,7 @@ def test_joint_upper_bound_dominates_reference_lp(d, n, k, densities):
         m1 = _random_density(g, 700 + seed)
         m2 = m1 if densities == "equal" else _random_density(g, 750 + seed)
         state = wasserstein1_state(m1, m2)
-        policies = (_smooth_policy(g, k, rng), ControlField(g, rng.uniform(-1, 1, g.shape + (k,))))
+        policies = (_smooth_policy(g, k, rng), rng.uniform(-1, 1, (g.size, k)))
         for a1 in policies:
             for a2 in policies:
                 nu1, nu2 = pushforward(m1, a1), pushforward(m2, a2)
@@ -634,10 +650,10 @@ def test_joint_upper_bound_dominates_reference_lp(d, n, k, densities):
 def test_joint_upper_bound_inf_off_graph_measures():
     g = Grid(1, 8)
     m = uniform_density(g)
-    nu = pushforward(m, ControlField(g, np.zeros((8, 1))))
+    nu = pushforward(m, np.zeros((8, 1)))
     loose = JointMeasure(nu.x, nu.a, nu.w)  # no grid attached
     shuffled = JointMeasure(nu.x[::-1], nu.a, nu.w, grid=g)
-    other_grid = pushforward(uniform_density(Grid(1, 16)), ControlField(Grid(1, 16), np.zeros((16, 1))))
+    other_grid = pushforward(uniform_density(Grid(1, 16)), np.zeros((16, 1)))
     heavier = nu.scaled(2.0)
     for a, b in ((loose, nu), (nu, loose), (shuffled, nu), (nu, other_grid), (nu, heavier)):
         assert joint_w1_upper_bound(a, b, 0.0) == np.inf
@@ -651,16 +667,16 @@ def test_w1_state_2d_flow_matches_reference_lp(n, kind):
     if kind == "random":
         m1, m2 = _random_density(g, n), _random_density(g, n + 1)
     elif kind == "dirac":
-        v1 = np.zeros(g.shape)
-        v2 = np.zeros(g.shape)
-        v1[0, 0] = 1.0 / g.cell_volume
-        v2[n // 2, n // 3] = 1.0 / g.cell_volume
+        v1 = np.zeros(g.size)
+        v2 = np.zeros(g.size)
+        v1[0] = 1.0 / g.cell_volume
+        v2[n // 2 * n + n // 3] = 1.0 / g.cell_volume  # node (n // 2, n // 3)
         m1, m2 = DensityField(g, v1), DensityField(g, v2)
     else:
         m1 = m2 = _random_density(g, n)
     x = g.coordinates()
     zeros = np.zeros((g.size, 1))
-    ref = _reference_w1(x, zeros, m1.flat() * g.cell_volume, x, zeros, m2.flat() * g.cell_volume)
+    ref = _reference_w1(x, zeros, m1.values * g.cell_volume, x, zeros, m2.values * g.cell_volume)
     assert abs(wasserstein1_state(m1, m2) - ref) <= 1e-12
 
 
@@ -673,14 +689,14 @@ def test_w1_state_2d_flow_reads_imbalances_below_lp_tolerance():
     # zero-sum direction of multiples of 2^-10, are exact in floating point
     g = Grid(2, 16)
     m1 = uniform_density(g)
-    steps = np.random.default_rng(17).integers(-1024, 1025, g.size)
-    direction = ((steps - steps[::-1]) / 2048.0).reshape(g.shape)
+    steps = np.random.default_rng(17).integers(-1024, 1025, (g.n, g.n))
+    direction = ((steps - steps[::-1]) / 2048.0).ravel()
     x = g.coordinates()
     zeros = np.zeros((g.size, 1))
     per_unit = []
     for eps in (2.0**-20, 2.0**-27, 2.0**-33):
         m2 = DensityField(g, m1.values + eps * direction)
-        gap = (m1.flat() - m2.flat()) * g.cell_volume
+        gap = (m1.values - m2.values) * g.cell_volume
         np.testing.assert_array_equal(gap, -eps * direction.ravel() * g.cell_volume)
         assert 0.0 < np.abs(gap).max() < 1e-7
         pos, neg = gap > 0, gap < 0
@@ -709,7 +725,7 @@ def test_w1_state_2d_transport_limits(monkeypatch):
     monkeypatch.setattr(measure, "_solve", stopped)
     with pytest.raises(RuntimeError, match="transport LP failed: Iteration limit reached"):
         wasserstein1_state(m1, m2)
-    zero = ControlField(g, np.zeros(g.shape + (2,)))
+    zero = np.zeros((g.size, 2))
     with pytest.raises(RuntimeError, match="transport LP failed: Iteration limit reached"):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 

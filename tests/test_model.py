@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsmfg.grid import Grid
-from qsmfg.measure import ControlField, DensityField, JointMeasure, pushforward, wasserstein1_joint
+from qsmfg.measure import DensityField, JointMeasure, pushforward, wasserstein1_joint
 from qsmfg.model import (
     MODEL_BUILDERS,
     ControlSet,
@@ -249,8 +249,8 @@ def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
     # a grid take torus_distance, and the drifts must agree bit for bit
     g = Grid(d, n)
     rng = np.random.default_rng(d)
-    m = DensityField.from_values(g, rng.random(g.shape) + 0.1, normalize=True)
-    nu = pushforward(m, ControlField(g, rng.uniform(-0.9, 0.9, g.shape + (d,))))
+    m = DensityField.from_values(g, rng.random(g.size) + 0.1)
+    nu = pushforward(m, rng.uniform(-0.9, 0.9, (g.size, d)))
     gridless = JointMeasure(nu.x, nu.a, nu.w)
     x = g.coordinates() if nodes_shape == "flat" else g.coordinates()[:, None, :]
     a = rng.uniform(-1.0, 1.0, x.shape[:-1] + (d,))
@@ -264,10 +264,10 @@ def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
 def _trajectory(n_slices=6, dt=0.1):
     g = GRID
     times = np.arange(n_slices) * dt
-    m = DensityField.from_values(g, np.ones(g.shape), normalize=True)
+    m = DensityField.from_values(g, np.ones(g.size))
     rng = np.random.default_rng(12)
     measures = [
-        pushforward(m, ControlField(g, rng.uniform(-1, 1, (g.n, 1)))) for _ in range(n_slices)
+        pushforward(m, rng.uniform(-1, 1, (g.n, 1))) for _ in range(n_slices)
     ]
     return times, measures
 
