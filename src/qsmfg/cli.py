@@ -329,7 +329,8 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
         "ergodic": {
             key: sol.diagnostics.get(key)
             for key in (
-                "rho_sequence", "level_outer_iterations", "increments", "direct_gap_max", "achieved_increment",
+                "rho_sequence", "level_outer_iterations", "increments", "direct_gap_max", "ergodic_residual_max",
+                "achieved_increment",
             )
             if key in sol.diagnostics
         },

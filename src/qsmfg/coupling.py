@@ -534,7 +534,10 @@ def solve_vanishing_discount(
     stops when the combined per-slice increments (including the state W1
     distance) fall below the ergodic tolerance, or runs the whole sequence if
     configured to.  The last level is re-verified against direct ergodic
-    solves slice by slice.  The diagnostics are the last level's, except
+    solves slice by slice, and ergodic_residual_max is the largest HJB
+    residual of its pairs in the ergodic equation (rho = 0), where the
+    solution's hjb_residuals are measured at the last discount; it does not
+    enter converged.  The diagnostics are the last level's, except
     level_outer_iterations, the outer passes of each level, outer_iterations,
     their sum, and failures, which names the checks any level missed and
     "ergodic" if the increments never reached the tolerance.
@@ -571,7 +574,9 @@ def solve_vanishing_discount(
         if converged and not config.full_sequence:
             break
 
+    # the reported pairs measured in the ergodic equation (rho = 0), and a
     # per-slice cross-check against the direct ergodic solver
+    ergodic_res, _ = _measured_residuals(spec, replace(config, rho=0.0), sol.m, sol.mu, sol.w, sol.s)
     direct_gaps = np.zeros(n_slices)
     for j in range(n_slices):
         nu = _slice_context(spec, times, sol.mu, j)
@@ -590,6 +595,7 @@ def solve_vanishing_discount(
             "increments": increments,
             "value_increments": value_increments,
             "direct_gap_max": float(direct_gaps.max()),
+            "ergodic_residual_max": float(ergodic_res.max()),
             "achieved_increment": increments[-1] if increments else None,
         }
     )

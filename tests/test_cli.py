@@ -312,6 +312,7 @@ class TestRun:
         levels = summary["ergodic"]["level_outer_iterations"]
         assert len(levels) == len(summary["ergodic"]["rho_sequence"]) == 10
         assert sum(levels) == summary["outer_iterations"]
+        assert summary["ergodic"]["ergodic_residual_max"] > summary["hjb_residual_max"]
         payload = dict(MINIMAL, output_dir=str(tmp_path / "disc"))
         assert main(["run", _write(tmp_path, payload, "discounted.json")]) == 0
         summary = _summary(tmp_path / "disc")

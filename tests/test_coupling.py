@@ -610,6 +610,25 @@ class TestErgodicDriver:
         for u in sol.u:
             assert u[0] == 0.0  # normalization node pinned
 
+    def test_ergodic_residual_measured_at_zero_discount(self):
+        # the reported pairs solve the last discount's equation; in the
+        # ergodic one (rho = 0) their residual is that residual minus
+        # rho_last * w, so it reads rho_last * |w|_inf to rounding
+        spec = example_one(d=1, **WEAK)
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12,
+            rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
+        )
+        sol = solve_vanishing_discount(spec, two_bump_density(GRID), cfg)
+        measured = sol.diagnostics["ergodic_residual_max"]
+        probes = [
+            equation_residual(spec, sol.mu[j], 0.0, GRID, sol.w[j], sol.s[j])[0] for j in range(sol.n_slices)
+        ]
+        assert measured == max(probes)
+        shift = 0.25 * max(float(np.abs(w).max()) for w in sol.w)
+        assert measured == pytest.approx(shift, abs=sol.hjb_residuals.max() + 1e-15)
+        assert measured > 1e3 * sol.hjb_residuals.max()
+
     def test_psi_agrees_with_gamma(self):
         # psi's levels warm-start from the last level's (mu, m)
         spec = example_one(d=1, **WEAK)
