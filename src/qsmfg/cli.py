@@ -183,7 +183,11 @@ def parse_config(payload: dict) -> RunConfig:
         raise ConfigError("rho", "discounted mode requires rho > 0")
 
     rho_sequence: tuple[float, ...] = ()
-    if mode == "ergodic":
+    if mode == "discounted":
+        for key in ("rho_sequence", "full_sequence"):
+            if key in payload:
+                raise ConfigError(key, "only ergodic mode reads it")
+    else:
         seq_cfg = _get(payload, "rho_sequence", dict)
         rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
         factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)

@@ -145,6 +145,18 @@ class TestConfigValidation:
         assert f"error: config field {field_name!r}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+    @pytest.mark.parametrize("key, value", [("rho_sequence", {"rho0": 1.0}), ("full_sequence", True)])
+    def test_ergodic_key_in_discounted_mode_exit_code(self, tmp_path, capsys, command, key, value):
+        # a discounted run never reads the discount sequence, so setting it
+        # is a config error, for a sweep as soon as one point sets it
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"), **{key: value})
+        if command == "sweep":
+            payload["sweep"] = {"rho": [1.0, 0.5]}
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert f"error: config field {key!r}: only ergodic mode reads it" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ergodic_requires_sequence(self):
         bad = dict(MINIMAL, mode="ergodic")
         with pytest.raises(ConfigError) as err:
