@@ -187,9 +187,10 @@ def pushforward(m: DensityField, policy: np.ndarray) -> JointMeasure:
     """Image of the density under x -> (x, a(x)); weights are m(x_i) h^d.
 
     policy is an (n^d, k) array on m's grid, row i the control a(x_i); any
-    other shape is a ValueError.  The first marginal of the result is m
-    exactly: atom i sits at node i with weight m_i h^d, no aggregation or
-    re-binning happens.
+    other shape is a ValueError.  A float policy array is not copied: it
+    becomes the measure's controls and is set read-only.  The first
+    marginal of the result is m exactly: atom i sits at node i with weight
+    m_i h^d, no aggregation or re-binning happens.
     """
     grid = m.grid
     a = node_values(grid, policy, "policy", np.shape(policy)[-1] if np.ndim(policy) == 2 else 1)

@@ -62,7 +62,8 @@ def test_densities_and_policies_are_node_arrays(d):
     for build in (DensityField, DensityField.from_values):
         with pytest.raises(ValueError, match=re.escape(f"density needs shape {(g.size,)}, got {grid_shaped.shape}")):
             build(g, grid_shaped)
-    for shape in [(g.size - 1, d), (g.size,)] + [(8, 8, d)] * (d == 2):
+    bad_policies = [(g.size - 1, d), (g.size,)] + ([(8, 8, d)] if d == 2 else [])
+    for shape in bad_policies:
         with pytest.raises(ValueError, match=re.escape(f"policy needs shape ({g.size}, ")):
             pushforward(m, np.zeros(shape))
         with pytest.raises(ValueError, match=re.escape(f"policy needs shape {(g.size, d)}, got {shape}")):
