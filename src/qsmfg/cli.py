@@ -64,13 +64,16 @@ class RunConfig:
     model_params: dict
     d: int
     n: int
-    mode: str  # "discounted" | "ergodic"
-    coupling: CouplingConfig  # time grid, discount, tolerances, strategy
+    coupling: CouplingConfig  # time grid, discount or discount sequence, tolerances, strategy
     m0_kind: str = "uniform"
     m0_params: dict = field(default_factory=dict)
     output_dir: str = "out"
     diagnostics: bool = False
     seed: int = 0
+
+    @property
+    def mode(self) -> str:  # "ergodic" exactly when the coupling has a discount sequence
+        return "ergodic" if self.coupling.rho_sequence else "discounted"
 
 
 _REQUIRED = object()
@@ -155,7 +158,7 @@ def parse_config(payload: dict) -> RunConfig:
     if n < 8:
         raise ConfigError("grid.n", "must be at least 8")
     try:
-        build_model(name, d=d, **params)
+        spec = build_model(name, d=d, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model.params", str(exc))
 
@@ -175,7 +178,7 @@ def parse_config(payload: dict) -> RunConfig:
     strategy = _get(payload, "strategy", str, default="gamma")
     if strategy not in ("gamma", "psi"):
         raise ConfigError("strategy", "must be 'gamma' or 'psi'")
-    if name == "example2" and strategy != "psi":
+    if spec.kind != "instant" and strategy != "psi":
         raise ConfigError("strategy", "history models require strategy 'psi'")
 
     rho = _get(payload, "rho", float, default=1.0)
@@ -227,7 +230,6 @@ def parse_config(payload: dict) -> RunConfig:
         model_params=params,
         d=d,
         n=n,
-        mode=mode,
         coupling=CouplingConfig(
             T=T,
             dt=dt,
@@ -316,8 +318,7 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
             ((t, it, res) for t, hist in zip(sol.times, histories) for it, res in enumerate(hist, start=1)),
         )
 
-    rho = cfg.coupling.rho if cfg.mode == "discounted" else None
-    kset = regularity_report(sol, spec=spec, rho=rho, seed=cfg.seed)
+    kset = regularity_report(sol, spec=spec, seed=cfg.seed)
     summary = {
         "model": cfg.model_name,
         "mode": cfg.mode,
@@ -351,7 +352,7 @@ def _solve_and_write(cfg: RunConfig) -> TrajectorySolution | None:
     spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
     m0 = build_initial_density(cfg, grid)
     try:
-        sol = solve_system(spec, m0, cfg.coupling, mode=cfg.mode)
+        sol = solve_system(spec, m0, cfg.coupling)
     except (RuntimeError, ValueError) as exc:
         print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
         return None

@@ -34,9 +34,11 @@ settles only passes the exact maximum would settle too, so the iterates and
 pass counts do not depend on it.
 
 The ergodic system is solved by driving the discounted solver through a
-decreasing discount sequence; each level's per-slice HJB pairs (w, s) are the
-normalized value functions and cost estimates, and the limit is cross-checked
-against direct ergodic solves.  The solutions move smoothly with the
+decreasing discount sequence, which solve_system does exactly when the
+config's rho_sequence is nonempty; each level's per-slice HJB pairs (w, s)
+are the normalized value functions and cost estimates, the result reads the
+last level's pairs at rho = 0, and the limit is cross-checked against direct
+ergodic solves.  The solutions move smoothly with the
 discount, so each level starts from the Lagrange polynomial in rho through
 the last (up to) three levels, evaluated at its discount (polynomial
 continuation).  Only the start depends on the earlier levels; the loop and
@@ -54,7 +56,6 @@ missed one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -139,10 +140,10 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class MuFixedPointResult:
-    """Outcome of the per-slice joint-measure fixed point."""
+    """Outcome of the per-slice joint-measure fixed point; mu.a is the
+    (n^d, k) policy mu is the pushforward through."""
 
     mu: JointMeasure
-    policy: np.ndarray  # (n^d, k), mu's controls
     iterations: int
     converged: bool
     rate: Optional[float]  # max usable per-step contraction ratio
@@ -154,24 +155,24 @@ class MuFixedPointResult:
 class TrajectorySolution:
     """Time-indexed solution tuple with convergence log and measured residuals.
 
-    w and s hold each slice's normalized HJB pair (hjb.HjbSolution), and u
-    and lam their value_function reading.  converged holds only when every
-    tolerance was met; diagnostics["failures"] names each check that was not:
-    "outer", "inner" and "hjb" for any outer loop, joint-measure fixed point
-    or HJB solve that missed its tolerance, "hjb_residual" and "mu_residual"
-    for measured residuals above hjb_tol and inner_tol, and "ergodic" for a
-    discount sequence whose increments stayed above ergodic_tol.
+    Only what was solved is stored.  w and s hold each slice's normalized
+    HJB pair (hjb.HjbSolution), read at the discount rho: the config's for a
+    discounted solve, 0.0 for the vanishing-discount result.  u and lam are
+    value_function's reading of the pairs, and policy[j] is mu[j].a, the
+    policy mu[j] pushes m[j] through.  converged holds when
+    diagnostics["failures"] is empty; it names each check that missed its
+    tolerance: "outer", "inner" and "hjb" for any outer loop, joint-measure
+    fixed point or HJB solve, "hjb_residual" and "mu_residual" for measured
+    residuals above hjb_tol and inner_tol, and "ergodic" for a discount
+    sequence whose increments stayed above ergodic_tol.
     """
 
     times: np.ndarray
-    u: tuple  # one (n^d,) array per time slice
     m: tuple[DensityField, ...]
     mu: tuple[JointMeasure, ...]
-    policy: tuple  # one (n^d, k) array per time slice
     w: tuple  # one (n^d,) array per time slice, zero at the normalization node
     s: np.ndarray  # one value per time slice
-    lam: Optional[np.ndarray] = None  # per-slice ergodic cost, ergodic runs only
-    converged: bool = True
+    rho: float  # the discount (w, s) are read at, 0.0 for the ergodic problem
     outer_errors: tuple = ()  # rows (iteration, total, component...) per pass
     hjb_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mu_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -180,6 +181,23 @@ class TrajectorySolution:
     @property
     def n_slices(self) -> int:
         return len(self.times)
+
+    @property
+    def u(self) -> tuple:
+        return tuple(value_function(w, s, self.rho)[0] for w, s in zip(self.w, self.s))
+
+    @property
+    def lam(self) -> Optional[np.ndarray]:  # None for a discounted solution
+        lam = [value_function(w, s, self.rho)[1] for w, s in zip(self.w, self.s)]
+        return None if self.rho > 0 else np.array(lam)
+
+    @property
+    def policy(self) -> tuple:
+        return tuple(nu.a for nu in self.mu)
+
+    @property
+    def converged(self) -> bool:
+        return not self.diagnostics.get("failures")
 
 
 def blend_policies(old: np.ndarray, new: np.ndarray, weight: float, control) -> np.ndarray:
@@ -240,7 +258,7 @@ def solve_joint_measure(
             converged = True
             break
     return MuFixedPointResult(
-        mu=mu_prev, policy=policy, iterations=iterations, converged=converged,
+        mu=mu_prev, iterations=iterations, converged=converged,
         rate=max(ratios) if ratios else None, increments=tuple(increments), damped=damped,
     )
 
@@ -303,35 +321,29 @@ def _picard(spec, m0, config, slice_solve, outer_error):
     return log, policies, False
 
 
-def _measured_residuals(spec, config, m, mu, w, s):
-    """Per-slice residuals of a stored tuple (m, mu, (w, s)), measured, not assumed.
-
-    The HJB residual of slice j is equation_residual of the pair (w[j], s[j])
-    in the measure the slice's Hamiltonian reads; the measure residual is the
-    joint W1 between mu[j] and the pushforward of m[j] through the improved
-    policy that call returns.
-    """
-    times, grid = config.times(), m[0].grid
-    hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
-    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(m, mu, w, s)):
-        nu = _slice_context(spec, times, mu, j)
-        hjb_res[j], probe, _, _ = equation_residual(spec, nu, config.rho, grid, w_j, s_j)
-        mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
-    return hjb_res, mu_res
-
-
 def _failed_checks(**results) -> set:
     """The names whose group of solver results holds one that did not converge."""
     return {name for name, group in results.items() if not all(r.converged for r in group)}
 
 
-def _solution(spec, config, log, converged, failed, m, hjbs, mu, policy):
+def _solution(spec, config, log, converged, failed, m, hjbs, mu):
     """TrajectorySolution of an outer strategy from its last per-slice HJB
-    solutions, with its shared diagnostics and the measured residuals of the
-    stored tuple.  failed holds the checks the slice solves missed; an
-    unconverged outer loop and the measured residuals add theirs."""
+    solutions and the stored (m, mu), with its shared diagnostics.
+
+    The per-slice residuals are measured, not assumed: slice j's HJB
+    residual is equation_residual of its pair in the measure the slice's
+    Hamiltonian reads, and its measure residual the joint W1 between mu[j]
+    and the pushforward of m[j] through the improved policy that call
+    returns.  failed holds the checks the slice solves missed; an
+    unconverged outer loop and the measured residuals add theirs.
+    """
+    times, grid = config.times(), m[0].grid
     w, s = tuple(h.w for h in hjbs), np.array([h.s for h in hjbs])
-    hjb_res, mu_res = _measured_residuals(spec, config, m, mu, w, s)
+    hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
+    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(m, mu, w, s)):
+        nu = _slice_context(spec, times, mu, j)
+        hjb_res[j], probe, _, _ = equation_residual(spec, nu, config.rho, grid, w_j, s_j)
+        mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     failed = set(failed)
     if not converged:
         failed.add("outer")
@@ -346,14 +358,12 @@ def _solution(spec, config, log, converged, failed, m, hjbs, mu, policy):
         "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
     }
     return TrajectorySolution(
-        times=config.times(),
-        u=tuple(value_function(h.w, h.s, config.rho)[0] for h in hjbs),
+        times=times,
         m=tuple(m),
         mu=tuple(mu),
-        policy=tuple(policy),
         w=w,
         s=s,
-        converged=not failed,
+        rho=config.rho,
         outer_errors=tuple(log),
         hjb_residuals=hjb_res,
         mu_residuals=mu_res,
@@ -402,7 +412,7 @@ def solve_field_iteration(
             )
             fixed_points.append(res)
             hjbs.append(solve_discounted(
-                spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.policy,
+                spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.mu.a,
             ))
         failed.update(_failed_checks(inner=fixed_points, hjb=hjbs))
         return [res.mu for res in fixed_points], [h.policy for h in hjbs]
@@ -417,10 +427,7 @@ def solve_field_iteration(
 
     log, _, converged = _picard(spec, m0, config, slice_solve, outer_error)
     slice_solve(None)  # consistency solve on the final densities and gradients
-    return _solution(
-        spec, config, log, converged, failed, m_list, hjbs,
-        [res.mu for res in fixed_points], [res.policy for res in fixed_points],
-    )
+    return _solution(spec, config, log, converged, failed, m_list, hjbs, [res.mu for res in fixed_points])
 
 
 def solve_measure_iteration(
@@ -481,7 +488,7 @@ def solve_measure_iteration(
     measures, policies = slice_solve(policies)
     traj = _evolve(spec, m0, config, measures, policies)
     mu_traj = [pushforward(m, a) for m, a in zip(traj, policies)]
-    return _solution(spec, config, log, converged, failed, traj, hjbs, mu_traj, policies)
+    return _solution(spec, config, log, converged, failed, traj, hjbs, mu_traj)
 
 
 def _lagrange_weights(nodes: Sequence[float], x: float) -> np.ndarray:
@@ -496,7 +503,8 @@ def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho:
     """Warm start of the discount level rho from the levels before it.
 
     levels holds (rho_k, fields_k, densities_k) of the last solved levels:
-    per slice, w (gamma) or the policy (psi), and the density values.
+    per slice, w (gamma) or the policy (psi), and the density values, each
+    a sequence of node arrays.
     Both are read at rho off the Lagrange polynomial in the discount through
     the levels.  The densities are clipped at zero and renormalized; psi's
     policies are projected onto the control set, and its measures are the
@@ -504,7 +512,7 @@ def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho:
     that level's solution.
     """
     weights = _lagrange_weights([level[0] for level in levels], rho)
-    fields, densities = (sum(c * level[i] for c, level in zip(weights, levels)) for i in (1, 2))
+    fields, densities = (sum(c * np.array(level[i]) for c, level in zip(weights, levels)) for i in (1, 2))
     m = [DensityField.from_values(grid, v) for v in densities]
     if strategy == "gamma":
         return list(fields), m
@@ -515,6 +523,14 @@ def _run_strategy(spec, m0, config, initial=None) -> TrajectorySolution:
     if config.strategy == "gamma":
         return solve_field_iteration(spec, m0, config, initial=initial)
     return solve_measure_iteration(spec, m0, config, initial=initial)
+
+
+def _level_increments(sol: TrajectorySolution, prev: TrajectorySolution) -> tuple[float, float]:
+    """The value increment, the largest per-slice |s diff| + |w diff|_inf,
+    and the increment, the same with the state W1 distance added, between
+    two discount levels."""
+    gaps = [abs(s1 - s0) + float(np.abs(w1 - w0).max()) for s1, s0, w1, w0 in zip(sol.s, prev.s, sol.w, prev.w)]
+    return max(gaps), max(g + wasserstein1_state(m1, m0) for g, m1, m0 in zip(gaps, sol.m, prev.m))
 
 
 def solve_vanishing_discount(
@@ -533,100 +549,79 @@ def solve_vanishing_discount(
     HJB normalization node, and the per-slice cost estimates; the driver
     stops when the combined per-slice increments (including the state W1
     distance) fall below the ergodic tolerance, or runs the whole sequence if
-    configured to.  The last level is re-verified against direct ergodic
-    solves slice by slice, and ergodic_residual_max is the largest HJB
-    residual of its pairs in the ergodic equation (rho = 0), where the
-    solution's hjb_residuals are measured at the last discount; it does not
-    enter converged.  The diagnostics are the last level's, except
-    level_outer_iterations, the outer passes of each level, outer_iterations,
-    their sum, and failures, which names the checks any level missed and
-    "ergodic" if the increments never reached the tolerance.
+    configured to.  The result is the last level's solution read at rho = 0.
+    Its pairs are then measured slice by slice in the ergodic equation and
+    against direct ergodic solves: ergodic_residual_max is their largest HJB
+    residual at rho = 0, where the solution's hjb_residuals are measured at
+    the last discount, and it does not enter converged.  The diagnostics
+    are the last level's, except level_outer_iterations, the outer passes of
+    each level, outer_iterations, their sum, and failures, which names the
+    checks any level missed and "ergodic" if the increments never reached
+    the tolerance.
     """
     if not config.rho_sequence:
         raise ValueError("ergodic driver needs a nonempty rho_sequence")
     grid = m0.grid
-    times = config.times()
-    n_slices = config.n_steps + 1
-
-    increments: list[float] = []
-    value_increments: list[float] = []  # |lambda diff| + |w diff|_inf part alone
-    prev = None
-    levels: deque = deque(maxlen=3)  # the last levels' (rho, fields, densities)
-    level_passes: list[int] = []
-    failed: set = set()
-
+    levels: list[TrajectorySolution] = []  # every solved level, in order
+    increments: list[tuple[float, float]] = []  # (value increment, increment) per pair of levels
     for rho in map(float, config.rho_sequence):
-        initial = _extrapolated_start(spec, grid, config.strategy, levels, rho) if levels else None
-        sol = _run_strategy(spec, m0, replace(config, rho=rho), initial=initial)
-        level_passes.append(sol.diagnostics["outer_iterations"])
-        failed.update(sol.diagnostics["failures"])
-        if prev is not None:
-            gaps = [
-                abs(sol.s[j] - prev.s[j]) + float(np.abs(sol.w[j] - prev.w[j]).max())
-                for j in range(n_slices)
-            ]
-            value_increments.append(max(gaps))
-            increments.append(max(g + wasserstein1_state(sol.m[j], prev.m[j]) for j, g in enumerate(gaps)))
-        prev = sol
-        fields = sol.w if config.strategy == "gamma" else sol.policy
-        levels.append((rho, np.array(fields), np.array([m.values for m in sol.m])))
-        converged = bool(increments) and increments[-1] <= config.ergodic_tol
+        fits = [
+            (lv.rho, lv.w if config.strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]
+        ]
+        initial = _extrapolated_start(spec, grid, config.strategy, fits, rho) if fits else None
+        levels.append(_run_strategy(spec, m0, replace(config, rho=rho), initial=initial))
+        if len(levels) > 1:
+            increments.append(_level_increments(levels[-1], levels[-2]))
+        converged = bool(increments) and increments[-1][1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
 
     # the reported pairs measured in the ergodic equation (rho = 0), and a
     # per-slice cross-check against the direct ergodic solver
-    ergodic_res, _ = _measured_residuals(spec, replace(config, rho=0.0), sol.m, sol.mu, sol.w, sol.s)
-    direct_gaps = np.zeros(n_slices)
-    for j in range(n_slices):
+    sol, times = levels[-1], config.times()
+    ergodic_res, direct_gaps = [], []
+    for j, (w, s) in enumerate(zip(sol.w, sol.s)):
         nu = _slice_context(spec, times, sol.mu, j)
+        ergodic_res.append(equation_residual(spec, nu, 0.0, grid, w, s)[0])
         es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
-        direct_gaps[j] = abs(es.s - sol.s[j]) + float(np.abs(es.w - sol.w[j]).max())
+        direct_gaps.append(abs(es.s - s) + float(np.abs(es.w - w).max()))
 
+    failed = set().union(*(lv.diagnostics["failures"] for lv in levels))
     if not converged:
         failed.add("ergodic")
+    passes = [lv.diagnostics["outer_iterations"] for lv in levels]
     diagnostics = dict(sol.diagnostics)
     diagnostics.update(
         {
-            "outer_iterations": sum(level_passes),
-            "level_outer_iterations": level_passes,
+            "outer_iterations": sum(passes),
+            "level_outer_iterations": passes,
             "failures": sorted(failed),
-            "rho_sequence": [float(rho) for rho in config.rho_sequence[: len(level_passes)]],
-            "increments": increments,
-            "value_increments": value_increments,
-            "direct_gap_max": float(direct_gaps.max()),
-            "ergodic_residual_max": float(ergodic_res.max()),
-            "achieved_increment": increments[-1] if increments else None,
+            "rho_sequence": [lv.rho for lv in levels],
+            "increments": [inc for _, inc in increments],
+            "value_increments": [inc for inc, _ in increments],
+            "direct_gap_max": float(np.max(direct_gaps)),
+            "ergodic_residual_max": float(np.max(ergodic_res)),
+            "achieved_increment": increments[-1][1],
         }
     )
-    u, lam = zip(*(value_function(w, s, 0.0) for w, s in zip(sol.w, sol.s)))
-    return replace(sol, u=u, lam=np.array(lam), converged=not failed, diagnostics=diagnostics)
+    return replace(sol, rho=0.0, diagnostics=diagnostics)
 
 
-def solve_system(
-    spec: ModelSpec,
-    m0: DensityField,
-    config: CouplingConfig,
-    mode: str = "discounted",
-) -> TrajectorySolution:
-    """Dispatch on (mode, strategy); the entry point the CLI uses."""
-    if mode == "discounted":
-        return _run_strategy(spec, m0, config)
-    if mode == "ergodic":
+def solve_system(spec: ModelSpec, m0: DensityField, config: CouplingConfig) -> TrajectorySolution:
+    """The entry point the CLI uses: the ergodic system through the discount
+    sequence when config.rho_sequence is nonempty, else the discounted
+    system at config.rho, each with config.strategy."""
+    if config.rho_sequence:
         return solve_vanishing_discount(spec, m0, config)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _run_strategy(spec, m0, config)
 
 
-def regularity_report(
-    sol: TrajectorySolution,
-    spec: ModelSpec | None = None,
-    rho: float | None = None,
-    seed: int = 0,
-) -> dict:
+def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, seed: int = 0) -> dict:
     """Empirical counterparts of the a-priori estimates on a converged run.
 
-    Reports sup norms of u, Du, lap(u), the discount-scaled sup of u against
-    the running-cost bound, and Holder-1/2 ratios in time for Du, the state
+    Reports sup norms of u, Du, lap(u), for a discounted solution the
+    discount-scaled sup of u against the running-cost bound, for an ergodic
+    one the sup of lam, and Holder-1/2 ratios in time for Du, the state
     density (W1), and the joint measure (W1), over subsampled time pairs.
     Derivatives of u are taken of the normalized w, which differs from u by
     a constant per slice, so the rounding of u = w + s/rho does not enter
@@ -644,9 +639,9 @@ def regularity_report(
     report["u_sup"] = u_sup
     report["du_sup"] = du_sup
     report["laplacian_u_sup"] = lap_sup
-    if rho is not None:
-        report["rho_u_sup"] = rho * u_sup
-    if sol.lam is not None:
+    if sol.rho > 0:
+        report["rho_u_sup"] = sol.rho * u_sup
+    else:
         report["lambda_sup"] = float(np.abs(sol.lam).max())
 
     if spec is not None:

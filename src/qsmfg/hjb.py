@@ -171,8 +171,9 @@ def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e
 def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
     """Howard's algorithm in the normalized variables (w, s), w(x0) = 0.
 
-    Returns the pair at which the last residual was measured.  A pair with a
-    non-finite value, from a non-finite drift or cost, is a RuntimeError.
+    Returns the pair at which the last residual was measured.  A policy
+    with a non-finite drift or cost is a RuntimeError before its evaluation
+    is assembled, and so is an evaluation with non-finite values.
 
     The coefficients are bound once.  Each policy's drift and cost are
     computed once: for the starting policy here, for every later one by the
@@ -189,6 +190,8 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     history: list[float] = []
     w, s, residual = np.zeros(grid.size), 0.0, np.inf
     for _ in range(max_iter):
+        if not (np.isfinite(bvals).all() and np.isfinite(ell).all()):
+            raise RuntimeError("HJB policy has a non-finite drift or cost")
         ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
         if not np.isfinite(ws).all():
             raise RuntimeError("HJB policy evaluation gave non-finite values")

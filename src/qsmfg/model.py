@@ -173,7 +173,6 @@ class ModelSpec:
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
     control_lip_measure: float = 0.0  # lambda_0 of the maximizer w.r.t. W1
-    measure_cost: Optional[Callable] = None  # additive cost term l1(mu), separated models
     kernel: Optional[Callable] = None  # memory kernel K(tau), history models
     params: dict = field(default_factory=dict)
 
@@ -526,7 +525,6 @@ def separated_cost(
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),
         control_lip_measure=0.0,
-        measure_cost=ell1,
         params={
             "radius": radius,
             "drift_amplitude": drift_amplitude,

@@ -53,11 +53,15 @@ class TestConfigValidation:
             parse_config(bad)
         assert err.value.field_name == "rho"
 
-    def test_history_model_requires_psi(self):
-        bad = dict(MINIMAL, model={"name": "example2", "params": {}}, strategy="gamma")
-        with pytest.raises(ConfigError) as err:
-            parse_config(bad)
-        assert err.value.field_name == "strategy"
+    def test_history_model_requires_psi(self, monkeypatch):
+        # the check reads the built model's kind, so a history model under
+        # another name is refused too
+        monkeypatch.setitem(MODEL_BUILDERS, "memory", MODEL_BUILDERS["example2"])
+        for name in ("example2", "memory"):
+            bad = dict(MINIMAL, model={"name": name, "params": {}}, strategy="gamma")
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.field_name == "strategy"
 
     def test_time_grid_must_divide(self):
         bad = dict(MINIMAL, time={"T": 0.5, "dt": 0.15})
@@ -367,7 +371,7 @@ def written_run(request, tmp_path_factory):
     assert main(["run", path]) == 0
     cfg = load_config(path)
     spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    sol = solve_system(spec, build_initial_density(cfg, Grid(cfg.d, cfg.n)), cfg.coupling, mode=cfg.mode)
+    sol = solve_system(spec, build_initial_density(cfg, Grid(cfg.d, cfg.n)), cfg.coupling)
     return tmp / "out", cfg, sol
 
 

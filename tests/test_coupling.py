@@ -116,8 +116,8 @@ class TestJointMeasureFixedPoint:
         spec = example_one(delta=1.0, eps=0.4, kappa=0.3)
         m = _random_density(5)
         res = solve_joint_measure(m, _smooth_gradient(6, offset=0.3), spec, tol=1e-10)
+        np.testing.assert_array_equal(res.mu.x, GRID.coordinates())
         np.testing.assert_array_equal(res.mu.w, m.values * GRID.h)
-        np.testing.assert_array_equal(res.mu.a, res.policy)
 
     def test_history_model_rejected(self):
         # a memory model reads past measures, not the slice's mu alone
@@ -189,8 +189,7 @@ class TestJointMeasureLoop:
             mu_next = pushforward(m, policy)
             assert wasserstein1_joint(mu_next, mu) == d
             mu = mu_next
-        np.testing.assert_array_equal(res.policy, policy)
-        np.testing.assert_array_equal(res.mu.a, mu.a)
+        np.testing.assert_array_equal(res.mu.a, policy)
 
     def test_damped_run_counts_and_rate(self):
         # R L0 / delta = 3: three plain steps grow, then damping converges
@@ -200,7 +199,6 @@ class TestJointMeasureLoop:
         assert res.converged and res.damped
         assert res.iterations == len(res.increments) > 10
         assert res.rate == max(_plain_ratios(res.increments[:10])) > 1.0
-        np.testing.assert_array_equal(res.mu.a, res.policy)
 
     @pytest.mark.parametrize(
         "increments, expected",
@@ -331,7 +329,6 @@ class TestFieldIteration:
         for j in range(sol.n_slices):
             assert abs(sol.m[j].mass() - 1.0) <= 1e-12
             np.testing.assert_array_equal(sol.mu[j].w, sol.m[j].values * GRID.h)
-            np.testing.assert_array_equal(sol.mu[j].a, sol.policy[j])
 
     def test_two_seed_uniqueness_weak_coupling(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
@@ -585,7 +582,7 @@ class TestErgodicDriver:
         nu_any = sol.mu[0]
         base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12)
         for j in range(sol.n_slices):
-            expected = value_function(base_sol.w, base_sol.s, 0.0)[1] - spec.measure_cost(sol.mu[j])
+            expected = value_function(base_sol.w, base_sol.s, 0.0)[1] - 0.4 * sol.mu[j].mean_control()[0]
             assert sol.lam[j] == pytest.approx(expected, abs=2e-4)
         # u constant in time
         spread = max(
@@ -628,6 +625,28 @@ class TestErgodicDriver:
         shift = 0.25 * max(float(np.abs(w).max()) for w in sol.w)
         assert measured == pytest.approx(shift, abs=sol.hjb_residuals.max() + 1e-15)
         assert measured > 1e3 * sol.hjb_residuals.max()
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_closing_pass_measures_only_the_hjb(self, monkeypatch, strategy):
+        # after the last level the pairs are read in the ergodic equation and
+        # against direct solves, one slice context each: no measure is
+        # pushed forward and no transport LP is solved
+        calls = []
+        for name in ("_run_strategy", "pushforward", "wasserstein1_joint", "equation_residual", "solve_ergodic"):
+            def recorded(*args, _name=name, _call=getattr(coupling, name), **kwargs):
+                result = _call(*args, **kwargs)
+                calls.append(_name)
+                return result
+
+            monkeypatch.setattr(coupling, name, recorded)
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
+            rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
+        )
+        sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
+        closing = calls[len(calls) - calls[::-1].index("_run_strategy"):]
+        assert calls.count("_run_strategy") == 3
+        assert closing == ["equation_residual", "solve_ergodic"] * sol.n_slices
 
     def test_psi_agrees_with_gamma(self):
         # psi's levels warm-start from the last level's (mu, m)
@@ -841,7 +860,7 @@ class TestRegularityReport:
     def test_psi_run_matches_full_loop(self, memory_psi_solution, monkeypatch):
         spec, cfg, sol = memory_psi_solution
         calls = _counting_lp(monkeypatch)
-        rep = regularity_report(sol, spec=spec, rho=cfg.rho)
+        rep = regularity_report(sol, spec=spec)
         report_lps = len(calls)
         n = sol.n_slices
         best = 0.0
@@ -871,33 +890,34 @@ class TestRegularityReport:
         spec = _const_model(1.0)
         cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=1e-8)
         sol = solve_field_iteration(spec, uniform_density(GRID), cfg)
-        rep = regularity_report(sol, spec=spec, rho=1.0)
+        rep = regularity_report(sol, spec=spec)
         assert rep["du_holder_half"] == pytest.approx(0.0, abs=1e-10)
         assert rep["m_holder_half"] == pytest.approx(0.0, abs=1e-10)
         assert rep["mu_holder_half"] == pytest.approx(0.0, abs=1e-10)
 
     def test_discount_bound_and_finite_ratios(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
-        rep = regularity_report(sol, spec=spec, rho=cfg.rho)
+        rep = regularity_report(sol, spec=spec)
+        assert sol.rho == cfg.rho and "lambda_sup" not in rep
         assert rep["rho_u_sup"] <= rep["running_cost_sup"] + 1e-9
         for key in ("du_holder_half", "m_holder_half", "mu_holder_half"):
             assert np.isfinite(rep[key])
 
 
 class TestDispatch:
-    def test_solve_system_modes(self):
+    def test_solve_system_reads_the_mode_from_the_config(self):
+        # a discount sequence selects the ergodic driver: it is never ignored
         spec = _const_model(1.0)
         m0 = uniform_density(GRID)
-        cfg = CouplingConfig(
-            T=0.2, dt=0.1, rho=1.0,
-            rho_sequence=(1.0, 0.5, 0.25), ergodic_tol=1e-2,
-        )
-        disc = solve_system(spec, m0, cfg, mode="discounted")
-        assert disc.lam is None
-        erg = solve_system(spec, m0, cfg, mode="ergodic")
-        assert erg.lam is not None
-        with pytest.raises(ValueError):
-            solve_system(spec, m0, cfg, mode="nope")
+        cfg = CouplingConfig(T=0.2, dt=0.1, rho=0.5)
+        disc = solve_system(spec, m0, cfg)
+        assert disc.rho == 0.5 and disc.lam is None and "rho_sequence" not in disc.diagnostics
+        np.testing.assert_array_equal(disc.u[0], disc.w[0] + disc.s[0] / 0.5)
+        erg = solve_system(spec, m0, replace(cfg, rho_sequence=(1.0, 0.5, 0.25), ergodic_tol=1e-2))
+        assert erg.rho == 0.0 and erg.diagnostics["rho_sequence"] == [1.0, 0.5]
+        np.testing.assert_array_equal(erg.lam, erg.s)
+        assert all(u is w for u, w in zip(erg.u, erg.w))
+        assert "rho_u_sup" not in regularity_report(erg) and "lambda_sup" in regularity_report(erg)
 
     def test_blend_policies_stays_in_control_set(self):
         control = ControlSet(k=1, radius=1.0)

@@ -78,7 +78,7 @@ class TestDiscounted:
         rho = 0.8
         s1 = solve_discounted(spec, nu1, rho, GRID, tol=1e-12)
         s2 = solve_discounted(spec, nu2, rho, GRID, tol=1e-12)
-        shift = (spec.measure_cost(nu1) - spec.measure_cost(nu2)) / rho
+        shift = 0.5 * (nu1.mean_control()[0] - nu2.mean_control()[0]) / rho
         assert np.abs((_u(s1, rho) - _u(s2, rho)) - shift).max() < 1e-10
 
     def test_matches_value_iteration_oracle(self):
@@ -120,12 +120,12 @@ class TestDiscounted:
             solve_discounted(_const_model(1.0), _measure(), 0.0, GRID)
 
     def test_non_finite_cost_is_a_solver_error(self):
-        # a NaN running cost makes the evaluation solve non-finite, which the
-        # solve raises as a solver failure instead of returning the values
+        # a NaN running cost is raised as a solver failure before the
+        # policy's evaluation is assembled, so no singular solve is attempted
         spec = _const_model(np.nan)
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(RuntimeError, match="non-finite drift or cost"):
             solve_discounted(spec, _measure(), 1.0, GRID)
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(RuntimeError, match="non-finite drift or cost"):
             solve_ergodic(spec, _measure(), GRID)
 
     def test_warm_start_converges_immediately(self):
@@ -380,7 +380,7 @@ class TestContinuousDependence:
         assert normalized < 1e-10
         assert gradient < 1e-10
         # the full difference is the constant shift |s1 - s2|, the cost gap
-        assert rho_sup == pytest.approx(abs(spec.measure_cost(nu1) - spec.measure_cost(nu2)), rel=1e-6)
+        assert rho_sup == pytest.approx(abs(0.5 * (nu1.mean_control()[0] - nu2.mean_control()[0])), rel=1e-6)
 
     def test_ratio_stable_over_discount_sweep(self):
         spec = example_one(delta=1.0, eps=0.4, kappa=0.4, potential=0.3)

@@ -349,10 +349,13 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_model("nope")
 
-    def test_separated_cost_term_exposed(self):
-        spec = separated_cost(d=1, coupling_weight=0.4)
+    def test_separated_cost_adds_measure_term(self):
+        # l = |a|^2/2 + V(x) + l1(mu), with l1 the weighted mean control
+        spec, base = separated_cost(d=1, coupling_weight=0.4), separated_cost(d=1, coupling_weight=0.0)
         nu = _zero_control_measure(zero_a=False)
-        assert spec.measure_cost(nu) == pytest.approx(0.4 * float(nu.mean_control()[0]))
+        x, a = GRID.coordinates(), np.full((GRID.size, 1), 0.3)
+        shift = spec.running_cost(x, a, nu) - base.running_cost(x, a, nu)
+        np.testing.assert_allclose(shift, 0.4 * nu.mean_control()[0], rtol=0, atol=1e-15)
 
     def test_validator_passes_builtin_models(self):
         for name in ("example1", "example2", "separated"):
