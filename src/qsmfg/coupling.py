@@ -42,16 +42,17 @@ ergodic solves.  The solutions move smoothly with the
 discount, so each level starts from the Lagrange polynomial in rho through
 the last (up to) three levels, evaluated at its discount (polynomial
 continuation).  Only the start depends on the earlier levels; the loop and
-its tolerances are those of a discounted solve.
+its tolerances are those of a discounted solve.  An intermediate level only
+predicts the next one, so it runs the Picard loop alone, without the finish.
 
-Both strategies finish with one consistency pass: gamma re-solves each slice
-once on the final densities and gradients, psi runs one more pass.  The
-stored joint measure is an exact pushforward of the stored density through
-the stored policy, and one probe measures, rather than assumes, the per-slice
-residuals of the HJB and measure equations.  A pass whose residuals miss a
-tolerance is reported as measured, not retried: converged holds only when
-every tolerance was met, and diagnostics["failures"] names each check that
-missed one.
+Each strategy is a Picard part and a finish, one consistency pass: gamma
+re-solves each slice once on the final densities and gradients, psi runs one
+more pass.  The stored joint measure is then an exact pushforward of the
+stored density through the stored policy, and one probe measures, rather
+than assumes, the per-slice residuals of the HJB and measure equations.  A
+pass whose residuals miss a tolerance is reported as measured, not retried:
+converged holds only when every tolerance was met, and diagnostics["failures"]
+names each check that missed one.
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ class CouplingConfig:
                 "rho_sequence must be empty or at least two finite, positive, strictly decreasing "
                 f"discounts, got {seq!r}"
             )
+        if self.full_sequence and not seq:
+            raise ValueError("full_sequence needs a nonempty rho_sequence")
 
     @property
     def n_steps(self) -> int:
@@ -326,49 +329,41 @@ def _failed_checks(**results) -> set:
     return {name for name, group in results.items() if not all(r.converged for r in group)}
 
 
-def _solution(spec, config, log, converged, failed, m, hjbs, mu):
+def _unprobed(config, log, converged, failed, m, hjbs, mu) -> TrajectorySolution:
     """TrajectorySolution of an outer strategy from its last per-slice HJB
-    solutions and the stored (m, mu), with its shared diagnostics.
+    solutions and the stored (m, mu), with its shared diagnostics and no
+    measured residuals.  failed holds the checks the slice solves missed; an
+    unconverged outer loop adds "outer"."""
+    diagnostics = {
+        "outer_iterations": len(log),
+        "final_outer_error": log[-1][1] if log else 0.0,
+        "failures": sorted(failed if converged else failed | {"outer"}),
+        "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
+    }
+    return TrajectorySolution(
+        times=config.times(), m=tuple(m), mu=tuple(mu), w=tuple(h.w for h in hjbs), s=np.array([h.s for h in hjbs]),
+        rho=config.rho, outer_errors=tuple(log), diagnostics=diagnostics,
+    )
 
-    The per-slice residuals are measured, not assumed: slice j's HJB
+
+def _solution(spec, config, sol) -> TrajectorySolution:
+    """sol with its per-slice residuals measured, not assumed: slice j's HJB
     residual is equation_residual of its pair in the measure the slice's
     Hamiltonian reads, and its measure residual the joint W1 between mu[j]
     and the pushforward of m[j] through the improved policy that call
-    returns.  failed holds the checks the slice solves missed; an
-    unconverged outer loop and the measured residuals add theirs.
-    """
-    times, grid = config.times(), m[0].grid
-    w, s = tuple(h.w for h in hjbs), np.array([h.s for h in hjbs])
-    hjb_res, mu_res = np.zeros(len(m)), np.zeros(len(m))
-    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(m, mu, w, s)):
-        nu = _slice_context(spec, times, mu, j)
-        hjb_res[j], probe, _, _ = equation_residual(spec, nu, config.rho, grid, w_j, s_j)
+    returns.  Residuals above hjb_tol and inner_tol add their failures."""
+    hjb_res, mu_res = np.zeros(sol.n_slices), np.zeros(sol.n_slices)
+    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(sol.m, sol.mu, sol.w, sol.s)):
+        nu = _slice_context(spec, sol.times, sol.mu, j)
+        hjb_res[j], probe, _, _ = equation_residual(spec, nu, sol.rho, m_j.grid, w_j, s_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
-    failed = set(failed)
-    if not converged:
-        failed.add("outer")
+    failed = set(sol.diagnostics["failures"])
     if hjb_res.max() > config.hjb_tol:
         failed.add("hjb_residual")
     if mu_res.max() > config.inner_tol:
         failed.add("mu_residual")
-    diagnostics = {
-        "outer_iterations": len(log),
-        "final_outer_error": log[-1][1] if log else 0.0,
-        "failures": sorted(failed),
-        "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
-    }
-    return TrajectorySolution(
-        times=times,
-        m=tuple(m),
-        mu=tuple(mu),
-        w=w,
-        s=s,
-        rho=config.rho,
-        outer_errors=tuple(log),
-        hjb_residuals=hjb_res,
-        mu_residuals=mu_res,
-        diagnostics=diagnostics,
-    )
+    diagnostics = {**sol.diagnostics, "failures": sorted(failed)}
+    return replace(sol, hjb_residuals=hjb_res, mu_residuals=mu_res, diagnostics=diagnostics)
 
 
 def solve_field_iteration(
@@ -386,6 +381,12 @@ def solve_field_iteration(
     are taken of each slice's normalized w, not of u = w + s/rho.  initial
     is a warm start (u, m): (n^d,) value arrays and densities, one per slice.
     """
+    return _field_picard(spec, m0, config, initial)[1]()
+
+
+def _field_picard(spec, m0, config, initial=None):
+    """solve_field_iteration's Picard part: (the last pass's unprobed solution,
+    finish), finish() re-solving each slice once and probing the result."""
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
     grid = m0.grid
@@ -426,8 +427,15 @@ def solve_field_iteration(
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
     log, _, converged = _picard(spec, m0, config, slice_solve, outer_error)
-    slice_solve(None)  # consistency solve on the final densities and gradients
-    return _solution(spec, config, log, converged, failed, m_list, hjbs, [res.mu for res in fixed_points])
+
+    def result():
+        return _unprobed(config, log, converged, failed, m_list, hjbs, [res.mu for res in fixed_points])
+
+    def finish():
+        slice_solve(None)
+        return _solution(spec, config, result())
+
+    return result(), finish
 
 
 def solve_measure_iteration(
@@ -448,6 +456,12 @@ def solve_measure_iteration(
     pass's logged error.  initial is a warm start (mu, m): a measure
     trajectory and its state marginals.
     """
+    return _measure_picard(spec, m0, config, initial)[1]()
+
+
+def _measure_picard(spec, m0, config, initial=None):
+    """solve_measure_iteration's Picard part: (the last pass's unprobed
+    solution, finish), finish() running one more pass and probing the result."""
     grid = m0.grid
     times = config.times()
     n_slices = config.n_steps + 1
@@ -483,12 +497,14 @@ def solve_measure_iteration(
         return e_k, e_k
 
     log, policies, converged = _picard(spec, m0, config, slice_solve, outer_error)
-    # consistency pass: one more pass, so each stored measure is the
-    # pushforward of its density through the stored policy
-    measures, policies = slice_solve(policies)
-    traj = _evolve(spec, m0, config, measures, policies)
-    mu_traj = [pushforward(m, a) for m, a in zip(traj, policies)]
-    return _solution(spec, config, log, converged, failed, traj, hjbs, mu_traj)
+
+    def finish():
+        measures, final = slice_solve(policies)
+        traj = _evolve(spec, m0, config, measures, final)
+        mu = [pushforward(m, a) for m, a in zip(traj, final)]
+        return _solution(spec, config, _unprobed(config, log, converged, failed, traj, hjbs, mu))
+
+    return _unprobed(config, log, converged, failed, m_traj, hjbs, mu_traj), finish
 
 
 def _lagrange_weights(nodes: Sequence[float], x: float) -> np.ndarray:
@@ -519,12 +535,6 @@ def _extrapolated_start(spec: ModelSpec, grid: Grid, strategy: str, levels, rho:
     return [pushforward(m_j, spec.control.project(a)) for m_j, a in zip(m, fields)], m
 
 
-def _run_strategy(spec, m0, config, initial=None) -> TrajectorySolution:
-    if config.strategy == "gamma":
-        return solve_field_iteration(spec, m0, config, initial=initial)
-    return solve_measure_iteration(spec, m0, config, initial=initial)
-
-
 def _level_increments(sol: TrajectorySolution, prev: TrajectorySolution) -> tuple[float, float]:
     """The value increment, the largest per-slice |s diff| + |w diff|_inf,
     and the increment, the same with the state W1 distance added, between
@@ -545,43 +555,48 @@ def solve_vanishing_discount(
     from extrapolated policies and densities and the pushforwards of one
     through the other.  The second level, with one level before it, starts
     from that level's solution, the third from the line through two.  Each
-    level's per-slice HJB pairs (w, s) are the normalized values, zero at the
-    HJB normalization node, and the per-slice cost estimates; the driver
-    stops when the combined per-slice increments (including the state W1
-    distance) fall below the ergodic tolerance, or runs the whole sequence if
-    configured to.  The result is the last level's solution read at rho = 0.
-    Its pairs are then measured slice by slice in the ergodic equation and
-    against direct ergodic solves: ergodic_residual_max is their largest HJB
-    residual at rho = 0, where the solution's hjb_residuals are measured at
-    the last discount, and it does not enter converged.  The diagnostics
-    are the last level's, except level_outer_iterations, the outer passes of
-    each level, outer_iterations, their sum, and failures, which names the
-    checks any level missed and "ergodic" if the increments never reached
-    the tolerance.
+    level runs its strategy's Picard part alone; the starts and the increments
+    read its last pass's per-slice HJB pairs (w, s), the normalized values,
+    zero at the HJB normalization node, and cost estimates, and its evolved
+    densities.  The driver stops when the combined per-slice increments
+    (including the state W1 distance) fall below the ergodic tolerance, or
+    runs the whole sequence if configured to.  Only this last level, the one
+    reported, gets its strategy's finish (consistency pass and residual
+    probe), and the result is its solution read at rho = 0.  Its pairs are
+    then measured slice by slice in the ergodic equation and against direct
+    ergodic solves: ergodic_residual_max is their largest HJB residual at
+    rho = 0, where hjb_residuals are measured at the last discount, and it
+    does not enter converged.  The diagnostics are the last level's, except
+    level_outer_iterations, the outer passes of each level, outer_iterations,
+    their sum, and failures: the outer, inner and hjb checks of any level,
+    the measured hjb_residual and mu_residual checks of the result only, and
+    "ergodic" if the increments never reached the tolerance.
     """
     if not config.rho_sequence:
         raise ValueError("ergodic driver needs a nonempty rho_sequence")
     grid = m0.grid
-    levels: list[TrajectorySolution] = []  # every solved level, in order
+    picard = _field_picard if config.strategy == "gamma" else _measure_picard
+    levels: list[TrajectorySolution] = []  # every level's Picard result, in order
     increments: list[tuple[float, float]] = []  # (value increment, increment) per pair of levels
     for rho in map(float, config.rho_sequence):
         fits = [
             (lv.rho, lv.w if config.strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]
         ]
         initial = _extrapolated_start(spec, grid, config.strategy, fits, rho) if fits else None
-        levels.append(_run_strategy(spec, m0, replace(config, rho=rho), initial=initial))
+        level, finish = picard(spec, m0, replace(config, rho=rho), initial)
+        levels.append(level)
         if len(levels) > 1:
             increments.append(_level_increments(levels[-1], levels[-2]))
         converged = bool(increments) and increments[-1][1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
 
-    # the reported pairs measured in the ergodic equation (rho = 0), and a
-    # per-slice cross-check against the direct ergodic solver
-    sol, times = levels[-1], config.times()
+    # the reported level alone is finished; its pairs are then measured in
+    # the ergodic equation (rho = 0) and against the direct ergodic solver
+    levels[-1] = sol = finish()
     ergodic_res, direct_gaps = [], []
     for j, (w, s) in enumerate(zip(sol.w, sol.s)):
-        nu = _slice_context(spec, times, sol.mu, j)
+        nu = _slice_context(spec, sol.times, sol.mu, j)
         ergodic_res.append(equation_residual(spec, nu, 0.0, grid, w, s)[0])
         es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
         direct_gaps.append(abs(es.s - s) + float(np.abs(es.w - w).max()))
@@ -613,7 +628,7 @@ def solve_system(spec: ModelSpec, m0: DensityField, config: CouplingConfig) -> T
     system at config.rho, each with config.strategy."""
     if config.rho_sequence:
         return solve_vanishing_discount(spec, m0, config)
-    return _run_strategy(spec, m0, config)
+    return (solve_field_iteration if config.strategy == "gamma" else solve_measure_iteration)(spec, m0, config)
 
 
 def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, seed: int = 0) -> dict:

@@ -423,25 +423,49 @@ class TestMeasureIteration:
         assert max(moduli) <= 2.0 * min(moduli) + 1e-12
 
 
+_PICARD = {"gamma": "_field_picard", "psi": "_measure_picard"}  # each strategy's Picard part
+_SOLVE = {"gamma": solve_field_iteration, "psi": solve_measure_iteration}
+
+
 @pytest.fixture(scope="module", params=["gamma", "psi"])
 def weak_ergodic_levels(request):
     """The weak ergodic solve of TestErgodicDriver, with every discount
-    level's own solution."""
+    level's Picard result: its last pass's pairs, evolved densities and
+    stored measures, before the last level's finish."""
     spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
     cfg = CouplingConfig(
         T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=request.param,
         rho_sequence=tuple(2.0**-k for k in range(10)), ergodic_tol=5e-4, full_sequence=True,
     )
     levels = []
+    name = _PICARD[request.param]
 
-    def recorded(*args, _run=coupling._run_strategy, **kwargs):
-        levels.append(_run(*args, **kwargs))
-        return levels[-1]
+    def recorded(*args, _picard=getattr(coupling, name), **kwargs):
+        level, finish = _picard(*args, **kwargs)
+        levels.append(level)
+        return level, finish
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling, "_run_strategy", recorded)
+        mp.setattr(coupling, name, recorded)
         sol = solve_vanishing_discount(spec, m0, cfg)
     return spec, m0, cfg, sol, levels
+
+
+def _finish_every_level(spec, m0, cfg):
+    """Oracle for the ergodic driver: every discount level a full public
+    solve (Picard loop, consistency pass and residual probe) from the
+    extrapolated start, stopped on the driver's increment rule."""
+    levels = []
+    for rho in cfg.rho_sequence:
+        fits = [
+            (lv.rho, lv.w if cfg.strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]
+        ]
+        initial = coupling._extrapolated_start(spec, GRID, cfg.strategy, fits, rho) if fits else None
+        levels.append(_SOLVE[cfg.strategy](spec, m0, replace(cfg, rho=rho), initial=initial))
+        done = len(levels) > 1 and coupling._level_increments(levels[-1], levels[-2])[1] <= cfg.ergodic_tol
+        if done and not cfg.full_sequence:
+            break
+    return levels
 
 
 class TestExtrapolatedStart:
@@ -522,6 +546,74 @@ class TestErgodicDriver:
         for accepted in ((), (1.0, 0.5), (1.0, 0.5, 1e-3)):
             assert CouplingConfig(T=0.2, dt=0.1, rho_sequence=accepted).rho_sequence == accepted
 
+    def test_full_sequence_needs_a_sequence(self):
+        # a discounted config has no sequence to run in full
+        with pytest.raises(ValueError, match="full_sequence"):
+            CouplingConfig(T=0.2, dt=0.1, full_sequence=True)
+        assert CouplingConfig(T=0.2, dt=0.1, rho_sequence=(1.0, 0.5), full_sequence=True).full_sequence
+
+    @pytest.mark.parametrize("full", [False, True], ids=["stopped", "full"])
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_picard_only_levels_match_finishing_every_level(self, monkeypatch, strategy, full):
+        # an intermediate level only predicts the next one, so skipping its
+        # consistency pass and probe moves the written tuple by rounding
+        # alone and no level's pass count; the probe runs once per solve
+        spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
+            rho_sequence=tuple(2.0**-k for k in range(8)), ergodic_tol=3e-4, full_sequence=full,
+        )
+        levels = _finish_every_level(spec, m0, cfg)
+        assert len(levels) == (8 if full else 6)
+        probes = []
+
+        def probed(*args, _probe=coupling._solution):
+            probes.append(args[2].rho)
+            return _probe(*args)
+
+        monkeypatch.setattr(coupling, "_solution", probed)
+        sol = solve_vanishing_discount(spec, m0, cfg)
+        assert probes == [levels[-1].rho]
+        assert sol.diagnostics["level_outer_iterations"] == [lv.diagnostics["outer_iterations"] for lv in levels]
+        old = levels[-1]
+        assert np.abs(sol.s - old.s).max() <= 1e-12
+        assert max(np.abs(a - b).max() for a, b in zip(sol.w, old.w)) <= 1e-12
+        assert max(np.abs(a.values - b.values).max() for a, b in zip(sol.m, old.m)) <= 1e-12
+        for ours, theirs in zip(sol.mu, old.mu):
+            assert np.abs(ours.a - theirs.a).max() <= 1e-12 and np.abs(ours.w - theirs.w).max() <= 1e-12
+        assert sol.converged and old.converged
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_unfinished_level_failure_is_reported(self, strategy):
+        # the first levels need 3 passes and the last ones 1: at a budget of
+        # 2 only levels that are never finished miss the outer tolerance
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy, max_outer=2,
+            rho_sequence=tuple(2.0**-k for k in range(8)), ergodic_tol=3e-4,
+        )
+        sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
+        passes = sol.diagnostics["level_outer_iterations"]
+        assert passes[0] == cfg.max_outer and passes[-1] < cfg.max_outer
+        assert sol.diagnostics["final_outer_error"] <= cfg.outer_tol
+        assert sol.diagnostics["failures"] == ["outer"] and not sol.converged
+
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_direct_gap_halves_with_the_last_discount(self, strategy):
+        # first-order vanishing-discount rate (Achdou & Capuzzo-Dolcetta,
+        # SIAM J. Numer. Anal. 48(3), 2010): the written pairs lie O(rho)
+        # from the direct ergodic solves
+        grid = Grid(1, 16)
+        spec, m0 = example_one(d=1, **WEAK), two_bump_density(grid)
+        gaps = []
+        for count in (6, 7, 8):
+            cfg = CouplingConfig(
+                T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
+                rho_sequence=tuple(2.0**-k for k in range(count)), full_sequence=True,
+            )
+            gaps.append(solve_vanishing_discount(spec, m0, cfg).diagnostics["direct_gap_max"])
+        for ratio in (b / a for a, b in zip(gaps, gaps[1:])):
+            assert 0.45 <= ratio <= 0.55
+
     def test_extrapolated_starts_save_outer_passes(self, weak_ergodic_levels):
         # the plain warm start from the last level took 3 passes on each of
         # the first 9 levels and 2 on the last: 29 passes; the extrapolated
@@ -537,7 +629,7 @@ class TestErgodicDriver:
         spec, m0, cfg, sol, levels = weak_ergodic_levels
         prev = levels[-2]
         initial = (prev.w if cfg.strategy == "gamma" else prev.mu, prev.m)
-        plain = coupling._run_strategy(spec, m0, replace(cfg, rho=cfg.rho_sequence[-1]), initial=initial)
+        plain = _SOLVE[cfg.strategy](spec, m0, replace(cfg, rho=cfg.rho_sequence[-1]), initial=initial)
         assert plain.converged
         assert plain.diagnostics["outer_iterations"] > levels[-1].diagnostics["outer_iterations"]
         tol = 10 * cfg.outer_tol
@@ -628,11 +720,13 @@ class TestErgodicDriver:
 
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_closing_pass_measures_only_the_hjb(self, monkeypatch, strategy):
-        # after the last level the pairs are read in the ergodic equation and
-        # against direct solves, one slice context each: no measure is
-        # pushed forward and no transport LP is solved
+        # after the last level's finish, whose residual probe (_solution) is
+        # the one probe of the solve, the pairs are read in the ergodic
+        # equation and against direct solves, one slice context each: no
+        # measure is pushed forward and no transport LP is solved
         calls = []
-        for name in ("_run_strategy", "pushforward", "wasserstein1_joint", "equation_residual", "solve_ergodic"):
+        names = (_PICARD[strategy], "_solution", "pushforward", "wasserstein1_joint", "equation_residual", "solve_ergodic")
+        for name in names:
             def recorded(*args, _name=name, _call=getattr(coupling, name), **kwargs):
                 result = _call(*args, **kwargs)
                 calls.append(_name)
@@ -644,8 +738,8 @@ class TestErgodicDriver:
             rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
         )
         sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
-        closing = calls[len(calls) - calls[::-1].index("_run_strategy"):]
-        assert calls.count("_run_strategy") == 3
+        closing = calls[len(calls) - calls[::-1].index("_solution"):]
+        assert calls.count(_PICARD[strategy]) == 3 and calls.count("_solution") == 1
         assert closing == ["equation_residual", "solve_ergodic"] * sol.n_slices
 
     def test_psi_agrees_with_gamma(self):
@@ -667,13 +761,13 @@ class TestErgodicDriver:
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_outer_iterations_sum_over_levels(self, monkeypatch, strategy):
         # the driver reports the outer passes of every discount level, while
-        # each level's strategy still returns its own count
+        # each level's Picard result still holds its own count
         levels = []
-        for name in ("solve_field_iteration", "solve_measure_iteration"):
-            def counted(*args, _solve=getattr(coupling, name), **kwargs):
-                sol = _solve(*args, **kwargs)
-                levels.append(sol.diagnostics["outer_iterations"])
-                return sol
+        for name in _PICARD.values():
+            def counted(*args, _picard=getattr(coupling, name), **kwargs):
+                level, finish = _picard(*args, **kwargs)
+                levels.append(level.diagnostics["outer_iterations"])
+                return level, finish
 
             monkeypatch.setattr(coupling, name, counted)
         cfg = CouplingConfig(
