@@ -8,6 +8,10 @@ conservation) and nonnegative off-diagonal entries, so the implicit Euler
 matrix I - dt*L is an M-matrix and every step preserves positivity
 unconditionally.  The drift is frozen at its left-endpoint value over each
 step, matching the quasi-stationary reading of the coupled system.
+
+The generator's values fill the slots of the grid's stencil pattern.  A
+step scales them to I - dt*L in place, permutes them to the CSC form of the
+same pattern, and makes one SuperLU solve (grid._direct_solve).
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
-from .grid import Grid, node_values
+from .grid import Grid, _direct_solve, node_values
 from .measure import DensityField
 
 __all__ = ["fp_step", "fp_evolve", "transport_generator"]
@@ -27,18 +30,13 @@ STEP_MASS_TOL = 1e-12
 STEP_NEGATIVE_TOL = 1e-13
 
 
-def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
-    """Spatial generator L with L m = lap_h(m) + div_h(m g), g an (n^d, d)
-    drift array.
-
-    Advection uses upwind fluxes of the velocity v = -g averaged to cell
-    interfaces.  Column sums vanish identically and off-diagonal entries are
-    nonnegative, which is what the mass and positivity guarantees rest on.
-    """
+def _generator_values(grid: Grid, g: np.ndarray) -> np.ndarray:
+    """Values of transport_generator(grid, g), an (n^d, 1 + 2d) array whose
+    row i holds the diagonal and then the grid.neighbors() entries."""
     garr = node_values(grid, g, "drift", grid.d)
     n, h, nbr = grid.size, grid.h, grid.neighbors()
-    diag = np.zeros(n)
-    off = np.empty((n, 2 * grid.d))
+    values = np.zeros((n, 1 + 2 * grid.d))
+    diag = values[:, 0]
     for ax in range(grid.d):
         plus, minus = nbr[:, 2 * ax], nbr[:, 2 * ax + 1]
         # interface velocity between node i and its +1 neighbor along ax
@@ -49,14 +47,22 @@ def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
         # L[i,i] -= (vp[i+1/2] - vm[i-1/2])/h, L[i,i+1] -= vm[i+1/2]/h, L[i,i-1] += vp[i-1/2]/h
         diag += -2.0 / h**2
         diag += -(vp - vm[minus]) / h
-        off[:, 2 * ax] = 1.0 / h**2 - vm / h
-        off[:, 2 * ax + 1] = 1.0 / h**2 + vp[minus] / h
-    cols = np.column_stack([np.arange(n), nbr])
-    mat = sparse.csr_matrix(
-        (np.column_stack([diag, off]).ravel(), cols.ravel(), np.arange(n + 1) * cols.shape[1]), shape=(n, n)
-    )
-    mat.sort_indices()  # canonical CSR: ascending columns in each row
-    return mat
+        values[:, 1 + 2 * ax] = 1.0 / h**2 - vm / h
+        values[:, 2 + 2 * ax] = 1.0 / h**2 + vp[minus] / h
+    return values
+
+
+def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
+    """Spatial generator L with L m = lap_h(m) + div_h(m g), g an (n^d, d)
+    drift array, as a canonical CSR matrix on grid.stencil_pattern().
+
+    Advection uses upwind fluxes of the velocity v = -g averaged to cell
+    interfaces.  Column sums vanish identically and off-diagonal entries are
+    nonnegative, which is what the mass and positivity guarantees rest on.
+    """
+    pattern = grid.stencil_pattern()
+    data = _generator_values(grid, g).ravel()[pattern.order]
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(grid.size, grid.size))
 
 
 def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
@@ -65,9 +71,11 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
     grid = m.grid
-    mat = transport_generator(grid, g) * -dt  # I - dt*L in the generator's own CSR pattern
-    mat.setdiag(mat.diagonal() + 1.0)
-    new = spla.spsolve(mat.tocsc(), m.values)
+    pattern = grid.stencil_pattern()
+    values = _generator_values(grid, g) * -dt  # I - dt*L: scale L, then add 1 on its diagonal
+    values[:, 0] += 1.0
+    csc = values.ravel()[pattern.order][pattern.transpose]
+    new = _direct_solve(csc, pattern.indices, pattern.indptr, m.values, csc=True)
     if not np.all(np.isfinite(new)):
         raise RuntimeError("Fokker-Planck linear solve produced non-finite values")
     min_val = new.min()

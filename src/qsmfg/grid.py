@@ -8,10 +8,16 @@ gradient or drift (k = d, column ax the component along axis ax) or a policy
 operator takes the grid and such an array, reads its stencil from the
 grid's neighbour table, which wraps indices modulo n on each axis, and
 returns a new array, never writing its input.  A grid builds its node
-coordinates, neighbour table and node-to-node torus distance matrix once
-each, on first use, as read-only arrays.  Central stencils are second order
-where the underlying function is smooth; one-sided differences selected by
-drift sign keep the linear systems built on top of them M-matrices.
+coordinates, neighbour table, stencil pattern and node-to-node torus
+distance matrix once each, on first use, as read-only arrays.  Central
+stencils are second order where the underlying function is smooth;
+one-sided differences selected by drift sign keep the linear systems built
+on top of them M-matrices.
+
+Those systems live on the stencil pattern: the canonical CSR pattern of the
+(1 + 2d)-point stencil, row i holding node i and its neighbours in ascending
+column order.  A solver fills only a data array in that pattern's slots and
+hands it to _direct_solve, one SuperLU factorization and solve.
 """
 
 from __future__ import annotations
@@ -19,17 +25,39 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse.linalg._dsolve._superlu import gssv
 
 __all__ = [
     "Grid",
+    "StencilPattern",
     "laplacian",
     "gradient_central",
     "gradient_upwind",
     "torus_distance",
     "node_values",
 ]
+
+
+class StencilPattern(NamedTuple):
+    """Canonical CSR pattern of the (1 + 2d)-point stencil on an n^d grid.
+
+    indices and indptr are the np.intc CSR arrays, with ascending columns
+    in each row and 1 + 2d slots per row.  order gathers row-major stencil
+    values, an (n^d, 1 + 2d) array whose row i holds node i and then its
+    grid.neighbors() in column order, into canonical slots:
+    values.ravel()[order].  transpose maps slot (i, j) to slot (j, i); the
+    neighbour relation is mutual, so the pattern is symmetric, transpose is
+    an involution, and data[transpose] is the CSC data of the same matrix
+    on the same indices and indptr.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    order: np.ndarray
+    transpose: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +103,10 @@ class Grid:
         column 2*ax + 1 the -1 neighbour."""
         return self._neighbors
 
+    def stencil_pattern(self) -> StencilPattern:
+        """The stencil's canonical CSR pattern, four read-only arrays."""
+        return self._stencil_pattern
+
     def node_distances(self) -> np.ndarray:
         """Torus distances between all pairs of nodes, a read-only (n^d, n^d)
         array: entry (i, j) is torus_distance(coordinates()[i], coordinates()[j])."""
@@ -95,6 +127,20 @@ class Grid:
         )
 
     @cached_property
+    def _stencil_pattern(self) -> StencilPattern:
+        # n >= 8 makes the 2d neighbours of a node distinct from it and from
+        # each other, so no slot holds two stencil entries
+        n, width = self.size, 1 + 2 * self.d
+        cols = np.column_stack([np.arange(n), self.neighbors()])
+        order = (np.argsort(cols, axis=1) + width * np.arange(n)[:, None]).ravel()
+        indices = cols.ravel()[order]
+        rows = np.repeat(np.arange(n), width)
+        # canonical slots sort by (row, column), so a slot is found by its key
+        transpose = np.searchsorted(rows * n + indices, indices * n + rows)
+        indptr = width * np.arange(n + 1, dtype=np.intc)
+        return StencilPattern(*map(_read_only, (indices.astype(np.intc), indptr, order, transpose)))
+
+    @cached_property
     def _node_distances(self) -> np.ndarray:
         x = self.coordinates()
         return _read_only(torus_distance(x[:, None, :], x))
@@ -107,6 +153,21 @@ def _is_integer(v) -> bool:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _direct_solve(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rhs: np.ndarray, csc: bool) -> np.ndarray:
+    """Solution of the sparse system with canonical (sorted, duplicate-free)
+    CSR arrays, or with CSC arrays when csc, and right-hand side rhs.
+
+    One SuperLU gssv call with scipy's default column ordering, the call
+    scipy.sparse.linalg.spsolve makes for the same arrays, so the result is
+    spsolve's bit for bit.  An exactly singular matrix is a RuntimeError.
+    """
+    x, info = gssv(rhs.size, data.size, data, indices, indptr, rhs, int(csc), options={"ColPerm": None})
+    if info != 0:
+        # info in 1..n names the first zero pivot of an exactly singular matrix
+        raise RuntimeError(f"sparse direct solve failed: SuperLU info {info}, the matrix is exactly singular")
+    return x
 
 
 def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ constant mode.  The augmented system is algebraically equivalent to the plain
 one for every rho > 0.  At rho = 0 it is the ergodic cell problem with the
 constant as an unknown (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal.
 48(3), 2010), the one form solve_ergodic solves; the vanishing-discount limit
-belongs to the coupled driver, coupling.solve_vanishing_discount.  The CSR
-matrix is filled row by row from the grid's neighbour table, and every
-evaluation, in every dimension, is one sparse direct solve.
+belongs to the coupled driver, coupling.solve_vanishing_discount.  The
+augmented matrix is the grid's stencil pattern bordered by the s column,
+built once per solve; each evaluation, in every dimension, fills only the
+data array in those CSR slots and makes one SuperLU solve
+(grid._direct_solve).
 
 The pair (w, s) is the one form in which a value function leaves this
 module: the residual is measured and the policy improved on it, and
@@ -50,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
-from .grid import Grid, gradient_central, gradient_upwind, laplacian, node_values
+from .grid import Grid, _direct_solve, gradient_central, gradient_upwind, laplacian, node_values
 from .measure import JointMeasure
 from .model import ModelSpec, policy_field
 
@@ -94,27 +95,56 @@ def value_function(w: np.ndarray, s: float, rho: float) -> tuple[np.ndarray, flo
     return w, s
 
 
-def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_matrix:
-    """Augmented matrix [[rho*I - lap_h - b.grad_h^up, 1], [e_x0, 0]] in CSR.
+def _evaluation_pattern(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR indices, indptr and value order of the augmented (n^d + 1)-square
+    matrix.
 
-    Row i holds the diagonal, the grid.neighbors() columns and the s column.
-    -lap_h gives the off-diagonals -1/h^2; -b.grad_h^up takes the forward
-    difference where b > 0 and the backward one where b < 0.
+    Row i < n^d is the grid's stencil row followed by the s column n^d,
+    which sorts last; row n^d holds one entry, at NORMALIZATION_NODE.  order
+    gathers the values of _evaluation_values into these slots.  The border
+    comes last in both layouts, so its slots gather from their own place.
     """
-    n, h = grid.size, grid.h
+    n, width, pattern = grid.size, 2 * grid.d + 1, grid.stencil_pattern()
+    size = n * (width + 1) + 1
+    indices = np.full(size, n, dtype=np.intc)
+    indices[-1] = NORMALIZATION_NODE
+    indices[:-1].reshape(n, width + 1)[:, :width] = pattern.indices.reshape(n, width)
+    order = np.arange(size)
+    # the stencil order, moved to rows one value wider
+    order[:-1].reshape(n, width + 1)[:, :width] = pattern.order.reshape(n, width) + np.arange(n)[:, None]
+    indptr = (width + 1) * np.arange(n + 2, dtype=np.intc)
+    indptr[-1] = size
+    return indices, indptr, order
+
+
+def _evaluation_values(grid: Grid, bvals: np.ndarray, rho: float) -> np.ndarray:
+    """Values of [[rho*I - lap_h - b.grad_h^up, 1], [e_x0, 0]], row-major.
+
+    Row i < n^d holds the diagonal, the grid.neighbors() entries and the 1
+    of the s column; the last value is row n^d's 1.  -lap_h gives the
+    off-diagonals -1/h^2; -b.grad_h^up takes the forward difference where
+    b > 0 and the backward one where b < 0.
+    """
+    n, h, width = grid.size, grid.h, 2 * grid.d + 1
     bp, bm = np.maximum(bvals, 0.0), np.minimum(bvals, 0.0)
-    diag = np.full(n, rho + 2.0 * grid.d / h**2)
+    values = np.empty(n * (width + 1) + 1)
+    rows = values[:-1].reshape(n, width + 1)
+    rows[:, 0] = rho + 2.0 * grid.d / h**2
     for ax in range(grid.d):
-        diag += (bp[:, ax] - bm[:, ax]) / h
-    off = np.stack([-1.0 / h**2 - bp / h, -1.0 / h**2 + bm / h], axis=-1).reshape(n, 2 * grid.d)
-    cols = np.column_stack([np.arange(n), grid.neighbors(), np.full(n, n)])
-    data = np.column_stack([diag, off, np.ones(n)])
-    indptr = np.append(np.arange(n + 1) * cols.shape[1], cols.size + 1)
-    mat = sparse.csr_matrix(
-        (np.append(data.ravel(), 1.0), np.append(cols.ravel(), NORMALIZATION_NODE), indptr), shape=(n + 1, n + 1)
+        rows[:, 0] += (bp[:, ax] - bm[:, ax]) / h
+    rows[:, 1:width:2] = -1.0 / h**2 - bp / h
+    rows[:, 2:width:2] = -1.0 / h**2 + bm / h
+    rows[:, width] = 1.0
+    values[-1] = 1.0
+    return values
+
+
+def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_matrix:
+    """The augmented evaluation matrix as a canonical scipy CSR matrix."""
+    indices, indptr, order = _evaluation_pattern(grid)
+    return sparse.csr_matrix(
+        (_evaluation_values(grid, bvals, rho)[order], indices, indptr), shape=(grid.size + 1, grid.size + 1)
     )
-    mat.sort_indices()  # canonical CSR: ascending columns in each row
-    return mat
 
 
 def equation_residual(
@@ -173,17 +203,20 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
 
     Returns the pair at which the last residual was measured.  A policy
     with a non-finite drift or cost is a RuntimeError before its evaluation
-    is assembled, and so is an evaluation with non-finite values.
+    is assembled, and so is a singular evaluation or one with non-finite
+    values.
 
-    The coefficients are bound once.  Each policy's drift and cost are
-    computed once: for the starting policy here, for every later one by the
-    improvement step that produces it.  The loop stops at the tolerance or
-    at a policy that repeats bit for bit.
+    The coefficients and the evaluation pattern are bound once.  Each
+    policy's drift and cost are computed once: for the starting policy
+    here, for every later one by the improvement step that produces it.
+    The loop stops at the tolerance or at a policy that repeats bit for
+    bit.
     """
     if warm_start is not None:
         policy = node_values(grid, warm_start, "warm_start", spec.control.k)
     else:
         policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), nu)
+    indices, indptr, order = _evaluation_pattern(grid)
     coefficients = spec.coefficients(grid.coordinates(), nu)
     drift, cost = coefficients
     bvals, ell = drift(policy), cost(policy)
@@ -192,7 +225,8 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     for _ in range(max_iter):
         if not (np.isfinite(bvals).all() and np.isfinite(ell).all()):
             raise RuntimeError("HJB policy has a non-finite drift or cost")
-        ws = spla.spsolve(_evaluation_matrix(grid, bvals, rho), np.append(ell, 0.0))
+        data = _evaluation_values(grid, bvals, rho)[order]
+        ws = _direct_solve(data, indices, indptr, np.append(ell, 0.0), csc=False)
         if not np.isfinite(ws).all():
             raise RuntimeError("HJB policy evaluation gave non-finite values")
         ws.setflags(write=False)  # w is a view of ws, so HjbSolution.w is read-only

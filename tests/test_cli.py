@@ -287,6 +287,17 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "capped").exists()
 
+    def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an all-zero evaluation matrix is exactly singular: the sparse solve
+        # raises inside the run, exit 3, reported without a traceback
+        zeros = lambda grid, bvals, rho: np.zeros(grid.size * (2 * grid.d + 2) + 1)  # noqa: E731
+        monkeypatch.setattr("qsmfg.hjb._evaluation_values", zeros)
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"))
+        assert main(["run", _write(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert "error: solver failed" in err and "exactly singular" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_non_finite_maximizer_exit_code(self, tmp_path, capsys, monkeypatch, strategy):
         # a maximizer that returns NaN makes the solve fail inside the run:
@@ -474,22 +485,45 @@ def test_only_grid_and_the_u_final_writer_read_grid_shape():
                 assert owner != "grid" or node.lineno in writer, f"{path.name}:{node.lineno} reads grid.shape"
 
 
+def _names(path):
+    """Each AST node of the source file path with the names it imports or
+    holds: module paths for an import, the id or attribute otherwise."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", getattr(node, "attr", ""))]
+        yield node, names
+
+
 def test_only_measure_binds_highs():
     # the private scipy HiGHS binding is imported in one module, and no
     # module imports or names linprog
     binders = set()
     for path in sorted(SRC_DIR.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                names = [getattr(node, "id", getattr(node, "attr", ""))]
+        for node, names in _names(path):
             assert not any("linprog" in name for name in names), f"{path.name}:{node.lineno} names linprog"
             if any("_highspy" in name for name in names):
                 binders.add(path.name)
     assert binders == {"measure.py"}
+
+
+def test_only_grid_binds_superlu():
+    # the private scipy SuperLU binding is imported in one module, no module
+    # imports or names spsolve, and the HJB and FP solvers do not import
+    # scipy.sparse.linalg
+    binders = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node, names in _names(path):
+            assert not any("spsolve" in name for name in names), f"{path.name}:{node.lineno} names spsolve"
+            if any("_superlu" in name for name in names):
+                binders.add(path.name)
+            if path.name in ("hjb.py", "fp.py") and isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports_linalg = any(name.startswith("scipy.sparse.linalg") for name in names)
+                assert not imports_linalg, f"{path.name}:{node.lineno} imports scipy.sparse.linalg"
+    assert binders == {"grid.py"}
 
 
 class TestShippedConfigs:

@@ -9,6 +9,8 @@ from the stencil definition, independent of the sparse implicit solver.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from qsmfg.fp import fp_evolve, fp_step, transport_generator
 from qsmfg.grid import Grid
@@ -35,8 +37,6 @@ class TestSingleStep:
     def test_uniform_is_heat_steady_state(self):
         # the uniform vector is an exact fixed point of the discrete operator
         m = uniform_density(GRID)
-        import scipy.sparse as sparse
-
         gen = transport_generator(GRID, _const_drift(GRID, 0.0))
         mat = sparse.identity(GRID.size, format="csr") - 0.05 * gen
         np.testing.assert_array_equal(mat @ m.values, m.values)
@@ -97,6 +97,23 @@ class TestSingleStep:
             assert out.values.min() >= 0.0
 
         run()
+
+    @pytest.mark.parametrize("dt", [0.05, 0.5])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9), (2, 16)])
+    def test_step_equals_spsolve(self, d, n, dt):
+        # the step, one SuperLU call on the CSC form of the stencil pattern,
+        # equals spsolve of I - dt*L built as scipy matrices bit for bit
+        grid = Grid(d, n)
+        rng = np.random.default_rng(10 * n + d)
+        g = rng.uniform(-3.0, 3.0, (grid.size, d))
+        m = DensityField.from_values(grid, 1.0 + rng.uniform(-0.8, 0.8, grid.size))
+        gen = sparse.csr_matrix(transport_generator(grid, g).toarray())
+        assert gen.nnz == grid.size * (2 * d + 1)  # no stencil value is zero
+        mat = gen * -dt
+        mat.setdiag(mat.diagonal() + 1.0)
+        want = np.maximum(spla.spsolve(mat.tocsc(), m.values), 0.0)
+        want /= want.sum() * grid.cell_volume
+        assert np.array_equal(fp_step(m, g, dt).values, want)
 
     def test_2d_mass_and_positivity(self):
         grid = Grid(2, 8)

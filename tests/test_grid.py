@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsmfg.grid import (
     Grid,
+    _direct_solve,
     gradient_central,
     gradient_upwind,
     laplacian,
@@ -62,6 +64,46 @@ def test_grid_arrays_built_once_and_read_only(d, n):
     assert not dist.diagonal().any()
     # equal grids are equal values; each instance holds its own arrays
     assert Grid(d, n) == g and Grid(d, n).coordinates() is not g.coordinates()
+    # the stencil's CSR pattern: one tuple of read-only arrays
+    pattern = g.stencil_pattern()
+    assert pattern is g.stencil_pattern()
+    for arr in pattern:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    width, nnz = 1 + 2 * d, g.size * (1 + 2 * d)
+    np.testing.assert_array_equal(pattern.indptr, width * np.arange(g.size + 1))
+    assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
+    rows = np.repeat(np.arange(g.size), width)
+    cols = pattern.indices
+    # columns ascend strictly within each row: canonical CSR
+    assert (np.diff(cols.reshape(g.size, width), axis=1) > 0).all()
+    # order gathers row-major [i, neighbours...] values into these slots
+    rowmajor = np.column_stack([np.arange(g.size), g.neighbors()]).ravel()
+    np.testing.assert_array_equal(rowmajor[pattern.order], cols)
+    np.testing.assert_array_equal(np.sort(pattern.order), np.arange(nnz))
+    # transpose maps slot (i, j) to slot (j, i) and undoes itself
+    np.testing.assert_array_equal(rows[pattern.transpose], cols)
+    np.testing.assert_array_equal(cols[pattern.transpose], rows)
+    np.testing.assert_array_equal(pattern.transpose[pattern.transpose], np.arange(nnz))
+    # so data[transpose] is the CSC data scipy's tocsc gives on the same pattern
+    data = np.random.default_rng(d).uniform(-1.0, 1.0, nnz)
+    csc = sparse.csr_matrix((data, cols, pattern.indptr), shape=(g.size, g.size)).tocsc()
+    np.testing.assert_array_equal(csc.indices, cols)
+    np.testing.assert_array_equal(csc.data, data[pattern.transpose])
+
+
+@pytest.mark.parametrize("csc", [False, True])
+def test_direct_solve_rejects_a_singular_matrix(csc):
+    # an exactly singular matrix raises, with no MatrixRankWarning
+    # (warnings are errors under pytest)
+    data = np.array([1.0, 1.0, 1.0, 1.0])
+    indices, indptr = np.array([0, 1, 0, 1], dtype=np.intc), np.array([0, 2, 4], dtype=np.intc)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        _direct_solve(data, indices, indptr, np.ones(2), csc=csc)
+    # the same call on a regular matrix solves it
+    x = _direct_solve(np.array([2.0, 1.0, 1.0, 3.0]), indices, indptr, np.array([3.0, 4.0]), csc=csc)
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
 
 
 def _roll_reference(v, ax, h, kind, b=None):

@@ -315,6 +315,23 @@ class TestNormalizedEvaluation:
         assert got[-1] == w[0]
 
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9), (2, 16)])
+    def test_evaluation_solve_equals_spsolve(self, d, n, rho):
+        # one policy evaluation, a SuperLU call on the bordered stencil
+        # pattern, equals spsolve of the scipy-built CSR matrix bit for bit
+        grid = Grid(d, n)
+        rng = np.random.default_rng(10 * n + d)
+        bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
+        ell = rng.uniform(-1.0, 1.0, grid.size)
+        mat = sparse.csr_matrix(_evaluation_matrix(grid, bvals, rho).toarray())
+        assert mat.nnz == grid.size * (2 * d + 2) + 1  # no stencil value is zero
+        want = spla.spsolve(mat, np.append(ell, 0.0))
+        # a policy whose drift and cost are bvals and ell, evaluated once
+        spec = replace(_const_model(0.0, k=d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell))
+        sol = _policy_iteration(spec, _measure(0), rho, grid, 0.0, 1, None)
+        assert np.array_equal(sol.w, want[:-1]) and sol.s == want[-1]
+
 class TestErgodic:
     def test_constant_cost(self):
         # b == 0, l == c: lambda = c, u == 0
