@@ -236,9 +236,9 @@ def solve_joint_measure(
     """
     if spec.kind != "instant":
         raise ValueError("the joint-measure fixed point requires an instant model")
-    grid = m.grid
+    grid, x = m.grid, m.grid.coordinates()
     nu_hat = pushforward(m, _zero_policy(spec, grid))
-    policy = policy_field(spec, grid, du, nu_hat)
+    policy = policy_field(spec, grid, du, spec.coefficients(x, nu_hat))
     mu_prev = pushforward(m, policy)
 
     increments: list[float] = []
@@ -249,7 +249,7 @@ def solve_joint_measure(
             if not ratios or max(ratios) < 1.0:
                 break
             damped = True  # non-contractive regime
-        target = policy_field(spec, grid, du, mu_prev)
+        target = policy_field(spec, grid, du, spec.coefficients(x, mu_prev))
         policy = blend_policies(policy, target, damping, spec.control) if damped else target
         mu_next = pushforward(m, policy)
         d = wasserstein1_joint(mu_next, mu_prev)
@@ -354,8 +354,8 @@ def _solution(spec, config, sol) -> TrajectorySolution:
     returns.  Residuals above hjb_tol and inner_tol add their failures."""
     hjb_res, mu_res = np.zeros(sol.n_slices), np.zeros(sol.n_slices)
     for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(sol.m, sol.mu, sol.w, sol.s)):
-        nu = _slice_context(spec, sol.times, sol.mu, j)
-        hjb_res[j], probe, _, _ = equation_residual(spec, nu, sol.rho, m_j.grid, w_j, s_j)
+        coefficients = spec.coefficients(m_j.grid.coordinates(), _slice_context(spec, sol.times, sol.mu, j))
+        hjb_res[j], probe, _, _ = equation_residual(spec, coefficients, sol.rho, m_j.grid, w_j, s_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     failed = set(sol.diagnostics["failures"])
     if hjb_res.max() > config.hjb_tol:
@@ -597,7 +597,7 @@ def solve_vanishing_discount(
     ergodic_res, direct_gaps = [], []
     for j, (w, s) in enumerate(zip(sol.w, sol.s)):
         nu = _slice_context(spec, sol.times, sol.mu, j)
-        ergodic_res.append(equation_residual(spec, nu, 0.0, grid, w, s)[0])
+        ergodic_res.append(equation_residual(spec, spec.coefficients(grid.coordinates(), nu), 0.0, grid, w, s)[0])
         es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
         direct_gaps.append(abs(es.s - s) + float(np.abs(es.w - w).max()))
 

@@ -32,11 +32,12 @@ computed on the pair, never on u.
 
 The measure is frozen within a solve, so each solve binds the model's
 coefficients to the grid nodes and the measure once (ModelSpec.coefficients)
-and evaluates every policy through the bound functions: the measure terms are
-computed once per solve, and the drift and running cost of each policy once.
-The improvement step is equation_residual: at the current pair it returns
-the residual, the improved policy, and that policy's drift and cost, which
-the next evaluation assembles its matrix and right-hand side from.
+and reads the measure only through that binding's drift, cost and maximizer:
+the measure terms are computed once per solve, and the drift and running cost
+of each policy once.  The improvement step is equation_residual: at the
+current pair it returns the residual, the improved policy, and that policy's
+drift and cost, which the next evaluation assembles its matrix and
+right-hand side from.
 
 Howard's loop stops when the residual meets the tolerance or when the
 improved policy repeats the last one bit for bit.  A repeated policy is an
@@ -149,12 +150,11 @@ def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_
 
 def equation_residual(
     spec: ModelSpec,
-    nu: JointMeasure,
+    coefficients: tuple,
     rho: float,
     grid: Grid,
     w: np.ndarray,
     s: float = 0.0,
-    coefficients: tuple | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Sup-norm residual of the monotone discretization at the improved policy.
 
@@ -164,11 +164,11 @@ def equation_residual(
     to zero, for rho > 0 and rho = 0 alike.  Returns the residual, the
     improved policy, shape (n^d, k), and its drift b(x, a(x); nu), shape
     (n^d, d), and running cost l(x, a(x); nu), shape (n^d,), which the next
-    policy evaluation uses.  coefficients is
-    spec.coefficients(grid.coordinates(), nu), bound here when not given.
+    policy evaluation uses.  coefficients is the measure's binding
+    spec.coefficients(grid.coordinates(), nu).
     """
-    policy = policy_field(spec, grid, gradient_central(grid, w), nu)
-    drift, cost = spec.coefficients(grid.coordinates(), nu) if coefficients is None else coefficients
+    policy = policy_field(spec, grid, gradient_central(grid, w), coefficients)
+    drift, cost, _ = coefficients
     bvals, ell = drift(policy), cost(policy)
     dup = gradient_upwind(grid, w, bvals)
     advect = sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d))
@@ -206,19 +206,20 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     is assembled, and so is a singular evaluation or one with non-finite
     values.
 
-    The coefficients and the evaluation pattern are bound once.  Each
-    policy's drift and cost are computed once: for the starting policy
-    here, for every later one by the improvement step that produces it.
+    The coefficients and the evaluation pattern are bound once, so nu is
+    read once.  Each policy's drift and cost are computed once: for the
+    starting policy here, for every later one by the improvement step that
+    produces it.
     The loop stops at the tolerance or at a policy that repeats bit for
     bit.
     """
+    coefficients = spec.coefficients(grid.coordinates(), nu)
     if warm_start is not None:
         policy = node_values(grid, warm_start, "warm_start", spec.control.k)
     else:
-        policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), nu)
+        policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), coefficients)
     indices, indptr, order = _evaluation_pattern(grid)
-    coefficients = spec.coefficients(grid.coordinates(), nu)
-    drift, cost = coefficients
+    drift, cost, _ = coefficients
     bvals, ell = drift(policy), cost(policy)
     history: list[float] = []
     w, s, residual = np.zeros(grid.size), 0.0, np.inf
@@ -232,7 +233,7 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
         ws.setflags(write=False)  # w is a view of ws, so HjbSolution.w is read-only
         w, s = ws[:-1], float(ws[-1])
         previous = policy.tobytes()
-        residual, policy, bvals, ell = equation_residual(spec, nu, rho, grid, w, s, coefficients)
+        residual, policy, bvals, ell = equation_residual(spec, coefficients, rho, grid, w, s)
         history.append(residual)
         if residual <= tol or policy.tobytes() == previous:
             break

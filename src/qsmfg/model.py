@@ -2,27 +2,29 @@
 
 A model is a coefficient map together with a compact control set and
 declared regularity constants.  The coefficient map binds the state points x
-and a measure nu once and returns the two control functions a -> b(x,a;nu)
-and a -> l(x,a;nu); every measure-dependent term is computed at binding.  In
+and a measure nu once and returns a -> b(x,a;nu), a -> l(x,a;nu) and the
+maximizer p -> alpha*(x,p;nu), or None for a model without a closed form.  In
 the quasi-stationary system the measure is frozen within a time slice, so a
-slice's HJB solve binds once and evaluates every policy through the bound
-functions.  ModelSpec.drift and ModelSpec.running_cost are the pointwise
-reads of the same map.  The Hamiltonian is always the control supremum
+slice's HJB solve binds once and reads the measure only through the binding.
+ModelSpec.drift and ModelSpec.running_cost are the pointwise reads of the
+same map.  The Hamiltonian is always the control supremum
 
     H(x, p; nu) = sup_a { -p . b(x,a;nu) - l(x,a;nu) },
 
-evaluated through the model's closed-form maximizer when one is supplied and
-through brute-force mesh search otherwise.  nu is the one joint
-state-control measure the Hamiltonian reads at a time slice, resolved by
-slice_measure: the current measure for instant models, the unit-mass kernel
-aggregate of the past trajectory for memory models.
+evaluated on a binding through its maximizer, or by brute-force mesh search
+where it has none.  nu is the one joint state-control measure the
+Hamiltonian reads at a time slice, resolved by slice_measure: the current
+measure for instant models, the unit-mass kernel aggregate of the past
+trajectory for memory models.
 
 Coefficients are vectorized: x has shape (..., d), a has shape (..., k),
-broadcastable against each other; b returns (..., d) and l returns (...,).
+broadcastable against each other, and p has x's shape; b returns (..., d),
+l returns (...,) and alpha* returns (..., k).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -161,15 +163,14 @@ class ModelSpec:
     "history" for memory models reading the past trajectory.  Declared
     constants are used by the validator spot-checks, never by the solvers.
 
-    coefficients(x, nu) returns the pair (a -> b(x, a; nu), a -> l(x, a; nu))
-    of control functions with x and nu bound.
+    coefficients(x, nu) returns the triple (a -> b(x, a; nu), a -> l(x, a; nu),
+    alpha) with x and nu bound, alpha being p -> alpha*(x, p; nu) or None.
     """
 
     name: str
     kind: str
     control: ControlSet
-    coefficients: Callable  # (x, nu) -> (a -> b (..., d), a -> l (...,))
-    closed_form_control: Optional[Callable] = None  # alpha*(x, p, nu) -> (..., k)
+    coefficients: Callable  # (x, nu) -> (a -> b (..., d), a -> l (...,), p -> alpha* (..., k) or None)
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
     control_lip_measure: float = 0.0  # lambda_0 of the maximizer w.r.t. W1
@@ -204,26 +205,22 @@ def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[Jo
 
 def brute_force_argmax(
     spec: ModelSpec,
-    x: np.ndarray,
+    coefficients: tuple,
     p: np.ndarray,
-    nu: JointMeasure,
     mesh: int = 257,
     _warn: bool = True,
 ) -> np.ndarray:
-    """Exhaustive maximization of -p.b - l over the control mesh.
+    """Exhaustive maximization of -p.b - l over the control mesh, for the
+    binding coefficients = spec.coefficients(x, nu) and p of x's shape.
 
     Ties go to the first mesh point.  Refining the mesh can only improve the
     achieved value because refined meshes contain the coarse ones.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
     cand = spec.control.mesh(mesh)  # (M, k)
-    xb = x[:, None, :]
-    pb = p[:, None, :]
-    ab = np.broadcast_to(cand[None, :, :], (x.shape[0],) + cand.shape)
-    drift, cost = spec.coefficients(xb, nu)
-    bv, lv = drift(ab), cost(ab)
-    objective = -(pb * bv).sum(axis=-1) - lv  # (N, M)
+    drift, cost, _ = coefficients
+    ab = cand[:, None, :]  # the candidates on a leading axis, against every point
+    objective = (-(p * drift(ab)).sum(axis=-1) - cost(ab)).T  # (N, M)
     best = np.argmax(objective, axis=1)
     if _warn:
         _warn_non_unique(cand, objective, best, _mesh_spacing(spec.control, mesh))
@@ -248,35 +245,34 @@ def _warn_non_unique(cand, objective, best, spacing) -> None:
             break
 
 
-def optimal_control(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
-    """The maximizing control; closed form when available, brute force otherwise."""
-    if spec.closed_form_control is not None:
-        a = spec.closed_form_control(np.asarray(x, dtype=float), np.asarray(p, dtype=float), nu)
-        return spec.control.project(a)
-    return brute_force_argmax(spec, x, p, nu)
+def optimal_control(spec: ModelSpec, coefficients: tuple, p: np.ndarray) -> np.ndarray:
+    """The maximizing control of the binding coefficients at p; the bound
+    alpha* when the model has one, brute force otherwise."""
+    alpha = coefficients[2]
+    if alpha is None:
+        return brute_force_argmax(spec, coefficients, p)
+    return spec.control.project(alpha(np.asarray(p, dtype=float)))
 
 
-def hamiltonian_value(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
-    """H(x,p;nu) evaluated at the optimal control."""
-    x = np.asarray(x, dtype=float)
+def hamiltonian_value(spec: ModelSpec, coefficients: tuple, p: np.ndarray) -> np.ndarray:
+    """H(x,p;nu) of the binding coefficients, evaluated at the optimal control."""
     p = np.asarray(p, dtype=float)
-    a = optimal_control(spec, x, p, nu)
-    drift, cost = spec.coefficients(x, nu)
+    drift, cost, _ = coefficients
+    a = optimal_control(spec, coefficients, p)
     return -(p * drift(a)).sum(axis=-1) - cost(a)
 
 
-def hamiltonian_gradient_p(spec: ModelSpec, x: np.ndarray, p: np.ndarray, nu: JointMeasure) -> np.ndarray:
+def hamiltonian_gradient_p(spec: ModelSpec, coefficients: tuple, p: np.ndarray) -> np.ndarray:
     """dH/dp = -b(x, alpha*(x,p;nu); nu), the envelope identity."""
-    x = np.asarray(x, dtype=float)
-    a = optimal_control(spec, x, p, nu)
-    return -spec.drift(x, a, nu)
+    return -coefficients[0](optimal_control(spec, coefficients, p))
 
 
-def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, nu: JointMeasure) -> np.ndarray:
+def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, coefficients: tuple) -> np.ndarray:
     """Optimal control at every node for the value-function gradient du, an
-    (n^d, d) array: the policy, a read-only (n^d, k) array whose row i is the
-    control at node i."""
-    a = optimal_control(spec, grid.coordinates(), node_values(grid, du, "gradient", grid.d), nu)
+    (n^d, d) array, and the binding spec.coefficients(grid.coordinates(), nu):
+    the policy, a read-only (n^d, k) array whose row i is the control at
+    node i."""
+    a = optimal_control(spec, coefficients, node_values(grid, du, "gradient", grid.d))
     a.setflags(write=False)
     return a
 
@@ -298,10 +294,10 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
 
     The bump weighs every atom by its torus distance to x.  When nu's atoms
     sit at the nodes of nu.grid (a pushforward) and x, flattened to (-1, d),
-    is those same nodes (the HJB and FP bindings, and the (N, 1, d) ones of
-    regularity_report and brute_force_argmax), the distances are read from
-    the grid's node_distances(); every other call (memory aggregates, which
-    carry no grid, and off-grid points) computes them with torus_distance.
+    is those same nodes (the HJB and FP bindings, and the (N, 1, d) one of
+    regularity_report), the distances are read from the grid's
+    node_distances(); every other call (memory aggregates, which carry no
+    grid, and off-grid points) computes them with torus_distance.
     Both compute the same elementwise arithmetic, so the bump is bit-equal.
     """
 
@@ -347,7 +343,9 @@ def _make_quadratic_model(
     params: dict | None = None,
 ) -> ModelSpec:
     """Quadratic-cost model with drift b = b0(x;nu) - a and cost
-    |a|^2 / (2 l0(nu)) + V(x).  Binding computes b0(x;nu), l0(nu) and V(x).
+    |a|^2 / (2 l0(nu)) + V(x).  Binding computes l0(nu) and V(x), and
+    b0(x;nu) on the first call of b: the joint-measure fixed point binds a
+    new measure per iterate and reads only the maximizer.
 
     The maximizer has the exact two-branch form: l0 * p inside the control
     ball and the radial projection R p/|p| outside; no smoothing is applied at
@@ -364,29 +362,25 @@ def _make_quadratic_model(
 
     def coefficients(x, nu):
         x = np.asarray(x, dtype=float)
-        bump = drift_bump(x, nu)
-        two_l0 = 2.0 * cost_weight(nu)
+        bump = functools.cache(lambda: drift_bump(x, nu))
+        l0 = cost_weight(nu)
         if potential == 0.0:
             state_cost = np.zeros(x.shape[:-1])
         else:
             state_cost = potential * np.cos(2.0 * np.pi * x[..., 0])
 
         def b(a):
-            return bump - np.asarray(a, dtype=float)
+            return bump() - np.asarray(a, dtype=float)
 
         def ell(a):
             a = np.asarray(a, dtype=float)
-            return (a**2).sum(axis=-1) / two_l0 + state_cost
+            return (a**2).sum(axis=-1) / (2.0 * l0) + state_cost
 
-        return b, ell
+        def alpha(p):
+            norm = np.linalg.norm(p, axis=-1, keepdims=True)
+            return np.where(l0 * norm <= radius, l0 * p, radius * p / np.maximum(norm, 1e-300))
 
-    def alpha_star(x, p, nu):
-        p = np.asarray(p, dtype=float)
-        l0 = cost_weight(nu)
-        norm = np.linalg.norm(p, axis=-1, keepdims=True)
-        inside = l0 * norm <= radius
-        radial = radius * p / np.maximum(norm, 1e-300)
-        return np.where(inside, l0 * p, radial)
+        return b, ell, alpha
 
     lip_phi = np.exp(-0.5) / width  # max slope of the Gaussian bump
     coef_bound = max(kappa * radius + radius, radius**2 / (2.0 * delta) + abs(potential))
@@ -396,7 +390,6 @@ def _make_quadratic_model(
         kind=kind,
         control=control,
         coefficients=coefficients,
-        closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=coef_lip_x,
         control_lip_measure=radius * eps / delta,
@@ -504,13 +497,11 @@ def separated_cost(
             a = np.asarray(a, dtype=float)
             return (a**2).sum(axis=-1) / 2.0 + state_cost + measure_cost
 
-        return b, ell
+        def alpha(p):
+            norm = np.linalg.norm(p, axis=-1, keepdims=True)
+            return p * np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
 
-    def alpha_star(x, p, nu):
-        p = np.asarray(p, dtype=float)
-        norm = np.linalg.norm(p, axis=-1, keepdims=True)
-        scale = np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
-        return p * scale
+        return b, ell, alpha
 
     coef_bound = max(
         drift_amplitude + radius,
@@ -521,7 +512,6 @@ def separated_cost(
         kind="instant",
         control=control,
         coefficients=coefficients,
-        closed_form_control=alpha_star,
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),
         control_lip_measure=0.0,
@@ -586,8 +576,9 @@ def check_model(
     a = spec.control.project(rng.uniform(-1.0, 1.0, (n_samples, spec.control.k)))
     p = rng.uniform(-2.0, 2.0, (n_samples, grid.d))
 
-    bv = spec.drift(x, a, nu)
-    lv = spec.running_cost(x, a, nu)
+    coefficients = spec.coefficients(x, nu)
+    drift, cost, alpha = coefficients
+    bv, lv = drift(a), cost(a)
     b_sup = float(np.abs(bv).max())
     l_sup = float(np.abs(lv).max())
     report["coefficient_bound"] = {
@@ -598,8 +589,8 @@ def check_model(
 
     x2 = rng.random((n_samples, grid.d))
     dist = torus_distance(x, x2)
-    bv2 = spec.drift(x2, a, nu)
-    lv2 = spec.running_cost(x2, a, nu)
+    drift2, cost2, _ = spec.coefficients(x2, nu)
+    bv2, lv2 = drift2(a), cost2(a)
     num = np.abs(bv - bv2).max(axis=-1) + np.abs(lv - lv2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dist > 1e-9, num / np.maximum(dist, 1e-300), 0.0)
@@ -610,11 +601,11 @@ def check_model(
         "ok": bool(lip <= 2.0 * spec.coef_lip_x + 1e-9),
     }
 
-    if spec.closed_form_control is not None:
-        a_closed = optimal_control(spec, x, p, nu)
+    if alpha is not None:
+        a_closed = optimal_control(spec, coefficients, p)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a_brute = brute_force_argmax(spec, x, p, nu, mesh=1025)
+            a_brute = brute_force_argmax(spec, coefficients, p, mesh=1025)
         spacing = _mesh_spacing(spec.control, 1025)
         gap = float(np.linalg.norm(a_closed - a_brute, axis=-1).max())
         report["closed_form_vs_brute_force"] = {
@@ -624,13 +615,13 @@ def check_model(
         }
 
     # envelope identity away from points where the maximizer may switch branch
-    hp = hamiltonian_gradient_p(spec, x, p, nu)
+    hp = hamiltonian_gradient_p(spec, coefficients, p)
     fd = np.zeros_like(hp)
     for ax in range(grid.d):
         dp = np.zeros(grid.d)
         dp[ax] = fd_step
         fd[:, ax] = (
-            hamiltonian_value(spec, x, p + dp, nu) - hamiltonian_value(spec, x, p - dp, nu)
+            hamiltonian_value(spec, coefficients, p + dp) - hamiltonian_value(spec, coefficients, p - dp)
         ) / (2.0 * fd_step)
     err = np.abs(hp - fd).max(axis=-1)
     # maximizers of the built-in models switch branch where |p| crosses
@@ -655,8 +646,8 @@ def check_model(
     lip_mu = 0.0
     for _ in range(4):
         nu1, nu2 = _random_atoms(spec, grid, rng), _random_atoms(spec, grid, rng)
-        a1 = optimal_control(spec, x, p, _constant_read(spec, nu1))
-        a2 = optimal_control(spec, x, p, _constant_read(spec, nu2))
+        a1 = optimal_control(spec, spec.coefficients(x, _constant_read(spec, nu1)), p)
+        a2 = optimal_control(spec, spec.coefficients(x, _constant_read(spec, nu2)), p)
         gap = float(np.linalg.norm(a1 - a2, axis=-1).max())
         lip_mu = max(lip_mu, gap / wasserstein1_joint(nu1, nu2))
     report["control_measure_lipschitz"] = {

@@ -165,8 +165,8 @@ def test_criterion_03_hjb_identities():
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0),
+            lambda p: np.zeros(np.shape(p)),
         ),
-        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
     sol = solve_discounted(const, _measure(1), 1.0, grid, tol=1e-13)
     assert np.abs(value_function(sol.w, sol.s, 1.0)[0] - 2.0).max() <= 1e-11
@@ -225,7 +225,8 @@ def test_criterion_06_fixed_point_residual(converged_runs):
         for j in range(sol.n_slices):
             nu = _slice_context(spec, sol.times, sol.mu, j)
             grid = sol.m[j].grid
-            probe = policy_field(spec, grid, gradient_central(grid, sol.u[j]), nu)
+            coefficients = spec.coefficients(grid.coordinates(), nu)
+            probe = policy_field(spec, grid, gradient_central(grid, sol.u[j]), coefficients)
             residual = wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe))
             assert residual <= cfg.inner_tol, (j, residual)
 
@@ -349,11 +350,12 @@ def test_criterion_12_closed_forms():
 
     mesh_points = 1001  # snaps to 1025
     spacing = 2.0 * spec.control.radius / 1024
-    a_closed = optimal_control(spec, x, p, nu)
-    a_brute = brute_force_argmax(spec, x, p, nu, mesh=mesh_points, _warn=False)
+    coefficients = spec.coefficients(x, nu)
+    a_closed = optimal_control(spec, coefficients, p)
+    a_brute = brute_force_argmax(spec, coefficients, p, mesh=mesh_points, _warn=False)
     assert np.abs(a_closed - a_brute).max() <= spacing
 
-    h_closed = hamiltonian_value(spec, x, p, nu)
+    h_closed = hamiltonian_value(spec, coefficients, p)
     bv = spec.drift(x, a_brute, nu)
     lv = spec.running_cost(x, a_brute, nu)
     h_brute = -(p * bv).sum(axis=-1) - lv
@@ -365,9 +367,8 @@ def test_criterion_12_closed_forms():
     lo = spec.control.radius / (1.0 + 0.3 * spec.control.radius)
     keep = (np.abs(p[:, 0]) < lo - 0.05) | (np.abs(p[:, 0]) > spec.control.radius / 1.0 + 0.05)
     xk, pk = x[keep], p[keep]
-    hp = hamiltonian_gradient_p(spec, xk, pk, nu)
+    kept = spec.coefficients(xk, nu)
+    hp = hamiltonian_gradient_p(spec, kept, pk)
     step = 1e-5
-    fd = (
-        hamiltonian_value(spec, xk, pk + step, nu) - hamiltonian_value(spec, xk, pk - step, nu)
-    ) / (2 * step)
+    fd = (hamiltonian_value(spec, kept, pk + step) - hamiltonian_value(spec, kept, pk - step)) / (2 * step)
     assert np.abs(hp[:, 0] - fd).max() <= 1e-6

@@ -304,7 +304,8 @@ class TestRun:
         # a solver failure, exit 3, reported without a traceback
         def nan_control(d=1, coupling_weight=0.3):
             spec = separated_cost(d=d, coupling_weight=coupling_weight)
-            return replace(spec, closed_form_control=lambda x, p, nu: np.full(np.shape(p), np.nan))
+            nan_maximizer = lambda p: np.full(np.shape(p), np.nan)  # noqa: E731
+            return replace(spec, coefficients=lambda x, nu: (*spec.coefficients(x, nu)[:2], nan_maximizer))
 
         monkeypatch.setitem(MODEL_BUILDERS, "separated", nan_control)
         payload = dict(MINIMAL, strategy=strategy, output_dir=str(tmp_path / "out"))

@@ -64,8 +64,8 @@ def _const_model(c=1.0):
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
+            lambda p: np.zeros(np.shape(p)),
         ),
-        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
@@ -108,7 +108,7 @@ class TestJointMeasureFixedPoint:
         du = _smooth_gradient(4, offset=0.3)
         tol = 1e-10
         res = solve_joint_measure(m, du, spec, tol=tol)
-        probe = policy_field(spec, GRID, du, res.mu)
+        probe = policy_field(spec, GRID, du, spec.coefficients(GRID.coordinates(), res.mu))
         residual = wasserstein1_joint(res.mu, pushforward(m, probe))
         assert residual <= tol
 
@@ -141,7 +141,7 @@ class TestJointMeasureFixedPoint:
         if not res.converged:
             assert res.damped
         else:
-            probe = policy_field(spec, GRID, du, res.mu)
+            probe = policy_field(spec, GRID, du, spec.coefficients(GRID.coordinates(), res.mu))
             assert wasserstein1_joint(res.mu, pushforward(m, probe)) <= 1e-8
 
 
@@ -168,7 +168,10 @@ class TestJointMeasureLoop:
 
     def _start(self, m, du):
         zero = np.zeros((GRID.n, 1))
-        return pushforward(m, policy_field(self.SPEC, GRID, du, pushforward(m, zero)))
+        return pushforward(m, self._policy(du, pushforward(m, zero)))
+
+    def _policy(self, du, mu):
+        return policy_field(self.SPEC, GRID, du, self.SPEC.coefficients(GRID.coordinates(), mu))
 
     def test_zero_budget_returns_start_measure(self):
         m, du = _random_density(30), _smooth_gradient(31, offset=0.4, amplitude=0.15)
@@ -185,7 +188,7 @@ class TestJointMeasureLoop:
         assert res.rate == max(_plain_ratios(res.increments)) < 1.0
         mu = self._start(m, du)
         for d in res.increments:  # undamped: each policy is the map's own output
-            policy = policy_field(self.SPEC, GRID, du, mu)
+            policy = self._policy(du, mu)
             mu_next = pushforward(m, policy)
             assert wasserstein1_joint(mu_next, mu) == d
             mu = mu_next
@@ -281,7 +284,8 @@ class TestMeasuredResiduals:
         hjb_res, mu_res = [], []
         for j in range(sol.n_slices):
             nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
-            r, probe, _, _ = equation_residual(spec, nu, cfg.rho, GRID, sol.w[j], sol.s[j])
+            coefficients = spec.coefficients(GRID.coordinates(), nu)
+            r, probe, _, _ = equation_residual(spec, coefficients, cfg.rho, GRID, sol.w[j], sol.s[j])
             hjb_res.append(r)
             mu_res.append(wasserstein1_joint(sol.mu[j], pushforward(sol.m[j], probe)))
         return np.array(hjb_res), np.array(mu_res)
@@ -711,7 +715,8 @@ class TestErgodicDriver:
         sol = solve_vanishing_discount(spec, two_bump_density(GRID), cfg)
         measured = sol.diagnostics["ergodic_residual_max"]
         probes = [
-            equation_residual(spec, sol.mu[j], 0.0, GRID, sol.w[j], sol.s[j])[0] for j in range(sol.n_slices)
+            equation_residual(spec, spec.coefficients(GRID.coordinates(), mu), 0.0, GRID, w, s)[0]
+            for mu, w, s in zip(sol.mu, sol.w, sol.s)
         ]
         assert measured == max(probes)
         shift = 0.25 * max(float(np.abs(w).max()) for w in sol.w)

@@ -59,8 +59,8 @@ def _const_model(c, k=1):
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], c),
+            lambda p: np.zeros(np.shape(p)),
         ),
-        closed_form_control=lambda x, p, nu: np.zeros(np.shape(p)),
     )
 
 
@@ -152,47 +152,52 @@ class TestDiscounted:
         nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
-        probe = policy_field(spec, grid, gradient_central(grid, sol.w), nu)
+        probe = policy_field(spec, grid, gradient_central(grid, sol.w), spec.coefficients(grid.coordinates(), nu))
         np.testing.assert_array_equal(sol.policy, probe)
         assert sol.w.shape == (grid.size,) and not sol.w.flags.writeable
 
 
 class TestCoefficientEvaluations:
-    """A solve binds the coefficients once, so the measure terms are computed
-    once per solve, and it evaluates each policy's drift and cost exactly
-    once: for the starting policy, then in every improvement step."""
+    """A solve binds the coefficients once, so it reads its measure once, and
+    it evaluates each policy's drift and cost exactly once: for the starting
+    policy, then in every improvement step.  Every policy, the cold start's
+    included, comes from the bound maximizer."""
 
     @staticmethod
-    def _counted(spec):
-        calls = {"bind": 0, "drift": 0, "running_cost": 0}
+    def _counted(spec, monkeypatch):
+        calls = {"bind": 0, "drift": 0, "running_cost": 0, "maximizer": 0, "mean_control": 0}
 
         def counting(name, fn):
-            def wrapped(a):
+            def wrapped(arg):
                 calls[name] += 1
-                return fn(a)
+                return fn(arg)
 
             return wrapped
 
         def coefficients(x, nu):
             calls["bind"] += 1
-            drift, cost = spec.coefficients(x, nu)
-            return counting("drift", drift), counting("running_cost", cost)
+            return tuple(map(counting, ("drift", "running_cost", "maximizer"), spec.coefficients(x, nu)))
 
+        monkeypatch.setattr(JointMeasure, "mean_control", counting("mean_control", JointMeasure.mean_control))
         return replace(spec, coefficients=coefficients), calls
 
     @pytest.mark.parametrize("start", ["cold", "warm", "ergodic"])
-    def test_one_evaluation_per_policy(self, start):
+    def test_one_evaluation_per_policy(self, start, monkeypatch):
         base = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(16)
         warm = solve_discounted(base, _measure(17), 1.0, GRID, tol=1e-11).policy if start == "warm" else None
-        spec, calls = self._counted(base)
+        spec, calls = self._counted(base, monkeypatch)
         if start == "ergodic":
             sol = solve_ergodic(spec, nu, GRID, tol=1e-11)
         else:
             sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=warm)
         # with two or more iterations, one evaluation per step would be fewer
         assert sol.converged and sol.iterations >= 2
-        assert calls == {"bind": 1, "drift": sol.iterations + 1, "running_cost": sol.iterations + 1}
+        evaluations = sol.iterations + 1
+        assert calls == {
+            "bind": 1, "drift": evaluations, "running_cost": evaluations,
+            "maximizer": evaluations - (start == "warm"), "mean_control": 1,
+        }
 
     @pytest.fixture
     def torus_distance_calls(self, monkeypatch):
@@ -328,7 +333,7 @@ class TestNormalizedEvaluation:
         assert mat.nnz == grid.size * (2 * d + 2) + 1  # no stencil value is zero
         want = spla.spsolve(mat, np.append(ell, 0.0))
         # a policy whose drift and cost are bvals and ell, evaluated once
-        spec = replace(_const_model(0.0, k=d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell))
+        spec = replace(_const_model(0.0, k=d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell, np.zeros_like))
         sol = _policy_iteration(spec, _measure(0), rho, grid, 0.0, 1, None)
         assert np.array_equal(sol.w, want[:-1]) and sol.s == want[-1]
 
@@ -386,7 +391,7 @@ class TestContinuousDependence:
         assert normalized + gradient < 1e-10
         # the data of the two solves are the same, over the grid and a control mesh
         x, mesh = GRID.coordinates()[:, None, :], spec.control.mesh(129)[None, :, :]
-        (drift1, cost1), (drift2, cost2) = spec.coefficients(x, nu), spec.coefficients(x, nu)
+        (drift1, cost1, _), (drift2, cost2, _) = spec.coefficients(x, nu), spec.coefficients(x, nu)
         assert np.abs(drift1(mesh) - drift2(mesh)).max() == 0.0
         assert np.abs(cost1(mesh) - cost2(mesh)).max() == 0.0
 
@@ -427,7 +432,7 @@ class TestSmoke2D:
         nu = JointMeasure(rng.random((10, 2)), rng.uniform(-0.5, 0.5, (10, 2)), np.full(10, 0.1))
         sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-10)
         assert sol.converged
-        res, _, _, _ = equation_residual(spec, nu, 1.0, grid, _u(sol, 1.0))
+        res, _, _, _ = equation_residual(spec, spec.coefficients(grid.coordinates(), nu), 1.0, grid, _u(sol, 1.0))
         assert res <= 1e-10
 
 
@@ -439,12 +444,13 @@ def _value_iteration_oracle(spec, nu, rho, grid, tol=1e-9, max_sweeps=400_000):
     u = np.zeros(n)
     bound = spec.coef_bound
     tau = 1.0 / (rho + 2.0 / h**2 + 2.0 * bound / h)
-    drift, cost = spec.coefficients(x, nu)  # the measure is fixed: bind once
+    coefficients = spec.coefficients(x, nu)  # the measure is fixed: bind once
+    drift, cost, _ = coefficients
     for sweep in range(max_sweeps):
         right, left = np.roll(u, -1), np.roll(u, 1)
         lap = (right + left - 2.0 * u) / h**2
         du_c = (right - left) / (2.0 * h)
-        a = optimal_control(spec, x, du_c[:, None], nu)
+        a = optimal_control(spec, coefficients, du_c[:, None])
         b = drift(a)[:, 0]
         ell = cost(a)
         fwd = (right - u) / h

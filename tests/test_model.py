@@ -53,12 +53,12 @@ class TestPinnedValues:
 
     def test_hamiltonian_inner_branch(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0, radius=1.0)
-        h = hamiltonian_value(spec, X0, np.array([[0.5]]), _plain_nu())
+        h = hamiltonian_value(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.5]]))
         assert h[0] == pytest.approx(0.125, abs=1e-12)
 
     def test_hamiltonian_outer_branch(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0, radius=1.0)
-        h = hamiltonian_value(spec, X0, np.array([[2.0]]), _plain_nu())
+        h = hamiltonian_value(spec, spec.coefficients(X0, _plain_nu()), np.array([[2.0]]))
         assert h[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_constant_cost_zero_drift(self):
@@ -70,37 +70,38 @@ class TestPinnedValues:
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
                 lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 3.25),
+                None,
             ),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # flat objective trips the uniqueness probe
-            h = hamiltonian_value(spec, X0, np.array([[1.7]]), _plain_nu())
+            h = hamiltonian_value(spec, spec.coefficients(X0, _plain_nu()), np.array([[1.7]]))
         assert h[0] == pytest.approx(-3.25, abs=1e-9)
 
     def test_optimal_control_inner(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0, radius=1.0)
-        a = optimal_control(spec, X0, np.array([[0.5]]), _plain_nu())
+        a = optimal_control(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.5]]))
         assert a[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_control_zero_gradient(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0)
-        a = optimal_control(spec, X0, np.array([[0.0]]), _plain_nu())
+        a = optimal_control(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.0]]))
         assert a[0, 0] == 0.0
 
     def test_optimal_control_radial_2d(self):
         spec = example_one(d=2, delta=1.0, eps=0.0, kappa=0.0, radius=1.0)
         nu = _zero_control_measure(k=2)
-        a = optimal_control(spec, np.array([[0.5, 0.5]]), np.array([[3.0, 4.0]]), nu)
+        a = optimal_control(spec, spec.coefficients(np.array([[0.5, 0.5]]), nu), np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(a[0], [0.6, 0.8], atol=1e-12)
 
     def test_gradient_p_inner_branch(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0)
-        hp = hamiltonian_gradient_p(spec, X0, np.array([[0.5]]), _plain_nu())
+        hp = hamiltonian_gradient_p(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.5]]))
         assert hp[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_gradient_p_zero(self):
         spec = example_one(delta=1.0, eps=0.0, kappa=0.0)
-        hp = hamiltonian_gradient_p(spec, X0, np.array([[0.0]]), _plain_nu())
+        hp = hamiltonian_gradient_p(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.0]]))
         assert hp[0, 0] == 0.0
 
 
@@ -113,12 +114,11 @@ class TestGradientFiniteDifference:
         p = rng.uniform(-3, 3, (200, 1))
         # keep a margin around the branch-switch window |p| in [R/(d+eR), R/d]
         keep = (np.abs(p[:, 0]) < 1.0 / 1.3 - 0.05) | (np.abs(p[:, 0]) > 1.0 + 0.05)
-        x, p = x[keep], p[keep]
-        hp = hamiltonian_gradient_p(spec, x, p, nu)
+        coefficients = spec.coefficients(x[keep], nu)
+        p = p[keep]
+        hp = hamiltonian_gradient_p(spec, coefficients, p)
         step = 1e-5
-        fd = (
-            hamiltonian_value(spec, x, p + step, nu) - hamiltonian_value(spec, x, p - step, nu)
-        ) / (2 * step)
+        fd = (hamiltonian_value(spec, coefficients, p + step) - hamiltonian_value(spec, coefficients, p - step)) / (2 * step)
         assert np.abs(hp[:, 0] - fd).max() < 1e-6
 
 
@@ -129,8 +129,9 @@ class TestBruteForce:
         rng = np.random.default_rng(6)
         x = rng.random((50, 1))
         p = rng.uniform(-2, 2, (50, 1))
-        closed = optimal_control(spec, x, p, nu)
-        brute = brute_force_argmax(spec, x, p, nu, mesh=1001, _warn=False)
+        coefficients = spec.coefficients(x, nu)
+        closed = optimal_control(spec, coefficients, p)
+        brute = brute_force_argmax(spec, coefficients, p, mesh=1001, _warn=False)
         spacing = 2.0 * spec.control.radius / 1024  # snapped mesh has 1025 points
         assert np.abs(closed - brute).max() <= spacing
 
@@ -143,11 +144,12 @@ class TestBruteForce:
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]),
+                None,
             ),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = brute_force_argmax(spec, X0, np.array([[0.0]]), _plain_nu(), mesh=9)
+            a = brute_force_argmax(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.0]]), mesh=9)
         mesh = control.mesh(9)
         np.testing.assert_array_equal(a[0], mesh[0])
 
@@ -158,7 +160,7 @@ class TestBruteForce:
         p = np.array([[0.9]])
 
         def best_value(mesh_points):
-            a = brute_force_argmax(spec, x, p, nu, mesh=mesh_points, _warn=False)
+            a = brute_force_argmax(spec, spec.coefficients(x, nu), p, mesh=mesh_points, _warn=False)
             b = spec.drift(x, a, nu)
             ell = spec.running_cost(x, a, nu)
             return float((-(p * b).sum(-1) - ell)[0])
@@ -175,10 +177,11 @@ class TestBruteForce:
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1]),
+                None,
             ),
         )
         with pytest.warns(NonUniqueMaximizerWarning):
-            brute_force_argmax(spec, X0, np.array([[0.0]]), _plain_nu(), mesh=65)
+            brute_force_argmax(spec, spec.coefficients(X0, _plain_nu()), np.array([[0.0]]), mesh=65)
 
 
 class TestInvariants:
@@ -188,8 +191,9 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         x = rng.random((40, 1))
         p = rng.uniform(-2, 2, (40, 1))
-        h_closed = hamiltonian_value(spec, x, p, nu)
-        a_b = brute_force_argmax(spec, x, p, nu, mesh=257, _warn=False)
+        coefficients = spec.coefficients(x, nu)
+        h_closed = hamiltonian_value(spec, coefficients, p)
+        a_b = brute_force_argmax(spec, coefficients, p, mesh=257, _warn=False)
         h_brute = -(p * spec.drift(x, a_b, nu)).sum(-1) - spec.running_cost(x, a_b, nu)
         spacing = 2.0 * spec.control.radius / 256
         bound = (spec.coef_bound + np.abs(p[:, 0]) * spec.coef_bound) * spacing
@@ -203,8 +207,9 @@ class TestInvariants:
         x = rng.random((30, 1))
         p1 = rng.uniform(-2, 2, (30, 1))
         p2 = rng.uniform(-2, 2, (30, 1))
-        mid = hamiltonian_value(spec, x, (p1 + p2) / 2, nu)
-        avg = (hamiltonian_value(spec, x, p1, nu) + hamiltonian_value(spec, x, p2, nu)) / 2
+        coefficients = spec.coefficients(x, nu)
+        mid = hamiltonian_value(spec, coefficients, (p1 + p2) / 2)
+        avg = (hamiltonian_value(spec, coefficients, p1) + hamiltonian_value(spec, coefficients, p2)) / 2
         assert np.all(mid <= avg + 1e-9)
 
     def test_h_lipschitz_in_x(self):
@@ -216,8 +221,8 @@ class TestInvariants:
         x1 = rng.random((60, 1))
         x2 = rng.random((60, 1))
         p = rng.uniform(-2, 2, (60, 1))
-        h1 = hamiltonian_value(spec, x1, p, nu)
-        h2 = hamiltonian_value(spec, x2, p, nu)
+        h1 = hamiltonian_value(spec, spec.coefficients(x1, nu), p)
+        h2 = hamiltonian_value(spec, spec.coefficients(x2, nu), p)
         dist = torus_distance(x1, x2)
         bound = spec.coef_lip_x * (1 + np.abs(p[:, 0])) * dist + 1e-9
         assert np.all(np.abs(h1 - h2) <= bound)
@@ -236,8 +241,8 @@ class TestInvariants:
             w1 = wasserstein1_joint(nu1, nu2)
             x = rng.random((40, 1))
             p = rng.uniform(-0.9, 0.9, (40, 1))
-            a1 = optimal_control(spec, x, p, nu1)
-            a2 = optimal_control(spec, x, p, nu2)
+            a1 = optimal_control(spec, spec.coefficients(x, nu1), p)
+            a2 = optimal_control(spec, spec.coefficients(x, nu2), p)
             worst = max(worst, np.abs(a1 - a2).max() / w1)
         assert worst <= lam0 + 0.05
 
@@ -255,8 +260,8 @@ def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
     x = g.coordinates() if nodes_shape == "flat" else g.coordinates()[:, None, :]
     a = rng.uniform(-1.0, 1.0, x.shape[:-1] + (d,))
     spec = example_one(d=d, eps=0.3, kappa=0.7, potential=0.2)
-    drift, _ = spec.coefficients(x, nu)
-    general, _ = spec.coefficients(x, gridless)
+    drift, _, _ = spec.coefficients(x, nu)
+    general, _, _ = spec.coefficients(x, gridless)
     assert np.abs(drift(a) + a).max() > 1e-3  # the bump is not zero
     np.testing.assert_array_equal(drift(a), general(a))
 
@@ -393,8 +398,8 @@ class TestBuilders:
         p = rng.uniform(-2.0, 2.0, (16, 1))
 
         def read(spec):
-            nu = slice_measure(spec, times, measures)
-            return spec.drift(x, a, nu), spec.running_cost(x, a, nu), optimal_control(spec, x, p, nu)
+            drift, cost, _ = coefficients = spec.coefficients(x, slice_measure(spec, times, measures))
+            return drift(a), cost(a), optimal_control(spec, coefficients, p)
 
         builder = MODEL_BUILDERS[name]
         base = read(builder(d=1))
