@@ -88,9 +88,10 @@ def _require_object(payload) -> None:
 def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
     """payload[key] checked to be a kind, or default if the key is absent.
 
-    A float field also takes an int; no numeric field takes a bool.  A missing
-    key without a default, or a value of another type, is a ConfigError
-    naming the field.
+    A float field also takes an int; no numeric field takes a bool, and a
+    float field takes no NaN or infinity (JSON's NaN and Infinity tokens).  A
+    missing key without a default, or a value of another type, is a
+    ConfigError naming the field.
     """
     name = f"{where}.{key}" if where else str(key)
     if key not in payload:
@@ -102,6 +103,8 @@ def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
         value = float(value)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(name, f"expected {kind.__name__}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(name, "must be finite")
     return value
 
 
@@ -149,6 +152,8 @@ def parse_config(payload: dict) -> RunConfig:
     for key in params:
         if key not in accepted:
             raise ConfigError(f"model.params.{key}", f"not a parameter of model {name!r}")
+        if isinstance(params[key], float) and not np.isfinite(params[key]):
+            raise ConfigError(f"model.params.{key}", "must be finite")
 
     grid_cfg = _get(payload, "grid", dict)
     d = _get(grid_cfg, "d", int, "grid")
@@ -225,7 +230,7 @@ def parse_config(payload: dict) -> RunConfig:
     if m0_kind not in M0_BUILDERS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
 
-    return RunConfig(
+    cfg = RunConfig(
         model_name=name,
         model_params=params,
         d=d,
@@ -247,6 +252,12 @@ def parse_config(payload: dict) -> RunConfig:
         diagnostics=_get(payload, "diagnostics", bool, default=False),
         seed=seed,
     )
+    try:  # a density that overflows is non-finite, which its builder rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            build_initial_density(cfg, Grid(d, n))
+    except ValueError as exc:
+        raise ConfigError("m0", str(exc))
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -112,13 +112,15 @@ class CouplingConfig:
     full_sequence: bool = False
 
     def __post_init__(self) -> None:
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError("T and dt must be positive")
+        # written as not value > 0, so that NaN is rejected too
+        for name in ("T", "dt", "outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("max_outer", "inner_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        for name in ("outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.strategy not in ("gamma", "psi"):
             raise ValueError(f"strategy must be 'gamma' or 'psi', got {self.strategy!r}")
         seq = self.rho_sequence

@@ -168,21 +168,46 @@ class TestConfigValidation:
         assert err.value.field_name == "rho_sequence"
 
     @pytest.mark.parametrize(
-        "sequence",
+        "sequence, field_name",
         [
-            {"rho0": -1.0},
-            {"rho0": float("inf")},
-            {"rho0": float("nan")},
-            {"rho0": 5e-324, "factor": 0.9},
+            ({"rho0": -1.0}, "rho_sequence"),
+            ({"rho0": float("inf")}, "rho_sequence.rho0"),
+            ({"rho0": float("nan")}, "rho_sequence.rho0"),
+            ({"rho0": 5e-324, "factor": 0.9}, "rho_sequence"),
         ],
         ids=["negative", "infinite", "nan", "repeated-subnormal"],
     )
-    def test_bad_discount_sequence_exit_code(self, tmp_path, capsys, sequence):
+    def test_bad_discount_sequence_exit_code(self, tmp_path, capsys, sequence, field_name):
         # the sequence must give finite, positive, strictly decreasing
-        # discounts; 5e-324 * 0.9 rounds back to 5e-324
+        # discounts; 5e-324 * 0.9 rounds back to 5e-324, and a non-finite
+        # start is refused as the number it is
         payload = dict(MINIMAL, mode="ergodic", rho_sequence=sequence, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 2
-        assert "error: config field 'rho_sequence':" in capsys.readouterr().err
+        assert f"error: config field {field_name!r}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field_name, change",
+        [
+            ("time.T", {"time": {"T": float("inf"), "dt": 0.05}}),
+            ("tolerances.outer", {"tolerances": {"outer": float("nan")}}),
+            ("rho", {"rho": float("nan")}),
+            ("rho", {"rho": float("inf")}),
+            ("model.params.delta", {"model": {"name": "example1", "params": {"delta": float("nan")}}}),
+            ("model.params.radius", {"model": {"name": "example1", "params": {"radius": float("inf")}}}),
+        ],
+        ids=["T-infinite", "outer-nan", "rho-nan", "rho-infinite", "delta-nan", "radius-infinite"],
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, field_name, change):
+        # json reads the NaN and Infinity tokens as floats; each is a config
+        # error naming its field, not a traceback, a stalled run or a run
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"), **change)
+        path = _write(tmp_path, payload)
+        text = Path(path).read_text()
+        assert "NaN" in text or "Infinity" in text
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config field {field_name!r}: must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_model(self):
@@ -214,6 +239,19 @@ class TestConfigValidation:
         payload = dict(MINIMAL, m0=m0, output_dir=str(tmp_path / "out"))
         assert main([command, _write(tmp_path, payload)]) == 2
         assert f"config field {field_name!r}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unbuildable_m0_exit_code(self, tmp_path, capsys, command):
+        # exp overflows at this concentration, so the density cannot be
+        # normalized: a config error while parsing, for every sweep point too
+        m0 = {"kind": "vonmises", "concentration": 1e6}
+        payload = dict(MINIMAL, m0=m0, output_dir=str(tmp_path / "out"))
+        if command == "sweep":
+            payload["sweep"] = {"rho": [1.0, 0.5]}
+        assert main([command, _write(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config field 'm0': density contains non-finite values" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_m0_params_typed(self):

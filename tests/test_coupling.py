@@ -550,6 +550,19 @@ class TestErgodicDriver:
         for accepted in ((), (1.0, 0.5), (1.0, 0.5, 1e-3)):
             assert CouplingConfig(T=0.2, dt=0.1, rho_sequence=accepted).rho_sequence == accepted
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [("T", 0.0), ("T", np.nan), ("dt", -0.1), ("dt", np.nan), ("outer_tol", 0.0), ("outer_tol", np.nan),
+         ("inner_tol", np.nan), ("hjb_tol", -1e-12), ("ergodic_tol", np.nan),
+         ("max_outer", 0), ("inner_max_iter", 0), ("inner_max_iter", -3)],
+    )
+    def test_config_values_validated(self, field_name, value):
+        # positivity checks reject NaN too, and a cap of 0 iterations would
+        # return an unsolved "solution"
+        with pytest.raises(ValueError, match=field_name):
+            CouplingConfig(**{"T": 0.2, "dt": 0.1, field_name: value})
+        assert CouplingConfig(T=0.2, dt=0.1, max_outer=1, inner_max_iter=1).max_outer == 1
+
     def test_full_sequence_needs_a_sequence(self):
         # a discounted config has no sequence to run in full
         with pytest.raises(ValueError, match="full_sequence"):
