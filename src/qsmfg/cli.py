@@ -14,7 +14,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description, deserialized from a JSON config file."""
+    """Validated run description, deserialized from a JSON config file: the
+    model and initial density it describes, built once; the grid is
+    m0.grid."""
 
-    model_name: str
-    model_params: dict
-    d: int
-    n: int
+    spec: ModelSpec
+    m0: DensityField
     coupling: CouplingConfig  # time grid, discount or discount sequence, tolerances, strategy
-    m0_kind: str = "uniform"
-    m0_params: dict = field(default_factory=dict)
     output_dir: str = "out"
     diagnostics: bool = False
     seed: int = 0
@@ -196,6 +194,8 @@ def parse_config(payload: dict) -> RunConfig:
             if key in payload:
                 raise ConfigError(key, "only ergodic mode reads it")
     else:
+        if "rho" in payload:
+            raise ConfigError("rho", "only discounted mode reads it")
         seq_cfg = _get(payload, "rho_sequence", dict)
         rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
         factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
@@ -229,12 +229,16 @@ def parse_config(payload: dict) -> RunConfig:
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
     if m0_kind not in M0_BUILDERS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
+    m0_params = _m0_params(m0_cfg, m0_kind, d)
+    try:  # a density that overflows is non-finite, which its builder rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            m0 = M0_BUILDERS[m0_kind](Grid(d, n), **m0_params)
+    except ValueError as exc:
+        raise ConfigError("m0", str(exc))
 
-    cfg = RunConfig(
-        model_name=name,
-        model_params=params,
-        d=d,
-        n=n,
+    return RunConfig(
+        spec=spec,
+        m0=m0,
         coupling=CouplingConfig(
             T=T,
             dt=dt,
@@ -246,18 +250,10 @@ def parse_config(payload: dict) -> RunConfig:
             full_sequence=_get(payload, "full_sequence", bool, default=False),
             **{TOLERANCE_FIELDS[key]: float(value) for key, value in tols.items()},
         ),
-        m0_kind=m0_kind,
-        m0_params=_m0_params(m0_cfg, m0_kind, d),
         output_dir=_get(payload, "output_dir", str, default="out"),
         diagnostics=_get(payload, "diagnostics", bool, default=False),
         seed=seed,
     )
-    try:  # a density that overflows is non-finite, which its builder rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            build_initial_density(cfg, Grid(d, n))
-    except ValueError as exc:
-        raise ConfigError("m0", str(exc))
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -268,10 +264,6 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("json", f"config is not valid JSON: {exc}")
     return parse_config(payload)
-
-
-def build_initial_density(cfg: RunConfig, grid: Grid) -> DensityField:
-    return M0_BUILDERS[cfg.m0_kind](grid, **cfg.m0_params)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -297,7 +289,7 @@ def _trajectory_rows(times, fields):
     return ((t, node, v) for t, f in zip(times, fields) for node, v in enumerate(f))
 
 
-def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
+def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.values for m in sol.m]))
     _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
@@ -329,9 +321,9 @@ def _write_outputs(cfg: RunConfig, spec: ModelSpec, sol: TrajectorySolution, out
             ((t, it, res) for t, hist in zip(sol.times, histories) for it, res in enumerate(hist, start=1)),
         )
 
-    kset = regularity_report(sol, spec=spec, seed=cfg.seed)
+    kset = regularity_report(sol, spec=cfg.spec, seed=cfg.seed)
     summary = {
-        "model": cfg.model_name,
+        "model": cfg.spec.name,
         "mode": cfg.mode,
         "strategy": cfg.coupling.strategy,
         "converged": bool(sol.converged),
@@ -359,15 +351,12 @@ def _solve_and_write(cfg: RunConfig) -> TrajectorySolution | None:
     """Solve one validated config and write its outputs; the run path shared
     by run and sweep.  A solver failure is reported and returns None."""
     started = time.perf_counter()
-    grid = Grid(cfg.d, cfg.n)
-    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    m0 = build_initial_density(cfg, grid)
     try:
-        sol = solve_system(spec, m0, cfg.coupling)
+        sol = solve_system(cfg.spec, cfg.m0, cfg.coupling)
     except (RuntimeError, ValueError) as exc:
         print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
         return None
-    _write_outputs(cfg, spec, sol, Path(cfg.output_dir), time.perf_counter() - started)
+    _write_outputs(cfg, sol, Path(cfg.output_dir), time.perf_counter() - started)
     return sol
 
 
@@ -394,9 +383,7 @@ def validate(config_path: str) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = Grid(cfg.d, cfg.n)
-    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    report = check_model(spec, grid, seed=cfg.seed)
+    report = check_model(cfg.spec, cfg.m0.grid, seed=cfg.seed)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

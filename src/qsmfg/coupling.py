@@ -298,19 +298,21 @@ def _max_joint_w1(pairs, scales, state_w1s, tol: float = -np.inf) -> float:
     return best
 
 
-def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, measures, policies):
-    """One Fokker-Planck evolution from m0: the drift of slice j's policy and
-    measure drives the step from t_j, so the last slice's drift is not needed."""
-    steps = zip(policies[: config.n_steps], measures)
-    return fp_evolve(m0, [drift_field(spec, m0.grid, a, nu) for a, nu in steps], config.dt)
+def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, bindings, policies):
+    """One Fokker-Planck evolution from m0: the drift of slice j's policy in
+    slice j's binding, the one its HJB solve read, drives the step from t_j,
+    so the last slice's drift is not needed."""
+    steps = zip(policies[: config.n_steps], bindings)
+    return fp_evolve(m0, [drift_field(spec, m0.grid, a, c) for a, c in steps], config.dt)
 
 
 def _picard(spec, m0, config, slice_solve, outer_error):
     """The outer Picard loop both strategies share.
 
     Each pass calls slice_solve(previous policies), which returns the
-    per-slice measures the Hamiltonians read and the optimal policies;
-    evolves the density once with their drifts; and logs the row
+    per-slice bindings spec.coefficients(grid.coordinates(), nu) of the
+    measures the Hamiltonians read, and the optimal policies; evolves the
+    density once with their drifts; and logs the row
     (pass, *outer_error(trajectory, policies)), whose first entry is the
     total error tested against the outer tolerance.  Returns
     (log, last policies, converged).
@@ -391,7 +393,7 @@ def _field_picard(spec, m0, config, initial=None):
     finish), finish() re-solving each slice once and probing the result."""
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
-    grid = m0.grid
+    grid, x = m0.grid, m0.grid.coordinates()
     n_slices = config.n_steps + 1
 
     if initial is None:
@@ -408,17 +410,18 @@ def _field_picard(spec, m0, config, initial=None):
 
     def slice_solve(_policies_prev):
         nonlocal fixed_points, hjbs
-        fixed_points, hjbs = [], []
+        fixed_points, hjbs, bindings = [], [], []
         for m, du in zip(m_list, du_list):
             res = solve_joint_measure(
                 m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
             )
             fixed_points.append(res)
+            bindings.append(spec.coefficients(x, res.mu))
             hjbs.append(solve_discounted(
-                spec, res.mu, config.rho, grid, tol=config.hjb_tol, warm_start=res.mu.a,
+                spec, bindings[-1], config.rho, grid, tol=config.hjb_tol, warm_start=res.mu.a,
             ))
         failed.update(_failed_checks(inner=fixed_points, hjb=hjbs))
-        return [res.mu for res in fixed_points], [h.policy for h in hjbs]
+        return bindings, [h.policy for h in hjbs]
 
     def outer_error(traj, _policies):
         nonlocal m_list, du_list
@@ -464,7 +467,7 @@ def solve_measure_iteration(
 def _measure_picard(spec, m0, config, initial=None):
     """solve_measure_iteration's Picard part: (the last pass's unprobed
     solution, finish), finish() running one more pass and probing the result."""
-    grid = m0.grid
+    grid, x = m0.grid, m0.grid.coordinates()
     times = config.times()
     n_slices = config.n_steps + 1
 
@@ -480,15 +483,15 @@ def _measure_picard(spec, m0, config, initial=None):
 
     def slice_solve(warm):
         nonlocal hjbs
-        measures = [_slice_context(spec, times, mu_traj, j) for j in range(n_slices)]
+        bindings = [spec.coefficients(x, _slice_context(spec, times, mu_traj, j)) for j in range(n_slices)]
         hjbs = [
             solve_discounted(
-                spec, nu, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None,
+                spec, coefficients, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None,
             )
-            for j, nu in enumerate(measures)
+            for j, coefficients in enumerate(bindings)
         ]
         failed.update(_failed_checks(hjb=hjbs))
-        return measures, [h.policy for h in hjbs]
+        return bindings, [h.policy for h in hjbs]
 
     def outer_error(traj, policies):
         nonlocal mu_traj, m_traj
@@ -501,8 +504,8 @@ def _measure_picard(spec, m0, config, initial=None):
     log, policies, converged = _picard(spec, m0, config, slice_solve, outer_error)
 
     def finish():
-        measures, final = slice_solve(policies)
-        traj = _evolve(spec, m0, config, measures, final)
+        bindings, final = slice_solve(policies)
+        traj = _evolve(spec, m0, config, bindings, final)
         mu = [pushforward(m, a) for m, a in zip(traj, final)]
         return _solution(spec, config, _unprobed(config, log, converged, failed, traj, hjbs, mu))
 
@@ -594,13 +597,14 @@ def solve_vanishing_discount(
             break
 
     # the reported level alone is finished; its pairs are then measured in
-    # the ergodic equation (rho = 0) and against the direct ergodic solver
+    # the ergodic equation (rho = 0) and against the direct ergodic solver,
+    # both on one binding per slice
     levels[-1] = sol = finish()
     ergodic_res, direct_gaps = [], []
     for j, (w, s) in enumerate(zip(sol.w, sol.s)):
-        nu = _slice_context(spec, sol.times, sol.mu, j)
-        ergodic_res.append(equation_residual(spec, spec.coefficients(grid.coordinates(), nu), 0.0, grid, w, s)[0])
-        es = solve_ergodic(spec, nu, grid, tol=config.hjb_tol)
+        coefficients = spec.coefficients(grid.coordinates(), _slice_context(spec, sol.times, sol.mu, j))
+        ergodic_res.append(equation_residual(spec, coefficients, 0.0, grid, w, s)[0])
+        es = solve_ergodic(spec, coefficients, grid, tol=config.hjb_tol)
         direct_gaps.append(abs(es.s - s) + float(np.abs(es.w - w).max()))
 
     failed = set().union(*(lv.diagnostics["failures"] for lv in levels))
@@ -666,8 +670,7 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, se
         ell_max = 0.0
         x = grid.coordinates()[:, None, :]
         for j in range(n):
-            nu = _slice_context(spec, sol.times, sol.mu, j)
-            vals = spec.running_cost(x, mesh[None, :, :], nu)
+            vals = spec.coefficients(x, _slice_context(spec, sol.times, sol.mu, j))[1](mesh[None, :, :])
             ell_max = max(ell_max, float(np.abs(vals).max()))
         report["running_cost_sup"] = ell_max
 

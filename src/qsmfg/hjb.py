@@ -30,14 +30,16 @@ value_function reads it as (u, lam), u = w + s/rho for rho > 0 and
 of s/rho, which grows as the discount vanishes, so residuals and policies are
 computed on the pair, never on u.
 
-The measure is frozen within a solve, so each solve binds the model's
-coefficients to the grid nodes and the measure once (ModelSpec.coefficients)
-and reads the measure only through that binding's drift, cost and maximizer:
-the measure terms are computed once per solve, and the drift and running cost
-of each policy once.  The improvement step is equation_residual: at the
-current pair it returns the residual, the improved policy, and that policy's
-drift and cost, which the next evaluation assembles its matrix and
-right-hand side from.
+The measure is frozen within a time slice, so a solve never sees it: the
+caller binds the model's coefficients to the grid nodes and the slice's
+measure once, coefficients = spec.coefficients(grid.coordinates(), nu), and
+the solve reads only that binding's drift, cost and maximizer.  The same
+binding then serves the slice's Fokker-Planck drift and residual checks, so
+the measure terms are computed once per slice, and the drift and running
+cost of each policy once per solve.  The improvement step is
+equation_residual: at the current pair it returns the residual, the improved
+policy, and that policy's drift and cost, which the next evaluation
+assembles its matrix and right-hand side from.
 
 Howard's loop stops when the residual meets the tolerance or when the
 improved policy repeats the last one bit for bit.  A repeated policy is an
@@ -55,7 +57,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .grid import Grid, _direct_solve, gradient_central, gradient_upwind, laplacian, node_values
-from .measure import JointMeasure
 from .model import ModelSpec, policy_field
 
 __all__ = [
@@ -178,27 +179,29 @@ def equation_residual(
 
 def solve_discounted(
     spec: ModelSpec,
-    nu: JointMeasure,
+    coefficients: tuple,
     rho: float,
     grid: Grid,
     tol: float = 1e-10,
     max_iter: int = 80,
     warm_start: np.ndarray | None = None,
 ) -> HjbSolution:
-    """Policy iteration for the discounted stationary HJB equation, started
+    """Policy iteration for the discounted stationary HJB equation of the
+    binding coefficients = spec.coefficients(grid.coordinates(), nu), started
     from the (n^d, k) policy warm_start when one is given."""
     if rho <= 0:
         raise ValueError(f"discounted solve needs rho > 0, got {rho}")
-    return _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start)
+    return _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start)
 
 
-def solve_ergodic(spec: ModelSpec, nu: JointMeasure, grid: Grid, tol: float = 1e-10) -> HjbSolution:
-    """Ergodic cell problem, normalized by w(x0) = 0: the ergodic constant is
-    the extra unknown s of the augmented system (rho = 0), read as lam."""
-    return _policy_iteration(spec, nu, 0.0, grid, tol, 80, None)
+def solve_ergodic(spec: ModelSpec, coefficients: tuple, grid: Grid, tol: float = 1e-10) -> HjbSolution:
+    """Ergodic cell problem of the binding coefficients, normalized by
+    w(x0) = 0: the ergodic constant is the extra unknown s of the augmented
+    system (rho = 0), read as lam."""
+    return _policy_iteration(spec, coefficients, 0.0, grid, tol, 80, None)
 
 
-def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
+def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) -> HjbSolution:
     """Howard's algorithm in the normalized variables (w, s), w(x0) = 0.
 
     Returns the pair at which the last residual was measured.  A policy
@@ -206,14 +209,12 @@ def _policy_iteration(spec, nu, rho, grid, tol, max_iter, warm_start) -> HjbSolu
     is assembled, and so is a singular evaluation or one with non-finite
     values.
 
-    The coefficients and the evaluation pattern are bound once, so nu is
-    read once.  Each policy's drift and cost are computed once: for the
-    starting policy here, for every later one by the improvement step that
-    produces it.
+    The evaluation pattern is built once.  Each policy's drift and cost are
+    computed once: for the starting policy here, for every later one by the
+    improvement step that produces it.
     The loop stops at the tolerance or at a policy that repeats bit for
     bit.
     """
-    coefficients = spec.coefficients(grid.coordinates(), nu)
     if warm_start is not None:
         policy = node_values(grid, warm_start, "warm_start", spec.control.k)
     else:

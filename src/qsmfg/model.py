@@ -5,9 +5,10 @@ declared regularity constants.  The coefficient map binds the state points x
 and a measure nu once and returns a -> b(x,a;nu), a -> l(x,a;nu) and the
 maximizer p -> alpha*(x,p;nu), or None for a model without a closed form.  In
 the quasi-stationary system the measure is frozen within a time slice, so a
-slice's HJB solve binds once and reads the measure only through the binding.
-ModelSpec.drift and ModelSpec.running_cost are the pointwise reads of the
-same map.  The Hamiltonian is always the control supremum
+slice binds once, and its HJB solve, its Fokker-Planck drift (drift_field)
+and its residual checks read the measure only through that binding.  There
+is no pointwise read of b or l: every evaluation goes through a binding.
+The Hamiltonian is always the control supremum
 
     H(x, p; nu) = sup_a { -p . b(x,a;nu) - l(x,a;nu) },
 
@@ -177,14 +178,6 @@ class ModelSpec:
     kernel: Optional[Callable] = None  # memory kernel K(tau), history models
     params: dict = field(default_factory=dict)
 
-    def drift(self, x, a, nu) -> np.ndarray:
-        """b(x, a; nu), shape (..., d)."""
-        return self.coefficients(x, nu)[0](a)
-
-    def running_cost(self, x, a, nu) -> np.ndarray:
-        """l(x, a; nu), shape (...,)."""
-        return self.coefficients(x, nu)[1](a)
-
 
 def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[JointMeasure]) -> JointMeasure:
     """The joint measure the Hamiltonian reads at times[-1], the last slice of
@@ -277,10 +270,11 @@ def policy_field(spec: ModelSpec, grid: Grid, du: np.ndarray, coefficients: tupl
     return a
 
 
-def drift_field(spec: ModelSpec, grid: Grid, policy: np.ndarray, nu: JointMeasure) -> np.ndarray:
+def drift_field(spec: ModelSpec, grid: Grid, policy: np.ndarray, coefficients: tuple) -> np.ndarray:
     """The Fokker-Planck drift H_p = -b(x, a(x); nu) of the (n^d, k) policy
-    as an (n^d, d) array."""
-    return -spec.drift(grid.coordinates(), node_values(grid, policy, "policy", spec.control.k), nu)
+    as an (n^d, d) array, for the binding
+    spec.coefficients(grid.coordinates(), nu)."""
+    return -coefficients[0](node_values(grid, policy, "policy", spec.control.k))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +288,8 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
 
     The bump weighs every atom by its torus distance to x.  When nu's atoms
     sit at the nodes of nu.grid (a pushforward) and x, flattened to (-1, d),
-    is those same nodes (the HJB and FP bindings, and the (N, 1, d) one of
-    regularity_report), the distances are read from the grid's
+    is those same nodes (a slice's binding, which its HJB solve and FP
+    drift share, and the (N, 1, d) one of regularity_report), the distances are read from the grid's
     node_distances(); every other call (memory aggregates, which carry no
     grid, and off-grid points) computes them with torus_distance.
     Both compute the same elementwise arithmetic, so the bump is bit-equal.

@@ -168,22 +168,24 @@ def test_criterion_03_hjb_identities():
             lambda p: np.zeros(np.shape(p)),
         ),
     )
-    sol = solve_discounted(const, _measure(1), 1.0, grid, tol=1e-13)
+    x = grid.coordinates()
+    sol = solve_discounted(const, const.coefficients(x, _measure(1)), 1.0, grid, tol=1e-13)
     assert np.abs(value_function(sol.w, sol.s, 1.0)[0] - 2.0).max() <= 1e-11
 
     # (b) separated cost: discounted shift (l1(nu1) - l1(nu2)) / rho within 1e-10
     spec = separated_cost(d=1, coupling_weight=0.5)
     nu1, nu2 = _measure(2), _measure(3)
     rho = 0.7
-    s1 = solve_discounted(spec, nu1, rho, grid, tol=1e-13)
-    s2 = solve_discounted(spec, nu2, rho, grid, tol=1e-13)
+    bound1, bound2 = spec.coefficients(x, nu1), spec.coefficients(x, nu2)
+    s1 = solve_discounted(spec, bound1, rho, grid, tol=1e-13)
+    s2 = solve_discounted(spec, bound2, rho, grid, tol=1e-13)
     shift = 0.5 * (nu1.mean_control()[0] - nu2.mean_control()[0]) / rho
     u1, u2 = value_function(s1.w, s1.s, rho)[0], value_function(s2.w, s2.s, rho)[0]
     assert np.abs((u1 - u2) - shift).max() <= 1e-10
 
     # (c) ergodic separated cost: u independent of the measure within 1e-9
-    e1 = solve_ergodic(spec, nu1, grid, tol=1e-13)
-    e2 = solve_ergodic(spec, nu2, grid, tol=1e-13)
+    e1 = solve_ergodic(spec, bound1, grid, tol=1e-13)
+    e2 = solve_ergodic(spec, bound2, grid, tol=1e-13)
     assert np.abs(value_function(e1.w, e1.s, 0.0)[0] - value_function(e2.w, e2.s, 0.0)[0]).max() <= 1e-9
 
 
@@ -356,8 +358,8 @@ def test_criterion_12_closed_forms():
     assert np.abs(a_closed - a_brute).max() <= spacing
 
     h_closed = hamiltonian_value(spec, coefficients, p)
-    bv = spec.drift(x, a_brute, nu)
-    lv = spec.running_cost(x, a_brute, nu)
+    drift, cost, _ = coefficients
+    bv, lv = drift(a_brute), cost(a_brute)
     h_brute = -(p * bv).sum(axis=-1) - lv
     bound = (spec.coef_bound + np.abs(p[:, 0]) * spec.coef_bound) * spacing
     assert np.all(h_closed - h_brute >= -1e-12)

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsmfg.cli import ConfigError, build_initial_density, load_config, main, parse_config
+from qsmfg.cli import ConfigError, load_config, main, parse_config
 from qsmfg.coupling import solve_system
 from qsmfg.grid import Grid
-from qsmfg.model import MODEL_BUILDERS, build_model, separated_cost
+from qsmfg.measure import two_bump_density, von_mises_density
+from qsmfg.model import MODEL_BUILDERS, separated_cost
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).parent.parent / "perfbench" / "workloads"
@@ -23,6 +24,8 @@ MINIMAL = {
     "strategy": "gamma",
     "rho": 1.0,
 }
+# ergodic mode reads no rho
+ERGODIC = dict({k: v for k, v in MINIMAL.items() if k != "rho"}, mode="ergodic")
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -38,8 +41,8 @@ def _summary(out_dir):
 class TestConfigValidation:
     def test_minimal_parses(self):
         cfg = parse_config(dict(MINIMAL))
-        assert cfg.model_name == "separated"
-        assert cfg.n == 32
+        assert cfg.spec.name == "separated"
+        assert cfg.m0.grid.n == 32
 
     def test_missing_field_named(self):
         bad = {k: v for k, v in MINIMAL.items() if k != "grid"}
@@ -114,7 +117,8 @@ class TestConfigValidation:
         ],
     )
     def test_wrongly_typed_value_exit_code(self, tmp_path, capsys, command, field_name, change):
-        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"), **change)
+        base = ERGODIC if change.get("mode") == "ergodic" else MINIMAL
+        payload = dict(base, output_dir=str(tmp_path / "out"), **change)
         assert main([command, _write(tmp_path, payload)]) == 2
         assert f"config field {field_name!r}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -161,8 +165,22 @@ class TestConfigValidation:
         assert f"error: config field {key!r}: only ergodic mode reads it" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("rho", [-5.0, 0.0, 1.0, 1e6])
+    def test_rho_in_ergodic_mode_exit_code(self, tmp_path, capsys, command, rho):
+        # an ergodic run never reads rho, so setting it is a config error
+        # at any value, for a sweep as soon as one point sets it
+        payload = dict(ERGODIC, rho_sequence={"count": 3}, output_dir=str(tmp_path / "out"))
+        if command == "sweep":
+            payload["sweep"] = {"rho": [rho]}
+        else:
+            payload["rho"] = rho
+        assert main([command, _write(tmp_path, payload)]) == 2
+        assert "error: config field 'rho': only discounted mode reads it" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ergodic_requires_sequence(self):
-        bad = dict(MINIMAL, mode="ergodic")
+        bad = dict(ERGODIC)
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         assert err.value.field_name == "rho_sequence"
@@ -181,7 +199,7 @@ class TestConfigValidation:
         # the sequence must give finite, positive, strictly decreasing
         # discounts; 5e-324 * 0.9 rounds back to 5e-324, and a non-finite
         # start is refused as the number it is
-        payload = dict(MINIMAL, mode="ergodic", rho_sequence=sequence, output_dir=str(tmp_path / "out"))
+        payload = dict(ERGODIC, rho_sequence=sequence, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 2
         assert f"error: config field {field_name!r}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -255,12 +273,14 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     def test_m0_params_typed(self):
+        # integer parameters are read as the floats they stand for
         m0 = {"kind": "vonmises", "center": [0, 0.5], "concentration": 3}
         cfg = parse_config(dict(MINIMAL, grid={"d": 2, "n": 16}, m0=m0))
-        assert cfg.m0_params == {"center": [0.0, 0.5], "concentration": 3.0}
-        assert all(type(v) is float for v in cfg.m0_params["center"])
+        expected = von_mises_density(Grid(2, 16), center=[0.0, 0.5], concentration=3.0)
+        assert cfg.m0.grid == expected.grid
+        assert cfg.m0.values.tobytes() == expected.values.tobytes()
         cfg = parse_config(dict(MINIMAL, m0={"kind": "twobump", "centers": [0.2, 1]}))
-        assert cfg.m0_params == {"centers": [0.2, 1.0]}
+        assert cfg.m0.values.tobytes() == two_bump_density(Grid(1, 32), centers=[0.2, 1.0]).values.tobytes()
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError):
@@ -361,8 +381,7 @@ class TestRun:
 
     def test_ergodic_run_writes_lambda(self, tmp_path):
         payload = dict(
-            MINIMAL,
-            mode="ergodic",
+            ERGODIC,
             rho_sequence={"rho0": 1.0, "factor": 0.5, "count": 6},
             tolerances={"ergodic": 1e-3},
             output_dir=str(tmp_path / "out"),
@@ -420,8 +439,7 @@ def written_run(request, tmp_path_factory):
     path = _write(tmp, payload)
     assert main(["run", path]) == 0
     cfg = load_config(path)
-    spec = build_model(cfg.model_name, d=cfg.d, **cfg.model_params)
-    sol = solve_system(spec, build_initial_density(cfg, Grid(cfg.d, cfg.n)), cfg.coupling)
+    sol = solve_system(cfg.spec, cfg.m0, cfg.coupling)
     return tmp / "out", cfg, sol
 
 
@@ -438,7 +456,7 @@ class TestRunOutputs:
 
     def test_trajectory_csv_rows(self, written_run):
         out, cfg, sol = written_run
-        grid = Grid(cfg.d, cfg.n)
+        grid = cfg.m0.grid
         for name, fields in (("trajectory_m.csv", [m.values for m in sol.m]), ("trajectory_u.csv", sol.u)):
             _, rows = _read_csv(out / name)
             assert len(rows) == (cfg.coupling.n_steps + 1) * grid.size
@@ -453,17 +471,19 @@ class TestRunOutputs:
         header = json.loads(header.decode("ascii"))
         times = cfg.coupling.times()
         steps = len(times) - 1
-        assert header == {"d": cfg.d, "n": cfg.n, "dt": times[1] - times[0], "T": times[-1], "steps": steps}
-        grid = Grid(cfg.d, cfg.n)
+        grid = cfg.m0.grid
+        assert header == {"d": grid.d, "n": grid.n, "dt": times[1] - times[0], "T": times[-1], "steps": steps}
+        grid = cfg.m0.grid
         binary = np.frombuffer(payload, dtype=np.float64).reshape((len(times),) + grid.shape)
         np.testing.assert_array_equal(binary, _trajectory_values(out / "trajectory_m.csv", grid)[1])
 
     def test_u_final_round_trip(self, written_run):
         out, cfg, sol = written_run
         header, rows = _read_csv(out / "u_final.csv")
-        assert header == ",".join(["i", "j"][: cfg.d] + ["value"])
-        assert len(rows) == cfg.n**cfg.d
-        values = np.full((cfg.n,) * cfg.d, np.nan)
+        grid = cfg.m0.grid
+        assert header == ",".join(["i", "j"][: grid.d] + ["value"])
+        assert len(rows) == grid.size
+        values = np.full(grid.shape, np.nan)
         for *idx, v in rows:
             values[tuple(int(i) for i in idx)] = float(v)
         np.testing.assert_array_equal(values.ravel(), sol.u[-1])
@@ -471,14 +491,14 @@ class TestRunOutputs:
     def test_mu_csv_weights_are_density_times_cell_volume(self, written_run):
         out, cfg, sol = written_run
         header, rows = _read_csv(out / "mu.csv")
-        assert header == ",".join(["t", *(f"x{i}" for i in range(cfg.d)), *(f"a{i}" for i in range(cfg.d)), "w"])
-        grid = Grid(cfg.d, cfg.n)
+        grid = cfg.m0.grid
+        assert header == ",".join(["t", *(f"x{i}" for i in range(grid.d)), *(f"a{i}" for i in range(grid.d)), "w"])
         cells = np.array(rows, dtype=float).reshape(len(sol.times), grid.size, -1)
         _, density = _trajectory_values(out / "trajectory_m.csv", grid)
         np.testing.assert_array_equal(cells[:, 0, 0], sol.times)
         np.testing.assert_array_equal(cells[:, :, -1], density.reshape(len(sol.times), -1) * grid.cell_volume)
-        np.testing.assert_array_equal(cells[:, :, 1 : 1 + cfg.d], np.stack([mu.x for mu in sol.mu]))
-        np.testing.assert_array_equal(cells[:, :, 1 + cfg.d : -1], np.stack([mu.a for mu in sol.mu]))
+        np.testing.assert_array_equal(cells[:, :, 1 : 1 + grid.d], np.stack([mu.x for mu in sol.mu]))
+        np.testing.assert_array_equal(cells[:, :, 1 + grid.d : -1], np.stack([mu.a for mu in sol.mu]))
 
     def test_logs_match_the_solve(self, written_run):
         out, _, sol = written_run
@@ -563,6 +583,19 @@ def test_only_grid_binds_superlu():
                 imports_linalg = any(name.startswith("scipy.sparse.linalg") for name in names)
                 assert not imports_linalg, f"{path.name}:{node.lineno} imports scipy.sparse.linalg"
     assert binders == {"grid.py"}
+
+
+def test_measure_read_only_through_bindings():
+    # a slice's measure reaches the HJB solve only through its coefficient
+    # binding, so hjb.py imports nothing from qsmfg.measure; and no module
+    # reads b or l pointwise (spec.drift, spec.running_cost), a read that
+    # would bind the measure again on every call
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node, names in _names(path):
+            if path.name == "hjb.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not any("measure" in name.split(".") for name in names), f"hjb.py:{node.lineno} imports measure"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("drift", "running_cost"), f"{path.name}:{node.lineno} reads .{node.attr}"
 
 
 class TestShippedConfigs:

@@ -405,6 +405,25 @@ class TestMeasureIteration:
         assert sol.mu_residuals.max() <= cfg.inner_tol
         assert sol.hjb_residuals.max() <= cfg.hjb_tol
 
+    def test_one_binding_per_slice(self):
+        # each pass binds every slice's measure once, and the slice's HJB
+        # solve and Fokker-Planck drift read that binding, so an FP step binds
+        # nothing; the finish runs one more pass, and its probe binds each
+        # stored measure once
+        base = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
+        bindings = []
+
+        def coefficients(x, nu):
+            bindings.append(nu)
+            return base.coefficients(x, nu)
+
+        spec = replace(base, coefficients=coefficients)
+        cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=5e-9, inner_tol=1e-8, hjb_tol=1e-11, strategy="psi")
+        sol = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
+        passes = sol.diagnostics["outer_iterations"]
+        assert sol.converged and passes >= 2
+        assert len(bindings) == (passes + 2) * sol.n_slices
+
     def test_memory_model_gradient_modulus_uniform_in_rho(self):
         # empirical gradient modulus in time, uniform over a discount sweep:
         # max over rho of the measured modulus within a factor 2 of the min
@@ -689,7 +708,7 @@ class TestErgodicDriver:
         assert sol.hjb_residuals.max() <= cfg.hjb_tol
         assert sol.converged and sol.diagnostics["failures"] == []
         nu_any = sol.mu[0]
-        base_sol = solve_ergodic(base, nu_any, GRID, tol=1e-12)
+        base_sol = solve_ergodic(base, base.coefficients(GRID.coordinates(), nu_any), GRID, tol=1e-12)
         for j in range(sol.n_slices):
             expected = value_function(base_sol.w, base_sol.s, 0.0)[1] - 0.4 * sol.mu[j].mean_control()[0]
             assert sol.lam[j] == pytest.approx(expected, abs=2e-4)

@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from qsmfg import fp
 from qsmfg.fp import fp_evolve, fp_step, transport_generator
 from qsmfg.grid import Grid
 from qsmfg.measure import DensityField, two_bump_density, uniform_density, von_mises_density
@@ -124,6 +125,24 @@ class TestSingleStep:
             m = fp_step(m, g, 0.02)
             assert abs(m.mass() - 1.0) <= 1e-12
             assert m.values.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "message, alter",
+        [
+            ("non-finite values", lambda v: np.where(np.arange(v.size) == 3, np.nan, v)),
+            ("positivity lost", lambda v: np.where(np.arange(v.size) == 3, -1e-10, v)),
+            ("mass drift", lambda v: v * (1.0 + 1e-9)),
+        ],
+        ids=["non-finite", "negative", "mass-drift"],
+    )
+    def test_bad_solve_is_a_solver_error(self, monkeypatch, message, alter):
+        # the M-matrix forbids each of these, so a linear solve that returns
+        # a non-finite value, a value below -STEP_NEGATIVE_TOL or a mass off
+        # by more than STEP_MASS_TOL is a RuntimeError, not a density
+        solve = fp._direct_solve
+        monkeypatch.setattr(fp, "_direct_solve", lambda *args, **kwargs: alter(solve(*args, **kwargs)))
+        with pytest.raises(RuntimeError, match=message):
+            fp_step(two_bump_density(GRID), _const_drift(GRID, 0.5), 0.05)
 
 
 class TestHeatFlowOracle:

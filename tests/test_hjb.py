@@ -45,6 +45,12 @@ def _measure(seed=0, scale=0.8):
     return JointMeasure(x, a, w / w.sum())
 
 
+def _bind(spec, nu, grid=GRID):
+    """The binding of spec's coefficients to grid's nodes and nu that the
+    HJB solves read."""
+    return spec.coefficients(grid.coordinates(), nu)
+
+
 def _u(sol, rho):
     """The value function that a solve's normalized pair stands for."""
     return value_function(sol.w, sol.s, rho)[0]
@@ -68,7 +74,7 @@ class TestDiscounted:
     def test_constant_cost_closed_form(self):
         # b == 0, l == c: H = -c and u == c/rho solves the discrete system exactly
         spec = _const_model(2.0)
-        sol = solve_discounted(spec, _measure(), 0.7, GRID, tol=1e-12)
+        sol = solve_discounted(spec, _bind(spec, _measure()), 0.7, GRID, tol=1e-12)
         assert np.abs(_u(sol, 0.7) - 2.0 / 0.7).max() < 1e-11
         assert sol.residual < 1e-12
 
@@ -76,15 +82,15 @@ class TestDiscounted:
         spec = separated_cost(d=1, coupling_weight=0.5)
         nu1, nu2 = _measure(1), _measure(2)
         rho = 0.8
-        s1 = solve_discounted(spec, nu1, rho, GRID, tol=1e-12)
-        s2 = solve_discounted(spec, nu2, rho, GRID, tol=1e-12)
+        s1 = solve_discounted(spec, _bind(spec, nu1), rho, GRID, tol=1e-12)
+        s2 = solve_discounted(spec, _bind(spec, nu2), rho, GRID, tol=1e-12)
         shift = 0.5 * (nu1.mean_control()[0] - nu2.mean_control()[0]) / rho
         assert np.abs((_u(s1, rho) - _u(s2, rho)) - shift).max() < 1e-10
 
     def test_matches_value_iteration_oracle(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(3)
-        sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11)
+        sol = solve_discounted(spec, _bind(spec, nu), 1.0, GRID, tol=1e-11)
         assert sol.converged and sol.residual <= 1e-11
         oracle = _value_iteration_oracle(spec, nu, 1.0, GRID, tol=1e-9)
         assert np.abs(_u(sol, 1.0) - oracle).max() < 1e-7
@@ -92,8 +98,9 @@ class TestDiscounted:
     def test_comparison_principle_constant_shift(self):
         # raising l by a constant raises u by delta/rho exactly
         rho = 0.9
-        base = solve_discounted(_const_model(1.0), _measure(), rho, GRID)
-        shifted = solve_discounted(_const_model(1.6), _measure(), rho, GRID)
+        base_spec, shifted_spec = _const_model(1.0), _const_model(1.6)
+        base = solve_discounted(base_spec, _bind(base_spec, _measure()), rho, GRID)
+        shifted = solve_discounted(shifted_spec, _bind(shifted_spec, _measure()), rho, GRID)
         np.testing.assert_allclose(
             _u(shifted, rho) - _u(base, rho), 0.6 / rho, atol=1e-10
         )
@@ -103,41 +110,42 @@ class TestDiscounted:
         for rho in (1.0, 0.1, 0.01):
             spec = example_one(delta=1.0, eps=0.4, kappa=0.4, potential=0.4)
             nu = _measure(4)
-            sol = solve_discounted(spec, nu, rho, GRID, tol=1e-10)
+            sol = solve_discounted(spec, _bind(spec, nu), rho, GRID, tol=1e-10)
             mesh = spec.control.mesh(257)
             x = GRID.coordinates()[:, None, :]
-            ell_max = np.abs(spec.running_cost(x, mesh[None, :, :], nu)).max()
+            ell_max = np.abs(spec.coefficients(x, nu)[1](mesh[None, :, :])).max()
             assert rho * np.abs(_u(sol, rho)).max() <= ell_max + 1e-9
 
     def test_residual_history_nonincreasing(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        sol = solve_discounted(spec, _measure(5), 1.0, GRID, tol=1e-11)
+        sol = solve_discounted(spec, _bind(spec, _measure(5)), 1.0, GRID, tol=1e-11)
         hist = np.array(sol.residual_history)
         assert np.all(hist[1:] <= hist[:-1] + 1e-12)
 
     def test_rejects_nonpositive_rho(self):
+        spec = _const_model(1.0)
         with pytest.raises(ValueError):
-            solve_discounted(_const_model(1.0), _measure(), 0.0, GRID)
+            solve_discounted(spec, _bind(spec, _measure()), 0.0, GRID)
 
     def test_non_finite_cost_is_a_solver_error(self):
         # a NaN running cost is raised as a solver failure before the
         # policy's evaluation is assembled, so no singular solve is attempted
         spec = _const_model(np.nan)
         with pytest.raises(RuntimeError, match="non-finite drift or cost"):
-            solve_discounted(spec, _measure(), 1.0, GRID)
+            solve_discounted(spec, _bind(spec, _measure()), 1.0, GRID)
         with pytest.raises(RuntimeError, match="non-finite drift or cost"):
-            solve_ergodic(spec, _measure(), GRID)
+            solve_ergodic(spec, _bind(spec, _measure()), GRID)
 
     def test_warm_start_converges_immediately(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        nu = _measure(6)
-        first = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11)
-        again = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=first.policy)
+        coefficients = _bind(spec, _measure(6))
+        first = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11)
+        again = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11, warm_start=first.policy)
         assert again.iterations <= 2
 
     def test_non_convergence_reports_last_residual(self):
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        sol = solve_discounted(spec, _measure(14), 1.0, GRID, tol=1e-15, max_iter=1)
+        sol = solve_discounted(spec, _bind(spec, _measure(14)), 1.0, GRID, tol=1e-15, max_iter=1)
         assert not sol.converged
         assert sol.residual == sol.residual_history[-1] > 0
 
@@ -150,18 +158,20 @@ class TestDiscounted:
         spec = example_one(d=d, delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(15)
         nu = JointMeasure(rng.random((12, d)), rng.uniform(-0.5, 0.5, (12, d)), np.full(12, 1 / 12))
-        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11, max_iter=max_iter)
+        coefficients = _bind(spec, nu, grid)
+        sol = solve_discounted(spec, coefficients, 1.0, grid, tol=1e-11, max_iter=max_iter)
         assert sol.converged == (max_iter > 1)
-        probe = policy_field(spec, grid, gradient_central(grid, sol.w), spec.coefficients(grid.coordinates(), nu))
+        probe = policy_field(spec, grid, gradient_central(grid, sol.w), coefficients)
         np.testing.assert_array_equal(sol.policy, probe)
         assert sol.w.shape == (grid.size,) and not sol.w.flags.writeable
 
 
 class TestCoefficientEvaluations:
-    """A solve binds the coefficients once, so it reads its measure once, and
-    it evaluates each policy's drift and cost exactly once: for the starting
-    policy, then in every improvement step.  Every policy, the cold start's
-    included, comes from the bound maximizer."""
+    """The caller binds the coefficients once, so the measure is read at the
+    binding and never inside a solve, and a solve evaluates each policy's
+    drift and cost exactly once: for the starting policy, then in every
+    improvement step.  Every policy, the cold start's included, comes from
+    the bound maximizer."""
 
     @staticmethod
     def _counted(spec, monkeypatch):
@@ -185,12 +195,16 @@ class TestCoefficientEvaluations:
     def test_one_evaluation_per_policy(self, start, monkeypatch):
         base = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         nu = _measure(16)
-        warm = solve_discounted(base, _measure(17), 1.0, GRID, tol=1e-11).policy if start == "warm" else None
+        warm = solve_discounted(base, _bind(base, _measure(17)), 1.0, GRID, tol=1e-11).policy if start == "warm" else None
         spec, calls = self._counted(base, monkeypatch)
+        coefficients = _bind(spec, nu)
+        # binding reads the measure (the cost weight's mean control); the
+        # solve below reads it no more
+        assert calls == {"bind": 1, "drift": 0, "running_cost": 0, "maximizer": 0, "mean_control": 1}
         if start == "ergodic":
-            sol = solve_ergodic(spec, nu, GRID, tol=1e-11)
+            sol = solve_ergodic(spec, coefficients, GRID, tol=1e-11)
         else:
-            sol = solve_discounted(spec, nu, 1.0, GRID, tol=1e-11, warm_start=warm)
+            sol = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11, warm_start=warm)
         # with two or more iterations, one evaluation per step would be fewer
         assert sol.converged and sol.iterations >= 2
         evaluations = sol.iterations + 1
@@ -212,12 +226,16 @@ class TestCoefficientEvaluations:
 
     def test_measure_terms_once_per_solve(self, torus_distance_calls):
         # off the grid's nodes, the quadratic models' drift bump is their one
-        # torus_distance call: one per solve, however many policies the solve
-        # evaluates
+        # torus_distance call: one per binding, made at its first drift,
+        # however many policies and solves read the binding
         calls = torus_distance_calls
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        sol = solve_discounted(spec, _measure(16), 1.0, GRID, tol=1e-11)
+        coefficients = _bind(spec, _measure(16))
+        assert calls == []
+        sol = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11)
         assert sol.iterations >= 2 and calls == [(GRID.size, 1, 1)]
+        solve_ergodic(spec, coefficients, GRID, tol=1e-11)
+        assert calls == [(GRID.size, 1, 1)]
 
     def test_graph_measure_reads_grid_node_distances(self, torus_distance_calls):
         # a pushforward's atoms are the grid's nodes, so its bump reads
@@ -227,17 +245,17 @@ class TestCoefficientEvaluations:
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(3)
         mu = pushforward(uniform_density(GRID), rng.uniform(-0.8, 0.8, (GRID.size, 1)))
-        sol = solve_discounted(spec, mu, 1.0, GRID, tol=1e-11)
+        sol = solve_discounted(spec, _bind(spec, mu), 1.0, GRID, tol=1e-11)
         assert sol.iterations >= 2 and calls == []
         aggregate = memory_aggregate([0.0, 0.5], [mu, mu], lambda t: np.ones_like(t))
         assert aggregate.grid is None
-        solve_discounted(spec, aggregate, 1.0, GRID, tol=1e-11)
+        solve_discounted(spec, _bind(spec, aggregate), 1.0, GRID, tol=1e-11)
         assert calls == [(GRID.size, 1, 1)]
-        spec.drift(GRID.coordinates() + 0.5 * GRID.h, np.zeros((GRID.size, 1)), mu)
-        spec.drift(GRID.coordinates()[:7], np.zeros((7, 1)), mu)
+        spec.coefficients(GRID.coordinates() + 0.5 * GRID.h, mu)[0](np.zeros((GRID.size, 1)))
+        spec.coefficients(GRID.coordinates()[:7], mu)[0](np.zeros((7, 1)))
         # a grid attached to atoms that are not its nodes is not read either
         off = _measure(16)
-        spec.drift(GRID.coordinates(), np.zeros((GRID.size, 1)), JointMeasure(off.x, off.a, off.w, grid=GRID))
+        spec.coefficients(GRID.coordinates(), JointMeasure(off.x, off.a, off.w, grid=GRID))[0](np.zeros((GRID.size, 1)))
         assert calls == [(GRID.size, 1, 1)] * 2 + [(7, 1, 1), (GRID.size, 1, 1)]
 
 
@@ -249,13 +267,13 @@ class TestPolicyRepeat:
         # the rounding floor, reaches a policy that no longer changes
         grid, rho, tol = Grid(1, 32), 2.0**-11, 1e-16
         spec = separated_cost(d=1, coupling_weight=0.4)
-        nu = _measure(20)
-        sol = _policy_iteration(spec, nu, rho, grid, tol, 80, None)
+        coefficients = _bind(spec, _measure(20), grid)
+        sol = _policy_iteration(spec, coefficients, rho, grid, tol, 80, None)
         assert sol.iterations < 80 and not sol.converged
         assert sol.residual == sol.residual_history[-1] > tol
         # one more evaluation of the returned policy reproduces the solve;
         # u = w + s/rho carries the normalization constant s, and lam is None
-        more = _policy_iteration(spec, nu, rho, grid, tol, 1, sol.policy)
+        more = _policy_iteration(spec, coefficients, rho, grid, tol, 1, sol.policy)
         np.testing.assert_array_equal(more.w, sol.w)
         assert more.s == sol.s
         u_more, lam_more = value_function(more.w, more.s, rho)
@@ -264,7 +282,7 @@ class TestPolicyRepeat:
         np.testing.assert_array_equal(more.policy, sol.policy)
         assert lam_more is None and lam_sol is None and more.residual == sol.residual
         # the public solve reports the same stop
-        public = solve_discounted(spec, nu, rho, grid, tol=tol)
+        public = solve_discounted(spec, coefficients, rho, grid, tol=tol)
         assert public.iterations == sol.iterations and public.residual == sol.residual
 
 
@@ -277,7 +295,8 @@ class TestSelfConvergence:
         nu = _measure(0)
         sols = {}
         for n in (32, 64, 128):
-            sols[n] = _u(solve_discounted(spec, nu, 1.0, Grid(1, n), tol=1e-12), 1.0)
+            grid = Grid(1, n)
+            sols[n] = _u(solve_discounted(spec, _bind(spec, nu, grid), 1.0, grid, tol=1e-12), 1.0)
         e_coarse = np.abs(sols[32] - sols[64][::2]).max()
         e_fine = np.abs(sols[64] - sols[128][::2]).max()
         assert e_fine < e_coarse
@@ -334,14 +353,14 @@ class TestNormalizedEvaluation:
         want = spla.spsolve(mat, np.append(ell, 0.0))
         # a policy whose drift and cost are bvals and ell, evaluated once
         spec = replace(_const_model(0.0, k=d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell, np.zeros_like))
-        sol = _policy_iteration(spec, _measure(0), rho, grid, 0.0, 1, None)
+        sol = _policy_iteration(spec, _bind(spec, _measure(0), grid), rho, grid, 0.0, 1, None)
         assert np.array_equal(sol.w, want[:-1]) and sol.s == want[-1]
 
 class TestErgodic:
     def test_constant_cost(self):
         # b == 0, l == c: lambda = c, u == 0
         spec = _const_model(1.3)
-        sol = solve_ergodic(spec, _measure(), GRID, tol=1e-12)
+        sol = solve_ergodic(spec, _bind(spec, _measure()), GRID, tol=1e-12)
         u, lam = value_function(sol.w, sol.s, 0.0)
         assert lam == pytest.approx(1.3, abs=1e-11)
         assert np.abs(u).max() < 1e-11
@@ -349,21 +368,21 @@ class TestErgodic:
 
     def test_separated_cost_measure_independent_u(self):
         spec = separated_cost(d=1, coupling_weight=0.5)
-        s1 = solve_ergodic(spec, _measure(1), GRID, tol=1e-12)
-        s2 = solve_ergodic(spec, _measure(2), GRID, tol=1e-12)
+        s1 = solve_ergodic(spec, _bind(spec, _measure(1)), GRID, tol=1e-12)
+        s2 = solve_ergodic(spec, _bind(spec, _measure(2)), GRID, tol=1e-12)
         assert np.abs(_u(s1, 0.0) - _u(s2, 0.0)).max() < 1e-9
 
     def test_modes_agree(self):
         # the discounted pair (s, w) = (rho * u(x0), u - u(x0)) approaches
         # the ergodic pair (lambda, u) at first order in rho
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
-        nu = _measure(7)
-        direct = solve_ergodic(spec, nu, GRID, tol=1e-12)
+        coefficients = _bind(spec, _measure(7))
+        direct = solve_ergodic(spec, coefficients, GRID, tol=1e-12)
         u, lam = value_function(direct.w, direct.s, 0.0)
         assert lam == direct.s and u is direct.w
         gaps = []
         for rho in (2.0**-6, 2.0**-7, 2.0**-8):
-            sol = solve_discounted(spec, nu, rho, GRID, tol=1e-12)
+            sol = solve_discounted(spec, coefficients, rho, GRID, tol=1e-12)
             gaps.append(abs(sol.s - direct.s) + np.abs(sol.w - direct.w).max())
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 0.45 <= fine / coarse <= 0.55
@@ -373,8 +392,8 @@ def _dependence(spec, nu1, nu2, rho, tol=1e-11):
     """How far apart the discounted solutions for two measures are, read from
     their pairs: sup |w1 - w2|, the sup over axes of |Dw1 - Dw2|, and
     rho |u1 - u2| = sup |rho (w1 - w2) + s1 - s2|."""
-    sol1 = solve_discounted(spec, nu1, rho, GRID, tol=tol)
-    sol2 = solve_discounted(spec, nu2, rho, GRID, tol=tol)
+    sol1 = solve_discounted(spec, _bind(spec, nu1), rho, GRID, tol=tol)
+    sol2 = solve_discounted(spec, _bind(spec, nu2), rho, GRID, tol=tol)
     dw = sol1.w - sol2.w
     return (
         float(np.abs(dw).max()),
@@ -422,7 +441,7 @@ class TestSmoke2D:
         spec = _const_model(1.1, k=2)
         rng = np.random.default_rng(12)
         nu = JointMeasure(rng.random((10, 2)), np.zeros((10, 2)), np.full(10, 0.1))
-        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-11)
+        sol = solve_discounted(spec, _bind(spec, nu, grid), 1.0, grid, tol=1e-11)
         assert np.abs(_u(sol, 1.0) - 1.1).max() < 1e-10
 
     def test_example_one_2d(self):
@@ -430,9 +449,10 @@ class TestSmoke2D:
         spec = example_one(d=2, delta=1.0, eps=0.2, kappa=0.2, potential=0.2)
         rng = np.random.default_rng(13)
         nu = JointMeasure(rng.random((10, 2)), rng.uniform(-0.5, 0.5, (10, 2)), np.full(10, 0.1))
-        sol = solve_discounted(spec, nu, 1.0, grid, tol=1e-10)
+        coefficients = _bind(spec, nu, grid)
+        sol = solve_discounted(spec, coefficients, 1.0, grid, tol=1e-10)
         assert sol.converged
-        res, _, _, _ = equation_residual(spec, spec.coefficients(grid.coordinates(), nu), 1.0, grid, _u(sol, 1.0))
+        res, _, _, _ = equation_residual(spec, coefficients, 1.0, grid, _u(sol, 1.0))
         assert res <= 1e-10
 
 

@@ -57,7 +57,8 @@ def test_densities_and_policies_are_node_arrays(d):
     assert m.values.shape == (g.size,) and not m.values.flags.writeable
     mu = pushforward(m, np.zeros((g.size, d)))
     assert mu.a.shape == (g.size, d)
-    assert drift_field(spec, g, np.zeros((g.size, d)), mu).shape == (g.size, d)
+    coefficients = spec.coefficients(g.coordinates(), mu)
+    assert drift_field(spec, g, np.zeros((g.size, d)), coefficients).shape == (g.size, d)
     grid_shaped = np.ones((8,) * d) if d == 2 else np.ones(g.size + 1)
     for build in (DensityField, DensityField.from_values):
         with pytest.raises(ValueError, match=re.escape(f"density needs shape {(g.size,)}, got {grid_shaped.shape}")):
@@ -67,7 +68,7 @@ def test_densities_and_policies_are_node_arrays(d):
         with pytest.raises(ValueError, match=re.escape(f"policy needs shape ({g.size}, ")):
             pushforward(m, np.zeros(shape))
         with pytest.raises(ValueError, match=re.escape(f"policy needs shape {(g.size, d)}, got {shape}")):
-            drift_field(spec, g, np.zeros(shape), mu)
+            drift_field(spec, g, np.zeros(shape), coefficients)
 
 
 def test_pushforward_atoms_and_marginal():

@@ -159,10 +159,13 @@ class TestBruteForce:
         x = np.array([[0.4]])
         p = np.array([[0.9]])
 
+        coefficients = spec.coefficients(x, nu)
+        drift, cost, _ = coefficients
+
         def best_value(mesh_points):
-            a = brute_force_argmax(spec, spec.coefficients(x, nu), p, mesh=mesh_points, _warn=False)
-            b = spec.drift(x, a, nu)
-            ell = spec.running_cost(x, a, nu)
+            a = brute_force_argmax(spec, coefficients, p, mesh=mesh_points, _warn=False)
+            b = drift(a)
+            ell = cost(a)
             return float((-(p * b).sum(-1) - ell)[0])
 
         for m in (5, 9, 17, 33):
@@ -194,7 +197,8 @@ class TestInvariants:
         coefficients = spec.coefficients(x, nu)
         h_closed = hamiltonian_value(spec, coefficients, p)
         a_b = brute_force_argmax(spec, coefficients, p, mesh=257, _warn=False)
-        h_brute = -(p * spec.drift(x, a_b, nu)).sum(-1) - spec.running_cost(x, a_b, nu)
+        drift, cost, _ = coefficients
+        h_brute = -(p * drift(a_b)).sum(-1) - cost(a_b)
         spacing = 2.0 * spec.control.radius / 256
         bound = (spec.coef_bound + np.abs(p[:, 0]) * spec.coef_bound) * spacing
         assert np.all(h_closed - h_brute >= -1e-12)  # closed form attains the sup
@@ -312,9 +316,10 @@ class TestMemoryAggregate:
         assert nu0.n_atoms == 0
         x = np.array([[0.3], [0.7]])
         a = np.array([[0.5], [-0.2]])
-        b0 = spec.drift(x, a, nu0)
+        drift, cost, _ = spec.coefficients(x, nu0)
+        b0 = drift(a)
         np.testing.assert_allclose(b0, -a, atol=0)
-        ell0 = spec.running_cost(x, a, nu0)
+        ell0 = cost(a)
         np.testing.assert_allclose(ell0, (a[:, 0] ** 2) / 2.0, atol=0)
 
 
@@ -359,7 +364,7 @@ class TestBuilders:
         spec, base = separated_cost(d=1, coupling_weight=0.4), separated_cost(d=1, coupling_weight=0.0)
         nu = _zero_control_measure(zero_a=False)
         x, a = GRID.coordinates(), np.full((GRID.size, 1), 0.3)
-        shift = spec.running_cost(x, a, nu) - base.running_cost(x, a, nu)
+        shift = spec.coefficients(x, nu)[1](a) - base.coefficients(x, nu)[1](a)
         np.testing.assert_allclose(shift, 0.4 * nu.mean_control()[0], rtol=0, atol=1e-15)
 
     def test_validator_passes_builtin_models(self):

@@ -85,9 +85,10 @@ def test_counters_read_the_solvers_results():
 
     # HJB solves in the runs' measures: a converged one, an ergodic one, and
     # one stopped after two iterations
-    solved = solve_discounted(spec, psi.mu[0], cfg.rho, grid, tol=cfg.hjb_tol)
-    direct = solve_ergodic(spec, ergodic.mu[-1], grid, tol=cfg.hjb_tol)
-    stopped = solve_discounted(spec, gamma.mu[-1], cfg.rho, grid, tol=1e-17, max_iter=2)
+    x = grid.coordinates()
+    solved = solve_discounted(spec, spec.coefficients(x, psi.mu[0]), cfg.rho, grid, tol=cfg.hjb_tol)
+    direct = solve_ergodic(spec, spec.coefficients(x, ergodic.mu[-1]), grid, tol=cfg.hjb_tol)
+    stopped = solve_discounted(spec, spec.coefficients(x, gamma.mu[-1]), cfg.rho, grid, tol=1e-17, max_iter=2)
     for sol in (solved, direct, stopped):
         tracing._count_hjb(counts, sol)
     assert solved.converged and direct.converged and not stopped.converged
