@@ -256,14 +256,19 @@ def parse_config(payload: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def _read_config(path: str):
+    """The JSON value in the config file at path: a file that cannot be read
+    is a ConfigError naming 'path', one that is not UTF-8 JSON 'json'."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError("path", f"config file {path!r} not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("json", f"config is not valid JSON: {exc}")
-    return parse_config(payload)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError("path", f"cannot read config file: {exc}")
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ConfigError("json", f"config is not valid UTF-8 JSON: {exc}")
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_read_config(path))
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -429,12 +434,7 @@ def sweep(config_path: str) -> int:
     parameter paths to value lists; one summary row is emitted per solved
     point.  A point whose solve fails is reported on stderr and has no row."""
     try:
-        payload = json.loads(Path(config_path).read_text())
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        base_out, points = _sweep_points(payload)
+        base_out, points = _sweep_points(_read_config(config_path))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -112,10 +112,10 @@ class CouplingConfig:
     full_sequence: bool = False
 
     def __post_init__(self) -> None:
-        # written as not value > 0, so that NaN is rejected too
-        for name in ("T", "dt", "outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # written as not 0 < value < inf, so that NaN is rejected too
+        for name in ("T", "dt", "rho", "outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("max_outer", "inner_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -131,13 +131,12 @@ class CouplingConfig:
             )
         if self.full_sequence and not seq:
             raise ValueError("full_sequence needs a nonempty rho_sequence")
+        if abs(self.n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
+            raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.T / self.dt))
-        if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
-            raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
-        return n
+        return int(round(self.T / self.dt))
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
@@ -350,15 +349,14 @@ def _unprobed(config, log, converged, failed, m, hjbs, mu) -> TrajectorySolution
     )
 
 
-def _solution(spec, config, sol) -> TrajectorySolution:
+def _solution(spec, config, sol, bindings) -> TrajectorySolution:
     """sol with its per-slice residuals measured, not assumed: slice j's HJB
-    residual is equation_residual of its pair in the measure the slice's
-    Hamiltonian reads, and its measure residual the joint W1 between mu[j]
-    and the pushforward of m[j] through the improved policy that call
-    returns.  Residuals above hjb_tol and inner_tol add their failures."""
+    residual is equation_residual of its pair in bindings[j], the slice's
+    binding, and its measure residual the joint W1 between mu[j] and the
+    pushforward of m[j] through the improved policy that call returns.
+    Residuals above hjb_tol and inner_tol add their failures."""
     hjb_res, mu_res = np.zeros(sol.n_slices), np.zeros(sol.n_slices)
-    for j, (m_j, mu_j, w_j, s_j) in enumerate(zip(sol.m, sol.mu, sol.w, sol.s)):
-        coefficients = spec.coefficients(m_j.grid.coordinates(), _slice_context(spec, sol.times, sol.mu, j))
+    for j, (m_j, mu_j, w_j, s_j, coefficients) in enumerate(zip(sol.m, sol.mu, sol.w, sol.s, bindings)):
         hjb_res[j], probe, _, _ = equation_residual(spec, coefficients, sol.rho, m_j.grid, w_j, s_j)
         mu_res[j] = wasserstein1_joint(mu_j, pushforward(m_j, probe))
     failed = set(sol.diagnostics["failures"])
@@ -385,12 +383,12 @@ def solve_field_iteration(
     are taken of each slice's normalized w, not of u = w + s/rho.  initial
     is a warm start (u, m): (n^d,) value arrays and densities, one per slice.
     """
-    return _field_picard(spec, m0, config, initial)[1]()
+    return _field_picard(spec, m0, config, initial)[1]()[0]
 
 
 def _field_picard(spec, m0, config, initial=None):
     """solve_field_iteration's Picard part: (the last pass's unprobed solution,
-    finish), finish() re-solving each slice once and probing the result."""
+    finish), finish() re-solving each slice once and returning (probed result, its bindings)."""
     if spec.kind != "instant":
         raise ValueError("field iteration requires an instant model")
     grid, x = m0.grid, m0.grid.coordinates()
@@ -437,8 +435,8 @@ def _field_picard(spec, m0, config, initial=None):
         return _unprobed(config, log, converged, failed, m_list, hjbs, [res.mu for res in fixed_points])
 
     def finish():
-        slice_solve(None)
-        return _solution(spec, config, result())
+        bindings, _ = slice_solve(None)
+        return _solution(spec, config, result(), bindings), bindings
 
     return result(), finish
 
@@ -461,12 +459,12 @@ def solve_measure_iteration(
     pass's logged error.  initial is a warm start (mu, m): a measure
     trajectory and its state marginals.
     """
-    return _measure_picard(spec, m0, config, initial)[1]()
+    return _measure_picard(spec, m0, config, initial)[1]()[0]
 
 
 def _measure_picard(spec, m0, config, initial=None):
     """solve_measure_iteration's Picard part: (the last pass's unprobed
-    solution, finish), finish() running one more pass and probing the result."""
+    solution, finish), finish() running one more pass and returning (probed result, its bindings)."""
     grid, x = m0.grid, m0.grid.coordinates()
     times = config.times()
     n_slices = config.n_steps + 1
@@ -481,9 +479,12 @@ def _measure_picard(spec, m0, config, initial=None):
     hjbs: list = []
     failed: set = set()
 
+    def bind(mu):
+        return [spec.coefficients(x, _slice_context(spec, times, mu, j)) for j in range(n_slices)]
+
     def slice_solve(warm):
         nonlocal hjbs
-        bindings = [spec.coefficients(x, _slice_context(spec, times, mu_traj, j)) for j in range(n_slices)]
+        bindings = bind(mu_traj)
         hjbs = [
             solve_discounted(
                 spec, coefficients, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None,
@@ -507,7 +508,8 @@ def _measure_picard(spec, m0, config, initial=None):
         bindings, final = slice_solve(policies)
         traj = _evolve(spec, m0, config, bindings, final)
         mu = [pushforward(m, a) for m, a in zip(traj, final)]
-        return _solution(spec, config, _unprobed(config, log, converged, failed, traj, hjbs, mu))
+        sol, new_bindings = _unprobed(config, log, converged, failed, traj, hjbs, mu), bind(mu)
+        return _solution(spec, config, sol, new_bindings), new_bindings
 
     return _unprobed(config, log, converged, failed, m_traj, hjbs, mu_traj), finish
 
@@ -598,11 +600,11 @@ def solve_vanishing_discount(
 
     # the reported level alone is finished; its pairs are then measured in
     # the ergodic equation (rho = 0) and against the direct ergodic solver,
-    # both on one binding per slice
-    levels[-1] = sol = finish()
+    # both on the finish's binding of each slice
+    sol, bindings = finish()
+    levels[-1] = sol
     ergodic_res, direct_gaps = [], []
-    for j, (w, s) in enumerate(zip(sol.w, sol.s)):
-        coefficients = spec.coefficients(grid.coordinates(), _slice_context(spec, sol.times, sol.mu, j))
+    for w, s, coefficients in zip(sol.w, sol.s, bindings):
         ergodic_res.append(equation_residual(spec, coefficients, 0.0, grid, w, s)[0])
         es = solve_ergodic(spec, coefficients, grid, tol=config.hjb_tol)
         direct_gaps.append(abs(es.s - s) + float(np.abs(es.w - w).max()))

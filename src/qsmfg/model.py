@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -160,8 +160,8 @@ def memory_aggregate(
 class ModelSpec:
     """Coefficients, control set, and declared constants of one control problem.
 
-    kind is "instant" for models reading the current joint measure and
-    "history" for memory models reading the past trajectory.  Declared
+    A model without a kernel reads the current joint measure; a memory model
+    carries its kernel K(tau) and reads the past trajectory.  Declared
     constants are used by the validator spot-checks, never by the solvers.
 
     coefficients(x, nu) returns the triple (a -> b(x, a; nu), a -> l(x, a; nu),
@@ -169,14 +169,17 @@ class ModelSpec:
     """
 
     name: str
-    kind: str
     control: ControlSet
     coefficients: Callable  # (x, nu) -> (a -> b (..., d), a -> l (...,), p -> alpha* (..., k) or None)
     coef_bound: float = 1.0  # K: sup |b|, sup |l|
     coef_lip_x: float = 0.0  # L: Lipschitz constant in x
     control_lip_measure: float = 0.0  # lambda_0 of the maximizer w.r.t. W1
     kernel: Optional[Callable] = None  # memory kernel K(tau), history models
-    params: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """"history" for a model with a memory kernel, "instant" without one."""
+        return "instant" if self.kernel is None else "history"
 
 
 def slice_measure(spec: ModelSpec, times: Sequence[float], measures: Sequence[JointMeasure]) -> JointMeasure:
@@ -325,7 +328,6 @@ def _atom_distances(x: np.ndarray, nu: JointMeasure) -> np.ndarray:
 
 def _make_quadratic_model(
     name: str,
-    kind: str,
     d: int,
     delta: float,
     eps: float,
@@ -334,7 +336,6 @@ def _make_quadratic_model(
     radius: float,
     potential: float = 0.0,
     kernel=None,
-    params: dict | None = None,
 ) -> ModelSpec:
     """Quadratic-cost model with drift b = b0(x;nu) - a and cost
     |a|^2 / (2 l0(nu)) + V(x).  Binding computes l0(nu) and V(x), and
@@ -381,17 +382,12 @@ def _make_quadratic_model(
     coef_lip_x = kappa * radius * lip_phi + 2.0 * np.pi * abs(potential)
     return ModelSpec(
         name=name,
-        kind=kind,
         control=control,
         coefficients=coefficients,
         coef_bound=coef_bound,
         coef_lip_x=coef_lip_x,
         control_lip_measure=radius * eps / delta,
         kernel=kernel,
-        params=dict(
-            params or {},
-            delta=delta, eps=eps, kappa=kappa, width=width, radius=radius, potential=potential,
-        ),
     )
 
 
@@ -407,9 +403,7 @@ def example_one(
     """Instant quadratic model; the maximizer is (R eps / delta)-Lipschitz
     in the measure, so eps and delta tune the measure fixed point above or
     below the contraction threshold."""
-    return _make_quadratic_model(
-        "example1", "instant", d, delta, eps, kappa, width, radius, potential=potential
-    )
+    return _make_quadratic_model("example1", d, delta, eps, kappa, width, radius, potential=potential)
 
 
 def example_two(
@@ -436,19 +430,7 @@ def example_two(
         kernel = lambda tau: np.zeros_like(np.asarray(tau, dtype=float))
     else:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    return _make_quadratic_model(
-        "example2",
-        "history",
-        d,
-        delta,
-        eps,
-        kappa,
-        width,
-        radius,
-        potential=potential,
-        kernel=kernel,
-        params={"kernel_kind": kernel_kind, "kernel_scale": kernel_scale},
-    )
+    return _make_quadratic_model("example2", d, delta, eps, kappa, width, radius, potential=potential, kernel=kernel)
 
 
 def separated_cost(
@@ -503,18 +485,11 @@ def separated_cost(
     )
     return ModelSpec(
         name="separated",
-        kind="instant",
         control=control,
         coefficients=coefficients,
         coef_bound=coef_bound,
         coef_lip_x=2.0 * np.pi * max(drift_amplitude, potential_amplitude),
         control_lip_measure=0.0,
-        params={
-            "radius": radius,
-            "drift_amplitude": drift_amplitude,
-            "potential_amplitude": potential_amplitude,
-            "coupling_weight": coupling_weight,
-        },
     )
 
 
@@ -558,6 +533,12 @@ def check_model(
     fd_step: float = 1e-5,
 ) -> dict:
     """Spot-check the declared bounds and closed forms on random samples.
+
+    The model is read only through its binding spec.coefficients(x, nu),
+    its control set and its declared constants.  The envelope identity is
+    checked by central differences of step fd_step, except at samples where,
+    on some axis, the maximizers at p + dp and p - dp disagree on lying on
+    the control ball's boundary: that stencil crosses the maximizer's kink.
 
     Returns a report dict with one entry per check: measured value, bound,
     and a pass flag.  Intended for the CLI `validate` subcommand; failures
@@ -608,26 +589,19 @@ def check_model(
             "ok": bool(gap <= 2.0 * spacing),
         }
 
-    # envelope identity away from points where the maximizer may switch branch
     hp = hamiltonian_gradient_p(spec, coefficients, p)
     fd = np.zeros_like(hp)
+    smooth = np.ones(n_samples, dtype=bool)
+    edge = (1.0 - 1e-9) * spec.control.radius
     for ax in range(grid.d):
         dp = np.zeros(grid.d)
         dp[ax] = fd_step
-        fd[:, ax] = (
-            hamiltonian_value(spec, coefficients, p + dp) - hamiltonian_value(spec, coefficients, p - dp)
-        ) / (2.0 * fd_step)
-    err = np.abs(hp - fd).max(axis=-1)
-    # maximizers of the built-in models switch branch where |p| crosses
-    # radius / cost-weight; exclude a margin around that whole window
-    radius = spec.control.radius
-    delta = float(spec.params.get("delta", 1.0))
-    eps = float(spec.params.get("eps", 0.0))
-    lo_switch = radius / (delta + eps * radius)
-    hi_switch = radius / delta
-    norm = np.linalg.norm(p, axis=-1)
-    away = (norm < lo_switch - 0.05) | (norm > hi_switch + 0.05)
-    err = err[away] if away.any() else err
+        ends = (p + dp, p - dp)
+        h_up, h_down = (hamiltonian_value(spec, coefficients, q) for q in ends)
+        fd[:, ax] = (h_up - h_down) / (2.0 * fd_step)
+        up, down = (np.linalg.norm(optimal_control(spec, coefficients, q), axis=-1) for q in ends)
+        smooth &= (up >= edge) == (down >= edge)
+    err = np.abs(hp - fd).max(axis=-1)[smooth]
     fd_err = float(err.max()) if err.size else 0.0
     report["gradient_envelope_identity"] = {
         "measured": fd_err,

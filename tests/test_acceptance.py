@@ -161,7 +161,7 @@ def test_criterion_03_hjb_identities():
     # (a) b = 0, l = c: u == c / rho within 1e-11
     control = ControlSet(k=1, radius=1.0)
     const = ModelSpec(
-        name="const", kind="instant", control=control,
+        name="const", control=control,
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
             lambda a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], 2.0),

@@ -286,6 +286,54 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+    @pytest.mark.parametrize(
+        "kind, field_name",
+        [("missing", "path"), ("directory", "path"), ("not-utf8", "json"), ("invalid-json", "json")],
+    )
+    def test_unreadable_config_file_exit_code(self, tmp_path, monkeypatch, capsys, command, kind, field_name):
+        # every subcommand reads its config through one reader: a file that
+        # cannot be read or decoded is a config error naming the field, with
+        # no traceback and nothing written (a run would write to ./out)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        elif kind == "invalid-json":
+            path.write_text("{")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config field {field_name!r}:" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "field_name, change",
+        [
+            ("model.params.d", {"model": {"name": "separated", "params": {"d": 1}}}),
+            ("grid.d", {"grid": {"d": 3, "n": 32}}),
+            ("grid.n", {"grid": {"d": 1, "n": 4}}),
+            ("time.T", {"time": {"T": 0.0, "dt": 0.05}}),
+            ("time.dt", {"time": {"T": 0.5, "dt": -0.05}}),
+            ("mode", {"mode": "stationary"}),
+            ("strategy", {"strategy": "delta"}),
+            ("rho_sequence.factor", {"mode": "ergodic", "rho_sequence": {"factor": 1.5}}),
+            ("rho_sequence.count", {"mode": "ergodic", "rho_sequence": {"count": 1}}),
+            ("tolerances.outr", {"tolerances": {"outr": 1e-8}}),
+            ("tolerances.hjb", {"tolerances": {"hjb": 0.0}}),
+            ("damping", {"damping": 1.5}),
+            ("max_outer", {"max_outer": 0}),
+        ],
+    )
+    def test_refused_value_exit_code(self, tmp_path, capsys, field_name, change):
+        base = ERGODIC if change.get("mode") == "ergodic" else MINIMAL
+        payload = dict(base, output_dir=str(tmp_path / "out"), **change)
+        assert main(["run", _write(tmp_path, payload)]) == 2
+        assert f"error: config field {field_name!r}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_minimal_run_artifacts(self, tmp_path):
@@ -596,6 +644,15 @@ def test_measure_read_only_through_bindings():
                 assert not any("measure" in name.split(".") for name in names), f"hjb.py:{node.lineno} imports measure"
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("drift", "running_cost"), f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
+def test_no_module_reads_params():
+    # a model is read through its binding, its control set and its declared
+    # constants; no parameter dict names one model family's arguments
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node, names in _names(path):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "params", f"{path.name}:{node.lineno} reads .params"
 
 
 class TestShippedConfigs:

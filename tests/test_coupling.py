@@ -59,7 +59,6 @@ def _const_model(c=1.0):
     control = ControlSet(k=1, radius=1.0)
     return ModelSpec(
         name="const",
-        kind="instant",
         control=control,
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
@@ -571,13 +570,15 @@ class TestErgodicDriver:
 
     @pytest.mark.parametrize(
         "field_name, value",
-        [("T", 0.0), ("T", np.nan), ("dt", -0.1), ("dt", np.nan), ("outer_tol", 0.0), ("outer_tol", np.nan),
-         ("inner_tol", np.nan), ("hjb_tol", -1e-12), ("ergodic_tol", np.nan),
+        [("T", 0.0), ("T", np.nan), ("T", np.inf), ("dt", -0.1), ("dt", np.nan), ("dt", 0.15),
+         ("rho", 0.0), ("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("outer_tol", 0.0), ("outer_tol", np.nan),
+         ("outer_tol", np.inf), ("inner_tol", np.nan), ("hjb_tol", -1e-12), ("ergodic_tol", np.nan),
          ("max_outer", 0), ("inner_max_iter", 0), ("inner_max_iter", -3)],
     )
     def test_config_values_validated(self, field_name, value):
-        # positivity checks reject NaN too, and a cap of 0 iterations would
-        # return an unsolved "solution"
+        # positivity checks reject NaN and infinities too, T must be a
+        # multiple of dt (0.2 is not one of 0.15), and a cap of 0 iterations
+        # would return an unsolved "solution"
         with pytest.raises(ValueError, match=field_name):
             CouplingConfig(**{"T": 0.2, "dt": 0.1, field_name: value})
         assert CouplingConfig(T=0.2, dt=0.1, max_outer=1, inner_max_iter=1).max_outer == 1

@@ -60,7 +60,6 @@ def _const_model(c, k=1):
     control = ControlSet(k=k, radius=1.0)
     return ModelSpec(
         name="const",
-        kind="instant",
         control=control,
         coefficients=lambda x, nu: (
             lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),

@@ -1,6 +1,6 @@
 import inspect
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,7 +65,6 @@ class TestPinnedValues:
         control = ControlSet(k=1, radius=1.0)
         spec = ModelSpec(
             name="const",
-            kind="instant",
             control=control,
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
@@ -139,7 +138,6 @@ class TestBruteForce:
         control = ControlSet(k=1, radius=1.0)
         spec = ModelSpec(
             name="flat",
-            kind="instant",
             control=control,
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
@@ -175,7 +173,6 @@ class TestBruteForce:
         control = ControlSet(k=1, radius=1.0)
         spec = ModelSpec(
             name="flat",
-            kind="instant",
             control=control,
             coefficients=lambda x, nu: (
                 lambda a: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a))),
@@ -383,6 +380,34 @@ class TestBuilders:
         assert entry["ok"] and entry["declared"] == spec.control_lip_measure
         # separated costs leave the maximizer independent of the measure
         assert (entry["measured"] == 0.0) == (spec.name == "separated")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_validator_envelope_check_reads_the_kink_off_the_binding(self, seed):
+        # b = -a and l = |a|^2/6 on the unit ball: alpha* = 3p reaches the
+        # boundary at |p| = 1/3, a kink no built-in model has.  Only the
+        # stencils that straddle it are dropped, so a coarse step passes
+        control = ControlSet(k=1, radius=1.0)
+        spec = ModelSpec(
+            name="kink",
+            control=control,
+            coefficients=lambda x, nu: (
+                lambda a: np.zeros(np.shape(x)) - a,
+                lambda a: (np.asarray(a) ** 2).sum(axis=-1) / 6.0 + np.zeros(np.shape(x)[:-1]),
+                lambda p: 3.0 * p,
+            ),
+        )
+        report = check_model(spec, GRID, seed=seed, fd_step=0.05)
+        assert report["gradient_envelope_identity"]["measured"] <= 1e-12
+        assert report["all_ok"], report
+
+    def test_model_spec_fields(self):
+        # each fact once: kind is read off the kernel, and no parameter dict
+        # restates the builder's arguments
+        assert [f.name for f in fields(ModelSpec)] == [
+            "name", "control", "coefficients", "coef_bound", "coef_lip_x", "control_lip_measure", "kernel",
+        ]
+        assert example_two().kind == "history" and example_one().kind == "instant"
+        assert replace(example_two(), kernel=None).kind == "instant"
 
     def test_validator_flags_understated_control_lipschitz_constant(self):
         report = check_model(replace(example_one(), control_lip_measure=0.0), GRID, seed=3)
