@@ -425,7 +425,7 @@ def _field_picard(spec, m0, config, initial=None):
         nonlocal m_list, du_list
         new_du = [gradient_central(grid, h.w) for h in hjbs]
         du_errs = [float(np.abs(a - b).max()) for a, b in zip(new_du, du_list)]
-        m_errs = [wasserstein1_state(a, b) for a, b in zip(traj, m_list)]
+        m_errs = wasserstein1_state(traj, m_list)
         m_list, du_list = list(traj), new_du
         return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
@@ -497,7 +497,7 @@ def _measure_picard(spec, m0, config, initial=None):
     def outer_error(traj, policies):
         nonlocal mu_traj, m_traj
         mu_new = [pushforward(m, a) for m, a in zip(traj, policies)]
-        state_w1s = [wasserstein1_state(new, old) for new, old in zip(traj, m_traj)]
+        state_w1s = wasserstein1_state(traj, m_traj)
         e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s, config.outer_tol)
         mu_traj, m_traj = mu_new, list(traj)
         return e_k, e_k
@@ -547,7 +547,7 @@ def _level_increments(sol: TrajectorySolution, prev: TrajectorySolution) -> tupl
     and the increment, the same with the state W1 distance added, between
     two discount levels."""
     gaps = [abs(s1 - s0) + float(np.abs(w1 - w0).max()) for s1, s0, w1, w0 in zip(sol.s, prev.s, sol.w, prev.w)]
-    return max(gaps), max(g + wasserstein1_state(m1, m0) for g, m1, m0 in zip(gaps, sol.m, prev.m))
+    return max(gaps), max(g + w1 for g, w1 in zip(gaps, wasserstein1_state(sol.m, prev.m)))
 
 
 def solve_vanishing_discount(
@@ -683,21 +683,26 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, se
             allp = [allp[int(c)] for c in chosen]
         return allp
 
+    def _state_w1(pairs) -> dict[tuple[int, int], float]:
+        """State W1 of each slice pair, the pairs' flows solved as one batch."""
+        values = wasserstein1_state([sol.m[j] for j, _ in pairs], [sol.m[k] for _, k in pairs])
+        return dict(zip(pairs, values))
+
     du_fields = [gradient_central(grid, w) for w in sol.w]
-    state_w1: dict[tuple[int, int], float] = {}
+    state_pairs = _pairs(STATE_PAIRS)
+    state_w1 = _state_w1(state_pairs)
     best_du = best_m = 0.0
-    for j, k in _pairs(STATE_PAIRS):
+    for j, k in state_pairs:
         root = np.sqrt(sol.times[k] - sol.times[j])
         best_du = max(best_du, float(np.abs(du_fields[j] - du_fields[k]).max()) / root)
-        state_w1[j, k] = wasserstein1_state(sol.m[j], sol.m[k])
         best_m = max(best_m, state_w1[j, k] / root)
     # the densities' W1 bounds the joint W1 only where each stored measure
     # is the pushforward of the stored density
     pushed = [np.array_equal(nu.w, m.values * grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
     mu_pairs = _pairs(MEASURE_PAIRS)
-    for j, k in mu_pairs:
-        if (j, k) not in state_w1:
-            state_w1[j, k] = wasserstein1_state(sol.m[j], sol.m[k])
+    missing = [pair for pair in mu_pairs if pair not in state_w1]
+    if missing:
+        state_w1.update(_state_w1(missing))
     best_mu = max(0.0, _max_joint_w1(
         [(sol.mu[j], sol.mu[k]) for j, k in mu_pairs],
         [np.sqrt(sol.times[k] - sol.times[j]) for j, k in mu_pairs],

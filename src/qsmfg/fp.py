@@ -88,7 +88,8 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     mass = new.sum() * grid.cell_volume
     if abs(mass - 1.0) > STEP_MASS_TOL:
         raise RuntimeError(f"mass drift {mass - 1.0:.3e} exceeds tolerance in one step")
-    return DensityField(grid, new / mass)
+    # checked above: finite, nonnegative and, after the division, of unit mass
+    return DensityField._checked(grid, new / mass)
 
 
 def fp_evolve(m0: DensityField, drifts: Sequence[np.ndarray], dt: float) -> tuple[DensityField, ...]:

@@ -31,7 +31,14 @@ Every W1 value is exact; which engine computes it depends on the call:
 - Beckmann's min-cost flow on the periodic grid graph, for d=2 state
   densities: the torus L1 distance between nodes is h times their path
   distance in that graph, so W1 is the cheapest flow of p - q along edges of
-  length h.  For d=1 state densities the circle CDF reduction is used.
+  length h.  wasserstein1_state takes a batch of density pairs on one grid,
+  and its flows share one HiGHS model: their constraint matrix and costs
+  depend on the grid alone, so only the balance rows' right-hand side
+  changes from pair to pair.  A new right-hand side leaves the reduced
+  costs as they were, so the last optimal basis stays dual feasible, and
+  dual simplex re-runs from it (a hot start; for the neighbouring slices
+  of one outer pass a few pivots).  For d=1 state densities the circle CDF
+  reduction is used, pair by pair.
 
 The tests check every engine against an atom LP over every arc.
 
@@ -46,6 +53,7 @@ that cannot reach that maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
@@ -92,6 +100,18 @@ class DensityField:
             raise ValueError(f"density mass {mass!r} deviates from 1 by more than {MASS_TOL}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _checked(cls, grid: Grid, values: np.ndarray) -> "DensityField":
+        """The density of a (n^d,) float array the caller has already checked
+        finite, nonnegative and of unit mass, as a solver's step does.  The
+        array is not copied: it is set read-only and becomes values, so the
+        caller must keep no writable alias of it."""
+        values.setflags(write=False)
+        density = object.__new__(cls)
+        object.__setattr__(density, "grid", grid)
+        object.__setattr__(density, "values", values)
+        return density
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "DensityField":
@@ -455,45 +475,77 @@ def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
     return float(h * np.abs(c - theta).sum())
 
 
-def _grid_flow_w1(p: np.ndarray, q: np.ndarray, grid: Grid) -> float:
-    """Exact W1 between node masses as Beckmann's min-cost flow.
+def _grid_flow_w1(imbalances: Sequence[np.ndarray], grid: Grid) -> list[float]:
+    """Exact W1 of each node-mass imbalance p - q as Beckmann's min-cost flow.
 
     One forward and one backward flow variable per edge of the periodic grid
     graph, each of cost h per unit mass; node i sends out p_i - q_i net.
-    The imbalance is scaled to unit L1 mass before the solve and the value
-    scaled back, since W1 is positively homogeneous in it: HiGHS's absolute
-    1e-7 feasibility tolerance would otherwise admit the zero flow whenever
-    every node imbalance is below it, and W1 would read 0.
+    Each imbalance is scaled to unit L1 mass before its solve and the value
+    scaled back, since W1 is positively homogeneous in it: an absolute
+    feasibility tolerance would otherwise admit the zero flow whenever every
+    node imbalance is below it, and W1 would read 0.  A zero imbalance reads
+    0 without a solve.
+
+    The flows of one call share one HiGHS model, since only the balance rows'
+    right-hand side depends on the imbalance.  The first nonzero imbalance
+    runs dual simplex from scratch; each later one sets the balance rows and
+    re-runs dual simplex from the basis the last solve left.  A change of
+    the right-hand side leaves the reduced costs as they are, so that basis
+    stays dual feasible and is a valid start (Bertsimas & Tsitsiklis, ch.
+    5); on nearby densities it is often optimal after a few pivots.  The
+    model lives only for the call.
     """
-    imbalance = p - q
-    scale = float(np.abs(imbalance).sum())
-    if scale == 0.0:
-        return 0.0
     tails = np.tile(np.arange(grid.size), grid.d)
     heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
     edges = np.tile(np.stack([tails, heads], axis=1), (2, 1))
     signs = np.repeat([[1.0, -1.0], [-1.0, 1.0]], tails.size, axis=0)  # forward, then backward
-    # the last balance row is redundant and dropped
-    highs = _lp_model(imbalance[:-1] / scale, np.full(len(edges), grid.h), edges, signs, {"presolve": "on"})
-    return scale * _solve(highs)[0]
+    values, highs = [], None
+    for imbalance in imbalances:
+        scale = float(np.abs(imbalance).sum())
+        if scale == 0.0:
+            values.append(0.0)
+            continue
+        b_eq = imbalance[:-1] / scale  # the last balance row is redundant and dropped
+        if highs is None:
+            highs = _lp_model(b_eq, np.full(len(edges), grid.h), edges, signs, TRANSPORT_LP_OPTIONS)
+        else:
+            for row, value in enumerate(b_eq.tolist()):
+                highs.changeRowBounds(row, value, value)
+        values.append(scale * _solve(highs)[0])
+    return values
 
 
-def wasserstein1_state(m1: DensityField, m2: DensityField) -> float:
+def wasserstein1_state(
+    m1: DensityField | Sequence[DensityField], m2: DensityField | Sequence[DensityField]
+) -> float | list[float]:
     """W1 between state densities: circle CDF for d=1, Beckmann flow for d=2.
 
-    For d=2 densities with more than ATOM_CAP nonzero nodes are rejected, as
-    in wasserstein1_joint.
+    m1 and m2 are two densities, for a float, or two equal-length sequences
+    of densities on one grid, for the list of W1(m1[i], m2[i]) in order (an
+    empty list for empty sequences).  A single pair is a batch of one.  For
+    d=2 a batch's flows share one HiGHS model, each hot-started from the
+    basis of the one before (_grid_flow_w1), so a pass's slices cost little
+    more than one flow; batches with any density with more than ATOM_CAP
+    nonzero nodes are rejected, as in wasserstein1_joint, before any model
+    is built.
     """
-    if m1.grid != m2.grid:
+    single = isinstance(m1, DensityField) and isinstance(m2, DensityField)
+    firsts, seconds = ([m1], [m2]) if single else (list(m1), list(m2))
+    if len(firsts) != len(seconds):
+        raise ValueError(f"density sequences differ in length: {len(firsts)} vs {len(seconds)}")
+    if not firsts:
+        return []
+    grid = firsts[0].grid
+    if any(m.grid != grid for m in firsts + seconds):
         raise ValueError("densities live on different grids")
-    grid = m1.grid
     vol = grid.cell_volume
-    p = m1.values * vol
-    q = m2.values * vol
+    pairs = [(a.values * vol, b.values * vol) for a, b in zip(firsts, seconds)]
     if grid.d == 1:
-        return _circle_w1(p, q, grid.h)
-    atoms = max(np.count_nonzero(p), np.count_nonzero(q))
-    if atoms > ATOM_CAP:
-        raise ValueError(f"atom count {atoms} exceeds cap {ATOM_CAP}")
-    return _grid_flow_w1(p, q, grid)
+        values = [_circle_w1(p, q, grid.h) for p, q in pairs]
+    else:
+        atoms = max(max(np.count_nonzero(p), np.count_nonzero(q)) for p, q in pairs)
+        if atoms > ATOM_CAP:
+            raise ValueError(f"atom count {atoms} exceeds cap {ATOM_CAP}")
+        values = _grid_flow_w1([p - q for p, q in pairs], grid)
+    return values[0] if single else values
 

@@ -116,6 +116,23 @@ class TestSingleStep:
         want /= want.sum() * grid.cell_volume
         assert np.array_equal(fp_step(m, g, dt).values, want)
 
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
+    def test_step_density_equals_the_checked_constructors(self, d, n, monkeypatch):
+        # the step builds its density without DensityField's second round of
+        # checks; the public constructor, which copies and checks the same
+        # array again, gives the same density bit for bit
+        grid = Grid(d, n)
+        rng = np.random.default_rng(20 * n + d)
+        g = rng.uniform(-3.0, 3.0, (grid.size, d))
+        m = DensityField.from_values(grid, 1.0 + rng.uniform(-0.8, 0.8, grid.size))
+        out = fp_step(m, g, 0.05)
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, m.values)
+        monkeypatch.setattr(DensityField, "_checked", classmethod(lambda cls, grid, values: cls(grid, values)))
+        checked = fp_step(m, g, 0.05)
+        assert checked.grid == out.grid
+        assert np.array_equal(checked.values, out.values)
+
     def test_2d_mass_and_positivity(self):
         grid = Grid(2, 8)
         rng = np.random.default_rng(3)

@@ -732,6 +732,114 @@ def test_w1_state_2d_transport_limits(monkeypatch):
         wasserstein1_joint(pushforward(m1, zero), pushforward(m2, zero))
 
 
+def _flow_batch(g):
+    """Pairs of 2D densities for one batch: a zero imbalance first and in
+    the middle, near-proportional imbalances, and random pairs in both
+    orders."""
+    base, other, third = (_random_density(g, 300 + s) for s in range(3))
+    rng = np.random.default_rng(g.n)
+    # one zero-sum direction, each copy perturbed by a relative 1e-3
+    shapes = rng.uniform(-1.0, 1.0, g.size) + 1e-3 * rng.uniform(-1.0, 1.0, (3, g.size))
+    shapes -= shapes.mean(axis=1, keepdims=True)
+    near = [DensityField(g, base.values + 0.1 * eps * s) for eps, s in zip((1.0, 0.5, 2.0), shapes)]
+    firsts = [base, base, base, base, other, other, third, base, other]
+    seconds = [base, *near, third, other, other, other, base]
+    return firsts, seconds
+
+
+def _count_models(monkeypatch):
+    """Wrap _lp_model; the returned list gets one entry per model built."""
+    built = []
+    lp_model = measure._lp_model
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return lp_model(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "_lp_model", counting)
+    return built
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_w1_state_2d_batch_matches_reference_lp(n, monkeypatch):
+    # one HiGHS model per batch; every flow after the first nonzero one is
+    # hot-started from the basis the last solve left, and each value is the
+    # reference LP's and the single-pair call's
+    g = Grid(2, n)
+    firsts, seconds = _flow_batch(g)
+    singles = [wasserstein1_state(m1, m2) for m1, m2 in zip(firsts, seconds)]
+    built = _count_models(monkeypatch)
+    rounds = _record_rounds(monkeypatch)
+    values = wasserstein1_state(firsts, seconds)
+    assert len(built) == 1
+    assert all(r.model is rounds[0].model for r in rounds)
+    assert len(rounds) == len(firsts) - 2  # the two zero imbalances take no solve
+    assert [values[0], values[5]] == [0.0, 0.0]
+    x = g.coordinates()
+    zeros = np.zeros((g.size, 1))
+    for m1, m2, value, single in zip(firsts, seconds, values, singles):
+        ref = _reference_w1(x, zeros, m1.values * g.cell_volume, x, zeros, m2.values * g.cell_volume)
+        assert abs(value - ref) <= 1e-12
+        assert abs(value - single) <= 1e-12
+    # the near-proportional imbalances restart from a nearly optimal basis
+    assert max(r.iterations for r in rounds[1:3]) < rounds[0].iterations // 10
+
+
+def test_w1_state_1d_batch_is_the_circle_cdf_pair_by_pair():
+    g = Grid(1, 32)
+    firsts = [_random_density(g, s) for s in range(4)]
+    seconds = [firsts[0], firsts[2], firsts[1], _random_density(g, 9)]
+    h, vol = g.h, g.cell_volume
+    expected = [measure._circle_w1(m1.values * vol, m2.values * vol, h) for m1, m2 in zip(firsts, seconds)]
+    assert wasserstein1_state(firsts, seconds) == expected
+    assert [wasserstein1_state(m1, m2) for m1, m2 in zip(firsts, seconds)] == expected
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_w1_state_empty_batch(d, monkeypatch):
+    built = _count_models(monkeypatch)
+    assert wasserstein1_state([], []) == []
+    assert built == []
+
+
+def test_w1_state_batch_failures(monkeypatch):
+    g = Grid(2, 8)
+    m1, m2 = _random_density(g, 70), _random_density(g, 71)
+    m3 = _random_density(g, 72)
+    built = _count_models(monkeypatch)
+    # any pair above the cap rejects the whole batch before a model is built
+    dirac = np.zeros(g.size)
+    dirac[0] = 1.0 / g.cell_volume
+    point = DensityField(g, dirac)
+    with monkeypatch.context() as patch:
+        patch.setattr("qsmfg.measure.ATOM_CAP", 8)
+        wasserstein1_state([point], [point])
+        with pytest.raises(ValueError, match="exceeds cap 8"):
+            wasserstein1_state([point, m1], [point, m2])
+    assert built == []
+    with pytest.raises(ValueError, match="different grids"):
+        wasserstein1_state([m1, m2], [m2, uniform_density(Grid(2, 9))])
+    with pytest.raises(ValueError, match="differ in length"):
+        wasserstein1_state([m1, m2], [m2])
+    assert built == []
+
+    # the batch's second solve stops at the iteration limit: an error, not
+    # the value of the basis the first solve left
+    solves = []
+    solve = measure._solve
+
+    def stopped_second(highs):
+        solves.append(highs)
+        if len(solves) == 2:
+            highs.setOptionValue("simplex_iteration_limit", 0)
+        return solve(highs)
+
+    monkeypatch.setattr(measure, "_solve", stopped_second)
+    with pytest.raises(RuntimeError, match="transport LP failed: Iteration limit reached"):
+        wasserstein1_state([m1, m2, m1], [m2, m3, m3])
+    assert len(solves) == 2 and len(built) == 1
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_mean_control_has_k_components(k):
     np.testing.assert_array_equal(JointMeasure.empty(2, k).mean_control(), np.zeros(k))

@@ -54,7 +54,7 @@ def test_every_traced_name_is_a_callable_of_its_module():
     _tracing().install(stub)
     for attr in (
         "solve_joint_measure", "solve_discounted", "equation_residual",
-        "policy_field", "pushforward", "wasserstein1_joint",
+        "policy_field", "pushforward", "wasserstein1_joint", "wasserstein1_state",
     ):
         assert ("qsmfg.coupling", attr) in stub.targets
     for module, attr in stub.targets:
