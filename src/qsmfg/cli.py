@@ -4,6 +4,11 @@ Configs are single JSON files; outputs are data-only (CSV, compact binary,
 summary JSON) for external plotting.  Exit codes: 0 success, every tolerance
 met; 2 config error; 3 solver failure, or a run that missed a tolerance (logs
 are still written, and summary.json names the failed checks).
+
+parse_config reads only JSON types and the config format.  Grid and
+CouplingConfig own the value rules and defaults of the grid and coupling
+keys; a grid.FieldError they raise becomes a ConfigError under the config
+path, with the owner's reason.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +31,7 @@ from .coupling import (
     regularity_report,
     solve_system,
 )
-from .grid import Grid
+from .grid import FieldError, Grid
 from .measure import DensityField, two_bump_density, uniform_density, von_mises_density
 from .model import MODEL_BUILDERS, ModelSpec, build_model, check_model
 
@@ -35,18 +41,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-# config "tolerances" keys and the CouplingConfig fields they set
-TOLERANCE_FIELDS = {"outer": "outer_tol", "inner": "inner_tol", "hjb": "hjb_tol", "ergodic": "ergodic_tol"}
+# config paths of the CouplingConfig fields a config sets, read both ways:
+# parse_config reads a path into its field and names a refused field's path
+COUPLING_PATHS = {
+    "time.T": "T", "time.dt": "dt", "rho": "rho", "rho_sequence": "rho_sequence", "full_sequence": "full_sequence",
+    "strategy": "strategy", "damping": "damping", "max_outer": "max_outer", "tolerances.outer": "outer_tol",
+    "tolerances.inner": "inner_tol", "tolerances.hjb": "hjb_tol", "tolerances.ergodic": "ergodic_tol",
+}
 
 # initial-density kinds and their builders, called as builder(grid, **m0_params);
 # the "m0" keys a kind takes besides "kind" are its builder's parameters after grid
 M0_BUILDERS = {"uniform": uniform_density, "vonmises": von_mises_density, "twobump": two_bump_density}
 
-# top-level config keys; any other key is a config error
-CONFIG_KEYS = frozenset({
-    "model", "grid", "time", "mode", "strategy", "rho", "rho_sequence", "full_sequence", "tolerances",
-    "damping", "max_outer", "m0", "output_dir", "diagnostics", "seed",
-})
+# top-level config keys, the coupling paths' first parts among them; any other key is a config error
+CONFIG_KEYS = frozenset({"model", "grid", "mode", "m0", "output_dir", "diagnostics", "seed"}).union(
+    path.split(".")[0] for path in COUPLING_PATHS
+)
 
 
 class ConfigError(ValueError):
@@ -134,6 +144,39 @@ def _m0_params(m0_cfg: dict, kind: str, d: int) -> dict:
     return params
 
 
+def _coupling(payload: dict, mode: str) -> CouplingConfig:
+    """The CouplingConfig of a config: each path of COUPLING_PATHS the config
+    sets, read as its field's type (a field without a default must be set),
+    and in ergodic mode the sequence rho0 * factor**k, k < count.  A value
+    CouplingConfig refuses is a ConfigError under its path."""
+    tols = _get(payload, "tolerances", dict, default={})
+    for key in tols:
+        if f"tolerances.{key}" not in COUPLING_PATHS:
+            raise ConfigError(f"tolerances.{key}", "unknown tolerance")
+    sections = {"": payload, "time": _get(payload, "time", dict), "tolerances": tols}
+    kinds = typing.get_type_hints(CouplingConfig)
+    required = {f.name for f in fields(CouplingConfig) if f.default is MISSING}
+    values = {}
+    for path, name in COUPLING_PATHS.items():
+        where, _, key = path.rpartition(".")
+        if name != "rho_sequence" and (key in sections[where] or name in required):
+            values[name] = _get(sections[where], key, kinds[name], where)
+    if mode == "ergodic":
+        seq_cfg = _get(payload, "rho_sequence", dict)
+        rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
+        factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
+        count = _get(seq_cfg, "count", int, "rho_sequence", 10)
+        if not (0 < factor < 1):
+            raise ConfigError("rho_sequence.factor", "must lie in (0, 1)")
+        if count < 2:
+            raise ConfigError("rho_sequence.count", "must be at least 2")
+        values["rho_sequence"] = tuple(rho0 * factor**k for k in range(count))
+    try:
+        return CouplingConfig(**values)
+    except FieldError as exc:
+        raise ConfigError({name: path for path, name in COUPLING_PATHS.items()}[exc.field], exc.reason)
+
+
 def parse_config(payload: dict) -> RunConfig:
     _require_object(payload)
     for key in payload:
@@ -154,72 +197,27 @@ def parse_config(payload: dict) -> RunConfig:
             raise ConfigError(f"model.params.{key}", "must be finite")
 
     grid_cfg = _get(payload, "grid", dict)
-    d = _get(grid_cfg, "d", int, "grid")
-    n = _get(grid_cfg, "n", int, "grid")
-    if d not in (1, 2):
-        raise ConfigError("grid.d", "must be 1 or 2")
-    if n < 8:
-        raise ConfigError("grid.n", "must be at least 8")
     try:
-        spec = build_model(name, d=d, **params)
+        grid = Grid(_get(grid_cfg, "d", int, "grid"), _get(grid_cfg, "n", int, "grid"))
+    except FieldError as exc:
+        raise ConfigError(f"grid.{exc.field}", exc.reason)
+    try:
+        spec = build_model(name, d=grid.d, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model.params", str(exc))
-
-    time_cfg = _get(payload, "time", dict)
-    T = _get(time_cfg, "T", float, "time")
-    dt = _get(time_cfg, "dt", float, "time")
-    if T <= 0:
-        raise ConfigError("time.T", "must be positive")
-    if dt <= 0:
-        raise ConfigError("time.dt", "must be positive")
-    if abs(round(T / dt) * dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigError("time.dt", "T must be an integer multiple of dt")
 
     mode = _get(payload, "mode", str, default="discounted")
     if mode not in ("discounted", "ergodic"):
         raise ConfigError("mode", "must be 'discounted' or 'ergodic'")
-    strategy = _get(payload, "strategy", str, default="gamma")
-    if strategy not in ("gamma", "psi"):
-        raise ConfigError("strategy", "must be 'gamma' or 'psi'")
-    if spec.kind != "instant" and strategy != "psi":
-        raise ConfigError("strategy", "history models require strategy 'psi'")
-
-    rho = _get(payload, "rho", float, default=1.0)
-    if mode == "discounted" and rho <= 0:
-        raise ConfigError("rho", "discounted mode requires rho > 0")
-
-    rho_sequence: tuple[float, ...] = ()
     if mode == "discounted":
         for key in ("rho_sequence", "full_sequence"):
             if key in payload:
                 raise ConfigError(key, "only ergodic mode reads it")
-    else:
-        if "rho" in payload:
-            raise ConfigError("rho", "only discounted mode reads it")
-        seq_cfg = _get(payload, "rho_sequence", dict)
-        rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
-        factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
-        count = _get(seq_cfg, "count", int, "rho_sequence", 10)
-        if not (0 < factor < 1):
-            raise ConfigError("rho_sequence.factor", "must lie in (0, 1)")
-        if count < 2:
-            raise ConfigError("rho_sequence.count", "must be at least 2")
-        rho_sequence = tuple(rho0 * factor**k for k in range(count))
-        if not all(0.0 < b < a < np.inf for a, b in zip(rho_sequence, rho_sequence[1:])):
-            raise ConfigError("rho_sequence", "discounts must be finite, positive and strictly decreasing")
-
-    tols = _get(payload, "tolerances", dict, default={})
-    for key in tols:
-        if key not in TOLERANCE_FIELDS:
-            raise ConfigError(f"tolerances.{key}", "unknown tolerance")
-        if _get(tols, key, float, "tolerances") <= 0:
-            raise ConfigError(f"tolerances.{key}", "must be positive")
-    damping = _get(payload, "damping", float, default=0.5)
-    if not (0 < damping <= 1):
-        raise ConfigError("damping", "must lie in (0, 1]")
-    max_outer = _get(payload, "max_outer", int, default=40)
-    if max_outer < 1:
-        raise ConfigError("max_outer", "must be at least 1")
+    elif "rho" in payload:
+        raise ConfigError("rho", "only discounted mode reads it")
+    coupling = _coupling(payload, mode)
+    if spec.kind != "instant" and coupling.strategy != "psi":
+        raise ConfigError("strategy", "history models require strategy 'psi'")
 
     seed = _get(payload, "seed", int, default=0)
     if seed < 0:
@@ -229,27 +227,17 @@ def parse_config(payload: dict) -> RunConfig:
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
     if m0_kind not in M0_BUILDERS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
-    m0_params = _m0_params(m0_cfg, m0_kind, d)
+    m0_params = _m0_params(m0_cfg, m0_kind, grid.d)
     try:  # a density that overflows is non-finite, which its builder rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            m0 = M0_BUILDERS[m0_kind](Grid(d, n), **m0_params)
+            m0 = M0_BUILDERS[m0_kind](grid, **m0_params)
     except ValueError as exc:
         raise ConfigError("m0", str(exc))
 
     return RunConfig(
         spec=spec,
         m0=m0,
-        coupling=CouplingConfig(
-            T=T,
-            dt=dt,
-            rho=rho,
-            max_outer=max_outer,
-            damping=damping,
-            strategy=strategy,
-            rho_sequence=rho_sequence,
-            full_sequence=_get(payload, "full_sequence", bool, default=False),
-            **{TOLERANCE_FIELDS[key]: float(value) for key, value in tols.items()},
-        ),
+        coupling=coupling,
         output_dir=_get(payload, "output_dir", str, default="out"),
         diagnostics=_get(payload, "diagnostics", bool, default=False),
         seed=seed,

@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fp import fp_evolve
-from .grid import Grid, gradient_central, laplacian
+from .grid import FieldError, Grid, gradient_central, laplacian
 from .hjb import equation_residual, solve_discounted, solve_ergodic, value_function
 from .measure import (
     DensityField,
@@ -95,7 +95,8 @@ MEASURE_PAIRS = 120  # and for the joint measure
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Tolerances, time grid, and strategy knobs for the coupled solvers."""
+    """Tolerances, time grid, and strategy knobs for the coupled solvers, and the
+    one owner of their defaults and rules: a refused value is a grid.FieldError."""
 
     T: float
     dt: float
@@ -115,24 +116,22 @@ class CouplingConfig:
         # written as not 0 < value < inf, so that NaN is rejected too
         for name in ("T", "dt", "rho", "outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
             if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+                raise FieldError(name, f"must be positive and finite, got {getattr(self, name)}")
         for name in ("max_outer", "inner_max_iter"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise FieldError(name, f"must be at least 1, got {getattr(self, name)}")
         if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+            raise FieldError("damping", f"must lie in (0, 1], got {self.damping}")
         if self.strategy not in ("gamma", "psi"):
-            raise ValueError(f"strategy must be 'gamma' or 'psi', got {self.strategy!r}")
+            raise FieldError("strategy", f"must be 'gamma' or 'psi', got {self.strategy!r}")
         seq = self.rho_sequence
         if seq and (len(seq) < 2 or not all(0.0 < b < a < np.inf for a, b in zip(seq, seq[1:]))):
-            raise ValueError(
-                "rho_sequence must be empty or at least two finite, positive, strictly decreasing "
-                f"discounts, got {seq!r}"
-            )
+            why = "must be empty or at least two finite, positive, strictly decreasing discounts"
+            raise FieldError("rho_sequence", f"{why}, got {seq!r}")
         if self.full_sequence and not seq:
-            raise ValueError("full_sequence needs a nonempty rho_sequence")
+            raise FieldError("full_sequence", "needs a nonempty rho_sequence")
         if abs(self.n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
-            raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
+            raise FieldError("dt", f"must divide T={self.T} a whole number of times, got {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -389,8 +388,6 @@ def solve_field_iteration(
 def _field_picard(spec, m0, config, initial=None):
     """solve_field_iteration's Picard part: (the last pass's unprobed solution,
     finish), finish() re-solving each slice once and returning (probed result, its bindings)."""
-    if spec.kind != "instant":
-        raise ValueError("field iteration requires an instant model")
     grid, x = m0.grid, m0.grid.coordinates()
     n_slices = config.n_steps + 1
 
@@ -679,7 +676,8 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, se
     def _pairs(count: int) -> list[tuple[int, int]]:
         allp = [(j, k) for j in range(n) for k in range(j + 1, n)]
         if len(allp) > count:
-            chosen = rng.choice(len(allp), size=count, replace=False)
+            # slice order, so that each flow of a state W1 batch starts from a neighbouring pair's basis
+            chosen = np.sort(rng.choice(len(allp), size=count, replace=False))
             allp = [allp[int(c)] for c in chosen]
         return allp
 

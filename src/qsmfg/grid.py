@@ -31,6 +31,7 @@ import numpy as np
 from scipy.sparse.linalg._dsolve._superlu import gssv
 
 __all__ = [
+    "FieldError",
     "Grid",
     "StencilPattern",
     "laplacian",
@@ -60,6 +61,16 @@ class StencilPattern(NamedTuple):
     transpose: np.ndarray
 
 
+class FieldError(ValueError):
+    """A refused attribute value: field names the attribute, reason says why,
+    and the message is the field name followed by the reason."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on the unit torus [0,1)^d with nodes x_i = i/n."""
@@ -69,9 +80,9 @@ class Grid:
 
     def __post_init__(self) -> None:
         if not _is_integer(self.d) or self.d not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {self.d}")
+            raise FieldError("d", f"must be 1 or 2, got {self.d!r}")
         if not _is_integer(self.n) or self.n < 8:
-            raise ValueError(f"grid needs an integer n >= 8 nodes per axis, got {self.n}")
+            raise FieldError("n", f"must be an integer of at least 8, got {self.n!r}")
 
     @property
     def h(self) -> float:

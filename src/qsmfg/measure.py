@@ -411,6 +411,11 @@ def _same_marginal(nu1: JointMeasure, nu2: JointMeasure) -> bool:
     return np.array_equal(nu1.w, nu2.w) and _graph_measure(nu1, grid) and _graph_measure(nu2, grid)
 
 
+def _equal_mass(nu1: JointMeasure, nu2: JointMeasure) -> bool:
+    """True when the total masses agree within 1e-10, as joint W1 needs."""
+    return abs(nu1.mass() - nu2.mass()) <= 1e-10
+
+
 def joint_w1_upper_bound(nu1: JointMeasure, nu2: JointMeasure, state_w1: float) -> float:
     """Certified upper bound on wasserstein1_joint(nu1, nu2) for graph measures.
 
@@ -424,10 +429,7 @@ def joint_w1_upper_bound(nu1: JointMeasure, nu2: JointMeasure, state_w1: float) 
     grid with equal masses get inf.
     """
     grid = nu1.grid
-    if not (
-        _graph_measure(nu1, grid) and _graph_measure(nu2, grid)
-        and abs(nu1.mass() - nu2.mass()) <= 1e-10
-    ):
+    if not (_graph_measure(nu1, grid) and _graph_measure(nu2, grid) and _equal_mass(nu1, nu2)):
         return np.inf
     gaps = np.linalg.norm(nu1.a - nu2.a, axis=1)
     return min(
@@ -445,7 +447,7 @@ def wasserstein1_joint(nu1: JointMeasure, nu2: JointMeasure) -> float:
     either policy certifies it, and the atom LP otherwise, priced with its
     duals so that only arcs that can carry mass are solved for.
     """
-    if abs(nu1.mass() - nu2.mass()) > 1e-10:
+    if not _equal_mass(nu1, nu2):
         raise ValueError(f"mass mismatch: {nu1.mass()!r} vs {nu2.mass()!r}")
     x1, a1, w1 = _dedupe(nu1)
     x2, a2, w2 = _dedupe(nu2)

@@ -1,14 +1,14 @@
 import ast
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsmfg.cli import ConfigError, load_config, main, parse_config
-from qsmfg.coupling import solve_system
-from qsmfg.grid import Grid
+from qsmfg.cli import COUPLING_PATHS, ConfigError, load_config, main, parse_config
+from qsmfg.coupling import CouplingConfig, solve_system
+from qsmfg.grid import FieldError, Grid
 from qsmfg.measure import two_bump_density, von_mises_density
 from qsmfg.model import MODEL_BUILDERS, separated_cost
 
@@ -43,6 +43,12 @@ class TestConfigValidation:
         cfg = parse_config(dict(MINIMAL))
         assert cfg.spec.name == "separated"
         assert cfg.m0.grid.n == 32
+        # every coupling key the config leaves out takes CouplingConfig's default
+        assert cfg.coupling == CouplingConfig(T=0.5, dt=0.05)
+        sequence = tuple(0.5**k for k in range(10))
+        assert parse_config(dict(ERGODIC, rho_sequence={})).coupling == CouplingConfig(
+            T=0.5, dt=0.05, rho_sequence=sequence
+        )
 
     def test_missing_field_named(self):
         bad = {k: v for k, v in MINIMAL.items() if k != "grid"}
@@ -325,6 +331,11 @@ class TestConfigValidation:
             ("tolerances.hjb", {"tolerances": {"hjb": 0.0}}),
             ("damping", {"damping": 1.5}),
             ("max_outer", {"max_outer": 0}),
+            ("rho", {"rho": 0.0}),
+            ("time.dt", {"time": {"T": 0.5, "dt": 0.0}}),
+            ("damping", {"damping": 0.0}),
+            ("tolerances.inner", {"tolerances": {"inner": -1e-9}}),
+            ("tolerances.ergodic", {"mode": "ergodic", "rho_sequence": {}, "tolerances": {"ergodic": 0.0}}),
         ],
     )
     def test_refused_value_exit_code(self, tmp_path, capsys, field_name, change):
@@ -333,6 +344,58 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, payload)]) == 2
         assert f"error: config field {field_name!r}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, change, kwargs",
+        [
+            ("time.dt", {"time": {"T": 0.5, "dt": 0.15}}, {"dt": 0.15}),
+            ("damping", {"damping": 1.5}, {"damping": 1.5}),
+            ("max_outer", {"max_outer": 0}, {"max_outer": 0}),
+            ("tolerances.hjb", {"tolerances": {"hjb": -1e-12}}, {"hjb_tol": -1e-12}),
+            ("strategy", {"strategy": "delta"}, {"strategy": "delta"}),
+        ],
+    )
+    def test_refused_coupling_value_has_couplingconfigs_reason(self, path, change, kwargs):
+        # the CLI reports the refusal of the value's owner under its path
+        with pytest.raises(FieldError) as owner:
+            CouplingConfig(**dict({"T": 0.5, "dt": 0.05}, **kwargs))
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(MINIMAL, **change))
+        assert (err.value.field_name, err.value.reason) == (path, owner.value.reason)
+
+    # a value CouplingConfig refuses at each config path; full_sequence, which
+    # only ergodic mode reads and where the sequence is never empty, is
+    # refused under the same path by discounted mode
+    REFUSED = {
+        "time.T": -0.5,
+        "time.dt": 0.15,
+        "rho": 0.0,
+        "rho_sequence": {"rho0": -1.0},
+        "full_sequence": True,
+        "strategy": "delta",
+        "damping": 0.0,
+        "max_outer": 0,
+        "tolerances.outer": 0.0,
+        "tolerances.inner": 0.0,
+        "tolerances.hjb": 0.0,
+        "tolerances.ergodic": 0.0,
+    }
+
+    def test_path_table_covers_the_settable_fields(self):
+        # every CouplingConfig field but the inner iteration cap has one path
+        assert set(self.REFUSED) == set(COUPLING_PATHS)
+        names = sorted(COUPLING_PATHS.values())
+        assert names == sorted({f.name for f in fields(CouplingConfig)} - {"inner_max_iter"})
+
+    @pytest.mark.parametrize("path", sorted(REFUSED))
+    def test_every_coupling_refusal_names_its_path(self, path):
+        payload = json.loads(json.dumps(ERGODIC if path == "rho_sequence" else MINIMAL))
+        *where, key = path.split(".")
+        node = payload.setdefault(where[0], {}) if where else payload
+        node[key] = self.REFUSED[path]
+        with pytest.raises(ConfigError) as err:
+            parse_config(payload)
+        assert err.value.field_name == path
 
 
 class TestRun:

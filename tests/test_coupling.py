@@ -17,7 +17,7 @@ from qsmfg.coupling import (
     solve_system,
     solve_vanishing_discount,
 )
-from qsmfg.grid import Grid, gradient_central
+from qsmfg.grid import FieldError, Grid, gradient_central
 from qsmfg.hjb import equation_residual, solve_ergodic, value_function
 from qsmfg.measure import (
     DensityField,
@@ -348,9 +348,10 @@ class TestFieldIteration:
         assert gap <= 10 * cfg.outer_tol
 
     def test_rejects_history_models(self):
+        # the joint-measure fixed point of the first pass refuses the model
         spec = example_two(d=1)
         cfg = CouplingConfig(T=0.2, dt=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="instant model"):
             solve_field_iteration(spec, uniform_density(GRID), cfg)
 
 
@@ -563,8 +564,9 @@ class TestErgodicDriver:
     )
     def test_discount_sequence_validated(self, sequence):
         # the warm starts divide by differences of discounts
-        with pytest.raises(ValueError, match="rho_sequence"):
+        with pytest.raises(FieldError, match="rho_sequence") as err:
             CouplingConfig(T=0.2, dt=0.1, rho_sequence=sequence)
+        assert err.value.field == "rho_sequence"
         for accepted in ((), (1.0, 0.5), (1.0, 0.5, 1e-3)):
             assert CouplingConfig(T=0.2, dt=0.1, rho_sequence=accepted).rho_sequence == accepted
 
@@ -579,8 +581,9 @@ class TestErgodicDriver:
         # positivity checks reject NaN and infinities too, T must be a
         # multiple of dt (0.2 is not one of 0.15), and a cap of 0 iterations
         # would return an unsolved "solution"
-        with pytest.raises(ValueError, match=field_name):
+        with pytest.raises(FieldError, match=field_name) as err:
             CouplingConfig(**{"T": 0.2, "dt": 0.1, field_name: value})
+        assert err.value.field == field_name
         assert CouplingConfig(T=0.2, dt=0.1, max_outer=1, inner_max_iter=1).max_outer == 1
 
     def test_full_sequence_needs_a_sequence(self):
@@ -1017,6 +1020,29 @@ class TestRegularityReport:
             for j in range(sol.n_slices) for k in range(j + 1, sol.n_slices)
         )
         assert rep["mu_holder_half"] == best > 0.0
+
+    def test_sampled_pairs_reach_the_state_w1_in_slice_order(self, monkeypatch):
+        # 31 slices give 465 pairs, more than STATE_PAIRS, so the report
+        # samples them; it hands each state W1 batch over in slice order,
+        # which starts every flow from a neighbouring pair's basis, and the
+        # draws and the set of pairs are those of the seed's generator
+        sol = solve_field_iteration(_const_model(1.0), von_mises_density(GRID), CouplingConfig(T=3.0, dt=0.1))
+        n = sol.n_slices
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        assert len(pairs) > coupling.STATE_PAIRS
+        slice_of = {id(m): j for j, m in enumerate(sol.m)}
+        assert len(slice_of) == n
+        batches = []
+
+        def recording(m1, m2):
+            batches.append([(slice_of[id(a)], slice_of[id(b)]) for a, b in zip(m1, m2)])
+            return wasserstein1_state(m1, m2)
+
+        monkeypatch.setattr(coupling, "wasserstein1_state", recording)
+        regularity_report(sol, seed=3)
+        drawn = np.random.default_rng(3).choice(len(pairs), size=coupling.STATE_PAIRS, replace=False)
+        assert batches[0] == sorted(pairs[int(c)] for c in drawn)
+        assert all(batch == sorted(batch) for batch in batches)
 
     def test_stationary_run_has_zero_holder_ratios(self):
         spec = _const_model(1.0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsmfg.grid import (
+    FieldError,
     Grid,
     _direct_solve,
     gradient_central,
@@ -20,10 +21,12 @@ def _random_field(grid, seed):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match="^d ") as err:
         Grid(3, 16)
-    with pytest.raises(ValueError):
+    assert err.value.field == "d"
+    with pytest.raises(FieldError, match="^n ") as err:
         Grid(1, 4)
+    assert err.value.field == "n"
     g = Grid(1, 48)
     assert g.n * g.h == pytest.approx(1.0, abs=0)
     assert g.shape == (48,)
@@ -32,8 +35,10 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("d,n", [(1, 32.0), (1.0, 32), (True, 32), (1, True), (2, 16.5), ("1", 32)])
 def test_grid_rejects_non_integer_sizes(d, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError) as err:
         Grid(d, n)
+    # a refused d is named first; an accepted one leaves n
+    assert err.value.field == ("n" if type(d) is int else "d")
 
 
 def test_grid_accepts_numpy_integers():
