@@ -116,6 +116,16 @@ def _get(payload: dict, key, kind, where: str = "", default=_REQUIRED):
     return value
 
 
+def _known(section: dict, paths, where: str = "") -> dict:
+    """section, the object at config path where, whose keys' paths must all
+    be in paths: any other key is a ConfigError under its path."""
+    for key in section:
+        path = f"{where}.{key}" if where else str(key)
+        if path not in paths:
+            raise ConfigError(path, "unknown config key")
+    return section
+
+
 def _floats(payload: dict, key, where: str, length: int) -> list:
     """payload[key] checked to be a list of length floats."""
     values = _get(payload, key, list, where)
@@ -149,11 +159,11 @@ def _coupling(payload: dict, mode: str) -> CouplingConfig:
     sets, read as its field's type (a field without a default must be set),
     and in ergodic mode the sequence rho0 * factor**k, k < count.  A value
     CouplingConfig refuses is a ConfigError under its path."""
-    tols = _get(payload, "tolerances", dict, default={})
-    for key in tols:
-        if f"tolerances.{key}" not in COUPLING_PATHS:
-            raise ConfigError(f"tolerances.{key}", "unknown tolerance")
-    sections = {"": payload, "time": _get(payload, "time", dict), "tolerances": tols}
+    sections = {
+        "": payload,
+        "time": _known(_get(payload, "time", dict), COUPLING_PATHS, "time"),
+        "tolerances": _known(_get(payload, "tolerances", dict, default={}), COUPLING_PATHS, "tolerances"),
+    }
     kinds = typing.get_type_hints(CouplingConfig)
     required = {f.name for f in fields(CouplingConfig) if f.default is MISSING}
     values = {}
@@ -162,7 +172,8 @@ def _coupling(payload: dict, mode: str) -> CouplingConfig:
         if name != "rho_sequence" and (key in sections[where] or name in required):
             values[name] = _get(sections[where], key, kinds[name], where)
     if mode == "ergodic":
-        seq_cfg = _get(payload, "rho_sequence", dict)
+        seq_paths = ("rho_sequence.rho0", "rho_sequence.factor", "rho_sequence.count")
+        seq_cfg = _known(_get(payload, "rho_sequence", dict), seq_paths, "rho_sequence")
         rho0 = _get(seq_cfg, "rho0", float, "rho_sequence", 1.0)
         factor = _get(seq_cfg, "factor", float, "rho_sequence", 0.5)
         count = _get(seq_cfg, "count", int, "rho_sequence", 10)
@@ -179,9 +190,7 @@ def _coupling(payload: dict, mode: str) -> CouplingConfig:
 
 def parse_config(payload: dict) -> RunConfig:
     _require_object(payload)
-    for key in payload:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(key, "unknown config key")
+    _known(payload, CONFIG_KEYS)
     model = _get(payload, "model", dict)
     name = _get(model, "name", str, "model")
     if name not in MODEL_BUILDERS:
@@ -196,7 +205,7 @@ def parse_config(payload: dict) -> RunConfig:
         if isinstance(params[key], float) and not np.isfinite(params[key]):
             raise ConfigError(f"model.params.{key}", "must be finite")
 
-    grid_cfg = _get(payload, "grid", dict)
+    grid_cfg = _known(_get(payload, "grid", dict), ("grid.d", "grid.n"), "grid")
     try:
         grid = Grid(_get(grid_cfg, "d", int, "grid"), _get(grid_cfg, "n", int, "grid"))
     except FieldError as exc:

@@ -18,17 +18,27 @@ Those systems live on the stencil pattern: the canonical CSR pattern of the
 (1 + 2d)-point stencil, row i holding node i and its neighbours in ascending
 column order.  A solver fills only a data array in that pattern's slots and
 hands it to _direct_solve, one SuperLU factorization and solve.
+
+The two compiled scipy modules the solvers call, SuperLU's _superlu here and
+HiGHS's _highspy._core in measure.py, are bound through _extension, which
+loads each from its file so that the scipy.sparse.linalg and scipy.optimize
+package __init__s, and the modules they pull in, never run.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import ModuleType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg._dsolve._superlu import gssv
+import scipy
 
 __all__ = [
     "FieldError",
@@ -40,6 +50,40 @@ __all__ = [
     "torus_distance",
     "node_values",
 ]
+
+# the directory _extension looks for compiled scipy modules in
+_SCIPY_DIR = os.path.dirname(scipy.__file__)
+
+
+def _extension(name: str) -> ModuleType:
+    """The compiled scipy module of dotted name name, loaded from its file
+    without running the __init__ of any package above it.
+
+    A module already in sys.modules is returned as it is: a second copy of a
+    compiled module must never be loaded, and a later import of its package
+    finds this one.  Otherwise the first file <scipy dir>/<path>.<suffix>
+    with an extension-module suffix is loaded, registered in sys.modules
+    under name before it runs.  If no such file exists, the module is
+    imported the usual way, package __init__s and all.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(_SCIPY_DIR, *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
+            return module
+    return importlib.import_module(name)
+
+
+gssv = _extension("scipy.sparse.linalg._dsolve._superlu").gssv
 
 
 class StencilPattern(NamedTuple):

@@ -56,9 +56,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from .grid import Grid, node_values, torus_distance
+from .grid import Grid, _extension, node_values, torus_distance
 
 __all__ = [
     "DensityField",
@@ -78,6 +77,9 @@ NEGATIVE_TOL = 1e-13
 # more atoms than this (finer than a 2D n=64 grid) are rejected rather than
 # handed to HiGHS
 ATOM_CAP = 4096
+
+_core = _extension("scipy.optimize._highspy._core")
+HighsModelStatus, _Highs = _core.HighsModelStatus, _core._Highs
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,19 @@ class JointMeasure:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _checked(cls, x: np.ndarray, a: np.ndarray, w: np.ndarray, grid: Grid) -> "JointMeasure":
+        """The measure of (N, d), (N, k) and (N,) float arrays the caller has
+        already checked finite, with w nonnegative and no -0.0 in it, as
+        pushforward does.  The arrays are not copied: they are set read-only
+        and become x, a and w, so the caller must keep no writable alias."""
+        for arr in (x, a, w):
+            arr.setflags(write=False)
+        nu = object.__new__(cls)
+        for name, value in (("x", x), ("a", a), ("w", w), ("grid", grid)):
+            object.__setattr__(nu, name, value)
+        return nu
+
     @property
     def n_atoms(self) -> int:
         return self.w.shape[0]
@@ -214,7 +229,12 @@ def pushforward(m: DensityField, policy: np.ndarray) -> JointMeasure:
     """
     grid = m.grid
     a = node_values(grid, policy, "policy", np.shape(policy)[-1] if np.ndim(policy) == 2 else 1)
-    return JointMeasure(grid.coordinates(), a, m.values * grid.cell_volume, grid=grid)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("joint measure contains non-finite entries")
+    # the coordinates are the grid's read-only (n^d, d) floats, and a checked
+    # density's values are finite and nonnegative, so the weights are too;
+    # adding 0.0 turns a -0.0 into 0.0, as the public constructor's clip does
+    return JointMeasure._checked(grid.coordinates(), a, m.values * grid.cell_volume + 0.0, grid)
 
 
 def _dedupe(nu: JointMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

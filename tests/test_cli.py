@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -86,6 +89,26 @@ class TestConfigValidation:
         assert err.value.field_name == key
         assert main(["run", _write(tmp_path, payload)]) == 2
         assert f"config field {key!r}: unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field_name, change",
+        [
+            ("grid.N", {"grid": {"d": 1, "n": 32, "N": 64}}),
+            ("time.dT", {"time": {"T": 0.5, "dt": 0.05, "dT": 0.1}}),
+            ("rho_sequence.rho_0", {"mode": "ergodic", "rho_sequence": {"rho_0": 4.0, "count": 3}}),
+            ("tolerances.outr", {"tolerances": {"outr": 1e-8}}),
+        ],
+    )
+    def test_unknown_nested_key_rejected(self, tmp_path, capsys, field_name, change):
+        # a misspelled key inside an object is refused, not read as absent
+        base = ERGODIC if change.get("mode") == "ergodic" else MINIMAL
+        payload = dict(base, output_dir=str(tmp_path / "out"), **change)
+        with pytest.raises(ConfigError) as err:
+            parse_config(payload)
+        assert err.value.field_name == field_name
+        assert main(["run", _write(tmp_path, payload)]) == 2
+        assert f"config field {field_name!r}: unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -657,12 +680,15 @@ def test_only_grid_and_the_u_final_writer_read_grid_shape():
 
 def _names(path):
     """Each AST node of the source file path with the names it imports or
-    holds: module paths for an import, the id or attribute otherwise."""
+    holds: module paths for an import or a grid._extension call, the id or
+    attribute otherwise."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_extension":
+            names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
         else:
             names = [getattr(node, "id", getattr(node, "attr", ""))]
         yield node, names
@@ -694,6 +720,54 @@ def test_only_grid_binds_superlu():
                 imports_linalg = any(name.startswith("scipy.sparse.linalg") for name in names)
                 assert not imports_linalg, f"{path.name}:{node.lineno} imports scipy.sparse.linalg"
     assert binders == {"grid.py"}
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter with this checkout's qsmfg."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_only_the_compiled_solver_modules():
+    # of scipy.optimize and scipy.sparse.linalg only the two compiled
+    # modules the solvers call are loaded (and _core's own submodules), so
+    # no package __init__ of theirs, nor scipy.fft or scipy.special, runs
+    loaded = _fresh_python("import sys, qsmfg.cli; print(*sorted(sys.modules))").split()
+    bindings = ("scipy.optimize._highspy._core", "scipy.sparse.linalg._dsolve._superlu")
+    assert set(bindings) <= set(loaded)
+    for name in loaded:
+        if name.startswith(("scipy.optimize", "scipy.sparse.linalg", "scipy.fft", "scipy.special")):
+            assert any(name == b or name.startswith(b + ".") for b in bindings), name
+
+
+def test_scipy_optimize_works_after_import():
+    # a later import of scipy.optimize finds the _core qsmfg loaded; its
+    # linprog solves a 1D transport LP to wasserstein1_joint's value
+    out = _fresh_python(
+        """
+import numpy as np
+import qsmfg.cli
+from scipy.optimize import linprog
+from qsmfg.grid import Grid
+from qsmfg.measure import joint_cost_matrix, pushforward, two_bump_density, von_mises_density, wasserstein1_joint
+
+g = Grid(1, 8)
+nu1 = pushforward(von_mises_density(g), np.full((8, 1), 0.2))
+nu2 = pushforward(two_bump_density(g), np.linspace(-1.0, 1.0, 8)[:, None])
+marginals = np.vstack([np.kron(np.eye(8), np.ones(8)), np.kron(np.ones(8), np.eye(8))])
+res = linprog(
+    joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a).ravel(),
+    A_eq=marginals, b_eq=np.concatenate([nu1.w, nu2.w]), method="highs",
+)
+print(res.status, repr(res.fun), repr(wasserstein1_joint(nu1, nu2)))
+"""
+    )
+    status, lp, w1 = out.split()
+    assert status == "0"
+    assert float(lp) == pytest.approx(float(w1), rel=1e-7, abs=1e-12)
+    assert float(w1) > 0.1
 
 
 def test_measure_read_only_through_bindings():

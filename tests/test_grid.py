@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -8,6 +11,7 @@ from qsmfg.grid import (
     FieldError,
     Grid,
     _direct_solve,
+    _extension,
     gradient_central,
     gradient_upwind,
     laplacian,
@@ -109,6 +113,27 @@ def test_direct_solve_rejects_a_singular_matrix(csc):
     # the same call on a regular matrix solves it
     x = _direct_solve(np.array([2.0, 1.0, 1.0, 3.0]), indices, indptr, np.array([3.0, 4.0]), csc=csc)
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
+
+
+def test_extension_returns_a_loaded_module():
+    # a module already in sys.modules is never loaded a second time
+    core = _extension("scipy.optimize._highspy._core")
+    assert core is sys.modules["scipy.optimize._highspy._core"]
+    assert _extension("scipy.sparse.linalg._dsolve._superlu") is sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+
+
+def test_extension_falls_back_to_import(tmp_path, monkeypatch):
+    # with no file to load, the module comes from importlib.import_module
+    name = "scipy._lib._bunch"
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr("qsmfg.grid._SCIPY_DIR", str(tmp_path))
+    imported = []
+    real = importlib.import_module
+    monkeypatch.setattr(importlib, "import_module", lambda n: imported.append(n) or real(n))
+    module = _extension(name)
+    assert imported == [name]
+    assert module is sys.modules[name]
+    assert module.__file__.endswith(".py")
 
 
 def _roll_reference(v, ax, h, kind, b=None):
