@@ -24,10 +24,12 @@ Every W1 value is exact; which engine computes it depends on the call:
   none has reduced cost below the LP's dual tolerance tau.  The duals are
   then tau-feasible for the full LP, a certificate that the value is within
   tau times the mass of the optimum.  Each transport problem is one HiGHS
-  model: the first round runs dual simplex, and each later round appends
-  the new arcs as columns and re-runs primal simplex from the basis the
-  last round left (a hot start).  Small problems (every 1D pair) start
-  from every arc and solve one LP;
+  model, and every round runs primal simplex: the first from the basis of
+  the north-west-corner plan, a primal feasible spanning tree of arcs, and
+  each later round appends the new arcs as columns and re-runs from the
+  basis the last round left (a hot start).  Small problems (every 1D pair)
+  start from every arc and solve one LP by dual simplex from the slack
+  basis;
 - Beckmann's min-cost flow on the periodic grid graph, for d=2 state
   densities: the torus L1 distance between nodes is h times their path
   distance in that graph, so W1 is the cheapest flow of p - q along edges of
@@ -57,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _extension, node_values, torus_distance
+from .grid import Grid, _extension, node_values
 
 __all__ = [
     "DensityField",
@@ -243,13 +245,23 @@ def _dedupe(nu: JointMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
-    """Ground costs dist_torus(x,x') + |a-a'| for all atom pairs."""
-    xc = torus_distance(x1[:, None, :], x2[None, :, :])
-    ac = np.linalg.norm(a1[:, None, :] - a2[None, :, :], axis=-1)
-    return xc + ac
+    """Ground costs dist_torus(x,x') + |a-a'| for all atom pairs, an (n1, n2)
+    array summed axis by axis, so no (n1, n2, d) or (n1, n2, k) temporary is
+    formed.  The per-axis terms are added in torus_distance's and
+    np.linalg.norm's order, so the costs are bit-equal to theirs."""
+    state = np.zeros((len(x1), len(x2)))
+    for ax in range(x1.shape[1]):
+        gap = np.abs(np.subtract.outer(x1[:, ax], x2[:, ax]))
+        state += np.minimum(gap, 1.0 - gap)
+    squares = np.zeros_like(state)
+    for ax in range(a1.shape[1]):
+        gap = np.subtract.outer(a1[:, ax], a2[:, ax])
+        squares += gap * gap
+    return state + np.sqrt(squares)
 
 
-# Options of every transport LP: no log, dual simplex
+# Options of every transport LP: no log, dual simplex (the priced atom LP
+# runs primal simplex from its north-west-corner basis instead)
 LP_OPTIONS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1}
 # At HiGHS's default feasibility tolerances (1e-7) atom-LP values of order
 # 1e-6 come out up to about 1% low, while joint W1 values are compared with
@@ -327,20 +339,28 @@ def _north_west_corner(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return i * n2 + j
 
 
-def _seed_arcs(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Sorted flat indices of the first arc set of the priced atom LP.
-
-    Every arc when the problem has at most ALL_ARCS_PAIRS pairs; otherwise
-    the north-west-corner plan plus the SEED_ARCS cheapest arcs of every row
-    and every column.
-    """
+def _seed_arcs(cost: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the first arc set of the priced atom LP: the
+    north-west-corner arcs corner plus the SEED_ARCS cheapest arcs of every
+    row and every column."""
     n1, n2 = cost.shape
-    if n1 * n2 <= ALL_ARCS_PAIRS:
-        return np.arange(n1 * n2)
     k1, k2 = min(SEED_ARCS, n2), min(SEED_ARCS, n1)
     by_row = np.argpartition(cost, k1 - 1, axis=1)[:, :k1] + n2 * np.arange(n1)[:, None]
     by_col = n2 * np.argpartition(cost, k2 - 1, axis=0)[:k2, :] + np.arange(n2)
-    return np.unique(np.concatenate([_north_west_corner(w1, w2), by_row.ravel(), by_col.ravel()]))
+    return np.unique(np.concatenate([corner, by_row.ravel(), by_col.ravel()]))
+
+
+def _set_basis(highs: _Highs, basic: np.ndarray) -> None:
+    """Give the model the starting basis of the columns where basic is True,
+    every other column and every row nonbasic at its lower bound.  Raises
+    if HiGHS refuses it."""
+    basis = _core.HighsBasis()
+    status = _core.HighsBasisStatus
+    basis.col_status = np.where(basic, status.kBasic, status.kLower).tolist()
+    basis.row_status = [status.kLower] * highs.getNumRow()
+    basis.valid, basis.alien = True, False
+    if highs.setBasis(basis) != _core.HighsStatus.kOk:
+        raise RuntimeError("transport LP refused its north-west-corner basis")
 
 
 def _arc_rows(arcs: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -362,13 +382,20 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     is within tau times the mass of the full one, the accuracy the LP is
     solved to anyway.  Every round but the last adds an arc, so the loop
     ends.  Problems with at most ALL_ARCS_PAIRS pairs start from every arc
-    and solve one LP.
+    and solve one LP, by dual simplex from the slack basis.
 
-    The rounds share one HiGHS model.  The first runs dual simplex; each
-    later one appends the priced arcs as columns and runs primal simplex
-    from the basis the last round left, which the zero new columns keep
-    primal feasible, so it takes a few hundred simplex iterations where a
-    fresh solve of a 256-atom pair takes over a thousand.
+    The rounds of a larger problem share one HiGHS model, and every round
+    runs primal simplex.  The first starts from the north-west-corner plan:
+    its n1 + n2 - 1 arcs, all in the first arc set, span the bipartite atom
+    graph, so as the basis (every other column and every row nonbasic) they
+    are nonsingular and primal feasible (Bertsimas & Tsitsiklis, sec. 7.2).
+    For measures close to each other, as the slices of one trajectory are,
+    that plan is near optimal: on a 256-atom pair of neighbouring slices the
+    first round takes about 200 simplex iterations where dual simplex from
+    the slack basis takes over a thousand.  (On unrelated random pairs it
+    can take more.)  Each later round appends the priced arcs as columns and
+    re-runs from the basis the last round left, which the zero new columns
+    keep primal feasible.
 
     The weights are divided by their mean atom weight before the solve and
     the value multiplied back, as the Beckmann flow scales its imbalance:
@@ -382,8 +409,15 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     scale = (w1.sum() + w2.sum()) / (n1 + n2)
     b_eq = np.concatenate([w1, w2])[:-1] / scale
     rows, cols = np.arange(n1), np.arange(n2)
-    arcs = _seed_arcs(cost, w1, w2)
-    highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0, TRANSPORT_LP_OPTIONS)
+    if n1 * n2 <= ALL_ARCS_PAIRS:
+        arcs = np.arange(n1 * n2)
+        highs = _lp_model(b_eq, cost.ravel(), _arc_rows(arcs, n1, n2), 1.0, TRANSPORT_LP_OPTIONS)
+    else:
+        corner = _north_west_corner(w1, w2)
+        arcs = _seed_arcs(cost, corner)
+        options = {**TRANSPORT_LP_OPTIONS, "simplex_strategy": 4}  # primal simplex
+        highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0, options)
+        _set_basis(highs, np.isin(arcs, corner))
     while True:
         value, dual = _solve(highs)
         dual = np.append(dual, 0.0)
@@ -400,8 +434,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
         priced = np.unique(priced)
         arcs = np.concatenate([arcs, priced])
         # the new columns enter at zero, so the kept basis stays primal
-        # feasible: primal simplex (strategy 4) re-runs from it
-        highs.setOptionValue("simplex_strategy", 4)
+        # feasible and primal simplex re-runs from it
         _add_columns(highs, cost.ravel()[priced], _arc_rows(priced, n1, n2), 1.0)
 
 

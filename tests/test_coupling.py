@@ -991,7 +991,57 @@ class TestPrunedMaximum:
         assert full.converged == sol.converged
 
 
+@pytest.fixture(scope="module")
+def gamma_2d_solution():
+    """The gamma_2d benchmark's problem: example1 in 2D at n = 16, T = 0.1."""
+    spec = example_one(d=2, **WEAK)
+    cfg = CouplingConfig(T=0.1, dt=0.05, rho=1.0, outer_tol=1e-9, inner_tol=1e-9, hjb_tol=1e-12)
+    return spec, solve_field_iteration(spec, two_bump_density(Grid(2, 16)), cfg)
+
+
+def _one_shot_costs(spec, sol):
+    """Each slice's running cost on every node and every point of the
+    report's control mesh at once, an (n^d, M) array per slice."""
+    mesh = spec.control.mesh(129)
+    x = sol.m[0].grid.coordinates()[:, None, :]
+    return [
+        spec.coefficients(x, coupling._slice_context(spec, sol.times, sol.mu, j))[1](mesh[None, :, :])
+        for j in range(sol.n_slices)
+    ]
+
+
 class TestRegularityReport:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_blocked_running_cost_sup_equals_one_shot_max(self, k, weak_gamma_solution, gamma_2d_solution):
+        # the report evaluates the cost on COST_BLOCK mesh points at a time;
+        # the max is exact, so the sup equals the max over the whole mesh
+        if k == 2:
+            spec, sol = gamma_2d_solution
+        else:
+            spec, _, _, sol = weak_gamma_solution
+        costs = _one_shot_costs(spec, sol)
+        blocks = -(-costs[0].shape[1] // coupling.COST_BLOCK)
+        assert blocks == (9 if k == 2 else 1)  # mesh(129) has 2049 points for k = 2, 129 for k = 1
+        one_shot = max(float(np.abs(c).max()) for c in costs)
+        if k == 2:  # the sup sits on the boundary ring, past the first block
+            assert max(float(np.abs(c[:, : coupling.COST_BLOCK]).max()) for c in costs) < one_shot
+        assert regularity_report(sol, spec=spec)["running_cost_sup"] == one_shot
+
+    def test_2d_report_memory_stays_small(self, gamma_2d_solution):
+        # the report forms no (n^d, M) cost array and no (n1, n2, d)
+        # transport temporary, so its traced peak stays small
+        import tracemalloc
+
+        spec, sol = gamma_2d_solution
+        regularity_report(sol, spec=spec)  # first calls build the grid's cached arrays
+        tracemalloc.start()
+        try:
+            regularity_report(sol, spec=spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_psi_run_matches_full_loop(self, memory_psi_solution, monkeypatch):
         spec, cfg, sol = memory_psi_solution
         calls = _counting_lp(monkeypatch)

@@ -446,10 +446,20 @@ def _constraint_matrix(highs):
     return sparse.csc_matrix((a.value_, a.index_, a.start_), shape=(highs.getNumRow(), highs.getNumCol()))
 
 
+BASIC = measure._core.HighsBasisStatus.kBasic
+
+
+def _basic_columns(highs):
+    """Positions of the model's basic columns, as getBasis reports them."""
+    return np.flatnonzero(np.array(highs.getBasis().col_status) == BASIC)
+
+
 def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
     """Wrap the LP's per-round solve: one record per round of the model, its
     constraint matrix as run (a_eq), its simplex strategy and iteration
-    count, its value and the duals handed back.
+    count, its basic columns and row statuses before the solve (start,
+    start_rows) and its basic columns after it (end), its value and the
+    duals handed back.
 
     row_dual_shift is added to the returned duals of the first n1 marginal
     rows.  More than limit rounds fail the test instead of running on.
@@ -462,11 +472,13 @@ def _record_rounds(monkeypatch, limit=40, n1=0, row_dual_shift=0.0):
             raise AssertionError(f"more than {limit} LP rounds")
         a_eq = _constraint_matrix(highs)
         strategy = highs.getOptionValue("simplex_strategy")[1]
+        start, start_rows = _basic_columns(highs), list(highs.getBasis().row_status)
         value, duals = solve(highs)
         duals[:n1] += row_dual_shift
         iterations = highs.getInfo().simplex_iteration_count
         rounds.append(SimpleNamespace(
-            model=highs, a_eq=a_eq, strategy=strategy, iterations=iterations, value=value, duals=duals,
+            model=highs, a_eq=a_eq, strategy=strategy, iterations=iterations, start=start, start_rows=start_rows,
+            end=_basic_columns(highs), value=value, duals=duals,
         ))
         return value, duals
 
@@ -558,10 +570,36 @@ def _outside_reduced_costs(cost, record):
     return reduced
 
 
+def _slack_start_iterations(cost, w1, w2, arcs):
+    """Simplex iterations of the first arc set's LP solved as before the
+    north-west-corner start: dual simplex from the slack basis."""
+    n1, n2 = cost.shape
+    scale = (w1.sum() + w2.sum()) / (n1 + n2)
+    b_eq = np.concatenate([w1, w2])[:-1] / scale
+    highs = measure._lp_model(
+        b_eq, cost.ravel()[arcs], measure._arc_rows(arcs, n1, n2), 1.0, measure.TRANSPORT_LP_OPTIONS
+    )
+    highs.run()
+    assert highs.getModelStatus() == measure.HighsModelStatus.kOptimal
+    return highs.getInfo().simplex_iteration_count
+
+
+def _check_north_west_start(first, w1, w2):
+    """Round 1 runs primal simplex from exactly the north-west-corner arcs
+    basic, every row nonbasic at its lower bound."""
+    n1, n2 = len(w1), len(w2)
+    assert first.strategy == 4
+    np.testing.assert_array_equal(
+        np.sort(_arcs(first.a_eq, n1, n2)[first.start]), measure._north_west_corner(w1, w2)
+    )
+    assert first.start_rows == [measure._core.HighsBasisStatus.kLower] * (n1 + n2 - 1)
+
+
 def test_hot_start_grows_one_model_to_the_reference_value(monkeypatch):
-    # one HiGHS model per transport problem: round 1 runs dual simplex, and
-    # each later round appends exactly the priced arcs as columns and runs
-    # primal simplex from the basis the last round left
+    # one HiGHS model per transport problem, every round primal simplex:
+    # round 1 starts from the north-west-corner basis, and each later round
+    # appends exactly the priced arcs as columns and starts from the basis
+    # the last round left
     g = Grid(2, 16)
     nu1, nu2 = _lp_pair(g, "rough", 2, np.random.default_rng(97))
     cost = measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
@@ -574,6 +612,7 @@ def test_hot_start_grows_one_model_to_the_reference_value(monkeypatch):
         assert after.model is rounds[0].model
         kept = before.a_eq.shape[1]
         assert (after.a_eq[:, :kept] != before.a_eq).nnz == 0  # no column rebuilt or moved
+        np.testing.assert_array_equal(after.start, before.end)  # the new columns start nonbasic
         outside = _outside_reduced_costs(cost, before)
         best_col, best_row = outside.argmin(axis=1), outside.argmin(axis=0)
         priced = np.union1d(
@@ -581,10 +620,97 @@ def test_hot_start_grows_one_model_to_the_reference_value(monkeypatch):
             (best_row * n + np.arange(n))[outside[best_row, np.arange(n)] < -TAU],
         )
         np.testing.assert_array_equal(np.sort(_arcs(after.a_eq, n, n)[kept:]), priced)
-    assert [r.strategy for r in rounds] == [1] + [4] * (len(rounds) - 1)
-    assert max(r.iterations for r in rounds[1:]) < rounds[0].iterations
+    assert [r.strategy for r in rounds] == [4] * len(rounds)
+    _check_north_west_start(rounds[0], nu1.w, nu2.w)
+    # a hot-started round takes fewer simplex iterations than a fresh solve
+    # of the smaller first arc set
+    fresh = _slack_start_iterations(cost, nu1.w, nu2.w, _arcs(rounds[0].a_eq, n, n))
+    assert max(r.iterations for r in rounds[1:]) < fresh
     assert abs(value - ref) <= 1e-12
     assert _outside_reduced_costs(cost, rounds[-1]).min() >= -TAU
+
+
+def test_north_west_start_saves_iterations_on_nearby_measures(monkeypatch):
+    # the report's pairs are slices of one trajectory, close to each other;
+    # there the north-west-corner plan is near optimal, and round 1 takes
+    # far fewer simplex iterations than dual simplex from the slack basis
+    g = Grid(2, 16)
+    nu1, nu2 = _lp_pair(g, "nearby", 1, np.random.default_rng(97))
+    cost = measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
+    rounds = _record_rounds(monkeypatch)
+    wasserstein1_joint(nu1, nu2)
+    fresh = _slack_start_iterations(cost, nu1.w, nu2.w, _arcs(rounds[0].a_eq, g.size, g.size))
+    assert rounds[0].iterations < 0.75 * fresh
+
+
+def _north_west_pair(case):
+    """Graph measures on a 2D grid whose pair takes the priced LP: rough
+    pairs at n = 9, 12 and 16; a uniform density against one alternating
+    0.5 and 1.5, whose cumulative weights tie at every other atom, so the
+    staircase holds zero-mass arcs; and a pair with zero-weight atoms, which
+    the LP drops, so the two sides have different atom counts."""
+    rng = np.random.default_rng(71)
+    if case in (9, 12, 16):
+        return _lp_pair(Grid(2, case), "rough", 2, rng)
+    g = Grid(2, 16 if case == "tied" else 12)
+    if case == "tied":
+        # the weights are multiples of 2^-9, so their cumulative sums are exact
+        m1 = uniform_density(g)
+        m2 = DensityField(g, np.tile([0.5, 1.5], g.size // 2))
+    else:
+        m1 = _random_density(g, 972)
+        v = 1.0 + rng.uniform(-0.6, 0.6, g.size)
+        v[rng.choice(g.size, 40, replace=False)] = 0.0
+        m2 = DensityField.from_values(g, v)
+    a1, a2 = (rng.uniform(-1, 1, (g.size, 2)) for _ in range(2))
+    return pushforward(m1, a1), pushforward(m2, a2)
+
+
+@pytest.mark.parametrize("case", [9, 12, 16, "tied", "zero-weight"])
+def test_north_west_start_matches_reference_lp(case, monkeypatch):
+    nu1, nu2 = _north_west_pair(case)
+    (_, _, w1), (_, _, w2) = measure._dedupe(nu1), measure._dedupe(nu2)
+    if case == "tied":
+        ends1, ends2 = np.cumsum(w1)[:-1], np.cumsum(w2)[:-1]
+        assert np.isin(ends2, ends1).sum() >= len(w2) // 2 - 1
+    if case == "zero-weight":
+        assert len(w1) - len(w2) == 40
+    ref = _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+    rounds = _record_rounds(monkeypatch)
+    value = wasserstein1_joint(nu1, nu2)
+    _check_north_west_start(rounds[0], w1, w2)
+    assert abs(value - ref) <= 1e-12
+
+
+def test_refused_north_west_basis_raises(monkeypatch):
+    # one arc short of a spanning tree is no basis: HiGHS refuses it, and
+    # the LP raises instead of solving from the slack basis
+    nu1, nu2 = _north_west_pair(12)
+    corner = measure._north_west_corner
+    monkeypatch.setattr(measure, "_north_west_corner", lambda w1, w2: corner(w1, w2)[:-1])
+    with pytest.raises(RuntimeError, match="refused its north-west-corner basis"):
+        wasserstein1_joint(nu1, nu2)
+
+
+def test_joint_cost_matrix_is_bit_equal_to_the_metric_definition():
+    # summed axis by axis, the costs equal torus_distance plus the control
+    # norm on the full (n1, n2, d) and (n1, n2, k) arrays bit for bit
+    from qsmfg.grid import torus_distance
+
+    rng = np.random.default_rng(73)
+    for d in (1, 2):
+        for k in (1, 2):
+            for n1, n2 in ((37, 53), (64, 9)):
+                # coordinates near 0 and near 1, so pairs fall on both sides of the wrap
+                x1 = np.concatenate([rng.uniform(0.0, 0.1, (n1 // 2, d)), rng.uniform(0.0, 1.0, (n1 - n1 // 2, d))])
+                x2 = np.concatenate([rng.uniform(0.9, 1.0, (n2 // 2, d)), rng.uniform(0.0, 1.0, (n2 - n2 // 2, d))])
+                a1, a2 = rng.uniform(-1, 1, (n1, k)), rng.uniform(-1, 1, (n2, k))
+                old = torus_distance(x1[:, None], x2[None]) + np.linalg.norm(a1[:, None] - a2[None], axis=-1)
+                new = measure.joint_cost_matrix(x1, a1, x2, a2)
+                assert new.shape == (n1, n2)
+                np.testing.assert_array_equal(new, old)
+                gap = np.abs(x1[:, None] - x2[None])
+                assert (gap > 0.5).any() and (gap < 0.5).any()  # both branches of the torus min
 
 
 def test_priced_lp_ends_when_set_arcs_price_below_tau(monkeypatch):
