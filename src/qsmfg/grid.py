@@ -48,6 +48,7 @@ __all__ = [
     "gradient_central",
     "gradient_upwind",
     "torus_distance",
+    "torus_distance_matrix",
     "node_values",
 ]
 
@@ -162,11 +163,6 @@ class Grid:
         """The stencil's canonical CSR pattern, four read-only arrays."""
         return self._stencil_pattern
 
-    def node_distances(self) -> np.ndarray:
-        """Torus distances between all pairs of nodes, a read-only (n^d, n^d)
-        array: entry (i, j) is torus_distance(coordinates()[i], coordinates()[j])."""
-        return self._node_distances
-
     # derived data of a frozen value, built on first use and never written
     @cached_property
     def _coordinates(self) -> np.ndarray:
@@ -194,11 +190,6 @@ class Grid:
         transpose = np.searchsorted(rows * n + indices, indices * n + rows)
         indptr = width * np.arange(n + 1, dtype=np.intc)
         return StencilPattern(*map(_read_only, (indices.astype(np.intc), indptr, order, transpose)))
-
-    @cached_property
-    def _node_distances(self) -> np.ndarray:
-        x = self.coordinates()
-        return _read_only(torus_distance(x[:, None, :], x))
 
 
 def _is_integer(v) -> bool:
@@ -233,6 +224,18 @@ def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     diff = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     diff = np.minimum(diff, 1.0 - diff)
     return diff.sum(axis=-1)
+
+
+def torus_distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """torus_distance(x[:, None, :], y) for (n1, d) and (n2, d) point arrays,
+    an (n1, n2) array.  The per-axis terms are summed into it axis by axis,
+    in torus_distance's order, so it is bit-equal to that call without its
+    (n1, n2, d) temporaries."""
+    dist = np.zeros((len(x), len(y)))
+    for ax in range(x.shape[1]):
+        gap = np.abs(np.subtract.outer(x[:, ax], y[:, ax]))
+        dist += np.minimum(gap, 1.0 - gap)
+    return dist
 
 
 def node_values(grid: Grid, values: np.ndarray, name: str, columns: int | None = None) -> np.ndarray:

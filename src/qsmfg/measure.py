@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _extension, node_values
+from .grid import Grid, _extension, node_values, torus_distance_matrix
 
 __all__ = [
     "DensityField",
@@ -249,10 +249,7 @@ def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
     array summed axis by axis, so no (n1, n2, d) or (n1, n2, k) temporary is
     formed.  The per-axis terms are added in torus_distance's and
     np.linalg.norm's order, so the costs are bit-equal to theirs."""
-    state = np.zeros((len(x1), len(x2)))
-    for ax in range(x1.shape[1]):
-        gap = np.abs(np.subtract.outer(x1[:, ax], x2[:, ax]))
-        state += np.minimum(gap, 1.0 - gap)
+    state = torus_distance_matrix(x1, x2)
     squares = np.zeros_like(state)
     for ax in range(a1.shape[1]):
         gap = np.subtract.outer(a1[:, ax], a2[:, ax])

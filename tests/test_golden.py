@@ -1,11 +1,14 @@
-"""Pinned outputs of three configs, so numerical drift across commits shows.
+"""Pinned outputs of four configs, so numerical drift across commits shows.
 
 The reference numbers in ``golden_outputs.json`` were recorded from the CLI
 outputs of ``configs/example1_weak.json`` (gamma strategy),
-``configs/example2_memory.json`` (psi strategy, memory model) and the 2D
-benchmark workload ``perfbench/workloads/gamma_2d/config.json``: the CSV
-trajectories, and ``summary.json`` without its wall-clock ``timing_seconds``.  A change that
-is meant to alter these solutions rewrites the file with
+``configs/example2_memory.json`` (psi strategy, memory model), the 2D
+benchmark workload ``perfbench/workloads/gamma_2d/config.json`` and
+``configs/example1_asym.json`` (strong coupling from an asymmetric ``m0``,
+so the mean control and with it the maximizer's measure term are nonzero):
+the CSV trajectories, and ``summary.json`` without its wall-clock
+``timing_seconds``.  A change that is meant to alter these solutions
+rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +30,7 @@ CONFIGS = {
     "example1_weak": ROOT / "configs" / "example1_weak.json",
     "example2_memory": ROOT / "configs" / "example2_memory.json",
     "gamma_2d": ROOT / "perfbench" / "workloads" / "gamma_2d" / "config.json",
+    "example1_asym": ROOT / "configs" / "example1_asym.json",
 }
 TOL = 1e-12
 

@@ -16,6 +16,7 @@ from qsmfg.grid import (
     gradient_upwind,
     laplacian,
     torus_distance,
+    torus_distance_matrix,
 )
 
 
@@ -55,22 +56,12 @@ def test_grid_accepts_numpy_integers():
 @pytest.mark.parametrize("d,n", [(1, 8), (2, 9)])
 def test_grid_arrays_built_once_and_read_only(d, n):
     g = Grid(d, n)
-    for method in (g.coordinates, g.neighbors, g.node_distances):
-        # the distance matrix is built only when asked for, not with the others
-        assert "_node_distances" not in vars(g)
+    for method in (g.coordinates, g.neighbors):
         arr = method()
         assert arr is method()
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = arr[0, 0]
-    # node distances: bit-equal to torus_distance over all pairs, a metric's
-    # symmetric matrix with a zero diagonal
-    x = g.coordinates()
-    dist = g.node_distances()
-    assert dist.shape == (g.size, g.size)
-    np.testing.assert_array_equal(dist, torus_distance(x[:, None, :], x))
-    np.testing.assert_array_equal(dist, dist.T)
-    assert not dist.diagonal().any()
     # equal grids are equal values; each instance holds its own arrays
     assert Grid(d, n) == g and Grid(d, n).coordinates() is not g.coordinates()
     # the stencil's CSR pattern: one tuple of read-only arrays
@@ -323,6 +314,22 @@ def test_neighbors_step_one_node_along_each_axis(d, n):
             expected[ax] = sign * g.h
             np.testing.assert_allclose(step, np.broadcast_to(expected, step.shape), atol=1e-15)
             np.testing.assert_allclose(torus_distance(x[nbr[:, col]], x), g.h, atol=1e-15)
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 9)])
+def test_torus_distance_matrix_equals_torus_distance(d, n):
+    # between all node pairs: bit-equal to torus_distance, a metric's
+    # symmetric matrix with a zero diagonal
+    x = Grid(d, n).coordinates()
+    dist = torus_distance_matrix(x, x)
+    assert dist.shape == (x.shape[0], x.shape[0])
+    np.testing.assert_array_equal(dist, torus_distance(x[:, None, :], x))
+    np.testing.assert_array_equal(dist, dist.T)
+    assert not dist.diagonal().any()
+    # and between two unrelated point sets of different sizes
+    rng = np.random.default_rng(d)
+    y, z = rng.random((7, d)), rng.random((5, d))
+    np.testing.assert_array_equal(torus_distance_matrix(y, z), torus_distance(y[:, None, :], z))
 
 
 def test_torus_distance_basics():

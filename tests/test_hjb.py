@@ -236,16 +236,39 @@ class TestCoefficientEvaluations:
         solve_ergodic(spec, coefficients, GRID, tol=1e-11)
         assert calls == [(GRID.size, 1, 1)]
 
-    def test_graph_measure_reads_grid_node_distances(self, torus_distance_calls):
-        # a pushforward's atoms are the grid's nodes, so its bump reads
-        # grid.node_distances() and computes no torus distance; a memory
-        # aggregate, which carries no grid, and x off the nodes still do
+    def test_graph_measure_reads_grid_node_distances(self, torus_distance_calls, monkeypatch):
+        # a pushforward's atoms are the grid's nodes, so its bump reads the
+        # spec's node kernel for the grid and computes no torus distance; the
+        # kernel is built at the first on-grid bump, not before, and every
+        # later binding on the grid reads the same object.  A memory
+        # aggregate, which carries no grid, and x off the nodes compute one
+        # torus distance per binding
         calls = torus_distance_calls
+        kernels, weights = [], []
+        build, average = model._node_kernel, model._bump_average
+
+        def building(grid, width):
+            kernels.append(build(grid, width))
+            return kernels[-1]
+
+        def averaging(phi, nu, kappa):
+            weights.append(phi)
+            return average(phi, nu, kappa)
+
+        monkeypatch.setattr(model, "_node_kernel", building)
+        monkeypatch.setattr(model, "_bump_average", averaging)
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         rng = np.random.default_rng(3)
         mu = pushforward(uniform_density(GRID), rng.uniform(-0.8, 0.8, (GRID.size, 1)))
-        sol = solve_discounted(spec, _bind(spec, mu), 1.0, GRID, tol=1e-11)
-        assert sol.iterations >= 2 and calls == []
+        coefficients = _bind(spec, mu)
+        assert kernels == []
+        sol = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11)
+        assert sol.iterations >= 2 and calls == [] and len(kernels) == 1
+        assert len(weights) == 1 and weights[0] is kernels[0]
+        # a second binding on the same grid, and its solve, reuse the kernel
+        again = pushforward(uniform_density(GRID), rng.uniform(-0.8, 0.8, (GRID.size, 1)))
+        assert solve_discounted(spec, _bind(spec, again), 1.0, GRID, tol=1e-11).iterations >= 2
+        assert calls == [] and len(kernels) == 1 and len(weights) == 2 and weights[1] is kernels[0]
         aggregate = memory_aggregate([0.0, 0.5], [mu, mu], lambda t: np.ones_like(t))
         assert aggregate.grid is None
         solve_discounted(spec, _bind(spec, aggregate), 1.0, GRID, tol=1e-11)
@@ -256,6 +279,8 @@ class TestCoefficientEvaluations:
         off = _measure(16)
         spec.coefficients(GRID.coordinates(), JointMeasure(off.x, off.a, off.w, grid=GRID))[0](np.zeros((GRID.size, 1)))
         assert calls == [(GRID.size, 1, 1)] * 2 + [(7, 1, 1), (GRID.size, 1, 1)]
+        assert len(kernels) == 1 and len(weights) == 6
+        assert not any(phi is kernels[0] for phi in weights[2:])
 
 
 class TestPolicyRepeat:

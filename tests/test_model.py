@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 from dataclasses import fields, replace
 
@@ -250,9 +251,9 @@ class TestInvariants:
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("nodes_shape", ["flat", "column"])
-def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
-    # a pushforward's bump reads grid.node_distances(); the same atoms without
-    # a grid take torus_distance, and the drifts must agree bit for bit
+def test_drift_bump_from_node_kernel_equals_general_path(d, n, nodes_shape):
+    # a pushforward's bump reads the grid's node kernel; the same atoms
+    # without a grid take torus_distance, and the drifts must agree bit for bit
     g = Grid(d, n)
     rng = np.random.default_rng(d)
     m = DensityField.from_values(g, rng.random(g.size) + 0.1)
@@ -265,6 +266,31 @@ def test_drift_bump_from_node_distances_equals_general_path(d, n, nodes_shape):
     general, _, _ = spec.coefficients(x, gridless)
     assert np.abs(drift(a) + a).max() > 1e-3  # the bump is not zero
     np.testing.assert_array_equal(drift(a), general(a))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_drift_bump_equals_double_loop_oracle(d):
+    # kappa * sum_j exp(-d_ij^2 / (2 width^2)) w_j a_j, summed atom by atom
+    # in plain floats, against both the node kernel and the gridless path
+    g = Grid(d, 8)
+    kappa, width = 0.7, 0.2
+    rng = np.random.default_rng(20 + d)
+    m = DensityField.from_values(g, rng.random(g.size) + 0.1)
+    nu = pushforward(m, rng.uniform(-0.9, 0.9, (g.size, d)))
+    x = g.coordinates()
+    expected = np.zeros((g.size, d))
+    for i in range(g.size):
+        for j in range(g.size):
+            gaps = [abs(float(x[i, ax] - x[j, ax])) for ax in range(d)]
+            dist = sum(min(gap, 1.0 - gap) for gap in gaps)
+            weight = math.exp(-(dist**2) / (2.0 * width**2)) * float(nu.w[j])
+            expected[i] += [kappa * weight * float(nu.a[j, c]) for c in range(d)]
+    spec = example_one(d=d, eps=0.3, kappa=kappa, width=width, potential=0.2)
+    zero = np.zeros((g.size, d))
+    for measure in (nu, JointMeasure(nu.x, nu.a, nu.w)):
+        bump = spec.coefficients(x, measure)[0](zero)
+        assert np.abs(bump).max() > 1e-3
+        np.testing.assert_allclose(bump, expected, rtol=0, atol=1e-15)
 
 
 def _trajectory(n_slices=6, dt=0.1):
