@@ -9,9 +9,10 @@ matrix I - dt*L is an M-matrix and every step preserves positivity
 unconditionally.  The drift is frozen at its left-endpoint value over each
 step, matching the quasi-stationary reading of the coupled system.
 
-The generator's values fill the slots of the grid's stencil pattern.  A
-step scales them to I - dt*L in place, permutes them to the CSC form of the
-same pattern, and makes one SuperLU solve (grid._direct_solve).
+The generator's values fill the slots of the grid's stencil pattern, whose
+unknowns are in the grid's solve order.  A step scales them to I - dt*L in
+place, permutes them to the CSC form of the same pattern, and makes one
+SuperLU solve (grid._direct_solve).
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ def _generator_values(grid: Grid, g: np.ndarray) -> np.ndarray:
 
 def transport_generator(grid: Grid, g: np.ndarray) -> sparse.csr_matrix:
     """Spatial generator L with L m = lap_h(m) + div_h(m g), g an (n^d, d)
-    drift array, as a canonical CSR matrix on grid.stencil_pattern().
+    drift array, as a canonical CSR matrix in node order.
 
     Advection uses upwind fluxes of the velocity v = -g averaged to cell
     interfaces.  Column sums vanish identically and off-diagonal entries are
     nonnegative, which is what the mass and positivity guarantees rest on.
     """
-    pattern = grid.stencil_pattern()
-    data = _generator_values(grid, g).ravel()[pattern.order]
-    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(grid.size, grid.size))
+    n, width = grid.size, 1 + 2 * grid.d
+    rows, cols = np.repeat(np.arange(n), width), np.column_stack([np.arange(n), grid.neighbors()]).ravel()
+    return sparse.csr_matrix((_generator_values(grid, g).ravel(), (rows, cols)), shape=(n, n))
 
 
 def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
@@ -75,7 +76,7 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     values = _generator_values(grid, g) * -dt  # I - dt*L: scale L, then add 1 on its diagonal
     values[:, 0] += 1.0
     csc = values.ravel()[pattern.order][pattern.transpose]
-    new = _direct_solve(csc, pattern.indices, pattern.indptr, m.values, csc=True)
+    new = _direct_solve(csc, pattern.indices, pattern.indptr, pattern.perm, m.values, csc=True)
     if not np.all(np.isfinite(new)):
         raise RuntimeError("Fokker-Planck linear solve produced non-finite values")
     min_val = new.min()

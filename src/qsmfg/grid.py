@@ -15,9 +15,12 @@ one-sided differences selected by drift sign keep the linear systems built
 on top of them M-matrices.
 
 Those systems live on the stencil pattern: the canonical CSR pattern of the
-(1 + 2d)-point stencil, row i holding node i and its neighbours in ascending
-column order.  A solver fills only a data array in that pattern's slots and
-hands it to _direct_solve, one SuperLU factorization and solve.
+(1 + 2d)-point stencil with the unknowns in the grid's solve order, the
+identity for d = 1 and a nested dissection of the torus for d = 2, so row k
+holds node perm[k] and its neighbours in ascending column order.  A solver
+fills only a data array in that pattern's slots and hands it to
+_direct_solve, one SuperLU factorization and solve in natural column order,
+which takes its right-hand side and returns its solution in node order.
 
 The two compiled scipy modules the solvers call, SuperLU's _superlu here and
 HiGHS's _highspy._core in measure.py, are bound through _extension, which
@@ -88,22 +91,28 @@ gssv = _extension("scipy.sparse.linalg._dsolve._superlu").gssv
 
 
 class StencilPattern(NamedTuple):
-    """Canonical CSR pattern of the (1 + 2d)-point stencil on an n^d grid.
+    """Canonical CSR pattern of the (1 + 2d)-point stencil on an n^d grid,
+    the unknowns in the grid's solve order.
 
-    indices and indptr are the np.intc CSR arrays, with ascending columns
-    in each row and 1 + 2d slots per row.  order gathers row-major stencil
-    values, an (n^d, 1 + 2d) array whose row i holds node i and then its
-    grid.neighbors() in column order, into canonical slots:
-    values.ravel()[order].  transpose maps slot (i, j) to slot (j, i); the
-    neighbour relation is mutual, so the pattern is symmetric, transpose is
-    an involution, and data[transpose] is the CSC data of the same matrix
-    on the same indices and indptr.
+    Row and column k are node perm[k], so this is the pattern of P A P^T for
+    a node-order stencil matrix A.  perm is the identity for d = 1 and a
+    nested dissection of the torus for d = 2 (_dissection_order), which
+    keeps SuperLU's fill low in natural column order.  indices and indptr
+    are the np.intc CSR arrays, with ascending columns in each row and
+    1 + 2d slots per row.  order gathers row-major stencil values, an
+    (n^d, 1 + 2d) array whose row i holds node i and then its
+    grid.neighbors(), into canonical slots: values.ravel()[order].
+    transpose maps slot (k, l) to slot (l, k); the neighbour relation is
+    mutual, so the pattern is symmetric, transpose is an involution, and
+    data[transpose] is the CSC data of the same matrix on the same indices
+    and indptr.
     """
 
     indices: np.ndarray
     indptr: np.ndarray
     order: np.ndarray
     transpose: np.ndarray
+    perm: np.ndarray
 
 
 class FieldError(ValueError):
@@ -160,7 +169,8 @@ class Grid:
         return self._neighbors
 
     def stencil_pattern(self) -> StencilPattern:
-        """The stencil's canonical CSR pattern, four read-only arrays."""
+        """The stencil's canonical CSR pattern in solve order, five read-only
+        arrays."""
         return self._stencil_pattern
 
     # derived data of a frozen value, built on first use and never written
@@ -182,14 +192,50 @@ class Grid:
         # n >= 8 makes the 2d neighbours of a node distinct from it and from
         # each other, so no slot holds two stencil entries
         n, width = self.size, 1 + 2 * self.d
-        cols = np.column_stack([np.arange(n), self.neighbors()])
-        order = (np.argsort(cols, axis=1) + width * np.arange(n)[:, None]).ravel()
-        indices = cols.ravel()[order]
+        perm = np.arange(n) if self.d == 1 else _dissection_order(self.n)
+        place = np.argsort(perm)
+        # row k holds node perm[k] and its neighbours, renumbered by place
+        cols = place[np.column_stack([perm, self.neighbors()[perm]])]
+        sort = np.argsort(cols, axis=1)
+        indices = cols.ravel()[(sort + width * np.arange(n)[:, None]).ravel()]
+        order = (sort + width * perm[:, None]).ravel()
         rows = np.repeat(np.arange(n), width)
         # canonical slots sort by (row, column), so a slot is found by its key
         transpose = np.searchsorted(rows * n + indices, indices * n + rows)
         indptr = width * np.arange(n + 1, dtype=np.intc)
-        return StencilPattern(*map(_read_only, (indices.astype(np.intc), indptr, order, transpose)))
+        return StencilPattern(*map(_read_only, (indices.astype(np.intc), indptr, order, transpose, perm)))
+
+
+def _dissection_order(n: int) -> np.ndarray:
+    """The nodes of the 2D n x n torus in nested-dissection order (George,
+    SIAM J. Numer. Anal. 10(2), 1973).
+
+    Grid rows 0 and n/2 cut the torus into two strips, and columns 0 and n/2
+    cut each strip into two open rectangles.  The parts come before the
+    separators that split them, and node 0, NORMALIZATION_NODE of hjb.py,
+    comes last.
+    """
+    nodes, half, parts = np.arange(n * n).reshape(n, n), n // 2, []
+    for strip in (nodes[1:half], nodes[half + 1 :]):
+        _dissect(strip[:, 1:half], parts)
+        _dissect(strip[:, half + 1 :], parts)
+        parts.append(strip[:, [0, half]].T)
+    parts.append(np.roll(nodes[[0, half]], -1))
+    return np.concatenate([part.ravel() for part in parts])
+
+
+def _dissect(block: np.ndarray, parts: list) -> None:
+    """Append the nodes of the open rectangle block, a 2D array of node
+    indices, in nested-dissection order: the halves on either side of its
+    middle line across the longer side, then that line."""
+    if block.size == 0:
+        return
+    if block.shape[0] < block.shape[1]:
+        block = block.T
+    mid = block.shape[0] // 2
+    _dissect(block[:mid], parts)
+    _dissect(block[mid + 1 :], parts)
+    parts.append(block[mid])
 
 
 def _is_integer(v) -> bool:
@@ -201,18 +247,25 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _direct_solve(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rhs: np.ndarray, csc: bool) -> np.ndarray:
-    """Solution of the sparse system with canonical (sorted, duplicate-free)
-    CSR arrays, or with CSC arrays when csc, and right-hand side rhs.
+def _direct_solve(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, perm: np.ndarray, rhs: np.ndarray, csc: bool
+) -> np.ndarray:
+    """Solution x of the sparse system A x = rhs, in node order.
 
-    One SuperLU gssv call with scipy's default column ordering, the call
-    scipy.sparse.linalg.spsolve makes for the same arrays, so the result is
-    spsolve's bit for bit.  An exactly singular matrix is a RuntimeError.
+    data, indices and indptr are the canonical (sorted, duplicate-free) CSR
+    arrays, or CSC arrays when csc, of P A P^T, the unknowns in the order
+    perm: row and column k stand for node perm[k].  One SuperLU gssv call in
+    natural column order with scipy's default partial pivoting solves
+    P A P^T y = rhs[perm], the call scipy.sparse.linalg.spsolve makes for
+    the same arrays under permc_spec="NATURAL", so x[perm] = y is that
+    call's bit for bit.  An exactly singular matrix is a RuntimeError.
     """
-    x, info = gssv(rhs.size, data.size, data, indices, indptr, rhs, int(csc), options={"ColPerm": None})
+    y, info = gssv(rhs.size, data.size, data, indices, indptr, rhs[perm], int(csc), options={"ColPerm": "NATURAL"})
     if info != 0:
         # info in 1..n names the first zero pivot of an exactly singular matrix
         raise RuntimeError(f"sparse direct solve failed: SuperLU info {info}, the matrix is exactly singular")
+    x = np.empty_like(y)
+    x[perm] = y
     return x
 
 

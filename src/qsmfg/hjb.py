@@ -13,14 +13,16 @@ holds.  Evaluation is performed in the normalized variables (w, s) with
 w(x0) = 0 and s playing the role of rho*u(x0) (discounted) or the ergodic
 constant (rho = 0); this keeps the systems well conditioned uniformly down to
 vanishing discount, where the plain formulation degenerates along the
-constant mode.  The augmented system is algebraically equivalent to the plain
-one for every rho > 0.  At rho = 0 it is the ergodic cell problem with the
-constant as an unknown (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal.
+constant mode.  The normalized system is algebraically equivalent to the
+plain one for every rho > 0.  At rho = 0 it is the ergodic cell problem with
+the constant as an unknown (Achdou & Capuzzo-Dolcetta, SIAM J. Numer. Anal.
 48(3), 2010), the one form solve_ergodic solves; the vanishing-discount limit
-belongs to the coupled driver, coupling.solve_vanishing_discount.  The
-augmented matrix is the grid's stencil pattern bordered by the s column,
-built once per solve; each evaluation, in every dimension, fills only the
-data array in those CSR slots and makes one SuperLU solve
+belongs to the coupled driver, coupling.solve_vanishing_discount.  Since
+w(x0) = 0 is known, s takes the column of x0, as a column of ones, and the
+system stays n^d-square with w(x0) = 0 exact by construction.  Its pattern
+is the grid's stencil pattern, in the grid's solve order, with that column
+filled in, built once per solve; each evaluation, in every dimension, fills
+only the data array in those CSR slots and makes one SuperLU solve
 (grid._direct_solve).
 
 The pair (w, s) is the one form in which a value function leaves this
@@ -98,55 +100,64 @@ def value_function(w: np.ndarray, s: float, rho: float) -> tuple[np.ndarray, flo
 
 
 def _evaluation_pattern(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR indices, indptr and value order of the augmented (n^d + 1)-square
-    matrix.
+    """CSR indices, indptr and value order of the n^d-square normalized
+    matrix in the stencil pattern's solve order.
 
-    Row i < n^d is the grid's stencil row followed by the s column n^d,
-    which sorts last; row n^d holds one entry, at NORMALIZATION_NODE.  order
-    gathers the values of _evaluation_values into these slots.  The border
-    comes last in both layouts, so its slots gather from their own place.
+    w(x0) = 0 is known, so the column of NORMALIZATION_NODE is free: the
+    unknown s takes it, as a column of ones, and the stencil entries it held
+    are dropped.  Every row thus holds its stencil slots and one s slot, but
+    x0 and its neighbours hold one stencil slot fewer.  order gathers the
+    values of _evaluation_values into these slots, the s slots from its
+    final 1.
     """
     n, width, pattern = grid.size, 2 * grid.d + 1, grid.stencil_pattern()
-    size = n * (width + 1) + 1
-    indices = np.full(size, n, dtype=np.intc)
-    indices[-1] = NORMALIZATION_NODE
-    indices[:-1].reshape(n, width + 1)[:, :width] = pattern.indices.reshape(n, width)
-    order = np.arange(size)
-    # the stencil order, moved to rows one value wider
-    order[:-1].reshape(n, width + 1)[:, :width] = pattern.order.reshape(n, width) + np.arange(n)[:, None]
-    indptr = (width + 1) * np.arange(n + 2, dtype=np.intc)
-    indptr[-1] = size
-    return indices, indptr, order
+    place = np.argsort(pattern.perm)
+    x0 = place[NORMALIZATION_NODE]
+    # the stencil slots' columns, pattern.indices in np.intp: casting the
+    # np.intc array would run numpy code no 1D solve otherwise runs, and map
+    # more of numpy's library (0.1-0.2 MiB of peak RSS)
+    cols = place[np.column_stack([np.arange(n), grid.neighbors()]).ravel()[pattern.order]]
+    keep = cols != x0
+    rows = np.concatenate([np.repeat(np.arange(n), width)[keep], np.arange(n)])
+    cols = np.concatenate([cols[keep], np.full(n, x0)])
+    slots = np.argsort(rows * n + cols)  # canonical: by row, then column
+    order = np.concatenate([pattern.order[keep], np.full(n, n * width)])[slots]
+    indptr = np.searchsorted(rows[slots], np.arange(n + 1)).astype(np.intc)
+    return cols[slots].astype(np.intc), indptr, order
 
 
 def _evaluation_values(grid: Grid, bvals: np.ndarray, rho: float) -> np.ndarray:
-    """Values of [[rho*I - lap_h - b.grad_h^up, 1], [e_x0, 0]], row-major.
+    """Values of rho*I - lap_h - b.grad_h^up, row-major, then the 1 of the s
+    column.
 
-    Row i < n^d holds the diagonal, the grid.neighbors() entries and the 1
-    of the s column; the last value is row n^d's 1.  -lap_h gives the
-    off-diagonals -1/h^2; -b.grad_h^up takes the forward difference where
-    b > 0 and the backward one where b < 0.
+    Row i of the first n^d (1 + 2d) values holds the diagonal and then the
+    grid.neighbors() entries.  -lap_h gives the off-diagonals -1/h^2;
+    -b.grad_h^up takes the forward difference where b > 0 and the backward
+    one where b < 0.
     """
     n, h, width = grid.size, grid.h, 2 * grid.d + 1
     bp, bm = np.maximum(bvals, 0.0), np.minimum(bvals, 0.0)
-    values = np.empty(n * (width + 1) + 1)
-    rows = values[:-1].reshape(n, width + 1)
+    values = np.empty(n * width + 1)
+    rows = values[:-1].reshape(n, width)
     rows[:, 0] = rho + 2.0 * grid.d / h**2
     for ax in range(grid.d):
         rows[:, 0] += (bp[:, ax] - bm[:, ax]) / h
-    rows[:, 1:width:2] = -1.0 / h**2 - bp / h
-    rows[:, 2:width:2] = -1.0 / h**2 + bm / h
-    rows[:, width] = 1.0
+    rows[:, 1::2] = -1.0 / h**2 - bp / h
+    rows[:, 2::2] = -1.0 / h**2 + bm / h
     values[-1] = 1.0
     return values
 
 
 def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_matrix:
-    """The augmented evaluation matrix as a canonical scipy CSR matrix."""
+    """The normalized evaluation matrix as a canonical scipy CSR matrix in
+    node order: rho*I - lap_h - b.grad_h^up with the column of
+    NORMALIZATION_NODE replaced by ones, the column of s."""
     indices, indptr, order = _evaluation_pattern(grid)
-    return sparse.csr_matrix(
-        (_evaluation_values(grid, bvals, rho)[order], indices, indptr), shape=(grid.size + 1, grid.size + 1)
+    solve_order = sparse.csr_matrix(
+        (_evaluation_values(grid, bvals, rho)[order], indices, indptr), shape=(grid.size, grid.size)
     )
+    place = np.argsort(grid.stencil_pattern().perm)
+    return solve_order[place][:, place].sorted_indices()
 
 
 def equation_residual(
@@ -196,7 +207,7 @@ def solve_discounted(
 
 def solve_ergodic(spec: ModelSpec, coefficients: tuple, grid: Grid, tol: float = 1e-10) -> HjbSolution:
     """Ergodic cell problem of the binding coefficients, normalized by
-    w(x0) = 0: the ergodic constant is the extra unknown s of the augmented
+    w(x0) = 0: the ergodic constant is the unknown s of the normalized
     system (rho = 0), read as lam."""
     return _policy_iteration(spec, coefficients, 0.0, grid, tol, 80, None)
 
@@ -220,6 +231,7 @@ def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) 
     else:
         policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), coefficients)
     indices, indptr, order = _evaluation_pattern(grid)
+    perm = grid.stencil_pattern().perm
     drift, cost, _ = coefficients
     bvals, ell = drift(policy), cost(policy)
     history: list[float] = []
@@ -228,11 +240,12 @@ def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) 
         if not (np.isfinite(bvals).all() and np.isfinite(ell).all()):
             raise RuntimeError("HJB policy has a non-finite drift or cost")
         data = _evaluation_values(grid, bvals, rho)[order]
-        ws = _direct_solve(data, indices, indptr, np.append(ell, 0.0), csc=False)
-        if not np.isfinite(ws).all():
+        w = _direct_solve(data, indices, indptr, perm, ell, csc=False)
+        if not np.isfinite(w).all():
             raise RuntimeError("HJB policy evaluation gave non-finite values")
-        ws.setflags(write=False)  # w is a view of ws, so HjbSolution.w is read-only
-        w, s = ws[:-1], float(ws[-1])
+        s = float(w[NORMALIZATION_NODE])
+        w[NORMALIZATION_NODE] = 0.0  # exact: s took the column of w(x0) = 0
+        w.setflags(write=False)
         previous = policy.tobytes()
         residual, policy, bvals, ell = equation_residual(spec, coefficients, rho, grid, w, s)
         history.append(residual)

@@ -30,17 +30,17 @@ Every W1 value is exact; which engine computes it depends on the call:
   basis the last round left (a hot start).  Small problems (every 1D pair)
   start from every arc and solve one LP by dual simplex from the slack
   basis;
-- Beckmann's min-cost flow on the periodic grid graph, for d=2 state
+- the Kantorovich potential LP on the periodic grid graph, for d=2 state
   densities: the torus L1 distance between nodes is h times their path
-  distance in that graph, so W1 is the cheapest flow of p - q along edges of
-  length h.  wasserstein1_state takes a batch of density pairs on one grid,
-  and its flows share one HiGHS model: their constraint matrix and costs
-  depend on the grid alone, so only the balance rows' right-hand side
-  changes from pair to pair.  A new right-hand side leaves the reduced
-  costs as they were, so the last optimal basis stays dual feasible, and
-  dual simplex re-runs from it (a hot start; for the neighbouring slices
-  of one outer pass a few pivots).  For d=1 state densities the circle CDF
-  reduction is used, pair by pair.
+  distance in that graph, so W1 is the largest (p - q) . phi over
+  potentials phi that change by at most h along each edge, the LP dual of
+  Beckmann's cheapest flow of p - q.  wasserstein1_state takes a batch of
+  density pairs on one grid, and their LPs share one HiGHS model: its
+  constraints depend on the grid alone, so only the objective changes from
+  pair to pair.  A new objective keeps the last optimal basis primal
+  feasible, and the solve re-runs from it (a hot start; for the
+  neighbouring slices of one outer pass a few pivots).  For d=1 state
+  densities the circle CDF reduction is used, pair by pair.
 
 The tests check every engine against an atom LP over every arc.
 
@@ -270,35 +270,44 @@ TRANSPORT_LP_OPTIONS = {
 }
 
 
-def _add_columns(highs: _Highs, cost: np.ndarray, rows: np.ndarray, values: np.ndarray | float) -> None:
-    """Append one column z_k >= 0 of cost cost[k] per row of rows to the model.
+def _add_columns(
+    highs: _Highs, cost: np.ndarray, rows: np.ndarray, values: np.ndarray | float, col_lower: float = 0.0
+) -> None:
+    """Append one column col_lower <= z_k of cost cost[k] per row of rows to
+    the model.
 
-    Column k holds values[k, e] in constraint row rows[k, e], e = 0, 1
+    Column k holds values[k, e] in constraint row rows[k, e] for each e
     (values broadcasts against rows); entries in a row past the model's last,
-    the dropped redundant marginal or balance row, are left out.
+    the dropped redundant marginal row, are left out.
     """
     values = np.broadcast_to(values, rows.shape)
     keep = rows < highs.getNumRow()
     starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
     n = len(cost)
     highs.addCols(
-        n, cost, np.zeros(n), np.full(n, np.inf),
+        n, cost, np.full(n, col_lower), np.full(n, np.inf),
         int(keep.sum()), starts.astype(np.int32), rows[keep].astype(np.int32), values[keep],
     )
 
 
-def _lp_model(b_eq: np.ndarray, cost: np.ndarray, rows: np.ndarray, values, options: dict) -> _Highs:
-    """HiGHS model of min cost.z subject to A z = b_eq, z >= 0.
+def _lp_model(
+    row_lower: np.ndarray, cost: np.ndarray, rows: np.ndarray, values, options: dict,
+    row_upper: np.ndarray | None = None, col_lower: float = 0.0,
+) -> _Highs:
+    """HiGHS model of min cost.z subject to row_lower <= A z <= row_upper
+    and z >= col_lower; row_upper None is row_upper = row_lower, the
+    equality rows A z = b_eq.
 
-    A has one row per entry of b_eq and one column per row of rows, built by
-    _add_columns; options are set on top of LP_OPTIONS.
+    A has one row per entry of row_lower and one column per row of rows,
+    built by _add_columns; options are set on top of LP_OPTIONS.
     """
     highs = _Highs()
     for key, value in {**LP_OPTIONS, **options}.items():
         highs.setOptionValue(key, value)
     empty = np.zeros(0, dtype=np.int32)
-    highs.addRows(b_eq.size, b_eq, b_eq, 0, empty, empty, np.zeros(0))
-    _add_columns(highs, cost, rows, values)
+    upper = row_lower if row_upper is None else row_upper
+    highs.addRows(row_lower.size, row_lower, upper, 0, empty, empty, np.zeros(0))
+    _add_columns(highs, cost, rows, values, col_lower)
     return highs
 
 
@@ -395,7 +404,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     keep primal feasible.
 
     The weights are divided by their mean atom weight before the solve and
-    the value multiplied back, as the Beckmann flow scales its imbalance:
+    the value multiplied back, as the grid potential LP scales its imbalance:
     the optimal plan scales with the weights and the duals do not, so
     HiGHS's absolute primal tolerance then applies to weights of order one
     instead of 1/n^d.  Unscaled, marginals that differed by less than it at
@@ -528,58 +537,62 @@ def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
 
 
 def _grid_flow_w1(imbalances: Sequence[np.ndarray], grid: Grid) -> list[float]:
-    """Exact W1 of each node-mass imbalance p - q as Beckmann's min-cost flow.
+    """Exact W1 of each node-mass imbalance f = p - q, as the Kantorovich
+    potential LP on the periodic grid graph.
 
-    One forward and one backward flow variable per edge of the periodic grid
-    graph, each of cost h per unit mass; node i sends out p_i - q_i net.
-    Each imbalance is scaled to unit L1 mass before its solve and the value
-    scaled back, since W1 is positively homogeneous in it: an absolute
-    feasibility tolerance would otherwise admit the zero flow whenever every
-    node imbalance is below it, and W1 would read 0.  A zero imbalance reads
-    0 without a solve.
+    The torus L1 distance between nodes is h times their path distance in
+    the graph, so W1 is the largest f . phi over potentials phi with
+    |phi_i - phi_j| <= h on every edge: the LP dual of Beckmann's min-cost
+    flow, of equal value (Santambrogio, Optimal Transport for Applied
+    Mathematicians, 2015, ch. 4).  It has one free column per node but the
+    last, whose potential is 0, and one ranged row per edge.  Each imbalance
+    is scaled to unit L1 mass before its solve and the value scaled back, as
+    W1 is positively homogeneous, so the absolute tolerances apply to an
+    objective of order one.  A zero imbalance reads 0 without a solve.
 
-    The flows of one call share one HiGHS model, since only the balance rows'
-    right-hand side depends on the imbalance.  The first nonzero imbalance
-    runs dual simplex from scratch; each later one sets the balance rows and
-    re-runs dual simplex from the basis the last solve left.  A change of
-    the right-hand side leaves the reduced costs as they are, so that basis
-    stays dual feasible and is a valid start (Bertsimas & Tsitsiklis, ch.
-    5); on nearby densities it is often optimal after a few pivots.  The
-    model lives only for the call.
+    The LPs of one call share one HiGHS model, as only the objective depends
+    on the imbalance.  The first runs dual simplex from the slack basis;
+    each later one changes the column costs and re-runs from the basis the
+    last solve left, which a new objective keeps primal feasible; on nearby
+    densities it is often optimal after a few pivots.
     """
-    tails = np.tile(np.arange(grid.size), grid.d)
-    heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
-    edges = np.tile(np.stack([tails, heads], axis=1), (2, 1))
-    signs = np.repeat([[1.0, -1.0], [-1.0, 1.0]], tails.size, axis=0)  # forward, then backward
+    n, d, h = grid.size, grid.d, grid.h
+    # row ax * n + i is the edge from node i to its +1 neighbour along axis
+    # ax; node j is the tail of its own d edges and the head of the edges
+    # of its -1 neighbours
+    edges = n * np.arange(d)
+    rows = np.concatenate([np.arange(n)[:, None] + edges, grid.neighbors()[:, 1::2] + edges], axis=1)
+    signs = np.repeat([1.0, -1.0], d)
+    nodes = np.arange(n - 1, dtype=np.int32)
     values, highs = [], None
     for imbalance in imbalances:
         scale = float(np.abs(imbalance).sum())
         if scale == 0.0:
             values.append(0.0)
             continue
-        b_eq = imbalance[:-1] / scale  # the last balance row is redundant and dropped
+        cost = -imbalance[:-1] / scale  # maximize f . phi; the last potential is 0
         if highs is None:
-            highs = _lp_model(b_eq, np.full(len(edges), grid.h), edges, signs, TRANSPORT_LP_OPTIONS)
+            bound = np.full(d * n, h)
+            highs = _lp_model(-bound, cost, rows[:-1], signs, TRANSPORT_LP_OPTIONS, row_upper=bound, col_lower=-np.inf)
         else:
-            for row, value in enumerate(b_eq.tolist()):
-                highs.changeRowBounds(row, value, value)
-        values.append(scale * _solve(highs)[0])
+            highs.changeColsCost(n - 1, nodes, cost)
+        values.append(-scale * _solve(highs)[0])
     return values
 
 
 def wasserstein1_state(
     m1: DensityField | Sequence[DensityField], m2: DensityField | Sequence[DensityField]
 ) -> float | list[float]:
-    """W1 between state densities: circle CDF for d=1, Beckmann flow for d=2.
+    """W1 between state densities: circle CDF for d=1, grid potential LP for d=2.
 
     m1 and m2 are two densities, for a float, or two equal-length sequences
     of densities on one grid, for the list of W1(m1[i], m2[i]) in order (an
     empty list for empty sequences).  A single pair is a batch of one.  For
-    d=2 a batch's flows share one HiGHS model, each hot-started from the
-    basis of the one before (_grid_flow_w1), so a pass's slices cost little
-    more than one flow; batches with any density with more than ATOM_CAP
-    nonzero nodes are rejected, as in wasserstein1_joint, before any model
-    is built.
+    d=2 a batch's LPs share one HiGHS model, each hot-started from the
+    basis of the one before, which a new objective keeps primal feasible
+    (_grid_flow_w1), so a pass's slices cost little more than one LP;
+    batches with any density with more than ATOM_CAP nonzero nodes are
+    rejected, as in wasserstein1_joint, before any model is built.
     """
     single = isinstance(m1, DensityField) and isinstance(m2, DensityField)
     firsts, seconds = ([m1], [m2]) if single else (list(m1), list(m2))

@@ -482,7 +482,7 @@ class TestRun:
     def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
         # an all-zero evaluation matrix is exactly singular: the sparse solve
         # raises inside the run, exit 3, reported without a traceback
-        zeros = lambda grid, bvals, rho: np.zeros(grid.size * (2 * grid.d + 2) + 1)  # noqa: E731
+        zeros = lambda grid, bvals, rho: np.zeros(grid.size * (2 * grid.d + 1) + 1)  # noqa: E731
         monkeypatch.setattr("qsmfg.hjb._evaluation_values", zeros)
         payload = dict(MINIMAL, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 3
@@ -809,6 +809,20 @@ class TestShippedConfigs:
         assert consts["rho_u_sup"] <= consts["running_cost_sup"] + 1e-9
         for key in ("m_holder_half", "mu_holder_half", "du_holder_half"):
             assert np.isfinite(consts[key])
+
+    def test_2d_config_at_n32_converges(self, tmp_path):
+        # example1 in 2D at n=32: 1024 atoms, within ATOM_CAP, for the
+        # report's joint LP
+        base = json.loads((CONFIG_DIR / "example1_2d.json").read_text())
+        assert base["grid"] == {"d": 2, "n": 32}
+        base["output_dir"] = str(tmp_path / "out")
+        assert main(["run", _write(tmp_path, base)]) == 0
+        summary = _summary(tmp_path / "out")
+        assert summary["converged"] is True
+        assert summary["mu_residual_max"] <= base["tolerances"]["inner"]
+        assert summary["hjb_residual_max"] <= base["tolerances"]["hjb"]
+        assert summary["final_outer_error"] <= base["tolerances"]["outer"]
+        assert summary["mass_error_max"] <= 1e-12
 
     def test_other_shipped_configs_parse(self):
         for name in ("example1_strong.json", "example2_memory.json", "ergodic_weak.json"):

@@ -102,8 +102,10 @@ class TestSingleStep:
     @pytest.mark.parametrize("dt", [0.05, 0.5])
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9), (2, 16)])
     def test_step_equals_spsolve(self, d, n, dt):
-        # the step, one SuperLU call on the CSC form of the stencil pattern,
-        # equals spsolve of I - dt*L built as scipy matrices bit for bit
+        # the step, one SuperLU call in natural column order on the CSC form
+        # of the stencil pattern, equals spsolve of P (I - dt*L) P^T built as
+        # scipy matrices, P the grid's solve order, under the same column
+        # order bit for bit, and the unreordered spsolve to rounding
         grid = Grid(d, n)
         rng = np.random.default_rng(10 * n + d)
         g = rng.uniform(-3.0, 3.0, (grid.size, d))
@@ -112,9 +114,18 @@ class TestSingleStep:
         assert gen.nnz == grid.size * (2 * d + 1)  # no stencil value is zero
         mat = gen * -dt
         mat.setdiag(mat.diagonal() + 1.0)
-        want = np.maximum(spla.spsolve(mat.tocsc(), m.values), 0.0)
-        want /= want.sum() * grid.cell_volume
-        assert np.array_equal(fp_step(m, g, dt).values, want)
+        perm = grid.stencil_pattern().perm
+        reordered = sparse.csc_matrix(mat.toarray()[np.ix_(perm, perm)])
+        solved = np.empty(grid.size)
+        solved[perm] = spla.spsolve(reordered, m.values[perm], permc_spec="NATURAL")
+
+        def density(v):
+            v = np.maximum(v, 0.0)
+            return v / (v.sum() * grid.cell_volume)
+
+        got = fp_step(m, g, dt).values
+        assert np.array_equal(got, density(solved))
+        np.testing.assert_allclose(got, density(spla.spsolve(mat.tocsc(), m.values)), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
     def test_step_density_equals_the_checked_constructors(self, d, n, monkeypatch):

@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsmfg.fp import transport_generator
 from qsmfg.grid import (
     FieldError,
     Grid,
@@ -78,9 +80,13 @@ def test_grid_arrays_built_once_and_read_only(d, n):
     cols = pattern.indices
     # columns ascend strictly within each row: canonical CSR
     assert (np.diff(cols.reshape(g.size, width), axis=1) > 0).all()
-    # order gathers row-major [i, neighbours...] values into these slots
-    rowmajor = np.column_stack([np.arange(g.size), g.neighbors()]).ravel()
-    np.testing.assert_array_equal(rowmajor[pattern.order], cols)
+    # row and column k are node perm[k]: order gathers row-major
+    # [i, neighbours...] values of node i into the slots of row place[i]
+    perm = pattern.perm
+    place = np.argsort(perm)
+    rowmajor = np.column_stack([np.arange(g.size), g.neighbors()])
+    np.testing.assert_array_equal(place[rowmajor.ravel()[pattern.order]], cols)
+    np.testing.assert_array_equal(np.repeat(np.arange(g.size), width)[pattern.order], perm[rows])
     np.testing.assert_array_equal(np.sort(pattern.order), np.arange(nnz))
     # transpose maps slot (i, j) to slot (j, i) and undoes itself
     np.testing.assert_array_equal(rows[pattern.transpose], cols)
@@ -93,6 +99,30 @@ def test_grid_arrays_built_once_and_read_only(d, n):
     np.testing.assert_array_equal(csc.data, data[pattern.transpose])
 
 
+@pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 32])
+def test_solve_order_is_a_permutation(n):
+    # the identity for d = 1; for d = 2 a permutation with node 0, the HJB
+    # normalization node, last
+    np.testing.assert_array_equal(Grid(1, n).stencil_pattern().perm, np.arange(n))
+    perm = Grid(2, n).stencil_pattern().perm
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n * n))
+    assert perm[-1] == 0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_solve_order_fills_less_than_colamd(n):
+    # SuperLU's L + U in natural column order on the reordered FP matrix
+    # holds fewer nonzeros than under its default COLAMD order on the
+    # matrix in node order.  This checks fill, not time
+    g = Grid(2, n)
+    gen = transport_generator(g, np.random.default_rng(n).uniform(-3.0, 3.0, (g.size, 2)))
+    mat = (sparse.identity(g.size) - 0.05 * gen).tocsc()
+    perm = g.stencil_pattern().perm
+    ordered = spla.splu(mat[perm][:, perm].tocsc(), permc_spec="NATURAL")
+    colamd = spla.splu(mat)
+    assert ordered.L.nnz + ordered.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 @pytest.mark.parametrize("csc", [False, True])
 def test_direct_solve_rejects_a_singular_matrix(csc):
     # an exactly singular matrix raises, with no MatrixRankWarning
@@ -100,10 +130,15 @@ def test_direct_solve_rejects_a_singular_matrix(csc):
     data = np.array([1.0, 1.0, 1.0, 1.0])
     indices, indptr = np.array([0, 1, 0, 1], dtype=np.intc), np.array([0, 2, 4], dtype=np.intc)
     with pytest.raises(RuntimeError, match="exactly singular"):
-        _direct_solve(data, indices, indptr, np.ones(2), csc=csc)
+        _direct_solve(data, indices, indptr, np.arange(2), np.ones(2), csc=csc)
     # the same call on a regular matrix solves it
-    x = _direct_solve(np.array([2.0, 1.0, 1.0, 3.0]), indices, indptr, np.array([3.0, 4.0]), csc=csc)
+    x = _direct_solve(np.array([2.0, 1.0, 1.0, 3.0]), indices, indptr, np.arange(2), np.array([3.0, 4.0]), csc=csc)
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
+    # in the order perm = (1, 0), the same arrays hold the matrix with rows
+    # and columns swapped; the solution comes back in node order
+    swapped = np.array([3.0, 1.0, 1.0, 2.0])
+    x = _direct_solve(swapped, indices, indptr, np.array([1, 0]), np.array([4.0, 7.0]), csc=csc)
+    np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-15)
 
 
 def test_extension_returns_a_loaded_module():

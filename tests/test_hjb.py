@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 from qsmfg import model
 from qsmfg.grid import Grid, gradient_central, gradient_upwind, laplacian, torus_distance
 from qsmfg.hjb import (
+    NORMALIZATION_NODE,
     _evaluation_matrix,
     _policy_iteration,
     equation_residual,
@@ -327,58 +328,107 @@ class TestSelfConvergence:
         assert 1.8 <= e_coarse / e_fine <= 4.5  # between first and second order
 
 
+def _plain_matrix(grid, bvals, rho):
+    """Dense rho*I - lap_h - b.grad_h^up, column j the grid operators applied
+    to the unit field at node j."""
+    cols = []
+    for e in np.eye(grid.size):
+        dup = gradient_upwind(grid, e, bvals)
+        cols.append(rho * e - laplacian(grid, e) - sum(bvals[:, ax] * dup[:, ax] for ax in range(grid.d)))
+    return np.column_stack(cols)
+
+
+def _evaluate_once(grid, bvals, ell, rho):
+    """One policy evaluation of a policy whose drift and cost are bvals and ell."""
+    spec = replace(
+        _const_model(0.0, k=grid.d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell, np.zeros_like)
+    )
+    return _policy_iteration(spec, _bind(spec, _measure(0), grid), rho, grid, 0.0, 1, None)
+
+
+def _pair(x):
+    """The normalized pair (w, s) a solution x of the normalized system
+    stands for: s sits in the place of w(x0) = 0."""
+    w = x.copy()
+    w[NORMALIZATION_NODE] = 0.0
+    return w, x[NORMALIZATION_NODE]
+
+
 class TestNormalizedEvaluation:
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 8)])
     def test_augmented_solve_equals_plain_solve(self, d, n):
         # the normalized (w, s) system is algebraically the plain evaluation
         # solve for rho > 0: reconstruct u = w + s/rho and compare against a
-        # direct sparse solve of (rho I - lap - b.grad_up) u = l
+        # direct solve of (rho I - lap - b.grad_up) u = l
         grid = Grid(d, n)
         rng = np.random.default_rng(21)
         bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
         ell = rng.uniform(-1.0, 1.0, grid.size)
         rho = 0.3
-        mat = _evaluation_matrix(grid, bvals, rho)
-        sol = spla.spsolve(mat, np.concatenate([ell, [0.0]]))
-        w, s = sol[:-1], sol[-1]
-        u_aug = w + s / rho
-        plain = sparse.csr_matrix(mat.toarray()[: grid.size, : grid.size])
-        u_plain = spla.spsolve(plain, ell)
-        np.testing.assert_allclose(u_aug, u_plain, atol=1e-11)
-        assert w[0] == 0.0  # normalization row is exact
+        w, s = _pair(spla.spsolve(_evaluation_matrix(grid, bvals, rho), ell))
+        u_plain = np.linalg.solve(_plain_matrix(grid, bvals, rho), ell)
+        np.testing.assert_allclose(w + s / rho, u_plain, atol=1e-11)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9)])
     def test_matrix_applies_the_grid_operators(self, d, n, rho):
-        # rows :n of the matrix times (w, s) are rho*w - lap_h(w) - b.grad_h^up(w) + s,
-        # row n reads w at the normalization node
+        # the n^d-square matrix times w, its x0 entry holding s, is
+        # rho*w - lap_h(w) - b.grad_h^up(w) + s for a w that vanishes at x0:
+        # the s column, all ones, replaces the column of x0
         grid = Grid(d, n)
         rng = np.random.default_rng(100 * d + n)
         bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
         w, s = rng.uniform(-1.0, 1.0, grid.size), float(rng.uniform(-1.0, 1.0))
-        got = _evaluation_matrix(grid, bvals, rho) @ np.append(w, s)
+        w[NORMALIZATION_NODE] = 0.0
+        mat = _evaluation_matrix(grid, bvals, rho)
+        assert mat.shape == (grid.size, grid.size)
+        np.testing.assert_array_equal(mat[:, [NORMALIZATION_NODE]].toarray(), 1.0)
+        x = w.copy()
+        x[NORMALIZATION_NODE] = s
         dup = gradient_upwind(grid, w, bvals)
         want = rho * w - laplacian(grid, w) - sum(bvals[:, ax] * dup[:, ax] for ax in range(d)) + s
-        np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-12 * np.abs(want).max())
-        assert got[-1] == w[0]
-
+        np.testing.assert_allclose(mat @ x, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9), (2, 16)])
     def test_evaluation_solve_equals_spsolve(self, d, n, rho):
-        # one policy evaluation, a SuperLU call on the bordered stencil
-        # pattern, equals spsolve of the scipy-built CSR matrix bit for bit
+        # one policy evaluation, a SuperLU call in natural column order on the
+        # normalized matrix M in the grid's solve order P, equals spsolve of
+        # the scipy-built P M P^T under the same column order bit for bit,
+        # and the unreordered spsolve to rounding
         grid = Grid(d, n)
         rng = np.random.default_rng(10 * n + d)
         bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
         ell = rng.uniform(-1.0, 1.0, grid.size)
-        mat = sparse.csr_matrix(_evaluation_matrix(grid, bvals, rho).toarray())
-        assert mat.nnz == grid.size * (2 * d + 2) + 1  # no stencil value is zero
-        want = spla.spsolve(mat, np.append(ell, 0.0))
-        # a policy whose drift and cost are bvals and ell, evaluated once
-        spec = replace(_const_model(0.0, k=d), coefficients=lambda x, nu: (lambda a: bvals, lambda a: ell, np.zeros_like))
-        sol = _policy_iteration(spec, _bind(spec, _measure(0), grid), rho, grid, 0.0, 1, None)
-        assert np.array_equal(sol.w, want[:-1]) and sol.s == want[-1]
+        mat = _evaluation_matrix(grid, bvals, rho).toarray()
+        # no stencil value is zero; x0 and its 2d neighbours lose their x0 entry to the s column
+        assert np.count_nonzero(mat) == grid.size * (2 * d + 2) - (2 * d + 1)
+        perm = grid.stencil_pattern().perm
+        solved = np.empty(grid.size)
+        solved[perm] = spla.spsolve(sparse.csr_matrix(mat[np.ix_(perm, perm)]), ell[perm], permc_spec="NATURAL")
+        sol = _evaluate_once(grid, bvals, ell, rho)
+        w, s = _pair(solved)
+        assert np.array_equal(sol.w, w) and sol.s == s
+        w, s = _pair(spla.spsolve(sparse.csr_matrix(mat), ell))
+        np.testing.assert_allclose(sol.w, w, rtol=1e-12, atol=0)
+        assert sol.s == pytest.approx(s, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 8), (2, 9), (2, 16)])
+    def test_normalization_is_exact_and_pivoting_kept(self, d, n, rho):
+        # w(x0) = 0 holds exactly, by construction, and the reordered sparse
+        # solve agrees with a dense solve of the same matrix, at rho = 0 too,
+        # where the stencil block without the s column is singular
+        grid = Grid(d, n)
+        rng = np.random.default_rng(n)
+        bvals = rng.uniform(-1.5, 1.5, (grid.size, d))
+        ell = rng.uniform(-1.0, 1.0, grid.size)
+        sol = _evaluate_once(grid, bvals, ell, rho)
+        assert sol.w[NORMALIZATION_NODE] == 0.0
+        w, s = _pair(np.linalg.solve(_evaluation_matrix(grid, bvals, rho).toarray(), ell))
+        np.testing.assert_allclose(sol.w, w, rtol=0, atol=1e-12)
+        assert sol.s == pytest.approx(s, rel=0, abs=1e-12)
+
 
 class TestErgodic:
     def test_constant_cost(self):

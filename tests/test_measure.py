@@ -888,7 +888,7 @@ def _count_models(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 9, 16])
 def test_w1_state_2d_batch_matches_reference_lp(n, monkeypatch):
-    # one HiGHS model per batch; every flow after the first nonzero one is
+    # one HiGHS model per batch; every LP after the first nonzero one is
     # hot-started from the basis the last solve left, and each value is the
     # reference LP's and the single-pair call's
     g = Grid(2, n)
@@ -909,6 +909,40 @@ def test_w1_state_2d_batch_matches_reference_lp(n, monkeypatch):
         assert abs(value - single) <= 1e-12
     # the near-proportional imbalances restart from a nearly optimal basis
     assert max(r.iterations for r in rounds[1:3]) < rounds[0].iterations // 10
+
+
+def _beckmann_flow_w1(imbalances, grid):
+    """W1 of each node-mass imbalance as Beckmann's min-cost flow, the primal
+    of the potential LP: one forward and one backward flow column per edge
+    of the periodic grid graph, each of cost h per unit mass, and one
+    balance row per node but the last, on one model per nonzero imbalance,
+    scaled to unit L1 mass."""
+    tails = np.tile(np.arange(grid.size), grid.d)
+    heads = grid.neighbors()[:, 0::2].T.ravel()  # the +1 neighbours, axis by axis
+    edges = np.tile(np.stack([tails, heads], axis=1), (2, 1))
+    signs = np.repeat([[1.0, -1.0], [-1.0, 1.0]], tails.size, axis=0)  # forward, then backward
+    values = []
+    for imbalance in imbalances:
+        scale = np.abs(imbalance).sum()
+        if scale == 0.0:
+            values.append(0.0)
+            continue
+        highs = measure._lp_model(
+            imbalance[:-1] / scale, np.full(len(edges), grid.h), edges, signs, measure.TRANSPORT_LP_OPTIONS
+        )
+        values.append(scale * measure._solve(highs)[0])
+    return values
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_w1_state_2d_potential_lp_equals_the_flow_lp(n):
+    # LP duality: the potential LP's values are the min-cost flow's
+    g = Grid(2, n)
+    firsts, seconds = _flow_batch(g)
+    imbalances = [(m1.values - m2.values) * g.cell_volume for m1, m2 in zip(firsts, seconds)]
+    flows = _beckmann_flow_w1(imbalances, g)
+    assert min(flows[1:5]) > 0.0
+    np.testing.assert_allclose(wasserstein1_state(firsts, seconds), flows, rtol=0, atol=1e-15)
 
 
 def test_w1_state_1d_batch_is_the_circle_cdf_pair_by_pair():
