@@ -14,12 +14,13 @@ Two outer strategies solve the discounted system:
       pushes it forward through the optimal policies.  Works for instant and
       history models and needs no inner contraction.
 
-Both run the same plain Picard loop; a strategy supplies only its per-slice
-solve and its outer error.  The agent reacts only to the present measure, and
-the outer map contracts on every shipped config and on strongly coupled
-example1 models, so plain (Banach) iteration converges at the map's own rate.
-Only the joint-measure fixed point, whose map stops contracting for strong
-coupling, blends policies (damping).
+Both run the same plain Picard loop over explicit state, the iterates; a
+strategy supplies only its step, one pass and its outer error.  The agent
+reacts only to the present measure, and the outer map contracts on every
+shipped config and on strongly coupled example1 models, so plain (Banach)
+iteration converges at the map's own rate.  Only the joint-measure fixed
+point, whose map stops contracting for strong coupling, blends policies
+(damping).
 
 Psi's outer error and the regularity report's joint-measure Holder ratio are
 maxima of joint W1 values between measures with different state marginals,
@@ -43,21 +44,24 @@ discount, so each level starts from the Lagrange polynomial in rho through
 the last (up to) three levels, evaluated at its discount (polynomial
 continuation).  Only the start depends on the earlier levels; the loop and
 its tolerances are those of a discounted solve.  An intermediate level only
-predicts the next one, so it runs the Picard loop alone, without the finish.
+predicts the next one, so it runs the Picard part alone, without the finish.
 
-Each strategy is a Picard part and a finish, one consistency pass: gamma
-re-solves each slice once on the final densities and gradients, psi runs one
-more pass.  The stored joint measure is then an exact pushforward of the
-stored density through the stored policy, and one probe measures, rather
-than assumes, the per-slice residuals of the HJB and measure equations.  A
-pass whose residuals miss a tolerance is reported as measured, not retried:
-converged holds only when every tolerance was met, and diagnostics["failures"]
-names each check that missed one.
+Each strategy is a Picard part, which returns its level (the last pass's
+unprobed solution), and the one finish of either strategy's level: a
+consistency pass that reads nothing but the level (gamma re-solves each slice
+once on its densities and the gradients of its w, psi runs one more pass from
+its measures and policies).  The stored joint measure is then an exact
+pushforward of the stored density through the stored policy, and one probe
+measures, rather than assumes, the per-slice residuals of the HJB and measure
+equations.  A pass whose residuals miss a tolerance is reported as measured,
+not retried: converged holds only when every tolerance was met, and
+diagnostics["failures"] names each check that missed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,10 +214,6 @@ def blend_policies(old: np.ndarray, new: np.ndarray, weight: float, control) -> 
     return control.project((1.0 - weight) * old + weight * new)
 
 
-def _zero_policy(spec: ModelSpec, grid: Grid) -> np.ndarray:
-    return np.zeros((grid.size, spec.control.k))
-
-
 def solve_joint_measure(
     m: DensityField,
     du: np.ndarray,
@@ -238,7 +238,7 @@ def solve_joint_measure(
     if spec.kind != "instant":
         raise ValueError("the joint-measure fixed point requires an instant model")
     grid, x = m.grid, m.grid.coordinates()
-    nu_hat = pushforward(m, _zero_policy(spec, grid))
+    nu_hat = pushforward(m, np.zeros((grid.size, spec.control.k)))
     policy = policy_field(spec, grid, du, spec.coefficients(x, nu_hat))
     mu_prev = pushforward(m, policy)
 
@@ -305,26 +305,20 @@ def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, bindings,
     return fp_evolve(m0, [drift_field(spec, m0.grid, a, c) for a, c in steps], config.dt)
 
 
-def _picard(spec, m0, config, slice_solve, outer_error):
-    """The outer Picard loop both strategies share.
-
-    Each pass calls slice_solve(previous policies), which returns the
-    per-slice bindings spec.coefficients(grid.coordinates(), nu) of the
-    measures the Hamiltonians read, and the optimal policies; evolves the
-    density once with their drifts; and logs the row
-    (pass, *outer_error(trajectory, policies)), whose first entry is the
-    total error tested against the outer tolerance.  Returns
-    (log, last policies, converged).
-    """
-    log: list[tuple] = []
-    policies = None
+def _picard(config: CouplingConfig, state, step):
+    """The outer Picard loop both strategies share: step(state) runs one
+    pass and returns (next state, row, missed), row's first entry the total
+    error tested against the outer tolerance and missed the checks the pass
+    missed.  Returns (last state, log of rows (pass, *row), every pass's
+    missed checks, converged)."""
+    log, failed = [], set()
     for k in range(1, config.max_outer + 1):
-        measures, policies = slice_solve(policies)
-        traj = _evolve(spec, m0, config, measures, policies)
-        log.append((k, *outer_error(traj, policies)))
-        if log[-1][1] <= config.outer_tol:
-            return log, policies, True
-    return log, policies, False
+        state, row, missed = step(state)
+        log.append((k, *row))
+        failed |= missed
+        if row[0] <= config.outer_tol:
+            return state, log, failed, True
+    return state, log, failed, False
 
 
 def _failed_checks(**results) -> set:
@@ -332,15 +326,23 @@ def _failed_checks(**results) -> set:
     return {name for name, group in results.items() if not all(r.converged for r in group)}
 
 
-def _unprobed(config, log, converged, failed, m, hjbs, mu) -> TrajectorySolution:
+def _warm_start(config: CouplingConfig, initial, what: str) -> tuple[list, list]:
+    """A strategy's start, two per-slice sequences, as lists; a length other
+    than the number of time slices is a ValueError."""
+    first, m = list(initial[0]), list(initial[1])
+    if len(first) != config.n_steps + 1 or len(m) != config.n_steps + 1:
+        raise ValueError(f"initial {what} trajectory has the wrong length")
+    return first, m
+
+
+def _unprobed(config, log, failed, m, hjbs, mu) -> TrajectorySolution:
     """TrajectorySolution of an outer strategy from its last per-slice HJB
     solutions and the stored (m, mu), with its shared diagnostics and no
-    measured residuals.  failed holds the checks the slice solves missed; an
-    unconverged outer loop adds "outer"."""
+    measured residuals; failed holds the checks missed so far."""
     diagnostics = {
         "outer_iterations": len(log),
-        "final_outer_error": log[-1][1] if log else 0.0,
-        "failures": sorted(failed if converged else failed | {"outer"}),
+        "final_outer_error": log[-1][1],
+        "failures": sorted(failed),
         "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
     }
     return TrajectorySolution(
@@ -368,6 +370,37 @@ def _solution(spec, config, sol, bindings) -> TrajectorySolution:
     return replace(sol, hjb_residuals=hjb_res, mu_residuals=mu_res, diagnostics=diagnostics)
 
 
+def _gamma_slices(spec, config, m_list, du_list):
+    """Per slice the joint-measure fixed point from the density and
+    gradient, its binding, and the HJB solve in that binding from the fixed
+    point's policy: (fixed points, bindings, HJB solutions)."""
+    x = m_list[0].grid.coordinates()
+    fixed_points, bindings, hjbs = [], [], []
+    for m, du in zip(m_list, du_list):
+        res = solve_joint_measure(
+            m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
+        )
+        fixed_points.append(res)
+        bindings.append(spec.coefficients(x, res.mu))
+        hjbs.append(solve_discounted(spec, bindings[-1], config.rho, m.grid, tol=config.hjb_tol, warm_start=res.mu.a))
+    return fixed_points, bindings, hjbs
+
+
+def _gamma_step(spec, m0, config, state):
+    """One gamma pass from state (m, mu, hjbs, du): the next state, holding
+    the evolved densities and the gradients of the new w, and the row
+    (total, gradient part, density part) of the outer error."""
+    m_list, _, _, du_list = state
+    fixed_points, bindings, hjbs = _gamma_slices(spec, config, m_list, du_list)
+    traj = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
+    du_new = [gradient_central(m0.grid, h.w) for h in hjbs]
+    du_errs = [float(np.abs(a - b).max()) for a, b in zip(du_new, du_list)]
+    m_errs = wasserstein1_state(traj, m_list)
+    row = (max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs))
+    state = (list(traj), [res.mu for res in fixed_points], hjbs, du_new)
+    return state, row, _failed_checks(inner=fixed_points, hjb=hjbs)
+
+
 def solve_field_iteration(
     spec: ModelSpec,
     m0: DensityField,
@@ -383,60 +416,45 @@ def solve_field_iteration(
     are taken of each slice's normalized w, not of u = w + s/rho.  initial
     is a warm start (u, m): (n^d,) value arrays and densities, one per slice.
     """
-    return _field_picard(spec, m0, config, initial)[1]()[0]
+    return _finish(spec, m0, config, _field_picard(spec, m0, config, initial), "gamma")[0]
 
 
-def _field_picard(spec, m0, config, initial=None):
-    """solve_field_iteration's Picard part: (the last pass's unprobed solution,
-    finish), finish() re-solving each slice once and returning (probed result, its bindings)."""
-    grid, x = m0.grid, m0.grid.coordinates()
-    n_slices = config.n_steps + 1
+def _field_picard(spec, m0, config, initial=None) -> TrajectorySolution:
+    """solve_field_iteration's Picard part: its level, the last pass's unprobed solution."""
+    n = config.n_steps + 1
+    u_list, m_list = _warm_start(config, initial or ([np.zeros(m0.grid.size)] * n, [m0] * n), "value")
+    start = (m_list, None, None, [gradient_central(m0.grid, u) for u in u_list])
+    (m, mu, hjbs, _), log, failed, converged = _picard(config, start, partial(_gamma_step, spec, m0, config))
+    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, mu)
 
-    if initial is None:
-        u_list = [np.zeros(grid.size) for _ in range(n_slices)]
-        m_list: list[DensityField] = [m0] * n_slices
-    else:
-        u_list, m_list = list(initial[0]), list(initial[1])
-        if len(u_list) != n_slices or len(m_list) != n_slices:
-            raise ValueError("initial value trajectory has the wrong length")
-    du_list = [gradient_central(grid, u) for u in u_list]
-    fixed_points: list = []  # per-slice joint-measure fixed points of the last solve
-    hjbs: list = []  # and the HJB solutions in their measures
-    failed: set = set()
 
-    def slice_solve(_policies_prev):
-        nonlocal fixed_points, hjbs
-        fixed_points, hjbs, bindings = [], [], []
-        for m, du in zip(m_list, du_list):
-            res = solve_joint_measure(
-                m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
-            )
-            fixed_points.append(res)
-            bindings.append(spec.coefficients(x, res.mu))
-            hjbs.append(solve_discounted(
-                spec, bindings[-1], config.rho, grid, tol=config.hjb_tol, warm_start=res.mu.a,
-            ))
-        failed.update(_failed_checks(inner=fixed_points, hjb=hjbs))
-        return bindings, [h.policy for h in hjbs]
+def _bind(spec, config, grid, mu_traj) -> list:
+    """Each slice's binding of the measure its Hamiltonian reads in mu_traj."""
+    times, x = config.times(), grid.coordinates()
+    return [spec.coefficients(x, _slice_context(spec, times, mu_traj, j)) for j in range(len(mu_traj))]
 
-    def outer_error(traj, _policies):
-        nonlocal m_list, du_list
-        new_du = [gradient_central(grid, h.w) for h in hjbs]
-        du_errs = [float(np.abs(a - b).max()) for a, b in zip(new_du, du_list)]
-        m_errs = wasserstein1_state(traj, m_list)
-        m_list, du_list = list(traj), new_du
-        return max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs)
 
-    log, _, converged = _picard(spec, m0, config, slice_solve, outer_error)
+def _psi_slices(spec, config, grid, mu_traj, warm):
+    """The bindings of the frozen trajectory mu_traj and the HJB solve in
+    each, from warm[j] (cold for warm None): (bindings, HJB solutions)."""
+    bindings = _bind(spec, config, grid, mu_traj)
+    return bindings, [
+        solve_discounted(spec, coefficients, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None)
+        for j, coefficients in enumerate(bindings)
+    ]
 
-    def result():
-        return _unprobed(config, log, converged, failed, m_list, hjbs, [res.mu for res in fixed_points])
 
-    def finish():
-        bindings, _ = slice_solve(None)
-        return _solution(spec, config, result(), bindings), bindings
-
-    return result(), finish
+def _psi_step(spec, m0, config, state):
+    """One psi pass from state (m, mu, hjbs), warm-started at the policies of
+    hjbs, the pass before's (None before the first): the next state and the
+    row (total, the same) of the outer error."""
+    m_traj, mu_traj, hjbs = state
+    bindings, hjbs = _psi_slices(spec, config, m0.grid, mu_traj, None if hjbs is None else [h.policy for h in hjbs])
+    traj = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
+    mu_new = [pushforward(m, h.policy) for m, h in zip(traj, hjbs)]
+    state_w1s = wasserstein1_state(traj, m_traj)
+    e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * len(traj), state_w1s, config.outer_tol)
+    return (list(traj), mu_new, hjbs), (e_k, e_k), _failed_checks(hjb=hjbs)
 
 
 def solve_measure_iteration(
@@ -457,59 +475,38 @@ def solve_measure_iteration(
     pass's logged error.  initial is a warm start (mu, m): a measure
     trajectory and its state marginals.
     """
-    return _measure_picard(spec, m0, config, initial)[1]()[0]
+    return _finish(spec, m0, config, _measure_picard(spec, m0, config, initial), "psi")[0]
 
 
-def _measure_picard(spec, m0, config, initial=None):
-    """solve_measure_iteration's Picard part: (the last pass's unprobed
-    solution, finish), finish() running one more pass and returning (probed result, its bindings)."""
-    grid, x = m0.grid, m0.grid.coordinates()
-    times = config.times()
-    n_slices = config.n_steps + 1
+def _measure_picard(spec, m0, config, initial=None) -> TrajectorySolution:
+    """solve_measure_iteration's Picard part: its level, the last pass's unprobed solution."""
+    n = config.n_steps + 1
+    start = initial or ([pushforward(m0, np.zeros((m0.grid.size, spec.control.k)))] * n, [m0] * n)
+    mu_traj, m_traj = _warm_start(config, start, "measure")
+    step = partial(_psi_step, spec, m0, config)
+    (m, mu, hjbs), log, failed, converged = _picard(config, (m_traj, mu_traj, None), step)
+    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, mu)
 
-    if initial is None:
-        mu_traj = [pushforward(m0, _zero_policy(spec, grid))] * n_slices
-        m_traj = [m0] * n_slices
+
+def _finish(spec, m0, config, level: TrajectorySolution, strategy: str):
+    """A Picard part's level finished by one consistency pass that reads
+    nothing but the level, then the residual probe: (probed solution, the
+    bindings of its stored measures).  Gamma re-solves each slice once on
+    the level's densities and the gradients of its w; psi runs one more pass
+    from its measures and policies.  The failures are the level's and the
+    pass's."""
+    grid = m0.grid
+    if strategy == "gamma":
+        du = [gradient_central(grid, w) for w in level.w]
+        fixed_points, bindings, hjbs = _gamma_slices(spec, config, level.m, du)
+        m, mu, missed = level.m, [res.mu for res in fixed_points], _failed_checks(inner=fixed_points, hjb=hjbs)
     else:
-        mu_traj, m_traj = list(initial[0]), list(initial[1])
-        if len(mu_traj) != n_slices or len(m_traj) != n_slices:
-            raise ValueError("initial measure trajectory has the wrong length")
-    hjbs: list = []
-    failed: set = set()
-
-    def bind(mu):
-        return [spec.coefficients(x, _slice_context(spec, times, mu, j)) for j in range(n_slices)]
-
-    def slice_solve(warm):
-        nonlocal hjbs
-        bindings = bind(mu_traj)
-        hjbs = [
-            solve_discounted(
-                spec, coefficients, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None,
-            )
-            for j, coefficients in enumerate(bindings)
-        ]
-        failed.update(_failed_checks(hjb=hjbs))
-        return bindings, [h.policy for h in hjbs]
-
-    def outer_error(traj, policies):
-        nonlocal mu_traj, m_traj
-        mu_new = [pushforward(m, a) for m, a in zip(traj, policies)]
-        state_w1s = wasserstein1_state(traj, m_traj)
-        e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * n_slices, state_w1s, config.outer_tol)
-        mu_traj, m_traj = mu_new, list(traj)
-        return e_k, e_k
-
-    log, policies, converged = _picard(spec, m0, config, slice_solve, outer_error)
-
-    def finish():
-        bindings, final = slice_solve(policies)
-        traj = _evolve(spec, m0, config, bindings, final)
-        mu = [pushforward(m, a) for m, a in zip(traj, final)]
-        sol, new_bindings = _unprobed(config, log, converged, failed, traj, hjbs, mu), bind(mu)
-        return _solution(spec, config, sol, new_bindings), new_bindings
-
-    return _unprobed(config, log, converged, failed, m_traj, hjbs, mu_traj), finish
+        bindings, hjbs = _psi_slices(spec, config, grid, level.mu, level.policy)
+        m = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
+        mu = [pushforward(m_j, h.policy) for m_j, h in zip(m, hjbs)]
+        bindings, missed = _bind(spec, config, grid, mu), _failed_checks(hjb=hjbs)
+    sol = _unprobed(config, level.outer_errors, set(level.diagnostics["failures"]) | missed, m, hjbs, mu)
+    return _solution(spec, config, sol, bindings), bindings
 
 
 def _lagrange_weights(nodes: Sequence[float], x: float) -> np.ndarray:
@@ -588,8 +585,7 @@ def solve_vanishing_discount(
             (lv.rho, lv.w if config.strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]
         ]
         initial = _extrapolated_start(spec, grid, config.strategy, fits, rho) if fits else None
-        level, finish = picard(spec, m0, replace(config, rho=rho), initial)
-        levels.append(level)
+        levels.append(picard(spec, m0, replace(config, rho=rho), initial))
         if len(levels) > 1:
             increments.append(_level_increments(levels[-1], levels[-2]))
         converged = bool(increments) and increments[-1][1] <= config.ergodic_tol
@@ -599,7 +595,7 @@ def solve_vanishing_discount(
     # the reported level alone is finished; its pairs are then measured in
     # the ergodic equation (rho = 0) and against the direct ergodic solver,
     # both on the finish's binding of each slice
-    sol, bindings = finish()
+    sol, bindings = _finish(spec, m0, replace(config, rho=levels[-1].rho), levels[-1], config.strategy)
     levels[-1] = sol
     ergodic_res, direct_gaps = [], []
     for w, s, coefficients in zip(sol.w, sol.s, bindings):

@@ -258,15 +258,14 @@ def joint_cost_matrix(x1, a1, x2, a2) -> np.ndarray:
 
 
 # Options of every transport LP: no log, dual simplex (the priced atom LP
-# runs primal simplex from its north-west-corner basis instead)
-LP_OPTIONS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1}
-# At HiGHS's default feasibility tolerances (1e-7) atom-LP values of order
-# 1e-6 come out up to about 1% low, while joint W1 values are compared with
-# tolerances down to 1e-9; presolve only costs time on these problems
-TRANSPORT_LP_OPTIONS = {
-    "presolve": "off",
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+# runs primal simplex from its north-west-corner basis instead), no
+# presolve, which only costs time on these problems, and tight feasibility
+# tolerances: at HiGHS's defaults (1e-7) atom-LP values of order 1e-6 come
+# out up to about 1% low, while joint W1 values are compared with
+# tolerances down to 1e-9
+LP_OPTIONS = {
+    "output_flag": False, "log_to_console": False, "simplex_strategy": 1,
+    "presolve": "off", "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
 }
 
 
@@ -291,15 +290,15 @@ def _add_columns(
 
 
 def _lp_model(
-    row_lower: np.ndarray, cost: np.ndarray, rows: np.ndarray, values, options: dict,
-    row_upper: np.ndarray | None = None, col_lower: float = 0.0,
+    row_lower: np.ndarray, cost: np.ndarray, rows: np.ndarray, values,
+    row_upper: np.ndarray | None = None, col_lower: float = 0.0, **options,
 ) -> _Highs:
     """HiGHS model of min cost.z subject to row_lower <= A z <= row_upper
     and z >= col_lower; row_upper None is row_upper = row_lower, the
     equality rows A z = b_eq.
 
     A has one row per entry of row_lower and one column per row of rows,
-    built by _add_columns; options are set on top of LP_OPTIONS.
+    built by _add_columns; options override LP_OPTIONS.
     """
     highs = _Highs()
     for key, value in {**LP_OPTIONS, **options}.items():
@@ -411,18 +410,17 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     every atom could read W1 = 0.
     """
     n1, n2 = cost.shape
-    tau = TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
+    tau = LP_OPTIONS["dual_feasibility_tolerance"]
     scale = (w1.sum() + w2.sum()) / (n1 + n2)
     b_eq = np.concatenate([w1, w2])[:-1] / scale
     rows, cols = np.arange(n1), np.arange(n2)
     if n1 * n2 <= ALL_ARCS_PAIRS:
         arcs = np.arange(n1 * n2)
-        highs = _lp_model(b_eq, cost.ravel(), _arc_rows(arcs, n1, n2), 1.0, TRANSPORT_LP_OPTIONS)
+        highs = _lp_model(b_eq, cost.ravel(), _arc_rows(arcs, n1, n2), 1.0)
     else:
         corner = _north_west_corner(w1, w2)
         arcs = _seed_arcs(cost, corner)
-        options = {**TRANSPORT_LP_OPTIONS, "simplex_strategy": 4}  # primal simplex
-        highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0, options)
+        highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0, simplex_strategy=4)  # primal
         _set_basis(highs, np.isin(arcs, corner))
     while True:
         value, dual = _solve(highs)
@@ -573,7 +571,7 @@ def _grid_flow_w1(imbalances: Sequence[np.ndarray], grid: Grid) -> list[float]:
         cost = -imbalance[:-1] / scale  # maximize f . phi; the last potential is 0
         if highs is None:
             bound = np.full(d * n, h)
-            highs = _lp_model(-bound, cost, rows[:-1], signs, TRANSPORT_LP_OPTIONS, row_upper=bound, col_lower=-np.inf)
+            highs = _lp_model(-bound, cost, rows[:-1], signs, row_upper=bound, col_lower=-np.inf)
         else:
             highs.changeColsCost(n - 1, nodes, cost)
         values.append(-scale * _solve(highs)[0])

@@ -297,9 +297,9 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
     read-only (n^d, n^d) kernel (N^2 floats: 0.5 MiB at 2D n=16, 8 MiB at
     n=32) that every later binding on that grid reuses.  Every other call
     (memory aggregates, which carry no grid, and off-grid points) computes
-    the weights from torus_distance at each binding.  Both paths compute the
-    same elementwise arithmetic and the same products, so the bump is
-    bit-equal.
+    the weights at each binding.  Both paths take the distances from
+    torus_distance_matrix, with no (M, N, d) temporary, and compute the same
+    products, so the bump is bit-equal.
     """
     node_kernel = functools.cache(lambda grid: _node_kernel(grid, width))
 
@@ -318,7 +318,7 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
         if grid is not None and np.array_equal(nu.x, grid.coordinates()) and np.array_equal(points, nu.x):
             phi = node_kernel(grid)
         else:
-            phi = _gaussian(torus_distance(points[:, None, :], nu.x), width)
+            phi = _gaussian(torus_distance_matrix(points, nu.x), width)
         return _bump_average(phi, nu, kappa).reshape(x.shape[:-1] + (nu.a.shape[1],))
 
     return cost_weight, drift_bump
@@ -332,9 +332,7 @@ def _gaussian(dist: np.ndarray, width: float) -> np.ndarray:
 
 def _node_kernel(grid: Grid, width: float) -> np.ndarray:
     """The bump's weights between all pairs of grid's nodes, a read-only
-    (n^d, n^d) array, from torus_distance_matrix: bit-equal to the weights
-    of torus_distance(x[:, None, :], x) without that call's (n^d, n^d, d)
-    temporaries."""
+    (n^d, n^d) array."""
     x = grid.coordinates()
     kernel = _gaussian(torus_distance_matrix(x, x), width)
     kernel.setflags(write=False)

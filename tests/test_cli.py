@@ -658,6 +658,14 @@ def test_only_the_cli_writes_files():
                 assert name not in ("open", "write_text", "write_bytes"), f"{path.name}:{node.lineno} calls {name}"
 
 
+def test_no_nonlocal_state():
+    # solver state is passed to and returned from functions, never rebound
+    # in an enclosing function's scope
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Nonlocal), f"{path.name}:{node.lineno} declares nonlocal"
+
+
 def test_only_grid_and_the_u_final_writer_read_grid_shape():
     # node data are flat arrays in node order: the (n,) * d index shape of a
     # grid is read only in grid.py and by the writer of u_final.csv's (i, j)

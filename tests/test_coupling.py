@@ -238,27 +238,23 @@ class TestOuterLoop:
             ([1.0, 1.0, 1.0, 1.0], False),
         ],
     )
-    def test_scripted_outer_errors(self, monkeypatch, errors, converged):
-        spec = example_one(d=1, **WEAK)
+    def test_scripted_outer_errors(self, errors, converged):
         cfg = CouplingConfig(T=0.1, dt=0.1, outer_tol=1e-12, max_outer=len(errors))
-        monkeypatch.setattr(coupling, "_evolve", lambda *args: "trajectory")
-        received, evolved = [], []
+        received = []
 
-        def slice_solve(policies_prev):
-            received.append(policies_prev)
-            return "measures", [("pass", len(received))]
+        def step(state):
+            received.append(state)
+            k = len(received)
+            return ("pass", k), (errors[k - 1], "part"), {"inner"} if k == 2 else {"hjb"} if k == 3 else set()
 
-        def outer_error(traj, policies):
-            evolved.append(policies)
-            return (errors[len(evolved) - 1],)
-
-        log, policies, done = coupling._picard(spec, None, cfg, slice_solve, outer_error)
+        state, log, failed, done = coupling._picard(cfg, "start", step)
         assert done is converged
-        assert log == [(k, e) for k, e in enumerate(errors, start=1)]
-        # each pass evolves the map's own output and hands it to the next
-        assert evolved == [[("pass", k)] for k in range(1, len(errors) + 1)]
-        assert received == [None, *evolved[:-1]]
-        assert policies == evolved[-1]
+        assert log == [(k, e, "part") for k, e in enumerate(errors, start=1)]
+        # each pass steps from the state the pass before returned, and the
+        # missed checks of every pass are kept
+        assert received == ["start", *[("pass", k) for k in range(1, len(errors))]]
+        assert state == ("pass", len(errors))
+        assert failed == {"inner", "hjb"}
 
     @pytest.mark.parametrize("solve", [solve_field_iteration, solve_measure_iteration], ids=["gamma", "psi"])
     def test_strong_coupling_converges(self, solve):
@@ -464,14 +460,48 @@ def weak_ergodic_levels(request):
     name = _PICARD[request.param]
 
     def recorded(*args, _picard=getattr(coupling, name), **kwargs):
-        level, finish = _picard(*args, **kwargs)
-        levels.append(level)
-        return level, finish
+        levels.append(_picard(*args, **kwargs))
+        return levels[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coupling, name, recorded)
         sol = solve_vanishing_discount(spec, m0, cfg)
     return spec, m0, cfg, sol, levels
+
+
+def _assert_same_solution(ours, theirs):
+    """Every stored field of two TrajectorySolutions is equal bit for bit."""
+    np.testing.assert_array_equal(ours.times, theirs.times)
+    for a, b in zip(ours.m, theirs.m, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+    for a, b in zip(ours.mu, theirs.mu, strict=True):
+        for name in ("x", "a", "w"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for name in ("w", "s", "outer_errors", "hjb_residuals", "mu_residuals"):
+        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+    assert ours.rho == theirs.rho
+    np.testing.assert_equal(ours.diagnostics, theirs.diagnostics)
+
+
+@pytest.mark.parametrize("strategy", ["gamma", "psi"])
+def test_finish_reads_only_its_level(monkeypatch, strategy):
+    # a copy of the level a public solve's Picard part returned, finished
+    # again, is that solve's result bit for bit: the finish keeps no state
+    # of the Picard loop
+    spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
+    cfg = CouplingConfig(T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy)
+    levels = []
+
+    def recorded(*args, _picard=getattr(coupling, _PICARD[strategy]), **kwargs):
+        levels.append(_picard(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(coupling, _PICARD[strategy], recorded)
+    sol = _SOLVE[strategy](spec, m0, cfg)
+    assert len(levels) == 1 and sol.diagnostics["outer_iterations"] >= 2
+    finished, bindings = coupling._finish(spec, m0, cfg, replace(levels[0]), strategy)
+    _assert_same_solution(finished, sol)
+    assert len(bindings) == sol.n_slices
 
 
 def _finish_every_level(spec, m0, cfg):
@@ -806,9 +836,9 @@ class TestErgodicDriver:
         levels = []
         for name in _PICARD.values():
             def counted(*args, _picard=getattr(coupling, name), **kwargs):
-                level, finish = _picard(*args, **kwargs)
+                level = _picard(*args, **kwargs)
                 levels.append(level.diagnostics["outer_iterations"])
-                return level, finish
+                return level
 
             monkeypatch.setattr(coupling, name, counted)
         cfg = CouplingConfig(

@@ -14,7 +14,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from qsmfg import model
-from qsmfg.grid import Grid, gradient_central, gradient_upwind, laplacian, torus_distance
+from qsmfg.grid import Grid, gradient_central, gradient_upwind, laplacian, torus_distance_matrix
 from qsmfg.hjb import (
     NORMALIZATION_NODE,
     _evaluation_matrix,
@@ -219,23 +219,23 @@ class TestCoefficientEvaluations:
 
         def counting(x, y):
             calls.append(np.shape(x))
-            return torus_distance(x, y)
+            return torus_distance_matrix(x, y)
 
-        monkeypatch.setattr(model, "torus_distance", counting)
+        monkeypatch.setattr(model, "torus_distance_matrix", counting)
         return calls
 
     def test_measure_terms_once_per_solve(self, torus_distance_calls):
         # off the grid's nodes, the quadratic models' drift bump is their one
-        # torus_distance call: one per binding, made at its first drift,
-        # however many policies and solves read the binding
+        # torus_distance_matrix call: one per binding, made at its first
+        # drift, however many policies and solves read the binding
         calls = torus_distance_calls
         spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
         coefficients = _bind(spec, _measure(16))
         assert calls == []
         sol = solve_discounted(spec, coefficients, 1.0, GRID, tol=1e-11)
-        assert sol.iterations >= 2 and calls == [(GRID.size, 1, 1)]
+        assert sol.iterations >= 2 and calls == [(GRID.size, 1)]
         solve_ergodic(spec, coefficients, GRID, tol=1e-11)
-        assert calls == [(GRID.size, 1, 1)]
+        assert calls == [(GRID.size, 1)]
 
     def test_graph_measure_reads_grid_node_distances(self, torus_distance_calls, monkeypatch):
         # a pushforward's atoms are the grid's nodes, so its bump reads the
@@ -243,13 +243,15 @@ class TestCoefficientEvaluations:
         # kernel is built at the first on-grid bump, not before, and every
         # later binding on the grid reads the same object.  A memory
         # aggregate, which carries no grid, and x off the nodes compute one
-        # torus distance per binding
+        # torus distance per binding.  The kernel's build makes its own one
+        # distance call, kept apart in builds
         calls = torus_distance_calls
-        kernels, weights = [], []
+        kernels, weights, builds = [], [], []
         build, average = model._node_kernel, model._bump_average
 
         def building(grid, width):
             kernels.append(build(grid, width))
+            builds.append(calls.pop())
             return kernels[-1]
 
         def averaging(phi, nu, kappa):
@@ -273,13 +275,13 @@ class TestCoefficientEvaluations:
         aggregate = memory_aggregate([0.0, 0.5], [mu, mu], lambda t: np.ones_like(t))
         assert aggregate.grid is None
         solve_discounted(spec, _bind(spec, aggregate), 1.0, GRID, tol=1e-11)
-        assert calls == [(GRID.size, 1, 1)]
+        assert calls == [(GRID.size, 1)] and builds == [(GRID.size, 1)]
         spec.coefficients(GRID.coordinates() + 0.5 * GRID.h, mu)[0](np.zeros((GRID.size, 1)))
         spec.coefficients(GRID.coordinates()[:7], mu)[0](np.zeros((7, 1)))
         # a grid attached to atoms that are not its nodes is not read either
         off = _measure(16)
         spec.coefficients(GRID.coordinates(), JointMeasure(off.x, off.a, off.w, grid=GRID))[0](np.zeros((GRID.size, 1)))
-        assert calls == [(GRID.size, 1, 1)] * 2 + [(7, 1, 1), (GRID.size, 1, 1)]
+        assert calls == [(GRID.size, 1)] * 2 + [(7, 1), (GRID.size, 1)]
         assert len(kernels) == 1 and len(weights) == 6
         assert not any(phi is kernels[0] for phi in weights[2:])
 

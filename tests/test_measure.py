@@ -437,7 +437,7 @@ def test_atom_lp_reads_state_w1_below_its_tolerance(start, eps):
     assert wasserstein1_joint(pushforward(m1, policy), pushforward(m2, policy)) == pytest.approx(state, rel=1e-6)
 
 
-TAU = measure.TRANSPORT_LP_OPTIONS["dual_feasibility_tolerance"]
+TAU = measure.LP_OPTIONS["dual_feasibility_tolerance"]
 
 
 def _constraint_matrix(highs):
@@ -576,9 +576,7 @@ def _slack_start_iterations(cost, w1, w2, arcs):
     n1, n2 = cost.shape
     scale = (w1.sum() + w2.sum()) / (n1 + n2)
     b_eq = np.concatenate([w1, w2])[:-1] / scale
-    highs = measure._lp_model(
-        b_eq, cost.ravel()[arcs], measure._arc_rows(arcs, n1, n2), 1.0, measure.TRANSPORT_LP_OPTIONS
-    )
+    highs = measure._lp_model(b_eq, cost.ravel()[arcs], measure._arc_rows(arcs, n1, n2), 1.0)
     highs.run()
     assert highs.getModelStatus() == measure.HighsModelStatus.kOptimal
     return highs.getInfo().simplex_iteration_count
@@ -927,9 +925,7 @@ def _beckmann_flow_w1(imbalances, grid):
         if scale == 0.0:
             values.append(0.0)
             continue
-        highs = measure._lp_model(
-            imbalance[:-1] / scale, np.full(len(edges), grid.h), edges, signs, measure.TRANSPORT_LP_OPTIONS
-        )
+        highs = measure._lp_model(imbalance[:-1] / scale, np.full(len(edges), grid.h), edges, signs)
         values.append(scale * measure._solve(highs)[0])
     return values
 

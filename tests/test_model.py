@@ -253,7 +253,7 @@ class TestInvariants:
 @pytest.mark.parametrize("nodes_shape", ["flat", "column"])
 def test_drift_bump_from_node_kernel_equals_general_path(d, n, nodes_shape):
     # a pushforward's bump reads the grid's node kernel; the same atoms
-    # without a grid take torus_distance, and the drifts must agree bit for bit
+    # without a grid take the general path, and the drifts must agree bit for bit
     g = Grid(d, n)
     rng = np.random.default_rng(d)
     m = DensityField.from_values(g, rng.random(g.size) + 0.1)
