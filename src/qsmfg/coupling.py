@@ -20,7 +20,11 @@ reacts only to the present measure, and the outer map contracts on every
 shipped config and on strongly coupled example1 models, so plain (Banach)
 iteration converges at the map's own rate.  Only the joint-measure fixed
 point, whose map stops contracting for strong coupling, blends policies
-(damping).
+(damping).  Like Howard's loop in hjb.py, it stops at a policy that repeats
+the current measure's controls bit for bit, an exact fixed point, without
+pushing forward or solving W1 again, and it returns the binding of its
+measure, which gamma's HJB solve of the slice reads instead of binding it
+again.
 
 Psi's outer error and the regularity report's joint-measure Holder ratio are
 maxima of joint W1 values between measures with different state marginals,
@@ -149,9 +153,11 @@ class CouplingConfig:
 @dataclass(frozen=True)
 class MuFixedPointResult:
     """Outcome of the per-slice joint-measure fixed point; mu.a is the
-    (n^d, k) policy mu is the pushforward through."""
+    (n^d, k) policy mu is the pushforward through, and binding is mu's
+    binding spec.coefficients(m.grid.coordinates(), mu)."""
 
     mu: JointMeasure
+    binding: tuple
     iterations: int
     converged: bool
     rate: Optional[float]  # max usable per-step contraction ratio
@@ -234,13 +240,20 @@ def solve_joint_measure(
     ratio reached one, the iteration goes on with damped policy updates for
     up to 10 * max_iter more steps; rate is taken from the plain steps only.
     Failure is reported in the result, not raised.
+
+    A step whose policy repeats the current measure's controls bit for bit
+    would push m forward to that measure again: it is an exact fixed point,
+    logged with increment 0.0, W1's exact value for identical measures, and
+    the loop stops without that pushforward and W1.  Its binding, which
+    gave the policy, is the result's; any other result is bound once after
+    the loop.
     """
     if spec.kind != "instant":
         raise ValueError("the joint-measure fixed point requires an instant model")
     grid, x = m.grid, m.grid.coordinates()
     nu_hat = pushforward(m, np.zeros((grid.size, spec.control.k)))
     policy = policy_field(spec, grid, du, spec.coefficients(x, nu_hat))
-    mu_prev = pushforward(m, policy)
+    mu_prev, binding = pushforward(m, policy), None
 
     increments: list[float] = []
     ratios: list[float] = []
@@ -250,10 +263,14 @@ def solve_joint_measure(
             if not ratios or max(ratios) < 1.0:
                 break
             damped = True  # non-contractive regime
-        target = policy_field(spec, grid, du, spec.coefficients(x, mu_prev))
+        binding = spec.coefficients(x, mu_prev)
+        target = policy_field(spec, grid, du, binding)
         policy = blend_policies(policy, target, damping, spec.control) if damped else target
-        mu_next = pushforward(m, policy)
-        d = wasserstein1_joint(mu_next, mu_prev)
+        if policy.tobytes() == mu_prev.a.tobytes():
+            mu_next, d = mu_prev, 0.0
+        else:
+            mu_next, binding = pushforward(m, policy), None
+            d = wasserstein1_joint(mu_next, mu_prev)
         if not damped and increments and increments[-1] >= RATE_FLOOR:
             ratios.append(d / increments[-1])
         increments.append(d)
@@ -262,7 +279,8 @@ def solve_joint_measure(
             converged = True
             break
     return MuFixedPointResult(
-        mu=mu_prev, iterations=iterations, converged=converged,
+        mu=mu_prev, binding=binding if binding is not None else spec.coefficients(x, mu_prev),
+        iterations=iterations, converged=converged,
         rate=max(ratios) if ratios else None, increments=tuple(increments), damped=damped,
     )
 
@@ -372,17 +390,17 @@ def _solution(spec, config, sol, bindings) -> TrajectorySolution:
 
 def _gamma_slices(spec, config, m_list, du_list):
     """Per slice the joint-measure fixed point from the density and
-    gradient, its binding, and the HJB solve in that binding from the fixed
-    point's policy: (fixed points, bindings, HJB solutions)."""
-    x = m_list[0].grid.coordinates()
+    gradient, its binding (the fixed point's own), and the HJB solve in that
+    binding from the fixed point's policy: (fixed points, bindings, HJB
+    solutions)."""
     fixed_points, bindings, hjbs = [], [], []
     for m, du in zip(m_list, du_list):
         res = solve_joint_measure(
             m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
         )
         fixed_points.append(res)
-        bindings.append(spec.coefficients(x, res.mu))
-        hjbs.append(solve_discounted(spec, bindings[-1], config.rho, m.grid, tol=config.hjb_tol, warm_start=res.mu.a))
+        bindings.append(res.binding)
+        hjbs.append(solve_discounted(spec, res.binding, config.rho, m.grid, tol=config.hjb_tol, warm_start=res.mu.a))
     return fixed_points, bindings, hjbs
 
 

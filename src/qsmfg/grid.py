@@ -17,8 +17,10 @@ on top of them M-matrices.
 Those systems live on the stencil pattern: the canonical CSR pattern of the
 (1 + 2d)-point stencil with the unknowns in the grid's solve order, the
 identity for d = 1 and a nested dissection of the torus for d = 2, so row k
-holds node perm[k] and its neighbours in ascending column order.  A solver
-fills only a data array in that pattern's slots and hands it to
+holds node perm[k] and its neighbours in ascending column order, or on the
+normalized pattern the HJB solve's systems take, the same pattern with node
+0's column a column of ones; a grid builds each once, on first use.  A
+solver fills only a data array in that pattern's slots and hands it to
 _direct_solve, one SuperLU factorization and solve in natural column order,
 which takes its right-hand side and returns its solution in node order.
 
@@ -69,6 +71,11 @@ def _extension(name: str) -> ModuleType:
     with an extension-module suffix is loaded, registered in sys.modules
     under name before it runs.  If no such file exists, the module is
     imported the usual way, package __init__s and all.
+
+    A module loaded from its file is not set as an attribute of its package,
+    not even when the package is imported later: from package import module
+    falls back to sys.modules and finds it, as do the scipy functions that
+    import it, but the attribute chain package.module raises AttributeError.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -173,6 +180,21 @@ class Grid:
         arrays."""
         return self._stencil_pattern
 
+    def normalized_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR indices, indptr and value order of the n^d-square normalized
+        HJB matrix (hjb.py) in the stencil pattern's solve order, three
+        read-only arrays.
+
+        w(x0) = 0 is known at node 0, so its column is free: the unknown s
+        takes it, as a column of ones, and the stencil entries it held are
+        dropped.  Every row thus holds its stencil slots and one s slot, but
+        node 0 and its neighbours hold one stencil slot fewer.  order gathers
+        row-major stencil values, an (n^d, 1 + 2d) array as in
+        StencilPattern.order, followed by the 1 of the s column, into these
+        slots, the s slots from that final 1.
+        """
+        return self._normalized_pattern
+
     # derived data of a frozen value, built on first use and never written
     @cached_property
     def _coordinates(self) -> np.ndarray:
@@ -204,6 +226,23 @@ class Grid:
         transpose = np.searchsorted(rows * n + indices, indices * n + rows)
         indptr = width * np.arange(n + 1, dtype=np.intc)
         return StencilPattern(*map(_read_only, (indices.astype(np.intc), indptr, order, transpose, perm)))
+
+    @cached_property
+    def _normalized_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, width, pattern = self.size, 1 + 2 * self.d, self.stencil_pattern()
+        place = np.argsort(pattern.perm)
+        x0 = place[0]
+        # the stencil slots' columns, pattern.indices in np.intp: casting the
+        # np.intc array would run numpy code no 1D solve otherwise runs, and map
+        # more of numpy's library (0.1-0.2 MiB of peak RSS)
+        cols = place[np.column_stack([np.arange(n), self.neighbors()]).ravel()[pattern.order]]
+        keep = cols != x0
+        rows = np.concatenate([np.repeat(np.arange(n), width)[keep], np.arange(n)])
+        cols = np.concatenate([cols[keep], np.full(n, x0)])
+        slots = np.argsort(rows * n + cols)  # canonical: by row, then column
+        order = np.concatenate([pattern.order[keep], np.full(n, n * width)])[slots]
+        indptr = np.searchsorted(rows[slots], np.arange(n + 1)).astype(np.intc)
+        return tuple(map(_read_only, (cols[slots].astype(np.intc), indptr, order)))
 
 
 def _dissection_order(n: int) -> np.ndarray:

@@ -21,9 +21,9 @@ belongs to the coupled driver, coupling.solve_vanishing_discount.  Since
 w(x0) = 0 is known, s takes the column of x0, as a column of ones, and the
 system stays n^d-square with w(x0) = 0 exact by construction.  Its pattern
 is the grid's stencil pattern, in the grid's solve order, with that column
-filled in, built once per solve; each evaluation, in every dimension, fills
-only the data array in those CSR slots and makes one SuperLU solve
-(grid._direct_solve).
+filled in (Grid.normalized_pattern), built once per grid and read by every
+solve on it; each evaluation, in every dimension, fills only the data array
+in those CSR slots and makes one SuperLU solve (grid._direct_solve).
 
 The pair (w, s) is the one form in which a value function leaves this
 module: the residual is measured and the policy improved on it, and
@@ -69,7 +69,7 @@ __all__ = [
     "value_function",
 ]
 
-NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0
+NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0, whose column Grid.normalized_pattern frees
 
 
 @dataclass(frozen=True)
@@ -99,33 +99,6 @@ def value_function(w: np.ndarray, s: float, rho: float) -> tuple[np.ndarray, flo
     return w, s
 
 
-def _evaluation_pattern(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR indices, indptr and value order of the n^d-square normalized
-    matrix in the stencil pattern's solve order.
-
-    w(x0) = 0 is known, so the column of NORMALIZATION_NODE is free: the
-    unknown s takes it, as a column of ones, and the stencil entries it held
-    are dropped.  Every row thus holds its stencil slots and one s slot, but
-    x0 and its neighbours hold one stencil slot fewer.  order gathers the
-    values of _evaluation_values into these slots, the s slots from its
-    final 1.
-    """
-    n, width, pattern = grid.size, 2 * grid.d + 1, grid.stencil_pattern()
-    place = np.argsort(pattern.perm)
-    x0 = place[NORMALIZATION_NODE]
-    # the stencil slots' columns, pattern.indices in np.intp: casting the
-    # np.intc array would run numpy code no 1D solve otherwise runs, and map
-    # more of numpy's library (0.1-0.2 MiB of peak RSS)
-    cols = place[np.column_stack([np.arange(n), grid.neighbors()]).ravel()[pattern.order]]
-    keep = cols != x0
-    rows = np.concatenate([np.repeat(np.arange(n), width)[keep], np.arange(n)])
-    cols = np.concatenate([cols[keep], np.full(n, x0)])
-    slots = np.argsort(rows * n + cols)  # canonical: by row, then column
-    order = np.concatenate([pattern.order[keep], np.full(n, n * width)])[slots]
-    indptr = np.searchsorted(rows[slots], np.arange(n + 1)).astype(np.intc)
-    return cols[slots].astype(np.intc), indptr, order
-
-
 def _evaluation_values(grid: Grid, bvals: np.ndarray, rho: float) -> np.ndarray:
     """Values of rho*I - lap_h - b.grad_h^up, row-major, then the 1 of the s
     column.
@@ -152,7 +125,7 @@ def _evaluation_matrix(grid: Grid, bvals: np.ndarray, rho: float) -> sparse.csr_
     """The normalized evaluation matrix as a canonical scipy CSR matrix in
     node order: rho*I - lap_h - b.grad_h^up with the column of
     NORMALIZATION_NODE replaced by ones, the column of s."""
-    indices, indptr, order = _evaluation_pattern(grid)
+    indices, indptr, order = grid.normalized_pattern()
     solve_order = sparse.csr_matrix(
         (_evaluation_values(grid, bvals, rho)[order], indices, indptr), shape=(grid.size, grid.size)
     )
@@ -220,9 +193,9 @@ def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) 
     is assembled, and so is a singular evaluation or one with non-finite
     values.
 
-    The evaluation pattern is built once.  Each policy's drift and cost are
-    computed once: for the starting policy here, for every later one by the
-    improvement step that produces it.
+    The evaluation pattern is the grid's, built once per grid.  Each
+    policy's drift and cost are computed once: for the starting policy here,
+    for every later one by the improvement step that produces it.
     The loop stops at the tolerance or at a policy that repeats bit for
     bit.
     """
@@ -230,7 +203,7 @@ def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) 
         policy = node_values(grid, warm_start, "warm_start", spec.control.k)
     else:
         policy = policy_field(spec, grid, np.zeros((grid.size, grid.d)), coefficients)
-    indices, indptr, order = _evaluation_pattern(grid)
+    indices, indptr, order = grid.normalized_pattern()
     perm = grid.stencil_pattern().perm
     drift, cost, _ = coefficients
     bvals, ell = drift(policy), cost(policy)

@@ -527,10 +527,17 @@ def _circle_w1(p: np.ndarray, q: np.ndarray, h: float) -> float:
 
     The transport cost equals the minimum over rotations theta of the L1 norm
     of the CDF difference; the minimizer is the median of the cumulative
-    mass-difference sequence.
+    mass-difference sequence, taken from a partition: the middle element for
+    an odd length, the mean of the middle pair for an even one, as np.median
+    computes it, bit for bit, without its NaN check.
     """
     c = np.cumsum(p - q)
-    theta = np.median(c)
+    k = c.size // 2
+    if c.size % 2:
+        theta = np.partition(c, k)[k]
+    else:
+        part = np.partition(c, [k - 1, k])
+        theta = (part[k - 1] + part[k]) / 2
     return float(h * np.abs(c - theta).sum())
 
 

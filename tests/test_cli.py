@@ -666,6 +666,31 @@ def test_no_nonlocal_state():
             assert not isinstance(node, ast.Nonlocal), f"{path.name}:{node.lineno} declares nonlocal"
 
 
+def _import_time_nodes(tree):
+    """The AST nodes of a module that run when it is imported: all but the
+    bodies of its functions and lambdas (decorators and defaults run at
+    definition)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.args.defaults + [d for d in node.args.kw_defaults if d])
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_memo():
+    # data derived from an input live on the object that owns them, as a
+    # grid's patterns are cached properties of that grid: no functools.cache
+    # or lru_cache made at import time, a memo every caller in the process
+    # shares (a model's closures may memoize per model or per binding)
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text())):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            assert name not in ("cache", "lru_cache"), f"{path.name}:{node.lineno} memoizes at module level"
+
+
 def test_only_grid_and_the_u_final_writer_read_grid_shape():
     # node data are flat arrays in node order: the (n,) * d index shape of a
     # grid is read only in grid.py and by the writer of u_final.csv's (i, j)
@@ -748,6 +773,19 @@ def test_import_loads_only_the_compiled_solver_modules():
     for name in loaded:
         if name.startswith(("scipy.optimize", "scipy.sparse.linalg", "scipy.fft", "scipy.special")):
             assert any(name == b or name.startswith(b + ".") for b in bindings), name
+
+
+def test_from_import_finds_the_bound_compiled_modules():
+    # a module grid._extension loaded is no attribute of its package, but a
+    # later `from package import module` falls back to sys.modules and
+    # finds the very module object qsmfg bound, never a second copy
+    out = _fresh_python(
+        "import qsmfg.cli, qsmfg.grid as grid, qsmfg.measure as measure\n"
+        "from scipy.optimize._highspy import _core\n"
+        "from scipy.sparse.linalg._dsolve import _superlu\n"
+        "print(_core is measure._core, _superlu.gssv is grid.gssv)"
+    )
+    assert out.split() == ["True", "True"]
 
 
 def test_scipy_optimize_works_after_import():

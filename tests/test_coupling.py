@@ -156,8 +156,37 @@ def _scripted_w1(monkeypatch, values):
     return calls
 
 
+def _alternating_policies(monkeypatch):
+    """Make coupling's policy map return constant policies of alternating
+    sign, so that no step's policy, plain or damped, repeats the one before
+    (damped steps approach the 2-cycle +-1/6, never a fixed point)."""
+    calls = []
+
+    def alternating(spec, grid, du, coefficients):
+        calls.append(1)
+        return np.full((grid.size, spec.control.k), 0.5 * (-1) ** len(calls))
+
+    monkeypatch.setattr(coupling, "policy_field", alternating)
+
+
 def _plain_ratios(increments):
     return [b / a for a, b in zip(increments, increments[1:]) if a >= coupling.RATE_FLOOR]
+
+
+def _plain_picard(m, du, spec, tol, max_iter):
+    """The joint-measure fixed point as a plain Picard loop that pushes
+    forward and solves W1 on every step: (last measure, increments)."""
+    x = m.grid.coordinates()
+    zero = pushforward(m, np.zeros((m.grid.size, spec.control.k)))
+    mu = pushforward(m, policy_field(spec, m.grid, du, spec.coefficients(x, zero)))
+    increments = []
+    for _ in range(max_iter):
+        mu_next = pushforward(m, policy_field(spec, m.grid, du, spec.coefficients(x, mu)))
+        increments.append(wasserstein1_joint(mu_next, mu))
+        mu = mu_next
+        if increments[-1] <= tol:
+            break
+    return mu, tuple(increments)
 
 
 class TestJointMeasureLoop:
@@ -217,10 +246,62 @@ class TestJointMeasureLoop:
         ],
     )
     def test_scripted_increments(self, monkeypatch, increments, expected):
+        # the policies never repeat, so every step pushes forward and reads
+        # its scripted W1; the map's own policies can repeat bit for bit
+        # within the damped budget, which stops the loop at an exact fixed point
         calls = _scripted_w1(monkeypatch, increments)
+        _alternating_policies(monkeypatch)
         res = solve_joint_measure(_random_density(34), _smooth_gradient(35), self.SPEC, tol=1e-9, max_iter=3)
         assert (res.iterations, res.converged, res.rate, res.damped) == expected
         assert res.increments == tuple(increments[: res.iterations]) and len(calls) == res.iterations
+
+    def test_repeated_policy_hands_its_binding_to_the_slice(self, weak_gamma_solution, monkeypatch):
+        # on the symmetric two-bump data each slice's first step repeats the
+        # start's policy: the fixed point binds the reference measure and its
+        # start, pushes forward twice, solves no W1, and the slice's HJB solve
+        # reads the fixed point's binding instead of binding a third time
+        spec, _, cfg, sol = weak_gamma_solution
+        counts = {"bindings": 0, "pushforward": 0, "w1": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        counting = replace(spec, coefficients=counted("bindings", spec.coefficients))
+        monkeypatch.setattr(coupling, "pushforward", counted("pushforward", coupling.pushforward))
+        monkeypatch.setattr(coupling, "wasserstein1_joint", counted("w1", coupling.wasserstein1_joint))
+        du = [gradient_central(GRID, w) for w in sol.w]
+        fixed_points, bindings, _ = coupling._gamma_slices(counting, cfg, sol.m, du)
+        steps = [(res.iterations, res.increments, res.converged) for res in fixed_points]
+        assert steps == [(1, (0.0,), True)] * sol.n_slices
+        assert counts == {"bindings": 2 * sol.n_slices, "pushforward": 2 * sol.n_slices, "w1": 0}
+        assert all(b is res.binding for b, res in zip(bindings, fixed_points))
+
+    @pytest.mark.parametrize("tol, max_iter, repeats", [(1e-30, 300, True), (1e-9, 300, False), (1e-9, 0, False)])
+    def test_asymmetric_data_matches_plain_picard(self, tol, max_iter, repeats):
+        # example1_asym's initial density and a gradient with a nonzero mean
+        # take several steps.  At 1e-30 only a step that repeats its policy
+        # stops them, which the plain loop measures as a W1 of exactly 0.0;
+        # at 1e-9 the tolerance stops them, and a zero budget returns the
+        # start.  Each time the binding is the returned measure's.
+        spec = example_one(d=1, **WEAK)
+        m = von_mises_density(GRID, center=0.3, concentration=4.0)
+        du = _smooth_gradient(36, offset=0.5, amplitude=0.3)
+        res = solve_joint_measure(m, du, spec, tol=tol, max_iter=max_iter)
+        mu, increments = _plain_picard(m, du, spec, tol, max_iter)
+        assert res.increments == increments and not res.damped
+        assert len(increments) > 4 or max_iter == 0
+        assert (len(increments) > 0 and increments[-1] == 0.0) == repeats
+        np.testing.assert_array_equal(res.mu.a, mu.a)
+        np.testing.assert_array_equal(res.mu.w, mu.w)
+        fresh = spec.coefficients(GRID.coordinates(), res.mu)
+        probe = np.random.default_rng(37).uniform(-1.0, 1.0, (GRID.size, 1))
+        for a in (res.mu.a, probe):
+            np.testing.assert_array_equal(res.binding[0](a), fresh[0](a))
+            np.testing.assert_array_equal(res.binding[1](a), fresh[1](a))
+        np.testing.assert_array_equal(res.binding[2](du), fresh[2](du))
 
 
 class TestOuterLoop:

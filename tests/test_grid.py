@@ -66,13 +66,15 @@ def test_grid_arrays_built_once_and_read_only(d, n):
             arr[0, 0] = arr[0, 0]
     # equal grids are equal values; each instance holds its own arrays
     assert Grid(d, n) == g and Grid(d, n).coordinates() is not g.coordinates()
-    # the stencil's CSR pattern: one tuple of read-only arrays
+    # the stencil's CSR pattern and the HJB solve's normalized one: each one
+    # tuple of read-only arrays
+    for method in (g.stencil_pattern, g.normalized_pattern):
+        assert method() is method()
+        for arr in method():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
     pattern = g.stencil_pattern()
-    assert pattern is g.stencil_pattern()
-    for arr in pattern:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
     width, nnz = 1 + 2 * d, g.size * (1 + 2 * d)
     np.testing.assert_array_equal(pattern.indptr, width * np.arange(g.size + 1))
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc

@@ -7,6 +7,7 @@ stencils, sharing no solver code with the implementation.
 """
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -284,6 +285,31 @@ class TestCoefficientEvaluations:
         assert calls == [(GRID.size, 1)] * 2 + [(7, 1), (GRID.size, 1)]
         assert len(kernels) == 1 and len(weights) == 6
         assert not any(phi is kernels[0] for phi in weights[2:])
+
+
+def test_evaluation_pattern_built_once_per_grid(monkeypatch):
+    # every solve on a grid reads the grid's one normalized pattern; hjb.py
+    # keeps none, so an equal grid builds its own
+    builds = []
+    build = Grid._normalized_pattern.func
+
+    def counted(grid):
+        builds.append(grid)
+        return build(grid)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Grid, "_normalized_pattern")
+    monkeypatch.setattr(Grid, "_normalized_pattern", prop)
+    spec = example_one(delta=1.0, eps=0.3, kappa=0.3, potential=0.3)
+    grid = Grid(1, 16)
+    for seed in range(3):
+        coefficients = _bind(spec, _measure(seed), grid)
+        solve_discounted(spec, coefficients, 1.0, grid, tol=1e-11)
+        solve_ergodic(spec, coefficients, grid, tol=1e-11)
+    assert builds == [grid]
+    other = Grid(1, 16)
+    solve_discounted(spec, _bind(spec, _measure(), other), 1.0, other, tol=1e-11)
+    assert len(builds) == 2 and builds[1] is other
 
 
 class TestPolicyRepeat:

@@ -183,6 +183,31 @@ def test_w1_state_matches_atom_lp():
         assert abs(cdf - lp) < 1e-8
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(8, 64), shared=st.floats(0.0, 0.9))
+def test_circle_w1_partition_median_is_numpys(seed, size, shared):
+    # the middle element of the partition (odd length) or the mean of its
+    # middle pair (even) is np.median bit for bit, so the W1 is too; equal
+    # node masses make runs of equal cumulative differences, ties included
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))
+    same = rng.random(size) < shared
+    q[same] = p[same]
+    q /= q.sum()
+    c, h = np.cumsum(p - q), 1.0 / size
+    assert measure._circle_w1(p, q, h) == float(h * np.abs(c - np.median(c)).sum())
+
+
+def test_w1_state_odd_grid_matches_reference_lp():
+    # Grid(1, n) takes odd n, whose circle median is one middle element
+    g = Grid(1, 9)
+    x, zeros = g.coordinates(), np.zeros((g.size, 1))
+    for seed in range(6):
+        m1, m2 = _random_density(g, 400 + seed), _random_density(g, 500 + seed)
+        reference = _reference_w1(x, zeros, m1.values * g.h, x, zeros, m2.values * g.h)
+        assert wasserstein1_state(m1, m2) == pytest.approx(reference, rel=0, abs=1e-12)
+
+
 def test_w1_symmetry_and_triangle():
     g = Grid(1, 16)
     rng = np.random.default_rng(6)
