@@ -5,10 +5,11 @@ summary JSON) for external plotting.  Exit codes: 0 success, every tolerance
 met; 2 config error; 3 solver failure, or a run that missed a tolerance (logs
 are still written, and summary.json names the failed checks).
 
-parse_config reads only JSON types and the config format.  Grid and
-CouplingConfig own the value rules and defaults of the grid and coupling
-keys; a grid.FieldError they raise becomes a ConfigError under the config
-path, with the owner's reason.
+parse_config reads only JSON types and the config format.  Grid,
+CouplingConfig and RunConfig own the value rules and defaults of the grid,
+coupling and run keys; a grid.FieldError they raise becomes a ConfigError
+under the config path, with the owner's reason.  A model parameter is read
+as the type of its builder's default.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run description, deserialized from a JSON config file: the
     model and initial density it describes, built once; the grid is
-    m0.grid."""
+    m0.grid.  The one owner of the run keys' defaults and rules: a refused
+    value is a grid.FieldError."""
 
     spec: ModelSpec
     m0: DensityField
@@ -78,6 +80,10 @@ class RunConfig:
     output_dir: str = "out"
     diagnostics: bool = False
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise FieldError("seed", f"must be nonnegative, got {self.seed}")
 
     @property
     def mode(self) -> str:  # "ergodic" exactly when the coupling has a discount sequence
@@ -195,15 +201,14 @@ def parse_config(payload: dict) -> RunConfig:
     name = _get(model, "name", str, "model")
     if name not in MODEL_BUILDERS:
         raise ConfigError("model.name", f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    params = dict(_get(model, "params", dict, "model", {}))
+    params = _get(model, "params", dict, "model", {})
     if "d" in params:
         raise ConfigError("model.params.d", "the dimension is set through grid.d")
     accepted = inspect.signature(MODEL_BUILDERS[name]).parameters
     for key in params:
         if key not in accepted:
             raise ConfigError(f"model.params.{key}", f"not a parameter of model {name!r}")
-        if isinstance(params[key], float) and not np.isfinite(params[key]):
-            raise ConfigError(f"model.params.{key}", "must be finite")
+    params = {key: _get(params, key, type(accepted[key].default), "model.params") for key in params}
 
     grid_cfg = _known(_get(payload, "grid", dict), ("grid.d", "grid.n"), "grid")
     try:
@@ -228,11 +233,7 @@ def parse_config(payload: dict) -> RunConfig:
     if spec.kind != "instant" and coupling.strategy != "psi":
         raise ConfigError("strategy", "history models require strategy 'psi'")
 
-    seed = _get(payload, "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError("seed", "must be nonnegative")
-
-    m0_cfg = _get(payload, "m0", dict, default={"kind": "uniform"})
+    m0_cfg = _get(payload, "m0", dict, default={})
     m0_kind = _get(m0_cfg, "kind", str, "m0", "uniform")
     if m0_kind not in M0_BUILDERS:
         raise ConfigError("m0.kind", "must be 'uniform', 'vonmises', or 'twobump'")
@@ -243,14 +244,12 @@ def parse_config(payload: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("m0", str(exc))
 
-    return RunConfig(
-        spec=spec,
-        m0=m0,
-        coupling=coupling,
-        output_dir=_get(payload, "output_dir", str, default="out"),
-        diagnostics=_get(payload, "diagnostics", bool, default=False),
-        seed=seed,
-    )
+    kinds = typing.get_type_hints(RunConfig)
+    options = {key: _get(payload, key, kinds[key]) for key in ("output_dir", "diagnostics", "seed") if key in payload}
+    try:
+        return RunConfig(spec=spec, m0=m0, coupling=coupling, **options)
+    except FieldError as exc:
+        raise ConfigError(exc.field, exc.reason)
 
 
 def _read_config(path: str):
@@ -316,7 +315,7 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
             ",".join(["i", "j"][: grid.d] + ["value"]),
             ((*idx, v) for idx, v in np.ndenumerate(sol.u[-1].reshape(grid.shape))),
         )
-        histories = sol.diagnostics.get("hjb_residual_histories", ())
+        histories = sol.diagnostics["hjb_residual_histories"]
         _write_csv(
             out / "hjb_residuals.csv",
             "t,iteration,residual",
@@ -330,10 +329,10 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
         "strategy": cfg.coupling.strategy,
         "converged": bool(sol.converged),
         "failures": sol.diagnostics["failures"],
-        "outer_iterations": int(sol.diagnostics.get("outer_iterations", 0)),
-        "final_outer_error": sol.diagnostics.get("final_outer_error"),
-        "hjb_residual_max": float(sol.hjb_residuals.max()) if sol.hjb_residuals.size else None,
-        "mu_residual_max": float(sol.mu_residuals.max()) if sol.mu_residuals.size else None,
+        "outer_iterations": sol.diagnostics["outer_iterations"],
+        "final_outer_error": sol.diagnostics["final_outer_error"],
+        "hjb_residual_max": float(sol.hjb_residuals.max()),
+        "mu_residual_max": float(sol.mu_residuals.max()),
         "mass_error_max": max(abs(m.mass() - 1.0) for m in sol.m),
         "empirical_constants": kset,
         "ergodic": {
@@ -413,7 +412,7 @@ def _sweep_points(payload) -> tuple[Path, list[tuple[str, RunConfig]]]:
     for k, values in zip(keys, axes):
         if not values:
             raise ConfigError(f"sweep.{k}", "must not be empty")
-    base_out = Path(_get(payload, "output_dir", str, default="out"))
+    base_out = Path(_get(payload, "output_dir", str, default=RunConfig.output_dir))
     base = {k: v for k, v in payload.items() if k != "sweep"}
     points = []
     for combo in itertools.product(*axes):
@@ -442,10 +441,8 @@ def sweep(config_path: str) -> int:
         any_failed |= sol is None or not sol.converged
         if sol is None:
             continue
-        rows.append(
-            (tag, int(sol.converged), int(sol.diagnostics.get("outer_iterations", 0)),
-             sol.diagnostics.get("final_outer_error"))
-        )
+        diagnostics = sol.diagnostics
+        rows.append((tag, int(sol.converged), diagnostics["outer_iterations"], diagnostics["final_outer_error"]))
     base_out.mkdir(parents=True, exist_ok=True)
     _write_csv(base_out / "sweep_summary.csv", "point,converged,outer_iterations,final_outer_error", rows)
     print(f"sweep finished: {len(rows)} points, summary in {base_out / 'sweep_summary.csv'}")

@@ -93,7 +93,6 @@ __all__ = [
     "solve_vanishing_discount",
     "solve_system",
     "regularity_report",
-    "blend_policies",
 ]
 
 RATE_FLOOR = 1e-8  # increments below this are too small for reliable ratios
@@ -114,7 +113,6 @@ class CouplingConfig:
     max_outer: int = 40
     damping: float = 0.5  # joint-measure fixed point's policy blending weight, in (0, 1]
     inner_tol: float = 1e-9
-    inner_max_iter: int = 300
     hjb_tol: float = 1e-11
     strategy: str = "gamma"
     rho_sequence: tuple[float, ...] = ()
@@ -126,9 +124,8 @@ class CouplingConfig:
         for name in ("T", "dt", "rho", "outer_tol", "inner_tol", "hjb_tol", "ergodic_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise FieldError(name, f"must be positive and finite, got {getattr(self, name)}")
-        for name in ("max_outer", "inner_max_iter"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"must be at least 1, got {getattr(self, name)}")
+        if self.max_outer < 1:
+            raise FieldError("max_outer", f"must be at least 1, got {self.max_outer}")
         if not (0.0 < self.damping <= 1.0):
             raise FieldError("damping", f"must lie in (0, 1], got {self.damping}")
         if self.strategy not in ("gamma", "psi"):
@@ -214,19 +211,13 @@ class TrajectorySolution:
         return not self.diagnostics.get("failures")
 
 
-def blend_policies(old: np.ndarray, new: np.ndarray, weight: float, control) -> np.ndarray:
-    """Convex combination of two (n^d, k) policies, projected onto the
-    control set."""
-    return control.project((1.0 - weight) * old + weight * new)
-
-
 def solve_joint_measure(
     m: DensityField,
     du: np.ndarray,
     spec: ModelSpec,
-    tol: float = 1e-9,
+    tol: float = CouplingConfig.inner_tol,
     max_iter: int = 300,
-    damping: float = 0.5,
+    damping: float = CouplingConfig.damping,
 ) -> MuFixedPointResult:
     """Picard iteration for mu = pushforward(m, alpha*(., du; mu)), for an
     instant model (a history model reads past measures, not mu alone); du is
@@ -265,7 +256,7 @@ def solve_joint_measure(
             damped = True  # non-contractive regime
         binding = spec.coefficients(x, mu_prev)
         target = policy_field(spec, grid, du, binding)
-        policy = blend_policies(policy, target, damping, spec.control) if damped else target
+        policy = spec.control.project((1.0 - damping) * policy + damping * target) if damped else target
         if policy.tobytes() == mu_prev.a.tobytes():
             mu_next, d = mu_prev, 0.0
         else:
@@ -283,11 +274,6 @@ def solve_joint_measure(
         iterations=iterations, converged=converged,
         rate=max(ratios) if ratios else None, increments=tuple(increments), damped=damped,
     )
-
-
-def _slice_context(spec: ModelSpec, times: np.ndarray, mu_traj: Sequence[JointMeasure], j: int) -> JointMeasure:
-    """The measure the Hamiltonian of slice j reads."""
-    return slice_measure(spec, times[: j + 1], mu_traj[: j + 1])
 
 
 def _max_joint_w1(pairs, scales, state_w1s, tol: float = -np.inf) -> float:
@@ -395,9 +381,7 @@ def _gamma_slices(spec, config, m_list, du_list):
     solutions)."""
     fixed_points, bindings, hjbs = [], [], []
     for m, du in zip(m_list, du_list):
-        res = solve_joint_measure(
-            m, du, spec, tol=config.inner_tol, max_iter=config.inner_max_iter, damping=config.damping,
-        )
+        res = solve_joint_measure(m, du, spec, tol=config.inner_tol, damping=config.damping)
         fixed_points.append(res)
         bindings.append(res.binding)
         hjbs.append(solve_discounted(spec, res.binding, config.rho, m.grid, tol=config.hjb_tol, warm_start=res.mu.a))
@@ -449,7 +433,7 @@ def _field_picard(spec, m0, config, initial=None) -> TrajectorySolution:
 def _bind(spec, config, grid, mu_traj) -> list:
     """Each slice's binding of the measure its Hamiltonian reads in mu_traj."""
     times, x = config.times(), grid.coordinates()
-    return [spec.coefficients(x, _slice_context(spec, times, mu_traj, j)) for j in range(len(mu_traj))]
+    return [spec.coefficients(x, slice_measure(spec, times[: j + 1], mu_traj[: j + 1])) for j in range(len(mu_traj))]
 
 
 def _psi_slices(spec, config, grid, mu_traj, warm):
@@ -651,8 +635,8 @@ def solve_system(spec: ModelSpec, m0: DensityField, config: CouplingConfig) -> T
     return (solve_field_iteration if config.strategy == "gamma" else solve_measure_iteration)(spec, m0, config)
 
 
-def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, seed: int = 0) -> dict:
-    """Empirical counterparts of the a-priori estimates on a converged run.
+def regularity_report(sol: TrajectorySolution, spec: ModelSpec, seed: int = 0) -> dict:
+    """Empirical counterparts of the a-priori estimates on a converged run of spec.
 
     Reports sup norms of u, Du, lap(u), for a discounted solution the
     discount-scaled sup of u against the running-cost bound, for an ergodic
@@ -679,17 +663,16 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec | None = None, se
     else:
         report["lambda_sup"] = float(np.abs(sol.lam).max())
 
-    if spec is not None:
-        # each slice is bound once and its cost evaluated on COST_BLOCK mesh
-        # points at a time; the max is exact, so blocking leaves it unchanged
-        mesh = spec.control.mesh(129)[None, :, :]
-        ell_max = 0.0
-        x = grid.coordinates()[:, None, :]
-        for j in range(n):
-            ell = spec.coefficients(x, _slice_context(spec, sol.times, sol.mu, j))[1]
-            for start in range(0, mesh.shape[1], COST_BLOCK):
-                ell_max = max(ell_max, float(np.abs(ell(mesh[:, start : start + COST_BLOCK])).max()))
-        report["running_cost_sup"] = ell_max
+    # each slice is bound once and its cost evaluated on COST_BLOCK mesh
+    # points at a time; the max is exact, so blocking leaves it unchanged
+    mesh = spec.control.mesh(129)[None, :, :]
+    ell_max = 0.0
+    x = grid.coordinates()[:, None, :]
+    for j in range(n):
+        ell = spec.coefficients(x, slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1]))[1]
+        for start in range(0, mesh.shape[1], COST_BLOCK):
+            ell_max = max(ell_max, float(np.abs(ell(mesh[:, start : start + COST_BLOCK])).max()))
+    report["running_cost_sup"] = ell_max
 
     def _pairs(count: int) -> list[tuple[int, int]]:
         allp = [(j, k) for j in range(n) for k in range(j + 1, n)]

@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 NORMALIZATION_NODE = 0  # flat index of the node at coordinate 0, whose column Grid.normalized_pattern frees
+HJB_TOL = 1e-10  # default residual tolerance of a solve
+MAX_POLICY_ITERATIONS = 80  # cap on Howard's loop
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ def solve_discounted(
     coefficients: tuple,
     rho: float,
     grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 80,
+    tol: float = HJB_TOL,
+    max_iter: int = MAX_POLICY_ITERATIONS,
     warm_start: np.ndarray | None = None,
 ) -> HjbSolution:
     """Policy iteration for the discounted stationary HJB equation of the
@@ -178,11 +180,11 @@ def solve_discounted(
     return _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start)
 
 
-def solve_ergodic(spec: ModelSpec, coefficients: tuple, grid: Grid, tol: float = 1e-10) -> HjbSolution:
+def solve_ergodic(spec: ModelSpec, coefficients: tuple, grid: Grid, tol: float = HJB_TOL) -> HjbSolution:
     """Ergodic cell problem of the binding coefficients, normalized by
     w(x0) = 0: the ergodic constant is the unknown s of the normalized
     system (rho = 0), read as lam."""
-    return _policy_iteration(spec, coefficients, 0.0, grid, tol, 80, None)
+    return _policy_iteration(spec, coefficients, 0.0, grid, tol, MAX_POLICY_ITERATIONS, None)
 
 
 def _policy_iteration(spec, coefficients, rho, grid, tol, max_iter, warm_start) -> HjbSolution:

@@ -55,6 +55,9 @@ __all__ = [
     "NonUniqueMaximizerWarning",
 ]
 
+MESH_POINTS = 257  # default brute-force control mesh points per axis
+CHECK_SAMPLES = 64  # random points check_model samples per check
+
 
 class NonUniqueMaximizerWarning(UserWarning):
     """Two near-optimal controls are separated by more than the mesh spacing."""
@@ -85,7 +88,7 @@ class ControlSet:
         scale = np.where(norm > self.radius, self.radius / np.maximum(norm, 1e-300), 1.0)
         return a * scale
 
-    def mesh(self, m: int = 257) -> np.ndarray:
+    def mesh(self, m: int = MESH_POINTS) -> np.ndarray:
         """Brute-force candidate controls, shape (M, k).
 
         Point counts snap to 2^j + 1 per axis so meshes nest under
@@ -203,8 +206,7 @@ def brute_force_argmax(
     spec: ModelSpec,
     coefficients: tuple,
     p: np.ndarray,
-    mesh: int = 257,
-    _warn: bool = True,
+    mesh: int = MESH_POINTS,
 ) -> np.ndarray:
     """Exhaustive maximization of -p.b - l over the control mesh, for the
     binding coefficients = spec.coefficients(x, nu) and p of x's shape.
@@ -218,12 +220,11 @@ def brute_force_argmax(
     ab = cand[:, None, :]  # the candidates on a leading axis, against every point
     objective = (-(p * drift(ab)).sum(axis=-1) - cost(ab)).T  # (N, M)
     best = np.argmax(objective, axis=1)
-    if _warn:
-        _warn_non_unique(cand, objective, best, _mesh_spacing(spec.control, mesh))
+    _flag_non_unique(cand, objective, best, _mesh_spacing(spec.control, mesh))
     return cand[best]
 
 
-def _warn_non_unique(cand, objective, best, spacing) -> None:
+def _flag_non_unique(cand, objective, best, spacing) -> None:
     """NonUniqueMaximizerWarning when another near-maximal candidate lies
     farther than two mesh spacings from the winner."""
     best_vals = objective[np.arange(objective.shape[0]), best]
@@ -550,7 +551,6 @@ def _constant_read(spec: ModelSpec, nu: JointMeasure) -> JointMeasure:
 def check_model(
     spec: ModelSpec,
     grid: Grid,
-    n_samples: int = 64,
     seed: int = 0,
     fd_step: float = 1e-5,
 ) -> dict:
@@ -569,9 +569,9 @@ def check_model(
     rng = np.random.default_rng(seed)
     report: dict[str, dict] = {}
     nu = _constant_read(spec, _random_atoms(spec, grid, rng))
-    x = rng.random((n_samples, grid.d))
-    a = spec.control.project(rng.uniform(-1.0, 1.0, (n_samples, spec.control.k)))
-    p = rng.uniform(-2.0, 2.0, (n_samples, grid.d))
+    x = rng.random((CHECK_SAMPLES, grid.d))
+    a = spec.control.project(rng.uniform(-1.0, 1.0, (CHECK_SAMPLES, spec.control.k)))
+    p = rng.uniform(-2.0, 2.0, (CHECK_SAMPLES, grid.d))
 
     coefficients = spec.coefficients(x, nu)
     drift, cost, alpha = coefficients
@@ -584,7 +584,7 @@ def check_model(
         "ok": bool(max(b_sup, l_sup) <= spec.coef_bound + 1e-9),
     }
 
-    x2 = rng.random((n_samples, grid.d))
+    x2 = rng.random((CHECK_SAMPLES, grid.d))
     dist = torus_distance(x, x2)
     drift2, cost2, _ = spec.coefficients(x2, nu)
     bv2, lv2 = drift2(a), cost2(a)
@@ -613,7 +613,7 @@ def check_model(
 
     hp = hamiltonian_gradient_p(spec, coefficients, p)
     fd = np.zeros_like(hp)
-    smooth = np.ones(n_samples, dtype=bool)
+    smooth = np.ones(CHECK_SAMPLES, dtype=bool)
     edge = (1.0 - 1e-9) * spec.control.radius
     for ax in range(grid.d):
         dp = np.zeros(grid.d)

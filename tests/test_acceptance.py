@@ -42,6 +42,7 @@ from qsmfg.model import (
     optimal_control,
     policy_field,
     separated_cost,
+    slice_measure,
 )
 
 GRID = Grid(1, 32)
@@ -222,10 +223,8 @@ def test_criterion_05_mu_contraction():
 @criterion(6, "per-slice measure fixed-point residual within the inner tolerance")
 def test_criterion_06_fixed_point_residual(converged_runs):
     for spec, cfg, sol in converged_runs:
-        from qsmfg.coupling import _slice_context
-
         for j in range(sol.n_slices):
-            nu = _slice_context(spec, sol.times, sol.mu, j)
+            nu = slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1])
             grid = sol.m[j].grid
             coefficients = spec.coefficients(grid.coordinates(), nu)
             probe = policy_field(spec, grid, gradient_central(grid, sol.u[j]), coefficients)
@@ -237,8 +236,8 @@ def test_criterion_06_fixed_point_residual(converged_runs):
 def test_criterion_07_holder_ratios(weak_gamma, weak_gamma_fine):
     spec, cfg, sol = weak_gamma
     _, _, fine = weak_gamma_fine
-    coarse_rep = regularity_report(sol, seed=2)
-    fine_rep = regularity_report(fine, seed=2)
+    coarse_rep = regularity_report(sol, spec, seed=2)
+    fine_rep = regularity_report(fine, spec, seed=2)
     for key in ("m_holder_half", "mu_holder_half"):
         rc, rf = coarse_rep[key], fine_rep[key]
         assert np.isfinite(rc) and np.isfinite(rf) and rc > 0 and rf > 0
@@ -270,7 +269,7 @@ def test_criterion_08_two_seed(weak_gamma):
     strong = example_one(d=1, delta=0.5, eps=1.2, kappa=1.0, potential=0.8)
     strong_cfg = CouplingConfig(
         T=0.3, dt=0.1, rho=1.0, outer_tol=1e-9, inner_tol=1e-8,
-        hjb_tol=1e-11, max_outer=6, inner_max_iter=15,
+        hjb_tol=1e-11, max_outer=6,
     )
     m0 = two_bump_density(GRID)
     a = solve_field_iteration(strong, m0, strong_cfg)
@@ -354,7 +353,7 @@ def test_criterion_12_closed_forms():
     spacing = 2.0 * spec.control.radius / 1024
     coefficients = spec.coefficients(x, nu)
     a_closed = optimal_control(spec, coefficients, p)
-    a_brute = brute_force_argmax(spec, coefficients, p, mesh=mesh_points, _warn=False)
+    a_brute = brute_force_argmax(spec, coefficients, p, mesh=mesh_points)
     assert np.abs(a_closed - a_brute).max() <= spacing
 
     h_closed = hamiltonian_value(spec, coefficients, p)

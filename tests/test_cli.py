@@ -3,13 +3,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsmfg.cli import COUPLING_PATHS, ConfigError, load_config, main, parse_config
+from qsmfg.cli import COUPLING_PATHS, ConfigError, RunConfig, load_config, main, parse_config
 from qsmfg.coupling import CouplingConfig, solve_system
 from qsmfg.grid import FieldError, Grid
 from qsmfg.measure import two_bump_density, von_mises_density
@@ -52,6 +52,19 @@ class TestConfigValidation:
         assert parse_config(dict(ERGODIC, rho_sequence={})).coupling == CouplingConfig(
             T=0.5, dt=0.05, rho_sequence=sequence
         )
+
+    def test_run_keys_left_out_take_run_config_defaults(self):
+        # RunConfig owns the defaults of output_dir, diagnostics and seed
+        cfg = parse_config(dict(MINIMAL))
+        for f in fields(RunConfig):
+            if f.default is not MISSING:
+                assert getattr(cfg, f.name) == f.default, f.name
+
+    def test_run_config_refuses_a_negative_seed(self):
+        cfg = parse_config(dict(MINIMAL))
+        with pytest.raises(FieldError, match="seed") as err:
+            RunConfig(spec=cfg.spec, m0=cfg.m0, coupling=cfg.coupling, seed=-1)
+        assert err.value.field == "seed"
 
     def test_missing_field_named(self):
         bad = {k: v for k, v in MINIMAL.items() if k != "grid"}
@@ -143,6 +156,8 @@ class TestConfigValidation:
             ("rho_sequence", {"mode": "ergodic", "rho_sequence": [1.0, 0.5]}),
             ("model.params", {"model": {"name": "separated", "params": [1]}}),
             ("grid.d", {"grid": {"d": True, "n": 32}}),
+            ("model.params.eps", {"model": {"name": "example1", "params": {"eps": True}}}),
+            ("model.params.eps", {"model": {"name": "example1", "params": {"eps": "0.1"}}}),
         ],
     )
     def test_wrongly_typed_value_exit_code(self, tmp_path, capsys, command, field_name, change):
@@ -405,10 +420,9 @@ class TestConfigValidation:
     }
 
     def test_path_table_covers_the_settable_fields(self):
-        # every CouplingConfig field but the inner iteration cap has one path
+        # every CouplingConfig field has one path
         assert set(self.REFUSED) == set(COUPLING_PATHS)
-        names = sorted(COUPLING_PATHS.values())
-        assert names == sorted({f.name for f in fields(CouplingConfig)} - {"inner_max_iter"})
+        assert sorted(COUPLING_PATHS.values()) == sorted(f.name for f in fields(CouplingConfig))
 
     @pytest.mark.parametrize("path", sorted(REFUSED))
     def test_every_coupling_refusal_names_its_path(self, path):
@@ -664,6 +678,15 @@ def test_no_nonlocal_state():
     for path in sorted(SRC_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Nonlocal), f"{path.name}:{node.lineno} declares nonlocal"
+
+
+def test_no_private_parameters():
+    # a setting a function takes is one its callers may set: no parameter
+    # name starts with an underscore
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg):  # a parameter of a function or lambda
+                assert not node.arg.startswith("_"), f"{path.name}:{node.lineno} takes {node.arg}"
 
 
 def _import_time_nodes(tree):

@@ -9,7 +9,6 @@ import pytest
 from qsmfg import coupling, measure
 from qsmfg.coupling import (
     CouplingConfig,
-    blend_policies,
     regularity_report,
     solve_field_iteration,
     solve_joint_measure,
@@ -230,6 +229,8 @@ class TestJointMeasureLoop:
         assert res.converged and res.damped
         assert res.iterations == len(res.increments) > 10
         assert res.rate == max(_plain_ratios(res.increments[:10])) > 1.0
+        # the damped blends of two policies stay in the control ball
+        assert np.linalg.norm(res.mu.a, axis=-1).max() <= spec.control.radius
 
     @pytest.mark.parametrize(
         "increments, expected",
@@ -343,7 +344,7 @@ class TestOuterLoop:
         spec = example_one(d=1, **self.STRONG)
         cfg = CouplingConfig(
             T=0.3, dt=0.1, rho=1.0, outer_tol=1e-9, inner_tol=1e-8,
-            hjb_tol=1e-11, max_outer=6, inner_max_iter=15,
+            hjb_tol=1e-11, max_outer=6,
         )
         sol = solve(spec, two_bump_density(GRID), cfg)
         assert sol.converged
@@ -686,7 +687,7 @@ class TestErgodicDriver:
         [("T", 0.0), ("T", np.nan), ("T", np.inf), ("dt", -0.1), ("dt", np.nan), ("dt", 0.15),
          ("rho", 0.0), ("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("outer_tol", 0.0), ("outer_tol", np.nan),
          ("outer_tol", np.inf), ("inner_tol", np.nan), ("hjb_tol", -1e-12), ("ergodic_tol", np.nan),
-         ("max_outer", 0), ("inner_max_iter", 0), ("inner_max_iter", -3)],
+         ("max_outer", 0)],
     )
     def test_config_values_validated(self, field_name, value):
         # positivity checks reject NaN and infinities too, T must be a
@@ -695,7 +696,7 @@ class TestErgodicDriver:
         with pytest.raises(FieldError, match=field_name) as err:
             CouplingConfig(**{"T": 0.2, "dt": 0.1, field_name: value})
         assert err.value.field == field_name
-        assert CouplingConfig(T=0.2, dt=0.1, max_outer=1, inner_max_iter=1).max_outer == 1
+        assert CouplingConfig(T=0.2, dt=0.1, max_outer=1).max_outer == 1
 
     def test_full_sequence_needs_a_sequence(self):
         # a discounted config has no sequence to run in full
@@ -1116,7 +1117,7 @@ def _one_shot_costs(spec, sol):
     mesh = spec.control.mesh(129)
     x = sol.m[0].grid.coordinates()[:, None, :]
     return [
-        spec.coefficients(x, coupling._slice_context(spec, sol.times, sol.mu, j))[1](mesh[None, :, :])
+        spec.coefficients(x, slice_measure(spec, sol.times[: j + 1], sol.mu[: j + 1]))[1](mesh[None, :, :])
         for j in range(sol.n_slices)
     ]
 
@@ -1175,7 +1176,7 @@ class TestRegularityReport:
         # the stored densities' W1 would be zero.
         spec, cfg, sol = memory_psi_solution
         mu = tuple(pushforward(m, sol.policy[0]) for m in sol.m[::-1])
-        rep = regularity_report(replace(sol, m=(sol.m[0],) * sol.n_slices, mu=mu))
+        rep = regularity_report(replace(sol, m=(sol.m[0],) * sol.n_slices, mu=mu), spec)
         best = max(
             wasserstein1_joint(mu[j], mu[k]) / np.sqrt(sol.times[k] - sol.times[j])
             for j in range(sol.n_slices) for k in range(j + 1, sol.n_slices)
@@ -1187,7 +1188,8 @@ class TestRegularityReport:
         # samples them; it hands each state W1 batch over in slice order,
         # which starts every flow from a neighbouring pair's basis, and the
         # draws and the set of pairs are those of the seed's generator
-        sol = solve_field_iteration(_const_model(1.0), von_mises_density(GRID), CouplingConfig(T=3.0, dt=0.1))
+        spec = _const_model(1.0)
+        sol = solve_field_iteration(spec, von_mises_density(GRID), CouplingConfig(T=3.0, dt=0.1))
         n = sol.n_slices
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
         assert len(pairs) > coupling.STATE_PAIRS
@@ -1200,7 +1202,7 @@ class TestRegularityReport:
             return wasserstein1_state(m1, m2)
 
         monkeypatch.setattr(coupling, "wasserstein1_state", recording)
-        regularity_report(sol, seed=3)
+        regularity_report(sol, spec, seed=3)
         drawn = np.random.default_rng(3).choice(len(pairs), size=coupling.STATE_PAIRS, replace=False)
         assert batches[0] == sorted(pairs[int(c)] for c in drawn)
         assert all(batch == sorted(batch) for batch in batches)
@@ -1236,11 +1238,5 @@ class TestDispatch:
         assert erg.rho == 0.0 and erg.diagnostics["rho_sequence"] == [1.0, 0.5]
         np.testing.assert_array_equal(erg.lam, erg.s)
         assert all(u is w for u, w in zip(erg.u, erg.w))
-        assert "rho_u_sup" not in regularity_report(erg) and "lambda_sup" in regularity_report(erg)
-
-    def test_blend_policies_stays_in_control_set(self):
-        control = ControlSet(k=1, radius=1.0)
-        a = np.full((GRID.n, 1), 1.0)
-        b = np.full((GRID.n, 1), -1.0)
-        mix = blend_policies(a, b, 0.5, control)
-        assert np.abs(mix).max() <= 1.0
+        rep = regularity_report(erg, spec)
+        assert "rho_u_sup" not in rep and "lambda_sup" in rep

@@ -131,7 +131,7 @@ class TestBruteForce:
         p = rng.uniform(-2, 2, (50, 1))
         coefficients = spec.coefficients(x, nu)
         closed = optimal_control(spec, coefficients, p)
-        brute = brute_force_argmax(spec, coefficients, p, mesh=1001, _warn=False)
+        brute = brute_force_argmax(spec, coefficients, p, mesh=1001)
         spacing = 2.0 * spec.control.radius / 1024  # snapped mesh has 1025 points
         assert np.abs(closed - brute).max() <= spacing
 
@@ -162,7 +162,7 @@ class TestBruteForce:
         drift, cost, _ = coefficients
 
         def best_value(mesh_points):
-            a = brute_force_argmax(spec, coefficients, p, mesh=mesh_points, _warn=False)
+            a = brute_force_argmax(spec, coefficients, p, mesh=mesh_points)
             b = drift(a)
             ell = cost(a)
             return float((-(p * b).sum(-1) - ell)[0])
@@ -194,7 +194,7 @@ class TestInvariants:
         p = rng.uniform(-2, 2, (40, 1))
         coefficients = spec.coefficients(x, nu)
         h_closed = hamiltonian_value(spec, coefficients, p)
-        a_b = brute_force_argmax(spec, coefficients, p, mesh=257, _warn=False)
+        a_b = brute_force_argmax(spec, coefficients, p, mesh=257)
         drift, cost, _ = coefficients
         h_brute = -(p * drift(a_b)).sum(-1) - cost(a_b)
         spacing = 2.0 * spec.control.radius / 256
