@@ -33,7 +33,6 @@ from .model import (
     ControlSet,
     ModelSpec,
     brute_force_argmax,
-    build_model,
     check_model,
     example_one,
     example_two,

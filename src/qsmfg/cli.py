@@ -34,7 +34,7 @@ from .coupling import (
 )
 from .grid import FieldError, Grid
 from .measure import DensityField, two_bump_density, uniform_density, von_mises_density
-from .model import MODEL_BUILDERS, ModelSpec, build_model, check_model
+from .model import MODEL_BUILDERS, ModelSpec, check_model
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "validate", "sweep", "main"]
 
@@ -216,7 +216,7 @@ def parse_config(payload: dict) -> RunConfig:
     except FieldError as exc:
         raise ConfigError(f"grid.{exc.field}", exc.reason)
     try:
-        spec = build_model(name, d=grid.d, **params)
+        spec = MODEL_BUILDERS[name](d=grid.d, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model.params", str(exc))
 
@@ -290,7 +290,9 @@ def _trajectory_rows(times, fields):
     return ((t, node, v) for t, f in zip(times, fields) for node, v in enumerate(f))
 
 
-def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: float) -> None:
+def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, kset: dict, out: Path, elapsed: float) -> None:
+    """Write the run's files into out: kset is the solution's regularity
+    report and elapsed the solve's time in seconds."""
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.values for m in sol.m]))
     _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
@@ -322,7 +324,6 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
             ((t, it, res) for t, hist in zip(sol.times, histories) for it, res in enumerate(hist, start=1)),
         )
 
-    kset = regularity_report(sol, spec=cfg.spec, seed=cfg.seed)
     summary = {
         "model": cfg.spec.name,
         "mode": cfg.mode,
@@ -349,15 +350,18 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, out: Path, elapsed: 
 
 
 def _solve_and_write(cfg: RunConfig) -> TrajectorySolution | None:
-    """Solve one validated config and write its outputs; the run path shared
-    by run and sweep.  A solver failure is reported and returns None."""
+    """Solve one validated config, measure its regularity report and write
+    its outputs; the run path shared by run and sweep.  A failure of the
+    solve or the report is reported, writes nothing and returns None."""
     started = time.perf_counter()
     try:
         sol = solve_system(cfg.spec, cfg.m0, cfg.coupling)
+        elapsed = time.perf_counter() - started
+        kset = regularity_report(sol, spec=cfg.spec, seed=cfg.seed)
     except (RuntimeError, ValueError) as exc:
         print(f"error: solver failed, no outputs in {cfg.output_dir}: {exc}", file=sys.stderr)
         return None
-    _write_outputs(cfg, sol, Path(cfg.output_dir), time.perf_counter() - started)
+    _write_outputs(cfg, sol, kset, Path(cfg.output_dir), elapsed)
     return sol
 
 

@@ -54,18 +54,19 @@ Each strategy is a Picard part, which returns its level (the last pass's
 unprobed solution), and the one finish of either strategy's level: a
 consistency pass that reads nothing but the level (gamma re-solves each slice
 once on its densities and the gradients of its w, psi runs one more pass from
-its measures and policies).  The stored joint measure is then an exact
-pushforward of the stored density through the stored policy, and one probe
-measures, rather than assumes, the per-slice residuals of the HJB and measure
-equations.  A pass whose residuals miss a tolerance is reported as measured,
-not retried: converged holds only when every tolerance was met, and
-diagnostics["failures"] names each check that missed one.
+its measures and policies).  A solution stores each slice's density and
+policy, and its joint measure is the pushforward of one through the other,
+so the measure equation's pushforward form holds by construction.  One probe
+then measures, rather than assumes, the per-slice residuals of the HJB and
+measure equations.  A pass whose residuals miss a tolerance is reported as
+measured, not retried: converged holds only when every tolerance was met,
+and diagnostics["failures"] names each check that missed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -169,8 +170,8 @@ class TrajectorySolution:
     Only what was solved is stored.  w and s hold each slice's normalized
     HJB pair (hjb.HjbSolution), read at the discount rho: the config's for a
     discounted solve, 0.0 for the vanishing-discount result.  u and lam are
-    value_function's reading of the pairs, and policy[j] is mu[j].a, the
-    policy mu[j] pushes m[j] through.  converged holds when
+    value_function's reading of the pairs, and mu[j], computed at its first
+    read, is the pushforward of m[j] through policy[j].  converged holds when
     diagnostics["failures"] is empty; it names each check that missed its
     tolerance: "outer", "inner" and "hjb" for any outer loop, joint-measure
     fixed point or HJB solve, "hjb_residual" and "mu_residual" for measured
@@ -180,7 +181,7 @@ class TrajectorySolution:
 
     times: np.ndarray
     m: tuple[DensityField, ...]
-    mu: tuple[JointMeasure, ...]
+    policy: tuple  # one (n^d, k) array per time slice, row i the control at node i
     w: tuple  # one (n^d,) array per time slice, zero at the normalization node
     s: np.ndarray  # one value per time slice
     rho: float  # the discount (w, s) are read at, 0.0 for the ergodic problem
@@ -202,9 +203,9 @@ class TrajectorySolution:
         lam = [value_function(w, s, self.rho)[1] for w, s in zip(self.w, self.s)]
         return None if self.rho > 0 else np.array(lam)
 
-    @property
-    def policy(self) -> tuple:
-        return tuple(nu.a for nu in self.mu)
+    @cached_property
+    def mu(self) -> tuple[JointMeasure, ...]:
+        return tuple(pushforward(m, a) for m, a in zip(self.m, self.policy))
 
     @property
     def converged(self) -> bool:
@@ -339,9 +340,9 @@ def _warm_start(config: CouplingConfig, initial, what: str) -> tuple[list, list]
     return first, m
 
 
-def _unprobed(config, log, failed, m, hjbs, mu) -> TrajectorySolution:
+def _unprobed(config, log, failed, m, hjbs, policy) -> TrajectorySolution:
     """TrajectorySolution of an outer strategy from its last per-slice HJB
-    solutions and the stored (m, mu), with its shared diagnostics and no
+    solutions and the stored (m, policy), with its shared diagnostics and no
     measured residuals; failed holds the checks missed so far."""
     diagnostics = {
         "outer_iterations": len(log),
@@ -350,8 +351,8 @@ def _unprobed(config, log, failed, m, hjbs, mu) -> TrajectorySolution:
         "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
     }
     return TrajectorySolution(
-        times=config.times(), m=tuple(m), mu=tuple(mu), w=tuple(h.w for h in hjbs), s=np.array([h.s for h in hjbs]),
-        rho=config.rho, outer_errors=tuple(log), diagnostics=diagnostics,
+        times=config.times(), m=tuple(m), policy=tuple(policy), w=tuple(h.w for h in hjbs),
+        s=np.array([h.s for h in hjbs]), rho=config.rho, outer_errors=tuple(log), diagnostics=diagnostics,
     )
 
 
@@ -389,9 +390,10 @@ def _gamma_slices(spec, config, m_list, du_list):
 
 
 def _gamma_step(spec, m0, config, state):
-    """One gamma pass from state (m, mu, hjbs, du): the next state, holding
-    the evolved densities and the gradients of the new w, and the row
-    (total, gradient part, density part) of the outer error."""
+    """One gamma pass from state (m, policy, hjbs, du), policy the fixed
+    points': the next state, holding the evolved densities and the gradients
+    of the new w, and the row (total, gradient part, density part) of the
+    outer error."""
     m_list, _, _, du_list = state
     fixed_points, bindings, hjbs = _gamma_slices(spec, config, m_list, du_list)
     traj = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
@@ -399,7 +401,7 @@ def _gamma_step(spec, m0, config, state):
     du_errs = [float(np.abs(a - b).max()) for a, b in zip(du_new, du_list)]
     m_errs = wasserstein1_state(traj, m_list)
     row = (max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs))
-    state = (list(traj), [res.mu for res in fixed_points], hjbs, du_new)
+    state = (list(traj), [res.mu.a for res in fixed_points], hjbs, du_new)
     return state, row, _failed_checks(inner=fixed_points, hjb=hjbs)
 
 
@@ -426,8 +428,8 @@ def _field_picard(spec, m0, config, initial=None) -> TrajectorySolution:
     n = config.n_steps + 1
     u_list, m_list = _warm_start(config, initial or ([np.zeros(m0.grid.size)] * n, [m0] * n), "value")
     start = (m_list, None, None, [gradient_central(m0.grid, u) for u in u_list])
-    (m, mu, hjbs, _), log, failed, converged = _picard(config, start, partial(_gamma_step, spec, m0, config))
-    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, mu)
+    (m, policy, hjbs, _), log, failed, converged = _picard(config, start, partial(_gamma_step, spec, m0, config))
+    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, policy)
 
 
 def _bind(spec, config, grid, mu_traj) -> list:
@@ -486,8 +488,8 @@ def _measure_picard(spec, m0, config, initial=None) -> TrajectorySolution:
     start = initial or ([pushforward(m0, np.zeros((m0.grid.size, spec.control.k)))] * n, [m0] * n)
     mu_traj, m_traj = _warm_start(config, start, "measure")
     step = partial(_psi_step, spec, m0, config)
-    (m, mu, hjbs), log, failed, converged = _picard(config, (m_traj, mu_traj, None), step)
-    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, mu)
+    (m, _, hjbs), log, failed, converged = _picard(config, (m_traj, mu_traj, None), step)
+    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, [h.policy for h in hjbs])
 
 
 def _finish(spec, m0, config, level: TrajectorySolution, strategy: str):
@@ -501,13 +503,14 @@ def _finish(spec, m0, config, level: TrajectorySolution, strategy: str):
     if strategy == "gamma":
         du = [gradient_central(grid, w) for w in level.w]
         fixed_points, bindings, hjbs = _gamma_slices(spec, config, level.m, du)
-        m, mu, missed = level.m, [res.mu for res in fixed_points], _failed_checks(inner=fixed_points, hjb=hjbs)
+        m, policy, missed = level.m, [res.mu.a for res in fixed_points], _failed_checks(inner=fixed_points, hjb=hjbs)
     else:
         bindings, hjbs = _psi_slices(spec, config, grid, level.mu, level.policy)
-        m = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
-        mu = [pushforward(m_j, h.policy) for m_j, h in zip(m, hjbs)]
-        bindings, missed = _bind(spec, config, grid, mu), _failed_checks(hjb=hjbs)
-    sol = _unprobed(config, level.outer_errors, set(level.diagnostics["failures"]) | missed, m, hjbs, mu)
+        policy = [h.policy for h in hjbs]
+        m, missed = _evolve(spec, m0, config, bindings, policy), _failed_checks(hjb=hjbs)
+    sol = _unprobed(config, level.outer_errors, set(level.diagnostics["failures"]) | missed, m, hjbs, policy)
+    if strategy == "psi":  # the probe reads the bindings of the new measures
+        bindings = _bind(spec, config, grid, sol.mu)
     return _solution(spec, config, sol, bindings), bindings
 
 
@@ -645,8 +648,10 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec, seed: int = 0) -
     Derivatives of u are taken of the normalized w, which differs from u by
     a constant per slice, so the rounding of u = w + s/rho does not enter
     them.  All quantities are measured from the run; nothing is derived
-    from proof constants.  Of the joint-measure pairs only those whose
-    certified upper bound can reach the maximum ratio are solved.
+    from proof constants.  Each stored measure is the pushforward of its
+    slice's density, so a pair's state W1 gives a certified upper bound on
+    its joint W1, and of the joint-measure pairs only those whose bound can
+    reach the maximum ratio are solved.
     """
     rng = np.random.default_rng(seed)
     n, grid = sol.n_slices, sol.m[0].grid
@@ -695,9 +700,6 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec, seed: int = 0) -
         root = np.sqrt(sol.times[k] - sol.times[j])
         best_du = max(best_du, float(np.abs(du_fields[j] - du_fields[k]).max()) / root)
         best_m = max(best_m, state_w1[j, k] / root)
-    # the densities' W1 bounds the joint W1 only where each stored measure
-    # is the pushforward of the stored density
-    pushed = [np.array_equal(nu.w, m.values * grid.cell_volume) for nu, m in zip(sol.mu, sol.m)]
     mu_pairs = _pairs(MEASURE_PAIRS)
     missing = [pair for pair in mu_pairs if pair not in state_w1]
     if missing:
@@ -705,7 +707,7 @@ def regularity_report(sol: TrajectorySolution, spec: ModelSpec, seed: int = 0) -
     best_mu = max(0.0, _max_joint_w1(
         [(sol.mu[j], sol.mu[k]) for j, k in mu_pairs],
         [np.sqrt(sol.times[k] - sol.times[j]) for j, k in mu_pairs],
-        [state_w1[j, k] if pushed[j] and pushed[k] else np.inf for j, k in mu_pairs],
+        [state_w1[j, k] for j, k in mu_pairs],
     ))
     report["du_holder_half"] = best_du
     report["m_holder_half"] = best_m

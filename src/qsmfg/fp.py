@@ -23,12 +23,9 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .grid import Grid, _direct_solve, node_values
-from .measure import DensityField
+from .measure import MASS_TOL, NEGATIVE_TOL, DensityField
 
 __all__ = ["fp_step", "fp_evolve", "transport_generator"]
-
-STEP_MASS_TOL = 1e-12
-STEP_NEGATIVE_TOL = 1e-13
 
 
 def _generator_values(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -80,14 +77,14 @@ def fp_step(m: DensityField, g: np.ndarray, dt: float) -> DensityField:
     if not np.all(np.isfinite(new)):
         raise RuntimeError("Fokker-Planck linear solve produced non-finite values")
     min_val = new.min()
-    if min_val < -STEP_NEGATIVE_TOL:
+    if min_val < -NEGATIVE_TOL:
         raise RuntimeError(
             f"positivity lost in Fokker-Planck step (min {min_val:.3e}); "
             "the M-matrix property should forbid this"
         )
     new = np.maximum(new, 0.0)
     mass = new.sum() * grid.cell_volume
-    if abs(mass - 1.0) > STEP_MASS_TOL:
+    if abs(mass - 1.0) > MASS_TOL:
         raise RuntimeError(f"mass drift {mass - 1.0:.3e} exceeds tolerance in one step")
     # checked above: finite, nonnegative and, after the division, of unit mass
     return DensityField._checked(grid, new / mass)

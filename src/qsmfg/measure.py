@@ -162,7 +162,9 @@ class JointMeasure:
     """Weighted atoms (x_i, a_i, w_i) on T^d x A.
 
     Solver-produced measures are probability measures with one atom per grid
-    node; memory-kernel aggregates may carry any nonnegative total mass.
+    node; memory-kernel aggregates may carry any nonnegative total mass.  A
+    measure with a grid is a graph measure on it: atom i sits at node i, x
+    being grid.coordinates(), and a measure whose x is not is a ValueError.
     """
 
     x: np.ndarray  # (N, d)
@@ -176,6 +178,8 @@ class JointMeasure:
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         if x.shape[0] != a.shape[0] or x.shape[0] != w.shape[0]:
             raise ValueError("atom arrays disagree on atom count")
+        if self.grid is not None and not np.array_equal(x, self.grid.coordinates()):
+            raise ValueError("a joint measure on a grid must hold atom i at node i")
         if w.size and w.min() < -NEGATIVE_TOL:
             raise ValueError(f"negative atom weight {w.min():.3e}")
         w = np.maximum(w, 0.0)
@@ -458,8 +462,8 @@ def _lipschitz_policy(nu: JointMeasure) -> bool:
 
 
 def _graph_measure(nu: JointMeasure, grid: Grid | None) -> bool:
-    """True when nu holds atom i at node i of grid."""
-    return grid is not None and nu.grid == grid and np.array_equal(nu.x, grid.coordinates())
+    """True when nu holds atom i at node i of grid, as every measure on grid does."""
+    return grid is not None and nu.grid == grid
 
 
 def _same_marginal(nu1: JointMeasure, nu2: JointMeasure) -> bool:

@@ -49,7 +49,6 @@ __all__ = [
     "example_one",
     "example_two",
     "separated_cost",
-    "build_model",
     "MODEL_BUILDERS",
     "check_model",
     "NonUniqueMaximizerWarning",
@@ -57,6 +56,7 @@ __all__ = [
 
 MESH_POINTS = 257  # default brute-force control mesh points per axis
 CHECK_SAMPLES = 64  # random points check_model samples per check
+FD_STEP = 1e-5  # central-difference step of check_model's envelope check
 
 
 class NonUniqueMaximizerWarning(UserWarning):
@@ -291,14 +291,14 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
     (a memory model's aggregate before any mass has built up) decouples.
 
     The bump weighs every atom by exp(-d^2 / (2 width^2)), d its torus
-    distance to x.  When nu's atoms sit at the nodes of nu.grid (a
-    pushforward) and x, flattened to (-1, d), is those same nodes (a slice's
-    binding, which its HJB solve and FP drift share), these weights depend
-    only on the grid: the couplings build them once per grid, as one
-    read-only (n^d, n^d) kernel (N^2 floats: 0.5 MiB at 2D n=16, 8 MiB at
-    n=32) that every later binding on that grid reuses.  Every other call
-    (memory aggregates, which carry no grid, and off-grid points) computes
-    the weights at each binding.  Both paths take the distances from
+    distance to x.  A measure on a grid (a pushforward) holds its atoms at
+    the grid's nodes, so when nu has a grid and x, flattened to (-1, d), is
+    nu's atoms (a slice's binding, which its HJB solve and FP drift share),
+    these weights depend only on the grid: the couplings build them once per
+    grid, as one read-only (n^d, n^d) kernel (N^2 floats: 0.5 MiB at 2D
+    n=16, 8 MiB at n=32) that every later binding on that grid reuses.  Every
+    other call (memory aggregates, which carry no grid, and off-grid points)
+    computes the weights at each binding.  Both paths take the distances from
     torus_distance_matrix, with no (M, N, d) temporary, and compute the same
     products, so the bump is bit-equal.
     """
@@ -316,7 +316,7 @@ def _quadratic_couplings(delta, eps, kappa, width, radius):
             return np.zeros(x.shape)
         points = x.reshape(-1, x.shape[-1])
         grid = nu.grid
-        if grid is not None and np.array_equal(nu.x, grid.coordinates()) and np.array_equal(points, nu.x):
+        if grid is not None and np.array_equal(points, nu.x):
             phi = node_kernel(grid)
         else:
             phi = _gaussian(torus_distance_matrix(points, nu.x), width)
@@ -382,10 +382,7 @@ def _make_quadratic_model(
         x = np.asarray(x, dtype=float)
         bump = functools.cache(lambda: drift_bump(x, nu))
         l0 = cost_weight(nu)
-        if potential == 0.0:
-            state_cost = np.zeros(x.shape[:-1])
-        else:
-            state_cost = potential * np.cos(2.0 * np.pi * x[..., 0])
+        state_cost = potential * np.cos(2.0 * np.pi * x[..., 0])
 
         def b(a):
             return bump() - np.asarray(a, dtype=float)
@@ -496,11 +493,7 @@ def separated_cost(
             a = np.asarray(a, dtype=float)
             return (a**2).sum(axis=-1) / 2.0 + state_cost + measure_cost
 
-        def alpha(p):
-            norm = np.linalg.norm(p, axis=-1, keepdims=True)
-            return p * np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
-
-        return b, ell, alpha
+        return b, ell, control.project  # p's projection onto the ball maximizes p.a - |a|^2/2 on it
 
     coef_bound = max(
         drift_amplitude + radius,
@@ -523,12 +516,6 @@ MODEL_BUILDERS = {
 }
 
 
-def build_model(name: str, **params) -> ModelSpec:
-    if name not in MODEL_BUILDERS:
-        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    return MODEL_BUILDERS[name](**params)
-
-
 # ---------------------------------------------------------------------------
 # validator spot-checks
 
@@ -548,17 +535,18 @@ def _constant_read(spec: ModelSpec, nu: JointMeasure) -> JointMeasure:
     return slice_measure(spec, np.linspace(0.0, 0.5, 6), [nu] * 6)
 
 
-def check_model(
-    spec: ModelSpec,
-    grid: Grid,
-    seed: int = 0,
-    fd_step: float = 1e-5,
-) -> dict:
+def _entry(measured: float, kind: str, limit: float, slack: float = 1e-9) -> dict:
+    """A check_model report entry: the measured value, its limit under the
+    key kind ("declared" or "bound"), and whether it is within slack of it."""
+    return {"measured": measured, kind: limit, "ok": bool(measured <= limit + slack)}
+
+
+def check_model(spec: ModelSpec, grid: Grid, seed: int = 0) -> dict:
     """Spot-check the declared bounds and closed forms on random samples.
 
     The model is read only through its binding spec.coefficients(x, nu),
     its control set and its declared constants.  The envelope identity is
-    checked by central differences of step fd_step, except at samples where,
+    checked by central differences of step FD_STEP, except at samples where,
     on some axis, the maximizers at p + dp and p - dp disagree on lying on
     the control ball's boundary: that stencil crosses the maximizer's kink.
 
@@ -578,11 +566,7 @@ def check_model(
     bv, lv = drift(a), cost(a)
     b_sup = float(np.abs(bv).max())
     l_sup = float(np.abs(lv).max())
-    report["coefficient_bound"] = {
-        "measured": max(b_sup, l_sup),
-        "declared": spec.coef_bound,
-        "ok": bool(max(b_sup, l_sup) <= spec.coef_bound + 1e-9),
-    }
+    report["coefficient_bound"] = _entry(max(b_sup, l_sup), "declared", spec.coef_bound)
 
     x2 = rng.random((CHECK_SAMPLES, grid.d))
     dist = torus_distance(x, x2)
@@ -592,11 +576,7 @@ def check_model(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dist > 1e-9, num / np.maximum(dist, 1e-300), 0.0)
     lip = float(ratios.max())
-    report["coefficient_x_lipschitz"] = {
-        "measured": lip,
-        "declared": 2.0 * spec.coef_lip_x,
-        "ok": bool(lip <= 2.0 * spec.coef_lip_x + 1e-9),
-    }
+    report["coefficient_x_lipschitz"] = _entry(lip, "declared", 2.0 * spec.coef_lip_x)
 
     if alpha is not None:
         a_closed = optimal_control(spec, coefficients, p)
@@ -605,11 +585,7 @@ def check_model(
             a_brute = brute_force_argmax(spec, coefficients, p, mesh=1025)
         spacing = _mesh_spacing(spec.control, 1025)
         gap = float(np.linalg.norm(a_closed - a_brute, axis=-1).max())
-        report["closed_form_vs_brute_force"] = {
-            "measured": gap,
-            "bound": 2.0 * spacing,
-            "ok": bool(gap <= 2.0 * spacing),
-        }
+        report["closed_form_vs_brute_force"] = _entry(gap, "bound", 2.0 * spacing, slack=0.0)
 
     hp = hamiltonian_gradient_p(spec, coefficients, p)
     fd = np.zeros_like(hp)
@@ -617,19 +593,15 @@ def check_model(
     edge = (1.0 - 1e-9) * spec.control.radius
     for ax in range(grid.d):
         dp = np.zeros(grid.d)
-        dp[ax] = fd_step
+        dp[ax] = FD_STEP
         ends = (p + dp, p - dp)
         h_up, h_down = (hamiltonian_value(spec, coefficients, q) for q in ends)
-        fd[:, ax] = (h_up - h_down) / (2.0 * fd_step)
+        fd[:, ax] = (h_up - h_down) / (2.0 * FD_STEP)
         up, down = (np.linalg.norm(optimal_control(spec, coefficients, q), axis=-1) for q in ends)
         smooth &= (up >= edge) == (down >= edge)
     err = np.abs(hp - fd).max(axis=-1)[smooth]
     fd_err = float(err.max()) if err.size else 0.0
-    report["gradient_envelope_identity"] = {
-        "measured": fd_err,
-        "bound": 1e-6,
-        "ok": bool(fd_err <= 1e-6),
-    }
+    report["gradient_envelope_identity"] = _entry(fd_err, "bound", 1e-6, slack=0.0)
 
     # W1-Lipschitz constant of the maximizer in the measure, over the same x
     # and p; its measures are drawn last, so the checks above keep their samples
@@ -640,10 +612,6 @@ def check_model(
         a2 = optimal_control(spec, spec.coefficients(x, _constant_read(spec, nu2)), p)
         gap = float(np.linalg.norm(a1 - a2, axis=-1).max())
         lip_mu = max(lip_mu, gap / wasserstein1_joint(nu1, nu2))
-    report["control_measure_lipschitz"] = {
-        "measured": lip_mu,
-        "declared": spec.control_lip_measure,
-        "ok": bool(lip_mu <= spec.control_lip_measure + 1e-9),
-    }
+    report["control_measure_lipschitz"] = _entry(lip_mu, "declared", spec.control_lip_measure)
     report["all_ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
     return report

@@ -493,6 +493,20 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "capped").exists()
 
+    def test_report_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # MINIMAL's solve takes no atom LP and its regularity report does: a
+        # report that raises fails the run as its solve would, exit 3,
+        # reported without a traceback, and no output is written
+        def failing(cost, w1, w2):
+            raise RuntimeError("transport LP failed")
+
+        monkeypatch.setattr("qsmfg.measure._transport_lp", failing)
+        payload = dict(MINIMAL, output_dir=str(tmp_path / "out"))
+        assert main(["run", _write(tmp_path, payload)]) == 3
+        err = capsys.readouterr().err
+        assert "error: solver failed" in err and "transport LP failed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_singular_evaluation_exit_code(self, tmp_path, capsys, monkeypatch):
         # an all-zero evaluation matrix is exactly singular: the sparse solve
         # raises inside the run, exit 3, reported without a traceback
@@ -678,6 +692,23 @@ def test_no_nonlocal_state():
     for path in sorted(SRC_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Nonlocal), f"{path.name}:{node.lineno} declares nonlocal"
+
+
+def test_no_node_or_weight_rechecks():
+    # a measure on a grid holds atom i at node i, and a solution's measures
+    # are the pushforwards of its densities, both by construction: outside
+    # measure.py no np.array_equal reads a grid's coordinates() or a
+    # measure's weights .w to find out
+    rechecks = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array_equal":
+                reads = {n.attr for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
+                if reads & {"coordinates", "w"}:
+                    rechecks.append(f"{path.name}:{node.lineno}")
+    assert rechecks == []
 
 
 def test_no_private_parameters():
@@ -933,7 +964,9 @@ class TestSweep:
         assert len(rows) == 3  # header + 2 points
         assert (tmp_path / "sweep" / "coupling_weight=0.0" / "summary.json").exists()
 
-    def test_sweep_applies_transport_limits(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_point_whose_solve_fails_has_no_row(self, tmp_path, capsys, monkeypatch):
+        # 32 atoms exceed a cap of 8, so the one point's solve raises: the
+        # sweep reports it, exits 3 and writes a summary without its row
         monkeypatch.setattr("qsmfg.measure.ATOM_CAP", 8)
         payload = dict(
             MINIMAL,
@@ -942,6 +975,9 @@ class TestSweep:
         )
         assert main(["sweep", _write(tmp_path, payload)]) == 3
         assert "error:" in capsys.readouterr().err
+        rows = (tmp_path / "sweep" / "sweep_summary.csv").read_text().strip().split("\n")
+        assert rows == ["point,converged,outer_iterations,final_outer_error"]
+        assert not (tmp_path / "sweep" / "coupling_weight=0.0").exists()
 
     def test_sweep_without_spec_is_config_error(self, tmp_path):
         code = main(["sweep", _write(tmp_path, dict(MINIMAL))])

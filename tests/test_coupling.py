@@ -1166,21 +1166,6 @@ class TestRegularityReport:
         assert rep["mu_holder_half"] == best > 0.0
         assert report_lps < len(calls) - report_lps == n * (n - 1) // 2
 
-    def test_unpushed_measures_are_not_bounded(self, memory_psi_solution):
-        # measures that are not the pushforwards of the stored densities keep
-        # the full loop: the densities' W1 says nothing about them.  Here
-        # the stored densities are all m(0) and the measures push the run's
-        # densities backwards in time through one policy, so a bound from
-        # the stored densities' W1 would be zero.
-        spec, cfg, sol = memory_psi_solution
-        mu = tuple(pushforward(m, sol.policy[0]) for m in sol.m[::-1])
-        rep = regularity_report(replace(sol, m=(sol.m[0],) * sol.n_slices, mu=mu), spec)
-        best = max(
-            wasserstein1_joint(mu[j], mu[k]) / np.sqrt(sol.times[k] - sol.times[j])
-            for j in range(sol.n_slices) for k in range(j + 1, sol.n_slices)
-        )
-        assert rep["mu_holder_half"] == best > 0.0
-
     def test_sampled_pairs_reach_the_state_w1_in_slice_order(self, monkeypatch):
         # 31 slices give 465 pairs, more than STATE_PAIRS, so the report
         # samples them; it hands each state W1 batch over in slice order,

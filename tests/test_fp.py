@@ -165,8 +165,8 @@ class TestSingleStep:
     )
     def test_bad_solve_is_a_solver_error(self, monkeypatch, message, alter):
         # the M-matrix forbids each of these, so a linear solve that returns
-        # a non-finite value, a value below -STEP_NEGATIVE_TOL or a mass off
-        # by more than STEP_MASS_TOL is a RuntimeError, not a density
+        # a non-finite value, a value below -measure.NEGATIVE_TOL or a mass
+        # off by more than measure.MASS_TOL is a RuntimeError, not a density
         solve = fp._direct_solve
         monkeypatch.setattr(fp, "_direct_solve", lambda *args, **kwargs: alter(solve(*args, **kwargs)))
         with pytest.raises(RuntimeError, match=message):

@@ -279,11 +279,12 @@ class TestCoefficientEvaluations:
         assert calls == [(GRID.size, 1)] and builds == [(GRID.size, 1)]
         spec.coefficients(GRID.coordinates() + 0.5 * GRID.h, mu)[0](np.zeros((GRID.size, 1)))
         spec.coefficients(GRID.coordinates()[:7], mu)[0](np.zeros((7, 1)))
-        # a grid attached to atoms that are not its nodes is not read either
+        # a grid cannot be attached to atoms that are not its nodes
         off = _measure(16)
-        spec.coefficients(GRID.coordinates(), JointMeasure(off.x, off.a, off.w, grid=GRID))[0](np.zeros((GRID.size, 1)))
-        assert calls == [(GRID.size, 1)] * 2 + [(7, 1), (GRID.size, 1)]
-        assert len(kernels) == 1 and len(weights) == 6
+        with pytest.raises(ValueError, match="atom i at node i"):
+            JointMeasure(off.x, off.a, off.w, grid=GRID)
+        assert calls == [(GRID.size, 1)] * 2 + [(7, 1)]
+        assert len(kernels) == 1 and len(weights) == 5
         assert not any(phi is kernels[0] for phi in weights[2:])
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from qsmfg import model
 from qsmfg.grid import Grid
 from qsmfg.measure import DensityField, JointMeasure, pushforward, wasserstein1_joint
 from qsmfg.model import (
@@ -14,7 +15,6 @@ from qsmfg.model import (
     ModelSpec,
     NonUniqueMaximizerWarning,
     brute_force_argmax,
-    build_model,
     check_model,
     example_one,
     example_two,
@@ -376,11 +376,10 @@ class TestSliceMeasure:
 
 class TestBuilders:
     def test_registry(self):
-        for name in ("example1", "example2", "separated"):
-            spec = build_model(name, d=1)
-            assert spec.name == name
-        with pytest.raises(ValueError):
-            build_model("nope")
+        # an unknown name is refused by parse_config (test_cli's test_unknown_model)
+        assert sorted(MODEL_BUILDERS) == ["example1", "example2", "separated"]
+        for name, builder in MODEL_BUILDERS.items():
+            assert builder(d=1).name == name
 
     def test_separated_cost_adds_measure_term(self):
         # l = |a|^2/2 + V(x) + l1(mu), with l1 the weighted mean control
@@ -391,9 +390,8 @@ class TestBuilders:
         np.testing.assert_allclose(shift, 0.4 * nu.mean_control()[0], rtol=0, atol=1e-15)
 
     def test_validator_passes_builtin_models(self):
-        for name in ("example1", "example2", "separated"):
-            spec = build_model(name, d=1)
-            report = check_model(spec, GRID, seed=3)
+        for builder in MODEL_BUILDERS.values():
+            report = check_model(builder(d=1), GRID, seed=3)
             assert report["all_ok"], report
 
     @pytest.mark.parametrize(
@@ -408,7 +406,7 @@ class TestBuilders:
         assert (entry["measured"] == 0.0) == (spec.name == "separated")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_validator_envelope_check_reads_the_kink_off_the_binding(self, seed):
+    def test_validator_envelope_check_reads_the_kink_off_the_binding(self, seed, monkeypatch):
         # b = -a and l = |a|^2/6 on the unit ball: alpha* = 3p reaches the
         # boundary at |p| = 1/3, a kink no built-in model has.  Only the
         # stencils that straddle it are dropped, so a coarse step passes
@@ -422,7 +420,8 @@ class TestBuilders:
                 lambda p: 3.0 * p,
             ),
         )
-        report = check_model(spec, GRID, seed=seed, fd_step=0.05)
+        monkeypatch.setattr(model, "FD_STEP", 0.05)
+        report = check_model(spec, GRID, seed=seed)
         assert report["gradient_envelope_identity"]["measured"] <= 1e-12
         assert report["all_ok"], report
 
