@@ -211,6 +211,14 @@ class TrajectorySolution:
     def converged(self) -> bool:
         return not self.diagnostics.get("failures")
 
+    def _replace(self, **changes) -> "TrajectorySolution":
+        """dataclasses.replace for changes that leave m and policy, keeping
+        mu if it was computed: the new solution's mu would be the same."""
+        new = replace(self, **changes)
+        if "mu" in self.__dict__:
+            new.__dict__["mu"] = self.__dict__["mu"]
+        return new
+
 
 def solve_joint_measure(
     m: DensityField,
@@ -372,7 +380,7 @@ def _solution(spec, config, sol, bindings) -> TrajectorySolution:
     if mu_res.max() > config.inner_tol:
         failed.add("mu_residual")
     diagnostics = {**sol.diagnostics, "failures": sorted(failed)}
-    return replace(sol, hjb_residuals=hjb_res, mu_residuals=mu_res, diagnostics=diagnostics)
+    return sol._replace(hjb_residuals=hjb_res, mu_residuals=mu_res, diagnostics=diagnostics)
 
 
 def _gamma_slices(spec, config, m_list, du_list):
@@ -626,7 +634,7 @@ def solve_vanishing_discount(
             "achieved_increment": increments[-1][1],
         }
     )
-    return replace(sol, rho=0.0, diagnostics=diagnostics)
+    return sol._replace(rho=0.0, diagnostics=diagnostics)
 
 
 def solve_system(spec: ModelSpec, m0: DensityField, config: CouplingConfig) -> TrajectorySolution:

@@ -17,6 +17,16 @@ Every W1 value is exact; which engine computes it depends on the call:
   joint-measure fixed point and every residual probe) when either policy is
   1-Lipschitz from the torus L1 metric.  The value is sum_i w_i |a_i - a'_i|,
   and f(x,a) = |a - a'(x)| is a dual certificate of its optimality;
+- the separable bound, for the other pairs of graph measures on one d=1
+  grid with scalar controls.  Projecting a coupling gives W1_joint >=
+  W1_state + W1 of the control marginals on the line, both in closed form,
+  and their two Kantorovich potentials give a dual feasible point that
+  attains it.  The optimal circle plan of the states, lifted to the joint
+  measures, costs at least W1_joint.  Where the two bounds meet within tau
+  times the mass, tau the atom LP's dual tolerance, the plan's cost is the
+  value and no LP is built (psi's first pass against its zero-policy start
+  is such a pair); otherwise the atom LP below starts from the arcs the
+  dual point prices at most tau plus the plan's arcs;
 - the atom linear program on the bipartite atom graph (HiGHS), for every
   other pair of joint measures, e.g. measures at two different times.  It is
   solved over a growing set of arcs: each round prices every atom pair with
@@ -24,12 +34,13 @@ Every W1 value is exact; which engine computes it depends on the call:
   none has reduced cost below the LP's dual tolerance tau.  The duals are
   then tau-feasible for the full LP, a certificate that the value is within
   tau times the mass of the optimum.  Each transport problem is one HiGHS
-  model, and every round runs primal simplex: the first from the basis of
-  the north-west-corner plan, a primal feasible spanning tree of arcs, and
-  each later round appends the new arcs as columns and re-runs from the
-  basis the last round left (a hot start).  Small problems (every 1D pair)
-  start from every arc and solve one LP by dual simplex from the slack
-  basis;
+  model, and each later round appends the new arcs as columns and re-runs
+  from the basis the last round left (a hot start).  The first round of a
+  1D pair with scalar controls runs dual simplex from the slack basis on
+  the separable bound's arcs; other small problems (1D pairs with k >= 2,
+  2D n=8 pairs) start from every arc and solve one LP the same way; larger
+  ones run primal simplex in every round, the first from the basis of the
+  north-west-corner plan, a primal feasible spanning tree of arcs;
 - the Kantorovich potential LP on the periodic grid graph, for d=2 state
   densities: the torus L1 distance between nodes is h times their path
   distance in that graph, so W1 is the largest (p - q) . phi over
@@ -324,9 +335,9 @@ def _solve(highs: _Highs) -> tuple[float, np.ndarray]:
     return highs.getObjectiveValue(), np.array(highs.getSolution().row_dual)
 
 
-# Transport problems with at most this many atom pairs are solved over every
-# arc in one LP: every 1D pair (32x32 atoms in the shipped configs) and the
-# 64x64-atom pairs of 2D n=8 grids, where one LP is quicker than pricing
+# Transport problems with at most this many atom pairs and no given first arc
+# set are solved over every arc in one LP: 1D pairs with k >= 2 controls and
+# the 64x64-atom pairs of 2D n=8 grids, where one LP is quicker than pricing
 ALL_ARCS_PAIRS = 4096
 # Cheapest arcs per row and per column in the first arc set of larger problems
 SEED_ARCS = 4
@@ -378,7 +389,7 @@ def _arc_rows(arcs: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.stack([i, n1 + j], axis=1)
 
 
-def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
+def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, arcs: np.ndarray | None = None) -> float:
     """Exact optimal transport cost by an atom LP priced with its own duals.
 
     Each round solves the LP over a set of arcs (HiGHS), reads the duals
@@ -390,21 +401,24 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     then tau-feasible for the full dual problem, so the restricted optimum
     is within tau times the mass of the full one, the accuracy the LP is
     solved to anyway.  Every round but the last adds an arc, so the loop
-    ends.  Problems with at most ALL_ARCS_PAIRS pairs start from every arc
-    and solve one LP, by dual simplex from the slack basis.
+    ends.  arcs, when given, are the flat arcs i * n2 + j of the first arc
+    set, which must hold a feasible plan; problems with at most
+    ALL_ARCS_PAIRS pairs otherwise start from every arc and solve one LP.
+    Both run dual simplex from the slack basis.
 
-    The rounds of a larger problem share one HiGHS model, and every round
-    runs primal simplex.  The first starts from the north-west-corner plan:
-    its n1 + n2 - 1 arcs, all in the first arc set, span the bipartite atom
-    graph, so as the basis (every other column and every row nonbasic) they
-    are nonsingular and primal feasible (Bertsimas & Tsitsiklis, sec. 7.2).
+    The rounds of one problem share one HiGHS model, and each later round
+    appends the priced arcs as columns and re-runs from the basis the last
+    round left, which the zero new columns keep primal feasible.  A larger
+    problem without given arcs runs primal simplex in every round, the first
+    from the north-west-corner plan: its n1 + n2 - 1 arcs, all in the first
+    arc set, span the bipartite atom graph, so as the basis (every other
+    column and every row nonbasic) they are nonsingular and primal feasible
+    (Bertsimas & Tsitsiklis, sec. 7.2).
     For measures close to each other, as the slices of one trajectory are,
     that plan is near optimal: on a 256-atom pair of neighbouring slices the
     first round takes about 200 simplex iterations where dual simplex from
     the slack basis takes over a thousand.  (On unrelated random pairs it
-    can take more.)  Each later round appends the priced arcs as columns and
-    re-runs from the basis the last round left, which the zero new columns
-    keep primal feasible.
+    can take more.)
 
     The weights are divided by their mean atom weight before the solve and
     the value multiplied back, as the grid potential LP scales its imbalance:
@@ -418,9 +432,10 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     scale = (w1.sum() + w2.sum()) / (n1 + n2)
     b_eq = np.concatenate([w1, w2])[:-1] / scale
     rows, cols = np.arange(n1), np.arange(n2)
-    if n1 * n2 <= ALL_ARCS_PAIRS:
+    if arcs is None and n1 * n2 <= ALL_ARCS_PAIRS:
         arcs = np.arange(n1 * n2)
-        highs = _lp_model(b_eq, cost.ravel(), _arc_rows(arcs, n1, n2), 1.0)
+    if arcs is not None:
+        highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0)
     else:
         corner = _north_west_corner(w1, w2)
         arcs = _seed_arcs(cost, corner)
@@ -442,7 +457,7 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
         priced = np.unique(priced)
         arcs = np.concatenate([arcs, priced])
         # the new columns enter at zero, so the kept basis stays primal
-        # feasible and primal simplex re-runs from it
+        # feasible and the next round re-runs from it
         _add_columns(highs, cost.ravel()[priced], _arc_rows(priced, n1, n2), 1.0)
 
 
@@ -499,14 +514,93 @@ def joint_w1_upper_bound(nu1: JointMeasure, nu2: JointMeasure, state_w1: float) 
     )
 
 
+def _circle_potential(w1: np.ndarray, w2: np.ndarray, h: float) -> tuple[float, np.ndarray, int]:
+    """W1 between node masses w1 and w2 on the discrete circle of spacing h,
+    a Kantorovich potential phi of it, and an edge that carries no flow.
+
+    Edge k joins node k to node k + 1 (mod n), and an optimal flow on it is
+    c_k - theta, c the cumulative sum of w1 - w2 and theta the lower median
+    element of c, a minimizer of sum_k |c_k - theta| as in _circle_w1.
+    phi steps by -h along an edge of positive flow and by h along one of
+    negative flow, as complementary slackness asks.  The edges at theta
+    carry none, and they share the step that closes the circle: that
+    theta minimizes the sum bounds the step by h, so phi is 1-Lipschitz.
+    The returned edge is the first of them.
+    """
+    c = np.cumsum(w1 - w2)
+    k = (c.size - 1) // 2
+    theta = np.partition(c, k)[k]
+    above, below = c > theta, c < theta
+    ups, downs = int(above.sum()), int(below.sum())
+    steps = np.where(above, -h, np.where(below, h, h * (ups - downs) / (c.size - ups - downs)))
+    phi = np.concatenate([[0.0], np.cumsum(steps[:-1])])
+    return h * float(np.abs(c - theta).sum()), phi, int(np.flatnonzero(c == theta)[0])
+
+
+def _line_potential(
+    a1: np.ndarray, w1: np.ndarray, a2: np.ndarray, w2: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """W1 on the line between the control marginals, sum_i w1_i at a1_i and
+    sum_j w2_j at a2_j, and a Kantorovich potential psi of it read at a1 and
+    at a2.
+
+    Between consecutive control values the optimal flow to the right is the
+    difference F of the two CDFs there; psi steps by -gap where F > 0 and by
+    gap where F < 0, so that the integral of psi against the difference of
+    the marginals is sum gap |F|, the W1.
+    """
+    values = np.sort(np.concatenate([a1, a2]))
+    at = values[:, None]
+    cdf = ((a1 <= at) @ w1 - (a2 <= at) @ w2)[:-1]
+    gaps = np.diff(values)
+    psi = np.concatenate([[0.0], np.cumsum(np.where(cdf > 0, -gaps, np.where(cdf < 0, gaps, 0.0)))])
+    return float(np.abs(cdf) @ gaps), psi[np.searchsorted(values, a1)], psi[np.searchsorted(values, a2)]
+
+
+def _separable_bounds(nu1: JointMeasure, nu2: JointMeasure, cost: np.ndarray):
+    """Bounds on the joint W1 of graph measures on one d=1 grid with scalar
+    controls, cost being their joint_cost_matrix: (lower, upper, u, v, arcs).
+
+    Projecting a coupling onto the states and onto the controls gives
+    W1_joint >= W1_state + W1_line of the control marginals, the lower
+    bound; with phi and psi the two Kantorovich potentials, u_i = phi_i +
+    psi(a1_i) and v_j = -(phi_j + psi(a2_j)) satisfy u_i + v_j <= c_ij and
+    attain it, a feasible point of the LP dual.  The upper bound is the cost
+    of the optimal circle plan of the states, a coupling of the joint
+    measures too: unrolled after an edge without flow, the circle is a line,
+    and its monotone plan carries its mass.  arcs holds that plan's flat
+    arcs i * n + j, a staircase from the first node after the edge to the
+    last, on which the LP is feasible.
+    """
+    w1, w2, n = nu1.w, nu2.w, nu1.n_atoms
+    state, phi, cut = _circle_potential(w1, w2, nu1.grid.h)
+    line, psi1, psi2 = _line_potential(nu1.a[:, 0], w1, nu2.a[:, 0], w2)
+    order = (np.arange(n) + cut + 1) % n
+    ends1, ends2 = np.cumsum(w1[order]), np.cumsum(w2[order])
+    ends = np.sort(np.concatenate([ends1, ends2]))
+    # the piece of mass between consecutive ends belongs to the first atom
+    # on each side whose cumulative mass reaches its end
+    i = np.minimum(np.searchsorted(ends1, ends), n - 1)
+    j = np.minimum(np.searchsorted(ends2, ends), n - 1)
+    arcs = order[i] * n + order[j]
+    upper = float(np.diff(ends, prepend=0.0) @ cost.ravel()[arcs])
+    return state + line, upper, phi + psi1, -(phi + psi2), arcs
+
+
 def wasserstein1_joint(nu1: JointMeasure, nu2: JointMeasure) -> float:
     """Exact W1 between joint measures under the sum ground metric.
 
     Requires equal total masses (within 1e-10); measures with more than
     ATOM_CAP atoms are rejected, since the LP is only intended for desk scale.
     Measures over the same state marginal take the identity coupling when
-    either policy certifies it, and the atom LP otherwise, priced with its
-    duals so that only arcs that can carry mass are solved for.
+    either policy certifies it.  Other graph measures on one d=1 grid with
+    scalar controls take the separable bounds (_separable_bounds): when the
+    lifted circle plan's cost is within tau times the mass of the dual
+    lower bound, tau the LP's dual tolerance, that cost is returned without
+    an LP, the accuracy the LP certifies; otherwise the atom LP starts from
+    the arcs the lower bound's duals price at most tau plus the plan's arcs.
+    Every other pair takes the atom LP, priced with its duals so that only
+    arcs that can carry mass are solved for.
     """
     if not _equal_mass(nu1, nu2):
         raise ValueError(f"mass mismatch: {nu1.mass()!r} vs {nu2.mass()!r}")
@@ -522,6 +616,16 @@ def wasserstein1_joint(nu1: JointMeasure, nu2: JointMeasure) -> float:
         # f(x,a) = |a - a'(x)| is 1-Lipschitz for the sum metric and attains
         # the identity coupling's cost, so that coupling is optimal
         return float(nu1.w @ np.linalg.norm(nu1.a - nu2.a, axis=1))
+    grid = nu1.grid
+    if _graph_measure(nu2, grid) and grid.d == 1 and a1.shape[1] == 1:
+        # every node is an atom here, zero weights included: the circle
+        # order needs atom i at node i
+        cost = joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
+        lower, upper, u, v, plan = _separable_bounds(nu1, nu2, cost)
+        tau = LP_OPTIONS["dual_feasibility_tolerance"]
+        if upper - lower <= tau * nu1.mass():
+            return upper
+        return _transport_lp(cost, nu1.w, nu2.w, np.union1d(np.flatnonzero(cost - u[:, None] - v <= tau), plan))
     cost = joint_cost_matrix(x1, a1, x2, a2)
     return _transport_lp(cost, w1, w2)
 

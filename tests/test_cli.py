@@ -494,13 +494,13 @@ class TestRun:
         assert not (tmp_path / "capped").exists()
 
     def test_report_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        # MINIMAL's solve takes no atom LP and its regularity report does: a
-        # report that raises fails the run as its solve would, exit 3,
-        # reported without a traceback, and no output is written
-        def failing(cost, w1, w2):
+        # MINIMAL's gamma solve takes no joint W1 maximum and its regularity
+        # report does: a report that raises fails the run as its solve
+        # would, exit 3, reported without a traceback, and no output is written
+        def failing(pairs, scales, state_w1s, tol=-np.inf):
             raise RuntimeError("transport LP failed")
 
-        monkeypatch.setattr("qsmfg.measure._transport_lp", failing)
+        monkeypatch.setattr("qsmfg.coupling._max_joint_w1", failing)
         payload = dict(MINIMAL, output_dir=str(tmp_path / "out"))
         assert main(["run", _write(tmp_path, payload)]) == 3
         err = capsys.readouterr().err

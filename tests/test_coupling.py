@@ -981,20 +981,23 @@ def memory_psi_solution():
     return spec, cfg, solve_measure_iteration(spec, two_bump_density(GRID), cfg)
 
 
-def _counting_lp(monkeypatch):
+def _counting_w1(monkeypatch):
+    """Count the exact joint W1 solves: calls of the wasserstein1_joint name
+    coupling calls, which _unpruned_max calls too.  (A 1D pair whose bounds
+    meet builds no atom LP, so LP calls would under-count them.)"""
     calls = []
-    lp = measure._transport_lp
+    w1 = coupling.wasserstein1_joint
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return lp(*args, **kwargs)
+        return w1(*args, **kwargs)
 
-    monkeypatch.setattr(measure, "_transport_lp", counting)
+    monkeypatch.setattr(coupling, "wasserstein1_joint", counting)
     return calls
 
 
 def _unpruned_max(pairs, scales, _state_w1s, _tol=-np.inf):
-    return max(wasserstein1_joint(nu1, nu2) / c for (nu1, nu2), c in zip(pairs, scales))
+    return max(coupling.wasserstein1_joint(nu1, nu2) / c for (nu1, nu2), c in zip(pairs, scales))
 
 
 def _drifting_pairs(scaled):
@@ -1021,7 +1024,7 @@ class TestPrunedMaximum:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_equals_full_maximum_with_fewer_lps(self, scaled, monkeypatch):
         pairs, scales, state = _drifting_pairs(scaled)
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         full = _unpruned_max(pairs, scales, state)
         n_full = len(calls)
         pruned = coupling._max_joint_w1(pairs, scales, state)
@@ -1032,7 +1035,7 @@ class TestPrunedMaximum:
     def test_unknown_state_distance_solves_every_pair(self, monkeypatch):
         mus = [pushforward(von_mises_density(GRID, c), np.zeros((GRID.n, 1))) for c in (0.3, 0.4, 0.5)]
         pairs = [(mus[0], mus[1]), (mus[1], mus[2]), (mus[0], mus[2])]
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         value = coupling._max_joint_w1(pairs, [1.0] * 3, [np.inf] * 3)
         assert value == _unpruned_max(pairs, [1.0] * 3, None)
         assert len(calls) == 6
@@ -1042,7 +1045,7 @@ class TestPrunedMaximum:
     def test_bounds_at_tolerance_solve_no_lp(self, scaled, monkeypatch):
         pairs, scales, state = _drifting_pairs(scaled)
         top = max(_bounds(pairs, scales, state))
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         assert coupling._max_joint_w1(pairs, scales, state, top) == top
         assert coupling._max_joint_w1(pairs, scales, state, 2.0 * top) == top
         assert calls == []
@@ -1052,7 +1055,7 @@ class TestPrunedMaximum:
         pairs, scales, state = _drifting_pairs(scaled)
         bounds = sorted(_bounds(pairs, scales, state))
         assert bounds[-2] < bounds[-1]
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         value = coupling._max_joint_w1(pairs, scales, state, bounds[-2])
         assert calls
         assert value == _unpruned_max(pairs, scales, state) < bounds[-1]
@@ -1060,7 +1063,7 @@ class TestPrunedMaximum:
     def test_infinite_bound_never_settles(self, monkeypatch):
         pairs, scales, state = _drifting_pairs(False)
         state[3] = np.inf
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         value = coupling._max_joint_w1(pairs, scales, state, np.inf)
         assert calls
         assert value == _unpruned_max(pairs, scales, state)
@@ -1072,7 +1075,7 @@ class TestPrunedMaximum:
         # do not depend on it.
         spec, cfg, sol = memory_psi_solution
         prune = coupling._max_joint_w1
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         passes = []  # (LPs solved, largest state W1) per outer-error call
 
         def recording(pairs, scales, state_w1s, tol=-np.inf):
@@ -1154,7 +1157,7 @@ class TestRegularityReport:
 
     def test_psi_run_matches_full_loop(self, memory_psi_solution, monkeypatch):
         spec, cfg, sol = memory_psi_solution
-        calls = _counting_lp(monkeypatch)
+        calls = _counting_w1(monkeypatch)
         rep = regularity_report(sol, spec=spec)
         report_lps = len(calls)
         n = sol.n_slices
@@ -1162,7 +1165,7 @@ class TestRegularityReport:
         for j in range(n):
             for k in range(j + 1, n):
                 root = np.sqrt(sol.times[k] - sol.times[j])
-                best = max(best, wasserstein1_joint(sol.mu[j], sol.mu[k]) / root)
+                best = max(best, coupling.wasserstein1_joint(sol.mu[j], sol.mu[k]) / root)
         assert rep["mu_holder_half"] == best > 0.0
         assert report_lps < len(calls) - report_lps == n * (n - 1) // 2
 

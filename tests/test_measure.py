@@ -767,15 +767,172 @@ def _dense_transport_lp(cost, w1, w2):
     return float(res.fun)
 
 
-def test_1d_pair_solves_one_lp_over_every_arc(monkeypatch):
+def _one_d_density(grid, kind, rng):
+    """A density on a 1D grid: random, random with a third of its nodes
+    zero, or a smooth bump."""
+    if kind == "smooth":
+        return von_mises_density(grid, rng.uniform(0, 1), rng.uniform(0.5, 8.0))
+    v = 1.0 + rng.uniform(-0.6, 0.6, grid.size)
+    if kind == "zeros":
+        v[rng.choice(grid.size, grid.size // 3, replace=False)] = 0.0
+    return DensityField.from_values(grid, v)
+
+
+def _one_d_policy(grid, kind, rng):
+    """An (n, 1) policy: zero, random, smooth (1-Lipschitz), or rough, a
+    random one with a jump of at least 1 on every other edge."""
+    if kind == "zero":
+        return np.zeros((grid.size, 1))
+    if kind == "smooth":
+        return _smooth_policy(grid, 1, rng)
+    a = rng.uniform(-1, 1, (grid.size, 1))
+    if kind == "rough":
+        a[::2] += 3.0
+    return a
+
+
+_ONE_D_DRAWS = dict(
+    n=st.sampled_from([8, 9, 16, 32]),
+    seed=st.integers(0, 10_000),
+    densities=st.tuples(
+        st.sampled_from(["random", "zeros", "smooth"]),
+        st.sampled_from(["random", "zeros", "smooth", "same"]),
+    ),
+    policies=st.tuples(
+        st.sampled_from(["zero", "random", "smooth", "rough"]),
+        st.sampled_from(["zero", "random", "smooth", "rough", "shared"]),
+    ),
+)
+
+
+def _one_d_pair(n, seed, densities, policies):
+    """Graph measures on Grid(1, n) with scalar controls.  A second density
+    "same" is the first one, and then both policies are made rough, so that
+    the identity coupling cannot certify the pair; a second policy "shared"
+    is the first one."""
+    g = Grid(1, n)
+    rng = np.random.default_rng(seed)
+    m1 = _one_d_density(g, densities[0], rng)
+    same = densities[1] == "same"
+    m2 = m1 if same else _one_d_density(g, densities[1], rng)
+    kinds = ("rough", "rough") if same else policies
+    a1 = _one_d_policy(g, kinds[0], rng)
+    a2 = a1 if kinds[1] == "shared" else _one_d_policy(g, kinds[1], rng)
+    nu1, nu2 = pushforward(m1, a1), pushforward(m2, a2)
+    if same:
+        assert not (measure._lipschitz_policy(nu1) or measure._lipschitz_policy(nu2))
+    return nu1, nu2
+
+
+def _full_reference(nu1, nu2):
+    return _reference_w1(nu1.x, nu1.a, nu1.w, nu2.x, nu2.a, nu2.w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ONE_D_DRAWS)
+def test_1d_engine_matches_reference_lp(n, seed, densities, policies):
+    nu1, nu2 = _one_d_pair(n, seed, densities, policies)
+    ref = _full_reference(nu1, nu2)
+    assert abs(wasserstein1_joint(nu1, nu2) - ref) <= 1e-12
+    assert abs(wasserstein1_joint(nu2, nu1) - ref) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_ONE_D_DRAWS)
+def test_1d_separable_bounds_enclose_reference_lp(n, seed, densities, policies):
+    # the lower bound is the dual value of (u, v), which is feasible; the
+    # upper bound is the cost of the lifted circle plan, which is a coupling
+    nu1, nu2 = _one_d_pair(n, seed, densities, policies)
+    cost = measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
+    lower, upper, u, v, plan = measure._separable_bounds(nu1, nu2, cost)
+    ref = _full_reference(nu1, nu2)
+    assert lower - 1e-12 <= ref <= upper + 1e-12
+    assert (cost - u[:, None] - v).min() >= -1e-14
+    assert u @ nu1.w + v @ nu2.w == pytest.approx(lower, rel=1e-12, abs=1e-15)
+    state = wasserstein1_state(DensityField(nu1.grid, nu1.w * n), DensityField(nu2.grid, nu2.w * n))
+    assert abs(lower - state - measure._line_potential(nu1.a[:, 0], nu1.w, nu2.a[:, 0], nu2.w)[0]) <= 1e-15
+    # the plan's staircase alone holds a feasible plan, one of cost upper
+    arcs = np.unique(plan)
+    assert arcs.size <= 2 * n - 1
+    b_eq = np.concatenate([nu1.w, nu2.w])[:-1] * n
+    staircase = measure._solve(measure._lp_model(b_eq, cost.ravel()[arcs], measure._arc_rows(arcs, n, n), 1.0))[0] / n
+    assert ref - 1e-12 <= staircase <= upper + 1e-12
+
+
+@pytest.mark.parametrize("case", ["tied", "tied-odd", "random"])
+def test_circle_potential_is_1_lipschitz_and_attains_w1(case):
+    # tied: c = (a, a, a, a, 0, 0, 0, 0) exactly, so four edges carry no
+    # flow and the median 0 leaves four edges of positive flow: stepping 0
+    # on the no-flow edges would leave a closing step of 4h.  tied-odd adds
+    # a ninth node of zero mass, a fifth edge without flow
+    n = 9 if case == "tied-odd" else 8
+    w2 = np.r_[np.full(8, 1.0 / 8), np.zeros(n - 8)]
+    w1 = w2.copy()
+    if case == "random":
+        w1 = np.random.default_rng(5).dirichlet(np.ones(n))
+    else:
+        w1[0] += 1.0 / 16
+        w1[4] -= 1.0 / 16
+    h = 1.0 / n
+    value, phi, cut = measure._circle_potential(w1, w2, h)
+    assert value == pytest.approx(measure._circle_w1(w1, w2, h), abs=1e-16)
+    assert phi @ (w1 - w2) == pytest.approx(value, abs=1e-16)
+    assert np.abs(np.diff(np.r_[phi, phi[0]])).max() <= h * (1 + 1e-14)
+    c = np.cumsum(w1 - w2)
+    assert c[cut] == np.partition(c, (n - 1) // 2)[(n - 1) // 2]
+    if case != "random":
+        assert np.count_nonzero(c == c[cut]) >= 4
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_1d_pair_with_a_zero_policy_is_certified_without_an_lp(n, monkeypatch):
+    # against a zero policy the lifted circle plan costs W1_state plus
+    # sum_i w_i |a_i|, which is the lower bound: psi's first pass
+    g = Grid(1, n)
+    rng = np.random.default_rng(990 + n)
+    zero = pushforward(_one_d_density(g, "zeros", rng), np.zeros((n, 1)))
+    rough = pushforward(_one_d_density(g, "random", rng), _one_d_policy(g, "rough", rng))
+    ref = _full_reference(rough, zero)
+    built = _count_models(monkeypatch)
+    monkeypatch.setattr(measure, "_transport_lp", _no_lp)
+    for nu1, nu2 in ((rough, zero), (zero, rough)):
+        assert abs(wasserstein1_joint(nu1, nu2) - ref) <= 1e-12
+    assert built == []
+
+
+def test_1d_pair_starts_from_the_tight_arcs_and_the_circle_plan(monkeypatch):
+    # a pair the bounds leave apart takes the LP, from the arcs the lower
+    # bound's duals price at most tau plus the circle plan's staircase, by
+    # dual simplex from the slack basis
     g = Grid(1, 32)
     rng = np.random.default_rng(99)
     nu1, nu2 = (
         pushforward(_random_density(g, 960 + s), rng.uniform(-1, 1, (32, 1))) for s in range(2)
     )
+    cost = measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a)
+    lower, upper, u, v, plan = measure._separable_bounds(nu1, nu2, cost)
+    assert upper - lower > 1e-3
+    dense = _dense_transport_lp(cost, nu1.w, nu2.w)
+    rounds = _record_rounds(monkeypatch)
+    assert abs(wasserstein1_joint(nu1, nu2) - dense) <= 1e-12
+    first = _arcs(rounds[0].a_eq, 32, 32)
+    np.testing.assert_array_equal(np.sort(first), np.union1d(np.flatnonzero(cost - u[:, None] - v <= TAU), plan))
+    assert first.size < 32 * 32 // 4
+    assert rounds[0].strategy == 1 and rounds[0].start.size == 0
+    _check_pricing(rounds, cost)
+
+
+def test_1d_pair_with_two_controls_takes_the_all_arc_lp(monkeypatch):
+    # the separable bound needs scalar controls: a d=1, k=2 pair solves one
+    # LP over every arc, as larger pairs than ALL_ARCS_PAIRS would be priced
+    g = Grid(1, 32)
+    rng = np.random.default_rng(98)
+    nu1, nu2 = (pushforward(_random_density(g, 970 + s), rng.uniform(-1, 1, (32, 2))) for s in range(2))
     dense = _dense_transport_lp(measure.joint_cost_matrix(nu1.x, nu1.a, nu2.x, nu2.a), nu1.w, nu2.w)
+    ref = _full_reference(nu1, nu2)
     rounds = _record_rounds(monkeypatch)
     assert wasserstein1_joint(nu1, nu2) == dense
+    assert abs(dense - ref) <= 1e-12
     assert len(rounds) == 1
     np.testing.assert_array_equal(_arcs(rounds[0].a_eq, 32, 32), np.arange(32 * 32))
 
