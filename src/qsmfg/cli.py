@@ -297,11 +297,7 @@ def _write_outputs(cfg: RunConfig, sol: TrajectorySolution, kset: dict, out: Pat
     _write_csv(out / "trajectory_m.csv", "t,node,value", _trajectory_rows(sol.times, [m.values for m in sol.m]))
     _write_trajectory_bin(out / "trajectory_m.bin", sol.times, sol.m)
     _write_csv(out / "trajectory_u.csv", "t,node,value", _trajectory_rows(sol.times, sol.u))
-    _write_csv(
-        out / "convergence.csv",
-        "iteration,outer_error,component_errors",
-        ((k, err, ";".join(format(v, ".17g") for v in comps)) for k, err, *comps in sol.outer_errors),
-    )
+    _write_csv(out / "convergence.csv", "iteration,outer_error,slice", sol.outer_errors)
     d, k = sol.mu[0].x.shape[1], sol.mu[0].a.shape[1]
     _write_csv(
         out / "mu.csv",

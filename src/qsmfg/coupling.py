@@ -1,72 +1,68 @@
-"""Fixed-point drivers coupling the HJB, Fokker-Planck, and measure equations.
+"""Drivers coupling the HJB, Fokker-Planck, and measure equations.
 
-Two outer strategies solve the discounted system:
+The agent reacts only to the present measure, so the discrete system is
+causal: slice j's HJB and measure equations read only its density m_j (a
+history model also reads the measures of the slices before it,
+model.slice_measure), and m_{j+1} is one Fokker-Planck step from m_j with
+slice j's drift.  One sweep in time order therefore solves the whole
+system, forward substitution on a block lower-triangular system (Saad,
+Iterative Methods for Sparse Linear Systems, 2003, ch. 4): each slice
+iterates its own (w, mu) coupling, the local loop, then steps to the next
+density.  The strategy names the local loop:
 
-  field iteration ("gamma")    Picard on the pair (u, m): each pass first
-      solves the joint-measure fixed point per time slice from the previous
-      gradients and densities, then the per-slice HJB problems, then one
-      Fokker-Planck evolution with the optimal drifts.  Requires an
-      instant model.
+  field iteration ("gamma")    from a value-function gradient du: the
+      joint-measure fixed point on m_j, then the HJB solve in its binding
+      from its policy; the next du is the gradient of the new w, and the
+      error the sup distance between the two.  Requires an instant model.
 
-  measure iteration ("psi")    Picard on the joint-measure trajectory alone:
-      each pass solves the per-slice HJB problems with the trajectory frozen
-      (memory models aggregate the past trajectory), evolves the density, and
-      pushes it forward through the optimal policies.  Works for instant and
-      history models and needs no inner contraction.
+  measure iteration ("psi")    from a joint measure mu_j on m_j: the HJB
+      solve in the binding of the measure the slice reads, then mu_j is the
+      pushforward of m_j through the optimal policy; the error is the joint
+      W1 between the new and the old mu_j.  Works for instant and history
+      models and needs no inner contraction.
 
-Both run the same plain Picard loop over explicit state, the iterates; a
-strategy supplies only its step, one pass and its outer error.  The agent
-reacts only to the present measure, and the outer map contracts on every
-shipped config and on strongly coupled example1 models, so plain (Banach)
-iteration converges at the map's own rate.  Only the joint-measure fixed
-point, whose map stops contracting for strong coupling, blends policies
-(damping).  Like Howard's loop in hjb.py, it stops at a policy that repeats
-the current measure's controls bit for bit, an exact fixed point, without
-pushing forward or solving W1 again, and it returns the binding of its
-measure, which gamma's HJB solve of the slice reads instead of binding it
-again.
+A slice starts from a given warm start or from the slice before's result
+(gamma: its gradient, psi: its policy, which also warm-starts the HJB
+solve); slice 0 starts from the zero gradient or the zero policy.  Its loop
+stops at a step whose error meets outer_tol, after at most max_outer steps;
+a slice that misses adds the "outer" failure, and the sweep goes on.  The
+local loops are plain (Banach) iterations, which contract on every shipped
+config and on strongly coupled example1 models.  Only the joint-measure
+fixed point, whose map stops contracting for strong coupling, blends
+policies (damping).  Like Howard's loop in hjb.py, it stops at a policy that
+repeats the current measure's controls bit for bit, an exact fixed point,
+without pushing forward or solving W1 again, and it returns the binding of
+its measure, which gamma's HJB solve of the slice reads instead of binding
+it again.
 
-Psi's outer error and the regularity report's joint-measure Holder ratio are
-maxima of joint W1 values between measures with different state marginals,
-each an atom LP.  Both go through one pruned maximum: pairs are solved in
-decreasing order of the certified upper bound joint_w1_upper_bound, and the
-loop stops once no remaining bound reaches the largest value found.  The
-result is the full loop's maximum bit for bit, with only the LPs that can set
-it solved.  Psi's outer error asks for no digits below the outer tolerance:
-on a pass where every bound is at or below it, the largest bound is logged,
-a certified upper bound on the error, and no LP is solved.  The bound
-settles only passes the exact maximum would settle too, so the iterates and
-pass counts do not depend on it.
+A solved sweep, the level, is finished by a closing sweep: the same loop
+body, with exactly one local step per slice from the level's state (gamma:
+the gradients of its w, psi: its policies), on the closing sweep's own
+densities.  A solution stores each slice's density and policy, and its
+joint measure is the pushforward of one through the other, so the measure
+equation's pushforward form holds by construction.  One probe then
+measures, rather than assumes, the per-slice residuals of the HJB and
+measure equations.  A solve whose residuals miss a tolerance is reported as
+measured, not retried: converged holds only when every tolerance was met,
+and diagnostics["failures"] names each check that missed one.
 
 The ergodic system is solved by driving the discounted solver through a
 decreasing discount sequence, which solve_system does exactly when the
 config's rho_sequence is nonempty; each level's per-slice HJB pairs (w, s)
 are the normalized value functions and cost estimates, the result reads the
 last level's pairs at rho = 0, and the limit is cross-checked against direct
-ergodic solves.  The solutions move smoothly with the
-discount, so each level starts from the Lagrange polynomial in rho through
-the last (up to) three levels, evaluated at its discount (polynomial
-continuation).  Only the start depends on the earlier levels; the loop and
-its tolerances are those of a discounted solve.  An intermediate level only
-predicts the next one, so it runs the Picard part alone, without the finish.
-
-Each strategy is a Picard part, which returns its level (the last pass's
-unprobed solution), and the one finish of either strategy's level: a
-consistency pass that reads nothing but the level (gamma re-solves each slice
-once on its densities and the gradients of its w, psi runs one more pass from
-its measures and policies).  A solution stores each slice's density and
-policy, and its joint measure is the pushforward of one through the other,
-so the measure equation's pushforward form holds by construction.  One probe
-then measures, rather than assumes, the per-slice residuals of the HJB and
-measure equations.  A pass whose residuals miss a tolerance is reported as
-measured, not retried: converged holds only when every tolerance was met,
-and diagnostics["failures"] names each check that missed one.
+ergodic solves.  The solutions move smoothly with the discount, so each
+level starts from the Lagrange polynomial in rho through the last (up to)
+three levels, evaluated at its discount (polynomial continuation).  Only the
+start depends on the earlier levels; the loop and its tolerances are those
+of a discounted solve.  An intermediate level only predicts the next one, so
+it runs the sweep alone, without the closing sweep and the probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,12 +167,15 @@ class TrajectorySolution:
     HJB pair (hjb.HjbSolution), read at the discount rho: the config's for a
     discounted solve, 0.0 for the vanishing-discount result.  u and lam are
     value_function's reading of the pairs, and mu[j], computed at its first
-    read, is the pushforward of m[j] through policy[j].  converged holds when
-    diagnostics["failures"] is empty; it names each check that missed its
-    tolerance: "outer", "inner" and "hjb" for any outer loop, joint-measure
-    fixed point or HJB solve, "hjb_residual" and "mu_residual" for measured
-    residuals above hjb_tol and inner_tol, and "ergodic" for a discount
-    sequence whose increments stayed above ergodic_tol.
+    read unless the solve stored it, is the pushforward of m[j] through
+    policy[j].  outer_errors holds one row (step, error, slice) per local
+    step of the sweep, the steps numbered over the sweep.  converged holds
+    when diagnostics["failures"] is empty; it names each check that missed
+    its tolerance: "outer" for a slice whose local loop missed outer_tol,
+    "inner" and "hjb" for any joint-measure fixed point or HJB solve,
+    "hjb_residual" and "mu_residual" for measured residuals above hjb_tol
+    and inner_tol, and "ergodic" for a discount sequence whose increments
+    stayed above ergodic_tol.
     """
 
     times: np.ndarray
@@ -185,7 +184,7 @@ class TrajectorySolution:
     w: tuple  # one (n^d,) array per time slice, zero at the normalization node
     s: np.ndarray  # one value per time slice
     rho: float  # the discount (w, s) are read at, 0.0 for the ergodic problem
-    outer_errors: tuple = ()  # rows (iteration, total, component...) per pass
+    outer_errors: tuple = ()  # rows (step, error, slice), one per local step
     hjb_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mu_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     diagnostics: dict = field(default_factory=dict)
@@ -285,23 +284,18 @@ def solve_joint_measure(
     )
 
 
-def _max_joint_w1(pairs, scales, state_w1s, tol: float = -np.inf) -> float:
-    """Largest wasserstein1_joint(nu1, nu2) / scale over the pairs, or a
-    certified upper bound on it at or below tol; -inf for no pairs.
+def _max_joint_w1(pairs, scales, state_w1s) -> float:
+    """Largest wasserstein1_joint(nu1, nu2) / scale over the pairs; -inf for
+    no pairs.
 
-    state_w1s holds W1 between each pair's state marginals.  When every
-    joint_w1_upper_bound / scale is finite and at or below tol, the largest
-    bound is returned and no LP is solved: the maximum is then known to meet
-    tol, and its digits below tol are not computed.  Otherwise pairs are
-    solved in decreasing order of their bounds, and the loop stops once the
-    next bound is below the largest value found: every pair left has W1 at
-    most its bound, so none can set the maximum.  The maximizer is solved
-    exactly as in the full loop, so the result is its value bit for bit.
+    state_w1s holds W1 between each pair's state marginals.  Pairs are
+    solved in decreasing order of their bounds joint_w1_upper_bound / scale,
+    and the loop stops once the next bound is below the largest value found:
+    every pair left has W1 at most its bound, so none can set the maximum.
+    The maximizer is solved exactly as in the full loop, so the result is
+    its value bit for bit.
     """
     bounds = [joint_w1_upper_bound(nu1, nu2, s) / c for (nu1, nu2), c, s in zip(pairs, scales, state_w1s)]
-    top = max(bounds, default=-np.inf)
-    if np.isfinite(top) and top <= tol:
-        return top
     best = -np.inf
     for i in sorted(range(len(pairs)), key=lambda i: -bounds[i]):
         if bounds[i] * (1.0 + 1e-9) < best:
@@ -310,58 +304,108 @@ def _max_joint_w1(pairs, scales, state_w1s, tol: float = -np.inf) -> float:
     return best
 
 
-def _evolve(spec: ModelSpec, m0: DensityField, config: CouplingConfig, bindings, policies):
-    """One Fokker-Planck evolution from m0: the drift of slice j's policy in
-    slice j's binding, the one its HJB solve read, drives the step from t_j,
-    so the last slice's drift is not needed."""
-    steps = zip(policies[: config.n_steps], bindings)
-    return fp_evolve(m0, [drift_field(spec, m0.grid, a, c) for a, c in steps], config.dt)
-
-
-def _picard(config: CouplingConfig, state, step):
-    """The outer Picard loop both strategies share: step(state) runs one
-    pass and returns (next state, row, missed), row's first entry the total
-    error tested against the outer tolerance and missed the checks the pass
-    missed.  Returns (last state, log of rows (pass, *row), every pass's
-    missed checks, converged)."""
-    log, failed = [], set()
-    for k in range(1, config.max_outer + 1):
-        state, row, missed = step(state)
-        log.append((k, *row))
-        failed |= missed
-        if row[0] <= config.outer_tol:
-            return state, log, failed, True
-    return state, log, failed, False
-
-
 def _failed_checks(**results) -> set:
     """The names whose group of solver results holds one that did not converge."""
     return {name for name, group in results.items() if not all(r.converged for r in group)}
 
 
-def _warm_start(config: CouplingConfig, initial, what: str) -> tuple[list, list]:
-    """A strategy's start, two per-slice sequences, as lists; a length other
-    than the number of time slices is a ValueError."""
-    first, m = list(initial[0]), list(initial[1])
-    if len(first) != config.n_steps + 1 or len(m) != config.n_steps + 1:
-        raise ValueError(f"initial {what} trajectory has the wrong length")
-    return first, m
+def _gamma_local(spec, config, times, m, du, mu, earlier):
+    """Gamma's local step on the density m from the gradient du (None: the
+    zero gradient): the joint-measure fixed point, then the HJB solve in its
+    binding from its policy.  Returns (the gradient of the new w, its sup
+    distance from du, the HJB solution, the binding, the fixed point's
+    measure, the missed checks); mu and earlier are psi's and not read."""
+    grid = m.grid
+    if du is None:
+        du = np.zeros((grid.size, grid.d))
+    res = solve_joint_measure(m, du, spec, tol=config.inner_tol, damping=config.damping)
+    hjb = solve_discounted(spec, res.binding, config.rho, grid, tol=config.hjb_tol, warm_start=res.mu.a)
+    du_new = gradient_central(grid, hjb.w)
+    return du_new, float(np.abs(du_new - du).max()), hjb, res.binding, res.mu, _failed_checks(inner=[res], hjb=[hjb])
 
 
-def _unprobed(config, log, failed, m, hjbs, policy) -> TrajectorySolution:
-    """TrajectorySolution of an outer strategy from its last per-slice HJB
-    solutions and the stored (m, policy), with its shared diagnostics and no
-    measured residuals; failed holds the checks missed so far."""
+def _psi_local(spec, config, times, m, a, mu, earlier):
+    """Psi's local step on the density m from the policy a (None: the zero
+    policy and a cold HJB solve) and mu, the pushforward of m through it
+    (None: not pushed yet): the HJB solve from a in the binding of the
+    measure the slice reads, given the measures earlier of the slices
+    before, then the pushforward of m through its policy.  Returns (that
+    policy, the joint W1 between the new and the old measure, the HJB
+    solution, the binding, the new measure, the missed checks)."""
+    grid = m.grid
+    if mu is None:
+        mu = pushforward(m, np.zeros((grid.size, spec.control.k)) if a is None else a)
+    binding = spec.coefficients(grid.coordinates(), slice_measure(spec, times, [*earlier, mu]))
+    hjb = solve_discounted(spec, binding, config.rho, grid, tol=config.hjb_tol, warm_start=a)
+    new = pushforward(m, hjb.policy)
+    return hjb.policy, wasserstein1_joint(new, mu), hjb, binding, new, _failed_checks(hjb=[hjb])
+
+
+def _sweep(spec, m0, config, strategy, starts, closing=False):
+    """One sweep over the time slices in order: (unprobed solution, the
+    binding each slice's last HJB solve read).
+
+    Slice j takes strategy's local steps on its density from starts[j], or,
+    for None, from the slice before's result (slice 0: the zero start).  It
+    stops at a step whose error is at most outer_tol, after at most
+    max_outer steps; a slice that misses adds the "outer" failure, and the
+    sweep goes on.  One Fokker-Planck step with the drift of the slice's
+    last HJB policy, in that solve's binding, then gives the next slice's
+    density.  A closing sweep takes exactly one step per slice and logs
+    nothing.  The log holds one row (step, error, slice) per local step,
+    the steps numbered over the sweep, and final_outer_error is the
+    largest, over the slices, of each one's last error.  Each slice stores
+    its last measure, the pushforward of its density through its policy,
+    as the solution's mu.
+    """
+    step = _gamma_local if strategy == "gamma" else _psi_local
+    times, grid = config.times(), m0.grid
+    m, state, log, failed, last = m0, None, [], set(), []
+    densities, hjbs, bindings, mus = [], [], [], []
+    for j in range(config.n_steps + 1):
+        state, mu = state if starts[j] is None else starts[j], None
+        for _ in range(1 if closing else config.max_outer):
+            state, error, hjb, binding, mu, missed = step(spec, config, times[: j + 1], m, state, mu, mus)
+            failed |= missed
+            if not closing:
+                log.append((len(log) + 1, error, j))
+            if error <= config.outer_tol:
+                break
+        if error > config.outer_tol and not closing:
+            failed.add("outer")
+        last.append(error)
+        densities.append(m)
+        hjbs.append(hjb)
+        bindings.append(binding)
+        mus.append(mu)
+        if j < config.n_steps:
+            m = fp_evolve(m, [drift_field(spec, grid, hjb.policy, binding)], config.dt)[-1]
     diagnostics = {
         "outer_iterations": len(log),
-        "final_outer_error": log[-1][1],
+        "final_outer_error": max(last),
         "failures": sorted(failed),
         "hjb_residual_histories": tuple(h.residual_history for h in hjbs),
     }
-    return TrajectorySolution(
-        times=config.times(), m=tuple(m), policy=tuple(policy), w=tuple(h.w for h in hjbs),
+    sol = TrajectorySolution(
+        times=times, m=tuple(densities), policy=tuple(mu.a for mu in mus), w=tuple(h.w for h in hjbs),
         s=np.array([h.s for h in hjbs]), rho=config.rho, outer_errors=tuple(log), diagnostics=diagnostics,
     )
+    sol.__dict__["mu"] = tuple(mus)  # the measures mu would push forward again
+    return sol, bindings
+
+
+def _starts(config: CouplingConfig, strategy: str, grid: Grid, initial) -> list:
+    """Each slice's start from the warm start initial, a pair of per-slice
+    sequences (gamma: values and densities, psi: measures and densities),
+    or None for every slice without one; a length other than the number of
+    time slices is a ValueError.  The densities are not read: the sweep
+    derives each slice's density from the slice before."""
+    if initial is None:
+        return [None] * (config.n_steps + 1)
+    first, m = initial
+    if len(first) != config.n_steps + 1 or len(m) != config.n_steps + 1:
+        raise ValueError(f"initial {'value' if strategy == 'gamma' else 'measure'} trajectory has the wrong length")
+    return [gradient_central(grid, u) for u in first] if strategy == "gamma" else [mu.a for mu in first]
 
 
 def _solution(spec, config, sol, bindings) -> TrajectorySolution:
@@ -383,34 +427,31 @@ def _solution(spec, config, sol, bindings) -> TrajectorySolution:
     return sol._replace(hjb_residuals=hjb_res, mu_residuals=mu_res, diagnostics=diagnostics)
 
 
-def _gamma_slices(spec, config, m_list, du_list):
-    """Per slice the joint-measure fixed point from the density and
-    gradient, its binding (the fixed point's own), and the HJB solve in that
-    binding from the fixed point's policy: (fixed points, bindings, HJB
-    solutions)."""
-    fixed_points, bindings, hjbs = [], [], []
-    for m, du in zip(m_list, du_list):
-        res = solve_joint_measure(m, du, spec, tol=config.inner_tol, damping=config.damping)
-        fixed_points.append(res)
-        bindings.append(res.binding)
-        hjbs.append(solve_discounted(spec, res.binding, config.rho, m.grid, tol=config.hjb_tol, warm_start=res.mu.a))
-    return fixed_points, bindings, hjbs
+def _closed(spec, m0, config, strategy, level: TrajectorySolution):
+    """A sweep's solution, the level, closed by a closing sweep from its
+    state (gamma: the gradients of its w, psi: its policies), then probed:
+    (probed solution, the probe's bindings).  The log is the level's, the
+    failures the level's and the closing sweep's.  Psi's probe reads the
+    bindings of the closed measures."""
+    grid = m0.grid
+    starts = [gradient_central(grid, w) for w in level.w] if strategy == "gamma" else list(level.policy)
+    sol, bindings = _sweep(spec, m0, config, strategy, starts, closing=True)
+    if strategy == "psi":
+        x, times, mus = grid.coordinates(), sol.times, sol.mu
+        bindings = [spec.coefficients(x, slice_measure(spec, times[: j + 1], mus[: j + 1])) for j in range(len(mus))]
+    diagnostics = {
+        **level.diagnostics,
+        "failures": sorted(set(level.diagnostics["failures"]) | set(sol.diagnostics["failures"])),
+        "hjb_residual_histories": sol.diagnostics["hjb_residual_histories"],
+    }
+    sol = sol._replace(outer_errors=level.outer_errors, diagnostics=diagnostics)
+    return _solution(spec, config, sol, bindings), bindings
 
 
-def _gamma_step(spec, m0, config, state):
-    """One gamma pass from state (m, policy, hjbs, du), policy the fixed
-    points': the next state, holding the evolved densities and the gradients
-    of the new w, and the row (total, gradient part, density part) of the
-    outer error."""
-    m_list, _, _, du_list = state
-    fixed_points, bindings, hjbs = _gamma_slices(spec, config, m_list, du_list)
-    traj = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
-    du_new = [gradient_central(m0.grid, h.w) for h in hjbs]
-    du_errs = [float(np.abs(a - b).max()) for a, b in zip(du_new, du_list)]
-    m_errs = wasserstein1_state(traj, m_list)
-    row = (max(a + b for a, b in zip(du_errs, m_errs)), max(du_errs), max(m_errs))
-    state = (list(traj), [res.mu.a for res in fixed_points], hjbs, du_new)
-    return state, row, _failed_checks(inner=fixed_points, hjb=hjbs)
+def _solve(spec, m0, config, strategy, initial) -> TrajectorySolution:
+    """A public solve: the sweep from initial, its closing sweep and the probe."""
+    level, _ = _sweep(spec, m0, config, strategy, _starts(config, strategy, m0.grid, initial))
+    return _closed(spec, m0, config, strategy, level)[0]
 
 
 def solve_field_iteration(
@@ -419,54 +460,16 @@ def solve_field_iteration(
     config: CouplingConfig,
     initial: Optional[tuple[Sequence[np.ndarray], Sequence[DensityField]]] = None,
 ) -> TrajectorySolution:
-    """Outer Picard iteration on (u, m) for the discounted system.
+    """The discounted system by one sweep with gamma's local loop.
 
-    Per pass and per time slice: joint-measure fixed point from the previous
-    gradients and densities, discounted HJB solve, then one Fokker-Planck
-    evolution driven by the optimal policies.  The outer error sums the
-    gradient sup-distance and the state W1 distance per slice; gradients
-    are taken of each slice's normalized w, not of u = w + s/rho.  initial
-    is a warm start (u, m): (n^d,) value arrays and densities, one per slice.
+    Per slice, each local step solves the joint-measure fixed point from the
+    gradient, then the discounted HJB problem; the error is the sup distance
+    between consecutive gradients, taken of each slice's normalized w, not
+    of u = w + s/rho.  The slice's last HJB policy then drives one
+    Fokker-Planck step.  initial is a warm start (u, m), (n^d,) value arrays
+    and densities, one per slice: slice j starts from the gradient of u[j].
     """
-    return _finish(spec, m0, config, _field_picard(spec, m0, config, initial), "gamma")[0]
-
-
-def _field_picard(spec, m0, config, initial=None) -> TrajectorySolution:
-    """solve_field_iteration's Picard part: its level, the last pass's unprobed solution."""
-    n = config.n_steps + 1
-    u_list, m_list = _warm_start(config, initial or ([np.zeros(m0.grid.size)] * n, [m0] * n), "value")
-    start = (m_list, None, None, [gradient_central(m0.grid, u) for u in u_list])
-    (m, policy, hjbs, _), log, failed, converged = _picard(config, start, partial(_gamma_step, spec, m0, config))
-    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, policy)
-
-
-def _bind(spec, config, grid, mu_traj) -> list:
-    """Each slice's binding of the measure its Hamiltonian reads in mu_traj."""
-    times, x = config.times(), grid.coordinates()
-    return [spec.coefficients(x, slice_measure(spec, times[: j + 1], mu_traj[: j + 1])) for j in range(len(mu_traj))]
-
-
-def _psi_slices(spec, config, grid, mu_traj, warm):
-    """The bindings of the frozen trajectory mu_traj and the HJB solve in
-    each, from warm[j] (cold for warm None): (bindings, HJB solutions)."""
-    bindings = _bind(spec, config, grid, mu_traj)
-    return bindings, [
-        solve_discounted(spec, coefficients, config.rho, grid, tol=config.hjb_tol, warm_start=warm[j] if warm else None)
-        for j, coefficients in enumerate(bindings)
-    ]
-
-
-def _psi_step(spec, m0, config, state):
-    """One psi pass from state (m, mu, hjbs), warm-started at the policies of
-    hjbs, the pass before's (None before the first): the next state and the
-    row (total, the same) of the outer error."""
-    m_traj, mu_traj, hjbs = state
-    bindings, hjbs = _psi_slices(spec, config, m0.grid, mu_traj, None if hjbs is None else [h.policy for h in hjbs])
-    traj = _evolve(spec, m0, config, bindings, [h.policy for h in hjbs])
-    mu_new = [pushforward(m, h.policy) for m, h in zip(traj, hjbs)]
-    state_w1s = wasserstein1_state(traj, m_traj)
-    e_k = _max_joint_w1(list(zip(mu_new, mu_traj)), [1.0] * len(traj), state_w1s, config.outer_tol)
-    return (list(traj), mu_new, hjbs), (e_k, e_k), _failed_checks(hjb=hjbs)
+    return _solve(spec, m0, config, "gamma", initial)
 
 
 def solve_measure_iteration(
@@ -475,51 +478,17 @@ def solve_measure_iteration(
     config: CouplingConfig,
     initial: Optional[tuple[Sequence[JointMeasure], Sequence[DensityField]]] = None,
 ) -> TrajectorySolution:
-    """Outer Picard iteration on the joint-measure trajectory.
+    """The discounted system by one sweep with psi's local loop.
 
-    Each pass maps the whole trajectory through: per-slice HJB solves with
-    the trajectory frozen (history models read their kernel aggregate of the
-    past), one Fokker-Planck evolution, and pushforwards of the new densities
-    through the optimal policies.  The outer error is the sup over slices of
-    the joint W1 distance between consecutive trajectories; only the slices
-    whose certified upper bound can reach the sup are solved, and none when
-    every bound meets outer_tol, in which case the largest bound is the
-    pass's logged error.  initial is a warm start (mu, m): a measure
-    trajectory and its state marginals.
+    Per slice, each local step solves the HJB problem with the measures
+    frozen (history models read their kernel aggregate of the earlier
+    slices' measures and the slice's current one), then pushes the slice's
+    density forward through the optimal policy; the error is the joint W1
+    distance between consecutive measures of the slice, which share their
+    state marginal.  initial is a warm start (mu, m), a measure trajectory
+    and its state marginals: slice j starts from the policy of mu[j].
     """
-    return _finish(spec, m0, config, _measure_picard(spec, m0, config, initial), "psi")[0]
-
-
-def _measure_picard(spec, m0, config, initial=None) -> TrajectorySolution:
-    """solve_measure_iteration's Picard part: its level, the last pass's unprobed solution."""
-    n = config.n_steps + 1
-    start = initial or ([pushforward(m0, np.zeros((m0.grid.size, spec.control.k)))] * n, [m0] * n)
-    mu_traj, m_traj = _warm_start(config, start, "measure")
-    step = partial(_psi_step, spec, m0, config)
-    (m, _, hjbs), log, failed, converged = _picard(config, (m_traj, mu_traj, None), step)
-    return _unprobed(config, log, failed if converged else failed | {"outer"}, m, hjbs, [h.policy for h in hjbs])
-
-
-def _finish(spec, m0, config, level: TrajectorySolution, strategy: str):
-    """A Picard part's level finished by one consistency pass that reads
-    nothing but the level, then the residual probe: (probed solution, the
-    bindings of its stored measures).  Gamma re-solves each slice once on
-    the level's densities and the gradients of its w; psi runs one more pass
-    from its measures and policies.  The failures are the level's and the
-    pass's."""
-    grid = m0.grid
-    if strategy == "gamma":
-        du = [gradient_central(grid, w) for w in level.w]
-        fixed_points, bindings, hjbs = _gamma_slices(spec, config, level.m, du)
-        m, policy, missed = level.m, [res.mu.a for res in fixed_points], _failed_checks(inner=fixed_points, hjb=hjbs)
-    else:
-        bindings, hjbs = _psi_slices(spec, config, grid, level.mu, level.policy)
-        policy = [h.policy for h in hjbs]
-        m, missed = _evolve(spec, m0, config, bindings, policy), _failed_checks(hjb=hjbs)
-    sol = _unprobed(config, level.outer_errors, set(level.diagnostics["failures"]) | missed, m, hjbs, policy)
-    if strategy == "psi":  # the probe reads the bindings of the new measures
-        bindings = _bind(spec, config, grid, sol.mu)
-    return _solution(spec, config, sol, bindings), bindings
+    return _solve(spec, m0, config, "psi", initial)
 
 
 def _lagrange_weights(nodes: Sequence[float], x: float) -> np.ndarray:
@@ -566,49 +535,47 @@ def solve_vanishing_discount(
     """Ergodic driver: discounted solves along a decreasing discount sequence.
 
     Each level starts from the quadratic extrapolation in rho of the last
-    three levels (_extrapolated_start): gamma from extrapolated (w, m), psi
-    from extrapolated policies and densities and the pushforwards of one
-    through the other.  The second level, with one level before it, starts
-    from that level's solution, the third from the line through two.  Each
-    level runs its strategy's Picard part alone; the starts and the increments
-    read its last pass's per-slice HJB pairs (w, s), the normalized values,
-    zero at the HJB normalization node, and cost estimates, and its evolved
+    three levels (_extrapolated_start): gamma's slices from the gradients of
+    the extrapolated w, psi's from the extrapolated policies; the sweep
+    derives each slice's density itself.  The second level, with one level
+    before it, starts from that level's solution, the third from the line
+    through two.  Each level runs its strategy's sweep alone; the starts and
+    the increments read its per-slice HJB pairs (w, s), the normalized
+    values, zero at the HJB normalization node, and cost estimates, and its
     densities.  The driver stops when the combined per-slice increments
     (including the state W1 distance) fall below the ergodic tolerance, or
     runs the whole sequence if configured to.  Only this last level, the one
-    reported, gets its strategy's finish (consistency pass and residual
-    probe), and the result is its solution read at rho = 0.  Its pairs are
-    then measured slice by slice in the ergodic equation and against direct
-    ergodic solves: ergodic_residual_max is their largest HJB residual at
-    rho = 0, where hjb_residuals are measured at the last discount, and it
-    does not enter converged.  The diagnostics are the last level's, except
-    level_outer_iterations, the outer passes of each level, outer_iterations,
-    their sum, and failures: the outer, inner and hjb checks of any level,
-    the measured hjb_residual and mu_residual checks of the result only, and
-    "ergodic" if the increments never reached the tolerance.
+    reported, gets the closing sweep and the residual probe, and the result
+    is its solution read at rho = 0.  Its pairs are then measured slice by
+    slice in the ergodic equation and against direct ergodic solves:
+    ergodic_residual_max is their largest HJB residual at rho = 0, where
+    hjb_residuals are measured at the last discount, and it does not enter
+    converged.  The diagnostics are the last level's, except
+    level_outer_iterations, the local steps of each level's sweep,
+    outer_iterations, their sum, and failures: the outer, inner and hjb
+    checks of any level, the measured hjb_residual and mu_residual checks of
+    the result only, and "ergodic" if the increments never reached the
+    tolerance.
     """
     if not config.rho_sequence:
         raise ValueError("ergodic driver needs a nonempty rho_sequence")
-    grid = m0.grid
-    picard = _field_picard if config.strategy == "gamma" else _measure_picard
-    levels: list[TrajectorySolution] = []  # every level's Picard result, in order
+    grid, strategy = m0.grid, config.strategy
+    levels: list[TrajectorySolution] = []  # every level's sweep, in order
     increments: list[tuple[float, float]] = []  # (value increment, increment) per pair of levels
     for rho in map(float, config.rho_sequence):
-        fits = [
-            (lv.rho, lv.w if config.strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]
-        ]
-        initial = _extrapolated_start(spec, grid, config.strategy, fits, rho) if fits else None
-        levels.append(picard(spec, m0, replace(config, rho=rho), initial))
+        fits = [(lv.rho, lv.w if strategy == "gamma" else lv.policy, [m.values for m in lv.m]) for lv in levels[-3:]]
+        initial = _extrapolated_start(spec, grid, strategy, fits, rho) if fits else None
+        levels.append(_sweep(spec, m0, replace(config, rho=rho), strategy, _starts(config, strategy, grid, initial))[0])
         if len(levels) > 1:
             increments.append(_level_increments(levels[-1], levels[-2]))
         converged = bool(increments) and increments[-1][1] <= config.ergodic_tol
         if converged and not config.full_sequence:
             break
 
-    # the reported level alone is finished; its pairs are then measured in
-    # the ergodic equation (rho = 0) and against the direct ergodic solver,
-    # both on the finish's binding of each slice
-    sol, bindings = _finish(spec, m0, replace(config, rho=levels[-1].rho), levels[-1], config.strategy)
+    # the reported level alone is closed and probed; its pairs are then
+    # measured in the ergodic equation (rho = 0) and against the direct
+    # ergodic solver, both on the probe's binding of each slice
+    sol, bindings = _closed(spec, m0, replace(config, rho=levels[-1].rho), strategy, levels[-1])
     levels[-1] = sol
     ergodic_res, direct_gaps = [], []
     for w, s, coefficients in zip(sol.w, sol.s, bindings):

@@ -24,8 +24,8 @@ Every W1 value is exact; which engine computes it depends on the call:
   attains it.  The optimal circle plan of the states, lifted to the joint
   measures, costs at least W1_joint.  Where the two bounds meet within tau
   times the mass, tau the atom LP's dual tolerance, the plan's cost is the
-  value and no LP is built (psi's first pass against its zero-policy start
-  is such a pair); otherwise the atom LP below starts from the arcs the
+  value and no LP is built (psi's first step on slice 0, against its
+  zero-policy start, is such a pair); otherwise the atom LP below starts from the arcs the
   dual point prices at most tau plus the plan's arcs;
 - the atom linear program on the bipartite atom graph (HiGHS), for every
   other pair of joint measures, e.g. measures at two different times.  It is
@@ -49,8 +49,8 @@ Every W1 value is exact; which engine computes it depends on the call:
   density pairs on one grid, and their LPs share one HiGHS model: its
   constraints depend on the grid alone, so only the objective changes from
   pair to pair.  A new objective keeps the last optimal basis primal
-  feasible, and the solve re-runs from it (a hot start; for the
-  neighbouring slices of one outer pass a few pivots).  For d=1 state
+  feasible, and the solve re-runs from it (a hot start; for neighbouring
+  slices a few pivots).  For d=1 state
   densities the circle CDF reduction is used, pair by pair.
 
 The tests check every engine against an atom LP over every arc.
@@ -441,10 +441,12 @@ def _transport_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray, arcs: np.nda
         arcs = _seed_arcs(cost, corner)
         highs = _lp_model(b_eq, cost.ravel()[arcs], _arc_rows(arcs, n1, n2), 1.0, simplex_strategy=4)  # primal
         _set_basis(highs, np.isin(arcs, corner))
+    reduced = np.empty_like(cost)  # one buffer for every round's reduced costs
     while True:
         value, dual = _solve(highs)
         dual = np.append(dual, 0.0)
-        reduced = cost - dual[:n1, None] - dual[None, n1:]
+        np.subtract(cost, dual[:n1, None], out=reduced)
+        reduced -= dual[None, n1:]
         reduced.ravel()[arcs] = np.inf
         best_col = reduced.argmin(axis=1)
         best_row = reduced.argmin(axis=0)
@@ -703,9 +705,9 @@ def wasserstein1_state(
     empty list for empty sequences).  A single pair is a batch of one.  For
     d=2 a batch's LPs share one HiGHS model, each hot-started from the
     basis of the one before, which a new objective keeps primal feasible
-    (_grid_flow_w1), so a pass's slices cost little more than one LP;
-    batches with any density with more than ATOM_CAP nonzero nodes are
-    rejected, as in wasserstein1_joint, before any model is built.
+    (_grid_flow_w1), so a batch of neighbouring slices costs little more
+    than one LP; batches with any density with more than ATOM_CAP nonzero
+    nodes are rejected, as in wasserstein1_joint, before any model is built.
     """
     single = isinstance(m1, DensityField) and isinstance(m2, DensityField)
     firsts, seconds = ([m1], [m2]) if single else (list(m1), list(m2))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -452,7 +453,11 @@ class TestRun:
             assert (out / name).exists(), name
         summary = _summary(out)
         assert summary["converged"] is True
-        assert summary["outer_iterations"] in (1, 2)
+        # each of the 11 slices takes one or two local steps
+        header, rows = _read_csv(out / "convergence.csv")
+        steps = Counter(int(j) for _, _, j in rows)
+        assert sorted(steps) == list(range(11)) and set(steps.values()) <= {1, 2}
+        assert summary["outer_iterations"] == len(rows)
         assert summary["mu_residual_max"] <= 1e-9
         assert summary["mass_error_max"] <= 1e-12
 
@@ -665,8 +670,8 @@ class TestRunOutputs:
     def test_logs_match_the_solve(self, written_run):
         out, _, sol = written_run
         header, rows = _read_csv(out / "convergence.csv")
-        assert header == "iteration,outer_error,component_errors"
-        parsed = [(int(k), float(err), *(float(c) for c in comps.split(";"))) for k, err, comps in rows]
+        assert header == "iteration,outer_error,slice"
+        parsed = [(int(k), float(err), int(j)) for k, err, j in rows]
         assert parsed == [tuple(row) for row in sol.outer_errors]
         header, rows = _read_csv(out / "hjb_residuals.csv")
         assert header == "t,iteration,residual"

@@ -1,12 +1,12 @@
-"""Coupled-system driver tests: measure fixed point, both outer strategies,
-the ergodic limit, and the regularity report."""
+"""Coupled-system driver tests: measure fixed point, the sweep with both
+local loops, the ergodic limit, and the regularity report."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qsmfg import coupling, measure
+from qsmfg import coupling
 from qsmfg.coupling import (
     CouplingConfig,
     regularity_report,
@@ -39,6 +39,11 @@ from qsmfg.model import (
 )
 
 GRID = Grid(1, 32)
+
+
+def _slice_errors(sol):
+    """Each slice's logged local-step errors, in order."""
+    return [[err for _, err, j in sol.outer_errors if j == k] for k in range(sol.n_slices)]
 
 
 def _random_density(seed):
@@ -256,11 +261,18 @@ class TestJointMeasureLoop:
 
     def test_repeated_policy_hands_its_binding_to_the_slice(self, weak_gamma_solution, monkeypatch):
         # on the symmetric two-bump data each slice's first step repeats the
-        # start's policy: the fixed point binds the reference measure and its
-        # start, pushes forward twice, solves no W1, and the slice's HJB solve
-        # reads the fixed point's binding instead of binding a third time
-        spec, _, cfg, sol = weak_gamma_solution
+        # start's policy: in a closing sweep from the solution's gradients
+        # the fixed point binds the reference measure and its start, pushes
+        # forward twice, solves no W1, and the slice's HJB solve and
+        # Fokker-Planck step read the fixed point's binding instead of
+        # binding a third time
+        spec, m0, cfg, sol = weak_gamma_solution
         counts = {"bindings": 0, "pushforward": 0, "w1": 0}
+        fixed_points = []
+
+        def recorded(*args, _solve=solve_joint_measure, **kwargs):
+            fixed_points.append(_solve(*args, **kwargs))
+            return fixed_points[-1]
 
         def counted(name, fn):
             def call(*args):
@@ -271,8 +283,9 @@ class TestJointMeasureLoop:
         counting = replace(spec, coefficients=counted("bindings", spec.coefficients))
         monkeypatch.setattr(coupling, "pushforward", counted("pushforward", coupling.pushforward))
         monkeypatch.setattr(coupling, "wasserstein1_joint", counted("w1", coupling.wasserstein1_joint))
+        monkeypatch.setattr(coupling, "solve_joint_measure", recorded)
         du = [gradient_central(GRID, w) for w in sol.w]
-        fixed_points, bindings, _ = coupling._gamma_slices(counting, cfg, sol.m, du)
+        _, bindings = coupling._sweep(counting, m0, cfg, "gamma", du, closing=True)
         steps = [(res.iterations, res.increments, res.converged) for res in fixed_points]
         assert steps == [(1, (0.0,), True)] * sol.n_slices
         assert counts == {"bindings": 2 * sol.n_slices, "pushforward": 2 * sol.n_slices, "w1": 0}
@@ -304,7 +317,7 @@ class TestJointMeasureLoop:
 
 
 class TestOuterLoop:
-    """The plain outer Picard loop both strategies share."""
+    """The sweep's local loop, the same for both strategies."""
 
     STRONG = dict(delta=0.5, eps=1.2, kappa=1.0, potential=0.8)  # criterion 8's strong model
 
@@ -318,23 +331,31 @@ class TestOuterLoop:
             ([1.0, 1.0, 1.0, 1.0], False),
         ],
     )
-    def test_scripted_outer_errors(self, errors, converged):
+    def test_scripted_outer_errors(self, errors, converged, monkeypatch):
+        # slice 0 of two logs the scripted errors of its real local steps,
+        # slice 1 logs 0.0 at its first step
+        spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
         cfg = CouplingConfig(T=0.1, dt=0.1, outer_tol=1e-12, max_outer=len(errors))
-        received = []
+        received, returned = [], []
 
-        def step(state):
-            received.append(state)
+        def scripted(spec, config, times, m, du, mu, earlier, _step=coupling._gamma_local):
+            received.append(du)
+            state, _, *rest, _ = _step(spec, config, times, m, du, mu, earlier)
+            returned.append(state)
             k = len(received)
-            return ("pass", k), (errors[k - 1], "part"), {"inner"} if k == 2 else {"hjb"} if k == 3 else set()
+            if len(times) > 1:
+                return state, 0.0, *rest, set()
+            return state, errors[k - 1], *rest, {"inner"} if k == 2 else {"hjb"} if k == 3 else set()
 
-        state, log, failed, done = coupling._picard(cfg, "start", step)
-        assert done is converged
-        assert log == [(k, e, "part") for k, e in enumerate(errors, start=1)]
-        # each pass steps from the state the pass before returned, and the
-        # missed checks of every pass are kept
-        assert received == ["start", *[("pass", k) for k in range(1, len(errors))]]
-        assert state == ("pass", len(errors))
-        assert failed == {"inner", "hjb"}
+        monkeypatch.setattr(coupling, "_gamma_local", scripted)
+        level, _ = coupling._sweep(spec, m0, cfg, "gamma", [None, None])
+        n = len(errors)
+        assert level.outer_errors == (*((k, e, 0) for k, e in enumerate(errors, start=1)), (n + 1, 0.0, 1))
+        # each step starts from the state the step before returned, across
+        # the slice boundary too, and the missed checks of every step are kept
+        assert received[0] is None and all(a is b for a, b in zip(received[1:], returned))
+        assert level.diagnostics["failures"] == ["hjb", "inner"] + ([] if converged else ["outer"])
+        assert level.diagnostics["final_outer_error"] == errors[-1]
 
     @pytest.mark.parametrize("solve", [solve_field_iteration, solve_measure_iteration], ids=["gamma", "psi"])
     def test_strong_coupling_converges(self, solve):
@@ -346,9 +367,26 @@ class TestOuterLoop:
         )
         sol = solve(spec, two_bump_density(GRID), cfg)
         assert sol.converged
-        assert sol.diagnostics["outer_iterations"] <= 4
-        errors = [row[1] for row in sol.outer_errors]
-        assert all(b < a for a, b in zip(errors, errors[1:]))
+        for errors in _slice_errors(sol):
+            assert 1 <= len(errors) <= 4
+            assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+    @pytest.mark.parametrize("solve", [solve_field_iteration, solve_measure_iteration], ids=["gamma", "psi"])
+    def test_missed_slice_leaves_the_sweep_going(self, solve):
+        # at a budget of 2 local steps the first slice misses outer_tol and
+        # adds "outer"; every later slice is still solved from its result,
+        # its residuals measured within tolerance, and the largest last
+        # error, the first slice's, is the final one
+        spec = example_one(d=1, **self.STRONG)
+        cfg = CouplingConfig(T=0.3, dt=0.1, rho=1.0, outer_tol=1e-9, inner_tol=1e-8, hjb_tol=1e-11, max_outer=2)
+        sol = solve(spec, two_bump_density(GRID), cfg)
+        first, *later = _slice_errors(sol)
+        assert len(first) == cfg.max_outer and first[-1] > cfg.outer_tol
+        assert later[-1][-1] <= cfg.outer_tol
+        assert sol.hjb_residuals[1:].max() <= cfg.hjb_tol and sol.mu_residuals[1:].max() <= cfg.inner_tol
+        assert "outer" in sol.diagnostics["failures"] and not sol.converged
+        assert sol.diagnostics["final_outer_error"] == max(errors[-1] for errors in [first, *later]) == first[-1]
 
 
 class TestMeasuredResiduals:
@@ -388,17 +426,20 @@ class TestFieldIteration:
         cfg = CouplingConfig(T=0.5, dt=0.1, rho=1.0, outer_tol=1e-8)
         sol = solve_field_iteration(spec, uniform_density(GRID), cfg)
         assert sol.converged
-        assert sol.diagnostics["outer_iterations"] <= 2
+        assert all(len(errors) <= 2 for errors in _slice_errors(sol))
 
     def test_separated_gradient_fixed_from_first_pass(self):
         # H = H0(x, p) - l1(mu): gradients never see the measure, so the
-        # gradient component of the outer error vanishes from pass 2 on
+        # gradient error vanishes from slice 0's second step on, and every
+        # later slice, which starts from the gradient of the slice before,
+        # stops at its first step
         spec = separated_cost(d=1, coupling_weight=0.4)
         cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=1e-10, hjb_tol=1e-12)
         sol = solve_field_iteration(spec, two_bump_density(GRID), cfg)
         assert sol.converged
-        for row in sol.outer_errors[1:]:
-            assert row[2] <= 1e-9  # du component
+        first, *later = _slice_errors(sol)
+        assert first[0] > cfg.outer_tol and all(err <= 1e-9 for err in first[1:])
+        assert all(len(errors) == 1 for errors in later)
 
     def test_weak_coupling_invariants(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
@@ -454,7 +495,7 @@ class TestMeasureIteration:
         cfg = CouplingConfig(T=0.3, dt=0.1, rho=1.0, outer_tol=1e-8, strategy="psi")
         sol = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
         assert sol.converged
-        assert sol.diagnostics["outer_iterations"] <= 2
+        assert all(len(errors) <= 2 for errors in _slice_errors(sol))
 
     def test_strategy_equivalence_on_instant_model(self, weak_gamma_solution):
         spec, m0, cfg, sol = weak_gamma_solution
@@ -482,10 +523,10 @@ class TestMeasureIteration:
         assert sol.hjb_residuals.max() <= cfg.hjb_tol
 
     def test_one_binding_per_slice(self):
-        # each pass binds every slice's measure once, and the slice's HJB
+        # each local step binds the slice's measure once, and the slice's HJB
         # solve and Fokker-Planck drift read that binding, so an FP step binds
-        # nothing; the finish runs one more pass, and its probe binds each
-        # stored measure once
+        # nothing; the closing sweep takes one more step per slice, and its
+        # probe binds each stored measure once
         base = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
         bindings = []
 
@@ -496,9 +537,9 @@ class TestMeasureIteration:
         spec = replace(base, coefficients=coefficients)
         cfg = CouplingConfig(T=0.4, dt=0.1, rho=1.0, outer_tol=5e-9, inner_tol=1e-8, hjb_tol=1e-11, strategy="psi")
         sol = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
-        passes = sol.diagnostics["outer_iterations"]
-        assert sol.converged and passes >= 2
-        assert len(bindings) == (passes + 2) * sol.n_slices
+        steps = sol.diagnostics["outer_iterations"]
+        assert sol.converged and steps > sol.n_slices
+        assert len(bindings) == steps + 2 * sol.n_slices
 
     def test_memory_model_gradient_modulus_uniform_in_rho(self):
         # empirical gradient modulus in time, uniform over a discount sweep:
@@ -522,29 +563,36 @@ class TestMeasureIteration:
         assert max(moduli) <= 2.0 * min(moduli) + 1e-12
 
 
-_PICARD = {"gamma": "_field_picard", "psi": "_measure_picard"}  # each strategy's Picard part
 _SOLVE = {"gamma": solve_field_iteration, "psi": solve_measure_iteration}
+
+
+def _record_levels(mp):
+    """Make coupling record the solution of every sweep that is not a
+    closing sweep, a solve's levels, in the returned list."""
+    levels = []
+
+    def recorded(*args, _sweep=coupling._sweep, **kwargs):
+        sol, bindings = _sweep(*args, **kwargs)
+        if not kwargs.get("closing"):
+            levels.append(sol)
+        return sol, bindings
+
+    mp.setattr(coupling, "_sweep", recorded)
+    return levels
 
 
 @pytest.fixture(scope="module", params=["gamma", "psi"])
 def weak_ergodic_levels(request):
     """The weak ergodic solve of TestErgodicDriver, with every discount
-    level's Picard result: its last pass's pairs, evolved densities and
-    stored measures, before the last level's finish."""
+    level's sweep: its pairs, densities and stored measures, before the last
+    level's closing sweep."""
     spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
     cfg = CouplingConfig(
         T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=request.param,
         rho_sequence=tuple(2.0**-k for k in range(10)), ergodic_tol=5e-4, full_sequence=True,
     )
-    levels = []
-    name = _PICARD[request.param]
-
-    def recorded(*args, _picard=getattr(coupling, name), **kwargs):
-        levels.append(_picard(*args, **kwargs))
-        return levels[-1]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coupling, name, recorded)
+        levels = _record_levels(mp)
         sol = solve_vanishing_discount(spec, m0, cfg)
     return spec, m0, cfg, sol, levels
 
@@ -565,29 +613,23 @@ def _assert_same_solution(ours, theirs):
 
 @pytest.mark.parametrize("strategy", ["gamma", "psi"])
 def test_finish_reads_only_its_level(monkeypatch, strategy):
-    # a copy of the level a public solve's Picard part returned, finished
-    # again, is that solve's result bit for bit: the finish keeps no state
-    # of the Picard loop
+    # a copy of the level a public solve's sweep returned, closed and probed
+    # again, is that solve's result bit for bit: the closing sweep keeps no
+    # state of the sweep
     spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
     cfg = CouplingConfig(T=0.2, dt=0.1, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy)
-    levels = []
-
-    def recorded(*args, _picard=getattr(coupling, _PICARD[strategy]), **kwargs):
-        levels.append(_picard(*args, **kwargs))
-        return levels[-1]
-
-    monkeypatch.setattr(coupling, _PICARD[strategy], recorded)
+    levels = _record_levels(monkeypatch)
     sol = _SOLVE[strategy](spec, m0, cfg)
-    assert len(levels) == 1 and sol.diagnostics["outer_iterations"] >= 2
-    finished, bindings = coupling._finish(spec, m0, cfg, replace(levels[0]), strategy)
+    assert len(levels) == 1 and sol.diagnostics["outer_iterations"] > sol.n_slices
+    finished, bindings = coupling._closed(spec, m0, cfg, strategy, replace(levels[0]))
     _assert_same_solution(finished, sol)
     assert len(bindings) == sol.n_slices
 
 
 def _finish_every_level(spec, m0, cfg):
     """Oracle for the ergodic driver: every discount level a full public
-    solve (Picard loop, consistency pass and residual probe) from the
-    extrapolated start, stopped on the driver's increment rule."""
+    solve (sweep, closing sweep and residual probe) from the extrapolated
+    start, stopped on the driver's increment rule."""
     levels = []
     for rho in cfg.rho_sequence:
         fits = [
@@ -706,8 +748,8 @@ class TestErgodicDriver:
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_picard_only_levels_match_finishing_every_level(self, monkeypatch, strategy, full):
         # an intermediate level only predicts the next one, so skipping its
-        # consistency pass and probe moves the written tuple by rounding
-        # alone and no level's pass count; the probe runs once per solve
+        # closing sweep and probe moves the written tuple by rounding alone
+        # and no level's step count; the probe runs once per solve
         spec, m0 = example_one(d=1, **WEAK), two_bump_density(GRID)
         cfg = CouplingConfig(
             T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
@@ -734,16 +776,19 @@ class TestErgodicDriver:
         assert sol.converged and old.converged
 
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
-    def test_unfinished_level_failure_is_reported(self, strategy):
-        # the first levels need 3 passes and the last ones 1: at a budget of
-        # 2 only levels that are never finished miss the outer tolerance
+    def test_unfinished_level_failure_is_reported(self, monkeypatch, strategy):
+        # the first level's slice 0 needs 3 local steps and every slice of
+        # the last level 1: at a budget of 2 only levels that are never
+        # closed miss the outer tolerance
         cfg = CouplingConfig(
             T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy, max_outer=2,
             rho_sequence=tuple(2.0**-k for k in range(8)), ergodic_tol=3e-4,
         )
+        levels = _record_levels(monkeypatch)
         sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
-        passes = sol.diagnostics["level_outer_iterations"]
-        assert passes[0] == cfg.max_outer and passes[-1] < cfg.max_outer
+        first = _slice_errors(levels[0])[0]
+        assert len(first) == cfg.max_outer and first[-1] > cfg.outer_tol
+        assert levels[-1].diagnostics["failures"] == [] and len(levels[-1].outer_errors) == sol.n_slices
         assert sol.diagnostics["final_outer_error"] <= cfg.outer_tol
         assert sol.diagnostics["failures"] == ["outer"] and not sol.converged
 
@@ -765,14 +810,15 @@ class TestErgodicDriver:
             assert 0.45 <= ratio <= 0.55
 
     def test_extrapolated_starts_save_outer_passes(self, weak_ergodic_levels):
-        # the plain warm start from the last level took 3 passes on each of
-        # the first 9 levels and 2 on the last: 29 passes; the extrapolated
-        # starts take 18, the last 5 levels one pass each
+        # over the 3 slices of the 10 levels, the plain warm start from the
+        # last level takes 74 local steps (psi 73), a cold start per level
+        # 70; the extrapolated starts take 49, the last 5 levels one step
+        # per slice
         *_, sol, levels = weak_ergodic_levels
-        passes = [level.diagnostics["outer_iterations"] for level in levels]
-        assert sol.diagnostics["level_outer_iterations"] == passes
-        assert sum(passes) <= 20
-        assert passes[-1] == 1
+        steps = [level.diagnostics["outer_iterations"] for level in levels]
+        assert sol.diagnostics["level_outer_iterations"] == steps
+        assert sum(steps) <= 52
+        assert steps[-1] == sol.n_slices
         assert sol.converged
 
     def test_last_level_matches_plain_warm_start(self, weak_ergodic_levels):
@@ -871,12 +917,12 @@ class TestErgodicDriver:
 
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_closing_pass_measures_only_the_hjb(self, monkeypatch, strategy):
-        # after the last level's finish, whose residual probe (_solution) is
-        # the one probe of the solve, the pairs are read in the ergodic
-        # equation and against direct solves, one slice context each: no
-        # measure is pushed forward and no transport LP is solved
+        # after the last level's closing sweep and residual probe
+        # (_solution), the one probe of the solve, the pairs are read in the
+        # ergodic equation and against direct solves, one slice context
+        # each: no measure is pushed forward and no transport LP is solved
         calls = []
-        names = (_PICARD[strategy], "_solution", "pushforward", "wasserstein1_joint", "equation_residual", "solve_ergodic")
+        names = ("_sweep", "_solution", "pushforward", "wasserstein1_joint", "equation_residual", "solve_ergodic")
         for name in names:
             def recorded(*args, _name=name, _call=getattr(coupling, name), **kwargs):
                 result = _call(*args, **kwargs)
@@ -890,7 +936,7 @@ class TestErgodicDriver:
         )
         sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
         closing = calls[len(calls) - calls[::-1].index("_solution"):]
-        assert calls.count(_PICARD[strategy]) == 3 and calls.count("_solution") == 1
+        assert calls.count("_sweep") == 3 + 1 and calls.count("_solution") == 1  # three levels, one closing
         assert closing == ["equation_residual", "solve_ergodic"] * sol.n_slices
 
     def test_psi_agrees_with_gamma(self):
@@ -911,26 +957,40 @@ class TestErgodicDriver:
 
     @pytest.mark.parametrize("strategy", ["gamma", "psi"])
     def test_outer_iterations_sum_over_levels(self, monkeypatch, strategy):
-        # the driver reports the outer passes of every discount level, while
-        # each level's Picard result still holds its own count
-        levels = []
-        for name in _PICARD.values():
-            def counted(*args, _picard=getattr(coupling, name), **kwargs):
-                level = _picard(*args, **kwargs)
-                levels.append(level.diagnostics["outer_iterations"])
-                return level
+        # the driver reports the local steps of every discount level, while
+        # each level's sweep still holds its own count
+        cfg = CouplingConfig(
+            T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
+            rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
+        )
+        recorded = _record_levels(monkeypatch)
+        sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
+        levels = [level.diagnostics["outer_iterations"] for level in recorded]
+        assert len(levels) == 3 and min(levels) >= sol.n_slices
+        assert sol.diagnostics["level_outer_iterations"] == levels
+        assert sol.diagnostics["outer_iterations"] == sum(levels) > levels[-1]
+        assert sol.diagnostics["final_outer_error"] == max(errors[-1] for errors in _slice_errors(sol))
+        assert len(sol.outer_errors) == levels[-1]
 
-            monkeypatch.setattr(coupling, name, counted)
+    @pytest.mark.parametrize("strategy", ["gamma", "psi"])
+    def test_intermediate_levels_get_no_closing_sweep(self, monkeypatch, strategy):
+        # every level's local steps solve one HJB problem each, and the
+        # closing sweep of the last level one per slice; the direct ergodic
+        # cross-checks call solve_ergodic, not solve_discounted
+        calls = []
+
+        def counted(*args, _solve=coupling.solve_discounted, **kwargs):
+            calls.append(1)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(coupling, "solve_discounted", counted)
         cfg = CouplingConfig(
             T=0.1, dt=0.05, outer_tol=1e-9, inner_tol=1e-10, hjb_tol=1e-12, strategy=strategy,
             rho_sequence=(1.0, 0.5, 0.25), full_sequence=True,
         )
         sol = solve_vanishing_discount(example_one(d=1, **WEAK), two_bump_density(GRID), cfg)
-        assert len(levels) == 3 and min(levels) >= 1
-        assert sol.diagnostics["level_outer_iterations"] == levels
-        assert sol.diagnostics["outer_iterations"] == sum(levels) > levels[-1]
-        assert sol.diagnostics["final_outer_error"] == sol.outer_errors[-1][1]
-        assert len(sol.outer_errors) == levels[-1]
+        assert len(sol.diagnostics["level_outer_iterations"]) == 3
+        assert len(calls) == sol.diagnostics["outer_iterations"] + sol.n_slices
 
     def test_history_model_converges(self):
         spec = example_two(d=1, eps=0.15, kappa=0.15, potential=0.3, kernel_scale=0.5)
@@ -996,7 +1056,7 @@ def _counting_w1(monkeypatch):
     return calls
 
 
-def _unpruned_max(pairs, scales, _state_w1s, _tol=-np.inf):
+def _unpruned_max(pairs, scales, _state_w1s):
     return max(coupling.wasserstein1_joint(nu1, nu2) / c for (nu1, nu2), c in zip(pairs, scales))
 
 
@@ -1014,10 +1074,6 @@ def _drifting_pairs(scaled):
     scales = [np.sqrt(0.1 * (k - j)) if scaled else 1.0 for j, k in index]
     state = [wasserstein1_state(densities[j], densities[k]) for j, k in index]
     return pairs, scales, state
-
-
-def _bounds(pairs, scales, state):
-    return [measure.joint_w1_upper_bound(nu1, nu2, s) / c for (nu1, nu2), c, s in zip(pairs, scales, state)]
 
 
 class TestPrunedMaximum:
@@ -1041,67 +1097,39 @@ class TestPrunedMaximum:
         assert len(calls) == 6
         assert coupling._max_joint_w1([], [], []) == -np.inf
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_bounds_at_tolerance_solve_no_lp(self, scaled, monkeypatch):
-        pairs, scales, state = _drifting_pairs(scaled)
-        top = max(_bounds(pairs, scales, state))
-        calls = _counting_w1(monkeypatch)
-        assert coupling._max_joint_w1(pairs, scales, state, top) == top
-        assert coupling._max_joint_w1(pairs, scales, state, 2.0 * top) == top
-        assert calls == []
-
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_one_bound_above_tolerance_gives_full_maximum(self, scaled, monkeypatch):
-        pairs, scales, state = _drifting_pairs(scaled)
-        bounds = sorted(_bounds(pairs, scales, state))
-        assert bounds[-2] < bounds[-1]
-        calls = _counting_w1(monkeypatch)
-        value = coupling._max_joint_w1(pairs, scales, state, bounds[-2])
-        assert calls
-        assert value == _unpruned_max(pairs, scales, state) < bounds[-1]
-
     def test_infinite_bound_never_settles(self, monkeypatch):
+        # a pair of unknown state distance has an infinite bound: it is
+        # solved first, and the pruning below it still gives the maximum
         pairs, scales, state = _drifting_pairs(False)
         state[3] = np.inf
-        calls = _counting_w1(monkeypatch)
-        value = coupling._max_joint_w1(pairs, scales, state, np.inf)
-        assert calls
+        solved = []
+
+        def recording(nu1, nu2, _w1=coupling.wasserstein1_joint):
+            solved.append(next(i for i, pair in enumerate(pairs) if pair[0] is nu1 and pair[1] is nu2))
+            return _w1(nu1, nu2)
+
+        monkeypatch.setattr(coupling, "wasserstein1_joint", recording)
+        value = coupling._max_joint_w1(pairs, scales, state)
+        assert solved[0] == 3 and len(solved) < len(pairs)
         assert value == _unpruned_max(pairs, scales, state)
 
     def test_psi_run_matches_unpruned_outer_error(self, memory_psi_solution, monkeypatch):
-        # passes the bounds do not settle log the exact maximum; a settled
-        # pass logs a certified upper bound that meets outer_tol, between the
-        # exact maximum and the tolerance, and solves no LP.  The iterates
-        # do not depend on it.
+        # psi's local error is one exact joint W1 per step, never a bound or
+        # a pruned maximum: the logged errors are the sweep's W1 values in
+        # order, and the closing sweep and the probe solve one more per slice
         spec, cfg, sol = memory_psi_solution
-        prune = coupling._max_joint_w1
-        calls = _counting_w1(monkeypatch)
-        passes = []  # (LPs solved, largest state W1) per outer-error call
+        values = []
 
-        def recording(pairs, scales, state_w1s, tol=-np.inf):
-            before = len(calls)
-            value = prune(pairs, scales, state_w1s, tol)
-            passes.append((len(calls) - before, max(state_w1s)))
-            return value
+        def recording(nu1, nu2, _w1=coupling.wasserstein1_joint):
+            values.append(_w1(nu1, nu2))
+            return values[-1]
 
-        monkeypatch.setattr(coupling, "_max_joint_w1", recording)
-        pruned = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
-        monkeypatch.setattr(coupling, "_max_joint_w1", _unpruned_max)
-        full = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
-        assert pruned.outer_errors == sol.outer_errors
-        assert len(passes) == len(full.outer_errors) == len(sol.outer_errors)
-        for (lps, state_max), row, full_row in zip(passes, sol.outer_errors, full.outer_errors):
-            assert row[0] == full_row[0]
-            if lps:
-                assert row == full_row
-            else:
-                assert state_max <= full_row[1] <= row[1] <= cfg.outer_tol
-        assert passes[-1][0] == 0
-        for a, b in zip(full.mu, sol.mu):
-            assert np.array_equal(a.a, b.a) and np.array_equal(a.w, b.w)
-        for a, b in zip(full.m, sol.m):
-            assert np.array_equal(a.values, b.values)
-        assert full.converged == sol.converged
+        monkeypatch.setattr(coupling, "wasserstein1_joint", recording)
+        again = solve_measure_iteration(spec, two_bump_density(GRID), cfg)
+        steps = len(sol.outer_errors)
+        assert again.outer_errors == sol.outer_errors
+        assert [err for _, err, _ in sol.outer_errors] == values[:steps]
+        assert len(values) == steps + 2 * sol.n_slices
 
 
 @pytest.fixture(scope="module")
